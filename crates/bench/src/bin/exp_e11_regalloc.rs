@@ -1,11 +1,7 @@
-//! Regenerates experiment E11 (register allocation before/after).
-//!
-//! With `--json`, re-emits `baselines/regalloc_cycles.json` with fresh
-//! measurements instead of the human-readable table.
+//! Prints experiment E11 (register allocation vs the seed codegen, frozen).
+//! With `--json`, re-emits `baselines/regalloc_cycles.json` instead.
+use patmos_bench::baselines::{exp_e11_regalloc, family_main, REGALLOC};
+
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::regalloc_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e11_regalloc());
-    }
+    family_main(REGALLOC, exp_e11_regalloc);
 }

@@ -1,11 +1,7 @@
-//! Regenerates experiment E12 (mid-end optimizer vs straight lowering).
-//!
-//! With `--json`, re-emits `baselines/opt_cycles.json` with fresh
-//! measurements instead of the human-readable table.
+//! Prints experiment E12 (mid-end optimizer vs straight lowering, frozen).
+//! With `--json`, re-emits `baselines/opt_cycles.json` instead.
+use patmos_bench::baselines::{exp_e12_opt, family_main, OPT};
+
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::opt_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e12_opt());
-    }
+    family_main(OPT, exp_e12_opt);
 }

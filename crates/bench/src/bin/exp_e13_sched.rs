@@ -1,11 +1,7 @@
-//! Regenerates experiment E13 (DAG scheduler vs run scheduler).
-//!
-//! With `--json`, re-emits `baselines/sched_cycles.json` with fresh
-//! measurements instead of the human-readable table.
+//! Prints experiment E13 (DAG scheduler vs the frozen run scheduler).
+//! With `--json`, re-emits `baselines/sched_cycles.json` instead.
+use patmos_bench::baselines::{exp_e13_sched, family_main, SCHED};
+
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::sched_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e13_sched());
-    }
+    family_main(SCHED, exp_e13_sched);
 }

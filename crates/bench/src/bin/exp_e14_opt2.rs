@@ -1,11 +1,7 @@
-//! Regenerates experiment E14 (loop-aware mid-end vs scalar mid-end).
-//!
-//! With `--json`, re-emits `baselines/opt2_cycles.json` with fresh
-//! measurements instead of the human-readable table.
+//! Prints experiment E14 (loop-aware mid-end vs scalar mid-end).
+//! With `--json`, re-emits `baselines/opt2_cycles.json` instead.
+use patmos_bench::baselines::{exp_e14_opt2, family_main, OPT2};
+
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::opt2_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e14_opt2());
-    }
+    family_main(OPT2, exp_e14_opt2);
 }

@@ -1,12 +1,7 @@
-//! Regenerates experiment E15 (software pipelining + partial
-//! unrolling vs the PR 4 pipeline).
-//!
-//! With `--json`, re-emits `baselines/opt3_cycles.json` with fresh
-//! measurements instead of the human-readable table.
+//! Prints experiment E15 (software pipelining + partial unrolling).
+//! With `--json`, re-emits `baselines/opt3_cycles.json` instead.
+use patmos_bench::baselines::{exp_e15_pipeline, family_main, OPT3};
+
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::opt3_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e15_pipeline());
-    }
+    family_main(OPT3, exp_e15_pipeline);
 }

@@ -1,16 +1,7 @@
-//! Regenerates experiment E18 (loop-aware register allocation vs
-//! linear scan at `opt3/sched2`).
-//!
-//! With `--json`, re-emits `baselines/regalloc2_cycles.json` with
-//! fresh measurements instead of the human-readable table; with
-//! `--footprint-json`, emits the per-kernel spill/rename footprint
-//! document the CI perf-trajectory job archives.
+//! Prints experiment E18 (loop-aware allocation vs linear scan).
+//! With `--json`, re-emits `baselines/regalloc2_cycles.json` instead.
+use patmos_bench::baselines::{exp_e18_regalloc2, family_main, REGALLOC2};
+
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::regalloc2_baseline_json());
-    } else if std::env::args().any(|a| a == "--footprint-json") {
-        print!("{}", patmos_bench::regalloc2_footprint_json());
-    } else {
-        print!("{}", patmos_bench::exp_e18_regalloc2());
-    }
+    family_main(REGALLOC2, exp_e18_regalloc2);
 }

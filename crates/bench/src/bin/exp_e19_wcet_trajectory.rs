@@ -1,13 +1,7 @@
-//! Regenerates experiment E19 (the pipeline-aware WCET bound
-//! trajectory at `opt3/sched2`: IPET bounds with and without the
-//! `.pipeloop` cost model, against measured cycles).
-//!
-//! With `--json`, re-emits `baselines/wcet_bounds.json` with fresh
-//! measurements instead of the human-readable table.
+//! Prints experiment E19 (pipeline-aware WCET bounds vs record-blind ones).
+//! With `--json`, re-emits `baselines/wcet_bounds.json` instead.
+use patmos_bench::baselines::{exp_e19_wcet_trajectory, family_main, WCET};
+
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::wcet_bounds_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e19_wcet_trajectory());
-    }
+    family_main(WCET, exp_e19_wcet_trajectory);
 }

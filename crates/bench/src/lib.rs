@@ -7,6 +7,7 @@
 //! Criterion benches, and the documentation generator share one
 //! implementation.
 
+pub mod baselines;
 pub mod hostperf;
 pub mod observe;
 pub mod resilience;
@@ -20,7 +21,7 @@ use patmos::isa::Reg;
 use patmos::mem::{MethodCacheConfig, ReplacementPolicy};
 use patmos::rf::fpga;
 use patmos::sim::{CmpSystem, SimConfig, Simulator};
-use patmos::wcet::{analyze, analyze_unpipelined, Machine};
+use patmos::wcet::{analyze, Machine};
 use patmos::workloads::{self, micro, Category};
 
 fn run_asm(source: &str, config: SimConfig) -> patmos::sim::Stats {
@@ -638,1042 +639,15 @@ pub fn exp_e10_scheduler() -> String {
     out
 }
 
-/// One kernel's entry in the checked-in register-allocation baseline
-/// (`baselines/regalloc_cycles.json`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegallocBaseline {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles under the seed codegen (locals in stack-cache slots).
-    pub seed_cycles: u64,
-    /// Executed stack-cache data operations under the seed codegen.
-    pub seed_stack_ops: u64,
-    /// Cycles recorded with the `patmos-regalloc` backend.
-    pub regalloc_cycles: u64,
-    /// Executed stack-cache data operations recorded with the backend.
-    pub regalloc_stack_ops: u64,
-}
-
-const REGALLOC_BASELINE_JSON: &str = include_str!("../baselines/regalloc_cycles.json");
-const OPT_BASELINE_JSON: &str = include_str!("../baselines/opt_cycles.json");
-const SCHED_BASELINE_JSON: &str = include_str!("../baselines/sched_cycles.json");
-const OPT2_BASELINE_JSON: &str = include_str!("../baselines/opt2_cycles.json");
-const OPT3_BASELINE_JSON: &str = include_str!("../baselines/opt3_cycles.json");
-const REGALLOC2_BASELINE_JSON: &str = include_str!("../baselines/regalloc2_cycles.json");
-const WCET_BOUNDS_BASELINE_JSON: &str = include_str!("../baselines/wcet_bounds.json");
-
-pub(crate) fn json_field(section: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let start = section
-        .find(&marker)
-        .unwrap_or_else(|| panic!("baseline key `{key}` missing"));
-    section[start + marker.len()..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("baseline key `{key}` is not a number"))
-}
-
-/// Splits a baseline file's `kernels` object into `(name, body)` pairs.
-pub(crate) fn kernel_sections(body: &'static str) -> Vec<(String, &'static str)> {
-    let mut sections = Vec::new();
-    let kernels_at = body
-        .find("\"kernels\"")
-        .expect("baseline has a kernels object");
-    let mut rest = &body[kernels_at..];
-    while let Some(open) = rest.find('{') {
-        // Each kernel object is preceded by its quoted name.
-        let head = &rest[..open];
-        let Some(name_start) = head.rfind('"') else {
-            break;
-        };
-        let Some(name_open) = head[..name_start].rfind('"') else {
-            break;
-        };
-        let name = head[name_open + 1..name_start].to_string();
-        if name == "kernels" {
-            // The brace opening the kernels object itself.
-            rest = &rest[open + 1..];
-            continue;
-        }
-        let Some(close) = rest[open..].find('}') else {
-            break;
-        };
-        sections.push((name, &rest[open..open + close]));
-        rest = &rest[open + close + 1..];
-    }
-    sections
-}
-
-/// Parses the checked-in before/after allocation baseline.
-pub fn regalloc_baseline() -> Vec<RegallocBaseline> {
-    kernel_sections(REGALLOC_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| RegallocBaseline {
-            name,
-            seed_cycles: json_field(section, "seed_cycles"),
-            seed_stack_ops: json_field(section, "seed_stack_ops"),
-            regalloc_cycles: json_field(section, "regalloc_cycles"),
-            regalloc_stack_ops: json_field(section, "regalloc_stack_ops"),
-        })
-        .collect()
-}
-
-/// Measures one kernel on the allocation backend alone (`opt_level` 0
-/// and `sched_level` 0, the PR 1 pipeline the regalloc baseline
-/// records): `(cycles, stack ops)`.
-pub fn measure_regalloc_kernel(source: &str) -> (u64, u64) {
-    let options = CompileOptions {
-        opt_level: 0,
-        sched_level: 0,
-        ..CompileOptions::default()
-    };
-    let (_, stats) = run_patc(source, &options, SimConfig::default());
-    (stats.cycles, stats.stack_ops)
-}
-
-/// E11 — register allocation: cycles and stack-cache traffic before
-/// (seed codegen, locals in stack-cache slots) and after
-/// (`patmos-regalloc` liveness-driven linear scan).
-pub fn exp_e11_regalloc() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E11: liveness-driven register allocation vs seed codegen"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>11} {:>11} {:>8} {:>11} {:>11}",
-        "kernel", "seed cyc", "now cyc", "speedup", "seed S$ops", "now S$ops"
-    )
-    .ok();
-    let baseline = regalloc_baseline();
-    let mut seed_total = 0u64;
-    let mut now_total = 0u64;
-    for entry in &baseline {
-        let w = workloads::by_name(&entry.name)
-            .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-        let (cycles, stack_ops) = measure_regalloc_kernel(&w.source);
-        seed_total += entry.seed_cycles;
-        now_total += cycles;
-        writeln!(
-            out,
-            "{:<12} {:>11} {:>11} {:>7.2}x {:>11} {:>11}",
-            entry.name,
-            entry.seed_cycles,
-            cycles,
-            entry.seed_cycles as f64 / cycles as f64,
-            entry.seed_stack_ops,
-            stack_ops
-        )
-        .ok();
-    }
-    writeln!(
-        out,
-        "total: {seed_total} -> {now_total} cycles ({:.2}x); leaf kernels keep every live value in r7-r28",
-        seed_total as f64 / now_total as f64
-    )
-    .ok();
-    out
-}
-
-/// Re-emits the baseline JSON with freshly measured "regalloc" numbers
-/// (the "seed" side is preserved from the checked-in file).
-pub fn regalloc_baseline_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/regalloc-baseline/v1\",\n");
-    out.push_str(
-        "  \"description\": \"Per-kernel cycle counts and executed stack-cache operations, before (seed tree-walking codegen with ad-hoc spill fixups) and after (liveness-driven linear-scan register allocation in patmos-regalloc). Regenerate with: cargo run -p patmos-bench --bin exp_e11_regalloc -- --json\",\n",
-    );
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = regalloc_baseline()
-        .iter()
-        .map(|entry| {
-            // A kernel recorded in the baseline must still exist;
-            // silently dropping its history would corrupt the trajectory.
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (cycles, stack_ops) = measure_regalloc_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"seed_cycles\": {},\n      \"seed_stack_ops\": {},\n      \"regalloc_cycles\": {},\n      \"regalloc_stack_ops\": {}\n    }}",
-                entry.name, entry.seed_cycles, entry.seed_stack_ops, cycles, stack_ops
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// One kernel's entry in the checked-in mid-end baseline
-/// (`baselines/opt_cycles.json`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptBaseline {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles at `opt_level` 0 (straight lowering, the PR 1 pipeline).
-    pub opt0_cycles: u64,
-    /// Cycles at `opt_level` 1 (the `patmos-opt` pass pipeline).
-    pub opt1_cycles: u64,
-}
-
-/// Parses the checked-in mid-end baseline.
-pub fn opt_baseline() -> Vec<OptBaseline> {
-    kernel_sections(OPT_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| OptBaseline {
-            name,
-            opt0_cycles: json_field(section, "opt0_cycles"),
-            opt1_cycles: json_field(section, "opt1_cycles"),
-        })
-        .collect()
-}
-
-/// Measures one kernel at both optimization levels:
-/// `(opt0 cycles, opt1 cycles)`.
-///
-/// Both measurements run at `sched_level` 0: this baseline records the
-/// PR 2 trajectory, which predates the DAG scheduler (the scheduler's
-/// own trajectory lives in `baselines/sched_cycles.json`).
-pub fn measure_opt_kernel(source: &str) -> (u64, u64) {
-    let o0 = CompileOptions {
-        opt_level: 0,
-        sched_level: 0,
-        ..CompileOptions::default()
-    };
-    let o1 = CompileOptions {
-        opt_level: 1,
-        sched_level: 0,
-        ..CompileOptions::default()
-    };
-    let (_, s0) = run_patc(source, &o0, SimConfig::default());
-    let (_, s1) = run_patc(source, &o1, SimConfig::default());
-    (s0.cycles, s1.cycles)
-}
-
-/// E12 — the mid-end optimizer: cycles at `opt_level` 0 vs 1 across the
-/// kernel suite.
-pub fn exp_e12_opt() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E12: mid-end optimizer (patmos-opt) vs straight lowering"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>11} {:>11} {:>9} {:>8}",
-        "kernel", "opt0 cyc", "opt1 cyc", "speedup", "saved"
-    )
-    .ok();
-    let mut pairs = Vec::new();
-    let mut total0 = 0u64;
-    let mut total1 = 0u64;
-    for entry in &opt_baseline() {
-        let w = workloads::by_name(&entry.name)
-            .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-        let (o0, o1) = measure_opt_kernel(&w.source);
-        pairs.push((o0, o1));
-        total0 += o0;
-        total1 += o1;
-        writeln!(
-            out,
-            "{:<12} {:>11} {:>11} {:>8.2}x {:>7.1}%",
-            entry.name,
-            o0,
-            o1,
-            o0 as f64 / o1 as f64,
-            100.0 * (1.0 - o1 as f64 / o0 as f64)
-        )
-        .ok();
-    }
-    writeln!(
-        out,
-        "total: {total0} -> {total1} cycles; geometric-mean speedup {:.2}x",
-        geomean_speedup(&pairs)
-    )
-    .ok();
-    out
-}
-
-/// Re-emits the mid-end baseline JSON from fresh measurements (both
-/// levels are measurable, so nothing historical is preserved).
-pub fn opt_baseline_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/opt-baseline/v1\",\n");
-    out.push_str(
-        "  \"description\": \"Per-kernel cycle counts at opt_level 0 (straight lowering to the allocator, the PR 1 pipeline) and opt_level 1 (the patmos-opt mid-end: const-prop, strength reduction, CSE, copy-prop, DCE to a fixed point). Regenerate with: cargo run -p patmos-bench --bin exp_e12_opt -- --json\",\n",
-    );
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = workloads::all()
-        .iter()
-        .map(|w| {
-            let (o0, o1) = measure_opt_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"opt0_cycles\": {},\n      \"opt1_cycles\": {}\n    }}",
-                w.name, o0, o1
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// One kernel's entry in the checked-in scheduler baseline
-/// (`baselines/sched_cycles.json`) — the perf trajectory the CI
-/// `perf-trajectory` job enforces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedBaseline {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles at `sched_level` 0 (the historical run scheduler — the
-    /// PR 2 pipeline).
-    pub sched0_cycles: u64,
-    /// Cycles at `sched_level` 1 (the `patmos-sched` DAG scheduler).
-    pub sched1_cycles: u64,
-    /// Executed second issue slots at `sched_level` 1.
-    pub sched1_second_slots: u64,
-    /// Bundles issuing real work (non-pure-`nop`) at `sched_level` 1.
-    pub sched1_active_bundles: u64,
-}
-
-impl SchedBaseline {
-    /// Second-slot utilisation over active bundles.
-    pub fn utilisation(&self) -> f64 {
-        if self.sched1_active_bundles == 0 {
-            0.0
-        } else {
-            self.sched1_second_slots as f64 / self.sched1_active_bundles as f64
-        }
-    }
-}
-
-/// Parses the checked-in scheduler baseline.
-pub fn sched_baseline() -> Vec<SchedBaseline> {
-    kernel_sections(SCHED_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| SchedBaseline {
-            name,
-            sched0_cycles: json_field(section, "sched0_cycles"),
-            sched1_cycles: json_field(section, "sched1_cycles"),
-            sched1_second_slots: json_field(section, "sched1_second_slots"),
-            sched1_active_bundles: json_field(section, "sched1_active_bundles"),
-        })
-        .collect()
-}
-
-/// Measures one kernel at both scheduler levels (mid-end on — the
-/// default pipeline either way): cycles at level 0, then cycles,
-/// executed second slots and active bundles at level 1.
-pub fn measure_sched_kernel(source: &str) -> (u64, u64, u64, u64) {
-    // Pinned to `opt_level` 1 — this file records the PR 3 trajectory,
-    // which predates the loop-aware mid-end (now the default level).
-    let s0_opts = CompileOptions {
-        opt_level: 1,
-        sched_level: 0,
-        ..CompileOptions::default()
-    };
-    let s1_opts = CompileOptions {
-        opt_level: 1,
-        sched_level: 1,
-        ..CompileOptions::default()
-    };
-    let (_, s0) = run_patc(source, &s0_opts, SimConfig::default());
-    let (_, s1) = run_patc(source, &s1_opts, SimConfig::default());
-    (
-        s0.cycles,
-        s1.cycles,
-        s1.second_slots_used,
-        s1.active_bundles(),
-    )
-}
-
 /// Geometric-mean speedup across `(before, after)` cycle pairs.
 pub fn geomean_speedup(pairs: &[(u64, u64)]) -> f64 {
     let log_sum: f64 = pairs.iter().map(|&(b, a)| (b as f64 / a as f64).ln()).sum();
     (log_sum / pairs.len() as f64).exp()
 }
 
-/// E13 — the DAG scheduler: cycles at `sched_level` 0 vs 1 across the
-/// kernel suite, with dual-issue utilisation over active bundles.
-pub fn exp_e13_sched() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E13: dependence-DAG scheduler (patmos-sched) vs run scheduler"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>11} {:>11} {:>9} {:>13}",
-        "kernel", "sched0 cyc", "sched1 cyc", "speedup", "slot2 active"
-    )
-    .ok();
-    let mut pairs = Vec::new();
-    let mut total0 = 0u64;
-    let mut total1 = 0u64;
-    let mut slots = 0u64;
-    let mut active = 0u64;
-    for entry in &sched_baseline() {
-        let w = workloads::by_name(&entry.name)
-            .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-        let (s0, s1, used, act) = measure_sched_kernel(&w.source);
-        pairs.push((s0, s1));
-        total0 += s0;
-        total1 += s1;
-        slots += used;
-        active += act;
-        writeln!(
-            out,
-            "{:<12} {:>11} {:>11} {:>8.2}x {:>12.0}%",
-            entry.name,
-            s0,
-            s1,
-            s0 as f64 / s1 as f64,
-            100.0 * used as f64 / act.max(1) as f64
-        )
-        .ok();
-    }
-    writeln!(
-        out,
-        "total: {total0} -> {total1} cycles; geometric-mean speedup {:.2}x; suite slot2 {:.0}% of active bundles",
-        geomean_speedup(&pairs),
-        100.0 * slots as f64 / active.max(1) as f64
-    )
-    .ok();
-    out
-}
-
-/// Re-emits the scheduler baseline JSON from fresh measurements.
-pub fn sched_baseline_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/sched-baseline/v1\",\n");
-    out.push_str(
-        "  \"description\": \"Per-kernel cycle counts at sched_level 0 (the historical run scheduler: adjacent-pair bundling, nop-filled delay slots — the PR 2 pipeline) and sched_level 1 (patmos-sched: per-block dependence DAGs, critical-path list scheduling, dual-issue packing, delay-slot filling), plus executed second issue slots and active (non-pure-nop) bundles at level 1. Regenerate with: cargo run -p patmos-bench --bin exp_e13_sched -- --json\",\n",
-    );
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = workloads::all()
-        .iter()
-        .map(|w| {
-            let (s0, s1, used, active) = measure_sched_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"sched0_cycles\": {},\n      \"sched1_cycles\": {},\n      \"sched1_second_slots\": {},\n      \"sched1_active_bundles\": {}\n    }}",
-                w.name, s0, s1, used, active
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// One kernel's entry in the checked-in loop-aware mid-end baseline
-/// (`baselines/opt2_cycles.json`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Opt2Baseline {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles at `opt_level` 1 (the full PR 3 pipeline — identical to
-    /// `sched1_cycles` in `sched_cycles.json`).
-    pub opt1_cycles: u64,
-    /// Cycles at `opt_level` 2 (inlining + LICM + unrolling on top).
-    pub opt2_cycles: u64,
-}
-
-/// Parses the checked-in loop-aware baseline.
-pub fn opt2_baseline() -> Vec<Opt2Baseline> {
-    kernel_sections(OPT2_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| Opt2Baseline {
-            name,
-            opt1_cycles: json_field(section, "opt1_cycles"),
-            opt2_cycles: json_field(section, "opt2_cycles"),
-        })
-        .collect()
-}
-
-/// Measures one kernel at mid-end levels 1 and 2, both on the full
-/// default backend (DAG scheduler, dual issue): `(opt1 cycles, opt2
-/// cycles)`. The level-1 number is the PR 3 trajectory's
-/// `sched1_cycles` remeasured — the two files are cross-pinned by a
-/// test.
-pub fn measure_opt2_kernel(source: &str) -> (u64, u64) {
-    let o1 = CompileOptions {
-        opt_level: 1,
-        sched_level: 1,
-        ..CompileOptions::default()
-    };
-    let o2 = CompileOptions {
-        opt_level: 2,
-        sched_level: 1,
-        ..CompileOptions::default()
-    };
-    let (_, s1) = run_patc(source, &o1, SimConfig::default());
-    let (_, s2) = run_patc(source, &o2, SimConfig::default());
-    (s1.cycles, s2.cycles)
-}
-
-/// E14 — the loop-aware mid-end (inlining, LICM, unrolling): cycles at
-/// `opt_level` 1 vs 2 across the kernel suite.
-pub fn exp_e14_opt2() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E14: loop-aware mid-end (inline + LICM + unroll) vs scalar mid-end"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>11} {:>11} {:>9} {:>8}",
-        "kernel", "opt1 cyc", "opt2 cyc", "speedup", "saved"
-    )
-    .ok();
-    let mut pairs = Vec::new();
-    let mut total1 = 0u64;
-    let mut total2 = 0u64;
-    for entry in &opt2_baseline() {
-        let w = workloads::by_name(&entry.name)
-            .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-        let (o1, o2) = measure_opt2_kernel(&w.source);
-        pairs.push((o1, o2));
-        total1 += o1;
-        total2 += o2;
-        writeln!(
-            out,
-            "{:<12} {:>11} {:>11} {:>8.2}x {:>7.1}%",
-            entry.name,
-            o1,
-            o2,
-            o1 as f64 / o2 as f64,
-            100.0 * (1.0 - o2 as f64 / o1 as f64)
-        )
-        .ok();
-    }
-    writeln!(
-        out,
-        "total: {total1} -> {total2} cycles; geometric-mean speedup {:.2}x",
-        geomean_speedup(&pairs)
-    )
-    .ok();
-    out
-}
-
-/// Re-emits the loop-aware baseline JSON from fresh measurements.
-pub fn opt2_baseline_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/opt2-baseline/v1\",\n");
-    out.push_str(
-        "  \"description\": \"Per-kernel cycle counts at opt_level 1 (the scalar mid-end — the PR 3 pipeline, equal to sched1_cycles in sched_cycles.json) and opt_level 2 (the loop-aware mid-end: size-budgeted inlining, loop-invariant code motion, full unrolling of small constant-trip-count loops), both on the default backend. Regenerate with: cargo run -p patmos-bench --bin exp_e14_opt2 -- --json\",\n",
-    );
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = workloads::all()
-        .iter()
-        .map(|w| {
-            let (o1, o2) = measure_opt2_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"opt1_cycles\": {},\n      \"opt2_cycles\": {}\n    }}",
-                w.name, o1, o2
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// One kernel's entry in the checked-in loop-throughput baseline
-/// (`baselines/opt3_cycles.json`) — the `opt3/sched2` pipeline
-/// (partial unrolling + software pipelining) against the PR 4
-/// `opt2/sched1` pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Opt3Baseline {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles at `opt_level` 2 / `sched_level` 1 (the PR 4 pipeline —
-    /// identical to `opt2_cycles` in `opt2_cycles.json`).
-    pub opt2_cycles: u64,
-    /// Cycles at `opt_level` 3 / `sched_level` 2.
-    pub opt3_cycles: u64,
-    /// Executed second issue slots at `opt3/sched2`.
-    pub opt3_second_slots: u64,
-    /// Bundles issuing real work (non-pure-`nop`) at `opt3/sched2`.
-    pub opt3_active_bundles: u64,
-}
-
-/// Parses the checked-in loop-throughput baseline.
-pub fn opt3_baseline() -> Vec<Opt3Baseline> {
-    kernel_sections(OPT3_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| Opt3Baseline {
-            name,
-            opt2_cycles: json_field(section, "opt2_cycles"),
-            opt3_cycles: json_field(section, "opt3_cycles"),
-            opt3_second_slots: json_field(section, "opt3_second_slots"),
-            opt3_active_bundles: json_field(section, "opt3_active_bundles"),
-        })
-        .collect()
-}
-
-/// Measures one kernel at `opt2/sched1` and `opt3/sched2`: cycles at
-/// both, plus executed second slots and active bundles at the latter.
-pub fn measure_opt3_kernel(source: &str) -> (u64, u64, u64, u64) {
-    let o2 = CompileOptions {
-        opt_level: 2,
-        sched_level: 1,
-        ..CompileOptions::default()
-    };
-    let o3 = CompileOptions {
-        opt_level: 3,
-        sched_level: 2,
-        ..CompileOptions::default()
-    };
-    let (_, s2) = run_patc(source, &o2, SimConfig::default());
-    let (_, s3) = run_patc(source, &o3, SimConfig::default());
-    (
-        s2.cycles,
-        s3.cycles,
-        s3.second_slots_used,
-        s3.active_bundles(),
-    )
-}
-
-/// E15 — loop-throughput pipeline (partial unrolling + software
-/// pipelining): cycles at `opt2/sched1` vs `opt3/sched2`, with
-/// dual-issue utilisation and the per-kernel pipelining/unrolling
-/// footprint (loops pipelined with MII → achieved II, loops partially
-/// unrolled).
-pub fn exp_e15_pipeline() -> String {
-    use patmos::compiler::compile_with_artifacts;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E15: software pipelining + partial unrolling (opt3/sched2) vs PR 4 (opt2/sched1)"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>10} {:>10} {:>9} {:>13} {:>11} {:>14}",
-        "kernel", "opt2 cyc", "opt3 cyc", "speedup", "slot2 active", "pipelined", "partial unroll"
-    )
-    .ok();
-    let o3 = CompileOptions {
-        opt_level: 3,
-        sched_level: 2,
-        ..CompileOptions::default()
-    };
-    let mut pairs = Vec::new();
-    let mut slots = 0u64;
-    let mut active = 0u64;
-    for entry in &opt3_baseline() {
-        let w = workloads::by_name(&entry.name)
-            .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-        let (c2, c3, used, act) = measure_opt3_kernel(&w.source);
-        pairs.push((c2, c3));
-        slots += used;
-        active += act;
-        let artifacts = compile_with_artifacts(&w.source, &o3).expect("kernel compiles");
-        let pipelined: Vec<String> = artifacts
-            .sched
-            .as_ref()
-            .map(|r| {
-                r.pipelined_loops()
-                    .map(|l| format!("{}→{}", l.mii, l.ii))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let partial = artifacts
-            .opt
-            .as_ref()
-            .map(|r| {
-                r.unrolls
-                    .iter()
-                    .filter(|u| u.kind != patmos::opt::UnrollKind::Full)
-                    .map(|u| format!("{}x", u.factor))
-                    .collect::<Vec<_>>()
-            })
-            .unwrap_or_default();
-        writeln!(
-            out,
-            "{:<12} {:>10} {:>10} {:>8.2}x {:>12.0}% {:>11} {:>14}",
-            entry.name,
-            c2,
-            c3,
-            c2 as f64 / c3 as f64,
-            100.0 * used as f64 / act.max(1) as f64,
-            if pipelined.is_empty() {
-                "-".to_string()
-            } else {
-                pipelined.join(" ")
-            },
-            if partial.is_empty() {
-                "-".to_string()
-            } else {
-                partial.join(" ")
-            },
-        )
-        .ok();
-    }
-    writeln!(
-        out,
-        "geomean speedup {:.2}x; suite slot2 {:.0}% of active bundles",
-        geomean_speedup(&pairs),
-        100.0 * slots as f64 / active.max(1) as f64
-    )
-    .ok();
-    out
-}
-
-/// Re-emits the loop-throughput baseline JSON from fresh measurements.
-pub fn opt3_baseline_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/opt3-baseline/v1\",\n");
-    out.push_str(
-        "  \"description\": \"Per-kernel cycle counts at opt_level 2 / sched_level 1 (the PR 4 pipeline, equal to opt2_cycles in opt2_cycles.json) and opt_level 3 / sched_level 2 (partial unrolling in the mid-end plus iterative modulo scheduling of innermost counted loops in the backend), with executed second issue slots and active (non-pure-nop) bundles at the latter. Regenerate with: cargo run -p patmos-bench --bin exp_e15_pipeline -- --json\",\n",
-    );
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = workloads::all()
-        .iter()
-        .map(|w| {
-            let (c2, c3, used, active) = measure_opt3_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"opt2_cycles\": {},\n      \"opt3_cycles\": {},\n      \"opt3_second_slots\": {},\n      \"opt3_active_bundles\": {}\n    }}",
-                w.name, c2, c3, used, active
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// One kernel's entry in the checked-in register-policy baseline
-/// (`baselines/regalloc2_cycles.json`): the loop-aware allocation
-/// policy (`--reg-policy loop`) against the default linear scan, both
-/// at the full `opt3/sched2` pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Regalloc2Baseline {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles under linear scan (identical to `opt3_cycles` in
-    /// `opt3_cycles.json` — the policy interface reproduces the
-    /// historical allocator bit for bit).
-    pub linear_cycles: u64,
-    /// Cycles under the loop-aware policy.
-    pub loop_cycles: u64,
-    /// Modulo-scheduler renames under linear scan (worst-case
-    /// renaming: every renameable kernel def).
-    pub linear_renames: u64,
-    /// Modulo-scheduler renames under the loop-aware policy
-    /// (reuse-aware: only registers the allocator actually reused).
-    pub loop_renames: u64,
-}
-
-/// Parses the checked-in register-policy baseline.
-pub fn regalloc2_baseline() -> Vec<Regalloc2Baseline> {
-    kernel_sections(REGALLOC2_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| Regalloc2Baseline {
-            name,
-            linear_cycles: json_field(section, "linear_cycles"),
-            loop_cycles: json_field(section, "loop_cycles"),
-            linear_renames: json_field(section, "linear_renames"),
-            loop_renames: json_field(section, "loop_renames"),
-        })
-        .collect()
-}
-
-/// Measured register-policy numbers for one kernel at `opt3/sched2`:
-/// what [`regalloc2_baseline`] pins, plus the spill and unroll
-/// footprint the E18 table and the CI artifact report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Regalloc2Measure {
-    /// Cycles under linear scan.
-    pub linear_cycles: u64,
-    /// Cycles under the loop-aware policy.
-    pub loop_cycles: u64,
-    /// Modulo renames under linear scan.
-    pub linear_renames: u64,
-    /// Modulo renames under the loop-aware policy.
-    pub loop_renames: u64,
-    /// Pure pressure spills under linear scan.
-    pub linear_spills: u64,
-    /// Pure pressure spills under the loop-aware policy.
-    pub loop_spills: u64,
-    /// Loops the unroller rewrote under linear scan.
-    pub linear_unrolls: u64,
-    /// Loops the unroller rewrote under the loop-aware policy (its
-    /// liveness-based pressure estimate admits wide-but-shallow
-    /// bodies the distinct-register proxy refuses).
-    pub loop_unrolls: u64,
-}
-
-fn policy_options(policy: patmos::Policy) -> CompileOptions {
-    CompileOptions {
-        opt_level: 3,
-        sched_level: 2,
-        reg_policy: policy,
-        ..CompileOptions::default()
-    }
-}
-
-/// Measures one kernel under both allocation policies at `opt3/sched2`.
-pub fn measure_regalloc2_kernel(source: &str) -> Regalloc2Measure {
-    use patmos::compiler::compile_with_artifacts;
-    use patmos::Policy;
-
-    let linear = policy_options(Policy::Linear);
-    let looped = policy_options(Policy::Loop);
-    let (r_lin, s_lin) = run_patc(source, &linear, SimConfig::default());
-    let (r_loop, s_loop) = run_patc(source, &looped, SimConfig::default());
-    assert_eq!(
-        r_lin, r_loop,
-        "the two allocation policies disagree on the kernel's result"
-    );
-    let a_lin = compile_with_artifacts(source, &linear).expect("kernel compiles");
-    let a_loop = compile_with_artifacts(source, &looped).expect("kernel compiles");
-    let renames = |a: &patmos::compiler::CompileArtifacts| {
-        a.sched
-            .as_ref()
-            .map_or(0, |r| r.total_modulo_renames() as u64)
-    };
-    let unrolls = |a: &patmos::compiler::CompileArtifacts| {
-        a.opt.as_ref().map_or(0, |r| r.unrolls.len() as u64)
-    };
-    Regalloc2Measure {
-        linear_cycles: s_lin.cycles,
-        loop_cycles: s_loop.cycles,
-        linear_renames: renames(&a_lin),
-        loop_renames: renames(&a_loop),
-        linear_spills: a_lin.allocation.total_pressure_spills() as u64,
-        loop_spills: a_loop.allocation.total_pressure_spills() as u64,
-        linear_unrolls: unrolls(&a_lin),
-        loop_unrolls: unrolls(&a_loop),
-    }
-}
-
-/// E18 — constraint-driven register allocation: the loop-aware policy
-/// against linear scan across the kernel suite at `opt3/sched2` —
-/// cycles, modulo-rename footprint (worst-case vs reuse-aware), pure
-/// pressure spills and unroller decisions under each policy's pressure
-/// estimate.
-pub fn exp_e18_regalloc2() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E18: loop-aware register allocation (--reg-policy loop) vs linear scan (opt3/sched2)"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>10} {:>10} {:>9} {:>13} {:>13} {:>13}",
-        "kernel", "lin cyc", "loop cyc", "speedup", "renames l/l", "spills l/l", "unrolls l/l"
-    )
-    .ok();
-    let mut pairs = Vec::new();
-    let mut renames_lin = 0u64;
-    let mut renames_loop = 0u64;
-    for entry in &regalloc2_baseline() {
-        let w = workloads::by_name(&entry.name)
-            .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-        let m = measure_regalloc2_kernel(&w.source);
-        pairs.push((m.linear_cycles, m.loop_cycles));
-        renames_lin += m.linear_renames;
-        renames_loop += m.loop_renames;
-        writeln!(
-            out,
-            "{:<12} {:>10} {:>10} {:>8.2}x {:>6}/{:<6} {:>6}/{:<6} {:>6}/{:<6}",
-            entry.name,
-            m.linear_cycles,
-            m.loop_cycles,
-            m.linear_cycles as f64 / m.loop_cycles as f64,
-            m.linear_renames,
-            m.loop_renames,
-            m.linear_spills,
-            m.loop_spills,
-            m.linear_unrolls,
-            m.loop_unrolls,
-        )
-        .ok();
-    }
-    writeln!(
-        out,
-        "geomean speedup {:.2}x; suite modulo renames {} (linear) -> {} (loop)",
-        geomean_speedup(&pairs),
-        renames_lin,
-        renames_loop
-    )
-    .ok();
-    out
-}
-
-/// Re-emits the register-policy baseline JSON from fresh measurements.
-pub fn regalloc2_baseline_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/regalloc2-baseline/v1\",\n");
-    out.push_str(
-        "  \"description\": \"Per-kernel cycle counts and modulo-scheduler rename counts at opt_level 3 / sched_level 2 under both register-allocation policies: linear (the historical linear scan, equal to opt3_cycles in opt3_cycles.json) and loop (loop-aware allocation: round-robin assignment inside hot loops, preheader-hoisted caller-saves and invariant reloads, reuse-aware modulo renaming, liveness-based unroll pressure). Regenerate with: cargo run -p patmos-bench --bin exp_e18_regalloc2 -- --json\",\n",
-    );
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = workloads::all()
-        .iter()
-        .map(|w| {
-            let m = measure_regalloc2_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"linear_cycles\": {},\n      \"loop_cycles\": {},\n      \"linear_renames\": {},\n      \"loop_renames\": {}\n    }}",
-                w.name, m.linear_cycles, m.loop_cycles, m.linear_renames, m.loop_renames
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// The per-kernel spill/rename footprint of both policies as a JSON
-/// document — the CI perf-trajectory job uploads this next to the
-/// cycle baselines.
-pub fn regalloc2_footprint_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/regalloc2-footprint/v1\",\n");
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = workloads::all()
-        .iter()
-        .map(|w| {
-            let m = measure_regalloc2_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"linear_spills\": {},\n      \"loop_spills\": {},\n      \"linear_renames\": {},\n      \"loop_renames\": {},\n      \"linear_unrolls\": {},\n      \"loop_unrolls\": {}\n    }}",
-                w.name,
-                m.linear_spills,
-                m.loop_spills,
-                m.linear_renames,
-                m.loop_renames,
-                m.linear_unrolls,
-                m.loop_unrolls
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// Kernels whose innermost loop the modulo scheduler pipelines at
-/// `opt3/sched2` — the rows `wcet_bounds.json` requires to tighten
-/// strictly under the `.pipeloop`-aware analysis.
-pub const PIPELINED_KERNELS: [&str; 4] = ["dotprod64", "cnt2d", "fir8", "spmfilter"];
-
-/// One kernel's entry in the checked-in WCET-bound trajectory baseline
-/// (`baselines/wcet_bounds.json`): the pipelined-aware IPET bound, the
-/// bound with `.pipeloop` records ignored (the fallback loop charged
-/// its full annotated trips), and the cycles of one simulated run —
-/// all at explicit `opt3/sched2`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WcetBoundsBaseline {
-    /// Kernel name.
-    pub name: String,
-    /// The pipelined-aware WCET bound (warm-up included).
-    pub bound_cycles: u64,
-    /// The bound when `.pipeloop` records are ignored — every
-    /// software-pipelined loop is charged through its list-scheduled
-    /// fallback at the full `.loopbound`.
-    pub fallback_bound_cycles: u64,
-    /// Cycles of one run on the default machine configuration.
-    pub measured_cycles: u64,
-}
-
-/// Parses the checked-in WCET-bound trajectory baseline.
-pub fn wcet_bounds_baseline() -> Vec<WcetBoundsBaseline> {
-    kernel_sections(WCET_BOUNDS_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| WcetBoundsBaseline {
-            name,
-            bound_cycles: json_field(section, "bound_cycles"),
-            fallback_bound_cycles: json_field(section, "fallback_bound_cycles"),
-            measured_cycles: json_field(section, "measured_cycles"),
-        })
-        .collect()
-}
-
-/// Measures one kernel's WCET trajectory entry at explicit
-/// `opt3/sched2`: `(bound, fallback bound, measured cycles)`.
-pub fn measure_wcet_bounds_kernel(source: &str) -> (u64, u64, u64) {
-    let options = CompileOptions {
-        opt_level: 3,
-        sched_level: 2,
-        ..CompileOptions::default()
-    };
-    let image = compile(source, &options).expect("kernel compiles");
-    let machine = Machine::Patmos(SimConfig::default());
-    let aware = analyze(&image, &machine).expect("kernel is analysable");
-    let blind = analyze_unpipelined(&image, &machine).expect("kernel is analysable");
-    let mut sim = Simulator::new(&image, SimConfig::default());
-    sim.run().expect("kernel runs");
-    (aware.bound_cycles, blind.bound_cycles, sim.stats().cycles)
-}
-
-/// E19 — the pipeline-aware WCET trajectory: per-kernel IPET bounds at
-/// `opt3/sched2` with and without the `.pipeloop` cost model, against
-/// measured cycles.
-pub fn exp_e19_wcet_trajectory() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E19: pipeline-aware WCET bounds (opt3/sched2) vs the fallback-charged analysis"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>10} {:>13} {:>10} {:>10} {:>10}",
-        "kernel", "bound", "no-pipeloop", "tightening", "measured", "pessimism"
-    )
-    .ok();
-    for entry in &wcet_bounds_baseline() {
-        let w = workloads::by_name(&entry.name)
-            .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-        let (bound, fallback, measured) = measure_wcet_bounds_kernel(&w.source);
-        writeln!(
-            out,
-            "{:<12} {:>10} {:>13} {:>9.2}x {:>10} {:>9.2}x",
-            entry.name,
-            bound,
-            fallback,
-            fallback as f64 / bound as f64,
-            measured,
-            bound as f64 / measured as f64,
-        )
-        .ok();
-    }
-    out
-}
-
-/// Re-emits the WCET-bound trajectory baseline JSON from fresh
-/// measurements.
-pub fn wcet_bounds_baseline_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"patmos-bench/wcet-bounds-baseline/v1\",\n");
-    out.push_str(
-        "  \"description\": \"Per-kernel WCET trajectory at opt_level 3 / sched_level 2: the pipelined-aware IPET bound (software-pipelined loops charged guard + prologue + kernel iterations at the II + epilogue via their .pipeloop records), the bound with those records ignored (the list-scheduled fallback charged its full .loopbound trips), and the cycles of one simulated run on the default machine. Regenerate with: cargo run -p patmos-bench --bin exp_e19_wcet_trajectory -- --json\",\n",
-    );
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = workloads::all()
-        .iter()
-        .map(|w| {
-            let (bound, fallback, measured) = measure_wcet_bounds_kernel(&w.source);
-            format!(
-                "    \"{}\": {{\n      \"bound_cycles\": {},\n      \"fallback_bound_cycles\": {},\n      \"measured_cycles\": {}\n    }}",
-                w.name, bound, fallback, measured
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
+pub use baselines::{
+    opt3_baseline, wcet_bounds_baseline, Opt3Baseline, WcetBoundsBaseline, PIPELINED_KERNELS,
+};
 
 /// Runs every experiment and concatenates the reports.
 pub fn all_experiments() -> String {
@@ -1689,15 +663,15 @@ pub fn all_experiments() -> String {
         exp_e8_cmp_tdma(),
         exp_e9_stack_cache(),
         exp_e10_scheduler(),
-        exp_e11_regalloc(),
-        exp_e12_opt(),
-        exp_e13_sched(),
-        exp_e14_opt2(),
-        exp_e15_pipeline(),
+        baselines::exp_e11_regalloc(),
+        baselines::exp_e12_opt(),
+        baselines::exp_e13_sched(),
+        baselines::exp_e14_opt2(),
+        baselines::exp_e15_pipeline(),
         observe::exp_e16_observability(),
         hostperf::exp_e17_host_throughput(),
-        exp_e18_regalloc2(),
-        exp_e19_wcet_trajectory(),
+        baselines::exp_e18_regalloc2(),
+        baselines::exp_e19_wcet_trajectory(),
         resilience::exp_e20_resilience(),
     ]
     .join("\n")
@@ -1733,490 +707,122 @@ mod tests {
         assert_eq!(fields[3], "0", "spread must be zero: {line}");
     }
 
-    #[test]
-    fn e11_regalloc_beats_seed_on_every_kernel() {
-        for entry in regalloc_baseline() {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (cycles, stack_ops) = measure_regalloc_kernel(&w.source);
-            assert!(
-                cycles < entry.seed_cycles,
-                "{}: {} cycles is not better than the seed's {}",
-                entry.name,
-                cycles,
-                entry.seed_cycles
-            );
-            assert!(
-                stack_ops < entry.seed_stack_ops,
-                "{}: {} stack ops is not better than the seed's {}",
-                entry.name,
-                stack_ops,
-                entry.seed_stack_ops
-            );
-        }
+    /// One test per baseline family: the file regenerates byte for byte,
+    /// its live columns against one fresh measurement of the matrix.
+    macro_rules! current {
+        ($($name:ident => $file:expr,)*) => {$(
+            #[test]
+            fn $name() {
+                baselines::assert_current($file);
+            }
+        )*};
+    }
+
+    current! {
+        e11_baseline_file_matches_current_measurements => baselines::REGALLOC,
+        e12_opt_baseline_file_matches_current_measurements => baselines::OPT,
+        e13_sched_baseline_file_matches_current_measurements => baselines::SCHED,
+        e14_opt2_baseline_file_matches_current_measurements => baselines::OPT2,
+        e15_opt3_baseline_file_matches_current_measurements => baselines::OPT3,
+        e18_regalloc2_baseline_file_matches_current_measurements => baselines::REGALLOC2,
+        e19_wcet_bounds_baseline_file_matches_current_measurements => baselines::WCET,
+    }
+
+    /// The gate table: one test per gate, each checking its rules on the
+    /// checked-in numbers (which the `current!` tests prove current).
+    macro_rules! gates {
+        ($($name:ident => [$($rule:expr),+ $(,)?],)*) => {$(
+            #[test]
+            fn $name() {
+                for rule in [$($rule),+] {
+                    rule.check(stringify!($name));
+                }
+            }
+        )*};
+    }
+
+    use baselines::Rule::{Below, Faster, Pin, Total, Utilisation};
+    use baselines::{OPT, OPT2, OPT3, REGALLOC, REGALLOC2, SCHED, WCET};
+
+    gates! {
+        e11_regalloc_beats_seed_on_every_kernel => [
+            Below((REGALLOC, "regalloc_cycles"), (REGALLOC, "seed_cycles"), true, None),
+            Below((REGALLOC, "regalloc_stack_ops"), (REGALLOC, "seed_stack_ops"), true, None),
+        ],
+        e12_opt_level_0_preserves_the_regalloc_trajectory_exactly => [
+            Pin((REGALLOC, "regalloc_cycles"), (OPT, "opt0_cycles")),
+        ],
+        e12_mid_end_never_regresses_and_wins_at_least_10pct_geomean => [
+            Faster(OPT, "opt0_cycles", "opt1_cycles", 1.10),
+        ],
+        e13_sched_level_0_preserves_the_opt_trajectory_exactly => [
+            Pin((SCHED, "sched0_cycles"), (OPT, "opt1_cycles")),
+        ],
+        e13_scheduler_never_regresses_and_wins_at_least_5pct_geomean => [
+            Faster(SCHED, "sched0_cycles", "sched1_cycles", 1.05),
+        ],
+        e13_dual_issue_utilisation_stays_above_the_floor => [
+            Utilisation(SCHED, "sched1_second_slots", "sched1_active_bundles", 0.15),
+        ],
+        // Structural: both columns are the opt1/sched1 cell.
+        e14_opt_level_1_preserves_the_sched_trajectory_exactly => [
+            Pin((OPT2, "opt1_cycles"), (SCHED, "sched1_cycles")),
+        ],
+        e14_loop_aware_mid_end_never_regresses_and_wins_at_least_5pct_geomean => [
+            Faster(OPT2, "opt1_cycles", "opt2_cycles", 1.05),
+        ],
+        // Structural: both columns are the opt2/sched1 cell.
+        e15_opt2_side_preserves_the_opt2_trajectory_exactly => [
+            Pin((OPT3, "opt2_cycles"), (OPT2, "opt2_cycles")),
+        ],
+        e15_loop_throughput_never_regresses_and_wins_at_least_5pct_geomean => [
+            Faster(OPT3, "opt2_cycles", "opt3_cycles", 1.05),
+        ],
+        e15_dual_issue_utilisation_reaches_a_quarter => [
+            Utilisation(OPT3, "opt3_second_slots", "opt3_active_bundles", 0.25),
+        ],
+        // Structural: all three columns are the opt3/sched2 cell.
+        e18_linear_side_preserves_the_opt3_trajectory_exactly => [
+            Pin((REGALLOC2, "linear_cycles"), (OPT3, "opt3_cycles")),
+            Pin((WCET, "measured_cycles"), (OPT3, "opt3_cycles")),
+        ],
+        e18_loop_policy_never_regresses_a_kernel => [
+            Faster(REGALLOC2, "linear_cycles", "loop_cycles", 1.0),
+        ],
+        e18_loop_policy_eliminates_modulo_renaming => [
+            Total((REGALLOC2, "linear_renames"), true),
+            Total((REGALLOC2, "loop_renames"), false),
+        ],
+        e19_every_bound_covers_its_measured_run => [
+            Below((WCET, "measured_cycles"), (WCET, "bound_cycles"), false, None),
+            Below((WCET, "bound_cycles"), (WCET, "fallback_bound_cycles"), false, None),
+        ],
+        e19_pipelined_kernels_strictly_tighten => [
+            Below((WCET, "bound_cycles"), (WCET, "fallback_bound_cycles"), true, Some(&PIPELINED_KERNELS)),
+        ],
     }
 
     #[test]
-    fn e11_baseline_file_matches_current_measurements() {
-        // The simulator and compiler are deterministic, so the recorded
-        // trajectory must match reality exactly. If a compiler change
-        // moves the numbers, regenerate the file:
-        //   cargo run -p patmos-bench --bin exp_e11_regalloc -- --json \
-        //     > crates/bench/baselines/regalloc_cycles.json
-        for entry in regalloc_baseline() {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (cycles, stack_ops) = measure_regalloc_kernel(&w.source);
+    fn every_baseline_file_round_trips_byte_for_byte() {
+        // Nothing re-measures the frozen columns, so this keeps them —
+        // and the resilience campaign's layout — honest.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).expect("baselines directory") {
+            let path = entry.expect("directory entry").path();
+            let text = std::fs::read_to_string(&path).expect("baseline is UTF-8 text");
             assert_eq!(
-                (cycles, stack_ops),
-                (entry.regalloc_cycles, entry.regalloc_stack_ops),
-                "{}: baselines/regalloc_cycles.json is stale; regenerate it",
-                entry.name
+                baselines::Doc::parse(&text).render(),
+                text,
+                "{} does not round-trip",
+                path.display()
             );
+            files += 1;
         }
-    }
-
-    #[test]
-    fn e12_opt_baseline_file_matches_current_measurements() {
-        // Compiler and simulator are deterministic; any drift means the
-        // checked-in trajectory is stale. Regenerate with:
-        //   cargo run -p patmos-bench --bin exp_e12_opt -- --json \
-        //     > crates/bench/baselines/opt_cycles.json
-        let baseline = opt_baseline();
-        let suite = workloads::all();
         assert_eq!(
-            baseline.len(),
-            suite.len(),
-            "every kernel of the suite must be recorded in opt_cycles.json"
-        );
-        for entry in &baseline {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (o0, o1) = measure_opt_kernel(&w.source);
-            assert_eq!(
-                (o0, o1),
-                (entry.opt0_cycles, entry.opt1_cycles),
-                "{}: baselines/opt_cycles.json is stale; regenerate it",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e12_opt_level_0_preserves_the_regalloc_trajectory_exactly() {
-        // `opt_level` 0 is the PR 1 pipeline: its cycle counts must
-        // equal the regalloc baseline's recorded numbers bit for bit.
-        let opt = opt_baseline();
-        for entry in regalloc_baseline() {
-            let o = opt
-                .iter()
-                .find(|o| o.name == entry.name)
-                .unwrap_or_else(|| panic!("`{}` missing from opt_cycles.json", entry.name));
-            assert_eq!(
-                o.opt0_cycles, entry.regalloc_cycles,
-                "{}: opt_level 0 must preserve the PR 1 cycle counts exactly",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e12_mid_end_never_regresses_and_wins_at_least_10pct_geomean() {
-        let baseline = opt_baseline();
-        let mut total0 = 0u64;
-        let mut total1 = 0u64;
-        let pairs: Vec<(u64, u64)> = baseline
-            .iter()
-            .map(|e| {
-                assert!(
-                    e.opt1_cycles <= e.opt0_cycles,
-                    "{}: the mid-end made the kernel slower ({} -> {})",
-                    e.name,
-                    e.opt0_cycles,
-                    e.opt1_cycles
-                );
-                total0 += e.opt0_cycles;
-                total1 += e.opt1_cycles;
-                (e.opt0_cycles, e.opt1_cycles)
-            })
-            .collect();
-        assert!(
-            total1 < total0,
-            "suite total must strictly improve: {total0} -> {total1}"
-        );
-        let geomean = geomean_speedup(&pairs);
-        assert!(
-            geomean >= 1.10,
-            "geomean speedup {geomean:.3}x is below the 10% target"
-        );
-    }
-
-    #[test]
-    fn e13_sched_baseline_file_matches_current_measurements() {
-        // Compiler and simulator are deterministic; any drift means the
-        // checked-in trajectory is stale. Regenerate with:
-        //   cargo run -p patmos-bench --bin exp_e13_sched -- --json \
-        //     > crates/bench/baselines/sched_cycles.json
-        let baseline = sched_baseline();
-        let suite = workloads::all();
-        assert_eq!(
-            baseline.len(),
-            suite.len(),
-            "every kernel of the suite must be recorded in sched_cycles.json"
-        );
-        for entry in &baseline {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (s0, s1, used, active) = measure_sched_kernel(&w.source);
-            assert_eq!(
-                (s0, s1, used, active),
-                (
-                    entry.sched0_cycles,
-                    entry.sched1_cycles,
-                    entry.sched1_second_slots,
-                    entry.sched1_active_bundles
-                ),
-                "{}: baselines/sched_cycles.json is stale; regenerate it",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e13_sched_level_0_preserves_the_opt_trajectory_exactly() {
-        // `sched_level` 0 is the PR 2 pipeline: its cycle counts must
-        // equal the mid-end baseline's recorded `opt_level` 1 numbers
-        // bit for bit.
-        let opt = opt_baseline();
-        for entry in sched_baseline() {
-            let o = opt
-                .iter()
-                .find(|o| o.name == entry.name)
-                .unwrap_or_else(|| panic!("`{}` missing from opt_cycles.json", entry.name));
-            assert_eq!(
-                entry.sched0_cycles, o.opt1_cycles,
-                "{}: sched_level 0 must preserve the PR 2 cycle counts exactly",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e13_scheduler_never_regresses_and_wins_at_least_5pct_geomean() {
-        let baseline = sched_baseline();
-        let mut total0 = 0u64;
-        let mut total1 = 0u64;
-        let pairs: Vec<(u64, u64)> = baseline
-            .iter()
-            .map(|e| {
-                assert!(
-                    e.sched1_cycles <= e.sched0_cycles,
-                    "{}: the DAG scheduler made the kernel slower ({} -> {})",
-                    e.name,
-                    e.sched0_cycles,
-                    e.sched1_cycles
-                );
-                total0 += e.sched0_cycles;
-                total1 += e.sched1_cycles;
-                (e.sched0_cycles, e.sched1_cycles)
-            })
-            .collect();
-        assert!(
-            total1 < total0,
-            "suite total must strictly improve: {total0} -> {total1}"
-        );
-        let geomean = geomean_speedup(&pairs);
-        assert!(
-            geomean >= 1.05,
-            "geomean speedup {geomean:.3}x is below the 5% target"
-        );
-    }
-
-    #[test]
-    fn e13_dual_issue_utilisation_stays_above_the_floor() {
-        // The CI perf-trajectory gate: across the suite, at least 15%
-        // of bundles doing real work must fill their second slot.
-        // (Measured ~20% when the gate was introduced; raw ratios over
-        // all bundles understate this — see Stats::slot2_utilisation.)
-        let baseline = sched_baseline();
-        let slots: u64 = baseline.iter().map(|e| e.sched1_second_slots).sum();
-        let active: u64 = baseline.iter().map(|e| e.sched1_active_bundles).sum();
-        let utilisation = slots as f64 / active as f64;
-        assert!(
-            utilisation >= 0.15,
-            "suite dual-issue utilisation {utilisation:.3} fell below the 0.15 floor"
-        );
-    }
-
-    #[test]
-    fn e14_opt2_baseline_file_matches_current_measurements() {
-        // Compiler and simulator are deterministic; any drift means the
-        // checked-in trajectory is stale. Regenerate with:
-        //   cargo run -p patmos-bench --bin exp_e14_opt2 -- --json \
-        //     > crates/bench/baselines/opt2_cycles.json
-        let baseline = opt2_baseline();
-        let suite = workloads::all();
-        assert_eq!(
-            baseline.len(),
-            suite.len(),
-            "every kernel of the suite must be recorded in opt2_cycles.json"
-        );
-        for entry in &baseline {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (o1, o2) = measure_opt2_kernel(&w.source);
-            assert_eq!(
-                (o1, o2),
-                (entry.opt1_cycles, entry.opt2_cycles),
-                "{}: baselines/opt2_cycles.json is stale; regenerate it",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e14_opt_level_1_preserves_the_sched_trajectory_exactly() {
-        // The opt2 baseline's level-1 side is the PR 3 pipeline: it
-        // must equal the scheduler baseline's `sched1_cycles` bit for
-        // bit — the two trajectory files pin the same pipeline.
-        let sched = sched_baseline();
-        for entry in opt2_baseline() {
-            let s = sched
-                .iter()
-                .find(|s| s.name == entry.name)
-                .unwrap_or_else(|| panic!("`{}` missing from sched_cycles.json", entry.name));
-            assert_eq!(
-                entry.opt1_cycles, s.sched1_cycles,
-                "{}: opt_level 1 must preserve the PR 3 cycle counts exactly",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e14_loop_aware_mid_end_never_regresses_and_wins_at_least_5pct_geomean() {
-        let baseline = opt2_baseline();
-        let mut total1 = 0u64;
-        let mut total2 = 0u64;
-        let pairs: Vec<(u64, u64)> = baseline
-            .iter()
-            .map(|e| {
-                assert!(
-                    e.opt2_cycles <= e.opt1_cycles,
-                    "{}: the loop-aware mid-end made the kernel slower ({} -> {})",
-                    e.name,
-                    e.opt1_cycles,
-                    e.opt2_cycles
-                );
-                total1 += e.opt1_cycles;
-                total2 += e.opt2_cycles;
-                (e.opt1_cycles, e.opt2_cycles)
-            })
-            .collect();
-        assert!(
-            total2 < total1,
-            "suite total must strictly improve: {total1} -> {total2}"
-        );
-        let geomean = geomean_speedup(&pairs);
-        assert!(
-            geomean >= 1.05,
-            "geomean speedup {geomean:.3}x is below the 5% target"
-        );
-    }
-
-    #[test]
-    fn e15_opt3_baseline_file_matches_current_measurements() {
-        // Compiler and simulator are deterministic; any drift means the
-        // checked-in trajectory is stale. Regenerate with:
-        //   cargo run -p patmos-bench --bin exp_e15_pipeline -- --json \
-        //     > crates/bench/baselines/opt3_cycles.json
-        let baseline = opt3_baseline();
-        let suite = workloads::all();
-        assert_eq!(
-            baseline.len(),
-            suite.len(),
-            "every kernel of the suite must be recorded in opt3_cycles.json"
-        );
-        for entry in &baseline {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (c2, c3, used, active) = measure_opt3_kernel(&w.source);
-            assert_eq!(
-                (c2, c3, used, active),
-                (
-                    entry.opt2_cycles,
-                    entry.opt3_cycles,
-                    entry.opt3_second_slots,
-                    entry.opt3_active_bundles
-                ),
-                "{}: baselines/opt3_cycles.json is stale; regenerate it",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e15_opt2_side_preserves_the_opt2_trajectory_exactly() {
-        // The opt3 baseline's `opt2/sched1` side is the PR 4 pipeline:
-        // it must equal opt2_cycles.json's `opt2_cycles` bit for bit —
-        // the two trajectory files pin the same pipeline (and, with
-        // the chain of cross-pins behind it, every historical level).
-        let opt2 = opt2_baseline();
-        for entry in opt3_baseline() {
-            let o = opt2
-                .iter()
-                .find(|o| o.name == entry.name)
-                .unwrap_or_else(|| panic!("`{}` missing from opt2_cycles.json", entry.name));
-            assert_eq!(
-                entry.opt2_cycles, o.opt2_cycles,
-                "{}: the opt2/sched1 pipeline must be unchanged",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e15_loop_throughput_never_regresses_and_wins_at_least_5pct_geomean() {
-        let baseline = opt3_baseline();
-        let mut total2 = 0u64;
-        let mut total3 = 0u64;
-        let pairs: Vec<(u64, u64)> = baseline
-            .iter()
-            .map(|e| {
-                assert!(
-                    e.opt3_cycles <= e.opt2_cycles,
-                    "{}: the loop-throughput pipeline made the kernel slower ({} -> {})",
-                    e.name,
-                    e.opt2_cycles,
-                    e.opt3_cycles
-                );
-                total2 += e.opt2_cycles;
-                total3 += e.opt3_cycles;
-                (e.opt2_cycles, e.opt3_cycles)
-            })
-            .collect();
-        assert!(
-            total3 < total2,
-            "suite total must strictly improve: {total2} -> {total3}"
-        );
-        let geomean = geomean_speedup(&pairs);
-        assert!(
-            geomean >= 1.05,
-            "geomean speedup {geomean:.3}x is below the 5% target"
-        );
-    }
-
-    #[test]
-    fn e15_dual_issue_utilisation_reaches_a_quarter() {
-        // The loop-throughput pipeline's whole point: keep both issue
-        // slots busy in the hot loops. Across the suite at
-        // `opt3/sched2`, at least 25% of bundles doing real work must
-        // fill their second slot (the PR 3 scheduler managed ~20%).
-        let baseline = opt3_baseline();
-        let slots: u64 = baseline.iter().map(|e| e.opt3_second_slots).sum();
-        let active: u64 = baseline.iter().map(|e| e.opt3_active_bundles).sum();
-        let utilisation = slots as f64 / active as f64;
-        assert!(
-            utilisation >= 0.25,
-            "suite dual-issue utilisation {utilisation:.3} fell below the 0.25 floor"
-        );
-    }
-
-    #[test]
-    fn e18_regalloc2_baseline_file_matches_current_measurements() {
-        // Both policies are deterministic; any drift means the
-        // checked-in trajectory is stale. Regenerate with:
-        //   cargo run -p patmos-bench --bin exp_e18_regalloc2 -- --json \
-        //     > crates/bench/baselines/regalloc2_cycles.json
-        let baseline = regalloc2_baseline();
-        let suite = workloads::all();
-        assert_eq!(
-            baseline.len(),
-            suite.len(),
-            "every kernel of the suite must be recorded in regalloc2_cycles.json"
-        );
-        for entry in &baseline {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let m = measure_regalloc2_kernel(&w.source);
-            assert_eq!(
-                (
-                    m.linear_cycles,
-                    m.loop_cycles,
-                    m.linear_renames,
-                    m.loop_renames
-                ),
-                (
-                    entry.linear_cycles,
-                    entry.loop_cycles,
-                    entry.linear_renames,
-                    entry.loop_renames
-                ),
-                "{}: baselines/regalloc2_cycles.json is stale; regenerate it",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e18_linear_side_preserves_the_opt3_trajectory_exactly() {
-        // The `Constraints`-driven entry point with the default linear
-        // policy must be the historical allocator bit for bit: its
-        // cycle column equals opt3_cycles.json's `opt3_cycles` — and
-        // through that file's own cross-pins, every pinned level of
-        // the trajectory.
-        let opt3 = opt3_baseline();
-        for entry in regalloc2_baseline() {
-            let o = opt3
-                .iter()
-                .find(|o| o.name == entry.name)
-                .unwrap_or_else(|| panic!("`{}` missing from opt3_cycles.json", entry.name));
-            assert_eq!(
-                entry.linear_cycles, o.opt3_cycles,
-                "{}: linear scan under the policy interface must reproduce the opt3 pipeline",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e18_loop_policy_never_regresses_a_kernel() {
-        let baseline = regalloc2_baseline();
-        let mut lin = 0u64;
-        let mut lp = 0u64;
-        for e in &baseline {
-            assert!(
-                e.loop_cycles <= e.linear_cycles,
-                "{}: the loop-aware policy made the kernel slower ({} -> {})",
-                e.name,
-                e.linear_cycles,
-                e.loop_cycles
-            );
-            lin += e.linear_cycles;
-            lp += e.loop_cycles;
-        }
-        assert!(
-            lp < lin,
-            "the loop-aware policy must win somewhere on the suite: {lin} -> {lp}"
-        );
-    }
-
-    #[test]
-    fn e18_loop_policy_eliminates_modulo_renaming() {
-        // The tentpole's headline: with loop-aware assignment the
-        // modulo scheduler finds no genuinely reused registers to
-        // rename — worst-case renaming (21 defs across the suite under
-        // linear scan at the time of pinning) drops to zero.
-        let baseline = regalloc2_baseline();
-        let linear: u64 = baseline.iter().map(|e| e.linear_renames).sum();
-        let looped: u64 = baseline.iter().map(|e| e.loop_renames).sum();
-        assert!(
-            linear > 0,
-            "linear scan must still exercise worst-case renaming somewhere"
-        );
-        assert_eq!(
-            looped, 0,
-            "reuse-aware renaming under the loop policy must find nothing to rename"
+            files,
+            baselines::FAMILIES.len() + 1,
+            "the seven families plus the resilience campaign"
         );
     }
 
@@ -2234,7 +840,8 @@ mod tests {
         let unrolls = |w: &workloads::Workload, policy: patmos::Policy| {
             let opts = CompileOptions {
                 sched_level: 1,
-                ..policy_options(policy)
+                reg_policy: policy,
+                ..CompileOptions::default()
             };
             compile_with_artifacts(&w.source, &opts)
                 .expect("kernel compiles")
@@ -2283,82 +890,6 @@ mod tests {
             (0, 0, 0),
             "fir8's eight-tap window must fit the pool with no spill traffic"
         );
-    }
-
-    #[test]
-    fn e19_wcet_bounds_baseline_file_matches_current_measurements() {
-        // Compiler, simulator and IPET solver are deterministic; any
-        // drift means the checked-in trajectory is stale. Regenerate
-        // with:
-        //   cargo run -p patmos-bench --bin exp_e19_wcet_trajectory -- --json \
-        //     > crates/bench/baselines/wcet_bounds.json
-        let baseline = wcet_bounds_baseline();
-        let suite = workloads::all();
-        assert_eq!(
-            baseline.len(),
-            suite.len(),
-            "every kernel of the suite must be recorded in wcet_bounds.json"
-        );
-        for entry in &baseline {
-            let w = workloads::by_name(&entry.name)
-                .unwrap_or_else(|| panic!("baseline kernel `{}` no longer exists", entry.name));
-            let (bound, fallback, measured) = measure_wcet_bounds_kernel(&w.source);
-            assert_eq!(
-                (bound, fallback, measured),
-                (
-                    entry.bound_cycles,
-                    entry.fallback_bound_cycles,
-                    entry.measured_cycles
-                ),
-                "{}: baselines/wcet_bounds.json is stale; regenerate it",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn e19_every_bound_covers_its_measured_run() {
-        // Soundness of the pinned trajectory itself: no kernel's
-        // pipeline-aware bound may dip below the simulated run, and
-        // ignoring the `.pipeloop` records can only loosen a bound,
-        // never tighten it.
-        for e in wcet_bounds_baseline() {
-            assert!(
-                e.bound_cycles >= e.measured_cycles,
-                "{}: bound {} below measured {}",
-                e.name,
-                e.bound_cycles,
-                e.measured_cycles
-            );
-            assert!(
-                e.fallback_bound_cycles >= e.bound_cycles,
-                "{}: pipeline-aware bound {} exceeds the record-blind bound {}",
-                e.name,
-                e.bound_cycles,
-                e.fallback_bound_cycles
-            );
-        }
-    }
-
-    #[test]
-    fn e19_pipelined_kernels_strictly_tighten() {
-        // The tentpole acceptance: on every software-pipelined kernel
-        // the `.pipeloop`-aware bound must be strictly below the bound
-        // that charges the list-scheduled fallback its full
-        // `.loopbound` trips.
-        let baseline = wcet_bounds_baseline();
-        for name in PIPELINED_KERNELS {
-            let e = baseline
-                .iter()
-                .find(|e| e.name == name)
-                .unwrap_or_else(|| panic!("pipelined kernel `{name}` missing from the baseline"));
-            assert!(
-                e.bound_cycles < e.fallback_bound_cycles,
-                "{name}: pipeline-aware analysis must strictly tighten ({} vs {})",
-                e.bound_cycles,
-                e.fallback_bound_cycles
-            );
-        }
     }
 
     #[test]

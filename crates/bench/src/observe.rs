@@ -149,10 +149,9 @@ pub fn suite_remarks_json() -> String {
         .map(|w| {
             let artifacts = compile_with_artifacts(&w.source, &opt3()).expect("kernel compiles");
             let opt_remarks = artifacts.opt.as_ref().map_or(&[][..], |r| &r.remarks);
-            let sched_remarks = artifacts.sched.as_ref().map_or(&[][..], |r| &r.remarks);
             let rows: Vec<String> = opt_remarks
                 .iter()
-                .chain(sched_remarks)
+                .chain(&artifacts.sched.remarks)
                 .map(|r| {
                     format!(
                         "      {{\"pass\": \"{}\", \"function\": \"{}\", \"site\": {}, \

@@ -25,7 +25,7 @@ use patmos::sim::{DetectorKind, FaultOutcome, SimConfig};
 use patmos::wcet::flow_map;
 use patmos::workloads::{self, Workload};
 
-use crate::{json_field, kernel_sections};
+use crate::baselines::Doc;
 
 /// The pinned campaign's seed.
 pub const CAMPAIGN_SEED: u64 = 0x5EED_FA17;
@@ -81,6 +81,36 @@ impl KernelResilience {
     pub fn detections(&self) -> u64 {
         self.detected_contract + self.detected_control_flow + self.hang
     }
+}
+
+/// Reads a kernel's tallies from a campaign document, and lists them
+/// as the document records them: one field list, in file order.
+macro_rules! tallies {
+    ($($field:ident)*) => {
+        fn read(doc: &Doc, name: &str) -> KernelResilience {
+            let name = name.to_string();
+            KernelResilience { $($field: doc.get(&name, stringify!($field)),)* name }
+        }
+
+        fn fields(k: &KernelResilience) -> Vec<(String, u64)> {
+            vec![$((stringify!($field).to_string(), k.$field)),*]
+        }
+    };
+}
+
+tallies! {
+    injections fired masked sdc detected_contract detected_control_flow hang
+    strict_detected strict_sdc strict_hang cfg_only latency_min latency_max latency_total
+}
+
+/// A campaign document: `header` (up to the `"kernels"` key), then one
+/// record per kernel.
+fn campaign_json(header: String, campaign: &[KernelResilience]) -> String {
+    let kernels = campaign
+        .iter()
+        .map(|k| (k.name.clone(), fields(k)))
+        .collect();
+    Doc { header, kernels }.render()
 }
 
 /// Runs one kernel's seeded campaign at explicit `opt3/sched2` and
@@ -174,47 +204,11 @@ pub fn run_campaign(seed: u64, count: u32) -> Vec<KernelResilience> {
 
 /// Parses the checked-in resilience baseline.
 pub fn resilience_baseline() -> Vec<KernelResilience> {
-    kernel_sections(RESILIENCE_BASELINE_JSON)
-        .into_iter()
-        .map(|(name, section)| KernelResilience {
-            name,
-            injections: json_field(section, "injections"),
-            fired: json_field(section, "fired"),
-            masked: json_field(section, "masked"),
-            sdc: json_field(section, "sdc"),
-            detected_contract: json_field(section, "detected_contract"),
-            detected_control_flow: json_field(section, "detected_control_flow"),
-            hang: json_field(section, "hang"),
-            strict_detected: json_field(section, "strict_detected"),
-            strict_sdc: json_field(section, "strict_sdc"),
-            strict_hang: json_field(section, "strict_hang"),
-            cfg_only: json_field(section, "cfg_only"),
-            latency_min: json_field(section, "latency_min"),
-            latency_max: json_field(section, "latency_max"),
-            latency_total: json_field(section, "latency_total"),
-        })
+    let doc = Doc::parse(RESILIENCE_BASELINE_JSON);
+    doc.kernels
+        .iter()
+        .map(|(name, _)| read(&doc, name))
         .collect()
-}
-
-fn kernel_entry_json(k: &KernelResilience) -> String {
-    format!(
-        "    \"{}\": {{\n      \"injections\": {},\n      \"fired\": {},\n      \"masked\": {},\n      \"sdc\": {},\n      \"detected_contract\": {},\n      \"detected_control_flow\": {},\n      \"hang\": {},\n      \"strict_detected\": {},\n      \"strict_sdc\": {},\n      \"strict_hang\": {},\n      \"cfg_only\": {},\n      \"latency_min\": {},\n      \"latency_max\": {},\n      \"latency_total\": {}\n    }}",
-        k.name,
-        k.injections,
-        k.fired,
-        k.masked,
-        k.sdc,
-        k.detected_contract,
-        k.detected_control_flow,
-        k.hang,
-        k.strict_detected,
-        k.strict_sdc,
-        k.strict_hang,
-        k.cfg_only,
-        k.latency_min,
-        k.latency_max,
-        k.latency_total
-    )
 }
 
 /// Re-emits the resilience baseline JSON from a fresh campaign.
@@ -226,14 +220,8 @@ pub fn resilience_baseline_json() -> String {
     );
     writeln!(out, "  \"seed\": {CAMPAIGN_SEED},").ok();
     writeln!(out, "  \"injections_per_kernel\": {INJECTIONS_PER_KERNEL},").ok();
-    out.push_str("  \"kernels\": {\n");
-    let entries: Vec<String> = run_campaign(CAMPAIGN_SEED, INJECTIONS_PER_KERNEL)
-        .iter()
-        .map(kernel_entry_json)
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
+    out.push_str("  ");
+    campaign_json(out, &run_campaign(CAMPAIGN_SEED, INJECTIONS_PER_KERNEL))
 }
 
 /// The full resilience report JSON: the per-kernel tallies plus
@@ -281,11 +269,8 @@ pub fn resilience_report_json() -> String {
     writeln!(out, "    \"latency_min\": {lat_min},").ok();
     writeln!(out, "    \"latency_max\": {lat_max},").ok();
     writeln!(out, "    \"latency_total\": {lat_total}").ok();
-    out.push_str("  },\n  \"kernels\": {\n");
-    let entries: Vec<String> = campaign.iter().map(kernel_entry_json).collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
+    out.push_str("  },\n  ");
+    campaign_json(out, &campaign)
 }
 
 /// E20 — the resilience campaign table: per-kernel outcome split under

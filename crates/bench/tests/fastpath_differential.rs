@@ -28,7 +28,7 @@ struct Combo {
 fn full_matrix() -> Vec<Combo> {
     let mut combos = Vec::new();
     for opt in 0..=3u8 {
-        for sched in 0..=2u8 {
+        for sched in 1..=2u8 {
             for single_path in [false, true] {
                 for dual in [true, false] {
                     combos.push(Combo {
@@ -50,7 +50,7 @@ fn corner_sample() -> Vec<Combo> {
     vec![
         Combo {
             opt: 0,
-            sched: 0,
+            sched: 1,
             single_path: false,
             dual: true,
         },

@@ -1,5 +1,5 @@
 //! Property test of the source map: across every `opt_level` (0–3) ×
-//! `sched_level` (0–2) combination, every program-counter value a
+//! `sched_level` (1–2) combination, every program-counter value a
 //! traced run retires must resolve through the object's source map to
 //! a valid function and source line of the generated program — lines
 //! that actually carry a function definition or a loop statement. This
@@ -134,7 +134,7 @@ proptest! {
         let program = build(helper, nest, runtime_trip, body_muls);
         let mut result: Option<u32> = None;
         for opt_level in 0..=3u8 {
-            for sched_level in 0..=2u8 {
+            for sched_level in 1..=2u8 {
                 let options = CompileOptions {
                     opt_level,
                     sched_level,

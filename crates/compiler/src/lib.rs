@@ -64,7 +64,6 @@
 mod ast;
 mod codegen;
 mod lexer;
-mod lir;
 mod parser;
 mod sched;
 mod srcmap;
@@ -90,7 +89,7 @@ pub struct CompileOptions {
     /// every loop to its bound, so execution time is input-independent.
     pub single_path: bool,
     /// Mid-end optimization level: `0` lowers the AST straight to the
-    /// allocator (the historical pipeline), `1` runs the
+    /// allocator, `1` runs the
     /// [`patmos_opt`] pass pipeline (const-prop, strength reduction,
     /// CSE, copy-prop, DCE to a fixed point) between code generation
     /// and register allocation, `2` adds the loop-aware passes
@@ -100,23 +99,25 @@ pub struct CompileOptions {
     /// over-budget constant-trip loop replicates its body by the
     /// largest divisor of the trip count that fits the budget, and a
     /// runtime-trip straight-line loop becomes a factor-4/2 main loop
-    /// plus a scalar remainder loop. Levels 0–2 reproduce their
-    /// historical pipelines bit for bit; in single-path mode levels
+    /// plus a scalar remainder loop. Higher levels are rejected with
+    /// [`CompileError::InvalidOptions`]. In single-path mode levels
     /// 2–3 keep only the shape-stable subset (inlining and LICM —
     /// never unrolling, whose decisions read literal trip counts).
     pub opt_level: u8,
-    /// Scheduler level: `0` runs the historical run scheduler (pairs
-    /// textually adjacent operations, `nop`-fills every delay slot —
-    /// bit-for-bit the pre-DAG pipeline), `1` runs the [`patmos_sched`]
-    /// dependence-DAG scheduler (critical-path list scheduling,
-    /// dual-issue packing, branch delay-slot filling), `2` additionally
-    /// software-pipelines innermost counted loops by iterative modulo
-    /// scheduling (prologue/kernel/epilogue with a trip-count guard
-    /// and a plain fallback loop). Levels 0 and 1 are shape-stable:
-    /// scheduling decisions never depend on operand values, so
-    /// single-path timing stays input-independent. The pipeliner reads
-    /// the loop's literal bound and step, so in single-path mode
-    /// level 2 falls back to the level-1 behaviour.
+    /// Scheduler level: `1` runs the [`patmos_sched`] dependence-DAG
+    /// scheduler (critical-path list scheduling, dual-issue packing,
+    /// branch delay-slot filling), `2` additionally software-pipelines
+    /// innermost counted loops by iterative modulo scheduling
+    /// (prologue/kernel/epilogue with a trip-count guard and a plain
+    /// fallback loop). Level 1 is shape-stable: scheduling decisions
+    /// never depend on operand values, so single-path timing stays
+    /// input-independent. The pipeliner reads the loop's literal bound
+    /// and step, so in single-path mode level 2 falls back to the
+    /// level-1 behaviour. Any other level is rejected with
+    /// [`CompileError::InvalidOptions`]: level 0, the historical run
+    /// scheduler, is gone, and the cycle counts it produced are frozen
+    /// data in the bench baselines (`sched_cycles.json`,
+    /// `opt_cycles.json`).
     pub sched_level: u8,
     /// Register-allocation policy: [`Policy::Linear`] (the default)
     /// reproduces the historical linear scan bit for bit at every
@@ -169,6 +170,8 @@ pub enum CompileError {
     RegAlloc(AllocError),
     /// The generated assembly failed to assemble (a compiler bug).
     Assemble(String),
+    /// The options select a pipeline level that does not exist.
+    InvalidOptions(String),
 }
 
 impl std::fmt::Display for CompileError {
@@ -178,6 +181,7 @@ impl std::fmt::Display for CompileError {
             CompileError::Codegen(e) => write!(f, "codegen error: {e}"),
             CompileError::RegAlloc(e) => write!(f, "register allocation error: {e}"),
             CompileError::Assemble(e) => write!(f, "internal assembly error: {e}"),
+            CompileError::InvalidOptions(e) => write!(f, "invalid options: {e}"),
         }
     }
 }
@@ -202,11 +206,41 @@ impl From<AllocError> for CompileError {
     }
 }
 
-/// The mid-end configuration for `options`: single-path compilations
-/// restrict the pipeline to shape-stable rewrites so code shape (and
-/// therefore execution time) cannot depend on literal values.
-fn opt_config(options: &CompileOptions, trace: bool) -> patmos_opt::OptConfig {
-    patmos_opt::OptConfig {
+/// Rejects the levels no pipeline implements.
+fn check_levels(options: &CompileOptions) -> Result<(), CompileError> {
+    let problem = match (options.opt_level, options.sched_level) {
+        (_, 0) => "sched_level 0 (the historical run scheduler) was removed; its cycle counts \
+                   are frozen in crates/bench/baselines/sched_cycles.json (sched0_cycles) and \
+                   opt_cycles.json"
+            .to_string(),
+        (_, level) if level > 2 => format!("sched_level {level} does not exist (use 1 or 2)"),
+        (level, _) if level > 3 => format!("opt_level {level} does not exist (use 0 to 3)"),
+        _ => return Ok(()),
+    };
+    Err(CompileError::InvalidOptions(problem))
+}
+
+/// Everything one run of the pipeline produces.
+struct Build {
+    vmodule: patmos_lir::VModule,
+    opt: Option<patmos_opt::OptReport>,
+    allocation: AllocReport,
+    sched: patmos_sched::SchedReport,
+    srcmap: SourceMap,
+    scheduled: patmos_sched::ScheduledModule,
+}
+
+/// The compile driver behind every entry point: options check, parse,
+/// code generation, the mid-end (per-pass dumps only when `trace`),
+/// register allocation and scheduling.
+fn drive(source: &str, options: &CompileOptions, trace: bool) -> Result<Build, CompileError> {
+    check_levels(options)?;
+    let program = parse(source)?;
+    let (mut vmodule, mut srcmap) = codegen::lower(&program, options)?;
+    // Single-path compilations restrict the mid-end to shape-stable
+    // rewrites, so code shape (and so execution time) cannot depend on
+    // literal values.
+    let opt_config = patmos_opt::OptConfig {
         shape_stable: options.single_path,
         trace,
         level: options.opt_level,
@@ -217,52 +251,45 @@ fn opt_config(options: &CompileOptions, trace: bool) -> patmos_opt::OptConfig {
         // those loops to it. Single-path mode never pipelines, so it
         // never defers either.
         defer_pipelineable: options.sched_level >= 2 && !options.single_path,
+    };
+    let opt = (options.opt_level >= 1).then(|| patmos_opt::optimize_with(&mut vmodule, opt_config));
+    if let Some(report) = &opt {
+        srcmap.apply_inlines(&report.inlines);
     }
-}
-
-/// Runs the scheduler stage selected by
-/// [`CompileOptions::sched_level`]; the report is `None` at level 0
-/// (the run scheduler keeps no per-block accounting).
-fn run_scheduler(
-    lir: lir::Module,
-    options: &CompileOptions,
-) -> (sched::ScheduledModule, Option<patmos_sched::SchedReport>) {
-    if options.sched_level == 0 {
-        (sched::schedule(lir, options), None)
-    } else {
-        let sched_options = patmos_sched::SchedOptions {
-            dual_issue: options.dual_issue,
-            // The modulo scheduler's decisions read the loop's literal
-            // bound and step — not shape-stable, so single-path mode
-            // keeps the plain DAG scheduler.
-            pipeline: options.sched_level >= 2 && !options.single_path,
-            // Under the loop-aware policy the allocator's assignments
-            // already separate iteration-local values, so the renamer
-            // trusts them and renames only genuinely reused registers.
-            reuse_renaming: options.reg_policy == Policy::Loop,
-        };
-        let (module, report) = patmos_sched::schedule_with_report(lir, &sched_options);
-        (module, Some(report))
-    }
+    let (lir, allocation) = patmos_regalloc::regalloc(&options.constraints(), &vmodule)?;
+    let sched_options = patmos_sched::SchedOptions {
+        dual_issue: options.dual_issue,
+        // The modulo scheduler's decisions read the loop's literal
+        // bound and step — not shape-stable, so single-path mode
+        // keeps the plain DAG scheduler.
+        pipeline: options.sched_level >= 2 && !options.single_path,
+        // Under the loop-aware policy the allocator's assignments
+        // already separate iteration-local values, so the renamer
+        // trusts them and renames only genuinely reused registers.
+        reuse_renaming: options.reg_policy == Policy::Loop,
+    };
+    let (scheduled, sched) = patmos_sched::schedule_with_report(lir, &sched_options);
+    Ok(Build {
+        vmodule,
+        opt,
+        allocation,
+        sched,
+        srcmap,
+        scheduled,
+    })
 }
 
 /// Compiles PatC source to Patmos assembly text.
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for syntax errors, unknown identifiers,
-/// unsupported constructs (recursion is allowed here but rejected later
-/// by the WCET analysis), or missing loop bounds.
+/// Returns a [`CompileError`] for levels that do not exist, syntax
+/// errors, unknown identifiers, unsupported constructs (recursion is
+/// allowed here but rejected later by the WCET analysis), or missing
+/// loop bounds.
 pub fn compile_to_asm(source: &str, options: &CompileOptions) -> Result<String, CompileError> {
-    let program = parse(source)?;
-    let (mut vlir, mut srcmap) = codegen::lower(&program, options)?;
-    if options.opt_level >= 1 {
-        let report = patmos_opt::optimize_with(&mut vlir, opt_config(options, false));
-        srcmap.apply_inlines(&report.inlines);
-    }
-    let (lir, _) = patmos_regalloc::regalloc(&options.constraints(), &vlir)?;
-    let (scheduled, _) = run_scheduler(lir, options);
-    Ok(sched::emit_with_map(&scheduled, &srcmap))
+    let build = drive(source, options, false)?;
+    Ok(sched::emit_with_map(&build.scheduled, &build.srcmap))
 }
 
 /// Intermediate artefacts of one compilation, for inspection tools
@@ -278,9 +305,9 @@ pub struct CompileArtifacts {
     pub opt: Option<patmos_opt::OptReport>,
     /// The register allocator's per-function report.
     pub allocation: AllocReport,
-    /// The DAG scheduler's per-block report (`None` at `sched_level`
-    /// 0).
-    pub sched: Option<patmos_sched::SchedReport>,
+    /// The scheduler's per-block report, with every software-pipelined
+    /// loop.
+    pub sched: patmos_sched::SchedReport,
     /// The source map after inline bookkeeping — what became the
     /// `.srcfunc`/`.srcloop` directives in `asm`.
     pub srcmap: SourceMap,
@@ -298,24 +325,15 @@ pub fn compile_with_artifacts(
     source: &str,
     options: &CompileOptions,
 ) -> Result<CompileArtifacts, CompileError> {
-    let program = parse(source)?;
-    let (mut vlir, mut srcmap) = codegen::lower(&program, options)?;
-    let opt = (options.opt_level >= 1)
-        .then(|| patmos_opt::optimize_with(&mut vlir, opt_config(options, true)));
-    if let Some(report) = &opt {
-        srcmap.apply_inlines(&report.inlines);
-    }
-    let rendered = vlir.render();
-    let (lir, allocation) = patmos_regalloc::regalloc(&options.constraints(), &vlir)?;
-    let (scheduled, sched_report) = run_scheduler(lir, options);
-    let asm = sched::emit_with_map(&scheduled, &srcmap);
+    let build = drive(source, options, true)?;
+    let asm = sched::emit_with_map(&build.scheduled, &build.srcmap);
     Ok(CompileArtifacts {
-        vmodule: vlir,
-        vlir: rendered,
-        opt,
-        allocation,
-        sched: sched_report,
-        srcmap,
+        vlir: build.vmodule.render(),
+        vmodule: build.vmodule,
+        opt: build.opt,
+        allocation: build.allocation,
+        sched: build.sched,
+        srcmap: build.srcmap,
         asm,
     })
 }
@@ -341,12 +359,5 @@ pub fn compile_stats(
     source: &str,
     options: &CompileOptions,
 ) -> Result<(usize, usize), CompileError> {
-    let program = parse(source)?;
-    let (mut vlir, _) = codegen::lower(&program, options)?;
-    if options.opt_level >= 1 {
-        patmos_opt::optimize_with(&mut vlir, opt_config(options, false));
-    }
-    let (lir, _) = patmos_regalloc::regalloc(&options.constraints(), &vlir)?;
-    let (scheduled, _) = run_scheduler(lir, options);
-    Ok(scheduled.bundle_stats())
+    Ok(drive(source, options, false)?.scheduled.bundle_stats())
 }

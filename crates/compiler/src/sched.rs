@@ -1,230 +1,13 @@
-//! Scheduling entry point and assembly emission — the thin final layer
-//! of the compiler.
+//! Assembly emission — the thin final layer of the compiler.
 //!
-//! The bundle/item output types come from [`patmos_sched`] (re-exported
-//! here), which also hosts the default dependence-DAG scheduler
-//! ([`CompileOptions::sched_level`] ≥ 1: critical-path list scheduling,
-//! dual-issue packing, delay-slot filling). This module keeps two
-//! things:
-//!
-//! * [`schedule`] — the historical *run* scheduler, selected by
-//!   `sched_level` 0 to reproduce the pre-DAG pipeline exactly: it
-//!   pairs textually adjacent independent operations and fills every
-//!   branch and load shadow with `nop`s;
-//! * [`emit`] — rendering a [`ScheduledModule`] as assembler text.
+//! Scheduling itself is [`patmos_sched`] at every
+//! [`CompileOptions::sched_level`](crate::CompileOptions::sched_level):
+//! dependence DAGs, critical-path list scheduling, dual-issue packing,
+//! delay-slot filling and, at level 2, software pipelining. This module
+//! renders the resulting [`ScheduledModule`] as assembler text, with the
+//! source map appended.
 
-use patmos_isa::Op;
-pub use patmos_sched::dag::dependence_gap;
-pub use patmos_sched::{SchedBundle, SchedItem, ScheduledModule};
-
-use crate::lir::{Item, LirInst, LirOp, Module};
-use crate::CompileOptions;
-
-/// Schedules a module with the historical run scheduler
-/// (`sched_level` 0).
-pub fn schedule(module: Module, options: &CompileOptions) -> ScheduledModule {
-    let mut items = Vec::new();
-    let mut run: Vec<LirInst> = Vec::new();
-
-    // Flushes the pending run. A run can end *without* a control
-    // transfer — at a label the preceding code falls into — and then a
-    // trailing load or multiply may still owe visible-delay bundles to
-    // whatever executes next. The scheduler only legalises delays
-    // within a run (plus architectural delay slots after flow ops), so
-    // any residue is padded with `nop` bundles here, on the
-    // fall-through edge, before the label. Entries via branches are
-    // unaffected: their own delay slots already cover the gap.
-    let flush = |run: &mut Vec<LirInst>, items: &mut Vec<SchedItem>| {
-        if run.is_empty() {
-            return;
-        }
-        let residue = schedule_run(std::mem::take(run), options, items);
-        for _ in 0..residue {
-            items.push(SchedItem::Bundle(SchedBundle {
-                first: nop(),
-                second: None,
-            }));
-        }
-    };
-
-    for item in module.items {
-        match item {
-            Item::Inst(inst) => {
-                let is_flow = inst.op.is_flow();
-                run.push(inst);
-                if is_flow {
-                    flush(&mut run, &mut items);
-                }
-            }
-            Item::FuncStart(name) => {
-                flush(&mut run, &mut items);
-                items.push(SchedItem::FuncStart(name));
-            }
-            Item::Label(name) => {
-                flush(&mut run, &mut items);
-                items.push(SchedItem::Label(name));
-            }
-            Item::LoopBound { min, max } => {
-                flush(&mut run, &mut items);
-                items.push(SchedItem::LoopBound { min, max });
-            }
-        }
-    }
-    flush(&mut run, &mut items);
-
-    ScheduledModule {
-        data_lines: module.data_lines,
-        items,
-        entry: module.entry,
-    }
-}
-
-fn nop() -> LirInst {
-    LirInst::always(LirOp::Real(Op::Nop))
-}
-
-/// Schedules one straight-line run (at most one flow inst, at its end).
-///
-/// Returns the number of visible-delay bundles still owed by trailing
-/// definitions (loads, multiplies) past the end of the emitted
-/// bundles — the caller pads the fall-through edge with that many
-/// `nop`s when the run ends at a label instead of a control transfer.
-fn schedule_run(run: Vec<LirInst>, options: &CompileOptions, out: &mut Vec<SchedItem>) -> u32 {
-    let n = run.len();
-    // Dependence edges: (pred, succ, min bundle gap).
-    let mut edges: Vec<(usize, usize, u32)> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if let Some(gap) = dependence_gap(&run[i], &run[j]) {
-                edges.push((i, j, gap));
-            }
-        }
-    }
-    // A flow instruction ends the run: everything else must issue first,
-    // or it would land in (or past) the delay slots.
-    if n > 0 && run[n - 1].op.is_flow() {
-        for i in 0..n - 1 {
-            edges.push((i, n - 1, 1));
-        }
-    }
-
-    let mut scheduled_bundle: Vec<Option<u32>> = vec![None; n];
-    let mut remaining: usize = n;
-    let mut bundles: Vec<(LirInst, Option<LirInst>)> = Vec::new();
-    let mut bundle_idx: u32 = 0;
-
-    let ready_at = |i: usize,
-                    scheduled_bundle: &[Option<u32>],
-                    edges: &[(usize, usize, u32)]|
-     -> Option<u32> {
-        let mut earliest = 0u32;
-        for &(p, s, gap) in edges {
-            if s == i {
-                match scheduled_bundle[p] {
-                    Some(b) => earliest = earliest.max(b + gap),
-                    None => return None,
-                }
-            }
-        }
-        Some(earliest)
-    };
-
-    while remaining > 0 {
-        // Candidates ready at the current bundle, in program order.
-        let mut first: Option<usize> = None;
-        for i in 0..n {
-            if scheduled_bundle[i].is_none() {
-                if let Some(r) = ready_at(i, &scheduled_bundle, &edges) {
-                    if r <= bundle_idx {
-                        first = Some(i);
-                        break;
-                    }
-                }
-            }
-        }
-        let Some(fi) = first else {
-            // Nothing ready: emit a nop bundle to let delays elapse.
-            bundles.push((nop(), None));
-            bundle_idx += 1;
-            continue;
-        };
-        scheduled_bundle[fi] = Some(bundle_idx);
-        remaining -= 1;
-
-        let mut second: Option<usize> = None;
-        let first_inst = &run[fi];
-        if options.dual_issue && !first_inst.op.is_long() && !first_inst.op.is_flow() {
-            for j in 0..n {
-                if scheduled_bundle[j].is_some() || j == fi {
-                    continue;
-                }
-                let inst = &run[j];
-                if !inst.op.allowed_in_second_slot() || inst.op.is_long() {
-                    continue;
-                }
-                // Ready at this bundle (fi just scheduled at bundle_idx,
-                // so any dependence on it keeps j out via the gap).
-                match ready_at(j, &scheduled_bundle, &edges) {
-                    Some(r) if r <= bundle_idx => {}
-                    _ => continue,
-                }
-                // No conflicting writes within the bundle.
-                if let (Some(a), Some(b)) = (first_inst.op.def(), inst.op.def()) {
-                    if a == b {
-                        continue;
-                    }
-                }
-                if let (Some(a), Some(b)) = (first_inst.op.pred_def(), inst.op.pred_def()) {
-                    if a == b {
-                        continue;
-                    }
-                }
-                second = Some(j);
-                break;
-            }
-        }
-        if let Some(sj) = second {
-            scheduled_bundle[sj] = Some(bundle_idx);
-            remaining -= 1;
-            bundles.push((run[fi].clone(), Some(run[sj].clone())));
-        } else {
-            bundles.push((run[fi].clone(), None));
-        }
-        bundle_idx += 1;
-    }
-
-    // Emit, appending delay-slot nops after a trailing flow instruction.
-    let emitted = bundles.len() as u32;
-    let mut delay = 0u32;
-    for (first, second) in bundles {
-        if first.op.is_flow() {
-            delay = first.op.delay_slots(first.guard);
-        }
-        out.push(SchedItem::Bundle(SchedBundle { first, second }));
-    }
-    for _ in 0..delay {
-        out.push(SchedItem::Bundle(SchedBundle {
-            first: nop(),
-            second: None,
-        }));
-    }
-
-    // Visible-delay residue past the end of the run.
-    let total = emitted + delay;
-    let mut residue = 0u32;
-    for (i, slot) in scheduled_bundle.iter().enumerate() {
-        let Some(b) = slot else { continue };
-        let gap = if run[i].op.writes_mul() {
-            1 + patmos_isa::timing::MUL_GAP
-        } else if run[i].op.def().is_some() {
-            run[i].op.def_gap()
-        } else {
-            continue;
-        };
-        residue = residue.max((b + gap).saturating_sub(total));
-    }
-    residue
-}
+use patmos_sched::{SchedItem, ScheduledModule};
 
 /// Renders a scheduled module as assembler source, appending the
 /// source map as `.srcfunc`/`.srcloop` directives.
@@ -331,171 +114,148 @@ pub fn emit(module: &ScheduledModule) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Reg};
+    //! The bundle contract emission relies on, checked on the scheduler
+    //! every level runs: pairing, dependence gaps, memory order, delay
+    //! slots and fall-through padding.
 
-    fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
-        LirInst::always(LirOp::Real(Op::AluR {
+    use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Pred, Reg, SpecialReg};
+    use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+    use patmos_sched::SchedOptions;
+
+    fn alu(rd: u8, rs1: u8, rs2: u8) -> Item {
+        Item::Inst(LirInst::always(LirOp::Real(Op::AluR {
             op: AluOp::Add,
             rd: Reg::from_index(rd),
             rs1: Reg::from_index(rs1),
             rs2: Reg::from_index(rs2),
-        }))
+        })))
     }
 
-    fn load(rd: u8, slot: i16) -> LirInst {
-        LirInst::always(LirOp::Real(Op::Load {
-            area: MemArea::Stack,
-            size: AccessSize::Word,
-            rd: Reg::from_index(rd),
-            ra: Reg::R0,
-            offset: slot,
-        }))
+    fn mem(store: bool, reg: u8) -> Item {
+        let (area, size, ra, offset) = (MemArea::Stack, AccessSize::Word, Reg::R0, 1);
+        let r = Reg::from_index(reg);
+        Item::Inst(LirInst::always(LirOp::Real(if store {
+            Op::Store {
+                area,
+                size,
+                ra,
+                offset,
+                rs: r,
+            }
+        } else {
+            Op::Load {
+                area,
+                size,
+                rd: r,
+                ra,
+                offset,
+            }
+        })))
     }
 
-    fn sched(insts: Vec<LirInst>, dual: bool) -> Vec<SchedItem> {
-        let options = CompileOptions {
-            dual_issue: dual,
-            ..CompileOptions::default()
+    fn op(op: Op) -> Item {
+        Item::Inst(LirInst::always(LirOp::Real(op)))
+    }
+
+    fn branch(guard: Guard) -> Item {
+        Item::Inst(LirInst::new(guard, LirOp::BrLabel("x".into())))
+    }
+
+    /// Schedules `items` as one function body and returns the emitted
+    /// lines after `.func`.
+    fn sched(items: Vec<Item>, dual_issue: bool) -> Vec<String> {
+        let mut all = vec![Item::FuncStart("f".into())];
+        all.extend(items);
+        let module = Module {
+            data_lines: Vec::new(),
+            entry: String::new(),
+            items: all,
         };
-        let mut out = Vec::new();
-        schedule_run(insts, &options, &mut out);
-        out
-    }
-
-    fn bundles(items: &[SchedItem]) -> Vec<&SchedBundle> {
-        items
-            .iter()
-            .filter_map(|i| match i {
-                SchedItem::Bundle(b) => Some(b),
-                _ => None,
-            })
-            .collect()
+        let options = SchedOptions {
+            dual_issue,
+            ..SchedOptions::default()
+        };
+        let text = super::emit(&patmos_sched::schedule(module, &options));
+        text.lines().skip(1).map(|l| l.trim().to_string()).collect()
     }
 
     #[test]
     fn independent_ops_pair_up() {
-        let items = sched(vec![alu(3, 4, 5), alu(6, 7, 8)], true);
-        let bs = bundles(&items);
-        assert_eq!(bs.len(), 1, "two independent ALUs share a bundle");
-        assert!(bs[0].second.is_some());
+        let bundles = sched(vec![alu(3, 4, 5), alu(6, 7, 8)], true);
+        assert_eq!(bundles, ["{ add r3 = r4, r5 ; add r6 = r7, r8 }"]);
     }
 
     #[test]
     fn dependent_ops_stay_apart() {
-        let items = sched(vec![alu(3, 4, 5), alu(6, 3, 3)], true);
-        let bs = bundles(&items);
-        assert_eq!(bs.len(), 2, "RAW dependence forbids pairing");
+        let bundles = sched(vec![alu(3, 4, 5), alu(6, 3, 3)], true);
+        assert_eq!(bundles, ["add r3 = r4, r5", "add r6 = r3, r3"]);
     }
 
     #[test]
     fn load_use_gap_gets_a_nop() {
-        let items = sched(vec![load(3, 1), alu(4, 3, 3)], true);
-        let bs = bundles(&items);
-        // load, nop, use.
-        assert_eq!(bs.len(), 3);
-        assert!(matches!(bs[1].first.op, LirOp::Real(Op::Nop)));
+        let bundles = sched(vec![mem(false, 3), alu(4, 3, 3)], true);
+        assert_eq!(bundles, ["lws r3 = [r0 + 1]", "nop", "add r4 = r3, r3"]);
     }
 
     #[test]
     fn load_gap_filled_with_independent_work() {
-        let items = sched(
-            vec![load(3, 1), alu(5, 6, 7), alu(8, 9, 10), alu(4, 3, 3)],
+        let bundles = sched(
+            vec![mem(false, 3), alu(5, 6, 7), alu(8, 9, 10), alu(4, 3, 3)],
             true,
         );
-        let bs = bundles(&items);
-        // {load ; alu5}, alu8, use — independent work fills the gap.
-        assert_eq!(bs.len(), 3);
-        assert!(!bs
-            .iter()
-            .any(|b| matches!(b.first.op, LirOp::Real(Op::Nop))));
+        let want = [
+            "{ lws r3 = [r0 + 1] ; add r5 = r6, r7 }",
+            "add r8 = r9, r10",
+            "add r4 = r3, r3",
+        ];
+        assert_eq!(bundles, want);
     }
 
     #[test]
     fn memory_order_is_preserved() {
-        let st = LirInst::always(LirOp::Real(Op::Store {
-            area: MemArea::Stack,
-            size: AccessSize::Word,
-            ra: Reg::R0,
-            offset: 1,
-            rs: Reg::from_index(9),
-        }));
-        let items = sched(vec![st.clone(), load(3, 1)], true);
-        let bs = bundles(&items);
-        assert_eq!(bs.len(), 2);
-        assert!(matches!(bs[0].first.op, LirOp::Real(Op::Store { .. })));
+        // Store, load, then the load's residue before the block ends.
+        let bundles = sched(vec![mem(true, 9), mem(false, 3)], true);
+        assert_eq!(bundles, ["sws [r0 + 1] = r9", "lws r3 = [r0 + 1]", "nop"]);
     }
 
     #[test]
     fn branch_gets_delay_slots() {
-        let br = LirInst::always(LirOp::BrLabel("x".into()));
-        let items = sched(vec![alu(3, 4, 5), br], true);
-        let bs = bundles(&items);
-        // alu, br, 1 delay nop (unconditional).
-        assert_eq!(bs.len(), 3);
-        assert!(matches!(bs[2].first.op, LirOp::Real(Op::Nop)));
+        // The branch is pulled forward so the op before it fills its
+        // one delay slot.
+        let bundles = sched(vec![alu(3, 4, 5), branch(Guard::ALWAYS)], true);
+        assert_eq!(bundles, ["br x", "add r3 = r4, r5"]);
     }
 
     #[test]
     fn guarded_branch_gets_two_delay_slots() {
-        let br = LirInst::new(
-            Guard::unless(patmos_isa::Pred::P6),
-            LirOp::BrLabel("x".into()),
-        );
-        let items = sched(vec![br], true);
-        let bs = bundles(&items);
-        assert_eq!(bs.len(), 3, "branch + 2 delay slots");
+        let bundles = sched(vec![branch(Guard::unless(Pred::P6))], true);
+        assert_eq!(bundles, ["(!p6) br x", "nop", "nop"]);
     }
 
     #[test]
     fn single_issue_never_pairs() {
-        let items = sched(vec![alu(3, 4, 5), alu(6, 7, 8)], false);
-        let bs = bundles(&items);
-        assert_eq!(bs.len(), 2);
-        assert!(bs.iter().all(|b| b.second.is_none()));
+        let bundles = sched(vec![alu(3, 4, 5), alu(6, 7, 8)], false);
+        assert_eq!(bundles, ["add r3 = r4, r5", "add r6 = r7, r8"]);
     }
 
     #[test]
     fn trailing_load_before_label_pads_the_fall_through_edge() {
-        // A run ending in a load right before a label owes the load-use
-        // gap to the block it falls into; the scheduler must pad it.
-        let module = Module {
-            data_lines: Vec::new(),
-            entry: String::new(),
-            items: vec![
-                crate::lir::Item::Inst(load(3, 1)),
-                crate::lir::Item::Label("head".into()),
-                crate::lir::Item::Inst(alu(4, 3, 3)),
-            ],
-        };
-        let scheduled = schedule(module, &CompileOptions::default());
-        let label_at = scheduled
-            .items
-            .iter()
-            .position(|i| matches!(i, SchedItem::Label(_)))
-            .expect("label survives scheduling");
-        assert!(
-            matches!(
-                &scheduled.items[label_at - 1],
-                SchedItem::Bundle(b) if matches!(b.first.op, LirOp::Real(Op::Nop))
-            ),
-            "fall-through edge must be padded with a nop: {:?}",
-            scheduled.items
+        // The load-use gap is owed to the block the load falls into.
+        let bundles = sched(
+            vec![mem(false, 3), Item::Label("head".into()), alu(4, 3, 3)],
+            true,
+        );
+        assert_eq!(
+            bundles,
+            ["lws r3 = [r0 + 1]", "nop", "head:", "add r4 = r3, r3"]
         );
     }
 
     #[test]
     fn mul_gap_respected() {
-        let mul = LirInst::always(LirOp::Real(Op::Mul {
-            rs1: Reg::from_index(3),
-            rs2: Reg::from_index(4),
-        }));
-        let mfs = LirInst::always(LirOp::Real(Op::Mfs {
-            rd: Reg::from_index(3),
-            ss: patmos_isa::SpecialReg::Sl,
-        }));
-        let items = sched(vec![mul, mfs], true);
-        let bs = bundles(&items);
-        assert_eq!(bs.len(), 3, "mul, gap, mfs");
+        let (r3, r4, ss) = (Reg::from_index(3), Reg::from_index(4), SpecialReg::Sl);
+        let mul = op(Op::Mul { rs1: r3, rs2: r4 });
+        let bundles = sched(vec![mul, op(Op::Mfs { rd: r3, ss })], true);
+        assert_eq!(bundles, ["mul r3, r4", "nop", "mfs r3 = sl"]);
     }
 }

@@ -154,6 +154,31 @@ fn negative_array_length_rejected() {
 }
 
 #[test]
+fn removed_and_unknown_levels_are_rejected() {
+    let src = "int main() { return 0; }";
+    let with = |opt_level, sched_level| CompileOptions {
+        opt_level,
+        sched_level,
+        ..CompileOptions::default()
+    };
+    // The run scheduler is gone; the error says where its numbers live.
+    match compile(src, &with(1, 0)) {
+        Err(CompileError::InvalidOptions(msg)) => {
+            assert!(msg.contains("sched_cycles.json"), "{msg}");
+            assert!(msg.contains("opt_cycles.json"), "{msg}");
+        }
+        other => panic!("sched_level 0 must be rejected, got {other:?}"),
+    }
+    // Levels past the top used to run the top level silently.
+    for (opt, sched, needle) in [(3, 3, "sched_level 3"), (4, 2, "opt_level 4")] {
+        let msg = err_of(src, &with(opt, sched)).to_string();
+        assert!(msg.starts_with("invalid options"), "{msg}");
+        assert!(msg.contains(needle), "{msg}");
+    }
+    assert!(compile(src, &with(0, 1)).is_ok());
+}
+
+#[test]
 fn surplus_initialisers_rejected() {
     let msg = default_err("int a[2] = {1, 2, 3}; int main() { return 0; }");
     assert!(msg.contains("initialisers"), "{msg}");

@@ -26,12 +26,14 @@
 //! unrolling, 3 = the default: partial unrolling on top — divisor
 //! replication of over-budget constant-trip loops, main/remainder
 //! splitting of runtime-trip loops); `--sched-level N`
-//! selects the backend scheduler (0 = the historical run scheduler,
-//! 1 = the `patmos-sched` dependence-DAG scheduler with
-//! delay-slot filling, 2 = the default: iterative modulo scheduling on
-//! top — innermost counted loops become software-pipelined
-//! guard/prologue/kernel/epilogue chains whose `.pipeloop` records the
-//! WCET analysis charges at the pipelined shape); `--reg-policy` selects the
+//! selects the backend scheduler (1 = the `patmos-sched`
+//! dependence-DAG scheduler with delay-slot filling, 2 = the default:
+//! iterative modulo scheduling on top — innermost counted loops become
+//! software-pipelined guard/prologue/kernel/epilogue chains whose
+//! `.pipeloop` records the WCET analysis charges at the pipelined
+//! shape). Any other level is a compile error: `--sched-level 0`, the
+//! historical run scheduler, was removed, and the error names the bench
+//! baselines where its cycle counts are frozen. `--reg-policy` selects the
 //! register-allocation policy (`linear` = the default historical
 //! linear scan, `loop` = loop-aware allocation: round-robin assignment
 //! inside hot loops, caller-saves and invariant spill reloads hoisted
@@ -359,7 +361,7 @@ fn print_remarks(source: &str, options: &CompileOptions) -> Result<(), String> {
     let artifacts =
         patmos::compiler::compile_with_artifacts(source, options).map_err(|e| e.to_string())?;
     let opt_remarks = artifacts.opt.as_ref().map_or(&[][..], |r| &r.remarks);
-    let sched_remarks = artifacts.sched.as_ref().map_or(&[][..], |r| &r.remarks);
+    let sched_remarks = &artifacts.sched.remarks;
     eprintln!(
         "=== optimization remarks ({} mid-end, {} scheduler) ===",
         opt_remarks.len(),
@@ -402,17 +404,13 @@ fn dump_artifacts(source: &str, options: &CompileOptions, args: &Args) -> Result
         print!("{}", patmos::lir::loops::render(&artifacts.vmodule));
     }
     if args.dump_sched {
-        match &artifacts.sched {
-            Some(report) => {
-                println!(
-                    "=== scheduler: {} shadow bundle(s) filled, {} op(s) hoisted ===",
-                    report.total_shadow_filled(),
-                    report.total_hoisted()
-                );
-                print!("{report}");
-            }
-            None => println!("=== DAG scheduler disabled (sched-level 0) ==="),
-        }
+        let report = &artifacts.sched;
+        println!(
+            "=== scheduler: {} shadow bundle(s) filled, {} op(s) hoisted ===",
+            report.total_shadow_filled(),
+            report.total_hoisted()
+        );
+        print!("{report}");
     }
     if args.dump_pipeline {
         println!("=== loop throughput (unroller + software pipeliner) ===");
@@ -434,11 +432,7 @@ fn dump_artifacts(source: &str, options: &CompileOptions, args: &Args) -> Result
                 );
             }
         }
-        let loops: Vec<_> = artifacts
-            .sched
-            .as_ref()
-            .map(|r| r.pipelined_loops().collect())
-            .unwrap_or_default();
+        let loops: Vec<_> = artifacts.sched.pipelined_loops().collect();
         if loops.is_empty() {
             println!("no loops software-pipelined (sched-level < 2, or nothing eligible)");
         } else {
@@ -570,17 +564,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             );
             println!(
                 "loops pipelined  = {}",
-                artifacts
-                    .sched
-                    .as_ref()
-                    .map_or(0, |r| r.pipelined_loops().count())
+                artifacts.sched.pipelined_loops().count()
             );
             println!(
                 "modulo renames   = {}",
-                artifacts
-                    .sched
-                    .as_ref()
-                    .map_or(0, |r| r.total_modulo_renames())
+                artifacts.sched.total_modulo_renames()
             );
         }
     }

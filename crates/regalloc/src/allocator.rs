@@ -305,20 +305,6 @@ pub fn regalloc(cx: &Constraints, module: &VModule) -> Result<(Module, AllocRepo
     Ok((out, report))
 }
 
-/// Runs the historical linear-scan allocator over a module.
-///
-/// # Errors
-///
-/// Returns an [`AllocError`] when a frame exceeds the stack-cache
-/// offset range or a call/return carries a guard.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `regalloc(&Constraints::default(), module)`; this shim will be removed next release"
-)]
-pub fn allocate(module: &VModule) -> Result<(Module, AllocReport), AllocError> {
-    regalloc(&Constraints::default(), module)
-}
-
 /// Where a virtual register's value lives.
 #[derive(Debug, Clone, Copy)]
 enum Loc {

@@ -69,8 +69,6 @@ pub use patmos_lir::liveness;
 /// Re-exported from [`patmos_lir`]: the shared virtual-register LIR.
 pub use patmos_lir::vlir;
 
-#[allow(deprecated)]
-pub use allocator::allocate;
 pub use allocator::{regalloc, AllocError, AllocReport, FuncAlloc, LoopClass};
 pub use constraints::{Constraints, Policy, PressureEstimate, PressureModel, RegisterInfo};
 pub use patmos_lir::{Interval, VInst, VItem, VModule, VOp, VReg};
@@ -95,7 +93,7 @@ mod tests {
         }
     }
 
-    fn allocate(m: &VModule) -> Result<(lir::Module, AllocReport), AllocError> {
+    fn alloc_linear(m: &VModule) -> Result<(lir::Module, AllocReport), AllocError> {
         regalloc(&Constraints::default(), m)
     }
 
@@ -127,7 +125,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        let (out, report) = allocate(&m).expect("allocates");
+        let (out, report) = alloc_linear(&m).expect("allocates");
         assert_eq!(report.funcs[0].frame_words, 0);
         assert_eq!(report.funcs[0].pressure_spills, 0);
         let ops = real_ops(&out.items);
@@ -154,7 +152,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        let (_, report) = allocate(&m).expect("allocates");
+        let (_, report) = alloc_linear(&m).expect("allocates");
         let fa = &report.funcs[0];
         let r1 = fa.assignments.iter().find(|(vr, _)| *vr == v(1)).unwrap().1;
         let r2 = fa.assignments.iter().find(|(vr, _)| *vr == v(2)).unwrap().1;
@@ -182,7 +180,7 @@ mod tests {
         }
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
         let m = module(items);
-        let (out, report) = allocate(&m).expect("allocates");
+        let (out, report) = alloc_linear(&m).expect("allocates");
         let fa = &report.funcs[0];
         assert!(
             fa.pressure_spills > 0,
@@ -190,7 +188,7 @@ mod tests {
         );
         assert!(fa.frame_words >= fa.pressure_spills as u32);
         // Deterministic: run twice, same result.
-        let (out2, report2) = allocate(&m).expect("allocates");
+        let (out2, report2) = alloc_linear(&m).expect("allocates");
         assert_eq!(out.items.len(), out2.items.len());
         assert_eq!(report.funcs[0].frame_words, report2.funcs[0].frame_words);
     }
@@ -217,7 +215,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Ret)),
         ]);
-        let (out, report) = allocate(&m).expect("allocates");
+        let (out, report) = alloc_linear(&m).expect("allocates");
         let fa = &report.funcs[0];
         assert_eq!(fa.call_saved, 1, "only v1 crosses the call");
         // Frame: link slot + 1 save slot.
@@ -248,48 +246,9 @@ mod tests {
             VItem::Inst(VInst::always(VOp::Ret)),
         ]);
         assert!(matches!(
-            allocate(&m),
+            alloc_linear(&m),
             Err(AllocError::GuardedReturn { .. })
         ));
-    }
-
-    #[test]
-    fn new_api_linear_scan_matches_the_deprecated_shim_bit_for_bit() {
-        // A module exercising spills, call saves and the frame
-        // protocol: the policy interface must reproduce the historical
-        // entry point exactly.
-        let mut items = vec![VItem::FuncStart("f".into())];
-        for i in 1..=25u32 {
-            items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
-                rd: v(i),
-                imm: i as u16,
-            })));
-        }
-        items.push(VItem::Inst(VInst::always(VOp::CallFunc("g".into()))));
-        for i in 1..=24u32 {
-            items.push(VItem::Inst(VInst::always(VOp::AluR {
-                op: AluOp::Add,
-                rd: v(100 + i),
-                rs1: v(i),
-                rs2: v(i + 1),
-            })));
-        }
-        items.push(VItem::Inst(VInst::always(VOp::Ret)));
-        let m = module(items);
-        #[allow(deprecated)]
-        let (old, old_report) = super::allocate(&m).expect("shim allocates");
-        let (new, new_report) = regalloc(&Constraints::linear_scan(), &m).expect("allocates");
-        assert_eq!(old.items, new.items, "physical items must be identical");
-        assert_eq!(old_report.policy, "linear");
-        assert_eq!(
-            old_report.funcs[0].assignments,
-            new_report.funcs[0].assignments
-        );
-        assert_eq!(old_report.funcs[0].slots, new_report.funcs[0].slots);
-        assert_eq!(
-            old_report.funcs[0].frame_words,
-            new_report.funcs[0].frame_words
-        );
     }
 
     #[test]
@@ -315,7 +274,7 @@ mod tests {
             })));
         }
         items.push(VItem::Inst(VInst::always(VOp::Ret)));
-        let (_, report) = allocate(&module(items)).expect("allocates");
+        let (_, report) = alloc_linear(&module(items)).expect("allocates");
         let fa = &report.funcs[0];
         assert_eq!(
             fa.call_saved, 30,
@@ -514,7 +473,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        let (_, report) = allocate(&m).expect("allocates");
+        let (_, report) = alloc_linear(&m).expect("allocates");
         assert_eq!(
             report.funcs[0].frame_words, 0,
             "entry with nothing live across calls"

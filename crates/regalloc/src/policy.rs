@@ -9,8 +9,8 @@
 //! * [`LinearScan`] — the historical allocator: lowest-numbered free
 //!   register, furthest-ending spill victim, saves and reloads placed
 //!   exactly where the value crosses a call or a use. Its output is
-//!   bit-identical to the pre-policy `allocate()` entry point at every
-//!   optimisation and scheduling level.
+//!   bit-identical to the pre-policy allocator at every optimisation
+//!   and scheduling level.
 //! * [`LoopAware`] — consults the [`patmos_lir`] loop forest:
 //!   intervals that start inside a loop draw registers round-robin
 //!   from a FIFO free list (so successive iteration-local temporaries
