@@ -157,7 +157,7 @@ fn bench_e8_cmp_tdma(c: &mut Criterion) {
     let w = workloads::dotprod();
     let image = compile(&w.source, &CompileOptions::default()).expect("compiles");
     c.bench_function("e8_cmp_4_cores", |b| {
-        let system = CmpSystem::new(SimConfig::default(), 4, 64);
+        let system = CmpSystem::new(SimConfig::default(), 4, 64).expect("slots fit");
         b.iter(|| {
             system
                 .run_all(&image)
@@ -228,8 +228,8 @@ fn bench_e16_trace_overhead(c: &mut Criterion) {
 }
 
 /// The host-throughput measurement behind the E17 table and the CI
-/// floor: the same image and guest cycles, executed by the reference
-/// interpreter (`fast_path = false`) and by the predecoded fast engine.
+/// floor: the same image and guest cycles, executed by the general step
+/// alone (`fast_path = false`) and with bursts.
 fn bench_e17_host_throughput(c: &mut Criterion) {
     let opts = CompileOptions {
         opt_level: 3,

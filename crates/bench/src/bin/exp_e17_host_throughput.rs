@@ -1,5 +1,5 @@
-//! Regenerates experiment E17 (host throughput of the predecoded fast
-//! engine vs the reference interpreter).
+//! Regenerates experiment E17 (host throughput of the bursting engine
+//! vs the general step alone).
 //!
 //! With `--json`, emits the machine-readable measurement document the
 //! perf-trajectory CI job uploads. Wall-clock numbers vary with the

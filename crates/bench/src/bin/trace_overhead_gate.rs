@@ -2,12 +2,12 @@
 //! fails the build when either measurement exceeds the threshold:
 //!
 //! * traced simulation with the compiled-out
-//!   [`patmos::trace::NullSink`] must cost the same as the untraced
-//!   fast path (tracing must monomorphize away);
+//!   [`patmos::trace::NullSink`] must cost the same as an untraced run
+//!   (tracing must monomorphize away);
 //! * the fault-injection hook must cost nothing when no plan is armed —
-//!   measured as the reference interpreter with an armed-but-empty
-//!   `FaultPlan` against plain reference runs, an upper bound on the
-//!   hook's cost (unarmed runs only ever pay one `Option` test).
+//!   measured as step-only runs with an armed-but-empty `FaultPlan`
+//!   against plain step-only runs, an upper bound on the hook's cost
+//!   (unarmed runs only ever pay one `Option` test).
 //!
 //! The threshold is 1% by default; pass a float argument to override
 //! (e.g. `trace_overhead_gate 0.02`). Exits non-zero on failure.

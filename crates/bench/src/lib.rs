@@ -525,7 +525,7 @@ pub fn exp_e8_cmp_tdma() -> String {
     let kernel = workloads::dotprod();
     let slot = 64u32;
     for cores in [1u32, 2, 4, 8] {
-        let system = CmpSystem::new(SimConfig::default(), cores, slot);
+        let system = CmpSystem::new(SimConfig::default(), cores, slot).expect("slots fit");
         let image = compile(&kernel.source, &CompileOptions::default()).expect("compiles");
         let results = system.run_all(&image).expect("runs");
         let worst = results

@@ -306,15 +306,15 @@ pub fn trace_overhead(reps: u32) -> (f64, f64, f64) {
     )
 }
 
-/// Measures the cost of the unarmed fault-injection hook: the suite on
-/// the reference interpreter with `faults: None` against the same runs
-/// with an armed-but-empty [`patmos::sim::FaultPlan`]. Both sides run
-/// the reference loop (an armed plan forces it), so the delta isolates
-/// the per-cycle `faults.is_some()` checks and the empty pending-list
-/// scan. Returns `(unarmed_secs, armed_empty_secs, overhead_fraction)`.
+/// Measures the cost of the unarmed fault-injection hook: the suite
+/// with `fast_path: false` and `faults: None` against the same runs
+/// with an armed-but-empty [`patmos::sim::FaultPlan`]. Both sides step
+/// every bundle (an armed plan rules out bursts), so the delta isolates
+/// the per-bundle fault checks on the one general step. Returns
+/// `(unarmed_secs, armed_empty_secs, overhead_fraction)`.
 ///
-/// The fast path is untouched by construction — with `faults: None` the
-/// hook is a single `Option` test on a field the engine router already
+/// Bursts are untouched by construction: with `faults: None` the hook
+/// is a single `Option` test on a field the engine choice already
 /// reads, and unarmed runs never enter the fault-servicing code at all.
 pub fn faults_overhead(reps: u32) -> (f64, f64, f64) {
     let images: Vec<patmos::asm::ObjectImage> = workloads::all()

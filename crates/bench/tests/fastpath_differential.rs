@@ -2,19 +2,21 @@
 //!
 //! Every suite kernel — at every mid-end level, every scheduler level,
 //! single-path and branchy, dual- and single-issue — must produce
-//! bit-identical guest-visible results under the predecoded fast
-//! engine, the reference interpreter (`fast_path = false`), and the
-//! traced run (which always uses the reference interpreter, whatever
-//! `fast_path` says). That is the fast engine's whole contract: host
-//! speed is the only thing allowed to differ.
+//! bit-identical guest-visible results under the bursting engine, the
+//! general step alone (`fast_path = false`, the burst's oracle), the
+//! traced run (which never bursts, whatever `fast_path` says), and a
+//! clean run with every hook armed: an empty fault plan plus the
+//! CFG-derived control-flow checker. That is the burst's whole
+//! contract: host speed is the only thing allowed to differ.
 //!
 //! Debug builds check a fixed corner sample to keep tier-1 `cargo
 //! test` fast; the release perf-trajectory job sweeps the full matrix.
 
 use patmos::compiler::{compile, CompileOptions};
 use patmos::isa::Reg;
-use patmos::sim::{SimConfig, Simulator};
+use patmos::sim::{FaultPlan, SimConfig, Simulator};
 use patmos::trace::VecSink;
+use patmos::wcet::flow_map;
 use patmos::workloads;
 
 #[derive(Clone, Copy)]
@@ -81,8 +83,8 @@ fn corner_sample() -> Vec<Combo> {
     ]
 }
 
-/// Runs one (kernel, combo) cell through all three engines and asserts
-/// the guest-visible outcomes are bit-identical. Returns `false` if the
+/// Runs one (kernel, combo) cell through all four runs and asserts the
+/// guest-visible outcomes are bit-identical. Returns `false` if the
 /// cell was skipped because single-path conversion rejected the kernel.
 fn check_cell(name: &str, source: &str, combo: Combo) -> bool {
     let label = format!(
@@ -135,9 +137,37 @@ fn check_cell(name: &str, source: &str, combo: Combo) -> bool {
         (f, s) => panic!("{label}: one engine failed: fast {f:?}, reference {s:?}"),
     }
 
-    // Tracing always uses the reference interpreter: the `fast_path`
-    // switch must not change the event stream, and the traced counters
-    // must equal the untraced fast engine's.
+    // A clean run with every hook armed never bursts: an empty fault
+    // plan and an installed flow checker must change nothing, and the
+    // checker must stay silent on an uncorrupted run.
+    let flow = flow_map(&image)
+        .unwrap_or_else(|e| panic!("{label}: finding: flow_map rejects the kernel: {e}"));
+    let mut armed = Simulator::new(
+        &image,
+        SimConfig {
+            faults: Some(FaultPlan::default()),
+            ..fast_config.clone()
+        },
+    );
+    armed.install_flow_checker(flow);
+    let armed_run = armed.run();
+    match (&fast_run, &armed_run) {
+        (Ok(f), Ok(a)) => {
+            assert_eq!(f.stats, a.stats, "{label}: armed stats diverge");
+            assert_eq!(f.halt_pc, a.halt_pc, "{label}: armed halt pc diverges");
+            assert_eq!(
+                fast.reg(Reg::R1),
+                armed.reg(Reg::R1),
+                "{label}: armed result diverges"
+            );
+        }
+        (Err(f), Err(a)) => assert_eq!(f, a, "{label}: armed error diverges"),
+        (f, a) => panic!("{label}: finding: the armed run disagrees: fast {f:?}, armed {a:?}"),
+    }
+
+    // Tracing never bursts: the `fast_path` switch must not change the
+    // event stream, and the traced counters must equal the untraced
+    // bursting run's.
     let mut traced_fast = Simulator::new(&image, fast_config);
     let mut sink_fast = VecSink::new();
     let tf = traced_fast.run_traced(&mut sink_fast);

@@ -156,22 +156,6 @@ impl MethodCache {
     /// `size_words` is the function's size from the function table; it
     /// must be consistent across calls for the same address.
     pub fn access(&mut self, func_addr: u32, size_words: u32) -> MethodCacheAccess {
-        self.access_with(func_addr, size_words, |_| {})
-    }
-
-    /// Like [`MethodCache::access`], additionally reporting the start
-    /// address of every function evicted to make room through
-    /// `on_evict`. This is the hook the simulator's predecoded-bundle
-    /// cache keys its lifecycle to: fill → decode once, evict → drop.
-    /// An oversized function that streams through the cache reports the
-    /// flushed residents but is itself never resident, so it is never
-    /// reported evicted.
-    pub fn access_with(
-        &mut self,
-        func_addr: u32,
-        size_words: u32,
-        mut on_evict: impl FnMut(u32),
-    ) -> MethodCacheAccess {
         self.clock += 1;
         if let Some(pos) = self.resident.iter().position(|r| r.func_addr == func_addr) {
             if self.config.policy == ReplacementPolicy::Lru {
@@ -190,9 +174,6 @@ impl MethodCache {
         if needed > self.config.blocks {
             // Degenerate: stream the oversized function, keep nothing.
             evicted = self.resident.len() as u32;
-            for r in &self.resident {
-                on_evict(r.func_addr);
-            }
             self.resident.clear();
             self.used_blocks = 0;
             self.stats.record(false, size_words as u64);
@@ -216,7 +197,6 @@ impl MethodCache {
             };
             let victim = self.resident.remove(victim_pos).expect("position is valid");
             self.used_blocks -= victim.blocks;
-            on_evict(victim.func_addr);
             evicted += 1;
         }
 
@@ -306,22 +286,31 @@ mod tests {
 
     #[test]
     fn eviction_addresses_are_reported() {
+        // Victims leave oldest fill first, only as many as the new
+        // function needs.
         let mut mc = cache(4, 16, ReplacementPolicy::Fifo);
-        mc.access(0x0, 32);
-        mc.access(0x100, 32);
-        let mut evicted = Vec::new();
-        let res = mc.access_with(0x200, 64, |addr| evicted.push(addr));
-        assert_eq!(res.evicted, 2);
-        assert_eq!(evicted, vec![0x0, 0x100], "FIFO order");
-        // Streaming an oversized function flushes and reports residents,
-        // but the streamed function itself is never resident and so is
-        // never reported evicted later.
-        evicted.clear();
-        let _ = mc.access_with(0x300, 1000, |addr| evicted.push(addr));
-        assert_eq!(evicted, vec![0x200]);
-        evicted.clear();
-        let _ = mc.access_with(0x400, 16, |addr| evicted.push(addr));
-        assert!(evicted.is_empty(), "nothing resident after streaming");
+        mc.access(0x0, 16);
+        mc.access(0x100, 16);
+        mc.access(0x200, 32);
+        assert_eq!(mc.access(0x300, 16).evicted, 1);
+        assert!(!mc.contains(0x0), "the oldest fill goes first");
+        assert!(mc.contains(0x100) && mc.contains(0x200) && mc.contains(0x300));
+        assert_eq!(mc.access(0x400, 32).evicted, 2);
+        assert!(
+            !mc.contains(0x100) && !mc.contains(0x200),
+            "then the next oldest"
+        );
+        assert!(mc.contains(0x300) && mc.contains(0x400));
+        // Streaming an oversized function flushes every resident, and
+        // the streamed function itself never becomes resident.
+        assert_eq!(mc.access(0x500, 1000).evicted, 2);
+        assert_eq!(mc.used_blocks(), 0);
+        assert!(!mc.contains(0x300) && !mc.contains(0x400) && !mc.contains(0x500));
+        assert_eq!(
+            mc.access(0x600, 16).evicted,
+            0,
+            "nothing resident after streaming"
+        );
     }
 
     #[test]

@@ -57,9 +57,9 @@
 //! executed stack-cache operations, and — for `.patc` inputs — the
 //! static loops-unrolled/loops-pipelined counts. `--host-stats` extends
 //! `run` with host-side throughput: wall-clock time, simulated cycles
-//! per host second, and the fast-path/predecoded coverage of the
-//! simulator's tiered engine; `--slow-path` forces the reference
-//! interpreter (guest cycles are bit-identical either way).
+//! per host second, and the share of guest cycles the simulator retired
+//! in bursts; `--slow-path` turns bursts off, so every bundle takes the
+//! general step (guest cycles are bit-identical either way).
 //!
 //! `profile` runs the program under the structured tracer and folds
 //! every retired bundle and attributed stall onto functions and
@@ -579,9 +579,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!(
             "engine           = {}",
             if args.slow_path {
-                "reference (--slow-path)"
+                "step only (--slow-path: no bursts)"
             } else {
-                "fast"
+                "bursts + step"
             }
         );
         println!("wall time        = {:.3} ms", secs * 1e3);
@@ -590,12 +590,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             stats.cycles as f64 / secs / 1e6
         );
         println!(
-            "fast-path cover  = {:.1}% of cycles ({} bundles)",
+            "burst cover      = {:.1}% of cycles ({} bundles)",
             host.fast_coverage(stats.cycles) * 100.0,
             host.fast_bundles
         );
         println!(
-            "predecoded cover = {:.1}% of cycles ({} bundles)",
+            "burst+step cover = {:.1}% of cycles ({} bundles)",
             host.predecoded_coverage(stats.cycles) * 100.0,
             host.fast_bundles + host.pre_bundles
         );
@@ -622,7 +622,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     // One event stream per core.
     let mut streams: Vec<(u32, patmos::trace::VecSink)> = Vec::new();
     if args.cores > 1 {
-        let system = patmos::sim::CmpSystem::new(config, args.cores, args.slot_cycles);
+        let system = patmos::sim::CmpSystem::new(config, args.cores, args.slot_cycles)
+            .map_err(|e| e.to_string())?;
         for (res, sink) in system.run_all_traced(&image).map_err(|e| e.to_string())? {
             streams.push((res.core, sink));
         }

@@ -41,25 +41,25 @@ pub struct CmpSystem {
 impl CmpSystem {
     /// A CMP with `cores` cores and `slot_cycles`-cycle TDMA slots.
     ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::TdmaSlotTooShort`] if a cache line fill does
+    /// not fit in one slot; configure longer slots.
+    ///
     /// # Panics
     ///
-    /// Panics if a worst-case memory burst (a method-cache block or a
-    /// cache line) cannot fit in one slot; configure longer slots.
-    pub fn new(base_config: SimConfig, cores: u32, slot_cycles: u32) -> CmpSystem {
-        let arbiter = TdmaArbiter::new(cores, slot_cycles);
-        let worst_line = base_config
-            .data_cache
-            .line_words
-            .max(base_config.static_cache.line_words);
-        let worst_burst = base_config.mem.burst_cycles(worst_line);
-        assert!(
-            arbiter.fits(worst_burst),
-            "a {worst_burst}-cycle line fill does not fit in a {slot_cycles}-cycle TDMA slot"
-        );
-        CmpSystem {
+    /// Panics if `cores` or `slot_cycles` is zero.
+    pub fn new(
+        base_config: SimConfig,
+        cores: u32,
+        slot_cycles: u32,
+    ) -> Result<CmpSystem, SimError> {
+        let system = CmpSystem {
             base_config,
-            arbiter,
-        }
+            arbiter: TdmaArbiter::new(cores, slot_cycles),
+        };
+        system.core_config(0).check_tdma()?;
+        Ok(system)
     }
 
     /// The arbiter (e.g. for computing analytical worst-case waits).
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn single_core_cmp_matches_alone_when_slot_aligned() {
         let image = memory_heavy_image();
-        let cmp = CmpSystem::new(SimConfig::default(), 1, 64);
+        let cmp = CmpSystem::new(SimConfig::default(), 1, 64).expect("slots fit");
         let results = cmp.run_all(&image).expect("runs");
         assert_eq!(results.len(), 1);
         assert!(results[0].result.stats.cycles > 0);
@@ -201,7 +201,7 @@ mod tests {
         let image = memory_heavy_image();
         let mut last = 0u64;
         for cores in [1u32, 2, 4] {
-            let cmp = CmpSystem::new(SimConfig::default(), cores, 64);
+            let cmp = CmpSystem::new(SimConfig::default(), cores, 64).expect("slots fit");
             let results = cmp.run_all(&image).expect("runs");
             let worst = results
                 .iter()
@@ -219,21 +219,26 @@ mod tests {
     #[test]
     fn tdma_wait_is_attributed() {
         let image = memory_heavy_image();
-        let cmp = CmpSystem::new(SimConfig::default(), 4, 64);
+        let cmp = CmpSystem::new(SimConfig::default(), 4, 64).expect("slots fit");
         let results = cmp.run_all(&image).expect("runs");
         assert!(results.iter().any(|r| r.result.stats.stalls.tdma_wait > 0));
     }
 
     #[test]
-    #[should_panic(expected = "does not fit")]
     fn undersized_slots_rejected() {
-        let _ = CmpSystem::new(SimConfig::default(), 2, 2);
+        assert_eq!(
+            CmpSystem::new(SimConfig::default(), 2, 2).unwrap_err(),
+            SimError::TdmaSlotTooShort {
+                burst_cycles: 22,
+                slot_cycles: 2
+            }
+        );
     }
 
     #[test]
     fn poisoned_core_errors_cleanly_and_other_cores_survive() {
         use std::sync::atomic::{AtomicU32, Ordering};
-        let cmp = CmpSystem::new(SimConfig::default(), 4, 64);
+        let cmp = CmpSystem::new(SimConfig::default(), 4, 64).expect("slots fit");
         let completed = AtomicU32::new(0);
         // Core 2's worker dies on the host; the panic must surface as a
         // clean error, not a process abort, and every other worker must
@@ -251,7 +256,7 @@ mod tests {
 
     #[test]
     fn guest_error_on_lower_core_wins_over_higher_panic() {
-        let cmp = CmpSystem::new(SimConfig::default(), 4, 64);
+        let cmp = CmpSystem::new(SimConfig::default(), 4, 64).expect("slots fit");
         let result: Result<Vec<u32>, SimError> = cmp.run_cores(|core| match core {
             1 => Err(SimError::BadPc { pc: 0xbad }),
             3 => panic!("deliberately poisoned worker"),
@@ -265,12 +270,12 @@ mod tests {
     #[test]
     fn parallel_cores_match_sequential_per_core_runs() {
         let image = memory_heavy_image();
-        let cmp = CmpSystem::new(SimConfig::default(), 4, 64);
+        let cmp = CmpSystem::new(SimConfig::default(), 4, 64).expect("slots fit");
         let parallel = cmp.run_all(&image).expect("runs");
         assert_eq!(parallel.len(), 4);
         for r in &parallel {
             // The reference: this core simulated alone, sequentially,
-            // on the reference engine.
+            // stepping every bundle.
             let mut alone = Simulator::new(
                 &image,
                 SimConfig {
@@ -287,7 +292,7 @@ mod tests {
     #[test]
     fn parallel_traced_streams_match_sequential_streams() {
         let image = memory_heavy_image();
-        let cmp = CmpSystem::new(SimConfig::default(), 4, 64);
+        let cmp = CmpSystem::new(SimConfig::default(), 4, 64).expect("slots fit");
         let traced = cmp.run_all_traced(&image).expect("runs");
         let plain = cmp.run_all(&image).expect("runs");
         for ((r, sink), p) in traced.iter().zip(&plain) {

@@ -2,6 +2,7 @@
 
 use patmos_mem::{MemConfig, MethodCacheConfig, ReplacementPolicy, TdmaArbiter};
 
+use crate::error::SimError;
 use crate::faults::FaultPlan;
 
 /// Geometry of a set-associative cache instance.
@@ -56,21 +57,54 @@ pub struct SimConfig {
     /// Main-memory timing.
     pub mem: MemConfig,
     /// TDMA arbitration for the CMP configuration: `(arbiter, core id)`.
-    /// `None` for a single core with a dedicated memory port.
+    /// `None` for a single core with a dedicated memory port. A schedule
+    /// that cannot serve the core is a [`SimError`] from the first step
+    /// (or from [`crate::Simulator::try_new`]).
     pub tdma: Option<(TdmaArbiter, u32)>,
     /// Abort after this many cycles (guards against runaway programs).
     pub max_cycles: u64,
-    /// Use the predecoded-bundle/fast-path execution engine for untraced
-    /// runs (guest-cycle identical; purely a host-speed switch). `false`
-    /// forces the reference per-cycle interpreter everywhere — the
-    /// baseline the host-throughput experiments compare against. Traced
-    /// runs always take the reference path regardless of this flag.
+    /// Let untraced runs retire stall-free basic-block stretches in
+    /// bursts (guest-cycle identical; purely a host-speed switch).
+    /// `false` never bursts: every bundle takes the general step, the
+    /// oracle the engine differential and the host-throughput experiment
+    /// compare the burst against. Traced runs never burst, whatever this
+    /// flag says.
     pub fast_path: bool,
-    /// An armed fault-injection plan (`Some`, even empty, forces the
-    /// reference interpreter so every bundle passes the injection
-    /// hooks). `None` — the default — leaves the hooks dormant and the
-    /// engine choice untouched.
+    /// An armed fault-injection plan. `Some`, even empty, keeps the run
+    /// on the general step so every bundle passes the injection hooks.
+    /// `None` — the default — leaves the hooks dormant and bursting
+    /// untouched.
     pub faults: Option<FaultPlan>,
+}
+
+impl SimConfig {
+    /// Checks that the TDMA schedule, when one is configured, can serve
+    /// this core: its index lies inside the schedule, and a cache line
+    /// fill fits in one slot (longer transfers are split per slot).
+    pub(crate) fn check_tdma(&self) -> Result<(), SimError> {
+        let Some((arb, core)) = self.tdma else {
+            return Ok(());
+        };
+        if core >= arb.cores() {
+            return Err(SimError::TdmaCoreOutOfRange {
+                core,
+                cores: arb.cores(),
+            });
+        }
+        let line_words = self
+            .data_cache
+            .line_words
+            .max(self.static_cache.line_words)
+            .max(1);
+        let burst_cycles = self.mem.burst_cycles(line_words);
+        if !arb.fits(burst_cycles) {
+            return Err(SimError::TdmaSlotTooShort {
+                burst_cycles,
+                slot_cycles: arb.slot_cycles(),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for SimConfig {

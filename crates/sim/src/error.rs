@@ -91,6 +91,22 @@ pub enum SimError {
         /// The violated bound.
         bound: u32,
     },
+    /// A cache line fill does not fit in one slot of the configured TDMA
+    /// schedule, so a memory transfer could never be granted.
+    TdmaSlotTooShort {
+        /// Cycles of a line-fill burst.
+        burst_cycles: u32,
+        /// Cycles of one TDMA slot.
+        slot_cycles: u32,
+    },
+    /// The configured core index lies outside the TDMA schedule, so the
+    /// core owns no slot.
+    TdmaCoreOutOfRange {
+        /// The configured core index.
+        core: u32,
+        /// Cores in the schedule.
+        cores: u32,
+    },
     /// A CMP core's host worker thread panicked; the panic is contained
     /// and reported for the lowest affected core instead of aborting the
     /// whole process.
@@ -147,6 +163,16 @@ impl fmt::Display for SimError {
                     f,
                     "loop header {header:#x} entered more than its flow cap of {bound}"
                 )
+            }
+            SimError::TdmaSlotTooShort {
+                burst_cycles,
+                slot_cycles,
+            } => write!(
+                f,
+                "a {burst_cycles}-cycle line fill does not fit in a {slot_cycles}-cycle TDMA slot"
+            ),
+            SimError::TdmaCoreOutOfRange { core, cores } => {
+                write!(f, "core {core} is outside the {cores}-core TDMA schedule")
             }
             SimError::CoreWorkerPanicked { core } => {
                 write!(f, "core {core}'s worker thread panicked")

@@ -9,10 +9,10 @@
 //! Everything is derived from a [`FaultRng`] (splitmix64, no wall
 //! clock), so a campaign is a pure function of its seed.
 //!
-//! An armed plan forces the reference interpreter (the fast engine is
-//! bypassed), which is sound because the engine differential sweep
-//! proves the engines bit-identical: the reference path *is* the fast
-//! path's semantics.
+//! An armed plan keeps the run off the burst, so every bundle takes the
+//! general step where the injection hooks live. That is sound because
+//! the burst runs the step's own op semantics, and the engine
+//! differential sweep proves the two bit-identical.
 //!
 //! Outcomes are classified against a golden (uninjected) run into the
 //! four-way [`FaultOutcome`] taxonomy. Three detector layers feed
@@ -634,8 +634,8 @@ mod tests {
     #[test]
     fn empty_plan_is_bit_identical_to_uninjected_run() {
         let image = loop_image();
-        // Reference engine both sides: an armed (but empty) plan forces
-        // it, so the clean run must be pinned to the same engine.
+        // No bursts on either side: an armed (but empty) plan rules
+        // them out, so the clean run is pinned to the step as well.
         let mut plain = Simulator::new(
             &image,
             SimConfig {
@@ -676,7 +676,7 @@ mod tests {
         assert_eq!(
             sim.host_stats().fast_bundles + sim.host_stats().pre_bundles,
             0,
-            "armed runs must take the reference interpreter"
+            "armed runs must never burst"
         );
     }
 

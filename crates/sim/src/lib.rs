@@ -26,13 +26,16 @@
 //! hardware would deliver — turning the ISA contract into an executable
 //! check for the compiler.
 //!
-//! Untraced runs execute on a host-side fast engine — predecoded bundles
-//! whose lifetime is keyed to the method cache's own fills and
-//! evictions, plus a basic-block fast path for stall-free bundle runs —
-//! that is bit-identical in guest cycles, [`Stats`], and results to the
-//! reference interpreter ([`SimConfig::fast_path`] `= false` forces the
-//! latter; tracing always uses it). [`Simulator::host_stats`] reports
-//! how much work each engine tier retired ([`HostStats`]).
+//! The image is decoded once, when the simulator is built, into one
+//! immutable table of predecoded bundles. One general step retires a
+//! bundle from it, and the op semantics exist once. Untraced runs add a
+//! single specialisation on the host side: stall-free basic-block
+//! stretches retire in bursts that reuse the step's semantics and are
+//! bit-identical in guest cycles, [`Stats`] and results. A traced run,
+//! an armed fault plan, an installed flow checker or
+//! [`SimConfig::fast_path`] `= false` steps every bundle instead.
+//! [`Simulator::host_stats`] reports how much the bursts retired
+//! ([`HostStats`]).
 //!
 //! # Example
 //!

@@ -1,8 +1,6 @@
 //! The timed interpreter: one Patmos core, cycle-exact under the
 //! visible-delay model.
 
-use std::sync::Arc;
-
 use patmos_asm::{FuncInfo, ObjectImage};
 use patmos_isa::{
     timing, AccessSize, Bundle, FlowKind, Inst, MemArea, Op, Pred, Reg, SpecialReg, LINK_REG,
@@ -43,10 +41,12 @@ struct PendingFlow {
     slots_left: u32,
 }
 
-/// The Stats counters a fast-class bundle can touch, accumulated as
-/// deltas inside a burst and flushed to [`Stats`] in one step at exit.
+/// The ten counters a retiring bundle can move: exactly the ones its
+/// [`TraceEvent::Retire`] reports. The step fills one record per
+/// bundle and the burst one per burst; [`Simulator::flush`] adds it
+/// into [`Stats`] on every exit, error paths included.
 #[derive(Debug, Clone, Copy, Default)]
-struct FastDeltas {
+struct RetireCounts {
     bundles: u64,
     issue_cycles: u64,
     nops: u64,
@@ -59,15 +59,27 @@ struct FastDeltas {
     stack_ops: u64,
 }
 
-/// The mutable scalars of a fast burst, carried between the burst
-/// driver (which owns the flush) and the hot loop (which keeps them in
-/// locals).
-struct BurstState {
-    now: u64,
-    bundle_index: u64,
-    pc: u32,
-    pend: Option<PendingFlow>,
-    d: FastDeltas,
+impl RetireCounts {
+    /// Issue accounting for a bundle whose slots passed prep. Returns
+    /// its issue cycles.
+    #[inline(always)]
+    fn issue(&mut self, pb: &PreBundle, second: Option<&Prepared>, dual_issue: bool) -> u64 {
+        let cycles = if dual_issue || second.is_none() { 1 } else { 2 };
+        self.bundles += 1;
+        self.issue_cycles += cycles;
+        // The second slot counts as used only when it actually executes:
+        // an annulled (false-guard) operation occupies the slot but does
+        // no work, exactly like an encoded `nop`.
+        if second.is_some_and(|s| s.guard_true && !matches!(s.inst.op, Op::Nop)) {
+            self.second_slots_used += 1;
+        }
+        // A bundle of encoded `nop`s is scheduler filler; tracking it
+        // separately lets utilisation ratios exclude it.
+        if pb.all_nop {
+            self.nop_bundles += 1;
+        }
+        cycles
+    }
 }
 
 /// Outcome of a completed run.
@@ -79,27 +91,30 @@ pub struct RunResult {
     pub halt_pc: u32,
 }
 
-/// Host-side execution counters: which engine tier retired each bundle.
+/// Host-side execution counters of a bursting run: how many bundles
+/// and guest cycles the burst retired, and how many the general step
+/// retired between bursts.
 ///
 /// These are *not* part of [`Stats`] — they describe how fast the host
 /// simulated, never what the guest did, and must stay invisible to the
-/// bit-identity contract between the fast and reference engines.
+/// bit-identity contract between bursting and non-bursting runs. A run
+/// that never bursts leaves them all zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
-    /// Bundles retired inside the basic-block fast loop.
+    /// Bundles retired inside bursts.
     pub fast_bundles: u64,
-    /// Guest cycles that elapsed inside the basic-block fast loop.
+    /// Guest cycles that elapsed inside bursts.
     pub fast_cycles: u64,
-    /// Bundles retired by the general predecoded step (outside the fast
-    /// loop: memory operations, calls, returns, halt).
+    /// Bundles a bursting run retired through the general step, between
+    /// bursts: memory operations, calls, returns, halt.
     pub pre_bundles: u64,
-    /// Guest cycles that elapsed in the general predecoded step.
+    /// Guest cycles that elapsed in those steps.
     pub pre_cycles: u64,
 }
 
 impl HostStats {
-    /// Fraction of all guest cycles retired via the basic-block fast
-    /// path (`0.0` when nothing ran).
+    /// Fraction of all guest cycles retired inside bursts (`0.0` when
+    /// nothing ran).
     pub fn fast_coverage(&self, total_cycles: u64) -> f64 {
         if total_cycles == 0 {
             0.0
@@ -108,8 +123,9 @@ impl HostStats {
         }
     }
 
-    /// Fraction of all guest cycles retired from predecoded bundles
-    /// (fast loop plus general predecoded step).
+    /// Fraction of all guest cycles a bursting run accounted for: its
+    /// bursts plus the steps between them (`0.0` when nothing ran or the
+    /// run never burst).
     pub fn predecoded_coverage(&self, total_cycles: u64) -> f64 {
         if total_cycles == 0 {
             0.0
@@ -121,8 +137,8 @@ impl HostStats {
 
 /// One instruction slot with its decode-time-constant facts precomputed:
 /// the registers it reads, whether it is a `nop`, and whether it reads
-/// `sl`/`sh` (the multiply-gap check). Recomputing these per retired
-/// bundle is what the predecode tier removes from the hot loop.
+/// `sl`/`sh` (the multiply-gap check). Computing these once, when the
+/// image loads, keeps them off the per-bundle path.
 #[derive(Debug, Clone, Copy)]
 struct PreSlot {
     inst: Inst,
@@ -149,7 +165,7 @@ impl PreSlot {
 }
 
 /// A predecoded bundle: both slots as [`PreSlot`]s plus the bundle-level
-/// facts (width, all-nop filler, fast-path eligibility).
+/// facts (width, all-nop filler, fast-class membership).
 #[derive(Debug, Clone, Copy)]
 struct PreBundle {
     first: PreSlot,
@@ -176,6 +192,15 @@ impl PreBundle {
             second,
         }
     }
+}
+
+/// One slot after prep: its instruction, guard outcome and operand
+/// values, all read from the bundle's pre-state.
+#[derive(Debug, Clone, Copy)]
+struct Prepared {
+    inst: Inst,
+    guard_true: bool,
+    vals: [u32; 2],
 }
 
 /// The fast class: operations that can never stall and never trace —
@@ -211,33 +236,25 @@ fn op_is_fast(op: &Op) -> bool {
     )
 }
 
-/// The predecoded image of one function, built when the method cache
-/// fills it and dropped when the method cache evicts it. `pre[i]` is
-/// `None` at bundle-continuation words, exactly mirroring the `bundles`
-/// table so a bad PC faults identically on every tier.
-///
-/// Held behind an [`Arc`] so the fast loop can keep a handle to the
-/// current function across `&mut self` steps: fast-class bundles can
-/// never trigger a method-cache fill, so the decoded map cannot change
-/// under the handle mid-burst.
-#[derive(Debug, Clone)]
-struct DecodedFunc {
-    start_word: u32,
-    end_word: u32,
-    pre: Vec<Option<PreBundle>>,
-}
-
-impl DecodedFunc {
-    #[inline]
-    fn contains(&self, pc: u32) -> bool {
-        pc >= self.start_word && pc < self.end_word
+/// Delay-slot bookkeeping at the end of a retiring bundle: a flow the
+/// bundle opened becomes the pending one, otherwise the pending flow
+/// has one delay slot fewer left. Returns the target once the last
+/// delay slot has retired.
+#[inline(always)]
+fn retire_flow(
+    pending: &mut Option<PendingFlow>,
+    new_flow: Option<PendingFlow>,
+) -> Option<FlowTarget> {
+    let fresh = new_flow.is_some();
+    let mut flow = new_flow.or(pending.take())?;
+    if !fresh {
+        flow.slots_left = flow.slots_left.saturating_sub(1);
     }
-
-    #[inline]
-    fn bundle_at(&self, pc: u32) -> Option<&PreBundle> {
-        self.pre
-            .get((pc.wrapping_sub(self.start_word)) as usize)
-            .and_then(|p| p.as_ref())
+    if flow.slots_left == 0 {
+        Some(flow.target)
+    } else {
+        *pending = Some(flow);
+        None
     }
 }
 
@@ -245,7 +262,11 @@ impl DecodedFunc {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SimConfig,
-    bundles: Vec<Option<Bundle>>,
+    /// The image's bundles, predecoded once at construction and indexed
+    /// by word address. Continuation words are `None`, so a PC that is
+    /// not a bundle start faults as [`SimError::BadPc`]. Execution reads
+    /// code only from here, never from main memory.
+    code: Vec<Option<PreBundle>>,
     functions: Vec<FuncInfo>,
     mem: MainMemory,
     spm: Scratchpad,
@@ -269,17 +290,10 @@ pub struct Simulator {
     stats: Stats,
     halted: bool,
     started: bool,
-    /// Predecoded bundles, parallel to `functions`; `Some` exactly while
-    /// the function is method-cache resident (plus the documented
-    /// oversized-streaming exception in `ensure_decoded`).
-    decoded: Vec<Option<Arc<DecodedFunc>>>,
-    /// Index into `decoded` of the function the PC was last found in — a
-    /// hint that makes the per-bundle lookup O(1) on the hot path.
-    cur_func: usize,
     host: HostStats,
-    /// A malformed code image, surfaced as an error at the first step
-    /// instead of a construction-time panic.
-    decode_error: Option<SimError>,
+    /// A malformed image or a TDMA schedule that cannot serve this core,
+    /// surfaced as an error at the first step instead of a panic.
+    setup_error: Option<SimError>,
     /// Live fault-injection state when [`SimConfig::faults`] is armed.
     faults: Option<Box<FaultState>>,
     /// The control-flow checker, when installed.
@@ -289,29 +303,25 @@ pub struct Simulator {
 impl Simulator {
     /// Loads an image into a fresh core.
     ///
-    /// A malformed code image does not panic here: the decode failure is
-    /// stored and returned as [`SimError::MalformedImage`] by the first
-    /// step. Use [`Simulator::try_new`] to surface it at construction.
+    /// A malformed code image or a TDMA schedule that cannot serve the
+    /// core does not panic here: the error is stored and returned by the
+    /// first step. Use [`Simulator::try_new`] to surface it at
+    /// construction.
     pub fn new(image: &ObjectImage, config: SimConfig) -> Simulator {
-        let code = image.code();
-        let mut bundles = vec![None; code.len()];
-        let mut decode_error = None;
-        match image.decode() {
-            Ok(decoded) => {
-                for (addr, bundle) in decoded {
-                    bundles[addr as usize] = Some(bundle);
+        let mut code = vec![None; image.code().len()];
+        let setup_error = match image.decode() {
+            Ok(bundles) => {
+                for (addr, bundle) in bundles {
+                    code[addr as usize] = Some(PreBundle::new(bundle));
                 }
+                config.check_tdma().err()
             }
-            Err(e) => {
-                decode_error = Some(SimError::MalformedImage {
-                    reason: e.to_string(),
-                });
-            }
-        }
-        let functions = image.functions().to_vec();
-        let decoded = vec![None; functions.len()];
+            Err(e) => Some(SimError::MalformedImage {
+                reason: e.to_string(),
+            }),
+        };
         let mut mem = MainMemory::new(config.mem);
-        mem.load_words(CODE_BASE, code);
+        mem.load_words(CODE_BASE, image.code());
         for seg in image.data() {
             mem.load_bytes(seg.addr, &seg.bytes);
         }
@@ -321,8 +331,8 @@ impl Simulator {
         preds[0] = true;
 
         Simulator {
-            bundles,
-            functions,
+            code,
+            functions: image.functions().to_vec(),
             spm: Scratchpad::new(config.spm_bytes),
             mcache: MethodCache::new(config.method_cache),
             dcache: SetAssocCache::new(
@@ -355,25 +365,25 @@ impl Simulator {
             stats: Stats::default(),
             halted: false,
             started: false,
-            decoded,
-            cur_func: 0,
             host: HostStats::default(),
-            decode_error,
+            setup_error,
             faults: config.faults.as_ref().map(|p| Box::new(FaultState::new(p))),
             flow_check: None,
             config,
         }
     }
 
-    /// Loads an image into a fresh core, rejecting a malformed one.
+    /// Loads an image into a fresh core, rejecting one that cannot run.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MalformedImage`] if the image's code section
-    /// does not decode into bundles.
+    /// does not decode into bundles, and [`SimError::TdmaSlotTooShort`]
+    /// or [`SimError::TdmaCoreOutOfRange`] if the configured TDMA
+    /// schedule cannot serve this core.
     pub fn try_new(image: &ObjectImage, config: SimConfig) -> Result<Simulator, SimError> {
         let sim = Simulator::new(image, config);
-        match &sim.decode_error {
+        match &sim.setup_error {
             Some(e) => Err(e.clone()),
             None => Ok(sim),
         }
@@ -427,7 +437,7 @@ impl Simulator {
         s
     }
 
-    /// Host-side engine-tier counters (how the run was simulated, not
+    /// Host-side counters of the burst (how the run was simulated, not
     /// what the guest did).
     pub fn host_stats(&self) -> HostStats {
         self.host
@@ -467,25 +477,23 @@ impl Simulator {
     ///
     /// As [`Simulator::run`].
     pub fn run_traced<S: TraceSink>(&mut self, sink: &mut S) -> Result<RunResult, SimError> {
-        // An armed fault plan or an installed control-flow checker pins
-        // the run to the reference interpreter: the injection and
-        // checking hooks live only on that path, and the engine
+        // Bursts skip the per-bundle trace, fault and flow-check hooks,
+        // so a traced run, an armed fault plan, an installed flow
+        // checker or `fast_path: false` steps every bundle; the engine
         // differential sweep proves the choice invisible to the guest.
         if S::ENABLED
             || !self.config.fast_path
             || self.faults.is_some()
             || self.flow_check.is_some()
         {
-            // Reference engine: the per-bundle interpreter, which is also
-            // the only path that can emit trace events.
             while !self.halted {
                 self.step_traced(sink)?;
             }
         } else {
-            // Fast engine. Non-generic on purpose: every crate that
-            // instantiates `run_traced::<NullSink>` links the one copy
-            // below instead of re-optimizing the hot loop locally.
-            self.run_fast_engine()?;
+            // Non-generic on purpose: every crate that instantiates
+            // `run_traced::<NullSink>` links the one copy of the burst
+            // instead of re-optimizing the hot loop locally.
+            self.run_bursts()?;
         }
         Ok(RunResult {
             stats: self.stats(),
@@ -493,24 +501,15 @@ impl Simulator {
         })
     }
 
-    /// The fast engine's driver: basic-block bursts over predecoded
-    /// bundles. A burst that stops at a decoded non-fast bundle hands
-    /// it straight to the general predecoded step (no second lookup);
-    /// every other stop takes the full fallback path.
-    fn run_fast_engine(&mut self) -> Result<(), SimError> {
+    /// The bursting engine: bursts of fast-class bundles, with one
+    /// general step for each bundle a burst stops at.
+    fn run_bursts(&mut self) -> Result<(), SimError> {
         while !self.halted {
-            let stop = self.run_fast()?;
-            if self.halted {
-                break;
-            }
-            if let Some(pb) = stop {
-                let before = self.now;
-                self.step_decoded(&pb)?;
-                self.host.pre_bundles += 1;
-                self.host.pre_cycles += self.now - before;
-            } else {
-                self.step_pre()?;
-            }
+            self.burst()?;
+            let before = self.now;
+            self.step_traced(&mut NullSink)?;
+            self.host.pre_bundles += 1;
+            self.host.pre_cycles += self.now - before;
         }
         Ok(())
     }
@@ -538,14 +537,12 @@ impl Simulator {
                 self.now = start + self.mem.burst_cycles(words) as u64;
             }
             Some((arb, core)) => {
+                // `SimConfig::check_tdma` admitted the schedule, so even
+                // a one-word chunk fits in a slot.
                 let cfg = self.mem.config();
                 let chunk = ((arb.slot_cycles().saturating_sub(cfg.latency))
                     / cfg.cycles_per_word.max(1))
                 .max(1);
-                assert!(
-                    arb.fits(cfg.burst_cycles(chunk)),
-                    "TDMA slot too short for a single-word burst"
-                );
                 let mut remaining = words;
                 while remaining > 0 {
                     let w = remaining.min(chunk);
@@ -621,21 +618,8 @@ impl Simulator {
     /// Charges a method-cache lookup for the function at `start`/`size`.
     /// The stall (and the lookup event) attribute to the entered
     /// function's first word.
-    ///
-    /// The predecoded-bundle cache is keyed to exactly these fill
-    /// events: a miss decodes the entering function once, an eviction
-    /// drops the victim's decoded image.
     fn method_fill<S: TraceSink>(&mut self, start: u32, size: u32, sink: &mut S) {
-        let functions = &self.functions;
-        let decoded = &mut self.decoded;
-        let access = self.mcache.access_with(start, size, |evicted| {
-            if let Some(i) = functions.iter().position(|f| f.start_word == evicted) {
-                decoded[i] = None;
-            }
-        });
-        if !access.hit {
-            self.ensure_decoded(start);
-        }
+        let access = self.mcache.access(start, size);
         if S::ENABLED {
             sink.event(TraceEvent::CacheAccess {
                 pc: start,
@@ -650,89 +634,11 @@ impl Simulator {
         }
     }
 
-    /// Builds the predecoded image of the function starting at `start`
-    /// (a no-op if it is already built). An oversized function that only
-    /// streams through the method cache is never resident and so never
-    /// reported evicted; its decoded image deliberately survives — a
-    /// host-only cache of immutable code, re-decoding it per call would
-    /// buy nothing.
-    fn ensure_decoded(&mut self, start: u32) {
-        let Some(idx) = self.functions.iter().position(|f| f.start_word == start) else {
-            return;
-        };
-        self.cur_func = idx;
-        if self.decoded[idx].is_some() {
-            return;
-        }
-        let f = &self.functions[idx];
-        let end = f.start_word + f.size_words;
-        let mut pre = Vec::with_capacity(f.size_words as usize);
-        for w in f.start_word..end {
-            pre.push(
-                self.bundles
-                    .get(w as usize)
-                    .and_then(|b| b.map(PreBundle::new)),
-            );
-        }
-        self.decoded[idx] = Some(Arc::new(DecodedFunc {
-            start_word: f.start_word,
-            end_word: end,
-            pre,
-        }));
-    }
-
-    /// The decoded function containing `pc`, if any: the `cur_func` hint
-    /// first (O(1) on the hot path), then a scan that refreshes the
-    /// hint. The returned handle stays valid across steps — fast-class
-    /// bundles never refill the method cache, so nothing drops it
-    /// mid-burst.
-    #[inline]
-    fn decoded_func_at(&mut self, pc: u32) -> Option<Arc<DecodedFunc>> {
-        if let Some(Some(df)) = self.decoded.get(self.cur_func) {
-            if df.contains(pc) {
-                return Some(df.clone());
-            }
-        }
-        for (i, d) in self.decoded.iter().enumerate() {
-            if let Some(df) = d {
-                if df.contains(pc) {
-                    self.cur_func = i;
-                    return Some(df.clone());
-                }
-            }
-        }
-        None
-    }
-
-    /// The predecoded bundle at `pc`, by value — the general step copies
-    /// one 48-byte bundle instead of retaining a whole-function handle
-    /// (no atomic refcount traffic on the per-bundle path).
-    #[inline]
-    fn pre_bundle_copy(&mut self, pc: u32) -> Option<PreBundle> {
-        if let Some(Some(df)) = self.decoded.get(self.cur_func) {
-            if df.contains(pc) {
-                return df.bundle_at(pc).copied();
-            }
-        }
-        for (i, d) in self.decoded.iter().enumerate() {
-            if let Some(df) = d {
-                if df.contains(pc) {
-                    self.cur_func = i;
-                    return df.bundle_at(pc).copied();
-                }
-            }
-        }
-        None
-    }
-
-    fn check_reg_ready(&self, reg: Reg) -> Result<(), SimError> {
-        self.check_reg_ready_at(reg, self.pc, self.bundle_index)
-    }
-
-    /// [`Simulator::check_reg_ready`] against an explicit PC and bundle
-    /// index — the batched fast loop keeps both in locals.
+    /// In strict mode, rejects a read of `reg` by the bundle at `pc`
+    /// with index `bundle_index` before the value's visible delay
+    /// elapsed.
     #[inline(always)]
-    fn check_reg_ready_at(&self, reg: Reg, pc: u32, bundle_index: u64) -> Result<(), SimError> {
+    fn check_reg_ready(&self, reg: Reg, pc: u32, bundle_index: u64) -> Result<(), SimError> {
         if !self.config.strict {
             return Ok(());
         }
@@ -788,14 +694,10 @@ impl Simulator {
         }
     }
 
-    fn check_stack_window(&self, ea: u32) -> Result<(), SimError> {
-        self.check_stack_window_at(ea, self.pc)
-    }
-
-    /// [`Simulator::check_stack_window`] against an explicit PC — the
-    /// batched fast loop keeps the PC in a local.
+    /// In strict mode, rejects a stack-cache access at `ea` by the
+    /// bundle at `pc` outside the cached window.
     #[inline(always)]
-    fn check_stack_window_at(&self, ea: u32, pc: u32) -> Result<(), SimError> {
+    fn check_stack_window(&self, ea: u32, pc: u32) -> Result<(), SimError> {
         if !self.config.strict {
             return Ok(());
         }
@@ -814,6 +716,10 @@ impl Simulator {
 
     /// Executes one bundle, streaming its [`TraceEvent`]s into the sink.
     ///
+    /// This is the one general step. A run that does not burst takes it
+    /// for every bundle; a bursting run takes it for each bundle a burst
+    /// stops at.
+    ///
     /// # Errors
     ///
     /// As [`Simulator::step`].
@@ -821,7 +727,7 @@ impl Simulator {
         if self.halted {
             return Ok(());
         }
-        if let Some(e) = &self.decode_error {
+        if let Some(e) = &self.setup_error {
             return Err(e.clone());
         }
         if !self.started {
@@ -840,98 +746,73 @@ impl Simulator {
             self.service_cycle_faults(sink);
         }
 
-        let bundle = *self
-            .bundles
-            .get(self.pc as usize)
-            .and_then(|b| b.as_ref())
-            .ok_or(SimError::BadPc { pc: self.pc })?;
+        let this_pc = self.pc;
+        let pb = self
+            .code
+            .get(this_pc as usize)
+            .copied()
+            .flatten()
+            .ok_or(SimError::BadPc { pc: this_pc })?;
 
-        // --- Pre-state operand reads (both slots read simultaneously) ---
-        let mut slot_ops: Vec<(Inst, bool, [u32; 2])> = Vec::with_capacity(2);
-        for inst in bundle.slots() {
-            for reg in inst.op.uses().into_iter().flatten() {
-                self.check_reg_ready(reg)?;
-            }
-            if self.config.strict {
-                if let Op::Mfs {
-                    ss: SpecialReg::Sl | SpecialReg::Sh,
-                    ..
-                } = inst.op
-                {
-                    if self.mul_ready > self.bundle_index {
-                        return Err(SimError::MulGapViolation { pc: self.pc });
-                    }
-                }
-            }
-            let guard_true = inst.guard.eval(&self.preds);
-            let uses = inst.op.uses();
-            let vals = [
-                uses[0].map_or(0, |r| self.regs[r.index() as usize]),
-                uses[1].map_or(0, |r| self.regs[r.index() as usize]),
-            ];
-            slot_ops.push((*inst, guard_true, vals));
-        }
+        // --- Prep: both slots read the pre-state; a violation leaves
+        // the bundle unissued ---
+        let first = self.prep_slot(&pb.first, this_pc, self.bundle_index)?;
+        let second = match &pb.second {
+            Some(s) => Some(self.prep_slot(s, this_pc, self.bundle_index)?),
+            None => None,
+        };
 
         // --- Issue ---
-        let had_pending_flow = self.pending_flow.is_some();
-        let issue_cycles = if self.config.dual_issue {
-            1
-        } else {
-            bundle.slots().count() as u64
-        };
-        self.now += issue_cycles;
+        let in_delay_slot = self.pending_flow.is_some();
+        let mut c = RetireCounts::default();
+        self.now += c.issue(&pb, second.as_ref(), self.config.dual_issue);
         self.bundle_index += 1;
-        self.stats.bundles += 1;
-        self.stats.issue_cycles += issue_cycles;
-        // Snapshot for the retire event's per-bundle deltas.
         let issue_end = self.now;
-        let snap = if S::ENABLED {
-            self.stats
-        } else {
-            Stats::default()
-        };
-        // The second slot counts as used only when it actually executes:
-        // an annulled (false-guard) operation occupies the slot but does
-        // no work, exactly like an encoded `nop`.
-        if let Some((inst, guard_true, _)) = slot_ops.get(1) {
-            if !matches!(inst.op, Op::Nop) && *guard_true {
-                self.stats.second_slots_used += 1;
+
+        // --- Effects: a fault in the second slot leaves the first
+        // slot's effects standing; the counters are flushed either way ---
+        let bi = self.bundle_index;
+        let mut new_flow = None;
+        let mut effects = self.exec_slot(
+            first,
+            this_pc,
+            bi,
+            in_delay_slot,
+            &mut new_flow,
+            &mut c,
+            sink,
+        );
+        if let (Ok(()), Some(s)) = (&effects, second) {
+            effects = self.exec_slot(s, this_pc, bi, in_delay_slot, &mut new_flow, &mut c, sink);
+        }
+        self.flush(c);
+        effects?;
+
+        // Every bundle retires exactly one event, the halt bundle
+        // included — the event stream reconciles with the counters.
+        if S::ENABLED {
+            sink.event(TraceEvent::Retire {
+                pc: this_pc,
+                cycle: issue_end,
+                issue_cycles: c.issue_cycles,
+                executed: c.insts_executed as u8,
+                annulled: c.insts_annulled as u8,
+                nops: c.nops as u8,
+                second_slot_used: c.second_slots_used > 0,
+                nop_bundle: c.nop_bundles > 0,
+                stack_ops: c.stack_ops as u8,
+                taken_branch: c.taken_branches > 0,
+                untaken_branches: c.untaken_branches as u8,
+            });
+        }
+
+        // --- Retire: advance the PC, count down delay slots, redirect ---
+        if !self.halted {
+            self.pc = this_pc.wrapping_add(pb.width);
+            if let Some(target) = retire_flow(&mut self.pending_flow, new_flow) {
+                self.redirect(target, sink)?;
             }
         }
-        // A bundle of encoded `nop`s is scheduler filler; tracking it
-        // separately lets utilisation ratios exclude it.
-        if slot_ops
-            .iter()
-            .all(|(inst, _, _)| matches!(inst.op, Op::Nop))
-        {
-            self.stats.nop_bundles += 1;
-        }
-
-        let width = bundle.width_words();
-        let this_pc = self.pc;
-        let mut new_flow: Option<PendingFlow> = None;
-
-        // --- Effects ---
-        for (inst, guard_true, vals) in slot_ops {
-            self.exec_slot(
-                inst,
-                guard_true,
-                vals,
-                this_pc,
-                had_pending_flow,
-                &mut new_flow,
-                sink,
-            )?;
-        }
-        self.post_effects(
-            width,
-            this_pc,
-            new_flow,
-            issue_cycles,
-            issue_end,
-            snap,
-            sink,
-        )?;
         if self.fault_pending() {
             self.service_retire_faults(this_pc, sink);
         }
@@ -939,8 +820,9 @@ impl Simulator {
     }
 
     /// Installs the control-flow checker: every retired call and return
-    /// (and loop-header entry) is validated against `map`. Forces the
-    /// reference interpreter, like an armed fault plan.
+    /// (and loop-header entry) is validated against `map`. Like an armed
+    /// fault plan, it keeps the run on the general step, which is where
+    /// the check lives.
     pub fn install_flow_checker(&mut self, map: ControlFlowMap) {
         self.flow_check = Some(Box::new(FlowCheckState::new(map)));
     }
@@ -1058,744 +940,50 @@ impl Simulator {
         }
     }
 
-    /// Executes one prepared slot's effects: the counter updates, the
-    /// architectural state change, and any stall it triggers. Shared by
-    /// the reference interpreter and both predecoded tiers, so the
-    /// instruction semantics exist exactly once.
+    /// Executes one prepared slot of the bundle at `this_pc`, whose
+    /// index after issue is `bi`: the counter updates (into `c`), the
+    /// architectural state change, and any stall it triggers. The step
+    /// and the burst both call it, so the instruction semantics exist
+    /// exactly once.
+    ///
+    /// `in_delay_slot` says a flow was pending when the bundle issued;
+    /// `new_flow` collects the flow the bundle opens.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn exec_slot<S: TraceSink>(
         &mut self,
-        inst: Inst,
-        guard_true: bool,
-        vals: [u32; 2],
+        slot: Prepared,
         this_pc: u32,
-        had_pending_flow: bool,
+        bi: u64,
+        in_delay_slot: bool,
         new_flow: &mut Option<PendingFlow>,
+        c: &mut RetireCounts,
         sink: &mut S,
     ) -> Result<(), SimError> {
-        {
-            if matches!(inst.op, Op::Nop) {
-                self.stats.nops += 1;
-                return Ok(());
-            }
-            if !guard_true {
-                self.stats.insts_annulled += 1;
-                if inst.op.is_flow() && !matches!(inst.op, Op::Halt) {
-                    self.stats.untaken_branches += 1;
-                }
-                return Ok(());
-            }
-            self.stats.insts_executed += 1;
-            match inst.op {
-                Op::Nop => unreachable!("handled above"),
-                Op::AluR { op, rd, .. } => {
-                    self.write_reg(rd, op.apply(vals[0], vals[1]), 0);
-                }
-                Op::AluI { op, rd, imm, .. } => {
-                    self.write_reg(rd, op.apply(vals[0], imm as i32 as u32), 0);
-                }
-                Op::Mul { .. } => {
-                    let prod = (vals[0] as i32 as i64).wrapping_mul(vals[1] as i32 as i64);
-                    self.sl = prod as u32;
-                    self.sh = (prod >> 32) as u32;
-                    self.mul_ready = self.bundle_index + timing::MUL_GAP as u64;
-                }
-                Op::LoadImmLow { rd, imm } => {
-                    self.write_reg(rd, imm as i16 as i32 as u32, 0);
-                }
-                Op::LoadImmHigh { rd, imm } => {
-                    let low = self.regs[rd.index() as usize] & 0xffff;
-                    self.write_reg(rd, ((imm as u32) << 16) | low, 0);
-                }
-                Op::LoadImm32 { rd, imm } => {
-                    self.write_reg(rd, imm, 0);
-                }
-                Op::Cmp { op, pd, .. } => {
-                    self.write_pred(pd, op.apply(vals[0], vals[1]));
-                }
-                Op::CmpI { op, pd, imm, .. } => {
-                    self.write_pred(pd, op.apply(vals[0], imm as i32 as u32));
-                }
-                Op::PredSet { op, pd, p1, p2 } => {
-                    let a = self.preds[p1.pred.index() as usize] ^ p1.negate;
-                    let b = self.preds[p2.pred.index() as usize] ^ p2.negate;
-                    self.write_pred(pd, op.apply(a, b));
-                }
-                Op::Load {
-                    area,
-                    size,
-                    rd,
-                    ra,
-                    offset,
-                } => {
-                    let ea = self.effective_address(area, ra, offset, size);
-                    let value = match area {
-                        MemArea::Stack => {
-                            self.check_stack_window(ea)?;
-                            self.stats.stack_ops += 1;
-                            self.mem_read(ea, size, false)
-                        }
-                        MemArea::Spm => self.mem_read(ea, size, true),
-                        MemArea::Static | MemArea::Data => {
-                            let (result, kind, cause) = if area == MemArea::Static {
-                                (
-                                    self.ccache.access(ea, false),
-                                    CacheKind::Static,
-                                    StallCause::StaticCache,
-                                )
-                            } else {
-                                (
-                                    self.dcache.access(ea, false),
-                                    CacheKind::Data,
-                                    StallCause::DataCache,
-                                )
-                            };
-                            if S::ENABLED {
-                                sink.event(TraceEvent::CacheAccess {
-                                    pc: this_pc,
-                                    cycle: self.now,
-                                    cache: kind,
-                                    hit: result.hit,
-                                    transfer_words: result.transfer_words,
-                                });
-                            }
-                            if !result.hit {
-                                self.transact_words(result.transfer_words, cause, this_pc, sink);
-                            }
-                            self.mem_read(ea, size, false)
-                        }
-                        MemArea::Main => return Err(SimError::IllegalMainAccess { pc: this_pc }),
-                    };
-                    self.write_reg(rd, value, timing::LOAD_USE_GAP);
-                }
-                Op::Store {
-                    area,
-                    size,
-                    ra,
-                    offset,
-                    rs: _,
-                } => {
-                    let ea = self.effective_address(area, ra, offset, size);
-                    let value = vals[1];
-                    match area {
-                        MemArea::Stack => {
-                            self.check_stack_window(ea)?;
-                            self.stats.stack_ops += 1;
-                            self.mem_write(ea, size, value, false);
-                        }
-                        MemArea::Spm => self.mem_write(ea, size, value, true),
-                        MemArea::Static | MemArea::Data => {
-                            let (result, kind) = if area == MemArea::Static {
-                                (self.ccache.access(ea, true), CacheKind::Static)
-                            } else {
-                                (self.dcache.access(ea, true), CacheKind::Data)
-                            };
-                            if S::ENABLED {
-                                sink.event(TraceEvent::CacheAccess {
-                                    pc: this_pc,
-                                    cycle: self.now,
-                                    cache: kind,
-                                    hit: result.hit,
-                                    transfer_words: result.transfer_words,
-                                });
-                            }
-                            self.mem_write(ea, size, value, false);
-                            self.post_write(this_pc, sink);
-                        }
-                        MemArea::Main => return Err(SimError::IllegalMainAccess { pc: this_pc }),
-                    }
-                }
-                Op::MainLoad { offset, .. } => {
-                    if self.pending_load.is_some() {
-                        return Err(SimError::LoadStillPending { pc: this_pc });
-                    }
-                    let ea = vals[0].wrapping_add((offset as i32 as u32).wrapping_mul(4));
-                    let value = self.mem.read_word(ea);
-                    let burst = self.mem.burst_cycles(1);
-                    let start = self.now.max(self.wb_drains_at);
-                    let granted = match &self.config.tdma {
-                        Some((arb, core)) => arb.grant(*core, start, burst),
-                        None => start,
-                    };
-                    self.pending_load = Some(PendingLoad {
-                        ready_at: granted + burst as u64,
-                        value,
-                    });
-                }
-                Op::MainWait { rd } => match self.pending_load.take() {
-                    Some(p) => {
-                        if p.ready_at > self.now {
-                            let wait = p.ready_at - self.now;
-                            self.stats.stalls.split_load += wait;
-                            self.now = p.ready_at;
-                            if S::ENABLED {
-                                sink.event(TraceEvent::Stall {
-                                    pc: this_pc,
-                                    cycle: self.now,
-                                    cycles: wait,
-                                    cause: StallCause::SplitLoad,
-                                });
-                            }
-                        }
-                        self.sm = p.value;
-                        self.write_reg(rd, p.value, 0);
-                    }
-                    None => {
-                        if self.config.strict {
-                            return Err(SimError::NoPendingLoad { pc: this_pc });
-                        }
-                        let sm = self.sm;
-                        self.write_reg(rd, sm, 0);
-                    }
-                },
-                Op::MainStore { offset, .. } => {
-                    let ea = vals[0].wrapping_add((offset as i32 as u32).wrapping_mul(4));
-                    self.mem_write(ea, AccessSize::Word, vals[1], false);
-                    self.post_write(this_pc, sink);
-                }
-                Op::Sres { words } => {
-                    let effect = self.scache.reserve(words);
-                    if S::ENABLED {
-                        sink.event(TraceEvent::CacheAccess {
-                            pc: this_pc,
-                            cycle: self.now,
-                            cache: CacheKind::Stack,
-                            hit: effect.spill_words == 0,
-                            transfer_words: effect.spill_words,
-                        });
-                    }
-                    if effect.spill_words > 0 {
-                        self.transact_words(
-                            effect.spill_words,
-                            StallCause::StackCache,
-                            this_pc,
-                            sink,
-                        );
-                    }
-                }
-                Op::Sens { words } => {
-                    let effect = self.scache.ensure(words);
-                    if S::ENABLED {
-                        sink.event(TraceEvent::CacheAccess {
-                            pc: this_pc,
-                            cycle: self.now,
-                            cache: CacheKind::Stack,
-                            hit: effect.fill_words == 0,
-                            transfer_words: effect.fill_words,
-                        });
-                    }
-                    if effect.fill_words > 0 {
-                        self.transact_words(
-                            effect.fill_words,
-                            StallCause::StackCache,
-                            this_pc,
-                            sink,
-                        );
-                    }
-                }
-                Op::Sfree { words } => {
-                    self.scache.free(words);
-                    if S::ENABLED {
-                        sink.event(TraceEvent::CacheAccess {
-                            pc: this_pc,
-                            cycle: self.now,
-                            cache: CacheKind::Stack,
-                            hit: true,
-                            transfer_words: 0,
-                        });
-                    }
-                }
-                Op::Mts { sd, .. } => match sd {
-                    SpecialReg::Sl => self.sl = vals[0],
-                    SpecialReg::Sh => self.sh = vals[0],
-                    SpecialReg::Sm => self.sm = vals[0],
-                    SpecialReg::St => self.scache.set_stack_top(vals[0] & !3),
-                    SpecialReg::Ss => self.scache.set_spill_pointer(vals[0] & !3),
-                },
-                Op::Mfs { rd, ss } => {
-                    let value = match ss {
-                        SpecialReg::Sl => self.sl,
-                        SpecialReg::Sh => self.sh,
-                        SpecialReg::Sm => self.sm,
-                        SpecialReg::St => self.scache.stack_top(),
-                        SpecialReg::Ss => self.scache.spill_pointer(),
-                    };
-                    self.write_reg(rd, value, 0);
-                }
-                Op::Br { .. } | Op::Call { .. } | Op::CallR { .. } | Op::Ret | Op::Halt => {
-                    if matches!(inst.op, Op::Halt) {
-                        self.halted = true;
-                        return Ok(());
-                    }
-                    if had_pending_flow || new_flow.is_some() {
-                        return Err(SimError::FlowInDelaySlot { pc: this_pc });
-                    }
-                    self.stats.taken_branches += 1;
-                    let target = match inst.op.flow_kind() {
-                        FlowKind::Branch(off) => FlowTarget::Jump(this_pc.wrapping_add(off as u32)),
-                        FlowKind::CallDirect(off) => {
-                            FlowTarget::Call(this_pc.wrapping_add(off as u32))
-                        }
-                        FlowKind::CallIndirect(_) => FlowTarget::Call(vals[0]),
-                        FlowKind::Return => FlowTarget::Ret(vals[0]),
-                        FlowKind::None | FlowKind::Halt => unreachable!("flow ops only"),
-                    };
-                    *new_flow = Some(PendingFlow {
-                        target,
-                        slots_left: inst.delay_slots(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The bundle tail shared by every execution tier: the retire event,
-    /// the halt short-circuit, the PC advance, and delay-slot
-    /// bookkeeping ending in a redirect.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn post_effects<S: TraceSink>(
-        &mut self,
-        width: u32,
-        this_pc: u32,
-        new_flow: Option<PendingFlow>,
-        issue_cycles: u64,
-        issue_end: u64,
-        snap: Stats,
-        sink: &mut S,
-    ) -> Result<(), SimError> {
-        // Every bundle retires exactly one event, the halt bundle
-        // included — the event stream reconciles with the counters.
-        if S::ENABLED {
-            let d = &self.stats;
-            sink.event(TraceEvent::Retire {
-                pc: this_pc,
-                cycle: issue_end,
-                issue_cycles,
-                executed: (d.insts_executed - snap.insts_executed) as u8,
-                annulled: (d.insts_annulled - snap.insts_annulled) as u8,
-                nops: (d.nops - snap.nops) as u8,
-                second_slot_used: d.second_slots_used > snap.second_slots_used,
-                nop_bundle: d.nop_bundles > snap.nop_bundles,
-                stack_ops: (d.stack_ops - snap.stack_ops) as u8,
-                taken_branch: d.taken_branches > snap.taken_branches,
-                untaken_branches: (d.untaken_branches - snap.untaken_branches) as u8,
-            });
-        }
-
-        if self.halted {
-            return Ok(());
-        }
-
-        // --- Advance PC and retire delay slots ---
-        self.pc = this_pc.wrapping_add(width);
-        if let Some(flow) = new_flow {
-            self.pending_flow = Some(flow);
-        }
-        if let Some(mut flow) = self.pending_flow.take() {
-            let fresh = new_flow.is_some();
-            if !fresh {
-                flow.slots_left = flow.slots_left.saturating_sub(1);
-            }
-            if flow.slots_left == 0 {
-                self.redirect(flow.target, sink)?;
-            } else {
-                self.pending_flow = Some(flow);
-            }
-        }
-
-        Ok(())
-    }
-
-    /// Prepares one slot of a predecoded bundle: contract checks, guard
-    /// evaluation, operand reads — the same order as the reference
-    /// engine's prep loop, so violations fault identically.
-    #[inline(always)]
-    fn prep_slot(&self, slot: &PreSlot) -> Result<(Inst, bool, [u32; 2]), SimError> {
-        self.prep_slot_at(slot, self.pc, self.bundle_index)
-    }
-
-    /// [`Simulator::prep_slot`] against an explicit PC and bundle index
-    /// — the batched fast loop keeps both in locals.
-    #[inline(always)]
-    fn prep_slot_at(
-        &self,
-        slot: &PreSlot,
-        pc: u32,
-        bundle_index: u64,
-    ) -> Result<(Inst, bool, [u32; 2]), SimError> {
-        for reg in slot.uses.into_iter().flatten() {
-            self.check_reg_ready_at(reg, pc, bundle_index)?;
-        }
-        if self.config.strict && slot.mfs_mul && self.mul_ready > bundle_index {
-            return Err(SimError::MulGapViolation { pc });
-        }
-        let guard_true = slot.inst.guard.eval(&self.preds);
-        let vals = [
-            slot.uses[0].map_or(0, |r| self.regs[r.index() as usize]),
-            slot.uses[1].map_or(0, |r| self.regs[r.index() as usize]),
-        ];
-        Ok((slot.inst, guard_true, vals))
-    }
-
-    /// Retires one predecoded bundle with the trace machinery compiled
-    /// out. Guest-cycle identical to [`Simulator::step_traced`]: the
-    /// prep, issue accounting, effects, and tail run the same code,
-    /// minus the per-bundle allocation and decode-time recomputation.
-    #[inline(always)]
-    fn step_decoded(&mut self, pb: &PreBundle) -> Result<(), SimError> {
-        // --- Pre-state operand reads (both slots read simultaneously) ---
-        let first = self.prep_slot(&pb.first)?;
-        let second = match &pb.second {
-            Some(s) => Some(self.prep_slot(s)?),
-            None => None,
-        };
-
-        // --- Issue ---
-        let had_pending_flow = self.pending_flow.is_some();
-        let issue_cycles = if self.config.dual_issue || pb.second.is_none() {
-            1
-        } else {
-            2
-        };
-        self.now += issue_cycles;
-        self.bundle_index += 1;
-        self.stats.bundles += 1;
-        self.stats.issue_cycles += issue_cycles;
-        let issue_end = self.now;
-        if let Some((inst, guard_true, _)) = &second {
-            if !matches!(inst.op, Op::Nop) && *guard_true {
-                self.stats.second_slots_used += 1;
-            }
-        }
-        if pb.all_nop {
-            self.stats.nop_bundles += 1;
-        }
-
-        let this_pc = self.pc;
-        let mut new_flow: Option<PendingFlow> = None;
-
-        // --- Effects ---
-        let (inst, guard_true, vals) = first;
-        self.exec_slot(
+        let Prepared {
             inst,
             guard_true,
             vals,
-            this_pc,
-            had_pending_flow,
-            &mut new_flow,
-            &mut NullSink,
-        )?;
-        if let Some((inst, guard_true, vals)) = second {
-            self.exec_slot(
-                inst,
-                guard_true,
-                vals,
-                this_pc,
-                had_pending_flow,
-                &mut new_flow,
-                &mut NullSink,
-            )?;
-        }
-        self.post_effects(
-            pb.width,
-            this_pc,
-            new_flow,
-            issue_cycles,
-            issue_end,
-            Stats::default(),
-            &mut NullSink,
-        )
-    }
-
-    /// One general predecoded step: any operation with the trace
-    /// machinery compiled out, falling back to the reference step for
-    /// code outside the decoded map (including bad PCs, which fault
-    /// identically there).
-    fn step_pre(&mut self) -> Result<(), SimError> {
-        if self.halted {
-            return Ok(());
-        }
-        if let Some(e) = &self.decode_error {
-            return Err(e.clone());
-        }
-        if !self.started {
-            self.started = true;
-            // Cold start: the entry function streams into the method
-            // cache. The fill stall belongs to this engine's driver, so
-            // its cycles attribute to the predecoded tier.
-            let before = self.now;
-            if let Some(f) = self.function_at(self.pc).cloned() {
-                self.method_fill(f.start_word, f.size_words, &mut NullSink);
-            }
-            self.host.pre_cycles += self.now - before;
-        }
-        if self.now >= self.config.max_cycles {
-            return Err(SimError::MaxCyclesExceeded {
-                limit: self.config.max_cycles,
-            });
-        }
-        // A continuation word (bad PC) or code outside the decoded map
-        // both fall back to the reference step, which faults or executes
-        // identically without consulting the map.
-        match self.pre_bundle_copy(self.pc) {
-            Some(pb) => {
-                let before = self.now;
-                self.step_decoded(&pb)?;
-                self.host.pre_bundles += 1;
-                self.host.pre_cycles += self.now - before;
-                Ok(())
-            }
-            None => self.step_traced(&mut NullSink),
-        }
-    }
-
-    /// The basic-block fast path: retires consecutive fast-class bundles
-    /// in a tight loop. Stops at the first bundle that could stall
-    /// (memory operations, call/return/halt), at a pending call/return
-    /// redirect (those fill the method cache), or off the decoded map —
-    /// the caller then takes one general step and re-enters.
-    ///
-    /// Fast-class bundles only ever advance `now` by their issue cycles
-    /// (they cannot stall), so the whole burst's guest cycles are
-    /// attributed in one subtraction at exit.
-    fn run_fast(&mut self) -> Result<Option<PreBundle>, SimError> {
-        if !self.started || self.decode_error.is_some() {
-            return Ok(None);
-        }
-        let entry_now = self.now;
-        let mut retired = 0u64;
-        let outcome = self.run_fast_burst(&mut retired);
-        self.host.fast_bundles += retired;
-        self.host.fast_cycles += self.now - entry_now;
-        outcome
-    }
-
-    /// The batched burst behind [`Simulator::run_fast`]: retires
-    /// fast-class bundles with the cycle counter, bundle index, PC,
-    /// pending branch, and every Stats counter a fast op can touch held
-    /// in locals, flushed back in one step when the burst exits — the
-    /// per-bundle field traffic of the general step collapses into
-    /// register arithmetic.
-    ///
-    /// Bit-identity with the reference interpreter holds because the
-    /// loop replays its exact phase order: prep faults before issue
-    /// accounting, exec faults after it (with the first slot's effects
-    /// already applied), and the locals are flushed on *every* exit —
-    /// including error paths — so the architectural state at a fault is
-    /// indistinguishable from the reference engine's.
-    /// Returns the decoded non-fast bundle the burst stopped at, if
-    /// that is why it stopped — the driver then retires it via the
-    /// general step without a second lookup.
-    fn run_fast_burst(&mut self, retired: &mut u64) -> Result<Option<PreBundle>, SimError> {
-        if let Some(flow) = &self.pending_flow {
-            if matches!(flow.target, FlowTarget::Call(_) | FlowTarget::Ret(_)) {
-                return Ok(None);
-            }
-        }
-        let mut st = BurstState {
-            now: self.now,
-            bundle_index: self.bundle_index,
-            pc: self.pc,
-            pend: self.pending_flow.take(),
-            d: FastDeltas::default(),
-        };
-        let outcome = self.fast_loop(&mut st);
-        self.now = st.now;
-        self.bundle_index = st.bundle_index;
-        self.pc = st.pc;
-        self.pending_flow = st.pend;
-        let d = st.d;
-        self.stats.bundles += d.bundles;
-        self.stats.issue_cycles += d.issue_cycles;
-        self.stats.nops += d.nops;
-        self.stats.insts_executed += d.insts_executed;
-        self.stats.insts_annulled += d.insts_annulled;
-        self.stats.second_slots_used += d.second_slots_used;
-        self.stats.nop_bundles += d.nop_bundles;
-        self.stats.taken_branches += d.taken_branches;
-        self.stats.untaken_branches += d.untaken_branches;
-        self.stats.stack_ops += d.stack_ops;
-        *retired += d.bundles;
-        outcome
-    }
-
-    /// The hot loop of [`Simulator::run_fast_burst`]. Every mutable
-    /// scalar lives in a local; `save!` writes them back at each exit.
-    fn fast_loop(&mut self, st: &mut BurstState) -> Result<Option<PreBundle>, SimError> {
-        let dual = self.config.dual_issue;
-        let max_cycles = self.config.max_cycles;
-        let mut now = st.now;
-        let mut bi = st.bundle_index;
-        let mut pc = st.pc;
-        let mut pend = st.pend.take();
-        let mut d = st.d;
-        macro_rules! save {
-            () => {{
-                st.now = now;
-                st.bundle_index = bi;
-                st.pc = pc;
-                st.pend = pend;
-                st.d = d;
-            }};
-        }
-        'refind: loop {
-            // Resolve the decoded function once per region; the inner
-            // loop then indexes it directly. The handle cannot go stale:
-            // nothing in the fast class fills or evicts.
-            let Some(df) = self.decoded_func_at(pc) else {
-                save!();
-                return Ok(None);
-            };
-            loop {
-                if now >= max_cycles {
-                    save!();
-                    return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
-                }
-                if !df.contains(pc) {
-                    continue 'refind;
-                }
-                let Some(pb) = df.bundle_at(pc) else {
-                    save!();
-                    return Ok(None);
-                };
-                if !pb.fast {
-                    save!();
-                    return Ok(Some(*pb));
-                }
-
-                // --- Prep: faults leave the bundle unissued ---
-                let first = match self.prep_slot_at(&pb.first, pc, bi) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        save!();
-                        return Err(e);
-                    }
-                };
-                let second = match &pb.second {
-                    Some(s) => match self.prep_slot_at(s, pc, bi) {
-                        Ok(x) => Some(x),
-                        Err(e) => {
-                            save!();
-                            return Err(e);
-                        }
-                    },
-                    None => None,
-                };
-
-                // --- Issue ---
-                let had_pending_flow = pend.is_some();
-                let issue_cycles = if dual || pb.second.is_none() { 1 } else { 2 };
-                now += issue_cycles;
-                bi += 1;
-                d.bundles += 1;
-                d.issue_cycles += issue_cycles;
-                if let Some((inst, guard_true, _)) = &second {
-                    if !matches!(inst.op, Op::Nop) && *guard_true {
-                        d.second_slots_used += 1;
-                    }
-                }
-                if pb.all_nop {
-                    d.nop_bundles += 1;
-                }
-
-                // --- Effects: faults flush the partial bundle ---
-                let this_pc = pc;
-                let mut new_flow: Option<PendingFlow> = None;
-                let (inst, guard_true, vals) = first;
-                if let Err(e) = self.exec_fast_slot(
-                    inst,
-                    guard_true,
-                    vals,
-                    this_pc,
-                    had_pending_flow,
-                    &mut new_flow,
-                    bi,
-                    &mut d,
-                ) {
-                    save!();
-                    return Err(e);
-                }
-                if let Some((inst, guard_true, vals)) = second {
-                    if let Err(e) = self.exec_fast_slot(
-                        inst,
-                        guard_true,
-                        vals,
-                        this_pc,
-                        had_pending_flow,
-                        &mut new_flow,
-                        bi,
-                        &mut d,
-                    ) {
-                        save!();
-                        return Err(e);
-                    }
-                }
-
-                // --- Advance PC and retire delay slots ---
-                pc = this_pc.wrapping_add(pb.width);
-                let fresh = new_flow.is_some();
-                if fresh {
-                    pend = new_flow;
-                }
-                if let Some(mut flow) = pend.take() {
-                    if !fresh {
-                        flow.slots_left = flow.slots_left.saturating_sub(1);
-                    }
-                    if flow.slots_left == 0 {
-                        match flow.target {
-                            FlowTarget::Jump(t) => pc = t,
-                            FlowTarget::Call(_) | FlowTarget::Ret(_) => {
-                                unreachable!("the fast class creates only branch flows")
-                            }
-                        }
-                    } else {
-                        pend = Some(flow);
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Simulator::exec_slot`] specialised to the fast class: the same
-    /// effects in the same order, with the Stats increments routed to
-    /// the burst's local deltas and the bundle index taken from a local.
-    /// The differential sweep (`fastpath_differential`) pins its
-    /// equivalence to the reference interpreter op by op.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn exec_fast_slot(
-        &mut self,
-        inst: Inst,
-        guard_true: bool,
-        vals: [u32; 2],
-        this_pc: u32,
-        had_pending_flow: bool,
-        new_flow: &mut Option<PendingFlow>,
-        bi: u64,
-        d: &mut FastDeltas,
-    ) -> Result<(), SimError> {
+        } = slot;
         if matches!(inst.op, Op::Nop) {
-            d.nops += 1;
+            c.nops += 1;
             return Ok(());
         }
         if !guard_true {
-            d.insts_annulled += 1;
-            // The only flow op in the fast class is a plain branch.
-            if inst.op.is_flow() {
-                d.untaken_branches += 1;
+            c.insts_annulled += 1;
+            if inst.op.is_flow() && !matches!(inst.op, Op::Halt) {
+                c.untaken_branches += 1;
             }
             return Ok(());
         }
-        d.insts_executed += 1;
+        c.insts_executed += 1;
         match inst.op {
+            Op::Nop => unreachable!("handled above"),
             Op::AluR { op, rd, .. } => {
-                self.write_reg_ready_at(rd, op.apply(vals[0], vals[1]), bi);
+                self.write_reg(rd, op.apply(vals[0], vals[1]), bi);
             }
             Op::AluI { op, rd, imm, .. } => {
-                self.write_reg_ready_at(rd, op.apply(vals[0], imm as i32 as u32), bi);
+                self.write_reg(rd, op.apply(vals[0], imm as i32 as u32), bi);
             }
             Op::Mul { .. } => {
                 let prod = (vals[0] as i32 as i64).wrapping_mul(vals[1] as i32 as i64);
@@ -1804,14 +992,14 @@ impl Simulator {
                 self.mul_ready = bi + timing::MUL_GAP as u64;
             }
             Op::LoadImmLow { rd, imm } => {
-                self.write_reg_ready_at(rd, imm as i16 as i32 as u32, bi);
+                self.write_reg(rd, imm as i16 as i32 as u32, bi);
             }
             Op::LoadImmHigh { rd, imm } => {
                 let low = self.regs[rd.index() as usize] & 0xffff;
-                self.write_reg_ready_at(rd, ((imm as u32) << 16) | low, bi);
+                self.write_reg(rd, ((imm as u32) << 16) | low, bi);
             }
             Op::LoadImm32 { rd, imm } => {
-                self.write_reg_ready_at(rd, imm, bi);
+                self.write_reg(rd, imm, bi);
             }
             Op::Cmp { op, pd, .. } => {
                 self.write_pred(pd, op.apply(vals[0], vals[1]));
@@ -1825,36 +1013,177 @@ impl Simulator {
                 self.write_pred(pd, op.apply(a, b));
             }
             Op::Load {
-                area: area @ (MemArea::Stack | MemArea::Spm),
+                area,
                 size,
                 rd,
                 ra,
                 offset,
             } => {
                 let ea = self.effective_address(area, ra, offset, size);
-                let value = if area == MemArea::Stack {
-                    self.check_stack_window_at(ea, this_pc)?;
-                    d.stack_ops += 1;
-                    self.mem_read(ea, size, false)
-                } else {
-                    self.mem_read(ea, size, true)
+                let value = match area {
+                    MemArea::Stack => {
+                        self.check_stack_window(ea, this_pc)?;
+                        c.stack_ops += 1;
+                        self.mem_read(ea, size, false)
+                    }
+                    MemArea::Spm => self.mem_read(ea, size, true),
+                    MemArea::Static | MemArea::Data => {
+                        let (result, kind, cause) = if area == MemArea::Static {
+                            (
+                                self.ccache.access(ea, false),
+                                CacheKind::Static,
+                                StallCause::StaticCache,
+                            )
+                        } else {
+                            (
+                                self.dcache.access(ea, false),
+                                CacheKind::Data,
+                                StallCause::DataCache,
+                            )
+                        };
+                        if S::ENABLED {
+                            sink.event(TraceEvent::CacheAccess {
+                                pc: this_pc,
+                                cycle: self.now,
+                                cache: kind,
+                                hit: result.hit,
+                                transfer_words: result.transfer_words,
+                            });
+                        }
+                        if !result.hit {
+                            self.transact_words(result.transfer_words, cause, this_pc, sink);
+                        }
+                        self.mem_read(ea, size, false)
+                    }
+                    MemArea::Main => return Err(SimError::IllegalMainAccess { pc: this_pc }),
                 };
-                self.write_reg_ready_at(rd, value, bi + timing::LOAD_USE_GAP as u64);
+                self.write_reg(rd, value, bi + timing::LOAD_USE_GAP as u64);
             }
             Op::Store {
-                area: area @ (MemArea::Stack | MemArea::Spm),
+                area,
                 size,
                 ra,
                 offset,
                 rs: _,
             } => {
                 let ea = self.effective_address(area, ra, offset, size);
-                if area == MemArea::Stack {
-                    self.check_stack_window_at(ea, this_pc)?;
-                    d.stack_ops += 1;
-                    self.mem_write(ea, size, vals[1], false);
-                } else {
-                    self.mem_write(ea, size, vals[1], true);
+                let value = vals[1];
+                match area {
+                    MemArea::Stack => {
+                        self.check_stack_window(ea, this_pc)?;
+                        c.stack_ops += 1;
+                        self.mem_write(ea, size, value, false);
+                    }
+                    MemArea::Spm => self.mem_write(ea, size, value, true),
+                    MemArea::Static | MemArea::Data => {
+                        let (result, kind) = if area == MemArea::Static {
+                            (self.ccache.access(ea, true), CacheKind::Static)
+                        } else {
+                            (self.dcache.access(ea, true), CacheKind::Data)
+                        };
+                        if S::ENABLED {
+                            sink.event(TraceEvent::CacheAccess {
+                                pc: this_pc,
+                                cycle: self.now,
+                                cache: kind,
+                                hit: result.hit,
+                                transfer_words: result.transfer_words,
+                            });
+                        }
+                        self.mem_write(ea, size, value, false);
+                        self.post_write(this_pc, sink);
+                    }
+                    MemArea::Main => return Err(SimError::IllegalMainAccess { pc: this_pc }),
+                }
+            }
+            Op::MainLoad { offset, .. } => {
+                if self.pending_load.is_some() {
+                    return Err(SimError::LoadStillPending { pc: this_pc });
+                }
+                let ea = vals[0].wrapping_add((offset as i32 as u32).wrapping_mul(4));
+                let value = self.mem.read_word(ea);
+                let burst = self.mem.burst_cycles(1);
+                let start = self.now.max(self.wb_drains_at);
+                let granted = match &self.config.tdma {
+                    Some((arb, core)) => arb.grant(*core, start, burst),
+                    None => start,
+                };
+                self.pending_load = Some(PendingLoad {
+                    ready_at: granted + burst as u64,
+                    value,
+                });
+            }
+            Op::MainWait { rd } => match self.pending_load.take() {
+                Some(p) => {
+                    if p.ready_at > self.now {
+                        let wait = p.ready_at - self.now;
+                        self.stats.stalls.split_load += wait;
+                        self.now = p.ready_at;
+                        if S::ENABLED {
+                            sink.event(TraceEvent::Stall {
+                                pc: this_pc,
+                                cycle: self.now,
+                                cycles: wait,
+                                cause: StallCause::SplitLoad,
+                            });
+                        }
+                    }
+                    self.sm = p.value;
+                    self.write_reg(rd, p.value, bi);
+                }
+                None => {
+                    if self.config.strict {
+                        return Err(SimError::NoPendingLoad { pc: this_pc });
+                    }
+                    let sm = self.sm;
+                    self.write_reg(rd, sm, bi);
+                }
+            },
+            Op::MainStore { offset, .. } => {
+                let ea = vals[0].wrapping_add((offset as i32 as u32).wrapping_mul(4));
+                self.mem_write(ea, AccessSize::Word, vals[1], false);
+                self.post_write(this_pc, sink);
+            }
+            Op::Sres { words } => {
+                let effect = self.scache.reserve(words);
+                if S::ENABLED {
+                    sink.event(TraceEvent::CacheAccess {
+                        pc: this_pc,
+                        cycle: self.now,
+                        cache: CacheKind::Stack,
+                        hit: effect.spill_words == 0,
+                        transfer_words: effect.spill_words,
+                    });
+                }
+                if effect.spill_words > 0 {
+                    self.transact_words(effect.spill_words, StallCause::StackCache, this_pc, sink);
+                }
+            }
+            Op::Sens { words } => {
+                let effect = self.scache.ensure(words);
+                if S::ENABLED {
+                    sink.event(TraceEvent::CacheAccess {
+                        pc: this_pc,
+                        cycle: self.now,
+                        cache: CacheKind::Stack,
+                        hit: effect.fill_words == 0,
+                        transfer_words: effect.fill_words,
+                    });
+                }
+                if effect.fill_words > 0 {
+                    self.transact_words(effect.fill_words, StallCause::StackCache, this_pc, sink);
+                }
+            }
+            Op::Sfree { words } => {
+                self.scache.free(words);
+                if S::ENABLED {
+                    sink.event(TraceEvent::CacheAccess {
+                        pc: this_pc,
+                        cycle: self.now,
+                        cache: CacheKind::Stack,
+                        hit: true,
+                        transfer_words: 0,
+                    });
                 }
             }
             Op::Mts { sd, .. } => match sd {
@@ -1872,25 +1201,142 @@ impl Simulator {
                     SpecialReg::St => self.scache.stack_top(),
                     SpecialReg::Ss => self.scache.spill_pointer(),
                 };
-                self.write_reg_ready_at(rd, value, bi);
+                self.write_reg(rd, value, bi);
             }
-            Op::Br { .. } => {
-                if had_pending_flow || new_flow.is_some() {
+            Op::Br { .. } | Op::Call { .. } | Op::CallR { .. } | Op::Ret | Op::Halt => {
+                if matches!(inst.op, Op::Halt) {
+                    self.halted = true;
+                    return Ok(());
+                }
+                if in_delay_slot || new_flow.is_some() {
                     return Err(SimError::FlowInDelaySlot { pc: this_pc });
                 }
-                d.taken_branches += 1;
+                c.taken_branches += 1;
                 let target = match inst.op.flow_kind() {
                     FlowKind::Branch(off) => FlowTarget::Jump(this_pc.wrapping_add(off as u32)),
-                    _ => unreachable!("Br is a branch"),
+                    FlowKind::CallDirect(off) => FlowTarget::Call(this_pc.wrapping_add(off as u32)),
+                    FlowKind::CallIndirect(_) => FlowTarget::Call(vals[0]),
+                    FlowKind::Return => FlowTarget::Ret(vals[0]),
+                    FlowKind::None | FlowKind::Halt => unreachable!("flow ops only"),
                 };
                 *new_flow = Some(PendingFlow {
                     target,
                     slots_left: inst.delay_slots(),
                 });
             }
-            _ => unreachable!("only fast-class ops reach the fast loop"),
         }
         Ok(())
+    }
+
+    /// Prepares one slot of the bundle at `pc` with index
+    /// `bundle_index`: contract checks, guard evaluation, operand reads.
+    #[inline(always)]
+    fn prep_slot(&self, slot: &PreSlot, pc: u32, bundle_index: u64) -> Result<Prepared, SimError> {
+        for reg in slot.uses.into_iter().flatten() {
+            self.check_reg_ready(reg, pc, bundle_index)?;
+        }
+        if self.config.strict && slot.mfs_mul && self.mul_ready > bundle_index {
+            return Err(SimError::MulGapViolation { pc });
+        }
+        Ok(Prepared {
+            inst: slot.inst,
+            guard_true: slot.inst.guard.eval(&self.preds),
+            vals: slot
+                .uses
+                .map(|r| r.map_or(0, |r| self.regs[r.index() as usize])),
+        })
+    }
+
+    /// Adds a retire-counter record into [`Stats`].
+    #[inline(always)]
+    fn flush(&mut self, c: RetireCounts) {
+        let s = &mut self.stats;
+        s.bundles += c.bundles;
+        s.issue_cycles += c.issue_cycles;
+        s.nops += c.nops;
+        s.insts_executed += c.insts_executed;
+        s.insts_annulled += c.insts_annulled;
+        s.second_slots_used += c.second_slots_used;
+        s.nop_bundles += c.nop_bundles;
+        s.taken_branches += c.taken_branches;
+        s.untaken_branches += c.untaken_branches;
+        s.stack_ops += c.stack_ops;
+    }
+
+    /// One burst: retires consecutive fast-class bundles with the cycle
+    /// counter, bundle index, PC, pending branch and retire counters in
+    /// locals, written back once on every exit — error paths included,
+    /// so the state at a fault is exactly the step's. Each bundle runs
+    /// the step's phases in the step's order through the same
+    /// `prep_slot`, issue accounting and `exec_slot`.
+    ///
+    /// The burst stops at the first bundle outside the fast class or the
+    /// table, and does not start before the first step or while a call
+    /// or return is pending (those fill the method cache). What it
+    /// leaves out — trace events, the fault and flow-check hooks,
+    /// stalls, calls and returns — cannot arise for a fast-class bundle
+    /// on a run that bursts; for the same reason `exec_slot` never reads
+    /// the fields the locals stand in for.
+    fn burst(&mut self) -> Result<(), SimError> {
+        let call_or_ret_pending = matches!(
+            self.pending_flow,
+            Some(PendingFlow {
+                target: FlowTarget::Call(_) | FlowTarget::Ret(_),
+                ..
+            })
+        );
+        if !self.started || call_or_ret_pending {
+            return Ok(());
+        }
+        let dual_issue = self.config.dual_issue;
+        let max_cycles = self.config.max_cycles;
+        let entry_now = self.now;
+        let mut now = self.now;
+        let mut bi = self.bundle_index;
+        let mut pc = self.pc;
+        let mut pend = self.pending_flow.take();
+        let mut c = RetireCounts::default();
+        let outcome = (|| -> Result<(), SimError> {
+            loop {
+                if now >= max_cycles {
+                    return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
+                }
+                let pb = match self.code.get(pc as usize) {
+                    Some(Some(pb)) if pb.fast => *pb,
+                    _ => return Ok(()),
+                };
+                let first = self.prep_slot(&pb.first, pc, bi)?;
+                let second = match &pb.second {
+                    Some(s) => Some(self.prep_slot(s, pc, bi)?),
+                    None => None,
+                };
+                let in_delay_slot = pend.is_some();
+                now += c.issue(&pb, second.as_ref(), dual_issue);
+                bi += 1;
+                let mut new_flow = None;
+                let sink = &mut NullSink;
+                self.exec_slot(first, pc, bi, in_delay_slot, &mut new_flow, &mut c, sink)?;
+                if let Some(s) = second {
+                    self.exec_slot(s, pc, bi, in_delay_slot, &mut new_flow, &mut c, sink)?;
+                }
+                pc = pc.wrapping_add(pb.width);
+                match retire_flow(&mut pend, new_flow) {
+                    Some(FlowTarget::Jump(t)) => pc = t,
+                    Some(FlowTarget::Call(_) | FlowTarget::Ret(_)) => {
+                        unreachable!("the fast class opens only branch flows")
+                    }
+                    None => {}
+                }
+            }
+        })();
+        self.now = now;
+        self.bundle_index = bi;
+        self.pc = pc;
+        self.pending_flow = pend;
+        self.flush(c);
+        self.host.fast_bundles += c.bundles;
+        self.host.fast_cycles += now - entry_now;
+        outcome
     }
 
     fn redirect<S: TraceSink>(&mut self, target: FlowTarget, sink: &mut S) -> Result<(), SimError> {
@@ -1931,7 +1377,7 @@ impl Simulator {
                     .cloned()
                     .ok_or(SimError::NotAFunction { target: t })?;
                 let link = self.pc;
-                self.write_reg(LINK_REG, link, 0);
+                self.write_reg(LINK_REG, link, self.bundle_index);
                 self.method_fill(f.start_word, f.size_words, sink);
                 self.stats.calls += 1;
                 if S::ENABLED {
@@ -1961,14 +1407,10 @@ impl Simulator {
         Ok(())
     }
 
-    fn write_reg(&mut self, rd: Reg, value: u32, extra_gap: u32) {
-        self.write_reg_ready_at(rd, value, self.bundle_index + extra_gap as u64);
-    }
-
-    /// [`Simulator::write_reg`] with the ready index precomputed — the
-    /// batched fast loop keeps the bundle index in a local.
+    /// Writes `rd`, whose new value becomes readable from bundle index
+    /// `ready` on.
     #[inline(always)]
-    fn write_reg_ready_at(&mut self, rd: Reg, value: u32, ready: u64) {
+    fn write_reg(&mut self, rd: Reg, value: u32, ready: u64) {
         if rd.is_zero() {
             return;
         }
@@ -2449,8 +1891,8 @@ end:
         assert_eq!(fast.regs, slow.regs);
         assert_eq!(fast.preds, slow.preds);
 
-        // The fast engine actually engaged; the reference engine left the
-        // host counters untouched.
+        // The bursts actually engaged; the step-only run left the host
+        // counters untouched.
         let h = fast.host_stats();
         assert!(h.fast_bundles > 0, "fast path covered some bundles");
         assert!(h.pre_bundles > 0, "memory bundles took the general tier");
@@ -2502,8 +1944,9 @@ end:
     fn fast_engine_survives_method_cache_evictions() {
         use patmos_mem::{MethodCacheConfig, ReplacementPolicy};
         // A method cache so small that every call and return evicts the
-        // previous function: the predecoded images are dropped and
-        // rebuilt constantly and must never desynchronise.
+        // previous function: fills and their stalls come constantly,
+        // while both engines keep executing from the one table decoded
+        // at construction, which no eviction touches.
         let src = "        .func one\n        addi r1 = r1, 1\n        ret\n        nop\n        nop\n        .func two\n        addi r2 = r2, 1\n        ret\n        nop\n        nop\n        .func main\n        .entry main\n        li r3 = 4\nloop:\n        call one\n        nop\n        call two\n        nop\n        subi r3 = r3, 1\n        cmpineq p1 = r3, 0\n        (p1) br loop\n        nop\n        nop\n        halt\n";
         let image = assemble(src).expect("assembles");
         let cfg = SimConfig {
@@ -2527,6 +1970,33 @@ end:
             fast_result.stats.method_cache.misses > 4,
             "the tiny cache actually thrashed"
         );
+    }
+
+    #[test]
+    fn unusable_tdma_schedule_is_an_error_not_a_panic() {
+        let image = assemble("        .func main\n        halt\n").expect("assembles");
+        let with_tdma = |slot_cycles, core| SimConfig {
+            tdma: Some((patmos_mem::TdmaArbiter::new(2, slot_cycles), core)),
+            ..SimConfig::default()
+        };
+        // A 4-cycle slot cannot take the default 22-cycle line fill, and
+        // core 5 has no slot in a 2-core schedule.
+        let short = SimError::TdmaSlotTooShort {
+            burst_cycles: 22,
+            slot_cycles: 4,
+        };
+        let outside = SimError::TdmaCoreOutOfRange { core: 5, cores: 2 };
+        for (config, expected) in [(with_tdma(4, 0), short), (with_tdma(64, 5), outside)] {
+            assert_eq!(
+                Simulator::try_new(&image, config.clone()).unwrap_err(),
+                expected
+            );
+            // The infallible constructor defers the error to the first
+            // step instead of panicking mid-run.
+            let mut sim = Simulator::new(&image, config);
+            assert_eq!(sim.run().unwrap_err(), expected);
+        }
+        assert!(Simulator::try_new(&image, with_tdma(64, 1)).is_ok());
     }
 
     #[test]

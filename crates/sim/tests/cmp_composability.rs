@@ -22,7 +22,7 @@ fn compute_bound_image() -> patmos_asm::ObjectImage {
 fn a_cores_time_is_independent_of_its_neighbours() {
     let mem_img = memory_bound_image();
     let cpu_img = compute_bound_image();
-    let system = CmpSystem::new(SimConfig::default(), 4, 64);
+    let system = CmpSystem::new(SimConfig::default(), 4, 64).expect("slots fit");
 
     // Same image on all cores...
     let homogeneous = system.run_all(&mem_img).expect("runs");
@@ -40,7 +40,7 @@ fn a_cores_time_is_independent_of_its_neighbours() {
 #[test]
 fn slot_position_fully_determines_core_timing() {
     let img = memory_bound_image();
-    let system = CmpSystem::new(SimConfig::default(), 3, 64);
+    let system = CmpSystem::new(SimConfig::default(), 3, 64).expect("slots fit");
     let a = system.run_all(&img).expect("runs");
     let b = system.run_all(&img).expect("runs");
     for (x, y) in a.iter().zip(&b) {
@@ -57,7 +57,7 @@ fn single_core_with_tdma_slot_is_never_faster_than_dedicated_port() {
     let mut alone = Simulator::new(&img, SimConfig::default());
     let dedicated = alone.run().expect("runs").stats.cycles;
     for cores in [1u32, 2, 4] {
-        let system = CmpSystem::new(SimConfig::default(), cores, 64);
+        let system = CmpSystem::new(SimConfig::default(), cores, 64).expect("slots fit");
         let results = system.run_all(&img).expect("runs");
         for r in results {
             assert!(
@@ -76,7 +76,7 @@ fn compute_bound_code_barely_notices_tdma() {
     let img = compute_bound_image();
     let mut alone = Simulator::new(&img, SimConfig::default());
     let dedicated = alone.run().expect("runs").stats.cycles;
-    let system = CmpSystem::new(SimConfig::default(), 8, 64);
+    let system = CmpSystem::new(SimConfig::default(), 8, 64).expect("slots fit");
     let results = system.run_all(&img).expect("runs");
     for r in results {
         // Only the cold method-cache fill goes through the arbiter.

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "cores", "worst core", "tdma wait", "wcw per burst"
     );
     for cores in [1u32, 2, 4, 8] {
-        let system = CmpSystem::new(SimConfig::default(), cores, slot_cycles);
+        let system = CmpSystem::new(SimConfig::default(), cores, slot_cycles)?;
         let results = system.run_all(&image)?;
         let worst = results
             .iter()
