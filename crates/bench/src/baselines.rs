@@ -142,6 +142,15 @@ pub struct Cell {
     pub bound: u64,
     /// The WCET bound with `.pipeloop` records ignored.
     pub blind_bound: u64,
+    /// FNV-1a 64 digest of the emitted assembly text.
+    pub asm_fnv: u64,
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Compiles, runs and analyses one kernel under one configuration.
@@ -179,6 +188,7 @@ fn measure(w: &Workload, config: &Config) -> Cell {
         pipelined: pipelined.map(|l| (l.mii, l.ii)).collect(),
         bound: bound.bound_cycles,
         blind_bound: blind.bound_cycles,
+        asm_fnv: fnv1a64(artifacts.asm.as_bytes()),
     }
 }
 
@@ -247,9 +257,11 @@ pub const OPT3: &str = "opt3_cycles.json";
 pub const REGALLOC2: &str = "regalloc2_cycles.json";
 /// Pipeline-aware WCET bounds.
 pub const WCET: &str = "wcet_bounds.json";
+/// Digests of the emitted assembly: equal cycles do not prove equal code.
+pub const ASM: &str = "asm_digests.json";
 
-/// Every cycle baseline file as a view over the matrix.
-pub const FAMILIES: [Family; 7] = [
+/// Every baseline file as a view over the matrix.
+pub const FAMILIES: [Family; 8] = [
     Family {
         file: REGALLOC,
         text: include_str!("../baselines/regalloc_cycles.json"),
@@ -310,6 +322,16 @@ pub const FAMILIES: [Family; 7] = [
             ("bound_cycles", Live(O3S2, |c| c.bound)),
             ("fallback_bound_cycles", Live(O3S2, |c| c.blind_bound)),
             ("measured_cycles", Live(O3S2, |c| c.cycles)),
+        ],
+    },
+    Family {
+        file: ASM,
+        text: include_str!("../baselines/asm_digests.json"),
+        columns: &[
+            ("opt1_sched1", Live(O1S1, |c| c.asm_fnv)),
+            ("opt2_sched1", Live(O2S1, |c| c.asm_fnv)),
+            ("opt3_sched2", Live(O3S2, |c| c.asm_fnv)),
+            ("opt3_sched2_loop", Live(O3S2_LOOP, |c| c.asm_fnv)),
         ],
     },
 ];

@@ -726,6 +726,7 @@ mod tests {
         e15_opt3_baseline_file_matches_current_measurements => baselines::OPT3,
         e18_regalloc2_baseline_file_matches_current_measurements => baselines::REGALLOC2,
         e19_wcet_bounds_baseline_file_matches_current_measurements => baselines::WCET,
+        asm_digests_file_matches_current_measurements => baselines::ASM,
     }
 
     /// The gate table: one test per gate, each checking its rules on the
@@ -822,7 +823,7 @@ mod tests {
         assert_eq!(
             files,
             baselines::FAMILIES.len() + 1,
-            "the seven families plus the resilience campaign"
+            "every family plus the resilience campaign"
         );
     }
 

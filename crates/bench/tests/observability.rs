@@ -3,7 +3,7 @@
 //! perturbs execution, and the profiler/pessimism acceptance numbers of
 //! the cycle-attribution layer hold against the pinned baselines.
 
-use patmos::compiler::{compile, CompileOptions};
+use patmos::compiler::{compile, compile_with_artifacts, CompileOptions};
 use patmos::sim::{SimConfig, Simulator};
 use patmos::trace::{EventTotals, Profile, VecSink};
 use patmos::wcet::{pessimism, Machine};
@@ -199,4 +199,26 @@ fn pipelined_fallback_is_dead_in_the_ipet_solution() {
             );
         }
     }
+}
+
+/// The modulo scheduler's search effort over the suite at the default
+/// options, pinned exactly, so a return to the full II sweep fails here
+/// on any host. The sweep used to run from MII to `MAX_II` and apply the
+/// benefit test only once a schedule was found: 35 II values (stencil2d
+/// 12, expintish 6, matvec8 4 + 1, matmult 2 + 1, one each for the
+/// eight pipelined loops and sort8) and 14689 placement steps. Refusing
+/// on the resource MII first and stopping at the last II whose
+/// one-stage estimate can pay leaves 10 II values — the first II of the
+/// eight pipelined loops, matmult's `main_head7` and sort8's
+/// `main_head5` — and 229 placement steps.
+#[test]
+fn modulo_search_effort_is_pinned() {
+    let (mut ii_tried, mut placements) = (0, 0);
+    for w in workloads::all() {
+        let artifacts =
+            compile_with_artifacts(&w.source, &CompileOptions::default()).expect("kernel compiles");
+        ii_tried += artifacts.sched.ii_tried;
+        placements += artifacts.sched.placements;
+    }
+    assert_eq!((ii_tried, placements), (10, 229));
 }

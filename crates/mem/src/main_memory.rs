@@ -9,8 +9,15 @@ use std::fmt;
 
 const PAGE_SHIFT: u32 = 16;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-const NUM_PAGES: usize = 1 << (32 - PAGE_SHIFT);
 const OFFSET_MASK: usize = PAGE_SIZE - 1;
+/// Pages per block of the two-level page table.
+const BLOCK_BITS: u32 = 8;
+const BLOCK_PAGES: usize = 1 << BLOCK_BITS;
+/// Blocks in the directory, which covers the 32-bit space.
+const NUM_BLOCKS: usize = 1 << (32 - PAGE_SHIFT - BLOCK_BITS);
+
+type Page = Box<[u8; PAGE_SIZE]>;
+type Block = [Option<Page>; BLOCK_PAGES];
 
 /// Timing parameters of the main-memory interface.
 ///
@@ -64,13 +71,16 @@ impl Default for MemConfig {
 /// Reads of untouched locations return zero, like initialised SRAM in the
 /// FPGA prototype. Addresses wrap within the 32-bit space.
 ///
-/// Storage is a flat page table — one pointer slot per 64 KiB page of
-/// the 32-bit space — so every access is a single bounds-free index
-/// instead of a hash lookup. Pages materialise zero-filled on first
-/// write; the table itself costs half a megabyte per memory instance.
+/// Storage is a two-level page table — a directory of 256 blocks of 256
+/// pointer slots, one per 64 KiB page — so every access is two
+/// bounds-free indexes instead of a hash lookup. Blocks and pages
+/// materialise on first write, so an empty memory costs a 2 KiB
+/// directory, not a half-megabyte flat table that every
+/// `Simulator::new` would allocate and zero, at a cost that swings with
+/// the allocator's heap state.
 #[derive(Clone)]
 pub struct MainMemory {
-    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+    blocks: Box<[Option<Box<Block>>; NUM_BLOCKS]>,
     config: MemConfig,
 }
 
@@ -86,7 +96,10 @@ impl fmt::Debug for MainMemory {
         f.debug_struct("MainMemory")
             .field(
                 "resident_pages",
-                &self.pages.iter().filter(|p| p.is_some()).count(),
+                &(self.blocks.iter().flatten())
+                    .flat_map(|b| b.iter())
+                    .filter(|p| p.is_some())
+                    .count(),
             )
             .field("config", &self.config)
             .finish()
@@ -103,14 +116,22 @@ impl MainMemory {
     /// An empty memory with the given timing configuration.
     pub fn new(config: MemConfig) -> MainMemory {
         MainMemory {
-            pages: vec![None; NUM_PAGES],
+            blocks: Box::new([const { None }; NUM_BLOCKS]),
             config,
         }
     }
 
     #[inline]
+    fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
+        let block = self.blocks[(addr >> (PAGE_SHIFT + BLOCK_BITS)) as usize].as_deref()?;
+        block[(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)].as_deref()
+    }
+
+    #[inline]
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
-        self.pages[(addr >> PAGE_SHIFT) as usize].get_or_insert_with(zero_page)
+        let block = self.blocks[(addr >> (PAGE_SHIFT + BLOCK_BITS)) as usize]
+            .get_or_insert_with(|| Box::new([const { None }; BLOCK_PAGES]));
+        block[(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)].get_or_insert_with(zero_page)
     }
 
     /// The timing configuration.
@@ -126,7 +147,7 @@ impl MainMemory {
     /// Reads one byte.
     #[inline]
     pub fn read_byte(&self, addr: u32) -> u8 {
-        match &self.pages[(addr >> PAGE_SHIFT) as usize] {
+        match self.page(addr) {
             Some(page) => page[addr as usize & OFFSET_MASK],
             None => 0,
         }
@@ -143,7 +164,7 @@ impl MainMemory {
     pub fn read_half(&self, addr: u32) -> u16 {
         let off = addr as usize & OFFSET_MASK;
         if off <= PAGE_SIZE - 2 {
-            match &self.pages[(addr >> PAGE_SHIFT) as usize] {
+            match self.page(addr) {
                 Some(page) => u16::from_le_bytes(page[off..off + 2].try_into().expect("2 bytes")),
                 None => 0,
             }
@@ -170,7 +191,7 @@ impl MainMemory {
     pub fn read_word(&self, addr: u32) -> u32 {
         let off = addr as usize & OFFSET_MASK;
         if off <= PAGE_SIZE - 4 {
-            match &self.pages[(addr >> PAGE_SHIFT) as usize] {
+            match self.page(addr) {
                 Some(page) => u32::from_le_bytes(page[off..off + 4].try_into().expect("4 bytes")),
                 None => 0,
             }

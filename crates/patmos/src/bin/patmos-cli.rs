@@ -48,10 +48,12 @@
 //! `--dump-pipeline` prints the loop-throughput report: every loop the
 //! unroller rewrote (scheme, factor, trip count) and every loop the
 //! modulo scheduler pipelined (ops, MII, achieved II, stages,
-//! prologue/kernel/epilogue bundle counts); `--dump-alloc` prints the
-//! allocator's detailed per-function map: register assignments, spill
-//! slots, and — under `--reg-policy loop` — each loop's round-robin
-//! register class, hoisted caller-saves and preheader reloads.
+//! prologue/kernel/epilogue bundle counts), then the modulo
+//! scheduler's search effort (II values tried, placement steps);
+//! `--dump-alloc` prints the allocator's detailed per-function map:
+//! register assignments, spill slots, and — under `--reg-policy loop` —
+//! each loop's round-robin register class, hoisted caller-saves and
+//! preheader reloads.
 //! `--stats` extends `run`
 //! with the full counter set, including the per-cause stall breakdown,
 //! executed stack-cache operations, and — for `.patc` inputs — the
@@ -447,6 +449,10 @@ fn dump_artifacts(source: &str, options: &CompileOptions, args: &Args) -> Result
                 );
             }
         }
+        println!(
+            "modulo search: {} II value(s) tried, {} placement step(s)",
+            artifacts.sched.ii_tried, artifacts.sched.placements
+        );
     }
     if args.dump_alloc {
         println!("=== register allocation (detail) ===");

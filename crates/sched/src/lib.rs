@@ -224,6 +224,13 @@ pub struct SchedReport {
     /// their MII/II, and refusals with the cost-model estimate that
     /// turned them down — for `patmos-cli --remarks`.
     pub remarks: Vec<patmos_lir::Remark>,
+    /// Initiation intervals the modulo scheduler tried, summed over
+    /// loops.
+    pub ii_tried: u64,
+    /// Rounds of the modulo scheduler's budgeted placement loop (each
+    /// places one op, or runs out of budget), summed over loops, IIs and
+    /// placement orders.
+    pub placements: u64,
 }
 
 impl SchedReport {
@@ -363,7 +370,7 @@ pub fn schedule_with_report(
                     options.dual_issue,
                     options.reuse_renaming,
                     &live_in,
-                    &mut report.remarks,
+                    &mut report,
                 ) {
                     report.remarks.push(patmos_lir::Remark {
                         pass: "modulo-sched",

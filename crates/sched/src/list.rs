@@ -91,19 +91,15 @@ pub fn schedule_block(
     }
     let critical_path = height.iter().copied().max().unwrap_or(0);
 
-    // Cycle-by-cycle list scheduling of the body.
+    // Cycle-by-cycle list scheduling of the body. An op is ready once
+    // every predecessor is placed, at the latest of their gaps.
+    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+    for &(p, s, gap) in &edges {
+        preds[s].push((p, gap));
+    }
     let mut sched: Vec<Option<u32>> = vec![None; n];
     let earliest = |i: usize, sched: &[Option<u32>]| -> Option<u32> {
-        let mut at = 0u32;
-        for &(p, s, gap) in &edges {
-            if s == i {
-                match sched[p] {
-                    Some(c) => at = at.max(c + gap),
-                    None => return None,
-                }
-            }
-        }
-        Some(at)
+        (preds[i].iter()).try_fold(0u32, |at, &(p, gap)| Some(at.max(sched[p]? + gap)))
     };
 
     let mut cycles: Vec<(Option<usize>, Option<usize>)> = Vec::new();

@@ -16,11 +16,12 @@
 //!    against `b` of iteration `k+1` at distance one. `MII` is the max
 //!    of the two (plus the structural floor the branch placement
 //!    needs).
-//! 2. **Iterative scheduling.** At each candidate `II` (from `MII`
-//!    upward), ops are placed in critical-path priority order into a
-//!    modulo reservation table; every placement respects both the
-//!    same-iteration and the distance-one constraints against all
-//!    already-placed ops. A failed placement bumps `II` and retries.
+//! 2. **Iterative scheduling.** At each candidate `II` (from `MII` up
+//!    to the last `II` that can still pass the benefit test), ops are
+//!    placed in critical-path priority order into a modulo reservation
+//!    table; every placement respects both the same-iteration and the
+//!    distance-one constraints against all already-placed ops. A failed
+//!    placement bumps `II` and retries.
 //! 3. **Lifetimes instead of renaming.** Patmos has no rotating
 //!    registers, and after allocation no scratch registers either.
 //!    Because *anti* and *output* dependences participate in the
@@ -66,7 +67,7 @@ use patmos_lir::plir::{CountedLoop, Item, LirInst, LirOp, LoopBoundSrc};
 
 use crate::dag::{dependence_gap, out_gap, Func, LiveSet};
 use crate::list;
-use crate::{LoopReport, SchedBundle, SchedItem};
+use crate::{LoopReport, SchedBundle, SchedItem, SchedReport};
 
 /// Candidate initiation intervals are searched up to this bound; a
 /// partially unrolled body's memory chain alone can push `II` past 30.
@@ -246,27 +247,17 @@ fn nop() -> LirInst {
 /// Tries to software-pipeline the loop whose header is block `h` (body
 /// block `h + 1`). Returns `None` when the shape does not match, no
 /// feasible `II` exists, or pipelining would not beat the plain
-/// list-scheduled loop.
+/// list-scheduled loop. Once the loop is recognised as counted, every
+/// `None` comes with exactly one missed remark in `report`, which also
+/// accumulates the search effort.
 pub(crate) fn try_pipeline(
     func: &Func,
     h: usize,
     dual_issue: bool,
     reuse_renaming: bool,
     live_in: &[LiveSet],
-    remarks: &mut Vec<patmos_lir::Remark>,
+    report: &mut SchedReport,
 ) -> Option<Pipelined> {
-    let mut refuse = |site: &str, message: String| {
-        if std::env::var_os("PATMOS_MODULO_DEBUG").is_some() {
-            eprintln!("{site}: {message}");
-        }
-        remarks.push(patmos_lir::Remark {
-            pass: "modulo-sched",
-            function: func.name.clone(),
-            site: Some(site.to_string()),
-            applied: false,
-            message,
-        });
-    };
     // ---- shape ----
     if h == 0 || h + 1 >= func.blocks.len() {
         return None;
@@ -277,6 +268,15 @@ pub(crate) fn try_pipeline(
         return None;
     }
     let label = hb.labels[0].clone();
+    let refuse = |report: &mut SchedReport, message: String| {
+        report.remarks.push(patmos_lir::Remark {
+            pass: "modulo-sched",
+            function: func.name.clone(),
+            site: Some(label.clone()),
+            applied: false,
+            message,
+        });
+    };
     let (min_ann, max_ann) = head_bound(&hb.head)?;
     let hterm = hb.term.as_ref()?;
     let bterm = bb.term.as_ref()?;
@@ -295,7 +295,7 @@ pub(crate) fn try_pipeline(
     let cl = match CountedLoop::recognize(&hb.insts, hterm, &bb.insts, bterm) {
         Some(cl) => cl,
         None => {
-            refuse(&label, "not a recognisable counted loop".into());
+            refuse(report, "not a recognisable counted loop".into());
             return None;
         }
     };
@@ -328,7 +328,12 @@ pub(crate) fn try_pipeline(
     // K - (S-1)*step` for the guard test itself).
     let bound_regs = match cl.bound {
         LoopBoundSrc::Imm(k) => {
-            if !CMPI_IMM_RANGE.contains(&(k as i64 - cl.step as i64)) {
+            let lookahead = k as i64 - cl.step as i64;
+            if !CMPI_IMM_RANGE.contains(&lookahead) {
+                refuse(
+                    report,
+                    format!("lookahead bound {lookahead} does not fit the cmpi immediate"),
+                );
                 return None;
             }
             None
@@ -336,7 +341,7 @@ pub(crate) fn try_pipeline(
         LoopBoundSrc::Reg(k) => {
             if pool.len() < 2 || cl.step > 2047 {
                 refuse(
-                    &label,
+                    report,
                     format!("no spare bound registers (pool {})", pool.len()),
                 );
                 return None;
@@ -366,21 +371,32 @@ pub(crate) fn try_pipeline(
     ops.extend(bb.insts.iter().cloned());
     let n = ops.len();
     let cmp_idx = 0usize;
-    let renamed = rename_loop_temporaries(&mut ops, boundary_live, pool, reuse_renaming);
-
-    // ---- dependence relations ----
-    // d0[i][j] (i < j): minimum gap within one iteration.
-    // d1[i][j] (any i, j): minimum gap from op i of iteration k to op
-    // j of iteration k+1 — every dependence class becomes a
-    // loop-carried edge, which is what bounds lifetimes to II.
-    let gap = |a: usize, b: usize| dependence_gap(&ops[a], &ops[b]);
     let slots = if dual_issue { 2usize } else { 1 };
     let slot1_only = |op: &LirInst| !op.op.allowed_in_second_slot() || op.op.is_long();
 
-    // ---- MII ----
+    // ---- resource MII: the cheapest refusal, before any O(n²) work ----
     let n_slot1: u32 = ops.iter().filter(|o| slot1_only(o)).count() as u32;
     let width: u32 = ops.iter().map(|o| if o.op.is_long() { 2 } else { 1 }).sum();
     let res_mii = (n_slot1 + 1).max(width.div_ceil(slots as u32) + 1);
+    if res_mii > MAX_II {
+        refuse(
+            report,
+            format!("resource MII {res_mii} exceeds the largest II searched ({MAX_II})"),
+        );
+        return None;
+    }
+
+    let renamed = rename_loop_temporaries(&mut ops, boundary_live, pool, reuse_renaming);
+
+    // ---- dependence relations ----
+    // gap(i, j) (i < j): minimum gap within one iteration.
+    // gap(i, j) (any i, j): minimum gap from op i of iteration k to op
+    // j of iteration k+1 — every dependence class becomes a
+    // loop-carried edge, which is what bounds lifetimes to II.
+    let gaps = Gaps::new(&ops);
+    let gap = |a: usize, b: usize| gaps.get(a, b);
+
+    // ---- MII ----
     let mut rec_mii = 0u32;
     for i in 0..n {
         if let Some(g) = gap(i, i) {
@@ -397,6 +413,37 @@ pub(crate) fn try_pipeline(
     // row of stage 0.
     let mii = res_mii.max(rec_mii).max(4);
 
+    // ---- the last paying II ----
+    // The plain per-iteration cost the pipeline has to beat, at the
+    // annotated worst-case trip count. No II above the last one whose
+    // one-stage estimate passes can pay, so the search stops there.
+    let baseline = list::schedule_block(&hb.insts, Some(hterm), dual_issue)
+        .bundles
+        .len()
+        + list::schedule_block(&bb.insts, Some(bterm), dual_issue)
+            .bundles
+            .len();
+    let (trips, baseline) = (max_ann.saturating_sub(1) as i64, baseline as i64);
+    let last = last_paying_ii(trips, baseline);
+    let hi = last.min(MAX_II);
+    if mii > hi {
+        let message = if mii > last {
+            let (pipelined, plain) = benefit_estimate(trips, baseline, mii, 1);
+            let last = match last {
+                0 => "no II pays".to_string(),
+                ii => format!("the last paying II is {ii}"),
+            };
+            format!(
+                "MII {mii}, but {last}: one stage at II {mii} is estimated at {pipelined} \
+                 cycles pipelined, not below 90% of {plain} plain over {trips} worst-case trips"
+            )
+        } else {
+            format!("MII {mii} (recurrence {rec_mii}) exceeds the largest II searched ({MAX_II})")
+        };
+        refuse(report, message);
+        return None;
+    }
+
     // Critical-path priority over the same-iteration DAG.
     let mut height: Vec<u32> = ops.iter().map(|o| out_gap(o).max(1)).collect();
     for i in (0..n).rev() {
@@ -409,14 +456,6 @@ pub(crate) fn try_pipeline(
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
 
-    // The plain per-iteration cost the pipeline has to beat.
-    let baseline = list::schedule_block(&hb.insts, Some(hterm), dual_issue)
-        .bundles
-        .len()
-        + list::schedule_block(&bb.insts, Some(bterm), dual_issue)
-            .bundles
-            .len();
-
     // ---- iterative scheduling (Rau's IMS) ----
     // At each candidate II, ops are placed at their earliest legal
     // time; a placement that conflicts — on a reservation slot or on a
@@ -427,10 +466,12 @@ pub(crate) fn try_pipeline(
     // but it is blind to loop-carried recurrences; program order
     // follows them naturally — try both before bumping II.
     let program_order: Vec<usize> = (0..n).collect();
-    'next_ii: for ii in mii..=MAX_II {
+    'next_ii: for ii in mii..=hi {
+        report.ii_tried += 1;
+        let steps = &mut report.placements;
         let times = match [&order, &program_order]
             .into_iter()
-            .find_map(|ord| place_all(&ops, ord, ii, slots, cmp_idx))
+            .find_map(|ord| place_all(&ops, &gaps, ord, ii, slots, cmp_idx, steps))
         {
             Some(times) => times,
             None => continue 'next_ii,
@@ -460,28 +501,17 @@ pub(crate) fn try_pipeline(
         }
 
         // ---- benefit ----
-        // Estimated at the annotated worst-case trip count: the kernel
-        // must win back the guard, the fill/drain ramps, the exit
-        // detour, *and* the cold method-cache fill of the grown code
-        // (prologue, epilogue and the fallback copy) — with a 10%
-        // margin, because everything here is an estimate and a
-        // marginal pipeline is not worth the code.
-        let trips = max_ann.saturating_sub(1) as i64;
-        let s = stages as i64;
-        if trips < s + 1 {
+        if trips < stages as i64 + 1 {
             refuse(
-                &label,
+                report,
                 format!("worst-case trip count {trips} cannot fill {stages} stage(s)"),
             );
             return None;
         }
-        let ramp = 2 * (s - 1) * ii as i64;
-        let code_growth = (ramp + baseline as i64 + 12) * 3 / 2;
-        let pipelined = 4 + ramp + (trips - s + 1) * ii as i64 + 6 + code_growth;
-        let plain = trips * baseline as i64 + 3;
-        if pipelined * 10 >= plain * 9 {
+        let (pipelined, plain) = benefit_estimate(trips, baseline, ii, stages);
+        if !pays((pipelined, plain)) {
             refuse(
-                &label,
+                report,
                 format!(
                     "no benefit at II {ii}: {stages} stage(s), estimated {pipelined} cycles \
                      pipelined vs {plain} plain over {trips} worst-case trips"
@@ -497,7 +527,67 @@ pub(crate) fn try_pipeline(
         p.report.renamed = renamed;
         return Some(p);
     }
+    refuse(report, format!("no feasible schedule at II {mii}..={hi}"));
     None
+}
+
+/// The benefit estimate at the annotated worst-case trip count:
+/// `(pipelined, plain)` cycles for a kernel of `stages` stages at `ii`
+/// against a plain loop of `baseline` bundles per iteration. The kernel
+/// must win back the guard, the fill/drain ramps, the exit detour, *and*
+/// the cold method-cache fill of the grown code (prologue, epilogue and
+/// the fallback copy).
+fn benefit_estimate(trips: i64, baseline: i64, ii: u32, stages: u32) -> (i64, i64) {
+    let (ii, s) = (ii as i64, stages as i64);
+    let ramp = 2 * (s - 1) * ii;
+    let code_growth = (ramp + baseline + 12) * 3 / 2;
+    let pipelined = 4 + ramp + (trips - s + 1) * ii + 6 + code_growth;
+    let plain = trips * baseline + 3;
+    (pipelined, plain)
+}
+
+/// Whether an estimate passes the benefit test: a 10% margin, because
+/// everything here is an estimate and a marginal pipeline is not worth
+/// the code.
+fn pays((pipelined, plain): (i64, i64)) -> bool {
+    pipelined * 10 < plain * 9
+}
+
+/// The largest II whose one-stage estimate still passes the benefit
+/// test, or 0 when none does. With `s` stages the estimate is exactly
+/// `4·(s−1)·II` above the one-stage value, and the one-stage value grows
+/// by `trips` per unit of II, so no schedule at a larger II can pay.
+fn last_paying_ii(trips: i64, baseline: i64) -> u32 {
+    // pays(ii) ⟺ 10·(at_zero + trips·ii) < 9·plain ⟺ 10·trips·ii < slack.
+    // With no trips, plain is 3 cycles and the slack is negative.
+    let (at_zero, plain) = benefit_estimate(trips, baseline, 0, 1);
+    let slack = 9 * plain - 10 * at_zero;
+    if slack <= 0 {
+        return 0;
+    }
+    u32::try_from((slack - 1) / (10 * trips)).unwrap_or(u32::MAX)
+}
+
+/// `dependence_gap` between every ordered pair of one iteration's ops,
+/// computed once per loop and shared by the MII, the priorities, every
+/// II and placement order, and the re-verification.
+struct Gaps {
+    n: usize,
+    gap: Vec<Option<u32>>,
+}
+
+impl Gaps {
+    fn new(ops: &[LirInst]) -> Gaps {
+        let n = ops.len();
+        let gap = (ops.iter())
+            .flat_map(|a| ops.iter().map(move |b| dependence_gap(a, b)))
+            .collect();
+        Gaps { n, gap }
+    }
+
+    fn get(&self, a: usize, b: usize) -> Option<u32> {
+        self.gap[a * self.n + b]
+    }
 }
 
 /// Places every op at a legal `(time, slot)` for the given `II` and
@@ -507,13 +597,15 @@ pub(crate) fn try_pipeline(
 /// returning).
 fn place_all(
     ops: &[LirInst],
+    gaps: &Gaps,
     order: &[usize],
     ii: u32,
     slots: usize,
     cmp_idx: usize,
+    steps: &mut u64,
 ) -> Option<Vec<Placed>> {
     let n = ops.len();
-    let gap = |a: usize, b: usize| dependence_gap(&ops[a], &ops[b]);
+    let gap = |a: usize, b: usize| gaps.get(a, b);
     let slot1_only = |op: &LirInst| !op.op.allowed_in_second_slot() || op.op.is_long();
     let br_row = ii - 1 - patmos_isa::timing::BRANCH_DELAY_COND;
     let horizon = (MAX_STAGES * ii - 1) as i64;
@@ -535,6 +627,7 @@ fn place_all(
 
     // Highest-priority unplaced op each round.
     while let Some(&idx) = order.iter().find(|&&i| placed[i].is_none()) {
+        *steps += 1;
         budget -= 1;
         if budget < 0 {
             return None;
@@ -1022,7 +1115,7 @@ mod tests {
         let split = crate::dag::split_blocks(module);
         let func = &split.funcs[0];
         let live = crate::dag::live_in_sets(func);
-        try_pipeline(func, 1, true, false, &live, &mut Vec::new())
+        try_pipeline(func, 1, true, false, &live, &mut SchedReport::default())
     }
 
     #[test]
@@ -1120,6 +1213,53 @@ mod tests {
         // One worst-case trip: the guard and exit detour can never pay
         // for themselves.
         assert!(pipeline(&counted_module(2)).is_none());
+    }
+
+    #[test]
+    fn too_wide_a_body_is_refused_on_its_resource_mii() {
+        // A hundred extra ALU ops: 105 ops per iteration need
+        // ceil(105 / 2) + 1 = 54 rows, more than any II searched.
+        let mut m = counted_module(61);
+        let extra = (0..100).map(|k| Item::Inst(alu(11 + k % 10, 0, 0)));
+        m.items.splice(11..11, extra);
+        let split = crate::dag::split_blocks(&m);
+        let func = &split.funcs[0];
+        let live = crate::dag::live_in_sets(func);
+        let mut report = SchedReport::default();
+        assert!(try_pipeline(func, 1, true, false, &live, &mut report).is_none());
+        assert_eq!(report.remarks.len(), 1, "{:?}", report.remarks);
+        let remark = &report.remarks[0];
+        assert!(!remark.applied);
+        assert!(
+            remark.message.contains("resource MII 54"),
+            "{}",
+            remark.message
+        );
+        assert_eq!(report.ii_tried, 0, "refused before any II is tried");
+    }
+
+    #[test]
+    fn the_last_paying_ii_bounds_every_schedule_exactly() {
+        for trips in 0..=128 {
+            for baseline in 1..=96 {
+                let one = |ii| benefit_estimate(trips, baseline, ii, 1);
+                for ii in 1..=MAX_II {
+                    // More stages never estimate below one stage...
+                    for stages in 1..=MAX_STAGES {
+                        let (pipelined, plain) = benefit_estimate(trips, baseline, ii, stages);
+                        assert!(pipelined >= one(ii).0 && plain == one(ii).1);
+                    }
+                    // ...and one stage never gets cheaper as II grows.
+                    assert!(one(ii + 1).0 >= one(ii).0);
+                }
+                let last = (1..=MAX_II).filter(|&ii| pays(one(ii))).max();
+                assert_eq!(
+                    last_paying_ii(trips, baseline).min(MAX_II),
+                    last.unwrap_or(0),
+                    "{trips} trips, baseline {baseline}"
+                );
+            }
+        }
     }
 
     #[test]
