@@ -222,3 +222,22 @@ fn modulo_search_effort_is_pinned() {
     }
     assert_eq!((ii_tried, placements), (10, 229));
 }
+
+/// The mid-end's work over the suite at the default options: fixpoint
+/// rounds, instructions in and instructions out, pinned exactly. A
+/// mid-end compile-time speed-up must do this same work faster; fewer
+/// rounds or less folding fails here.
+#[test]
+fn mid_end_work_is_pinned() {
+    let (mut rounds, mut insts_in, mut insts_out) = (0, 0, 0);
+    for w in workloads::all() {
+        let opt = compile_with_artifacts(&w.source, &CompileOptions::default())
+            .expect("kernel compiles")
+            .opt
+            .expect("the default options run the mid-end");
+        rounds += opt.rounds;
+        insts_in += opt.insts_before;
+        insts_out += opt.insts_after;
+    }
+    assert_eq!((rounds, insts_in, insts_out), (133, 1268, 1582));
+}

@@ -61,19 +61,20 @@ pub struct VBlock {
 
 /// The CFG of one function's virtual code.
 pub struct VCfg {
-    /// Blocks in position order; block 0 is the entry.
+    /// Blocks in position order, tiling the positions without gaps;
+    /// block 0 is the entry.
     pub blocks: Vec<VBlock>,
     /// Positions of `CallFunc` instructions.
     pub call_positions: Vec<usize>,
 }
 
 impl VCfg {
-    /// The block containing position `pos`.
+    /// The block containing position `pos`: a binary search, since the
+    /// blocks tile the positions in order.
     pub fn block_of(&self, pos: usize) -> usize {
-        self.blocks
-            .iter()
-            .position(|b| b.first <= pos && pos < b.end)
-            .expect("position belongs to a block")
+        let bi = self.blocks.partition_point(|b| b.end <= pos);
+        assert!(bi < self.blocks.len(), "position belongs to a block");
+        bi
     }
 }
 
@@ -130,7 +131,7 @@ pub fn build_vcfg(func: &FuncCode<'_>, items: &[VItem]) -> VCfg {
     }
 
     // Successors.
-    let block_at = |pos: usize| blocks.iter().position(|b| b.first == pos);
+    let block_at = |pos: usize| blocks.binary_search_by_key(&pos, |b| b.first).ok();
     let mut edits: Vec<(usize, Vec<usize>)> = Vec::new();
     for (bi, block) in blocks.iter().enumerate() {
         let mut succs = Vec::new();

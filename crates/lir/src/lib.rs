@@ -9,9 +9,11 @@
 //!   ([`VReg`], [`VOp`], [`VInst`], [`VItem`], [`VModule`]);
 //! * [`mod@cfg`] — per-function basic-block splitting and successor edges
 //!   over the virtual code;
-//! * [`liveness`] — backward liveness dataflow: live intervals for
-//!   linear scan, block-boundary live sets for dead-code elimination,
-//!   and the precise live-across-call sets the allocator saves;
+//! * [`liveness`] — backward liveness dataflow, one bitset solve per
+//!   function: block-boundary live sets for dead-code elimination and
+//!   loop-invariant code motion, and on top of them the live intervals
+//!   for linear scan and the precise live-across-call sets the
+//!   allocator saves;
 //! * [`mod@dom`] — the dominator tree over the CFG (iterative
 //!   Cooper–Harper–Kennedy);
 //! * [`mod@loops`] — the natural-loop forest derived from the back
@@ -36,7 +38,7 @@
 //!
 //! ```
 //! use patmos_isa::{AluOp, CmpOp, Guard, Pred};
-//! use patmos_lir::{build_vcfg, split_functions, LoopForest, VInst, VItem, VOp, VReg};
+//! use patmos_lir::{build_vcfg, split_functions, BlockLiveness, LoopForest, VInst, VItem, VOp, VReg};
 //!
 //! let v = VReg::new;
 //! let items = vec![
@@ -81,8 +83,9 @@
 //!
 //! // Backward liveness: the accumulator v2 is live across the back
 //! // edge, from its zero-init to the ABI copy.
-//! let live = patmos_lir::analyze(&funcs[0], &cfg);
-//! assert!(live.block_live_in[1].contains(&v(2)));
+//! let live = BlockLiveness::solve(&funcs[0], &cfg);
+//! assert!(live.live_in(1).contains(v(2)));
+//! assert_eq!(live.live_out(2).iter().collect::<Vec<_>>(), vec![v(1), v(2)]);
 //!
 //! // The natural-loop forest: one loop, header block 1, latch block 2.
 //! let forest = LoopForest::build(&cfg);
@@ -102,7 +105,7 @@ pub mod vlir;
 
 pub use cfg::{build_vcfg, split_functions, FuncCode, VBlock, VCfg};
 pub use dom::DomTree;
-pub use liveness::{analyze, Interval, Liveness};
+pub use liveness::{analyze, BlockLiveness, Interval, Liveness, VRegSet};
 pub use loops::{header_lead, HeaderLead, LoopForest, NaturalLoop};
 pub use remark::Remark;
 pub use vlir::{VInst, VItem, VModule, VOp, VReg};

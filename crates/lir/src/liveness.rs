@@ -1,33 +1,206 @@
 //! Backward liveness dataflow over the virtual-register CFG.
 //!
-//! Produces, per function:
+//! One solve, [`BlockLiveness::solve`], finds the registers live at
+//! every block boundary of a function. Its sets are dense bitsets
+//! indexed by [`VReg::id`], so a fixpoint iteration is a few word-wide
+//! `or`/`and-not` operations per block. Every consumer reads a view of
+//! that one solve:
 //!
-//! * one conservative live interval per virtual register (the `[first,
+//! * dead-code elimination walks each block backward from its live-out
+//!   set, and loop-invariant code motion tests a loop header's live-in
+//!   set ([`BlockLiveness::live_out`], [`BlockLiveness::live_in`]);
+//! * the register allocator calls [`analyze`], which adds one
+//!   conservative live interval per virtual register (the `[first,
 //!   last]` position span of every point where the value is live, with
 //!   live-through blocks extending the span to their boundaries — the
-//!   linearised-extent form linear scan wants), and
-//! * the precise set of registers live *after* each call position, which
-//!   is exactly the set the allocator must save around the call.
+//!   linearised-extent form linear scan wants) and the precise set of
+//!   registers live *after* each call position, which is exactly the set
+//!   the allocator must save around the call.
 //!
 //! A def under a non-always guard counts as a use as well: when the
 //! guard is false the old value flows through, so the register must stay
 //! live (and keep the same physical register) across the guarded write.
-
-use std::collections::{HashMap, HashSet};
+//! [`VRegSet::step_back`] is the one place that rule is applied.
 
 use crate::cfg::{FuncCode, VCfg};
-use crate::vlir::VReg;
+use crate::vlir::{VInst, VReg};
 
-/// Defs and uses of one instruction, with guarded defs widened to uses.
-fn def_uses(inst: &crate::vlir::VInst) -> (Option<VReg>, Vec<VReg>) {
-    let def = inst.op.def();
-    let mut uses: Vec<VReg> = inst.op.uses().into_iter().flatten().collect();
-    if let Some(d) = def {
-        if !inst.guard.is_always() {
-            uses.push(d);
+/// A set of virtual registers as a dense bitset: bit `id % 64` of word
+/// `id / 64` stands for the register with that id.
+///
+/// `VRegSet<&[u64]>` is a block set borrowed from a [`BlockLiveness`];
+/// the owned `VRegSet` is the working set of a backward walk.
+#[derive(Debug, Default)]
+pub struct VRegSet<W = Vec<u64>> {
+    words: W,
+}
+
+impl<W: AsRef<[u64]>> VRegSet<W> {
+    /// Whether `v` is in the set.
+    pub fn contains(&self, v: VReg) -> bool {
+        let id = v.id() as usize;
+        self.words
+            .as_ref()
+            .get(id / 64)
+            .is_some_and(|w| w >> (id % 64) & 1 != 0)
+    }
+
+    /// The members, in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.words
+            .as_ref()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        VReg::new((i * 64 + bit) as u32)
+                    })
+                })
+            })
+    }
+}
+
+impl VRegSet {
+    /// Replaces the contents with those of `other`.
+    pub fn assign(&mut self, other: &VRegSet<&[u64]>) {
+        self.words.clear();
+        self.words.extend_from_slice(other.words);
+    }
+
+    /// Adds `v`.
+    pub fn insert(&mut self, v: VReg) {
+        let id = v.id() as usize;
+        if id / 64 >= self.words.len() {
+            self.words.resize(id / 64 + 1, 0);
+        }
+        self.words[id / 64] |= 1 << (id % 64);
+    }
+
+    /// Removes `v`.
+    pub fn remove(&mut self, v: VReg) {
+        let id = v.id() as usize;
+        if let Some(w) = self.words.get_mut(id / 64) {
+            *w &= !(1 << (id % 64));
         }
     }
-    (def, uses)
+
+    /// Steps the set backward over `inst`: from the registers live after
+    /// it to the registers live before it. An unguarded def kills its
+    /// register; a guarded def reads it, because an annulled write lets
+    /// the old value through.
+    pub fn step_back(&mut self, inst: &VInst) {
+        if let Some(d) = inst.op.def() {
+            if inst.guard.is_always() {
+                self.remove(d);
+            } else {
+                self.insert(d);
+            }
+        }
+        for u in inst.op.uses().into_iter().flatten() {
+            self.insert(u);
+        }
+    }
+}
+
+/// The registers live at every block boundary of one function: one
+/// backward dataflow solve over dense bitsets.
+pub struct BlockLiveness {
+    /// `u64` words per set; every register id of the function fits.
+    words: usize,
+    /// Live-in sets, `words` words per block, in `VCfg::blocks` order.
+    live_in: Vec<u64>,
+    /// Live-out sets, laid out like `live_in`.
+    live_out: Vec<u64>,
+}
+
+impl BlockLiveness {
+    /// Solves block-level liveness for one function.
+    pub fn solve(func: &FuncCode<'_>, cfg: &VCfg) -> BlockLiveness {
+        let max_id = func
+            .insts
+            .iter()
+            .flat_map(|(_, inst)| inst.op.uses().into_iter().flatten().chain(inst.op.def()))
+            .map(|v| v.id() as usize)
+            .max()
+            .unwrap_or(0);
+        let words = max_id / 64 + 1;
+        let nblocks = cfg.blocks.len();
+
+        // Per block: gen, the registers read before any unguarded def
+        // (a backward walk from the empty set), and kill, the registers
+        // an unguarded def overwrites.
+        let mut gen = vec![0u64; nblocks * words];
+        let mut kill = vec![0u64; nblocks * words];
+        let mut walk = VRegSet {
+            words: vec![0; words],
+        };
+        let mut defs = VRegSet {
+            words: vec![0; words],
+        };
+        for (bi, block) in cfg.blocks.iter().enumerate() {
+            walk.words.fill(0);
+            defs.words.fill(0);
+            for pos in (block.first..block.end).rev() {
+                let inst = func.insts[pos].1;
+                walk.step_back(inst);
+                if let Some(d) = inst.op.def().filter(|_| inst.guard.is_always()) {
+                    defs.insert(d);
+                }
+            }
+            gen[bi * words..(bi + 1) * words].copy_from_slice(&walk.words);
+            kill[bi * words..(bi + 1) * words].copy_from_slice(&defs.words);
+        }
+
+        // live_out = ∪ live_in(succ), live_in = gen ∪ (live_out − kill),
+        // iterated in reverse block order to the least fixpoint.
+        let mut live_in = vec![0u64; nblocks * words];
+        let mut live_out = vec![0u64; nblocks * words];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (bi, block) in cfg.blocks.iter().enumerate().rev() {
+                for w in 0..words {
+                    let i = bi * words + w;
+                    let out = block
+                        .succs
+                        .iter()
+                        .fold(0, |acc, &s| acc | live_in[s * words + w]);
+                    let inn = gen[i] | (out & !kill[i]);
+                    if out != live_out[i] || inn != live_in[i] {
+                        changed = true;
+                        live_out[i] = out;
+                        live_in[i] = inn;
+                    }
+                }
+            }
+        }
+
+        BlockLiveness {
+            words,
+            live_in,
+            live_out,
+        }
+    }
+
+    /// The registers live at the entry of `block` (indexed like
+    /// `VCfg::blocks`).
+    pub fn live_in(&self, block: usize) -> VRegSet<&[u64]> {
+        VRegSet {
+            words: &self.live_in[block * self.words..(block + 1) * self.words],
+        }
+    }
+
+    /// The registers live at the exit of `block` (indexed like
+    /// `VCfg::blocks`).
+    pub fn live_out(&self, block: usize) -> VRegSet<&[u64]> {
+        VRegSet {
+            words: &self.live_out[block * self.words..(block + 1) * self.words],
+        }
+    }
 }
 
 /// A live interval over instruction positions, inclusive on both ends.
@@ -41,120 +214,73 @@ pub struct Interval {
     pub end: usize,
 }
 
-/// The liveness result for one function.
+/// The register allocator's view of one function's liveness.
 pub struct Liveness {
     /// Intervals sorted by `(start, vreg id)`.
     pub intervals: Vec<Interval>,
     /// For each call position (same order as `VCfg::call_positions`),
     /// the virtual registers live after the call, sorted by id.
     pub live_across_calls: Vec<Vec<VReg>>,
-    /// Registers live at each block's entry (indexed like `VCfg::blocks`).
-    pub block_live_in: Vec<HashSet<VReg>>,
-    /// Registers live at each block's exit (indexed like `VCfg::blocks`).
-    pub block_live_out: Vec<HashSet<VReg>>,
 }
 
-/// Computes liveness for one function.
+/// Computes the live intervals and live-across-call sets of one
+/// function from its [`BlockLiveness`].
 pub fn analyze(func: &FuncCode<'_>, cfg: &VCfg) -> Liveness {
-    let nblocks = cfg.blocks.len();
+    let blocks = BlockLiveness::solve(func, cfg);
 
-    // Block-level gen (upward-exposed uses) and kill (defs).
-    let mut gen: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut kill: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    for (bi, block) in cfg.blocks.iter().enumerate() {
-        for pos in block.first..block.end {
-            let (def, uses) = def_uses(func.insts[pos].1);
-            for u in uses {
-                if !kill[bi].contains(&u) {
-                    gen[bi].insert(u);
-                }
-            }
-            if let Some(d) = def {
-                kill[bi].insert(d);
-            }
-        }
-    }
-
-    // Iterate live_in/live_out to a fixpoint (backward problem).
-    let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in (0..nblocks).rev() {
-            let mut out: HashSet<VReg> = HashSet::new();
-            for &s in &cfg.blocks[bi].succs {
-                out.extend(live_in[s].iter().copied());
-            }
-            let mut inn: HashSet<VReg> = gen[bi].clone();
-            inn.extend(out.difference(&kill[bi]).copied());
-            if out != live_out[bi] || inn != live_in[bi] {
-                changed = true;
-                live_out[bi] = out;
-                live_in[bi] = inn;
-            }
-        }
-    }
-
-    // Intervals: walk each block backwards from its live-out set.
-    let mut ranges: HashMap<VReg, (usize, usize)> = HashMap::new();
-    let extend = |v: VReg, pos: usize, ranges: &mut HashMap<VReg, (usize, usize)>| {
-        let e = ranges.entry(v).or_insert((pos, pos));
-        e.0 = e.0.min(pos);
-        e.1 = e.1.max(pos);
+    // Intervals: every register's (first, last) live position in a
+    // table indexed by id, widened at each read or write and at the
+    // boundaries of every block it is live into or out of.
+    let mut span = vec![(usize::MAX, 0usize); blocks.words * 64];
+    let mut extend = |v: VReg, pos: usize| {
+        let s = &mut span[v.id() as usize];
+        *s = (s.0.min(pos), s.1.max(pos));
     };
     for (bi, block) in cfg.blocks.iter().enumerate() {
-        if block.first == block.end {
-            continue;
+        for v in blocks.live_out(bi).iter() {
+            extend(v, block.end - 1);
         }
-        for &v in &live_out[bi] {
-            extend(v, block.end - 1, &mut ranges);
-        }
-        for &v in &live_in[bi] {
-            extend(v, block.first, &mut ranges);
+        for v in blocks.live_in(bi).iter() {
+            extend(v, block.first);
         }
         for pos in block.first..block.end {
-            let (def, uses) = def_uses(func.insts[pos].1);
-            for u in uses {
-                extend(u, pos, &mut ranges);
-            }
-            if let Some(d) = def {
-                extend(d, pos, &mut ranges);
+            let op = &func.insts[pos].1.op;
+            for v in op.uses().into_iter().flatten().chain(op.def()) {
+                extend(v, pos);
             }
         }
     }
-    let mut intervals: Vec<Interval> = ranges
-        .into_iter()
-        .map(|(vreg, (start, end))| Interval { vreg, start, end })
+    let mut intervals: Vec<Interval> = span
+        .iter()
+        .enumerate()
+        .filter(|(_, &(start, _))| start != usize::MAX)
+        .map(|(id, &(start, end))| Interval {
+            vreg: VReg::new(id as u32),
+            start,
+            end,
+        })
         .collect();
-    intervals.sort_by_key(|iv| (iv.start, iv.vreg.id()));
+    intervals.sort_unstable_by_key(|iv| (iv.start, iv.vreg.id()));
 
     // Per-call live-after sets: walk the call's block backwards from its
     // live-out, stopping once the call position is reached.
-    let mut live_across_calls = Vec::with_capacity(cfg.call_positions.len());
-    for &call_pos in &cfg.call_positions {
-        let bi = cfg.block_of(call_pos);
-        let block = &cfg.blocks[bi];
-        let mut live: HashSet<VReg> = live_out[bi].clone();
-        for pos in (call_pos + 1..block.end).rev() {
-            let (def, uses) = def_uses(func.insts[pos].1);
-            if let Some(d) = def {
-                live.remove(&d);
+    let mut live = VRegSet::default();
+    let live_across_calls = cfg
+        .call_positions
+        .iter()
+        .map(|&call_pos| {
+            let bi = cfg.block_of(call_pos);
+            live.assign(&blocks.live_out(bi));
+            for pos in (call_pos + 1..cfg.blocks[bi].end).rev() {
+                live.step_back(func.insts[pos].1);
             }
-            for u in uses {
-                live.insert(u);
-            }
-        }
-        let mut sorted: Vec<VReg> = live.into_iter().collect();
-        sorted.sort_by_key(|v| v.id());
-        live_across_calls.push(sorted);
-    }
+            live.iter().collect()
+        })
+        .collect();
 
     Liveness {
         intervals,
         live_across_calls,
-        block_live_in: live_in,
-        block_live_out: live_out,
     }
 }
 
@@ -296,5 +422,17 @@ mod tests {
         ];
         let l = analyze_items(&items);
         assert_eq!(l.live_across_calls, vec![vec![v(1)]]);
+    }
+
+    #[test]
+    fn sets_span_word_boundaries() {
+        let mut set = VRegSet::default();
+        for id in [1, 63, 64, 130] {
+            set.insert(v(id));
+        }
+        set.remove(v(64));
+        set.remove(v(500));
+        assert!(set.contains(v(63)) && !set.contains(v(64)) && !set.contains(v(999)));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![v(1), v(63), v(130)]);
     }
 }

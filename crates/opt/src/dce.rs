@@ -9,39 +9,26 @@
 
 use std::collections::BTreeSet;
 
-use patmos_lir::VModule;
+use patmos_lir::{BlockLiveness, VModule, VRegSet};
 
 use crate::util;
 
 /// Runs the pass over every function of the module.
 pub(crate) fn run(module: &mut VModule) -> bool {
     let mut marked: BTreeSet<usize> = BTreeSet::new();
+    let mut live = VRegSet::default();
     for func in &patmos_lir::split_functions(&module.items) {
         let cfg = patmos_lir::build_vcfg(func, &module.items);
-        let live_res = patmos_lir::analyze(func, &cfg);
+        let liveness = BlockLiveness::solve(func, &cfg);
         for (bi, block) in cfg.blocks.iter().enumerate() {
-            let mut live = live_res.block_live_out[bi].clone();
+            live.assign(&liveness.live_out(bi));
             for pos in (block.first..block.end).rev() {
-                let (item_idx, inst) = (func.insts[pos].0, func.insts[pos].1);
-                let def = inst.op.def();
-                if let Some(d) = def {
-                    if inst.op.is_pure() && !live.contains(&d) {
-                        marked.insert(item_idx);
-                        continue;
-                    }
-                    if inst.guard.is_always() {
-                        live.remove(&d);
-                    }
+                let (item_idx, inst) = func.insts[pos];
+                if inst.op.is_pure() && inst.op.def().is_some_and(|d| !live.contains(d)) {
+                    marked.insert(item_idx);
+                    continue;
                 }
-                for u in inst.op.uses().into_iter().flatten() {
-                    live.insert(u);
-                }
-                if let Some(d) = def {
-                    if !inst.guard.is_always() {
-                        // The old value flows through an annulled write.
-                        live.insert(d);
-                    }
-                }
+                live.step_back(inst);
             }
         }
     }

@@ -483,7 +483,7 @@ fn run_pipeline(module: &mut VModule, config: OptConfig) -> OptReport {
     report
 }
 
-/// Runs the level-1 pipeline to a fixed point under `config`.
+/// Runs the pipeline of `config.level` to a fixed point under `config`.
 pub fn optimize_with(module: &mut VModule, config: OptConfig) -> OptReport {
     run_pipeline(module, config)
 }

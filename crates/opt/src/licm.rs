@@ -66,7 +66,10 @@ fn plan_function(
     let cfg = patmos_lir::build_vcfg(func, items);
     let dom = patmos_lir::DomTree::build(&cfg);
     let forest = patmos_lir::LoopForest::build_with_dom(&cfg, &dom);
-    let liveness = patmos_lir::analyze(func, &cfg);
+    if forest.loops.is_empty() {
+        return;
+    }
+    let liveness = patmos_lir::BlockLiveness::solve(func, &cfg);
 
     // Innermost first: deepest loops claim their instructions before
     // the enclosing ones look.
@@ -137,7 +140,7 @@ fn plan_function(
                 }
                 let Some(d) = inst.op.def() else { continue };
                 if def_count.get(&d).copied().unwrap_or(0) != 1
-                    || liveness.block_live_in[lp.header].contains(&d)
+                    || liveness.live_in(lp.header).contains(d)
                 {
                     continue;
                 }
