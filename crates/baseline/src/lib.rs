@@ -6,13 +6,18 @@
 //! worst-case execution time", because history-dependent features
 //! (dynamic branch prediction, unified caches shared by code and data,
 //! blocking loads) are hard to model in WCET analysis. To reproduce that
-//! argument quantitatively (experiment E7) this crate executes the *same
-//! Patmos binaries* with the *same architectural results*, but under a
-//! conventional timing model:
+//! argument quantitatively (experiment E7) this crate runs the *same
+//! Patmos binaries* on the Patmos core and prices them under a
+//! conventional timing model: [`BaselineSim`] steps a non-strict
+//! `patmos_sim::Simulator` and feeds the `Retire` and `DataAccess`
+//! events it emits to that model. Both machines compute the same results
+//! by construction, because the op semantics exist once, in
+//! `patmos-sim`. Only the timing differs:
 //!
 //! * single issue (a two-slot bundle costs two cycles);
 //! * a unified, set-associative cache for **all** data areas — typed
-//!   loads lose their meaning, stack/static/heap traffic interferes;
+//!   loads lose their meaning, stack/static/heap traffic interferes, and
+//!   the scratchpad becomes cached memory at `0x0900_0000`;
 //! * an instruction cache accessed on every fetch — misses can happen at
 //!   *any* instruction, not only at call/return;
 //! * a 2-bit dynamic branch predictor with a misprediction penalty —
@@ -24,6 +29,13 @@
 //! cannot reconstruct, the WCET analysis of this machine (in
 //! `patmos-wcet`) has to assume the worst everywhere — which is exactly
 //! the pessimism gap the experiment measures.
+//!
+//! The suite's counters on this machine are pinned in `patmos-bench`'s
+//! `baseline_machine.json`, recorded when the comparator still executed
+//! every op itself. That machine's architecture differed from the Patmos
+//! core in three corners no compiled program reaches, so the pins carry
+//! over: `mfs ss` read `st`, `ldm` wrote `sm` at issue rather than at
+//! `wres`, and the scratchpad lived in main memory.
 //!
 //! # Example
 //!
@@ -44,4 +56,4 @@ mod predictor;
 mod sim;
 
 pub use predictor::BranchPredictor;
-pub use sim::{BaselineConfig, BaselineError, BaselineResult, BaselineSim, BaselineStats};
+pub use sim::{BaselineConfig, BaselineResult, BaselineSim, BaselineStats};

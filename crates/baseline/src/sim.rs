@@ -1,12 +1,10 @@
-//! The baseline machine: same semantics, conventional timing.
+//! The baseline machine: Patmos semantics, conventional timing.
 
-use patmos_asm::{FuncInfo, ObjectImage};
-use patmos_isa::{
-    AccessSize, Bundle, FlowKind, MemArea, Op, Pred, Reg, SpecialReg, LINK_REG, NUM_PREDS, NUM_REGS,
-};
-use patmos_mem::{
-    CacheStats, MainMemory, ReplacementPolicy, SetAssocCache, SHADOW_STACK_TOP, STACK_TOP,
-};
+use patmos_asm::ObjectImage;
+use patmos_isa::{MemArea, Op, Reg};
+use patmos_mem::{CacheStats, ReplacementPolicy, SetAssocCache};
+use patmos_sim::{SimConfig, SimError, Simulator};
+use patmos_trace::{TraceEvent, TraceSink};
 
 use crate::predictor::BranchPredictor;
 
@@ -56,7 +54,7 @@ impl Default for BaselineConfig {
 }
 
 /// Counters of a baseline run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BaselineStats {
     /// Total cycles.
     pub cycles: u64,
@@ -80,40 +78,6 @@ pub struct BaselineStats {
     pub dcache: CacheStats,
 }
 
-impl BaselineStats {
-    /// Misprediction rate in `0.0..=1.0`.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.predicted_branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.predicted_branches as f64
-        }
-    }
-}
-
-/// Why a baseline run stopped abnormally.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BaselineError {
-    /// PC does not address a bundle.
-    BadPc(u32),
-    /// Call target is not a function.
-    NotAFunction(u32),
-    /// Cycle budget exhausted.
-    MaxCyclesExceeded(u64),
-}
-
-impl std::fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BaselineError::BadPc(pc) => write!(f, "pc {pc:#x} is not a bundle start"),
-            BaselineError::NotAFunction(t) => write!(f, "call target {t:#x} is not a function"),
-            BaselineError::MaxCyclesExceeded(l) => write!(f, "exceeded cycle budget {l}"),
-        }
-    }
-}
-
-impl std::error::Error for BaselineError {}
-
 /// Result of a completed baseline run.
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineResult {
@@ -121,384 +85,188 @@ pub struct BaselineResult {
     pub stats: BaselineStats,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum FlowTarget {
-    Jump(u32),
-    Call(u32),
-    Ret(u32),
+/// What the timing model needs of one bundle, decoded once.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fetch {
+    /// Words fetched through the I$.
+    words: u32,
+    /// Issue cycles: one per occupied slot.
+    slots: u64,
+    /// A guarded control transfer other than `halt`: the predictor
+    /// sees it, and the retiring bundle's `taken_branch` is its guard.
+    predicted: bool,
+    /// `callr` or `ret`: no BTB, so taking it pays the indirect penalty.
+    indirect: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingFlow {
-    target: FlowTarget,
-    slots_left: u32,
-}
-
-/// The conventional machine executing a Patmos binary.
+/// The conventional timing model: a trace sink that prices the Patmos
+/// core's `Retire` and `DataAccess` events.
 #[derive(Debug, Clone)]
-pub struct BaselineSim {
+struct ConventionalTiming {
     config: BaselineConfig,
-    bundles: Vec<Option<Bundle>>,
-    functions: Vec<FuncInfo>,
-    mem: MainMemory,
+    /// Indexed by word address; only bundle starts retire.
+    fetch: Vec<Fetch>,
     icache: SetAssocCache,
     dcache: SetAssocCache,
     predictor: BranchPredictor,
-    regs: [u32; NUM_REGS],
-    preds: [bool; NUM_PREDS],
-    sl: u32,
-    sh: u32,
-    sm: u32,
-    st: u32,
-    pc: u32,
-    now: u64,
-    pending_flow: Option<PendingFlow>,
+    /// Counters so far; `cycles` is the clock.
     stats: BaselineStats,
-    halted: bool,
+}
+
+impl ConventionalTiming {
+    fn new(image: &ObjectImage, config: BaselineConfig) -> ConventionalTiming {
+        let mut fetch = vec![Fetch::default(); image.code().len()];
+        // An image that does not decode leaves the table empty: the core
+        // reports it at its first step.
+        for (addr, bundle) in image.decode().into_iter().flatten() {
+            let flow = bundle.flow_inst();
+            fetch[addr as usize] = Fetch {
+                words: bundle.width_words(),
+                slots: bundle.slots().count() as u64,
+                predicted: flow.is_some_and(|i| !matches!(i.op, Op::Halt) && !i.guard.is_always()),
+                indirect: flow.is_some_and(|i| matches!(i.op, Op::CallR { .. } | Op::Ret)),
+            };
+        }
+        let cache = |(sets, ways, line)| SetAssocCache::new(sets, ways, line, config.policy);
+        ConventionalTiming {
+            fetch,
+            icache: cache(config.icache),
+            dcache: cache(config.dcache),
+            predictor: BranchPredictor::new(config.predictor_entries),
+            stats: BaselineStats::default(),
+            config,
+        }
+    }
+
+    /// Cycles of a `words`-word line fill, added to the clock.
+    fn fill(&mut self, words: u32) -> u64 {
+        let stall = self.config.mem.burst_cycles(words) as u64;
+        self.stats.cycles += stall;
+        stall
+    }
+
+    /// A branch penalty of `cycles` cycles.
+    fn penalty(&mut self, cycles: u32) {
+        self.stats.stall_branch += cycles as u64;
+        self.stats.cycles += cycles as u64;
+    }
+
+    /// One bundle at `pc` retired: fetch, single issue, prediction.
+    fn retire(&mut self, pc: u32, executed: u8, taken: bool) {
+        let bundle = self.fetch[pc as usize];
+        // Instruction fetch: every word through the I$.
+        for w in 0..bundle.words {
+            let res = self.icache.access(CODE_BASE + (pc + w) * 4, false);
+            if !res.hit {
+                self.stats.stall_icache += self.fill(res.transfer_words);
+            }
+        }
+        self.stats.cycles += bundle.slots;
+        self.stats.bundles += 1;
+        self.stats.insts_executed += executed as u64;
+        // Conditional control transfers exercise the predictor whether
+        // taken or not.
+        if bundle.predicted {
+            self.stats.predicted_branches += 1;
+            if self.predictor.predict(pc) != taken {
+                self.stats.mispredicts += 1;
+                self.penalty(self.config.mispredict_penalty);
+            }
+            self.predictor.update(pc, taken);
+        }
+        if taken && bundle.indirect {
+            self.penalty(self.config.indirect_penalty);
+        }
+    }
+
+    /// One load or store through the unified D$. Loads block on a miss
+    /// (`ldm` included, so the split `wres` is free); stores never stall.
+    fn data(&mut self, addr: u32, area: MemArea, store: bool) {
+        let addr = match area {
+            MemArea::Spm => SPM_ALIAS_BASE.wrapping_add(addr),
+            _ => addr,
+        };
+        let res = self.dcache.access(addr, store);
+        if !res.hit && !store {
+            self.stats.stall_dcache += self.fill(res.transfer_words);
+        }
+    }
+}
+
+impl TraceSink for ConventionalTiming {
+    fn event(&mut self, e: TraceEvent) {
+        match e {
+            TraceEvent::Retire {
+                pc,
+                executed,
+                taken_branch,
+                ..
+            } => self.retire(pc, executed, taken_branch),
+            TraceEvent::DataAccess {
+                addr, area, store, ..
+            } => self.data(addr, area, store),
+            _ => {}
+        }
+    }
+}
+
+/// The conventional machine executing a Patmos binary: the Patmos core
+/// computes every result, the conventional timing model prices it.
+#[derive(Debug, Clone)]
+pub struct BaselineSim {
+    core: Simulator,
+    timing: ConventionalTiming,
 }
 
 impl BaselineSim {
-    /// Loads an image into a fresh baseline core.
+    /// Loads an image into a fresh baseline core. A code section that
+    /// does not decode is reported by [`BaselineSim::run`].
     pub fn new(image: &ObjectImage, config: BaselineConfig) -> BaselineSim {
-        let code = image.code();
-        let mut bundles = vec![None; code.len()];
-        for (addr, bundle) in image.decode().expect("assembler output decodes") {
-            bundles[addr as usize] = Some(bundle);
-        }
-        let mut mem = MainMemory::new(config.mem);
-        mem.load_words(CODE_BASE, code);
-        for seg in image.data() {
-            mem.load_bytes(seg.addr, &seg.bytes);
-        }
-        let mut regs = [0u32; NUM_REGS];
-        regs[patmos_isa::SHADOW_SP.index() as usize] = SHADOW_STACK_TOP;
-        let mut preds = [false; NUM_PREDS];
-        preds[0] = true;
-        let (is, iw, il) = config.icache;
-        let (ds, dw, dl) = config.dcache;
+        // Non-strict: the conventional machine interlocks instead of
+        // exposing delays, and its own cycle budget is the only one.
+        let core = SimConfig {
+            strict: false,
+            max_cycles: u64::MAX,
+            ..SimConfig::default()
+        };
         BaselineSim {
-            bundles,
-            functions: image.functions().to_vec(),
-            icache: SetAssocCache::new(is, iw, il, config.policy),
-            dcache: SetAssocCache::new(ds, dw, dl, config.policy),
-            predictor: BranchPredictor::new(config.predictor_entries),
-            mem,
-            regs,
-            preds,
-            sl: 0,
-            sh: 0,
-            sm: 0,
-            st: STACK_TOP,
-            pc: image.entry_word(),
-            now: 0,
-            pending_flow: None,
-            stats: BaselineStats::default(),
-            halted: false,
-            config,
+            core: Simulator::new(image, core),
+            timing: ConventionalTiming::new(image, config),
         }
     }
 
     /// Reads a general-purpose register.
     pub fn reg(&self, reg: Reg) -> u32 {
-        self.regs[reg.index() as usize]
-    }
-
-    /// Reads a predicate register.
-    pub fn pred(&self, pred: Pred) -> bool {
-        self.preds[pred.index() as usize]
-    }
-
-    /// The main memory.
-    pub fn memory(&self) -> &MainMemory {
-        &self.mem
-    }
-
-    /// Mutable main memory (for preparing inputs).
-    pub fn memory_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
+        self.core.reg(reg)
     }
 
     /// Counters so far.
     pub fn stats(&self) -> BaselineStats {
-        let mut s = self.stats;
-        s.cycles = self.now;
-        s.icache = self.icache.stats();
-        s.dcache = self.dcache.stats();
-        s
+        let timing = &self.timing;
+        BaselineStats {
+            icache: timing.icache.stats(),
+            dcache: timing.dcache.stats(),
+            ..timing.stats
+        }
     }
 
     /// Runs to `halt`.
     ///
     /// # Errors
     ///
-    /// Returns a [`BaselineError`] on bad control flow or an exhausted
-    /// cycle budget.
-    pub fn run(&mut self) -> Result<BaselineResult, BaselineError> {
-        while !self.halted {
-            self.step()?;
+    /// The Patmos core's [`SimError`], or [`SimError::MaxCyclesExceeded`]
+    /// once the comparator's own cycle budget is spent.
+    pub fn run(&mut self) -> Result<BaselineResult, SimError> {
+        let limit = self.timing.config.max_cycles;
+        while !self.core.is_halted() {
+            if self.timing.stats.cycles >= limit {
+                return Err(SimError::MaxCyclesExceeded { limit });
+            }
+            self.core.step_traced(&mut self.timing)?;
         }
         Ok(BaselineResult {
             stats: self.stats(),
         })
-    }
-
-    fn dcache_read(&mut self, ea: u32, size: AccessSize) -> u32 {
-        let res = self.dcache.access(ea, false);
-        if !res.hit {
-            let stall = self.mem.burst_cycles(res.transfer_words) as u64;
-            self.stats.stall_dcache += stall;
-            self.now += stall;
-        }
-        match size {
-            AccessSize::Byte => self.mem.read_byte(ea) as u32,
-            AccessSize::Half => self.mem.read_half(ea) as u32,
-            AccessSize::Word => self.mem.read_word(ea),
-        }
-    }
-
-    fn dcache_write(&mut self, ea: u32, size: AccessSize, value: u32) {
-        self.dcache.access(ea, true);
-        match size {
-            AccessSize::Byte => self.mem.write_byte(ea, value as u8),
-            AccessSize::Half => self.mem.write_half(ea, value as u16),
-            AccessSize::Word => self.mem.write_word(ea, value),
-        }
-    }
-
-    fn effective_address(&self, area: MemArea, ra: Reg, offset: i16, size: AccessSize) -> u32 {
-        let scaled = (offset as i32).wrapping_mul(size.bytes() as i32) as u32;
-        let raw = self.regs[ra.index() as usize].wrapping_add(scaled);
-        match area {
-            MemArea::Stack => self.st.wrapping_add(raw),
-            MemArea::Spm => SPM_ALIAS_BASE.wrapping_add(raw),
-            _ => raw,
-        }
-    }
-
-    fn step(&mut self) -> Result<(), BaselineError> {
-        if self.halted {
-            return Ok(());
-        }
-        if self.now >= self.config.max_cycles {
-            return Err(BaselineError::MaxCyclesExceeded(self.config.max_cycles));
-        }
-        let bundle = *self
-            .bundles
-            .get(self.pc as usize)
-            .and_then(|b| b.as_ref())
-            .ok_or(BaselineError::BadPc(self.pc))?;
-
-        // Instruction fetch: every word through the I$.
-        for w in 0..bundle.width_words() {
-            let res = self.icache.access(CODE_BASE + (self.pc + w) * 4, false);
-            if !res.hit {
-                let stall = self.mem.burst_cycles(res.transfer_words) as u64;
-                self.stats.stall_icache += stall;
-                self.now += stall;
-            }
-        }
-
-        // Single issue: one cycle per occupied slot.
-        self.now += bundle.slots().count() as u64;
-        self.stats.bundles += 1;
-
-        // Pre-state reads, same semantics as the Patmos core.
-        let slot_ops: Vec<(patmos_isa::Inst, bool, [u32; 2])> = bundle
-            .slots()
-            .map(|inst| {
-                let uses = inst.op.uses();
-                let vals = [
-                    uses[0].map_or(0, |r| self.regs[r.index() as usize]),
-                    uses[1].map_or(0, |r| self.regs[r.index() as usize]),
-                ];
-                (*inst, inst.guard.eval(&self.preds), vals)
-            })
-            .collect();
-
-        let this_pc = self.pc;
-        let width = bundle.width_words();
-        let had_pending = self.pending_flow.is_some();
-        let mut new_flow: Option<PendingFlow> = None;
-
-        for (inst, guard_true, vals) in slot_ops {
-            // Conditional control transfers exercise the predictor whether
-            // taken or not.
-            if inst.op.is_flow() && !matches!(inst.op, Op::Halt) && !inst.guard.is_always() {
-                self.stats.predicted_branches += 1;
-                let predicted = self.predictor.predict(this_pc);
-                if predicted != guard_true {
-                    self.stats.mispredicts += 1;
-                    let pen = self.config.mispredict_penalty as u64;
-                    self.stats.stall_branch += pen;
-                    self.now += pen;
-                }
-                self.predictor.update(this_pc, guard_true);
-            }
-            if matches!(inst.op, Op::Nop) || !guard_true {
-                continue;
-            }
-            self.stats.insts_executed += 1;
-            match inst.op {
-                Op::Nop => {}
-                Op::AluR { op, rd, .. } => self.write_reg(rd, op.apply(vals[0], vals[1])),
-                Op::AluI { op, rd, imm, .. } => {
-                    self.write_reg(rd, op.apply(vals[0], imm as i32 as u32))
-                }
-                Op::Mul { .. } => {
-                    let prod = (vals[0] as i32 as i64).wrapping_mul(vals[1] as i32 as i64);
-                    self.sl = prod as u32;
-                    self.sh = (prod >> 32) as u32;
-                }
-                Op::LoadImmLow { rd, imm } => self.write_reg(rd, imm as i16 as i32 as u32),
-                Op::LoadImmHigh { rd, imm } => {
-                    let low = self.regs[rd.index() as usize] & 0xffff;
-                    self.write_reg(rd, ((imm as u32) << 16) | low);
-                }
-                Op::LoadImm32 { rd, imm } => self.write_reg(rd, imm),
-                Op::Cmp { op, pd, .. } => self.write_pred(pd, op.apply(vals[0], vals[1])),
-                Op::CmpI { op, pd, imm, .. } => {
-                    self.write_pred(pd, op.apply(vals[0], imm as i32 as u32))
-                }
-                Op::PredSet { op, pd, p1, p2 } => {
-                    let a = self.preds[p1.pred.index() as usize] ^ p1.negate;
-                    let b = self.preds[p2.pred.index() as usize] ^ p2.negate;
-                    self.write_pred(pd, op.apply(a, b));
-                }
-                Op::Load {
-                    area,
-                    size,
-                    rd,
-                    ra,
-                    offset,
-                } => {
-                    let ea = self.effective_address(area, ra, offset, size);
-                    let v = self.dcache_read(ea, size);
-                    self.write_reg(rd, v);
-                }
-                Op::Store {
-                    area,
-                    size,
-                    ra,
-                    offset,
-                    ..
-                } => {
-                    let ea = self.effective_address(area, ra, offset, size);
-                    self.dcache_write(ea, size, vals[1]);
-                }
-                Op::MainLoad { offset, .. } => {
-                    // Blocking load: the baseline cannot hide the latency.
-                    let ea = vals[0].wrapping_add((offset as i32 as u32).wrapping_mul(4));
-                    self.sm = self.dcache_read(ea, AccessSize::Word);
-                }
-                Op::MainWait { rd } => {
-                    let sm = self.sm;
-                    self.write_reg(rd, sm);
-                }
-                Op::MainStore { offset, .. } => {
-                    let ea = vals[0].wrapping_add((offset as i32 as u32).wrapping_mul(4));
-                    self.dcache_write(ea, AccessSize::Word, vals[1]);
-                }
-                // Stack-control becomes plain pointer arithmetic: the
-                // baseline has no stack cache to manage.
-                Op::Sres { words } => self.st = self.st.wrapping_sub(words * 4),
-                Op::Sens { .. } => {}
-                Op::Sfree { words } => self.st = self.st.wrapping_add(words * 4),
-                Op::Mts { sd, .. } => match sd {
-                    SpecialReg::Sl => self.sl = vals[0],
-                    SpecialReg::Sh => self.sh = vals[0],
-                    SpecialReg::Sm => self.sm = vals[0],
-                    SpecialReg::St => self.st = vals[0] & !3,
-                    SpecialReg::Ss => {}
-                },
-                Op::Mfs { rd, ss } => {
-                    let v = match ss {
-                        SpecialReg::Sl => self.sl,
-                        SpecialReg::Sh => self.sh,
-                        SpecialReg::Sm => self.sm,
-                        SpecialReg::St => self.st,
-                        SpecialReg::Ss => self.st,
-                    };
-                    self.write_reg(rd, v);
-                }
-                Op::Br { .. } | Op::Call { .. } | Op::CallR { .. } | Op::Ret | Op::Halt => {
-                    if matches!(inst.op, Op::Halt) {
-                        self.halted = true;
-                        continue;
-                    }
-                    if had_pending || new_flow.is_some() {
-                        // The baseline executes the same legal binaries;
-                        // treat this like a bad PC.
-                        return Err(BaselineError::BadPc(this_pc));
-                    }
-                    if matches!(inst.op, Op::CallR { .. } | Op::Ret) {
-                        let pen = self.config.indirect_penalty as u64;
-                        self.stats.stall_branch += pen;
-                        self.now += pen;
-                    }
-                    let target = match inst.op.flow_kind() {
-                        FlowKind::Branch(off) => FlowTarget::Jump(this_pc.wrapping_add(off as u32)),
-                        FlowKind::CallDirect(off) => {
-                            FlowTarget::Call(this_pc.wrapping_add(off as u32))
-                        }
-                        FlowKind::CallIndirect(_) => FlowTarget::Call(vals[0]),
-                        FlowKind::Return => FlowTarget::Ret(vals[0]),
-                        FlowKind::None | FlowKind::Halt => unreachable!("flow ops only"),
-                    };
-                    new_flow = Some(PendingFlow {
-                        target,
-                        slots_left: inst.delay_slots(),
-                    });
-                }
-            }
-        }
-
-        if self.halted {
-            return Ok(());
-        }
-
-        self.pc = this_pc.wrapping_add(width);
-        if let Some(flow) = new_flow {
-            self.pending_flow = Some(flow);
-        }
-        if let Some(mut flow) = self.pending_flow.take() {
-            if new_flow.is_none() {
-                flow.slots_left = flow.slots_left.saturating_sub(1);
-            }
-            if flow.slots_left == 0 && new_flow.is_none() {
-                self.redirect(flow.target)?;
-            } else {
-                self.pending_flow = Some(flow);
-            }
-        }
-        Ok(())
-    }
-
-    fn redirect(&mut self, target: FlowTarget) -> Result<(), BaselineError> {
-        match target {
-            FlowTarget::Jump(t) => self.pc = t,
-            FlowTarget::Call(t) => {
-                if !self.functions.iter().any(|f| f.start_word == t) {
-                    return Err(BaselineError::NotAFunction(t));
-                }
-                let link = self.pc;
-                self.write_reg(LINK_REG, link);
-                self.pc = t;
-            }
-            FlowTarget::Ret(t) => self.pc = t,
-        }
-        Ok(())
-    }
-
-    fn write_reg(&mut self, rd: Reg, value: u32) {
-        if !rd.is_zero() {
-            self.regs[rd.index() as usize] = value;
-        }
-    }
-
-    fn write_pred(&mut self, pd: Pred, value: bool) {
-        if !pd.is_always_true() {
-            self.preds[pd.index() as usize] = value;
-        }
     }
 }
 
@@ -557,6 +325,23 @@ mod tests {
         );
         assert_eq!(sim.reg(Reg::R1), 9);
         assert!(result.stats.stall_dcache > 0, "ldm blocks on the miss");
+    }
+
+    #[test]
+    fn malformed_image_is_an_error_not_a_panic() {
+        // A lone word with the size bit set claims a second word that is
+        // not there: guaranteed undecodable.
+        let image = ObjectImage::from_raw(
+            vec![0x8000_0000],
+            vec![patmos_asm::FuncInfo {
+                name: "main".into(),
+                start_word: 0,
+                size_words: 1,
+            }],
+            0,
+        );
+        let mut sim = BaselineSim::new(&image, BaselineConfig::default());
+        assert!(matches!(sim.run(), Err(SimError::MalformedImage { .. })));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use patmos::asm::assemble;
+use patmos::baseline::{BaselineConfig, BaselineSim, BaselineStats};
 use patmos::compiler::{compile_with_artifacts, CompileOptions};
 use patmos::isa::Reg;
 use patmos::opt::UnrollKind;
@@ -144,6 +145,10 @@ pub struct Cell {
     pub blind_bound: u64,
     /// FNV-1a 64 digest of the emitted assembly text.
     pub asm_fnv: u64,
+    /// The counters of one run on the conventional comparator machine.
+    pub baseline: BaselineStats,
+    /// The comparator machine's WCET bound.
+    pub baseline_bound: u64,
 }
 
 /// FNV-1a 64 over `bytes`.
@@ -174,6 +179,10 @@ fn measure(w: &Workload, config: &Config) -> Cell {
     let machine = Machine::Patmos(SimConfig::default());
     let bound = analyze(&image, &machine).unwrap_or_else(|e| fail(&e));
     let blind = analyze_unpipelined(&image, &machine).unwrap_or_else(|e| fail(&e));
+    let mut comparator = BaselineSim::new(&image, BaselineConfig::default());
+    let baseline = comparator.run().unwrap_or_else(|e| fail(&e)).stats;
+    let baseline_machine = Machine::Baseline(BaselineConfig::default());
+    let baseline_bound = analyze(&image, &baseline_machine).unwrap_or_else(|e| fail(&e));
     let unrolls = artifacts.opt.as_ref().map_or(&[][..], |r| &r.unrolls);
     let partial = unrolls.iter().filter(|u| u.kind != UnrollKind::Full);
     let pipelined = artifacts.sched.pipelined_loops();
@@ -189,6 +198,8 @@ fn measure(w: &Workload, config: &Config) -> Cell {
         bound: bound.bound_cycles,
         blind_bound: blind.bound_cycles,
         asm_fnv: fnv1a64(artifacts.asm.as_bytes()),
+        baseline,
+        baseline_bound: baseline_bound.bound_cycles,
     }
 }
 
@@ -259,9 +270,11 @@ pub const REGALLOC2: &str = "regalloc2_cycles.json";
 pub const WCET: &str = "wcet_bounds.json";
 /// Digests of the emitted assembly: equal cycles do not prove equal code.
 pub const ASM: &str = "asm_digests.json";
+/// The conventional comparator machine: its counters and WCET bound.
+pub const BASELINE_MACHINE: &str = "baseline_machine.json";
 
 /// Every baseline file as a view over the matrix.
-pub const FAMILIES: [Family; 8] = [
+pub const FAMILIES: [Family; 9] = [
     Family {
         file: REGALLOC,
         text: include_str!("../baselines/regalloc_cycles.json"),
@@ -332,6 +345,32 @@ pub const FAMILIES: [Family; 8] = [
             ("opt2_sched1", Live(O2S1, |c| c.asm_fnv)),
             ("opt3_sched2", Live(O3S2, |c| c.asm_fnv)),
             ("opt3_sched2_loop", Live(O3S2_LOOP, |c| c.asm_fnv)),
+        ],
+    },
+    Family {
+        file: BASELINE_MACHINE,
+        text: include_str!("../baselines/baseline_machine.json"),
+        columns: &[
+            ("cycles", Live(O3S2, |c| c.baseline.cycles)),
+            ("bundles", Live(O3S2, |c| c.baseline.bundles)),
+            ("insts_executed", Live(O3S2, |c| c.baseline.insts_executed)),
+            (
+                "predicted_branches",
+                Live(O3S2, |c| c.baseline.predicted_branches),
+            ),
+            ("mispredicts", Live(O3S2, |c| c.baseline.mispredicts)),
+            ("stall_icache", Live(O3S2, |c| c.baseline.stall_icache)),
+            ("stall_dcache", Live(O3S2, |c| c.baseline.stall_dcache)),
+            ("stall_branch", Live(O3S2, |c| c.baseline.stall_branch)),
+            ("icache_misses", Live(O3S2, |c| c.baseline.icache.misses)),
+            ("dcache_misses", Live(O3S2, |c| c.baseline.dcache.misses)),
+            ("bound_cycles", Live(O3S2, |c| c.baseline_bound)),
+            ("opt1_sched1_cycles", Live(O1S1, |c| c.baseline.cycles)),
+            ("opt2_sched1_cycles", Live(O2S1, |c| c.baseline.cycles)),
+            (
+                "opt3_sched2_loop_cycles",
+                Live(O3S2_LOOP, |c| c.baseline.cycles),
+            ),
         ],
     },
 ];
@@ -701,6 +740,44 @@ pub fn exp_e18_regalloc2() -> String {
     out
 }
 
+/// E7 — WCET bound tightness at `opt3/sched2`: Patmos against the
+/// conventional comparator, observed cycles and bound on each machine.
+pub fn exp_e7_wcet_bounds() -> String {
+    let (patmos, comparator) = (view(WCET), view(BASELINE_MACHINE));
+    let mut out =
+        String::from("E7: WCET bound vs observed — Patmos vs average-case baseline (Section 1)\n");
+    writeln!(
+        out,
+        "{:<12} {:>10} {:>10} {:>7} | {:>10} {:>10} {:>7}",
+        "kernel", "P obs", "P bound", "ratio", "B obs", "B bound", "ratio"
+    )
+    .ok();
+    let (mut p_prod, mut b_prod) = (1.0f64, 1.0f64);
+    for (kernel, _) in &patmos.kernels {
+        let p_obs = patmos.get(kernel, "measured_cycles");
+        let p_bound = patmos.get(kernel, "bound_cycles");
+        let b_obs = comparator.get(kernel, "cycles");
+        let b_bound = comparator.get(kernel, "bound_cycles");
+        let (pr, br) = (p_bound as f64 / p_obs as f64, b_bound as f64 / b_obs as f64);
+        p_prod *= pr;
+        b_prod *= br;
+        writeln!(
+            out,
+            "{kernel:<12} {p_obs:>10} {p_bound:>10} {pr:>6.2}x | {b_obs:>10} {b_bound:>10} {br:>6.2}x"
+        )
+        .ok();
+    }
+    let n = patmos.kernels.len() as f64;
+    writeln!(
+        out,
+        "geometric-mean pessimism: Patmos {:.2}x, baseline {:.2}x",
+        p_prod.powf(1.0 / n),
+        b_prod.powf(1.0 / n)
+    )
+    .ok();
+    out
+}
+
 /// E19 — the pipeline-aware WCET trajectory at `opt3/sched2`: the
 /// record-blind bound against the `.pipeloop`-aware one (the speedup
 /// column is the tightening), with measured cycles and pessimism.
@@ -741,6 +818,7 @@ pub fn footprint_json() -> String {
 /// Every family table, keyed by the binary that prints it.
 pub fn tables() -> Vec<(&'static str, String)> {
     vec![
+        ("exp_e7_wcet_bounds", exp_e7_wcet_bounds()),
         ("exp_e11_regalloc", exp_e11_regalloc()),
         ("exp_e12_opt", exp_e12_opt()),
         ("exp_e13_sched", exp_e13_sched()),

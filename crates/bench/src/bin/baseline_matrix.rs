@@ -1,5 +1,5 @@
 //! Measures the baseline matrix once and writes every family table
-//! (E11–E15, E18, E19, one `<binary>.txt` each) plus the E18
+//! (E7, E11–E15, E18, E19, one `<binary>.txt` each) plus the E18
 //! spill/rename footprint document (`regalloc2_footprint.json`) into
 //! the directory given as the only argument:
 //!

@@ -460,54 +460,6 @@ pub fn exp_e6_single_path() -> String {
     out
 }
 
-/// E7 — WCET bound tightness: Patmos vs the conventional baseline.
-pub fn exp_e7_wcet_bounds() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "E7: WCET bound vs observed — Patmos vs average-case baseline (Section 1)"
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<12} {:>10} {:>10} {:>7} | {:>10} {:>10} {:>7}",
-        "kernel", "P obs", "P bound", "ratio", "B obs", "B bound", "ratio"
-    )
-    .ok();
-    let mut p_prod = 1.0f64;
-    let mut b_prod = 1.0f64;
-    let mut n = 0u32;
-    for w in workloads::all() {
-        let image = compile(&w.source, &CompileOptions::default()).expect("compiles");
-        let mut psim = Simulator::new(&image, SimConfig::default());
-        let p_obs = psim.run().expect("runs").stats.cycles;
-        let p_rep = analyze(&image, &Machine::Patmos(SimConfig::default())).expect("analyses");
-        let mut bsim = BaselineSim::new(&image, BaselineConfig::default());
-        let b_obs = bsim.run().expect("runs").stats.cycles;
-        let b_rep =
-            analyze(&image, &Machine::Baseline(BaselineConfig::default())).expect("analyses");
-        let pr = p_rep.pessimism(p_obs);
-        let br = b_rep.pessimism(b_obs);
-        p_prod *= pr;
-        b_prod *= br;
-        n += 1;
-        writeln!(
-            out,
-            "{:<12} {:>10} {:>10} {:>6.2}x | {:>10} {:>10} {:>6.2}x",
-            w.name, p_obs, p_rep.bound_cycles, pr, b_obs, b_rep.bound_cycles, br
-        )
-        .ok();
-    }
-    writeln!(
-        out,
-        "geometric-mean pessimism: Patmos {:.2}x, baseline {:.2}x",
-        p_prod.powf(1.0 / n as f64),
-        b_prod.powf(1.0 / n as f64)
-    )
-    .ok();
-    out
-}
-
 /// E8 — CMP scaling under TDMA arbitration.
 pub fn exp_e8_cmp_tdma() -> String {
     let mut out = String::new();
@@ -659,7 +611,7 @@ pub fn all_experiments() -> String {
         exp_e4_split_cache(),
         exp_e5_split_load(),
         exp_e6_single_path(),
-        exp_e7_wcet_bounds(),
+        baselines::exp_e7_wcet_bounds(),
         exp_e8_cmp_tdma(),
         exp_e9_stack_cache(),
         exp_e10_scheduler(),
@@ -727,6 +679,7 @@ mod tests {
         e18_regalloc2_baseline_file_matches_current_measurements => baselines::REGALLOC2,
         e19_wcet_bounds_baseline_file_matches_current_measurements => baselines::WCET,
         asm_digests_file_matches_current_measurements => baselines::ASM,
+        e7_baseline_machine_file_matches_current_measurements => baselines::BASELINE_MACHINE,
     }
 
     /// The gate table: one test per gate, each checking its rules on the
@@ -743,9 +696,12 @@ mod tests {
     }
 
     use baselines::Rule::{Below, Faster, Pin, Total, Utilisation};
-    use baselines::{OPT, OPT2, OPT3, REGALLOC, REGALLOC2, SCHED, WCET};
+    use baselines::{BASELINE_MACHINE, OPT, OPT2, OPT3, REGALLOC, REGALLOC2, SCHED, WCET};
 
     gates! {
+        e7_comparator_bound_covers_its_measured_run => [
+            Below((BASELINE_MACHINE, "cycles"), (BASELINE_MACHINE, "bound_cycles"), false, None),
+        ],
         e11_regalloc_beats_seed_on_every_kernel => [
             Below((REGALLOC, "regalloc_cycles"), (REGALLOC, "seed_cycles"), true, None),
             Below((REGALLOC, "regalloc_stack_ops"), (REGALLOC, "seed_stack_ops"), true, None),
@@ -895,7 +851,7 @@ mod tests {
 
     #[test]
     fn e7_patmos_is_tighter_than_baseline() {
-        let report = exp_e7_wcet_bounds();
+        let report = baselines::exp_e7_wcet_bounds();
         let means = report.lines().last().expect("summary line");
         // "geometric-mean pessimism: Patmos Px, baseline Bx"
         let nums: Vec<f64> = means

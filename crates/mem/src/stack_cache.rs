@@ -102,7 +102,7 @@ impl StackCache {
 
     /// Words currently held in the cache, `(ss - st) / 4`.
     pub fn occupied_words(&self) -> u32 {
-        (self.ss - self.st) / 4
+        self.ss.wrapping_sub(self.st) / 4
     }
 
     /// Accumulated statistics (each control op counts as an access; a
@@ -123,7 +123,7 @@ impl StackCache {
     /// invariants `st <= ss` and occupancy ≤ capacity keep holding.
     pub fn set_spill_pointer(&mut self, addr: u32) {
         assert_eq!(addr % 4, 0, "spill pointer must be word-aligned");
-        let max = self.st + self.size_words * 4;
+        let max = self.st.saturating_add(self.size_words * 4);
         self.ss = addr.clamp(self.st, max);
     }
 
@@ -243,6 +243,18 @@ mod tests {
         assert_eq!(sc.occupied_words(), 0);
         assert_eq!(sc.stack_top(), TOP);
         assert_eq!(sc.spill_pointer(), TOP);
+    }
+
+    #[test]
+    fn pointers_wrap_at_the_ends_of_the_address_space() {
+        // A reserve below address 0 wraps `st` past `ss`.
+        let mut sc = StackCache::new(8, 0);
+        sc.reserve(1);
+        assert_eq!(sc.occupied_words(), 1);
+        // The spill pointer's clamp saturates at the top.
+        let mut sc = StackCache::new(8, u32::MAX - 3);
+        sc.set_spill_pointer(0);
+        assert_eq!(sc.spill_pointer(), u32::MAX - 3);
     }
 
     #[test]

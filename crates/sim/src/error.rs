@@ -35,7 +35,8 @@ pub enum SimError {
         /// Word address of the offending bundle.
         pc: u32,
     },
-    /// A stack-cache access outside the cached window (missing `sens`).
+    /// A stack-cache access outside the cached window (missing `sens`),
+    /// or a `sens` of a frame larger than the stack cache.
     StackWindowViolation {
         /// Word address of the offending bundle.
         pc: u32,

@@ -694,6 +694,27 @@ impl Simulator {
         }
     }
 
+    /// Reports an executed load or store at `ea` by the bundle at `pc`.
+    #[inline(always)]
+    fn data_access<S: TraceSink>(
+        &self,
+        pc: u32,
+        ea: u32,
+        area: MemArea,
+        store: bool,
+        sink: &mut S,
+    ) {
+        if S::ENABLED {
+            sink.event(TraceEvent::DataAccess {
+                pc,
+                cycle: self.now,
+                addr: ea,
+                area,
+                store,
+            });
+        }
+    }
+
     /// In strict mode, rejects a stack-cache access at `ea` by the
     /// bundle at `pc` outside the cached window.
     #[inline(always)]
@@ -1057,6 +1078,7 @@ impl Simulator {
                     }
                     MemArea::Main => return Err(SimError::IllegalMainAccess { pc: this_pc }),
                 };
+                self.data_access(this_pc, ea, area, false, sink);
                 self.write_reg(rd, value, bi + timing::LOAD_USE_GAP as u64);
             }
             Op::Store {
@@ -1095,6 +1117,7 @@ impl Simulator {
                     }
                     MemArea::Main => return Err(SimError::IllegalMainAccess { pc: this_pc }),
                 }
+                self.data_access(this_pc, ea, area, true, sink);
             }
             Op::MainLoad { offset, .. } => {
                 if self.pending_load.is_some() {
@@ -1112,6 +1135,7 @@ impl Simulator {
                     ready_at: granted + burst as u64,
                     value,
                 });
+                self.data_access(this_pc, ea, MemArea::Main, false, sink);
             }
             Op::MainWait { rd } => match self.pending_load.take() {
                 Some(p) => {
@@ -1143,6 +1167,7 @@ impl Simulator {
                 let ea = vals[0].wrapping_add((offset as i32 as u32).wrapping_mul(4));
                 self.mem_write(ea, AccessSize::Word, vals[1], false);
                 self.post_write(this_pc, sink);
+                self.data_access(this_pc, ea, MemArea::Main, true, sink);
             }
             Op::Sres { words } => {
                 let effect = self.scache.reserve(words);
@@ -1160,6 +1185,13 @@ impl Simulator {
                 }
             }
             Op::Sens { words } => {
+                // A frame larger than the cache can never be resident.
+                if words > self.scache.size_words() {
+                    return Err(SimError::StackWindowViolation {
+                        pc: this_pc,
+                        offset_words: words - 1,
+                    });
+                }
                 let effect = self.scache.ensure(words);
                 if S::ENABLED {
                     sink.event(TraceEvent::CacheAccess {
@@ -1774,9 +1806,10 @@ end:
     fn traced_run_is_bit_identical_and_reconciles() {
         use patmos_trace::{EventTotals, VecSink};
         // Exercises every event source: a call/return (method-cache
-        // fills), static-cache load and store (write buffer), stack
-        // cache (sres/sws/lws/sfree), and a split main-memory load.
-        let src = "        .func callee\n        li r5 = 9\n        ret\n        nop\n        nop\n        .func main\n        .entry main\n        sres 2\n        lil r2 = 0x10000\n        swc [r2 + 0] = r0\n        lwc r1 = [r2 + 0]\n        nop\n        sws [r0 + 0] = r1\n        lws r6 = [r0 + 0]\n        nop\n        lil r3 = 0x20000\n        ldm [r3 + 0]\n        call callee\n        nop\n        wres r4\n        sfree 2\n        halt\n";
+        // fills), static-cache and heap loads and stores (write buffer),
+        // stack cache (sres/sws/lws/sfree), scratchpad accesses, and a
+        // split main-memory load and store.
+        let src = "        .func callee\n        li r5 = 9\n        ret\n        nop\n        nop\n        .func main\n        .entry main\n        sres 2\n        lil r2 = 0x10000\n        swc [r2 + 0] = r0\n        lwc r1 = [r2 + 0]\n        nop\n        sws [r0 + 0] = r1\n        lws r6 = [r0 + 0]\n        nop\n        lil r3 = 0x20000\n        ldm [r3 + 0]\n        call callee\n        nop\n        wres r4\n        swd [r3 + 1] = r5\n        lwd r7 = [r3 + 1]\n        nop\n        swl [r0 + 0] = r7\n        lwl r8 = [r0 + 0]\n        nop\n        stm [r3 + 2] = r8\n        sfree 2\n        halt\n";
         let image = assemble(src).expect("assembles");
 
         let mut plain = Simulator::new(&image, SimConfig::default());
@@ -1831,10 +1864,29 @@ end:
         assert_eq!(t.stack_misses, s.stack_cache.misses);
         assert_eq!(t.stack_transferred_words, s.stack_cache.transferred_words);
 
+        // Every executed load and store is one `DataAccess`, `ldm` and
+        // `stm` as main-memory accesses.
+        let accesses = |area: MemArea| {
+            let of_area =
+                |e: &&TraceEvent| matches!(e, TraceEvent::DataAccess { area: a, .. } if *a == area);
+            sink.events.iter().filter(of_area).count() as u64
+        };
+        assert_eq!(accesses(MemArea::Stack), s.stack_ops);
+        assert_eq!(accesses(MemArea::Data), s.data_cache.accesses);
+        assert_eq!(accesses(MemArea::Static), s.static_cache.accesses);
+        assert_eq!(accesses(MemArea::Spm), 2);
+        assert_eq!(accesses(MemArea::Main), 2);
+
         // Some of everything actually happened.
         assert!(t.stall_method_cache > 0);
         assert!(t.stall_static_cache > 0);
         assert!(t.calls == 1 && t.returns == 1);
+        assert!(s.stack_ops == 2 && s.data_cache.accesses == 2 && s.static_cache.accesses == 2);
+        assert_eq!(
+            traced.reg(Reg::R8),
+            9,
+            "the stored value survives every area"
+        );
     }
 
     #[test]
@@ -1997,6 +2049,28 @@ end:
             assert_eq!(sim.run().unwrap_err(), expected);
         }
         assert!(Simulator::try_new(&image, with_tdma(64, 1)).is_ok());
+    }
+
+    #[test]
+    fn oversized_sens_is_an_error_not_a_panic() {
+        let image =
+            assemble("        .func main\n        sens 300\n        halt\n").expect("assembles");
+        for strict in [true, false] {
+            let mut sim = Simulator::new(
+                &image,
+                SimConfig {
+                    strict,
+                    ..SimConfig::default()
+                },
+            );
+            assert_eq!(
+                sim.run().map(|_| ()),
+                Err(SimError::StackWindowViolation {
+                    pc: 0,
+                    offset_words: 299
+                })
+            );
+        }
     }
 
     #[test]

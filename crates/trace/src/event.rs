@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use patmos_isa::MemArea;
+
 /// The architectural cause of an attributed stall.
 ///
 /// These mirror the simulator's per-cause stall breakdown one to one;
@@ -166,6 +168,21 @@ pub enum TraceEvent {
         /// Words moved between the cache and main memory.
         transfer_words: u32,
     },
+    /// One executed data access: a typed load or store, or a split
+    /// main-memory `ldm`/`stm` (area [`MemArea::Main`]).
+    DataAccess {
+        /// Word address of the bundle.
+        pc: u32,
+        /// Cycle once the access was served (after any stall it caused).
+        cycle: u64,
+        /// Effective byte address: stack accesses include the stack top,
+        /// scratchpad accesses are offsets into the scratchpad.
+        addr: u32,
+        /// The memory area.
+        area: MemArea,
+        /// A store (else a load).
+        store: bool,
+    },
     /// A call redirected control to the function starting at `pc`.
     Call {
         /// First word of the callee.
@@ -199,6 +216,7 @@ impl TraceEvent {
             | TraceEvent::Stall { pc, .. }
             | TraceEvent::TdmaWait { pc, .. }
             | TraceEvent::CacheAccess { pc, .. }
+            | TraceEvent::DataAccess { pc, .. }
             | TraceEvent::Call { pc, .. }
             | TraceEvent::Return { pc, .. }
             | TraceEvent::FaultInjected { pc, .. } => pc,
@@ -212,6 +230,7 @@ impl TraceEvent {
             | TraceEvent::Stall { cycle, .. }
             | TraceEvent::TdmaWait { cycle, .. }
             | TraceEvent::CacheAccess { cycle, .. }
+            | TraceEvent::DataAccess { cycle, .. }
             | TraceEvent::Call { cycle, .. }
             | TraceEvent::Return { cycle, .. }
             | TraceEvent::FaultInjected { cycle, .. } => cycle,
@@ -356,6 +375,8 @@ impl EventTotals {
                 }
                 *w += transfer_words as u64;
             }
+            // Each access's cache lookup is its own `CacheAccess`.
+            TraceEvent::DataAccess { .. } => {}
             TraceEvent::Call { .. } => self.calls += 1,
             TraceEvent::Return { .. } => self.returns += 1,
             TraceEvent::FaultInjected { .. } => self.faults_injected += 1,

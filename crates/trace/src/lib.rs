@@ -31,6 +31,7 @@
 //! | [`TraceEvent::Stall`] | an attributed stall: method-cache fill, data/static-cache line fill, stack-cache spill/fill, split-load wait, write-buffer drain |
 //! | [`TraceEvent::TdmaWait`] | the share of a stall that was pure TDMA arbitration delay (CMP configurations) |
 //! | [`TraceEvent::CacheAccess`] | one cache lookup (method, data, static or stack), hit/miss and words moved |
+//! | [`TraceEvent::DataAccess`] | one executed load or store: effective address, memory area (`ldm`/`stm` as `main`), load or store |
 //! | [`TraceEvent::Call`] / [`TraceEvent::Return`] | control transfers between functions, after their delay slots retire |
 //! | [`TraceEvent::FaultInjected`] | a fault-injection upset fired (`patmos-sim`'s `faults` module): the state category hit, at its cycle |
 //!

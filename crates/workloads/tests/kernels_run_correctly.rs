@@ -261,19 +261,3 @@ fn wcet_bound_covers_every_kernel() {
         );
     }
 }
-
-#[test]
-fn baseline_executes_kernels_identically() {
-    for w in patmos_workloads::all() {
-        if w.name == "spmfilter" {
-            // The baseline aliases the scratchpad into cached memory;
-            // results match only when SPM contents start zeroed, which
-            // they do — keep it in the set.
-        }
-        let image = compile(&w.source, &CompileOptions::default()).expect("compiles");
-        let mut cpu =
-            patmos_baseline::BaselineSim::new(&image, patmos_baseline::BaselineConfig::default());
-        cpu.run().expect("baseline runs");
-        assert_eq!(cpu.reg(Reg::R1), w.expected, "{} on the baseline", w.name);
-    }
-}

@@ -3,14 +3,16 @@
 //!
 //! Every surface a user (or a campaign driver) feeds data into must
 //! return `Err` on garbage, never unwind: the PatC compiler, the
-//! assembler, the disassembler, `ObjectImage::decode`, and
-//! `Simulator::try_new`. The generators are layered — raw bytes shake
+//! assembler, the disassembler, `ObjectImage::decode`,
+//! `Simulator::try_new`, and the comparator machine's `BaselineSim`. The
+//! generators are layered — raw bytes shake
 //! the lexers, token soup digs into the parsers past the lexing stage,
 //! and raw-word images attack the decoder and loader directly.
 
 use proptest::prelude::*;
 
 use patmos::asm::{assemble, disassemble, FuncInfo, ObjectImage};
+use patmos::baseline::{BaselineConfig, BaselineSim};
 use patmos::compiler::{compile, CompileOptions};
 use patmos::sim::{SimConfig, Simulator};
 
@@ -24,13 +26,20 @@ fn bounded_config() -> SimConfig {
 }
 
 /// Exercises everything downstream of a successful assembly/compile:
-/// the disassembler, the decoder, the loader, and a bounded run.
+/// the disassembler, the decoder, the loader, and a bounded run on both
+/// machines. The comparator loads any image; a malformed one is its
+/// run's error.
 fn exercise_image(image: &ObjectImage) {
     let _ = disassemble(image.code());
     let _ = image.decode();
     if let Ok(mut sim) = Simulator::try_new(image, bounded_config()) {
         let _ = sim.run();
     }
+    let comparator = BaselineConfig {
+        max_cycles: 50_000,
+        ..BaselineConfig::default()
+    };
+    let _ = BaselineSim::new(image, comparator).run();
 }
 
 proptest! {
@@ -168,10 +177,6 @@ proptest! {
             start_word: start,
             size_words: size,
         }];
-        let image = ObjectImage::from_raw(code, functions, entry);
-        let _ = image.decode();
-        if let Ok(mut sim) = Simulator::try_new(&image, bounded_config()) {
-            let _ = sim.run();
-        }
+        exercise_image(&ObjectImage::from_raw(code, functions, entry));
     }
 }
