@@ -148,6 +148,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
     let mut entry_name: Option<(String, usize)> = None;
     let mut addr: u32 = 0;
     let mut data_addr: u32 = 0;
+    let mut data_name = "";
     let mut in_data = false;
 
     let define = |symbols: &mut HashMap<String, u32>, name: &str, value: u32, line: usize| {
@@ -182,6 +183,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
             Stmt::DataStart { name, addr: a } => {
                 in_data = true;
                 data_addr = *a;
+                data_name = name.as_str();
                 define(&mut symbols, name, *a, line.number)?;
             }
             Stmt::Words(ws) => {
@@ -191,7 +193,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                         message: ".word outside a .data segment".into(),
                     });
                 }
-                data_addr += 4 * ws.len() as u32;
+                data_addr = grow_segment(data_addr, ws.len(), 4, data_name, line.number)?;
             }
             Stmt::Bytes(bs) => {
                 if !in_data {
@@ -200,7 +202,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                         message: ".byte outside a .data segment".into(),
                     });
                 }
-                data_addr += bs.len() as u32;
+                data_addr = grow_segment(data_addr, bs.len(), 1, data_name, line.number)?;
             }
             Stmt::Space(n) => {
                 if !in_data {
@@ -209,7 +211,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                         message: ".space outside a .data segment".into(),
                     });
                 }
-                data_addr += n;
+                data_addr = grow_segment(data_addr, *n as usize, 1, data_name, line.number)?;
             }
             Stmt::Equ { name, value } => {
                 define(&mut symbols, name, *value as u32, line.number)?;
@@ -820,6 +822,26 @@ fn cmp_from_mnemonic(m: &str) -> Option<(CmpOp, bool)> {
     Some((op, imm))
 }
 
+/// The end of data segment `name` once `count` items of `size` bytes
+/// are appended at `end`. A segment must end inside the 32-bit address
+/// space: its end address, one past its last byte, has to fit a `u32`.
+fn grow_segment(
+    end: u32,
+    count: usize,
+    size: u32,
+    name: &str,
+    line: usize,
+) -> Result<u32, AsmError> {
+    u32::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(size))
+        .and_then(|bytes| end.checked_add(bytes))
+        .ok_or_else(|| AsmError {
+            line,
+            message: format!("data segment `{name}` runs past the top of the address space"),
+        })
+}
+
 /// Decodes `l`/`s` + size letter + area suffix (e.g. `lws`, `sbc`).
 fn mem_mnemonic(m: &str) -> Option<(bool, AccessSize, MemArea)> {
     let mut chars = m.chars();
@@ -1075,6 +1097,27 @@ mod tests {
             Ok(img) => img,
             Err(e) => panic!("assembly failed: {e}\nsource:\n{src}"),
         }
+    }
+
+    #[test]
+    fn data_past_the_top_of_the_address_space_is_an_error() {
+        for (addr, directives, line) in [
+            ("0xFFFFFFFC", "        .word 7\n", 2),
+            (
+                "0xFFFFFFF0",
+                "        .word 1, 2\n        .word 3, 4, 5\n",
+                3,
+            ),
+            ("0xFFFFFFF8", "        .space 16\n", 2),
+        ] {
+            let src =
+                format!("        .data top {addr}\n{directives}        .func main\n        halt\n");
+            let err = assemble(&src).expect_err("the segment ends past 2^32");
+            assert_eq!(err.line, line, "{src}");
+            assert!(err.message.contains("`top`"), "{err}");
+        }
+        // The last word below the top is still addressable.
+        ok("        .data top 0xFFFFFFF8\n        .word 1\n        .func main\n        halt\n");
     }
 
     #[test]

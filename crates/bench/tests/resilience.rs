@@ -7,10 +7,20 @@
 //! kernel *name*, never from spawn order), and `--test-threads`
 //! settings.
 
+use patmos::compiler::{compile, CompileOptions};
+use patmos::sim::faults::{
+    golden_run, run_injection, run_injection_with_path, FaultPlan, FaultRng, FaultSpace,
+    FaultTarget, FaultTrigger, Injection, RunPath,
+};
+use patmos::sim::SimConfig;
+use patmos::wcet::flow_map;
 use patmos_bench::resilience::{
     measure_resilience_kernel, resilience_baseline, resilience_report_json, run_campaign,
     CAMPAIGN_SEED, INJECTIONS_PER_KERNEL,
 };
+
+/// Campaign seeds the recording sweep covers, the pinned one first.
+const SWEEP_SEEDS: u64 = 10;
 
 #[test]
 fn e20_resilience_baseline_file_matches_current_measurements() {
@@ -131,4 +141,84 @@ fn e20_detection_latencies_are_consistent() {
             );
         }
     }
+}
+
+#[test]
+fn golden_recording_answers_every_injection_like_the_oracle() {
+    // The oracle is the from-reset run: `golden_run` and `run_injection`
+    // under `fast_path: false`. Every draw of SWEEP_SEEDS campaigns over
+    // every kernel, under both detector arms, plus a flip of the first
+    // global byte past the last bundle (which never lands), must match
+    // it in every `InjectionOutcome` field.
+    let options = CompileOptions {
+        opt_level: 3,
+        sched_level: 2,
+        ..CompileOptions::default()
+    };
+    let fast = SimConfig::default();
+    let oracle = SimConfig {
+        fast_path: false,
+        ..SimConfig::default()
+    };
+    let suite = patmos::workloads::all();
+    let paths = std::thread::scope(|s| {
+        let workers: Vec<_> = suite
+            .iter()
+            .map(|w| {
+                let (options, fast, oracle) = (&options, &fast, &oracle);
+                s.spawn(move || {
+                    let image = compile(&w.source, options).expect("kernel compiles");
+                    let golden = golden_run(&image, fast).expect("golden run");
+                    let reference = golden_run(&image, oracle).expect("oracle golden run");
+                    assert_eq!(golden, reference, "{}: golden runs differ", w.name);
+                    let flow = flow_map(&image).expect("analysable CFG");
+                    let space = FaultSpace::for_image(&image, golden.cycles);
+                    let mut injections = Vec::new();
+                    for i in 0..SWEEP_SEEDS {
+                        let mut rng = FaultRng::for_kernel(CAMPAIGN_SEED + i, w.name);
+                        for _ in 0..INJECTIONS_PER_KERNEL {
+                            injections.push(FaultPlan::draw(&mut rng, &space));
+                        }
+                    }
+                    if let Some(&(addr, _)) = space.mem_ranges.first() {
+                        injections.push(Injection {
+                            trigger: FaultTrigger::Cycle(golden.cycles + 1),
+                            target: FaultTarget::Memory { addr, bit: 0 },
+                        });
+                    }
+                    let mut paths = [0u64; 3];
+                    for injection in injections {
+                        for arm in [None, Some(&flow)] {
+                            let (got, path) =
+                                run_injection_with_path(&image, fast, injection, arm, &golden);
+                            let want = run_injection(&image, oracle, injection, arm, &reference);
+                            assert_eq!(
+                                got,
+                                want,
+                                "{}: {injection:?}, checker {}, answered {path:?}",
+                                w.name,
+                                arm.is_some()
+                            );
+                            paths[match path {
+                                RunPath::Pruned => 0,
+                                RunPath::Forked => 1,
+                                RunPath::FromReset => 2,
+                            }] += 1;
+                        }
+                    }
+                    paths
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .fold([0u64; 3], |a, b| [a[0] + b[0], a[1] + b[1], a[2] + b[2]])
+    });
+    let [pruned, forked, from_reset] = paths;
+    assert!(
+        pruned > 0 && forked > 0,
+        "the sweep must exercise both recorded paths: {pruned} pruned, {forked} forked"
+    );
+    assert_eq!(from_reset, 0, "every injection has a recording to use");
 }

@@ -7,11 +7,11 @@
 
 use std::fmt;
 
-const PAGE_SHIFT: u32 = 16;
+const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const OFFSET_MASK: usize = PAGE_SIZE - 1;
 /// Pages per block of the two-level page table.
-const BLOCK_BITS: u32 = 8;
+const BLOCK_BITS: u32 = 10;
 const BLOCK_PAGES: usize = 1 << BLOCK_BITS;
 /// Blocks in the directory, which covers the 32-bit space.
 const NUM_BLOCKS: usize = 1 << (32 - PAGE_SHIFT - BLOCK_BITS);
@@ -71,36 +71,65 @@ impl Default for MemConfig {
 /// Reads of untouched locations return zero, like initialised SRAM in the
 /// FPGA prototype. Addresses wrap within the 32-bit space.
 ///
-/// Storage is a two-level page table — a directory of 256 blocks of 256
-/// pointer slots, one per 64 KiB page — so every access is two
+/// Storage is a two-level page table — a directory of 1024 blocks of
+/// 1024 pointer slots, one per 4 KiB page — so every access is two
 /// bounds-free indexes instead of a hash lookup. Blocks and pages
-/// materialise on first write, so an empty memory costs a 2 KiB
+/// materialise on first write, so an empty memory costs an 8 KiB
 /// directory, not a half-megabyte flat table that every
 /// `Simulator::new` would allocate and zero, at a cost that swings with
-/// the allocator's heap state.
-#[derive(Clone)]
+/// the allocator's heap state. Small pages keep a clone small: a
+/// program's code, data and stacks touch a few 4 KiB pages, and a
+/// clone copies those, never a 64 KiB page for a word's sake.
+///
+/// A clone owns its pages: it and the original never see each other's
+/// writes.
 pub struct MainMemory {
     blocks: Box<[Option<Box<Block>>; NUM_BLOCKS]>,
+    /// Page numbers (`addr >> PAGE_SHIFT`) of the materialised pages, so
+    /// a clone visits them without scanning the table.
+    resident: Vec<u32>,
     config: MemConfig,
 }
 
-fn zero_page() -> Box<[u8; PAGE_SIZE]> {
+fn zero_page() -> Page {
     vec![0u8; PAGE_SIZE]
         .into_boxed_slice()
         .try_into()
         .expect("page-sized allocation")
 }
 
+/// A table of `N` empty slots, allocated zeroed rather than built on
+/// the stack and copied.
+fn empty_table<T: Clone, const N: usize>() -> Box<[Option<Box<T>>; N]> {
+    vec![None; N]
+        .into_boxed_slice()
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("a vector of N slots"))
+}
+
+impl Clone for MainMemory {
+    fn clone(&self) -> MainMemory {
+        let mut blocks = empty_table::<Block, NUM_BLOCKS>();
+        for &page in &self.resident {
+            let (b, p) = (
+                page as usize >> BLOCK_BITS,
+                page as usize & (BLOCK_PAGES - 1),
+            );
+            let src = self.blocks[b].as_ref().and_then(|block| block[p].clone());
+            blocks[b].get_or_insert_with(empty_table)[p] = src;
+        }
+        MainMemory {
+            blocks,
+            resident: self.resident.clone(),
+            config: self.config,
+        }
+    }
+}
+
 impl fmt::Debug for MainMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MainMemory")
-            .field(
-                "resident_pages",
-                &(self.blocks.iter().flatten())
-                    .flat_map(|b| b.iter())
-                    .filter(|p| p.is_some())
-                    .count(),
-            )
+            .field("resident_pages", &self.resident.len())
             .field("config", &self.config)
             .finish()
     }
@@ -116,7 +145,8 @@ impl MainMemory {
     /// An empty memory with the given timing configuration.
     pub fn new(config: MemConfig) -> MainMemory {
         MainMemory {
-            blocks: Box::new([const { None }; NUM_BLOCKS]),
+            blocks: empty_table(),
+            resident: Vec::new(),
             config,
         }
     }
@@ -130,8 +160,14 @@ impl MainMemory {
     #[inline]
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
         let block = self.blocks[(addr >> (PAGE_SHIFT + BLOCK_BITS)) as usize]
-            .get_or_insert_with(|| Box::new([const { None }; BLOCK_PAGES]));
-        block[(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)].get_or_insert_with(zero_page)
+            .get_or_insert_with(empty_table);
+        match &mut block[(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)] {
+            Some(page) => page,
+            slot => {
+                self.resident.push(addr >> PAGE_SHIFT);
+                slot.insert(zero_page())
+            }
+        }
     }
 
     /// The timing configuration.
@@ -261,6 +297,27 @@ mod tests {
         let addr = (1 << PAGE_SHIFT) - 2;
         mem.write_word(addr, 0x0102_0304);
         assert_eq!(mem.read_word(addr), 0x0102_0304);
+    }
+
+    #[test]
+    fn clones_never_see_each_others_writes() {
+        let mut original = MainMemory::new(MemConfig::default());
+        let boundary = 3 << PAGE_SHIFT;
+        original.write_word(boundary - 2, 0x1122_3344);
+        let mut clone = original.clone();
+        clone.write_word(boundary - 2, 0x5566_7788);
+        original.write_byte(boundary + 8, 0xaa);
+        assert_eq!(original.read_word(boundary - 2), 0x1122_3344);
+        assert_eq!(clone.read_word(boundary - 2), 0x5566_7788);
+        assert_eq!(original.read_byte(boundary + 8), 0xaa);
+        assert_eq!(
+            clone.read_byte(boundary + 8),
+            0,
+            "the clone's page is its own"
+        );
+        // A page first touched after the clone is private to its writer.
+        clone.write_word(0x40_0000, 7);
+        assert_eq!(original.read_word(0x40_0000), 0);
     }
 
     #[test]

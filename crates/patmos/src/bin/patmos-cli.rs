@@ -17,6 +17,7 @@
 //!                                [--single-issue] [--non-strict] [--json]
 //!                                [--chrome <out.json>] [--cores N] [--slot-cycles N]
 //! patmos-cli faults  <file.pasm | file.patc> [--seed N] [--campaign N] [--json]
+//!                                [--single-issue] [--slow-path]
 //!                                [--opt-level N] [--sched-level N]
 //! ```
 //!
@@ -84,7 +85,11 @@
 //! contract checks and watchdog alone, and under the full stack with
 //! the CFG-derived control-flow checker armed. `--campaign N` draws N
 //! injections instead and prints the tallied outcome split; `--json`
-//! emits the same data as a JSON document.
+//! emits the same data as a JSON document. Both also count how each run
+//! was answered, over both arms: pruned (from the golden run's access
+//! index, without simulating), forked (from a golden checkpoint) or from
+//! reset. With `--slow-path`, every run is simulated from reset: the
+//! oracle the other two paths must agree with.
 //!
 //! `.patc` files are compiled from PatC; `.pasm` files are assembled
 //! directly. Results, cycle counts and stall breakdowns go to stdout.
@@ -797,12 +802,13 @@ fn describe_trigger(trigger: &patmos::sim::FaultTrigger) -> String {
 /// control-flow checker armed — so the outcome shows what each detector
 /// layer contributes.
 fn cmd_faults(args: &Args) -> Result<(), String> {
-    use patmos::sim::faults::{golden_run, run_injection};
+    use patmos::sim::faults::{golden_run, run_injection_with_path, RunPath};
     use patmos::sim::{DetectorKind, FaultOutcome, FaultPlan, FaultRng, FaultSpace};
 
     let image = load_image(args)?;
     let config = SimConfig {
         dual_issue: !args.single_issue,
+        fast_path: !args.slow_path,
         ..SimConfig::default()
     };
     let golden = golden_run(&image, &config).map_err(|e| format!("golden run failed: {e}"))?;
@@ -812,12 +818,24 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let count = args.campaign.unwrap_or(1);
 
     let mut runs = Vec::new();
+    // How each run was answered, over both arms: pruned, forked, from reset.
+    let mut paths = [0u64; 3];
     for _ in 0..count {
         let injection = FaultPlan::draw(&mut rng, &space);
-        let strict = run_injection(&image, &config, injection, None, &golden);
-        let full = run_injection(&image, &config, injection, Some(&flow), &golden);
+        let (strict, strict_path) =
+            run_injection_with_path(&image, &config, injection, None, &golden);
+        let (full, full_path) =
+            run_injection_with_path(&image, &config, injection, Some(&flow), &golden);
+        for path in [strict_path, full_path] {
+            paths[match path {
+                RunPath::Pruned => 0,
+                RunPath::Forked => 1,
+                RunPath::FromReset => 2,
+            }] += 1;
+        }
         runs.push((injection, strict, full));
     }
+    let [pruned, forked, from_reset] = paths;
 
     let mut masked = 0u64;
     let mut sdc = 0u64;
@@ -885,7 +903,10 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
              \"detected_contract\": {det_contract}, \"detected_control_flow\": {det_cflow}, \
              \"hang\": {hang}, \"strict_detected\": {strict_detected}, \
              \"strict_sdc\": {strict_sdc}, \"strict_hang\": {strict_hang}, \
-             \"cfg_only\": {cfg_only} }}\n"
+             \"cfg_only\": {cfg_only} }},\n"
+        ));
+        out.push_str(&format!(
+            "  \"paths\": {{ \"pruned\": {pruned}, \"forked\": {forked}, \"from_reset\": {from_reset} }}\n"
         ));
         out.push_str("}\n");
         print!("{out}");
@@ -914,6 +935,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
                 .map_or("-".to_string(), |l| l.to_string()),
         );
     }
+    println!("runs answered    = {pruned} pruned, {forked} forked, {from_reset} from reset");
     if args.campaign.is_some() {
         println!("--- tally (full stack) ---");
         println!("masked           = {masked}");

@@ -36,7 +36,12 @@ impl CacheParams {
 }
 
 /// Full configuration of one Patmos core.
-#[derive(Debug, Clone)]
+///
+/// Two configs are equal when every field is. A fault campaign compares
+/// the machine a golden run recorded with the machine an injection asks
+/// for, leaving out [`SimConfig::faults`] and [`SimConfig::max_cycles`],
+/// which every injected run sets for itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
     /// Issue both slots (`true`, the paper's design) or force
     /// single-issue (the E2 ablation baseline).
@@ -64,11 +69,14 @@ pub struct SimConfig {
     /// Abort after this many cycles (guards against runaway programs).
     pub max_cycles: u64,
     /// Let untraced runs retire stall-free basic-block stretches in
-    /// bursts (guest-cycle identical; purely a host-speed switch).
-    /// `false` never bursts: every bundle takes the general step, the
-    /// oracle the engine differential and the host-throughput experiment
-    /// compare the burst against. Traced runs never burst, whatever this
-    /// flag says.
+    /// bursts, and let fault campaigns answer injections from the golden
+    /// run's recording (guest-cycle and outcome identical; purely a
+    /// host-speed switch). `false` never bursts: every bundle takes the
+    /// general step, the oracle the engine differential and the
+    /// host-throughput experiment compare the burst against. It is also
+    /// the campaign's oracle: [`crate::faults::golden_run`] records
+    /// nothing, and every [`crate::faults::run_injection`] simulates
+    /// from reset. Traced runs never burst, whatever this flag says.
     pub fast_path: bool,
     /// An armed fault-injection plan. `Some`, even empty, keeps the run
     /// on the general step so every bundle passes the injection hooks.

@@ -14,6 +14,64 @@
 //! the burst runs the step's own op semantics, and the engine
 //! differential sweep proves the two bit-identical.
 //!
+//! # Three ways to answer an injection
+//!
+//! Up to its trigger, an injected run steps through exactly the golden
+//! run, and most flips hit state the golden run never reads again. So
+//! [`golden_run`], under [`SimConfig::fast_path`], steps the golden run
+//! once into a recorder and keeps three things:
+//!
+//! * an access index: per step (bundle retired), the cycle its fault
+//!   check saw and one bit per register, predicate and `sl`/`sh`/`sm`
+//!   for what it reads and what it fully overwrites; per main-memory
+//!   load or store, its step and byte range;
+//! * the retired control transfers (the `Branch`, `Call` and `Return`
+//!   trace events), which are the control-flow checker's whole input;
+//! * at most eight [`Simulator`] checkpoints, evenly spaced: every 128
+//!   steps, halving them and doubling the spacing whenever they are
+//!   full, so their number does not grow with the run.
+//!
+//! On the suite's kernels the index and the transfers take about 28
+//! bytes per golden step. [`run_injection`] then answers each injection
+//! one of three ways ([`RunPath`]):
+//!
+//! * **Pruned.** A [`FaultTrigger::Cycle`] flip lands before the first
+//!   step whose fault check sees its cycle. If the golden run never
+//!   reads the flipped location from that step on before overwriting
+//!   it whole, the injected run *is* the golden run until its first
+//!   read of it, which never comes. So the outcome is known without
+//!   simulating: [`FaultOutcome::Masked`] with the golden `cycles` and
+//!   no latency, `injected` false only when the trigger lies past the
+//!   last bundle. The one exception is a data-segment byte the run
+//!   never touches again: it is a [`FaultOutcome::SilentDataCorruption`],
+//!   because the globals compared at halt include it. Every slot reads
+//!   its operand registers and predicates, its guard (whether it held
+//!   or not), `mfs`'s special register, and `sm` for `wres`. Only
+//!   unguarded slots kill what they define (the register, the
+//!   predicate, `sl`/`sh` for `mul`, the `mts` target), because a
+//!   guarded one may not write at all; the link register dies at the
+//!   `Call` event after the call's delay slots, not at the `call`; a
+//!   store kills the bytes it writes, nothing more. Within one step a
+//!   read wins over a kill, since every read sees the step's
+//!   pre-state, and r1 counts as read at halt. With the checker armed,
+//!   a flip is pruned only if the golden run's whole transfer stream
+//!   passes it.
+//! * **Forked.** Every other cycle-triggered injection clones the last
+//!   checkpoint at or before its trigger step and arms the clone. That
+//!   checkpoint is the state a run from reset reaches at the same step,
+//!   since both follow the golden run until the trigger. With the
+//!   checker armed, its loop-cap counters are restored by folding the
+//!   golden run's transfers before the checkpoint through the checker's
+//!   own check; a golden run the checker stops before the checkpoint is
+//!   left to the run from reset.
+//! * **From reset.** The oracle: a fresh [`Simulator`] steps from reset.
+//!   It answers [`FaultTrigger::RetiredPc`] injections, a [`GoldenRun`]
+//!   used with another image (code, data, functions or entry) or another
+//!   machine (a [`SimConfig`] that differs in more than its fault plan
+//!   and cycle budget), golden runs too long to record, and every
+//!   injection under `fast_path: false`, which also leaves the golden
+//!   run unrecorded.
+//!
 //! Outcomes are classified against a golden (uninjected) run into the
 //! four-way [`FaultOutcome`] taxonomy. Three detector layers feed
 //! [`FaultOutcome::Detected`]:
@@ -34,13 +92,15 @@
 //! keeping the dependency arrow pointing wcet → sim.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use patmos_asm::ObjectImage;
-use patmos_isa::{Reg, LINK_REG, NUM_PREDS, NUM_REGS};
+use patmos_asm::{DataSegment, FuncInfo, ObjectImage};
+use patmos_isa::{Inst, MemArea, Op, Pred, Reg, SpecialReg, LINK_REG, NUM_PREDS, NUM_REGS};
+use patmos_trace::{TraceEvent, TraceSink};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::machine::Simulator;
+use crate::machine::{FlowTarget, Simulator};
 
 /// A splitmix64 pseudo-random generator: tiny, seedable, and fully
 /// deterministic — fault campaigns must not consult the wall clock.
@@ -358,9 +418,9 @@ impl ControlFlowMap {
 /// Live checker state: the map plus per-cap entry counters.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowCheckState {
-    pub(crate) map: ControlFlowMap,
+    map: ControlFlowMap,
     /// Header entries since the last transfer out of each cap's span.
-    pub(crate) counts: Vec<u32>,
+    counts: Vec<u32>,
 }
 
 impl FlowCheckState {
@@ -369,14 +429,19 @@ impl FlowCheckState {
         FlowCheckState { map, counts }
     }
 
-    /// Updates the cap counters for a transfer to `target` and reports a
-    /// cap violation. A transfer to a header counts an entry; a transfer
-    /// out of a cap's span resets its counter (so the cap is per visit,
-    /// never across re-entries). The reset-on-exit rule means the check
-    /// can only under-count — it never fires on a legal run.
-    pub(crate) fn note_transfer(&mut self, target: u32) -> Result<(), SimError> {
+    /// Checks one retired transfer to `target`, leaving from `pc`: the
+    /// loop caps first, since they see every transfer, then the edge
+    /// sets for calls and returns. Those are the only transfers a
+    /// corrupted register can steer, since branch targets are immediate.
+    ///
+    /// A transfer to a header counts an entry; a transfer out of a cap's
+    /// span resets its counter (so the cap is per visit, never across
+    /// re-entries). The reset-on-exit rule means the check can only
+    /// under-count — it never fires on a legal run.
+    pub(crate) fn check(&mut self, target: FlowTarget, pc: u32) -> Result<(), SimError> {
+        let (FlowTarget::Jump(t) | FlowTarget::Call(t) | FlowTarget::Ret(t)) = target;
         for (cap, count) in self.map.loop_caps.iter().zip(&mut self.counts) {
-            if target == cap.header {
+            if t == cap.header {
                 *count += 1;
                 if *count > cap.max {
                     return Err(SimError::LoopBoundExceeded {
@@ -384,11 +449,20 @@ impl FlowCheckState {
                         bound: cap.max,
                     });
                 }
-            } else if target < cap.header || target > cap.span_end {
+            } else if t < cap.header || t > cap.span_end {
                 *count = 0;
             }
         }
-        Ok(())
+        let legal = match target {
+            FlowTarget::Jump(_) => true,
+            FlowTarget::Call(t) => self.map.is_legal_call(t),
+            FlowTarget::Ret(t) => self.map.is_legal_return(t),
+        };
+        if legal {
+            Ok(())
+        } else {
+            Err(SimError::IllegalControlFlow { pc, target: t })
+        }
     }
 }
 
@@ -465,7 +539,13 @@ impl FaultOutcome {
 
 /// The golden (uninjected) run's observable outcome: the comparison
 /// basis for classifying injected runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Under [`SimConfig::fast_path`] it also carries the golden run's
+/// recording (see the [module docs](self)), which
+/// [`run_injection`] answers injections from. The recording is a
+/// host-side cache, like [`crate::HostStats`]: equality compares the
+/// outcome fields alone.
+#[derive(Debug, Clone)]
 pub struct GoldenRun {
     /// The result register (r1) at halt.
     pub result_r1: u32,
@@ -476,7 +556,19 @@ pub struct GoldenRun {
     /// The data segments read back from memory after the run, in image
     /// order — the program's global state.
     pub globals: Vec<u8>,
+    replay: Option<Arc<Replay>>,
 }
+
+impl PartialEq for GoldenRun {
+    fn eq(&self, other: &GoldenRun) -> bool {
+        self.result_r1 == other.result_r1
+            && self.halt_pc == other.halt_pc
+            && self.cycles == other.cycles
+            && self.globals == other.globals
+    }
+}
+
+impl Eq for GoldenRun {}
 
 /// Reads the image's data segments back out of a finished simulator.
 fn read_globals(image: &ObjectImage, sim: &Simulator) -> Vec<u8> {
@@ -491,18 +583,29 @@ fn read_globals(image: &ObjectImage, sim: &Simulator) -> Vec<u8> {
 
 /// Runs `image` uninjected and captures the golden outcome.
 ///
+/// Under [`SimConfig::fast_path`] with no fault plan armed, the run is
+/// stepped into a recorder that keeps the access index, the transfers
+/// and the checkpoints [`run_injection`] answers from. With
+/// `fast_path: false` it is a plain run, the oracle's.
+///
 /// # Errors
 ///
 /// Returns the run's [`SimError`] — a program that cannot complete
 /// cleanly has no golden reference to classify against.
 pub fn golden_run(image: &ObjectImage, config: &SimConfig) -> Result<GoldenRun, SimError> {
     let mut sim = Simulator::try_new(image, config.clone())?;
-    let result = sim.run()?;
+    let replay = if config.fast_path && config.faults.is_none() {
+        Replay::record(image, config, &mut sim)?.map(Arc::new)
+    } else {
+        None
+    };
+    sim.run()?;
     Ok(GoldenRun {
         result_r1: sim.reg(Reg::R1),
-        halt_pc: result.halt_pc,
-        cycles: result.stats.cycles,
+        halt_pc: sim.pc(),
+        cycles: sim.cycle(),
         globals: read_globals(image, &sim),
+        replay,
     })
 }
 
@@ -521,6 +624,20 @@ pub struct InjectionOutcome {
     pub cycles: u64,
 }
 
+/// How [`run_injection_with_path`] answered an injection. Like
+/// [`crate::HostStats`], it says how the host got the answer, never
+/// what the guest did, so it stays out of [`InjectionOutcome`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunPath {
+    /// Answered from the golden run's access index, without simulating.
+    Pruned,
+    /// Simulated from the last golden checkpoint at or before the
+    /// trigger.
+    Forked,
+    /// Simulated from reset: the oracle path.
+    FromReset,
+}
+
 /// Runs `image` with `injection` armed and classifies the outcome
 /// against `golden`.
 ///
@@ -535,25 +652,62 @@ pub fn run_injection(
     flow: Option<&ControlFlowMap>,
     golden: &GoldenRun,
 ) -> InjectionOutcome {
+    run_injection_with_path(image, config, injection, flow, golden).0
+}
+
+/// [`run_injection`], also saying which of the three paths answered.
+///
+/// The golden run's recording answers a [`FaultTrigger::Cycle`]
+/// injection when `config` has [`SimConfig::fast_path`] set and equals
+/// the golden run's config (its fault plan and cycle budget aside), and
+/// `image` loads the same code, data and functions. Everything else
+/// runs from reset.
+pub fn run_injection_with_path(
+    image: &ObjectImage,
+    config: &SimConfig,
+    injection: Injection,
+    flow: Option<&ControlFlowMap>,
+    golden: &GoldenRun,
+) -> (InjectionOutcome, RunPath) {
+    let replay = golden
+        .replay
+        .as_deref()
+        .filter(|r| config.fast_path && r.matches(image, config));
+    if let (Some(replay), FaultTrigger::Cycle(cycle)) = (replay, injection.trigger) {
+        if let Some(answer) = replay.answer(image, cycle, injection, flow, golden) {
+            return answer;
+        }
+    }
     let mut cfg = config.clone();
     cfg.faults = Some(FaultPlan::single(injection));
-    cfg.max_cycles = golden.cycles.saturating_mul(4).saturating_add(4096);
+    cfg.max_cycles = watchdog(golden);
     let mut sim = match Simulator::try_new(image, cfg) {
         Ok(sim) => sim,
         Err(_) => {
             // The golden run decoded; a failure here cannot be
             // fault-induced, but classify it defensively.
-            return InjectionOutcome {
+            let outcome = InjectionOutcome {
                 outcome: FaultOutcome::Detected(DetectorKind::Contract),
                 injected: false,
                 detection_latency: None,
                 cycles: 0,
             };
+            return (outcome, RunPath::FromReset);
         }
     };
     if let Some(map) = flow {
         sim.install_flow_checker(map.clone());
     }
+    (classify(image, sim, golden), RunPath::FromReset)
+}
+
+/// The injected run's cycle budget.
+fn watchdog(golden: &GoldenRun) -> u64 {
+    golden.cycles.saturating_mul(4).saturating_add(4096)
+}
+
+/// Runs an armed core to its end and classifies the outcome.
+fn classify(image: &ObjectImage, mut sim: Simulator, golden: &GoldenRun) -> InjectionOutcome {
     let run = sim.run();
     let injected_at = sim.fault_injected_at();
     let cycles = sim.cycle();
@@ -592,6 +746,452 @@ pub fn run_injection(
     }
 }
 
+/// Checkpoints a recording keeps at most.
+const CHECKPOINTS: usize = 8;
+
+/// Steps between checkpoints until the first thinning.
+const FIRST_INTERVAL: usize = 128;
+
+/// Steps a recording makes room for up front. Growing the index from
+/// empty would copy it about a dozen times over a run of a few thousand
+/// steps, which measured as costly as the recorder's own work.
+const RESERVED_STEPS: usize = 4096;
+
+/// Longest golden run, in steps, that is recorded. A longer one
+/// finishes unrecorded and its injections run from reset, so the
+/// recording stays within a few tens of MiB.
+const MAX_RECORDED_STEPS: usize = 1 << 20;
+
+/// Bit positions of the access index's locations: r0–r31, then p0–p7,
+/// then `sl`, `sh` and `sm`.
+const PRED_BIT: u32 = NUM_REGS as u32;
+const SL_BIT: u32 = PRED_BIT + NUM_PREDS as u32;
+const SH_BIT: u32 = SL_BIT + 1;
+const SM_BIT: u32 = SL_BIT + 2;
+
+/// The register, predicate and `sl`/`sh`/`sm` locations a slot, a bundle
+/// or a golden step reads and fully overwrites, one bit per location.
+#[derive(Debug, Clone, Copy, Default)]
+struct Access {
+    reads: u64,
+    kills: u64,
+}
+
+/// One golden step: the cycle its fault check saw, and its accesses.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    start: u64,
+    access: Access,
+}
+
+impl Access {
+    /// The accesses of one slot. Every slot reads its operands and its
+    /// guard, whether the guard holds or not. Only an unguarded slot
+    /// kills what it defines: a guarded one may not write at all. A call
+    /// writes the link register only when its delay slots have retired,
+    /// so its kill belongs to the `Call` event, not to this slot.
+    fn of_slot(inst: &Inst) -> Access {
+        let special = |reg: SpecialReg| match reg {
+            SpecialReg::Sl => 1u64 << SL_BIT,
+            SpecialReg::Sh => 1 << SH_BIT,
+            SpecialReg::Sm => 1 << SM_BIT,
+            SpecialReg::St | SpecialReg::Ss => 0,
+        };
+        let reg = |r: Reg| 1u64 << r.index();
+        let pred = |p: Pred| 1u64 << (PRED_BIT + p.index() as u32);
+        let op = inst.op;
+        let mut reads = pred(inst.guard.pred);
+        for r in op.uses().into_iter().flatten() {
+            reads |= reg(r);
+        }
+        for p in op.pred_uses().into_iter().flatten() {
+            reads |= pred(p);
+        }
+        reads |= match op {
+            Op::Mfs { ss, .. } => special(ss),
+            Op::MainWait { .. } => 1 << SM_BIT,
+            _ => 0,
+        };
+        let mut kills = 0;
+        if inst.guard.is_always() {
+            if !matches!(op, Op::Call { .. } | Op::CallR { .. }) {
+                kills |= op.def().map_or(0, reg);
+            }
+            kills |= op.pred_def().map_or(0, pred);
+            kills |= match op {
+                Op::Mul { .. } => (1 << SL_BIT) | (1 << SH_BIT),
+                Op::Mts { sd, .. } => special(sd),
+                _ => 0,
+            };
+        }
+        Access { reads, kills }
+    }
+}
+
+/// What the recorder needs to know of one bundle, by word address.
+#[derive(Debug, Clone, Copy, Default)]
+struct BundleFacts {
+    access: Access,
+    /// Bytes its main-memory access moves (slot one holds the only
+    /// memory operation a bundle may have).
+    mem_bytes: u32,
+}
+
+/// One main-memory load or store of the golden run.
+#[derive(Debug, Clone, Copy)]
+struct MemAccess {
+    step: u32,
+    addr: u32,
+    len: u32,
+    store: bool,
+}
+
+/// One retired control transfer of the golden run: the control-flow
+/// checker's input at step `step`.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    step: u32,
+    target: FlowTarget,
+}
+
+/// What the simulation reads of an image: an injection may use the
+/// recording only with an image that loads the same program.
+#[derive(Debug)]
+struct Program {
+    code: Vec<u32>,
+    functions: Vec<FuncInfo>,
+    data: Vec<DataSegment>,
+    entry: u32,
+}
+
+impl Program {
+    fn of(image: &ObjectImage) -> Program {
+        Program {
+            code: image.code().to_vec(),
+            functions: image.functions().to_vec(),
+            data: image.data().to_vec(),
+            entry: image.entry_word(),
+        }
+    }
+
+    fn loads(&self, image: &ObjectImage) -> bool {
+        self.entry == image.entry_word()
+            && self.code == image.code()
+            && self.functions == image.functions()
+            && self.data == image.data()
+    }
+}
+
+/// The trace sink a golden run is stepped into. Step `i` is the `i`-th
+/// bundle retired; a bundle's loads and stores arrive before its
+/// `Retire`, its transfer after.
+struct Recorder {
+    facts: Vec<BundleFacts>,
+    steps: Vec<Step>,
+    mem: Vec<MemAccess>,
+    transfers: Vec<Transfer>,
+}
+
+impl Recorder {
+    fn transfer(&mut self, target: FlowTarget) {
+        self.transfers.push(Transfer {
+            step: self.steps.len() as u32 - 1,
+            target,
+        });
+    }
+}
+
+impl TraceSink for Recorder {
+    fn event(&mut self, e: TraceEvent) {
+        match e {
+            TraceEvent::DataAccess {
+                pc,
+                addr,
+                area,
+                store,
+                ..
+            } if area != MemArea::Spm => self.mem.push(MemAccess {
+                step: self.steps.len() as u32,
+                addr,
+                len: self.facts[pc as usize].mem_bytes,
+                store,
+            }),
+            TraceEvent::Retire {
+                pc,
+                cycle,
+                issue_cycles,
+                ..
+            } => {
+                // Nothing moves the clock between a step's fault check
+                // and its issue, so this is the cycle a trigger is
+                // compared against.
+                self.steps.push(Step {
+                    start: cycle - issue_cycles,
+                    access: self.facts[pc as usize].access,
+                });
+            }
+            TraceEvent::Branch { pc, .. } => self.transfer(FlowTarget::Jump(pc)),
+            TraceEvent::Call { pc, .. } => {
+                self.transfer(FlowTarget::Call(pc));
+                if let Some(last) = self.steps.last_mut() {
+                    last.access.kills |= 1 << LINK_REG.index();
+                }
+            }
+            TraceEvent::Return { pc, .. } => self.transfer(FlowTarget::Ret(pc)),
+            _ => {}
+        }
+    }
+}
+
+/// The golden run's recording: the access index, the transfers and a
+/// few checkpoints.
+struct Replay {
+    /// The golden run's machine, with no fault plan.
+    config: SimConfig,
+    program: Program,
+    steps: Vec<Step>,
+    mem: Vec<MemAccess>,
+    transfers: Vec<Transfer>,
+    /// Clones of the golden core before the step they are keyed by,
+    /// evenly spaced, the first at step 0.
+    checkpoints: Vec<(u32, Simulator)>,
+}
+
+impl std::fmt::Debug for Replay {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Replay")
+            .field("steps", &self.steps.len())
+            .field("mem_accesses", &self.mem.len())
+            .field("transfers", &self.transfers.len())
+            .field("checkpoints", &self.checkpoints.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A flipped location, as the access index sees it.
+enum Location {
+    /// State the flip cannot change (r0, p0).
+    Inert,
+    /// A bit of [`Access`].
+    Bit(u32),
+    /// A main-memory byte.
+    Byte(u32),
+    /// Cache tags: values stay, timing moves, so every flip needs a run.
+    Timing,
+}
+
+impl Location {
+    fn of(target: FaultTarget) -> Location {
+        match target {
+            FaultTarget::Register { reg, .. } => match reg as usize % NUM_REGS {
+                0 => Location::Inert,
+                r => Location::Bit(r as u32),
+            },
+            FaultTarget::Predicate { pred } => match pred as usize % NUM_PREDS {
+                0 => Location::Inert,
+                p => Location::Bit(PRED_BIT + p as u32),
+            },
+            FaultTarget::Special { reg, .. } => Location::Bit(match reg {
+                SpecialTarget::Sl => SL_BIT,
+                SpecialTarget::Sh => SH_BIT,
+                SpecialTarget::Sm => SM_BIT,
+            }),
+            FaultTarget::Memory { addr, bit } => {
+                Location::Byte((addr & !3) + (bit as u32 % 32) / 8)
+            }
+            FaultTarget::CacheTags { .. } => Location::Timing,
+        }
+    }
+}
+
+impl Replay {
+    /// Steps `sim`, fresh from `image`, to its halt while recording.
+    /// Returns `None`, leaving the run unfinished, when it outgrows
+    /// [`MAX_RECORDED_STEPS`].
+    fn record(
+        image: &ObjectImage,
+        config: &SimConfig,
+        sim: &mut Simulator,
+    ) -> Result<Option<Replay>, SimError> {
+        let mut facts = vec![BundleFacts::default(); image.code().len()];
+        for (pc, first, second) in sim.bundles() {
+            let mut access = Access::of_slot(&first);
+            if let Some(second) = second {
+                let s = Access::of_slot(&second);
+                access.reads |= s.reads;
+                access.kills |= s.kills;
+            }
+            let mem_bytes = match first.op {
+                Op::Load { size, .. } | Op::Store { size, .. } => size.bytes(),
+                Op::MainLoad { .. } | Op::MainStore { .. } => 4,
+                _ => 0,
+            };
+            facts[pc as usize] = BundleFacts { access, mem_bytes };
+        }
+        let mut rec = Recorder {
+            facts,
+            steps: Vec::with_capacity(RESERVED_STEPS),
+            mem: Vec::new(),
+            transfers: Vec::new(),
+        };
+        let mut checkpoints = Vec::with_capacity(CHECKPOINTS);
+        let mut interval = FIRST_INTERVAL;
+        while !sim.is_halted() {
+            let step = rec.steps.len();
+            if step == MAX_RECORDED_STEPS {
+                return Ok(None);
+            }
+            if step % interval == 0 {
+                // Full: keep every other checkpoint and double the
+                // spacing, so they stay few and even in one pass.
+                if checkpoints.len() == CHECKPOINTS {
+                    interval *= 2;
+                    checkpoints.retain(|(s, _)| *s as usize % interval == 0);
+                }
+                if step % interval == 0 {
+                    checkpoints.push((step as u32, sim.clone()));
+                }
+            }
+            sim.step_traced(&mut rec)?;
+        }
+        // The result register is read at halt.
+        if let Some(last) = rec.steps.last_mut() {
+            last.access.reads |= 1 << Reg::R1.index();
+        }
+        rec.steps.shrink_to_fit();
+        Ok(Some(Replay {
+            config: SimConfig {
+                max_cycles: 0,
+                ..config.clone()
+            },
+            program: Program::of(image),
+            steps: rec.steps,
+            mem: rec.mem,
+            transfers: rec.transfers,
+            checkpoints,
+        }))
+    }
+
+    /// Whether an injection into `image` under `config` may use this
+    /// recording.
+    fn matches(&self, image: &ObjectImage, config: &SimConfig) -> bool {
+        let machine = SimConfig {
+            faults: None,
+            max_cycles: 0,
+            ..config.clone()
+        };
+        self.config == machine && self.program.loads(image)
+    }
+
+    /// Answers `injection`, triggered at `cycle`: pruned when the golden run
+    /// never observes it, else forked from a checkpoint. `None` when the
+    /// checker would stop the golden run before that checkpoint, which
+    /// only a run from reset reproduces.
+    fn answer(
+        &self,
+        image: &ObjectImage,
+        cycle: u64,
+        injection: Injection,
+        flow: Option<&ControlFlowMap>,
+        golden: &GoldenRun,
+    ) -> Option<(InjectionOutcome, RunPath)> {
+        // The flip lands before step `k`, the first whose fault check
+        // sees `cycle`; past the last step it never lands.
+        let k = self.steps.partition_point(|s| s.start < cycle);
+        let fired = k < self.steps.len();
+        let unobserved = if fired {
+            self.unobserved(image, k, injection.target)
+        } else {
+            Some(FaultOutcome::Masked)
+        };
+        if let Some(outcome) = unobserved {
+            // The run is the golden run, so the checker must pass all of
+            // it, not just the stretch before the flip.
+            if flow.is_none_or(|map| self.fold(map, u32::MAX).is_some()) {
+                let outcome = InjectionOutcome {
+                    outcome,
+                    injected: fired,
+                    detection_latency: None,
+                    cycles: golden.cycles,
+                };
+                return Some((outcome, RunPath::Pruned));
+            }
+        }
+        let (step, checkpoint) = self
+            .checkpoints
+            .iter()
+            .rev()
+            .find(|(s, _)| *s as usize <= k)?;
+        let mut sim = checkpoint.clone();
+        if let Some(map) = flow {
+            sim.install_flow_state(self.fold(map, *step)?);
+        }
+        sim.arm(&FaultPlan::single(injection), watchdog(golden));
+        Some((classify(image, sim, golden), RunPath::Forked))
+    }
+
+    /// The outcome of flipping `target` before step `k` when the golden
+    /// run never reads it again before overwriting it whole: until that
+    /// read the injected run *is* the golden run. `None` when it does.
+    fn unobserved(
+        &self,
+        image: &ObjectImage,
+        k: usize,
+        target: FaultTarget,
+    ) -> Option<FaultOutcome> {
+        match Location::of(target) {
+            Location::Inert => Some(FaultOutcome::Masked),
+            Location::Bit(b) => {
+                let bit = 1u64 << b;
+                // Within a step, a read wins over a kill: reads see the
+                // step's pre-state.
+                match self.steps[k..]
+                    .iter()
+                    .map(|s| s.access)
+                    .find(|a| (a.reads | a.kills) & bit != 0)
+                {
+                    Some(a) if a.reads & bit != 0 => None,
+                    _ => Some(FaultOutcome::Masked),
+                }
+            }
+            Location::Byte(addr) => {
+                let from = self.mem.partition_point(|a| (a.step as usize) < k);
+                match self.mem[from..]
+                    .iter()
+                    .find(|a| addr.wrapping_sub(a.addr) < a.len)
+                {
+                    Some(a) if a.store => Some(FaultOutcome::Masked),
+                    Some(_) => None,
+                    // Never touched again: `read_globals` compares it
+                    // when it is global state.
+                    None if image
+                        .data()
+                        .iter()
+                        .any(|seg| addr.wrapping_sub(seg.addr) < seg.bytes.len() as u32) =>
+                    {
+                        Some(FaultOutcome::SilentDataCorruption)
+                    }
+                    None => Some(FaultOutcome::Masked),
+                }
+            }
+            Location::Timing => None,
+        }
+    }
+
+    /// The checker's state after the golden run's transfers before step
+    /// `upto`, through the checker's own [`FlowCheckState::check`];
+    /// `None` if the check stops the golden run first.
+    fn fold(&self, map: &ControlFlowMap, upto: u32) -> Option<FlowCheckState> {
+        let mut state = FlowCheckState::new(map.clone());
+        for t in self.transfers.iter().take_while(|t| t.step < upto) {
+            // Only whether the check passes matters here, not the pc a
+            // violation would report.
+            state.check(t.target, 0).ok()?;
+        }
+        Some(state)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,6 +1203,292 @@ mod tests {
             "        .func main\n        li r2 = 5\n        li r1 = 0\nloop:\n        .loopbound 5 5\n        addi r1 = r1, 3\n        subi r2 = r2, 1\n        cmpineq p1 = r2, 0\n        (p1) br loop\n        nop\n        nop\n        halt\n",
         )
         .expect("assembles")
+    }
+
+    /// A call whose delay slot reads the link register, then a guarded
+    /// def whose guard is false: `r1 = 100 + 7`.
+    fn call_image() -> ObjectImage {
+        assemble(
+            "        .func callee\n        ret\n        nop\n        nop\n        .func main\n        .entry main\n        li r31 = 100\n        li r3 = 7\n        cmpieq p1 = r3, 8\n        call callee\n        add r1 = r31, r0\n        (p1) li r3 = 9\n        add r1 = r1, r3\n        halt\n",
+        )
+        .expect("assembles")
+    }
+
+    /// A byte store into a global word that a word load then reads back
+    /// whole, and a multiply read through `sl`.
+    fn mem_image() -> ObjectImage {
+        assemble(
+            "        .data d 0x10000\n        .word 0x01020304\n        .func main\n        lil r2 = 0x10000\n        li r3 = 9\n        mul r3, r3\n        sbc [r2 + 0] = r3\n        lwc r1 = [r2 + 0]\n        mfs r4 = sl\n        add r1 = r1, r4\n        halt\n",
+        )
+        .expect("assembles")
+    }
+
+    /// The configuration every oracle run uses.
+    fn oracle() -> SimConfig {
+        SimConfig {
+            fast_path: false,
+            ..SimConfig::default()
+        }
+    }
+
+    /// A map that accepts every transfer the golden run makes, with
+    /// `caps` added.
+    fn permissive_map(image: &ObjectImage, caps: &[LoopCap]) -> ControlFlowMap {
+        let mut sim = Simulator::new(image, SimConfig::default());
+        let mut sink = VecSink::new();
+        sim.run_traced(&mut sink).expect("runs");
+        let mut map = ControlFlowMap::new();
+        for e in &sink.events {
+            match *e {
+                TraceEvent::Call { pc, .. } => map.add_call_target(pc),
+                TraceEvent::Return { pc, .. } => map.add_return_site(pc),
+                _ => {}
+            }
+        }
+        for cap in caps {
+            map.add_loop_cap(*cap);
+        }
+        map
+    }
+
+    #[test]
+    fn every_flip_of_small_programs_matches_the_oracle() {
+        // Every location flipped before every step (and past the end),
+        // under no checker, a checker the golden run passes, and one it
+        // trips, on three machines.
+        let loop_cap = |max| LoopCap {
+            header: 2,
+            span_end: 7,
+            max,
+        };
+        let cases = [
+            (
+                loop_image(),
+                vec![permissive_map(&loop_image(), &[loop_cap(5)]), {
+                    let mut map = ControlFlowMap::new();
+                    map.add_loop_cap(loop_cap(3));
+                    map
+                }],
+            ),
+            (
+                call_image(),
+                vec![permissive_map(&call_image(), &[]), ControlFlowMap::new()],
+            ),
+            (mem_image(), vec![permissive_map(&mem_image(), &[])]),
+        ];
+        let mut targets: Vec<FaultTarget> = (1..NUM_REGS as u8)
+            .map(|reg| FaultTarget::Register { reg, bit: 0 })
+            .collect();
+        targets.extend((1..NUM_PREDS as u8).map(|pred| FaultTarget::Predicate { pred }));
+        for reg in [SpecialTarget::Sl, SpecialTarget::Sh, SpecialTarget::Sm] {
+            targets.push(FaultTarget::Special { reg, bit: 0 });
+        }
+        for bit in [0, 8, 16, 24, 32 + 9] {
+            targets.push(FaultTarget::Memory { addr: 0x10000, bit });
+        }
+        targets.push(FaultTarget::Memory {
+            addr: 0x10004,
+            bit: 1,
+        });
+        for cache in [CacheSel::Data, CacheSel::Static] {
+            targets.push(FaultTarget::CacheTags { cache });
+        }
+        let machines = [
+            SimConfig::default(),
+            SimConfig {
+                dual_issue: false,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                strict: false,
+                ..SimConfig::default()
+            },
+        ];
+        let mut paths = [0u32; 3];
+        for ((image, maps), machine) in cases
+            .iter()
+            .flat_map(|c| machines.iter().map(move |m| (c, m)))
+        {
+            let oracle = SimConfig {
+                fast_path: false,
+                ..machine.clone()
+            };
+            let golden = golden_run(image, machine).expect("golden");
+            let reference = golden_run(image, &oracle).expect("oracle golden");
+            assert_eq!(golden, reference);
+            for cycle in 0..=golden.cycles + 1 {
+                for &target in &targets {
+                    let injection = Injection {
+                        trigger: FaultTrigger::Cycle(cycle),
+                        target,
+                    };
+                    for flow in std::iter::once(None).chain(maps.iter().map(Some)) {
+                        let (got, path) =
+                            run_injection_with_path(image, machine, injection, flow, &golden);
+                        let want = run_injection(image, &oracle, injection, flow, &reference);
+                        assert_eq!(
+                            got,
+                            want,
+                            "{injection:?}, {machine:?}, checker {}, answered {path:?}",
+                            flow.is_some()
+                        );
+                        paths[path as usize] += 1;
+                    }
+                }
+            }
+        }
+        let [pruned, forked, from_reset] = paths;
+        assert!(pruned > 0 && forked > 0, "{paths:?}");
+        assert_eq!(from_reset, 0, "every cycle trigger has a checkpoint");
+    }
+
+    #[test]
+    fn retired_pc_triggers_run_from_reset() {
+        let image = loop_image();
+        let golden = golden_run(&image, &SimConfig::default()).expect("golden");
+        let injection = Injection {
+            trigger: FaultTrigger::RetiredPc {
+                pc: 2,
+                occurrence: 2,
+            },
+            target: FaultTarget::Register { reg: 20, bit: 0 },
+        };
+        let (outcome, path) =
+            run_injection_with_path(&image, &SimConfig::default(), injection, None, &golden);
+        assert_eq!(path, RunPath::FromReset);
+        assert_eq!(outcome.outcome, FaultOutcome::Masked);
+    }
+
+    #[test]
+    fn a_golden_run_answers_only_for_its_own_image_and_machine() {
+        let image = loop_image();
+        let golden = golden_run(&image, &SimConfig::default()).expect("golden");
+        let injection = Injection {
+            trigger: FaultTrigger::Cycle(golden.cycles / 2),
+            target: FaultTarget::Register { reg: 20, bit: 0 },
+        };
+        let (_, path) =
+            run_injection_with_path(&image, &SimConfig::default(), injection, None, &golden);
+        assert_eq!(path, RunPath::Pruned);
+        // A budget or a plan of its own changes nothing: the injected
+        // run sets both.
+        let budget = SimConfig {
+            max_cycles: 77,
+            faults: Some(FaultPlan::default()),
+            ..SimConfig::default()
+        };
+        let (_, path) = run_injection_with_path(&image, &budget, injection, None, &golden);
+        assert_eq!(path, RunPath::Pruned);
+
+        let other = assemble(
+            "        .func main\n        li r2 = 4\n        li r1 = 0\nloop:\n        .loopbound 4 4\n        addi r1 = r1, 3\n        subi r2 = r2, 1\n        cmpineq p1 = r2, 0\n        (p1) br loop\n        nop\n        nop\n        halt\n",
+        )
+        .expect("assembles");
+        let single = SimConfig {
+            dual_issue: false,
+            ..SimConfig::default()
+        };
+        for (image, config) in [(&other, SimConfig::default()), (&image, single)] {
+            let (outcome, path) = run_injection_with_path(image, &config, injection, None, &golden);
+            assert_eq!(path, RunPath::FromReset);
+            let oracle = SimConfig {
+                fast_path: false,
+                ..config
+            };
+            assert_eq!(
+                outcome,
+                run_injection(image, &oracle, injection, None, &golden)
+            );
+        }
+    }
+
+    #[test]
+    fn a_golden_run_too_long_to_record_answers_from_reset() {
+        // Six bundles an iteration: past MAX_RECORDED_STEPS.
+        let image = assemble(
+            "        .func main\n        lil r2 = 200000\n        li r1 = 0\nloop:\n        addi r1 = r1, 3\n        subi r2 = r2, 1\n        cmpineq p1 = r2, 0\n        (p1) br loop\n        nop\n        nop\n        halt\n",
+        )
+        .expect("assembles");
+        let golden = golden_run(&image, &SimConfig::default()).expect("golden");
+        assert_eq!(golden.result_r1, 600_000);
+        assert_eq!(
+            golden,
+            golden_run(&image, &oracle()).expect("oracle golden")
+        );
+        let injection = Injection {
+            trigger: FaultTrigger::Cycle(golden.cycles - 2),
+            target: FaultTarget::Register { reg: 1, bit: 0 },
+        };
+        let (outcome, path) =
+            run_injection_with_path(&image, &SimConfig::default(), injection, None, &golden);
+        assert_eq!(path, RunPath::FromReset);
+        assert_eq!(outcome.outcome, FaultOutcome::SilentDataCorruption);
+    }
+
+    #[test]
+    fn the_checker_arm_never_prunes_a_golden_run_the_checker_stops() {
+        let image = loop_image();
+        let golden = golden_run(&image, &SimConfig::default()).expect("golden");
+        let reference = golden_run(&image, &oracle()).expect("oracle golden");
+        let mut map = ControlFlowMap::new();
+        map.add_loop_cap(LoopCap {
+            header: 2,
+            span_end: 7,
+            max: 3,
+        });
+        // r20 is dead, so without the checker the flip is pruned...
+        let injection = Injection {
+            trigger: FaultTrigger::Cycle(1),
+            target: FaultTarget::Register { reg: 20, bit: 0 },
+        };
+        let (_, path) =
+            run_injection_with_path(&image, &SimConfig::default(), injection, None, &golden);
+        assert_eq!(path, RunPath::Pruned);
+        // ...but the golden run itself exceeds the cap.
+        let (outcome, path) = run_injection_with_path(
+            &image,
+            &SimConfig::default(),
+            injection,
+            Some(&map),
+            &golden,
+        );
+        assert_ne!(path, RunPath::Pruned);
+        assert_eq!(
+            outcome.outcome,
+            FaultOutcome::Detected(DetectorKind::ControlFlow)
+        );
+        assert_eq!(
+            outcome,
+            run_injection(&image, &oracle(), injection, Some(&map), &reference)
+        );
+    }
+
+    #[test]
+    fn a_clone_taken_mid_run_finishes_like_the_original() {
+        let image = loop_image();
+        let mut original = Simulator::new(&image, SimConfig::default());
+        for _ in 0..6 {
+            original.step().expect("steps");
+        }
+        let mut clone = original.clone();
+        // The original finishes first: nothing it does may reach the
+        // clone.
+        let mut original_sink = VecSink::new();
+        let a = original.run_traced(&mut original_sink).expect("runs");
+        let mut clone_sink = VecSink::new();
+        let b = clone.run_traced(&mut clone_sink).expect("runs");
+        assert_eq!((a.stats, a.halt_pc), (b.stats, b.halt_pc));
+        assert_eq!(original_sink.events, clone_sink.events);
+        for r in 0..NUM_REGS as u8 {
+            let reg = Reg::from_index(r);
+            assert_eq!(original.reg(reg), clone.reg(reg));
+        }
+        for addr in 0..image.code().len() as u32 * 4 {
+            assert_eq!(
+                original.memory().read_byte(addr),
+                clone.memory().read_byte(addr)
+            );
+        }
     }
 
     #[test]

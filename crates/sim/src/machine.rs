@@ -1,6 +1,8 @@
 //! The timed interpreter: one Patmos core, cycle-exact under the
 //! visible-delay model.
 
+use std::sync::Arc;
+
 use patmos_asm::{FuncInfo, ObjectImage};
 use patmos_isa::{
     timing, AccessSize, Bundle, FlowKind, Inst, MemArea, Op, Pred, Reg, SpecialReg, LINK_REG,
@@ -14,7 +16,8 @@ use patmos_trace::{CacheKind, FaultKind, NullSink, StallCause, TraceEvent, Trace
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::faults::{
-    CacheSel, ControlFlowMap, FaultState, FaultTarget, FaultTrigger, FlowCheckState, SpecialTarget,
+    CacheSel, ControlFlowMap, FaultPlan, FaultState, FaultTarget, FaultTrigger, FlowCheckState,
+    SpecialTarget,
 };
 use crate::stats::Stats;
 
@@ -28,8 +31,9 @@ struct PendingLoad {
     value: u32,
 }
 
+/// Where a control transfer goes once its delay slots have retired.
 #[derive(Debug, Clone, Copy)]
-enum FlowTarget {
+pub(crate) enum FlowTarget {
     Jump(u32),
     Call(u32),
     Ret(u32),
@@ -265,9 +269,10 @@ pub struct Simulator {
     /// The image's bundles, predecoded once at construction and indexed
     /// by word address. Continuation words are `None`, so a PC that is
     /// not a bundle start faults as [`SimError::BadPc`]. Execution reads
-    /// code only from here, never from main memory.
-    code: Vec<Option<PreBundle>>,
-    functions: Vec<FuncInfo>,
+    /// code only from here, never from main memory. Immutable, so clones
+    /// share it.
+    code: Arc<[Option<PreBundle>]>,
+    functions: Arc<[FuncInfo]>,
     mem: MainMemory,
     spm: Scratchpad,
     mcache: MethodCache,
@@ -331,8 +336,8 @@ impl Simulator {
         preds[0] = true;
 
         Simulator {
-            code,
-            functions: image.functions().to_vec(),
+            code: code.into(),
+            functions: image.functions().into(),
             spm: Scratchpad::new(config.spm_bytes),
             mcache: MethodCache::new(config.method_cache),
             dcache: SetAssocCache::new(
@@ -845,7 +850,33 @@ impl Simulator {
     /// fault plan, it keeps the run on the general step, which is where
     /// the check lives.
     pub fn install_flow_checker(&mut self, map: ControlFlowMap) {
-        self.flow_check = Some(Box::new(FlowCheckState::new(map)));
+        self.install_flow_state(FlowCheckState::new(map));
+    }
+
+    /// Installs a control-flow checker whose loop-cap counters are
+    /// already running: a fork resumes them where the golden run had
+    /// them at its checkpoint.
+    pub(crate) fn install_flow_state(&mut self, state: FlowCheckState) {
+        self.flow_check = Some(Box::new(state));
+    }
+
+    /// Arms `plan` on this core mid-run, with the watchdog at
+    /// `max_cycles`: what [`SimConfig::faults`] and
+    /// [`SimConfig::max_cycles`] set at construction, applied to a clone
+    /// of a golden run's checkpoint. The plan's triggers must still lie
+    /// ahead of the core.
+    pub(crate) fn arm(&mut self, plan: &FaultPlan, max_cycles: u64) {
+        self.faults = Some(Box::new(FaultState::new(plan)));
+        self.config.faults = Some(plan.clone());
+        self.config.max_cycles = max_cycles;
+    }
+
+    /// The predecoded bundles with their word addresses, in address
+    /// order: the first slot and, in a dual-issue bundle, the second.
+    pub(crate) fn bundles(&self) -> impl Iterator<Item = (u32, Inst, Option<Inst>)> + '_ {
+        self.code.iter().enumerate().filter_map(|(addr, pb)| {
+            pb.map(|pb| (addr as u32, pb.first.inst, pb.second.map(|s| s.inst)))
+        })
     }
 
     /// Cycle of the first fired injection, if any fired yet.
@@ -1373,34 +1404,16 @@ impl Simulator {
 
     fn redirect<S: TraceSink>(&mut self, target: FlowTarget, sink: &mut S) -> Result<(), SimError> {
         if let Some(check) = &mut self.flow_check {
-            // Loop flow caps first (they see every transfer), then the
-            // edge-set checks for the indirect transfers — calls and
-            // returns are the only transfers a corrupted register can
-            // steer, since branch targets are immediate.
-            match target {
-                FlowTarget::Jump(t) => check.note_transfer(t)?,
-                FlowTarget::Call(t) => {
-                    check.note_transfer(t)?;
-                    if !check.map.is_legal_call(t) {
-                        return Err(SimError::IllegalControlFlow {
-                            pc: self.pc,
-                            target: t,
-                        });
-                    }
-                }
-                FlowTarget::Ret(t) => {
-                    check.note_transfer(t)?;
-                    if !check.map.is_legal_return(t) {
-                        return Err(SimError::IllegalControlFlow {
-                            pc: self.pc,
-                            target: t,
-                        });
-                    }
-                }
-            }
+            check.check(target, self.pc)?;
         }
         match target {
             FlowTarget::Jump(t) => {
+                if S::ENABLED {
+                    sink.event(TraceEvent::Branch {
+                        pc: t,
+                        cycle: self.now,
+                    });
+                }
                 self.pc = t;
             }
             FlowTarget::Call(t) => {

@@ -183,6 +183,13 @@ pub enum TraceEvent {
         /// A store (else a load).
         store: bool,
     },
+    /// A branch redirected control to `pc` within a function.
+    Branch {
+        /// The branch target (word).
+        pc: u32,
+        /// Cycle of the redirect (delay slots already retired).
+        cycle: u64,
+    },
     /// A call redirected control to the function starting at `pc`.
     Call {
         /// First word of the callee.
@@ -217,6 +224,7 @@ impl TraceEvent {
             | TraceEvent::TdmaWait { pc, .. }
             | TraceEvent::CacheAccess { pc, .. }
             | TraceEvent::DataAccess { pc, .. }
+            | TraceEvent::Branch { pc, .. }
             | TraceEvent::Call { pc, .. }
             | TraceEvent::Return { pc, .. }
             | TraceEvent::FaultInjected { pc, .. } => pc,
@@ -231,6 +239,7 @@ impl TraceEvent {
             | TraceEvent::TdmaWait { cycle, .. }
             | TraceEvent::CacheAccess { cycle, .. }
             | TraceEvent::DataAccess { cycle, .. }
+            | TraceEvent::Branch { cycle, .. }
             | TraceEvent::Call { cycle, .. }
             | TraceEvent::Return { cycle, .. }
             | TraceEvent::FaultInjected { cycle, .. } => cycle,
@@ -375,8 +384,9 @@ impl EventTotals {
                 }
                 *w += transfer_words as u64;
             }
-            // Each access's cache lookup is its own `CacheAccess`.
-            TraceEvent::DataAccess { .. } => {}
+            // Each access's cache lookup is its own `CacheAccess`, and
+            // each taken branch is counted by its bundle's `Retire`.
+            TraceEvent::DataAccess { .. } | TraceEvent::Branch { .. } => {}
             TraceEvent::Call { .. } => self.calls += 1,
             TraceEvent::Return { .. } => self.returns += 1,
             TraceEvent::FaultInjected { .. } => self.faults_injected += 1,
@@ -434,6 +444,7 @@ mod tests {
                 transfer_words: 8,
             },
             TraceEvent::Call { pc: 4, cycle: 3 },
+            TraceEvent::Branch { pc: 6, cycle: 5 },
             TraceEvent::Return { pc: 2, cycle: 7 },
         ];
         let t = EventTotals::from_events(&events);

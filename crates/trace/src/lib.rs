@@ -32,6 +32,7 @@
 //! | [`TraceEvent::TdmaWait`] | the share of a stall that was pure TDMA arbitration delay (CMP configurations) |
 //! | [`TraceEvent::CacheAccess`] | one cache lookup (method, data, static or stack), hit/miss and words moved |
 //! | [`TraceEvent::DataAccess`] | one executed load or store: effective address, memory area (`ldm`/`stm` as `main`), load or store |
+//! | [`TraceEvent::Branch`] | a branch's redirect within a function, after its delay slots retire: the target |
 //! | [`TraceEvent::Call`] / [`TraceEvent::Return`] | control transfers between functions, after their delay slots retire |
 //! | [`TraceEvent::FaultInjected`] | a fault-injection upset fired (`patmos-sim`'s `faults` module): the state category hit, at its cycle |
 //!

@@ -61,6 +61,18 @@ proptest! {
     }
 }
 
+#[test]
+fn data_past_the_top_of_the_address_space_is_an_error_not_a_panic() {
+    // Before the check, the segment's end overflowed: a panic in debug
+    // builds, and a wrapped segment that later overflowed the fault
+    // campaign's address arithmetic in release.
+    let src = "        .data top 0xFFFFFFFC\n        .word 7\n        .func main\n        halt\n";
+    match assemble(src) {
+        Ok(image) => panic!("a segment ending at 2^32 assembled: {:?}", image.data()),
+        Err(e) => assert!(e.message.contains("`top`"), "{e}"),
+    }
+}
+
 /// PatC token soup: syntactically plausible fragments in random order,
 /// reaching parser states raw bytes rarely hit.
 fn arb_patc_soup() -> impl Strategy<Value = String> {
