@@ -123,9 +123,9 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
     let mut lines = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let number = idx + 1;
-        let tokens = tokenize_line(raw).map_err(|col| AsmError {
+        let tokens = tokenize_line(raw).map_err(|message| AsmError {
             line: number,
-            message: format!("unexpected character at column {}", col + 1),
+            message,
         })?;
         if tokens.is_empty() {
             continue;
@@ -147,9 +147,8 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
     let mut raw_pipe_loops: Vec<(Stmt, usize)> = Vec::new();
     let mut entry_name: Option<(String, usize)> = None;
     let mut addr: u32 = 0;
-    let mut data_addr: u32 = 0;
-    let mut data_name = "";
-    let mut in_data = false;
+    // The data segment being laid out; `None` in code.
+    let mut segment: Option<OpenSegment> = None;
 
     let define = |symbols: &mut HashMap<String, u32>, name: &str, value: u32, line: usize| {
         if symbols.insert(name.to_string(), value).is_some() {
@@ -164,11 +163,11 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
     for line in &lines {
         match &line.stmt {
             Stmt::Label(name) => {
-                let value = if in_data { data_addr } else { addr };
+                let value = segment.as_ref().map_or(addr, |seg| seg.end);
                 define(&mut symbols, name, value, line.number)?;
             }
             Stmt::Func(name) => {
-                in_data = false;
+                segment = None;
                 if let Some(prev) = functions.last_mut() {
                     prev.size_words = addr - prev.start_word;
                 }
@@ -181,37 +180,39 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
             }
             Stmt::Entry(name) => entry_name = Some((name.clone(), line.number)),
             Stmt::DataStart { name, addr: a } => {
-                in_data = true;
-                data_addr = *a;
-                data_name = name.as_str();
+                segment = Some(OpenSegment {
+                    name,
+                    start: *a,
+                    end: *a,
+                });
                 define(&mut symbols, name, *a, line.number)?;
             }
             Stmt::Words(ws) => {
-                if !in_data {
+                let Some(seg) = segment.as_mut() else {
                     return Err(AsmError {
                         line: line.number,
                         message: ".word outside a .data segment".into(),
                     });
-                }
-                data_addr = grow_segment(data_addr, ws.len(), 4, data_name, line.number)?;
+                };
+                seg.grow(ws.len(), 4, line.number)?;
             }
             Stmt::Bytes(bs) => {
-                if !in_data {
+                let Some(seg) = segment.as_mut() else {
                     return Err(AsmError {
                         line: line.number,
                         message: ".byte outside a .data segment".into(),
                     });
-                }
-                data_addr = grow_segment(data_addr, bs.len(), 1, data_name, line.number)?;
+                };
+                seg.grow(bs.len(), 1, line.number)?;
             }
             Stmt::Space(n) => {
-                if !in_data {
+                let Some(seg) = segment.as_mut() else {
                     return Err(AsmError {
                         line: line.number,
                         message: ".space outside a .data segment".into(),
                     });
-                }
-                data_addr = grow_segment(data_addr, *n as usize, 1, data_name, line.number)?;
+                };
+                seg.grow(*n as usize, 1, line.number)?;
             }
             Stmt::Equ { name, value } => {
                 define(&mut symbols, name, *value as u32, line.number)?;
@@ -237,7 +238,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                 raw_pipe_loops.push((line.stmt.clone(), line.number));
             }
             Stmt::Bundle(insts) => {
-                if in_data {
+                if segment.is_some() {
                     return Err(AsmError {
                         line: line.number,
                         message: "instruction inside a .data segment".into(),
@@ -551,6 +552,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// An integer operand of `directive` that must fit a `u32`.
+    fn u32_operand(&mut self, directive: &str) -> Result<u32, String> {
+        let v = self.int()?;
+        u32::try_from(v)
+            .map_err(|_| format!("`{directive}` operand {v} is outside 0..={}", u32::MAX))
+    }
+
     fn sym_or_int(&mut self) -> Result<SymOrVal, String> {
         match self.peek() {
             Some(Token::Ident(s)) => {
@@ -650,7 +658,7 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                 ".entry" => Stmt::Entry(cur.ident()?.to_string()),
                 ".data" => {
                     let name = cur.ident()?.to_string();
-                    let addr = cur.int()? as u32;
+                    let addr = cur.u32_operand(&directive)?;
                     Stmt::DataStart { name, addr }
                 }
                 ".word" => {
@@ -667,15 +675,15 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                     }
                     Stmt::Bytes(bs)
                 }
-                ".space" => Stmt::Space(cur.int()? as u32),
+                ".space" => Stmt::Space(cur.u32_operand(&directive)?),
                 ".equ" => {
                     let name = cur.ident()?.to_string();
                     let value = cur.int()?;
                     Stmt::Equ { name, value }
                 }
                 ".loopbound" => {
-                    let min = cur.int()? as u32;
-                    let max = cur.int()? as u32;
+                    let min = cur.u32_operand(&directive)?;
+                    let max = cur.u32_operand(&directive)?;
                     if min > max {
                         return Err("loop bound min exceeds max".into());
                     }
@@ -683,11 +691,11 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                 }
                 ".srcfunc" => {
                     let name = cur.ident()?.to_string();
-                    let line = cur.int()? as u32;
+                    let line = cur.u32_operand(&directive)?;
                     Stmt::SrcFunc { name, line }
                 }
                 ".srcloop" => {
-                    let line = cur.int()? as u32;
+                    let line = cur.u32_operand(&directive)?;
                     let start = cur.ident()?.to_string();
                     let end = cur.ident()?.to_string();
                     Stmt::SrcLoop { line, start, end }
@@ -696,12 +704,12 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                     let guard = cur.ident()?.to_string();
                     let kernel = cur.ident()?.to_string();
                     let fallback = cur.ident()?.to_string();
-                    let ii = cur.int()? as u32;
-                    let stages = cur.int()? as u32;
-                    let prologue = cur.int()? as u32;
-                    let epilogue = cur.int()? as u32;
-                    let threshold = cur.int()? as u32;
-                    let min_trips = cur.int()? as u32;
+                    let ii = cur.u32_operand(&directive)?;
+                    let stages = cur.u32_operand(&directive)?;
+                    let prologue = cur.u32_operand(&directive)?;
+                    let epilogue = cur.u32_operand(&directive)?;
+                    let threshold = cur.u32_operand(&directive)?;
+                    let min_trips = cur.u32_operand(&directive)?;
                     if ii == 0 || stages == 0 {
                         return Err("pipeloop II and stage count must be positive".into());
                     }
@@ -822,24 +830,45 @@ fn cmp_from_mnemonic(m: &str) -> Option<(CmpOp, bool)> {
     Some((op, imm))
 }
 
-/// The end of data segment `name` once `count` items of `size` bytes
-/// are appended at `end`. A segment must end inside the 32-bit address
-/// space: its end address, one past its last byte, has to fit a `u32`.
-fn grow_segment(
+/// Largest data segment the assembler lays out: 16 MiB, far above the
+/// kernel suite's largest segment (2 KiB) and far below what a hostile
+/// `.space` could otherwise make the encoding pass allocate.
+const MAX_SEGMENT_BYTES: u32 = 1 << 24;
+
+/// The data segment pass 1 is laying out.
+struct OpenSegment<'a> {
+    name: &'a str,
+    start: u32,
+    /// One past the last byte so far.
     end: u32,
-    count: usize,
-    size: u32,
-    name: &str,
-    line: usize,
-) -> Result<u32, AsmError> {
-    u32::try_from(count)
-        .ok()
-        .and_then(|n| n.checked_mul(size))
-        .and_then(|bytes| end.checked_add(bytes))
-        .ok_or_else(|| AsmError {
-            line,
-            message: format!("data segment `{name}` runs past the top of the address space"),
-        })
+}
+
+impl OpenSegment<'_> {
+    /// Appends `count` items of `size` bytes. A segment must end inside
+    /// the 32-bit address space — its end address, one past its last
+    /// byte, has to fit a `u32` — and hold at most
+    /// [`MAX_SEGMENT_BYTES`].
+    fn grow(&mut self, count: usize, size: u32, line: usize) -> Result<(), AsmError> {
+        let name = self.name;
+        let end = u32::try_from(count)
+            .ok()
+            .and_then(|n| n.checked_mul(size))
+            .and_then(|bytes| self.end.checked_add(bytes))
+            .ok_or_else(|| AsmError {
+                line,
+                message: format!("data segment `{name}` runs past the top of the address space"),
+            })?;
+        if end - self.start > MAX_SEGMENT_BYTES {
+            return Err(AsmError {
+                line,
+                message: format!(
+                    "data segment `{name}` exceeds the {MAX_SEGMENT_BYTES}-byte segment limit"
+                ),
+            });
+        }
+        self.end = end;
+        Ok(())
+    }
 }
 
 /// Decodes `l`/`s` + size letter + area suffix (e.g. `lws`, `sbc`).
@@ -1118,6 +1147,75 @@ mod tests {
         }
         // The last word below the top is still addressable.
         ok("        .data top 0xFFFFFFF8\n        .word 1\n        .func main\n        halt\n");
+    }
+
+    #[test]
+    fn directive_operands_outside_u32_are_errors() {
+        // Each was read with `as u32`: `.space -16` asked pass 2 for
+        // 4294967280 bytes, `.loopbound 0 -1` became a bound of 2^32 - 1.
+        for (directive, line) in [
+            (".data", "        .data d -1\n"),
+            (".space", "        .data d 0\n        .space -16\n"),
+            (
+                ".loopbound",
+                "        .func main\n        .loopbound 0 -1\n",
+            ),
+            (".srcfunc", "        .func main\n        .srcfunc main -3\n"),
+            (
+                ".srcloop",
+                "        .func main\nl:\n        .srcloop -3 l l\n",
+            ),
+            (
+                ".pipeloop",
+                "        .func main\nl:\n        .pipeloop l l l 1 1 -1 0 0 0\n",
+            ),
+        ] {
+            let src = format!("{line}        halt\n");
+            let err = assemble(&src).expect_err(&src);
+            assert!(
+                err.message.contains(&format!("`{directive}` operand -")),
+                "{src}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn data_segments_are_capped() {
+        let err = assemble(
+            "        .data d 0\n        .space 0xFFFFFFF0\n        .func main\n        halt\n",
+        )
+        .expect_err("a 4 GiB segment");
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("`d` exceeds"), "{err}");
+        // The limit itself is reachable; one byte more is not.
+        let at_limit = format!("        .data d 0x100\n        .space {MAX_SEGMENT_BYTES}\n");
+        let err = assemble(&format!(
+            "{at_limit}        .byte 1\n        .func main\n        halt\n"
+        ))
+        .expect_err("one byte past the limit");
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("segment limit"), "{err}");
+    }
+
+    #[test]
+    fn literals_above_u32_max_are_lexical_errors() {
+        // They used to be clamped to 0xFFFFFFFF.
+        for literal in ["0x100000000", "4294967296", "99999999999999999999"] {
+            let src = format!(
+                "        .data d 0\n        .word {literal}\n        .func main\n        halt\n"
+            );
+            let err = assemble(&src).expect_err(literal);
+            assert_eq!(err.line, 2);
+            assert!(
+                err.message
+                    .contains("literal at column 15 exceeds 4294967295"),
+                "{err}"
+            );
+        }
+        let img = ok(
+            "        .data d 0\n        .word 0xFFFFFFFF, 4294967295\n        .func main\n        halt\n",
+        );
+        assert_eq!(img.data()[0].bytes, [0xFF; 8]);
     }
 
     #[test]

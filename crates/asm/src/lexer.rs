@@ -49,8 +49,9 @@ impl fmt::Display for Token {
 
 /// Tokenizes one source line. Comments (`#` or `//`) run to end of line.
 ///
-/// Returns `Err(column)` on an unexpected character.
-pub fn tokenize_line(line: &str) -> Result<Vec<Token>, usize> {
+/// Returns an error message naming the column of an unexpected
+/// character or of an integer literal above `u32::MAX`.
+pub fn tokenize_line(line: &str) -> Result<Vec<Token>, String> {
     let mut tokens = Vec::new();
     let bytes = line.as_bytes();
     let mut i = 0;
@@ -114,28 +115,30 @@ pub fn tokenize_line(line: &str) -> Result<Vec<Token>, usize> {
             }
             '0'..='9' => {
                 let start = i;
-                let mut value: i64;
-                if c == '0' && matches!(bytes.get(i + 1), Some(b'x') | Some(b'X')) {
+                let value = if c == '0' && matches!(bytes.get(i + 1), Some(b'x') | Some(b'X')) {
                     i += 2;
                     let hex_start = i;
                     while i < bytes.len() && (bytes[i] as char).is_ascii_hexdigit() {
                         i += 1;
                     }
                     if i == hex_start {
-                        return Err(start);
+                        return Err(unexpected(start));
                     }
-                    value = i64::from_str_radix(&line[hex_start..i], 16).map_err(|_| start)?;
+                    u32::from_str_radix(&line[hex_start..i], 16)
                 } else {
                     while i < bytes.len() && bytes[i].is_ascii_digit() {
                         i += 1;
                     }
-                    value = line[start..i].parse().map_err(|_| start)?;
-                }
-                // Clamp silently-impossible magnitudes to the parser.
-                if value > u32::MAX as i64 {
-                    value = u32::MAX as i64;
-                }
-                tokens.push(Token::Int(value));
+                    line[start..i].parse()
+                };
+                let value = value.map_err(|_| {
+                    format!(
+                        "integer literal at column {} exceeds {}",
+                        start + 1,
+                        u32::MAX
+                    )
+                })?;
+                tokens.push(Token::Int(i64::from(value)));
             }
             c if c.is_ascii_alphabetic() || c == '_' || c == '.' => {
                 let start = i;
@@ -150,10 +153,14 @@ pub fn tokenize_line(line: &str) -> Result<Vec<Token>, usize> {
                 }
                 tokens.push(Token::Ident(line[start..i].to_string()));
             }
-            _ => return Err(i),
+            _ => return Err(unexpected(i)),
         }
     }
     Ok(tokens)
+}
+
+fn unexpected(index: usize) -> String {
+    format!("unexpected character at column {}", index + 1)
 }
 
 #[cfg(test)]
@@ -205,7 +212,10 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(tokenize_line("nop @").is_err());
+        assert_eq!(
+            tokenize_line("nop @"),
+            Err("unexpected character at column 5".into())
+        );
     }
 
     #[test]

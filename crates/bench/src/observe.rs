@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use patmos::compiler::{compile, compile_with_artifacts, CompileOptions};
 use patmos::sim::{SimConfig, Simulator};
-use patmos::trace::{NullSink, Profile, StallCause, VecSink};
+use patmos::trace::{cycles_by_pc, NullSink, Profile, StallCause, VecSink};
 use patmos::wcet::{pessimism, Machine};
 use patmos::workloads;
 
@@ -192,7 +192,7 @@ pub fn suite_pessimism_json() -> String {
         .iter()
         .map(|w| {
             let (_, image, sink) = kernel_profile(&w.source);
-            let measured = measured_by_pc(&sink);
+            let measured = cycles_by_pc(&sink.events);
             match pessimism(&image, &Machine::Patmos(SimConfig::default()), &measured) {
                 Ok(rep) => {
                     let top: Vec<String> = rep
@@ -230,24 +230,6 @@ pub fn suite_pessimism_json() -> String {
     out.push_str(&entries.join(",\n"));
     out.push_str("\n  }\n}\n");
     out
-}
-
-/// Folds a traced run into the `word address -> cycles` map the
-/// pessimism report joins against.
-pub fn measured_by_pc(sink: &VecSink) -> std::collections::HashMap<u32, u64> {
-    let mut measured = std::collections::HashMap::new();
-    for e in &sink.events {
-        match *e {
-            patmos::trace::TraceEvent::Retire {
-                pc, issue_cycles, ..
-            } => *measured.entry(pc).or_insert(0) += issue_cycles,
-            patmos::trace::TraceEvent::Stall { pc, cycles, .. } => {
-                *measured.entry(pc).or_insert(0) += cycles
-            }
-            _ => {}
-        }
-    }
-    measured
 }
 
 /// Measures the suite's wall-clock time untraced (`run`) and traced

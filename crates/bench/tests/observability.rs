@@ -5,10 +5,9 @@
 
 use patmos::compiler::{compile, compile_with_artifacts, CompileOptions};
 use patmos::sim::{SimConfig, Simulator};
-use patmos::trace::{EventTotals, Profile, VecSink};
+use patmos::trace::{cycles_by_pc, EventTotals, Profile, VecSink};
 use patmos::wcet::{pessimism, Machine};
 use patmos::workloads;
-use patmos_bench::observe::measured_by_pc;
 use patmos_bench::opt3_baseline;
 
 fn opt3() -> CompileOptions {
@@ -175,7 +174,7 @@ fn pipelined_fallback_is_dead_in_the_ipet_solution() {
         let mut sim = Simulator::new(&image, SimConfig::default());
         let mut sink = VecSink::new();
         sim.run_traced(&mut sink).expect("runs");
-        let measured = measured_by_pc(&sink);
+        let measured = cycles_by_pc(&sink.events);
         let report = pessimism(&image, &Machine::Patmos(SimConfig::default()), &measured)
             .expect("kernel is analysable");
 

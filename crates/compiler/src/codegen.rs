@@ -8,11 +8,12 @@
 //! * scalar locals and parameters live in virtual registers (the
 //!   allocator decides which end up in `r7`–`r28` and which spill to
 //!   stack-cache slots); arrays stay in their memory areas;
-//! * `r1` carries return values and `r3`–`r6` the (up to four)
-//!   arguments — expressed with explicit ABI copy pseudo-ops so the
-//!   allocator never sees a bare physical operand elsewhere;
+//! * `r1` carries return values and `r3`–`r6` ([`ARG_REGS`]) the (up to
+//!   four) arguments — expressed with explicit ABI copy pseudo-ops so
+//!   the allocator never sees a bare physical operand elsewhere;
 //! * predicates `p1`–`p5` form the if-conversion allocation stack, `p6`
-//!   and `p7` are scratch (loop exits, boolean materialisation);
+//!   and `p7` are scratch ([`EXIT_PRED`] for branch conditions and loop
+//!   exits, [`BOOL_PRED`] for boolean materialisation);
 //! * the stack-cache frame protocol (`sres`/`sens`/`sfree`, link-register
 //!   save) is emitted by the allocator, which knows the final frame
 //!   size — code generation emits none of it.
@@ -23,7 +24,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use patmos_isa::{AluOp, CmpOp, Guard, MemArea, Pred, PredOp, PredSrc, Reg};
+use patmos_isa::{
+    AluOp, CmpOp, Guard, MemArea, Pred, PredOp, PredSrc, Reg, ARG_REGS, BOOL_PRED, EXIT_PRED,
+};
 use patmos_lir::vlir::{VInst, VItem, VModule, VOp, VReg};
 
 use crate::ast::*;
@@ -35,10 +38,9 @@ pub const STATIC_BASE: u32 = 0x0001_0000;
 /// Base byte address of heap-area globals.
 pub const HEAP_BASE: u32 = 0x0010_0000;
 
-/// First physical argument register (`r3`).
-const FIRST_ARG: u8 = 3;
-const SCRATCH_EXIT: Pred = Pred::P6;
-const SCRATCH_BOOL: Pred = Pred::P7;
+/// Most statements an `if`/`else` arm may hold and still be
+/// if-converted (outside single-path mode, which converts every arm).
+const IF_CONVERT_MAX_STMTS: usize = 4;
 
 /// Semantic / code-generation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,7 +216,7 @@ pub fn lower(
             let v = ctx.alloc_local(p)?;
             ctx.push_op(VOp::CopyFromPhys {
                 dst: v,
-                src: Reg::from_index(FIRST_ARG + i as u8),
+                src: ARG_REGS[i],
             });
         }
 
@@ -284,8 +286,10 @@ impl FnCtx<'_> {
         Ok(v)
     }
 
+    /// Pushes the next predicate of the if-conversion stack, `p1` up to
+    /// the one below the scratch pair.
     fn alloc_pred(&mut self) -> Result<Pred, CodegenError> {
-        if self.pred_depth >= 5 {
+        if self.pred_depth + 1 >= u32::from(EXIT_PRED.index()) {
             return Err(CodegenError::PredicateDepthExceeded);
         }
         self.pred_depth += 1;
@@ -402,7 +406,7 @@ impl FnCtx<'_> {
                     UnOp::Not => {
                         self.push_op(VOp::CmpI {
                             op: CmpOp::Eq,
-                            pd: SCRATCH_BOOL,
+                            pd: BOOL_PRED,
                             rs1: t,
                             imm: 0,
                         });
@@ -438,7 +442,7 @@ impl FnCtx<'_> {
         let d = self.fresh();
         self.push_op(VOp::LoadImmLow { rd: d, imm: 0 });
         self.push(VInst::new(
-            Guard::when(SCRATCH_BOOL),
+            Guard::when(BOOL_PRED),
             VOp::LoadImmLow { rd: d, imm: 1 },
         ));
         d
@@ -487,7 +491,7 @@ impl FnCtx<'_> {
         }
 
         if op.is_comparison() {
-            self.compare_into(op, lhs, rhs, SCRATCH_BOOL)?;
+            self.compare_into(op, lhs, rhs, BOOL_PRED)?;
             return Ok(self.materialize_bool());
         }
 
@@ -561,7 +565,7 @@ impl FnCtx<'_> {
     fn bool_of(&mut self, v: VReg) -> VReg {
         self.push_op(VOp::CmpI {
             op: CmpOp::Neq,
-            pd: SCRATCH_BOOL,
+            pd: BOOL_PRED,
             rs1: v,
             imm: 0,
         });
@@ -648,7 +652,7 @@ impl FnCtx<'_> {
         if !self.func_names.contains_key(name) {
             return Err(CodegenError::UnknownFunction(name.to_string()));
         }
-        if args.len() > 4 {
+        if args.len() > ARG_REGS.len() {
             return Err(CodegenError::TooManyArgs(name.to_string()));
         }
         let mut arg_regs = Vec::with_capacity(args.len());
@@ -660,7 +664,7 @@ impl FnCtx<'_> {
         // by the allocator, driven by liveness.
         for (i, &src) in arg_regs.iter().enumerate() {
             self.push_op(VOp::CopyToPhys {
-                dst: Reg::from_index(FIRST_ARG + i as u8),
+                dst: ARG_REGS[i],
                 src,
             });
         }
@@ -784,7 +788,7 @@ impl FnCtx<'_> {
         let limit = if self.options.single_path {
             usize::MAX
         } else {
-            self.options.if_convert_threshold
+            IF_CONVERT_MAX_STMTS
         };
         if body.len() > limit {
             return false;
@@ -880,9 +884,9 @@ impl FnCtx<'_> {
         // Branching emission.
         let else_label = self.label("else");
         let join_label = self.label("join");
-        self.cond(cond_e, SCRATCH_EXIT)?;
+        self.cond(cond_e, EXIT_PRED)?;
         self.push(VInst::new(
-            Guard::unless(SCRATCH_EXIT),
+            Guard::unless(EXIT_PRED),
             VOp::BrLabel(else_label.clone()),
         ));
         for s in then_body {
@@ -933,12 +937,12 @@ impl FnCtx<'_> {
             });
             self.items.push(VItem::Label(head.clone()));
             // Deactivate once the source condition fails.
-            self.cond(cond_e, SCRATCH_BOOL)?;
+            self.cond(cond_e, BOOL_PRED)?;
             self.push_op(VOp::PredSet {
                 op: PredOp::And,
                 pd: live,
                 p1: PredSrc::plain(live),
-                p2: PredSrc::plain(SCRATCH_BOOL),
+                p2: PredSrc::plain(BOOL_PRED),
             });
             self.guard = Guard::when(live);
             for s in body {
@@ -954,11 +958,11 @@ impl FnCtx<'_> {
             });
             self.push_op(VOp::CmpI {
                 op: CmpOp::Neq,
-                pd: SCRATCH_EXIT,
+                pd: EXIT_PRED,
                 rs1: counter,
                 imm: 0,
             });
-            self.push(VInst::new(Guard::when(SCRATCH_EXIT), VOp::BrLabel(head)));
+            self.push(VInst::new(Guard::when(EXIT_PRED), VOp::BrLabel(head)));
             self.pred_depth = saved_depth;
             return Ok(());
         }
@@ -983,9 +987,9 @@ impl FnCtx<'_> {
             max: bound + 1,
         });
         self.items.push(VItem::Label(head.clone()));
-        self.cond(cond_e, SCRATCH_EXIT)?;
+        self.cond(cond_e, EXIT_PRED)?;
         self.push(VInst::new(
-            Guard::unless(SCRATCH_EXIT),
+            Guard::unless(EXIT_PRED),
             VOp::BrLabel(exit.clone()),
         ));
         for s in body {

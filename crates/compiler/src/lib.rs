@@ -71,7 +71,7 @@ mod srcmap;
 pub use ast::{BinOp, Expr, Function, Global, MemQualifier, Program, Stmt, UnOp};
 pub use codegen::CodegenError;
 pub use parser::{parse, ParseError};
-pub use patmos_regalloc::{AllocError, AllocReport, Constraints, Policy, RegisterInfo};
+pub use patmos_regalloc::{AllocError, AllocReport, Policy};
 pub use srcmap::{LoopSpan, SourceMap};
 
 use patmos_asm::ObjectImage;
@@ -81,10 +81,9 @@ use patmos_asm::ObjectImage;
 pub struct CompileOptions {
     /// Pair independent operations into dual-issue bundles.
     pub dual_issue: bool,
-    /// Convert small `if`/`else` statements into predicated code.
+    /// Convert small `if`/`else` statements (at most four statements
+    /// per arm) into predicated code.
     pub if_convert: bool,
-    /// Maximum statements per arm for if-conversion.
-    pub if_convert_threshold: usize,
     /// Full single-path conversion: predicate *all* conditionals and pad
     /// every loop to its bound, so execution time is input-independent.
     pub single_path: bool,
@@ -130,7 +129,7 @@ pub struct CompileOptions {
 }
 
 impl Default for CompileOptions {
-    /// Dual issue on, if-conversion on (threshold 4), single-path off,
+    /// Dual issue on, if-conversion on, single-path off,
     /// full mid-end on (`opt_level` 3), software pipelining on
     /// (`sched_level` 2). The pipelined loop shape is WCET-analysable
     /// through its `.pipeloop` records, so the most aggressive levels
@@ -140,7 +139,6 @@ impl Default for CompileOptions {
         CompileOptions {
             dual_issue: true,
             if_convert: true,
-            if_convert_threshold: 4,
             single_path: false,
             opt_level: 3,
             sched_level: 2,
@@ -150,12 +148,11 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// The allocation constraints these options select: the Patmos
-    /// register file under [`CompileOptions::reg_policy`]. Threaded to
-    /// [`patmos_regalloc::regalloc`] and, via
-    /// [`Constraints::pressure_estimate`], to the unroller.
-    pub fn constraints(&self) -> Constraints {
-        Constraints::for_policy(self.reg_policy)
+    /// The allocation policy, [`CompileOptions::reg_policy`]. The host
+    /// benchmark's stage-by-stage compile replay still calls this; the
+    /// compiler reads the field.
+    pub fn constraints(&self) -> Policy {
+        self.reg_policy
     }
 }
 
@@ -244,7 +241,7 @@ fn drive(source: &str, options: &CompileOptions, trace: bool) -> Result<Build, C
         shape_stable: options.single_path,
         trace,
         level: options.opt_level,
-        pressure: options.constraints().pressure_estimate(),
+        pressure: options.reg_policy.pressure_estimate(),
         // The modulo scheduler downstream takes straight-line memory
         // loops further than replication can, and its `.pipeloop`
         // records keep the shape WCET-analysable; the unroller leaves
@@ -256,7 +253,7 @@ fn drive(source: &str, options: &CompileOptions, trace: bool) -> Result<Build, C
     if let Some(report) = &opt {
         srcmap.apply_inlines(&report.inlines);
     }
-    let (lir, allocation) = patmos_regalloc::regalloc(&options.constraints(), &vmodule)?;
+    let (lir, allocation) = patmos_regalloc::regalloc(&options.reg_policy, &vmodule)?;
     let sched_options = patmos_sched::SchedOptions {
         dual_issue: options.dual_issue,
         // The modulo scheduler's decisions read the loop's literal

@@ -182,7 +182,7 @@ impl Parser {
             }
             self.expect(Tok::RParen)?;
         }
-        if params.len() > 4 {
+        if params.len() > patmos_isa::ARG_REGS.len() {
             return Err(self.err("at most four parameters are supported"));
         }
         let body = self.block()?;

@@ -563,6 +563,50 @@ impl Op {
         }
     }
 
+    /// Rewrites every register [`Op::uses`] reports through `f`, in the
+    /// same order. The link register `ret` reads implicitly has no
+    /// operand field and stays as it is.
+    pub fn map_uses(&mut self, mut f: impl FnMut(Reg) -> Reg) {
+        match self {
+            Op::AluR { rs1, rs2, .. } | Op::Mul { rs1, rs2 } | Op::Cmp { rs1, rs2, .. } => {
+                *rs1 = f(*rs1);
+                *rs2 = f(*rs2);
+            }
+            Op::AluI { rs1, .. } | Op::CmpI { rs1, .. } => *rs1 = f(*rs1),
+            Op::LoadImmHigh { rd, .. } => *rd = f(*rd),
+            Op::Load { ra, .. } | Op::MainLoad { ra, .. } => *ra = f(*ra),
+            Op::Store { ra, rs, .. } | Op::MainStore { ra, rs, .. } => {
+                *ra = f(*ra);
+                *rs = f(*rs);
+            }
+            Op::CallR { rs } | Op::Mts { rs, .. } => *rs = f(*rs),
+            _ => {}
+        }
+    }
+
+    /// Redirects the register [`Op::def`] reports to `new`. Returns
+    /// `false`, leaving the operation alone, when it defines no register
+    /// (a write to `r0` included) or only the link register a call
+    /// writes implicitly.
+    pub fn set_def(&mut self, new: Reg) -> bool {
+        match self {
+            Op::AluR { rd, .. }
+            | Op::AluI { rd, .. }
+            | Op::LoadImmLow { rd, .. }
+            | Op::LoadImmHigh { rd, .. }
+            | Op::LoadImm32 { rd, .. }
+            | Op::Load { rd, .. }
+            | Op::MainWait { rd }
+            | Op::Mfs { rd, .. }
+                if !rd.is_zero() =>
+            {
+                *rd = new;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// The predicate register written, if any.
     pub fn pred_def(&self) -> Option<Pred> {
         match *self {

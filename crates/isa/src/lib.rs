@@ -57,3 +57,22 @@ pub const LINK_REG: Reg = Reg::R31;
 /// Shadow-stack pointer register by ABI convention (for address-taken
 /// locals that cannot live in the stack cache).
 pub const SHADOW_SP: Reg = Reg::R29;
+
+// The compiler's register conventions. The allocator, the modulo
+// scheduler's renamer and code generation all read them from here.
+
+/// Registers the allocator hands out, by index: `r7`–`r28`. Every one
+/// of them is caller-saved.
+pub const ALLOC_POOL: std::ops::RangeInclusive<u8> = 7..=28;
+/// Spill scratch, `r2` and `r30`: a spilled operand is reloaded into
+/// the first, a second spilled operand of the same instruction into
+/// the second, and a spilled definition is written to the first.
+pub const SPILL_SCRATCH: [Reg; 2] = [Reg::R2, Reg::R30];
+/// Argument registers in parameter order, `r3`–`r6`; a call passes at
+/// most this many arguments, and the result returns in `r1`.
+pub const ARG_REGS: [Reg; 4] = [Reg::R3, Reg::R4, Reg::R5, Reg::R6];
+/// Predicate scratch for branch conditions and loop exits: `p6`.
+pub const EXIT_PRED: Pred = Pred::P6;
+/// Predicate scratch for materialised booleans and the single-path
+/// loop condition: `p7`.
+pub const BOOL_PRED: Pred = Pred::P7;

@@ -1,5 +1,6 @@
 //! Property tests: every constructible bundle survives an encode/decode
-//! round trip, and arbitrary words never panic the decoder.
+//! round trip, arbitrary words never panic the decoder, and the operand
+//! rewriters agree with the def/use table.
 
 use proptest::prelude::*;
 
@@ -147,6 +148,63 @@ proptest! {
             let back = encode(&bundle);
             let (again, _) = decode(&back).expect("re-encoded bundle decodes");
             prop_assert_eq!(again, bundle);
+        }
+    }
+}
+
+proptest! {
+    // An op writes `r0` in about one case in 100; enough cases that the
+    // zero-destination rule is exercised on every run.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+    #[test]
+    fn map_uses_rewrites_exactly_the_reported_uses(op in arb_op()) {
+        // `ret` reads the link register implicitly, through no field.
+        let explicit: Vec<Reg> = match op {
+            Op::Ret => Vec::new(),
+            _ => op.uses().into_iter().flatten().collect(),
+        };
+        let mut seen = Vec::new();
+        let mut same = op;
+        same.map_uses(|r| {
+            seen.push(r);
+            r
+        });
+        prop_assert_eq!(same, op);
+        prop_assert_eq!(seen, explicit);
+        // A register bijection moves the reported uses, and its inverse
+        // restores the op: no other field was touched.
+        let shift = |r: Reg| Reg::from_index((r.index() + 1) % 32);
+        let mut moved = op;
+        moved.map_uses(shift);
+        if op != Op::Ret {
+            prop_assert_eq!(moved.uses(), op.uses().map(|u| u.map(shift)));
+        }
+        moved.map_uses(|r| Reg::from_index((r.index() + 31) % 32));
+        prop_assert_eq!(moved, op);
+    }
+
+    #[test]
+    fn set_def_rewrites_exactly_the_reported_def(
+        op in arb_op(),
+        new in (1u8..32).prop_map(Reg::from_index),
+    ) {
+        // Calls write the link register implicitly, through no field.
+        let implicit = matches!(op, Op::Call { .. } | Op::CallR { .. });
+        let mut moved = op;
+        let wrote = moved.set_def(new);
+        match op.def() {
+            Some(old) if !implicit => {
+                prop_assert!(wrote);
+                prop_assert_eq!(moved.def(), Some(new));
+                // Setting the old register back restores the op: only
+                // the def moved.
+                prop_assert!(moved.set_def(old));
+                prop_assert_eq!(moved, op);
+            }
+            _ => {
+                prop_assert!(!wrote);
+                prop_assert_eq!(moved, op);
+            }
         }
     }
 }

@@ -43,6 +43,28 @@ impl LirOp {
         }
     }
 
+    /// Rewrites the registers [`LirOp::uses`] reports through `f`,
+    /// mirroring [`Op::map_uses`].
+    pub fn map_uses(&mut self, f: impl FnMut(Reg) -> Reg) {
+        if let LirOp::Real(op) = self {
+            op.map_uses(f);
+        }
+    }
+
+    /// Redirects the register [`LirOp::def`] reports to `new`, mirroring
+    /// [`Op::set_def`]: `false` when there is none, or only the link
+    /// register a call writes implicitly.
+    pub fn set_def(&mut self, new: Reg) -> bool {
+        match self {
+            LirOp::Real(op) => op.set_def(new),
+            LirOp::LilSym(rd, _) if !rd.is_zero() => {
+                *rd = new;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// The predicate defined, mirroring [`Op::pred_def`].
     pub fn pred_def(&self) -> Option<Pred> {
         match self {

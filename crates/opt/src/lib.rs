@@ -326,9 +326,8 @@ pub struct OptConfig {
     /// remainder loop. Levels beyond 3 behave like 3.
     pub level: u8,
     /// The register-pressure estimate the unroller checks before
-    /// replicating a loop body, provided by the register-allocation
-    /// policy (see
-    /// [`patmos_regalloc::Constraints::pressure_estimate`]). The
+    /// replicating a loop body: the one the register-allocation policy
+    /// implies, [`patmos_regalloc::Policy::pressure_estimate`]. The
     /// default is the linear-scan distinct-register proxy.
     pub pressure: patmos_regalloc::PressureEstimate,
     /// A software pipeliner runs after this pipeline (`sched_level` 2):

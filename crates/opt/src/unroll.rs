@@ -65,7 +65,7 @@
 
 use std::collections::HashSet;
 
-use patmos_isa::{AluOp, CmpOp, Pred};
+use patmos_isa::{AluOp, CmpOp, Pred, EXIT_PRED};
 use patmos_lir::{FuncCode, VCfg, VInst, VItem, VModule, VOp, VReg};
 use patmos_regalloc::{PressureEstimate, PressureModel};
 
@@ -251,7 +251,7 @@ fn plan_loop(
         } if rs2 != rs1 => (op, pd, rs1, BoundSrc::Reg(rs2)),
         _ => return None,
     };
-    if !cmp.guard.is_always() || pd != Pred::P6 {
+    if !cmp.guard.is_always() || pd != EXIT_PRED {
         return None;
     }
     let VOp::BrLabel(exit_label) = &br.op else {
@@ -460,7 +460,7 @@ enum Scheme {
 
 /// Replicating a body that exceeds the allocation policy's pressure
 /// cap invites spills inside the hot loop — a catastrophic trade. The
-/// estimate comes from [`patmos_regalloc::Constraints::pressure_estimate`]:
+/// estimate comes from [`patmos_regalloc::Policy::pressure_estimate`]:
 /// the linear-scan policy counts distinct body registers (eager reuse
 /// makes every named temporary a potential extra live value), the
 /// loop-aware policy counts maximum simultaneous liveness.

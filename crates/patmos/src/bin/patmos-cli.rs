@@ -13,13 +13,20 @@
 //!                                [--dump-lir] [--dump-opt] [--dump-cfg] [--dump-loops]
 //!                                [--dump-sched] [--dump-pipeline] [--dump-alloc]
 //! patmos-cli wcet    <file.pasm | file.patc> [--opt-level N] [--sched-level N] [--pessimism]
+//!                                [--single-issue] [--non-strict]
 //! patmos-cli profile <file.pasm | file.patc> [--opt-level N] [--sched-level N]
 //!                                [--single-issue] [--non-strict] [--json]
 //!                                [--chrome <out.json>] [--cores N] [--slot-cycles N]
 //! patmos-cli faults  <file.pasm | file.patc> [--seed N] [--campaign N] [--json]
-//!                                [--single-issue] [--slow-path]
+//!                                [--single-issue] [--non-strict] [--slow-path]
 //!                                [--opt-level N] [--sched-level N]
 //! ```
+//!
+//! `--single-issue`, `--non-strict` and `--slow-path` select the
+//! simulated machine, the same way for every command that simulates:
+//! `run`, `profile`, `wcet` (its observed run, its analysis and
+//! `--pessimism`) and `faults`. `--single-issue` also compiles `.patc`
+//! inputs without pairing.
 //!
 //! `--opt-level N` selects the mid-end pipeline (0 = straight lowering,
 //! 1 = the `patmos-opt` scalar pass pipeline, 2 = the loop-aware
@@ -296,7 +303,17 @@ impl Args {
             opt_level: self.opt_level,
             sched_level: self.sched_level,
             reg_policy: self.reg_policy,
-            ..CompileOptions::default()
+        }
+    }
+
+    /// The simulated machine the flags select, the same for every
+    /// command that simulates.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            dual_issue: !self.single_issue,
+            strict: !self.non_strict,
+            fast_path: !self.slow_path,
+            ..SimConfig::default()
         }
     }
 
@@ -518,13 +535,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         print_remarks(&source, &args.compile_options())?;
     }
     let image = load_image(args)?;
-    let config = SimConfig {
-        dual_issue: !args.single_issue,
-        strict: !args.non_strict,
-        fast_path: !args.slow_path,
-        ..SimConfig::default()
-    };
-    let mut core = Simulator::try_new(&image, config).map_err(|e| e.to_string())?;
+    let mut core = Simulator::try_new(&image, args.sim_config()).map_err(|e| e.to_string())?;
     let started = std::time::Instant::now();
     core.run().map_err(|e| e.to_string())?;
     let wall = started.elapsed();
@@ -624,11 +635,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         print_remarks(&source, &args.compile_options())?;
     }
     let image = load_image(args)?;
-    let config = SimConfig {
-        dual_issue: !args.single_issue,
-        strict: !args.non_strict,
-        ..SimConfig::default()
-    };
+    let config = args.sim_config();
 
     // One event stream per core.
     let mut streams: Vec<(u32, patmos::trace::VecSink)> = Vec::new();
@@ -678,23 +685,12 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 
 /// Prints the per-block pessimism breakdown: the IPET bound's charges
 /// joined against a traced run, loosest blocks first.
-fn print_pessimism(image: &ObjectImage) -> Result<(), String> {
-    let mut core = Simulator::try_new(image, SimConfig::default()).map_err(|e| e.to_string())?;
+fn print_pessimism(image: &ObjectImage, config: &SimConfig) -> Result<(), String> {
+    let mut core = Simulator::try_new(image, config.clone()).map_err(|e| e.to_string())?;
     let mut sink = patmos::trace::VecSink::new();
     core.run_traced(&mut sink).map_err(|e| e.to_string())?;
-    let mut measured: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-    for e in &sink.events {
-        match *e {
-            patmos::trace::TraceEvent::Retire {
-                pc, issue_cycles, ..
-            } => *measured.entry(pc).or_insert(0) += issue_cycles,
-            patmos::trace::TraceEvent::Stall { pc, cycles, .. } => {
-                *measured.entry(pc).or_insert(0) += cycles
-            }
-            _ => {}
-        }
-    }
-    let report = patmos::wcet::pessimism(image, &Machine::Patmos(SimConfig::default()), &measured)
+    let measured = patmos::trace::cycles_by_pc(&sink.events);
+    let report = patmos::wcet::pessimism(image, &Machine::Patmos(config.clone()), &measured)
         .map_err(|e| e.to_string())?;
     println!("--- pessimism breakdown (IPET charge vs measured, loosest first) ---");
     println!(
@@ -726,11 +722,11 @@ fn print_pessimism(image: &ObjectImage) -> Result<(), String> {
 
 fn cmd_wcet(args: &Args) -> Result<(), String> {
     let image = load_image(args)?;
-    let mut core = Simulator::try_new(&image, SimConfig::default()).map_err(|e| e.to_string())?;
+    let config = args.sim_config();
+    let mut core = Simulator::try_new(&image, config.clone()).map_err(|e| e.to_string())?;
     core.run().map_err(|e| e.to_string())?;
     let observed = core.stats().cycles;
-    let report =
-        analyze(&image, &Machine::Patmos(SimConfig::default())).map_err(|e| e.to_string())?;
+    let report = analyze(&image, &Machine::Patmos(config.clone())).map_err(|e| e.to_string())?;
     println!("entry function   = {}", report.entry);
     println!("observed cycles  = {observed}");
     println!(
@@ -742,7 +738,7 @@ fn cmd_wcet(args: &Args) -> Result<(), String> {
         println!("  {:<20} {:>10} cycles", name, bound);
     }
     if args.pessimism {
-        print_pessimism(&image)?;
+        print_pessimism(&image, &config)?;
     }
     // Baseline comparison when the binary also runs there.
     let mut baseline = BaselineSim::new(&image, BaselineConfig::default());
@@ -806,11 +802,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     use patmos::sim::{DetectorKind, FaultOutcome, FaultPlan, FaultRng, FaultSpace};
 
     let image = load_image(args)?;
-    let config = SimConfig {
-        dual_issue: !args.single_issue,
-        fast_path: !args.slow_path,
-        ..SimConfig::default()
-    };
+    let config = args.sim_config();
     let golden = golden_run(&image, &config).map_err(|e| format!("golden run failed: {e}"))?;
     let flow = patmos::wcet::flow_map(&image).map_err(|e| e.to_string())?;
     let space = FaultSpace::for_image(&image, golden.cycles);

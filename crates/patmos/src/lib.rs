@@ -25,8 +25,8 @@
 //!   and liveness dataflow, consumed by the mid-end and the backend;
 //! * [`opt`] — the mid-end optimizer: const-prop, strength reduction,
 //!   CSE, copy-prop and DCE over the virtual LIR;
-//! * [`regalloc`] — liveness-driven linear-scan register allocation
-//!   between the mid-end and scheduling;
+//! * [`regalloc`] — liveness-driven register allocation (linear scan
+//!   or loop-aware) between the mid-end and scheduling;
 //! * [`sched`] — the VLIW backend scheduler: per-block dependence
 //!   DAGs, critical-path list scheduling, delay-slot filling, and
 //!   iterative modulo scheduling (software pipelining) of innermost
@@ -74,7 +74,7 @@ pub use patmos_trace as trace;
 pub use patmos_wcet as wcet;
 pub use patmos_workloads as workloads;
 
-// The register-allocation policy surface, re-exported at the top level:
-// these types travel from the CLI/compile options all the way into the
-// allocator and the mid-end's pressure checks.
-pub use patmos_regalloc::{AllocPolicy, Constraints, Policy, RegisterInfo};
+// The register-allocation policy, re-exported at the top level: it
+// travels from the CLI/compile options into the allocator and the
+// mid-end's pressure checks.
+pub use patmos_regalloc::Policy;

@@ -1,29 +1,28 @@
 //! Interval-based register allocation and physical-code rewriting.
 //!
-//! [`regalloc`] drives the [`AllocPolicy`](crate::policy::AllocPolicy)
-//! selected by the [`Constraints`] over a module, function by
-//! function. Both shipped policies share the machinery in this module:
+//! [`regalloc`] allocates a module function by function under the
+//! chosen [`Policy`]. Both policies share the machinery in this module:
 //!
 //! 1. build the virtual CFG and run backward liveness
 //!    ([`crate::liveness`]);
-//! 2. scan the live intervals over the allocatable pool described by
-//!    the [`RegisterInfo`](crate::constraints::RegisterInfo)
-//!    (`r7`–`r28` on Patmos), spilling an interval to a deterministic
-//!    stack-cache slot when the pool is exhausted — the linear-scan
-//!    policy takes the lowest free register and evicts the
+//! 2. scan the live intervals over the allocatable pool
+//!    ([`patmos_isa::ALLOC_POOL`], `r7`–`r28`), spilling an interval to
+//!    a deterministic stack-cache slot when the pool is exhausted — the
+//!    linear-scan policy takes the lowest free register and evicts the
 //!    furthest-ending interval, the loop-aware policy hands out
 //!    registers round-robin inside loops and evicts the interval the
 //!    loops touch least;
 //! 3. rewrite to physical LIR: map operands, materialise spill
-//!    reloads/stores through the two scratch registers (`r2`, `r30`),
-//!    save and restore live registers around calls (every allocatable
-//!    register is caller-saved, matching the Patmos ABI used here), and
-//!    emit the frame protocol — one `sres` at entry, `sens` after each
-//!    call, one `sfree` per exit, plus the link-register save for
-//!    non-leaf functions — sized to exactly the slots in use. The
-//!    loop-aware policy additionally hoists the call-save stores of
-//!    loop-invariant values and the reloads of spilled loop-invariant
-//!    values out to loop preheaders.
+//!    reloads/stores through the two scratch registers
+//!    ([`patmos_isa::SPILL_SCRATCH`], `r2` and `r30`), save and restore
+//!    live registers around calls (every allocatable register is
+//!    caller-saved, matching the Patmos ABI used here), and emit the
+//!    frame protocol — one `sres` at entry, `sens` after each call, one
+//!    `sfree` per exit, plus the link-register save for non-leaf
+//!    functions — sized to exactly the slots in use. The loop-aware
+//!    policy additionally hoists the call-save stores of loop-invariant
+//!    values and the reloads of spilled loop-invariant values out to
+//!    loop preheaders.
 //!
 //! Leaf functions without spills get *no* stack-cache traffic at all.
 //! Visible-delay legalisation (load-use gaps, branch delay slots) is the
@@ -34,23 +33,14 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Reg, LINK_REG};
+use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Reg, ALLOC_POOL, LINK_REG, SPILL_SCRATCH};
 
-use crate::constraints::Constraints;
+use crate::constraints::Policy;
 use crate::lir::{Item, LirInst, LirOp, Module};
 use patmos_lir::cfg::{build_vcfg, split_functions, FuncCode, VCfg};
 use patmos_lir::liveness::{self, Interval};
 use patmos_lir::loops::{header_lead, LoopForest, NaturalLoop};
 use patmos_lir::vlir::{VItem, VModule, VOp, VReg};
-
-/// First register of the allocatable pool.
-pub const POOL_FIRST: u8 = 7;
-/// Last register of the allocatable pool (inclusive).
-pub const POOL_LAST: u8 = 28;
-/// Scratch register for spill reloads and spilled definitions.
-pub const SCRATCH_A: Reg = Reg::R2;
-/// Second scratch register (second spilled operand of one instruction).
-pub const SCRATCH_B: Reg = Reg::R30;
 
 /// Why allocation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,25 +271,34 @@ impl fmt::Display for AllocReport {
 }
 
 /// Runs register allocation over a whole virtual module under the given
-/// [`Constraints`], producing physical LIR ready for scheduling.
+/// [`Policy`], producing physical LIR ready for scheduling.
 ///
 /// # Errors
 ///
 /// Returns an [`AllocError`] when a frame exceeds the stack-cache
 /// offset range or a call/return carries a guard.
-pub fn regalloc(cx: &Constraints, module: &VModule) -> Result<(Module, AllocReport), AllocError> {
+pub fn regalloc(policy: &Policy, module: &VModule) -> Result<(Module, AllocReport), AllocError> {
     let mut out = Module {
         data_lines: module.data_lines.clone(),
         items: Vec::new(),
         entry: module.entry.clone(),
     };
-    let policy = cx.policy.as_policy();
+    let loop_aware = match policy {
+        Policy::Linear => false,
+        Policy::Loop => true,
+    };
     let mut report = AllocReport {
         policy: policy.name(),
         funcs: Vec::new(),
     };
     for func in &split_functions(&module.items) {
-        let fa = policy.allocate_func(cx, func, &module.items, &module.entry, &mut out.items)?;
+        let fa = run_func(
+            loop_aware,
+            func,
+            &module.items,
+            &module.entry,
+            &mut out.items,
+        )?;
         report.funcs.push(fa);
     }
     Ok((out, report))
@@ -357,12 +356,11 @@ impl FreeRegs {
     }
 }
 
-/// Allocates one function under `cx`; `loop_aware` selects the
-/// loop-aware disciplines (FIFO assignment inside loops, loop-quiet
-/// victims, preheader-hoisted saves and reloads) on top of the shared
-/// interval scan.
-pub(crate) fn run_func(
-    cx: &Constraints,
+/// Allocates one function; `loop_aware` selects the loop-aware
+/// disciplines (FIFO assignment inside loops, loop-quiet victims,
+/// preheader-hoisted saves and reloads) on top of the shared interval
+/// scan.
+fn run_func(
     loop_aware: bool,
     func: &FuncCode<'_>,
     items: &[VItem],
@@ -390,11 +388,10 @@ pub(crate) fn run_func(
     let loops = loop_aware.then(|| LoopCtx::build(func, &cfg));
 
     // --- Interval scan over the pool ---
-    let pool = cx.regs.pool_first..=cx.regs.pool_last;
     let mut free = if loop_aware {
-        FreeRegs::Fifo(pool.collect())
+        FreeRegs::Fifo(ALLOC_POOL.collect())
     } else {
-        FreeRegs::Ordered(pool.collect())
+        FreeRegs::Ordered(ALLOC_POOL.collect())
     };
     let mut active: Vec<(Interval, Reg)> = Vec::new();
     let mut assigned: HashMap<VReg, Reg> = HashMap::new();
@@ -505,7 +502,6 @@ pub(crate) fn run_func(
             assigned: &assigned,
             slot_of: &slot_of,
             pressure_spilled: &pressure_spilled,
-            pool: cx.regs.pool_first..=cx.regs.pool_last,
         };
         placer.place(
             &mut preheader,
@@ -616,7 +612,6 @@ struct LoopPlacer<'a> {
     assigned: &'a HashMap<VReg, Reg>,
     slot_of: &'a HashMap<VReg, u32>,
     pressure_spilled: &'a BTreeSet<VReg>,
-    pool: std::ops::RangeInclusive<u8>,
 }
 
 impl LoopPlacer<'_> {
@@ -780,7 +775,7 @@ impl LoopPlacer<'_> {
                     if uses_in_loop < 2 {
                         continue;
                     }
-                    let reg = self.pool.clone().map(Reg::from_index).find(|r| {
+                    let reg = ALLOC_POOL.map(Reg::from_index).find(|r| {
                         !taken.contains(r)
                             && reg_spans.get(r).is_none_or(|spans| {
                                 spans.iter().all(|&(s, e)| e < first_pos || s > last_pos)
@@ -1029,11 +1024,7 @@ impl<'a> FuncAllocator<'a> {
                     split_map.push((u, r));
                     continue;
                 }
-                let scratch = if scratch_map.is_empty() {
-                    SCRATCH_A
-                } else {
-                    SCRATCH_B
-                };
+                let scratch = SPILL_SCRATCH[scratch_map.len()];
                 out.push(Self::slot_load(scratch, slot));
                 scratch_map.push((u, scratch));
             }
@@ -1048,7 +1039,7 @@ impl<'a> FuncAllocator<'a> {
             match self.loc(v) {
                 Loc::Zero => Reg::R0,
                 Loc::Reg(r) => r,
-                Loc::Slot(_) => SCRATCH_A, // spilled def lands in scratch A
+                Loc::Slot(_) => SPILL_SCRATCH[0], // a spilled def lands in the first scratch
             }
         };
         // A spilled definition computes into its mapped scratch register

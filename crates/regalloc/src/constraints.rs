@@ -1,122 +1,60 @@
-//! The allocation-policy interface: what the backend may use, and how.
+//! What the compiler tells the allocator besides the code: the
+//! [`Policy`] that hands out the register pool, and the
+//! [`PressureEstimate`] that policy implies for the unroller.
 //!
-//! [`RegisterInfo`] describes the physical Patmos register file — the
-//! allocatable pool, the reserved/scratch registers, the link register
-//! and the predicate file — while [`Constraints`] bundles one such
-//! description with the [`Policy`] that decides *how* the pool is
-//! handed out. The compiler builds a `Constraints` from its compile
-//! options and threads it through [`crate::regalloc`]; everything
-//! downstream (the unroller's
-//! pressure check, the modulo scheduler's renaming pass) consults the
-//! same object instead of hard-coding pool facts.
+//! The physical facts the policies share — the pool, the spill scratch
+//! registers, the link register — are the register conventions in
+//! [`patmos_isa`].
 
 use std::fmt;
 use std::str::FromStr;
 
-use patmos_isa::{Pred, Reg, LINK_REG};
-
-use crate::allocator::{POOL_FIRST, POOL_LAST, SCRATCH_A, SCRATCH_B};
-use crate::policy::{AllocPolicy, LinearScan, LoopAware};
-
-/// Description of the physical register file the allocator may use.
-///
-/// The default is the Patmos convention the whole backend assumes:
-/// `r7`–`r28` allocatable and caller-saved, `r2`/`r30` reserved as
-/// spill scratch, `r29` the link register, `r0` wired to zero and
-/// `r1`–`r6` left to the ABI (arguments and return values move through
-/// them via explicit copies). Predicates `p1`–`p6` form the predicate
-/// file, with `p6` reserved as the compiler's branch/exit scratch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegisterInfo {
-    /// First register of the allocatable pool.
-    pub pool_first: u8,
-    /// Last register of the allocatable pool (inclusive).
-    pub pool_last: u8,
-    /// Scratch registers reserved for spill reloads (in reload order).
-    pub scratch: [Reg; 2],
-    /// The link register saved by non-leaf functions.
-    pub link: Reg,
-    /// The predicate reserved as compiler scratch (loop exits,
-    /// if-conversion joins).
-    pub pred_scratch: Pred,
-}
-
-impl RegisterInfo {
-    /// The Patmos register file as used throughout this backend.
-    pub fn patmos() -> Self {
-        RegisterInfo {
-            pool_first: POOL_FIRST,
-            pool_last: POOL_LAST,
-            scratch: [SCRATCH_A, SCRATCH_B],
-            link: LINK_REG,
-            pred_scratch: Pred::P6,
-        }
-    }
-
-    /// The allocatable registers, in allocation (index) order.
-    pub fn allocatable(&self) -> impl Iterator<Item = Reg> + '_ {
-        (self.pool_first..=self.pool_last).map(Reg::from_index)
-    }
-
-    /// Number of allocatable registers.
-    pub fn num_allocatable(&self) -> usize {
-        usize::from(self.pool_last - self.pool_first) + 1
-    }
-
-    /// Whether `r` belongs to the allocatable pool.
-    pub fn is_allocatable(&self, r: Reg) -> bool {
-        (self.pool_first..=self.pool_last).contains(&r.index())
-    }
-
-    /// Whether `r` is clobbered by a call (in this ABI: the whole
-    /// allocatable pool — there are no callee-saved pool registers).
-    pub fn is_caller_saved(&self, r: Reg) -> bool {
-        self.is_allocatable(r)
-    }
-
-    /// Whether `r` is reserved (zero, scratch or link): never
-    /// allocated, never renamed.
-    pub fn is_reserved(&self, r: Reg) -> bool {
-        r == Reg::R0 || r == self.link || self.scratch.contains(&r)
-    }
-}
-
-impl Default for RegisterInfo {
-    fn default() -> Self {
-        RegisterInfo::patmos()
-    }
-}
-
-/// Which allocation policy to run. The unit-struct implementations of
-/// [`AllocPolicy`] sit behind this enum so options structs and CLI
-/// flags can stay `Copy`.
+/// Which allocation policy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
-    /// Deterministic linear scan, eagerly reusing the lowest-numbered
-    /// free register (the historical allocator, bit-identical output).
+    /// Deterministic linear scan: the lowest-numbered free register,
+    /// the furthest-ending spill victim, saves and reloads exactly
+    /// where a value crosses a call or a use (the historical allocator,
+    /// bit-identical output).
     #[default]
     Linear,
-    /// Loop-aware allocation: round-robin assignment inside loops,
-    /// loop-quiet spill victims, caller-saves and spill reloads hoisted
-    /// to loop preheaders.
+    /// Loop-aware allocation: round-robin assignment inside loops, so
+    /// successive iteration-local temporaries get distinct registers
+    /// and the modulo scheduler finds no false anti-dependences to
+    /// rename; loop-quiet spill victims; caller-saves and reloads of
+    /// loop-invariant values hoisted to preheaders.
     Loop,
 }
 
 impl Policy {
-    /// The policy object implementing this choice.
-    pub fn as_policy(&self) -> &'static dyn AllocPolicy {
-        match self {
-            Policy::Linear => &LinearScan,
-            Policy::Loop => &LoopAware,
-        }
-    }
-
     /// Stable lowercase name (`linear` / `loop`), as accepted by the
     /// [`FromStr`] impl and printed in reports.
     pub fn name(&self) -> &'static str {
         match self {
             Policy::Linear => "linear",
             Policy::Loop => "loop",
+        }
+    }
+
+    /// The register-pressure estimate the mid-end should use when it
+    /// weighs body-widening transforms (partial unrolling) against
+    /// spill risk under this policy.
+    ///
+    /// Linear scan keeps the historical distinct-vreg proxy: eager
+    /// reuse plus scratch-mediated spills make every named temporary a
+    /// potential extra live value, so the count of distinct registers
+    /// in the body is the honest bound. The loop-aware policy assigns
+    /// by liveness inside loops, so the *maximum simultaneously live*
+    /// count is the real pressure and wide-but-shallow bodies are fine;
+    /// its cap leaves four pool registers of headroom for the induction
+    /// chain, bound registers and the modulo scheduler's rename pool.
+    pub fn pressure_estimate(&self) -> PressureEstimate {
+        match self {
+            Policy::Linear => PressureEstimate::default(),
+            Policy::Loop => PressureEstimate {
+                model: PressureModel::MaxLive,
+                cap: patmos_isa::ALLOC_POOL.len() - 4,
+            },
         }
     }
 }
@@ -137,61 +75,6 @@ impl FromStr for Policy {
             other => Err(format!(
                 "unknown register policy `{other}` (expected `linear` or `loop`)"
             )),
-        }
-    }
-}
-
-/// Everything [`crate::regalloc`] needs to know besides the code: the
-/// register file and the policy that distributes it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Constraints {
-    /// The allocation policy.
-    pub policy: Policy,
-    /// The physical register file.
-    pub regs: RegisterInfo,
-}
-
-impl Constraints {
-    /// The historical linear-scan configuration (also the default).
-    pub fn linear_scan() -> Self {
-        Constraints::for_policy(Policy::Linear)
-    }
-
-    /// The loop-aware configuration.
-    pub fn loop_aware() -> Self {
-        Constraints::for_policy(Policy::Loop)
-    }
-
-    /// Patmos register file under the given policy.
-    pub fn for_policy(policy: Policy) -> Self {
-        Constraints {
-            policy,
-            regs: RegisterInfo::patmos(),
-        }
-    }
-
-    /// The register-pressure estimate the mid-end should use when it
-    /// weighs body-widening transforms (partial unrolling) against
-    /// spill risk under this policy.
-    ///
-    /// Linear scan keeps the historical distinct-vreg proxy: eager
-    /// reuse plus scratch-mediated spills make every named temporary a
-    /// potential extra live value, so the count of distinct registers
-    /// in the body is the honest bound. The loop-aware policy assigns
-    /// by liveness inside loops, so the *maximum simultaneously live*
-    /// count is the real pressure and wide-but-shallow bodies are fine;
-    /// its cap leaves four pool registers of headroom for the induction
-    /// chain, bound registers and the modulo scheduler's rename pool.
-    pub fn pressure_estimate(&self) -> PressureEstimate {
-        match self.policy {
-            Policy::Linear => PressureEstimate {
-                model: PressureModel::DistinctVregs,
-                cap: 16,
-            },
-            Policy::Loop => PressureEstimate {
-                model: PressureModel::MaxLive,
-                cap: self.regs.num_allocatable() - 4,
-            },
         }
     }
 }
@@ -233,6 +116,7 @@ impl PressureEstimate {
 }
 
 impl Default for PressureEstimate {
+    /// The linear-scan estimate: at most 16 distinct registers.
     fn default() -> Self {
         PressureEstimate {
             model: PressureModel::DistinctVregs,
@@ -246,17 +130,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn patmos_file_matches_the_backend_constants() {
-        let ri = RegisterInfo::default();
-        assert_eq!(ri.num_allocatable(), 22);
-        assert!(ri.is_allocatable(Reg::R7) && ri.is_allocatable(patmos_isa::Reg::from_index(28)));
-        assert!(!ri.is_allocatable(Reg::R6) && !ri.is_allocatable(Reg::R29));
-        assert!(ri.is_reserved(Reg::R0) && ri.is_reserved(SCRATCH_A) && ri.is_reserved(LINK_REG));
-        assert!(!ri.is_reserved(Reg::R7));
-        assert_eq!(ri.allocatable().count(), 22);
-    }
-
-    #[test]
     fn policy_names_round_trip() {
         for p in [Policy::Linear, Policy::Loop] {
             assert_eq!(p.name().parse::<Policy>(), Ok(p));
@@ -266,8 +139,9 @@ mod tests {
 
     #[test]
     fn pressure_models_diverge_on_wide_shallow_bodies() {
-        let linear = Constraints::linear_scan().pressure_estimate();
-        let loops = Constraints::loop_aware().pressure_estimate();
+        let linear = Policy::Linear.pressure_estimate();
+        let loops = Policy::Loop.pressure_estimate();
+        assert_eq!(loops.cap, 18, "pool of 22 less four registers of headroom");
         // A body naming 20 registers of which at most 10 are live at
         // once: the proxy refuses it, the liveness model accepts it.
         assert!(!linear.body_fits(20, 10));

@@ -6,24 +6,24 @@
 //! ([`lir`]) that the VLIW scheduler consumes:
 //!
 //! ```text
-//! codegen ──VModule──▶ regalloc(&Constraints, ·) ──Module──▶ scheduler ──▶ assembler
+//! codegen ──VModule──▶ regalloc(&Policy, ·) ──Module──▶ scheduler ──▶ assembler
 //! ```
 //!
-//! Allocation runs behind an explicit policy interface: a
-//! [`RegisterInfo`] describes the physical file, and a [`Constraints`]
-//! object selects one of the swappable [`AllocPolicy`] implementations
-//! — the deterministic [`policy::LinearScan`] (the default) or the
-//! [`policy::LoopAware`] allocator, which consults the [`patmos_lir`]
-//! loop forest to assign registers round-robin inside hot loops, evict
-//! loop-quiet values first, and hoist call-saves and spill reloads out
-//! to loop preheaders. Both build a small CFG per function and run
-//! backward liveness dataflow (shared with the mid-end via
-//! [`patmos_lir`]), then scan the live intervals ([`allocator`]):
+//! The [`Policy`] picks one of two allocators over shared interval
+//! machinery: the deterministic linear scan (the default) or the
+//! loop-aware allocator, which consults the [`patmos_lir`] loop forest
+//! to assign registers round-robin inside hot loops, evict loop-quiet
+//! values first, and hoist call-saves and spill reloads out to loop
+//! preheaders. Both build a small CFG per function and run backward
+//! liveness dataflow (shared with the mid-end via [`patmos_lir`]), then
+//! scan the live intervals ([`allocator`]). The registers they use are
+//! the conventions stated once in [`patmos_isa`]:
 //!
-//! * locals and temporaries live in registers `r7`–`r28`; spill slots in
-//!   the stack cache are used only when more than 22 values are live at
-//!   once, or when a value is live across a call (every allocatable
-//!   register is caller-saved, as in the seed compiler's convention);
+//! * locals and temporaries live in the pool `r7`–`r28`
+//!   ([`patmos_isa::ALLOC_POOL`]); spill slots in the stack cache are
+//!   used only when more than 22 values are live at once, or when a
+//!   value is live across a call (every allocatable register is
+//!   caller-saved, as in the seed compiler's convention);
 //! * the frame protocol the paper's stack-cache analysis expects — one
 //!   `sres` on entry, `sens` after each call, one `sfree` per exit — is
 //!   emitted here, sized to exactly the slots in use, so leaf functions
@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use patmos_regalloc::vlir::{VInst, VItem, VModule, VOp, VReg};
-//! use patmos_regalloc::Constraints;
+//! use patmos_regalloc::Policy;
 //!
 //! let v1 = VReg::new(1);
 //! let module = VModule {
@@ -50,7 +50,7 @@
 //!         VItem::Inst(VInst::always(VOp::Halt)),
 //!     ],
 //! };
-//! let (physical, report) = patmos_regalloc::regalloc(&Constraints::default(), &module)?;
+//! let (physical, report) = patmos_regalloc::regalloc(&Policy::Linear, &module)?;
 //! assert_eq!(report.policy, "linear");
 //! assert_eq!(report.funcs[0].frame_words, 0, "leaf without spills reserves nothing");
 //! assert_eq!(physical.items.len(), 4);
@@ -60,7 +60,6 @@
 pub mod allocator;
 pub mod constraints;
 pub mod lir;
-pub mod policy;
 
 /// Re-exported from [`patmos_lir`]: the shared CFG construction.
 pub use patmos_lir::cfg;
@@ -70,9 +69,8 @@ pub use patmos_lir::liveness;
 pub use patmos_lir::vlir;
 
 pub use allocator::{regalloc, AllocError, AllocReport, FuncAlloc, LoopClass};
-pub use constraints::{Constraints, Policy, PressureEstimate, PressureModel, RegisterInfo};
+pub use constraints::{Policy, PressureEstimate, PressureModel};
 pub use patmos_lir::{Interval, VInst, VItem, VModule, VOp, VReg};
-pub use policy::{AllocPolicy, LinearScan, LoopAware};
 
 #[cfg(test)]
 mod tests {
@@ -94,7 +92,7 @@ mod tests {
     }
 
     fn alloc_linear(m: &VModule) -> Result<(lir::Module, AllocReport), AllocError> {
-        regalloc(&Constraints::default(), m)
+        regalloc(&Policy::Linear, m)
     }
 
     fn real_ops(items: &[Item]) -> Vec<&LirOp> {
@@ -347,8 +345,8 @@ mod tests {
             VItem::Inst(VInst::always(VOp::Halt)),
         ];
         let m = module(items);
-        let (_, linear) = regalloc(&Constraints::linear_scan(), &m).expect("linear");
-        let (_, loops) = regalloc(&Constraints::loop_aware(), &m).expect("loop");
+        let (_, linear) = regalloc(&Policy::Linear, &m).expect("linear");
+        let (_, loops) = regalloc(&Policy::Loop, &m).expect("loop");
         let reg_of = |rep: &AllocReport, id: u32| {
             rep.funcs[0]
                 .assignments
@@ -376,8 +374,8 @@ mod tests {
             "the round-robin class covers the in-loop intervals"
         );
         // Determinism: the loop-aware policy replays exactly.
-        let (out1, _) = regalloc(&Constraints::loop_aware(), &m).expect("loop");
-        let (out2, _) = regalloc(&Constraints::loop_aware(), &m).expect("loop");
+        let (out1, _) = regalloc(&Policy::Loop, &m).expect("loop");
+        let (out2, _) = regalloc(&Policy::Loop, &m).expect("loop");
         assert_eq!(out1.items, out2.items);
     }
 
@@ -417,7 +415,7 @@ mod tests {
             VItem::Inst(VInst::always(VOp::Ret)),
         ];
         let m = module(items);
-        let (out, report) = regalloc(&Constraints::loop_aware(), &m).expect("loop");
+        let (out, report) = regalloc(&Policy::Loop, &m).expect("loop");
         let fa = &report.funcs[0];
         assert_eq!(fa.hoisted_saves, 1, "v1's save belongs in the preheader");
         // The hoisted store must precede the loop header label.

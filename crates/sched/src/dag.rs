@@ -3,7 +3,7 @@
 //! a backward liveness dataflow used to prove speculative delay-slot
 //! fills dead on the path that does not want them.
 
-use patmos_isa::{Pred, Reg};
+use patmos_isa::{Pred, Reg, ARG_REGS};
 use patmos_lir::plir::{Item, LirInst, LirOp, Module};
 
 /// The minimum bundle gap from `a` (earlier in program order) to `b`
@@ -295,11 +295,6 @@ impl LiveSet {
     }
 }
 
-/// First argument register of the ABI (`r3`); arguments occupy
-/// `r3..=r6`.
-const FIRST_ARG: u8 = 3;
-const NUM_ARGS: u8 = 4;
-
 /// What one instruction reads, beyond what [`LirOp::uses`] reports: a
 /// call reads its (up to four) argument registers and, conservatively,
 /// every predicate.
@@ -315,8 +310,8 @@ fn inst_reads(inst: &LirInst) -> LiveSet {
         set.add_pred(inst.guard.pred);
     }
     if matches!(inst.op, LirOp::CallFunc(_)) {
-        for i in 0..NUM_ARGS {
-            set.add_reg(Reg::from_index(FIRST_ARG + i));
+        for r in ARG_REGS {
+            set.add_reg(r);
         }
         set.preds = !0; // callee may observe any predicate
     }

@@ -62,7 +62,7 @@
 //! single-path compilations never enable the pipeliner
 //! ([`crate::SchedOptions::pipeline`] stays off).
 
-use patmos_isa::{AluOp, Guard, Op, Reg};
+use patmos_isa::{AluOp, Guard, Op, Reg, ALLOC_POOL};
 use patmos_lir::plir::{CountedLoop, Item, LirInst, LirOp, LoopBoundSrc};
 
 use crate::dag::{dependence_gap, out_gap, Func, LiveSet};
@@ -98,53 +98,6 @@ struct Placed {
     slot: usize,
 }
 
-/// The register allocator's assignable range (`r7`–`r28`); renamed
-/// loop temporaries come from its unused part.
-const ALLOC_FIRST: u8 = 7;
-const ALLOC_LAST: u8 = 28;
-
-/// Rewrites the registers an operation *reads* through `map`.
-fn subst_uses(op: &mut LirOp, map: &[Reg; 32]) {
-    let m = |r: &mut Reg| *r = map[r.index() as usize];
-    match op {
-        LirOp::Real(real) => match real {
-            Op::AluR { rs1, rs2, .. } | Op::Mul { rs1, rs2 } | Op::Cmp { rs1, rs2, .. } => {
-                m(rs1);
-                m(rs2);
-            }
-            Op::AluI { rs1, .. } | Op::CmpI { rs1, .. } => m(rs1),
-            Op::LoadImmHigh { rd, .. } => m(rd),
-            Op::Load { ra, .. } | Op::MainLoad { ra, .. } => m(ra),
-            Op::Store { ra, rs, .. } | Op::MainStore { ra, rs, .. } => {
-                m(ra);
-                m(rs);
-            }
-            Op::Mts { rs, .. } => m(rs),
-            _ => {}
-        },
-        LirOp::BrLabel(_) | LirOp::CallFunc(_) | LirOp::LilSym(..) => {}
-    }
-}
-
-/// Rewrites the register an operation *defines* to `to`.
-fn subst_def(op: &mut LirOp, to: Reg) {
-    match op {
-        LirOp::Real(real) => match real {
-            Op::AluR { rd, .. }
-            | Op::AluI { rd, .. }
-            | Op::LoadImmLow { rd, .. }
-            | Op::LoadImmHigh { rd, .. }
-            | Op::LoadImm32 { rd, .. }
-            | Op::Load { rd, .. }
-            | Op::MainWait { rd }
-            | Op::Mfs { rd, .. } => *rd = to,
-            _ => {}
-        },
-        LirOp::LilSym(rd, _) => *rd = to,
-        LirOp::BrLabel(_) | LirOp::CallFunc(_) => {}
-    }
-}
-
 /// Breaks allocator-induced false dependences inside the loop: every
 /// unconditional definition of a register that is provably *loop
 /// local* — dead at the loop's entry, body entry and exit, so its
@@ -176,7 +129,7 @@ fn rename_loop_temporaries(
     // A register is renameable when its every definition here is
     // unconditional and it is dead at every loop boundary.
     let mut renameable = [false; 32];
-    for r in ALLOC_FIRST..=ALLOC_LAST {
+    for r in ALLOC_POOL {
         renameable[r as usize] = !boundary_live.has_reg(Reg::from_index(r));
     }
     for op in ops.iter() {
@@ -199,7 +152,7 @@ fn rename_loop_temporaries(
                 }
             }
         }
-        for r in ALLOC_FIRST..=ALLOC_LAST {
+        for r in ALLOC_POOL {
             if openings[r as usize] < 2 {
                 renameable[r as usize] = false;
             }
@@ -215,7 +168,7 @@ fn rename_loop_temporaries(
         let orig_def = inst.op.def();
         let reads_own_def =
             orig_def.is_some_and(|d| inst.op.uses().into_iter().flatten().any(|u| u == d));
-        subst_uses(&mut inst.op, &map);
+        inst.op.map_uses(|r| map[r.index() as usize]);
         let Some(orig) = orig_def else { continue };
         if !renameable[orig.index() as usize] {
             continue;
@@ -227,7 +180,7 @@ fn rename_loop_temporaries(
             }
             // Pool exhausted: the def keeps its current mapping.
         }
-        subst_def(&mut inst.op, map[orig.index() as usize]);
+        inst.op.set_def(map[orig.index() as usize]);
     }
     renamed
 }
@@ -313,7 +266,7 @@ pub(crate) fn try_pipeline(
             used[r.index() as usize] = true;
         }
     }
-    let mut pool: Vec<Reg> = (ALLOC_FIRST..=ALLOC_LAST)
+    let mut pool: Vec<Reg> = ALLOC_POOL
         .filter(|&r| !used[r as usize] && !boundary_live.has_reg(Reg::from_index(r)))
         .map(Reg::from_index)
         .collect();

@@ -1,5 +1,6 @@
 //! The trace event vocabulary and exact reconciliation totals.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use patmos_isa::MemArea;
@@ -247,6 +248,24 @@ impl TraceEvent {
     }
 }
 
+/// Folds a run's events into cycles per word address: each retired
+/// bundle's issue cycles and each stall's cycles land on their `pc`.
+/// Summed, they are the run's cycles; per block, they are the measured
+/// side of the WCET pessimism report.
+pub fn cycles_by_pc(events: &[TraceEvent]) -> HashMap<u32, u64> {
+    let mut cycles = HashMap::new();
+    for e in events {
+        match *e {
+            TraceEvent::Retire {
+                pc, issue_cycles, ..
+            } => *cycles.entry(pc).or_insert(0) += issue_cycles,
+            TraceEvent::Stall { pc, cycles: c, .. } => *cycles.entry(pc).or_insert(0) += c,
+            _ => {}
+        }
+    }
+    cycles
+}
+
 /// Event sums that reproduce every simulator counter exactly.
 ///
 /// `cycles` is `issue_cycles` plus the attributed stalls — the "no
@@ -460,5 +479,8 @@ mod tests {
         assert_eq!(t.data_misses, 1);
         assert_eq!(t.data_transferred_words, 8);
         assert_eq!(t.stack_ops, 1);
+        // Issue and stall cycles land on their pc; the TDMA share is
+        // already inside the stall, and the other events carry none.
+        assert_eq!(cycles_by_pc(&events), HashMap::from([(0, 9)]));
     }
 }

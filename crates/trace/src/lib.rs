@@ -15,7 +15,8 @@
 //! * [`VecSink`] — records the full stream for offline analysis.
 //! * [`EventTotals`] — exact reconciliation: summing a run's events
 //!   reproduces every counter of the simulator's `Stats` (tested
-//!   against the whole kernel suite in `patmos-bench`).
+//!   against the whole kernel suite in `patmos-bench`); [`cycles_by_pc`]
+//!   folds the same cycles onto word addresses.
 //! * [`Profile`] — the cycle-attribution profiler: folds issue and
 //!   stall cycles onto functions and source-mapped loops of an
 //!   [`ObjectImage`](patmos_asm::ObjectImage).
@@ -62,6 +63,6 @@ mod event;
 mod profile;
 mod sink;
 
-pub use event::{CacheKind, EventTotals, FaultKind, StallCause, TraceEvent};
+pub use event::{cycles_by_pc, CacheKind, EventTotals, FaultKind, StallCause, TraceEvent};
 pub use profile::{FuncProfile, LoopProfile, Profile};
 pub use sink::{NullSink, TraceSink, VecSink};

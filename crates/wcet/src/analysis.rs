@@ -8,7 +8,7 @@ use patmos_asm::ObjectImage;
 use patmos_baseline::BaselineConfig;
 use patmos_sim::SimConfig;
 
-use crate::cfg::{build_cfg, Cfg, CfgError};
+use crate::cfg::{build_cfg, Block, Cfg, CfgError};
 use crate::model;
 use crate::solver::{solve, LinearProgram, LpSolution};
 
@@ -148,6 +148,77 @@ fn analyze_impl(
     machine: &Machine,
     use_pipe_loops: bool,
 ) -> Result<WcetReport, WcetError> {
+    let solved = solve_program(image, machine, use_pipe_loops)?;
+    Ok(WcetReport {
+        entry: solved.entry,
+        bound_cycles: solved.bound_cycles,
+        per_function: solved.per_function,
+        warmup_cycles: solved.warmup,
+    })
+}
+
+/// Prices basic blocks on one machine model.
+pub(crate) struct Pricing<'a> {
+    image: &'a ObjectImage,
+    machine: &'a Machine,
+    /// The Patmos model's global facts (unused by the baseline).
+    facts: model::GlobalFacts,
+}
+
+impl Pricing<'_> {
+    /// Worst-case cost of one execution of `block` in `cfg`, with
+    /// callees charged their bounds in `callee_wcet` (an empty map
+    /// charges a call site its own cost only).
+    pub(crate) fn block_cost(
+        &self,
+        cfg: &Cfg,
+        block: &Block,
+        callee_wcet: &HashMap<u32, u64>,
+    ) -> u64 {
+        match self.machine {
+            Machine::Patmos(config) => model::patmos_block_cost(
+                block,
+                config,
+                &self.facts,
+                self.image,
+                cfg.func.size_words,
+                callee_wcet,
+            ),
+            Machine::Baseline(config) => model::baseline_block_cost(block, config, callee_wcet),
+        }
+    }
+}
+
+/// One bottom-up solve of a whole program: what [`analyze`] reports,
+/// and the worst-case block counts the pessimism report joins on.
+pub(crate) struct ProgramSolution<'a> {
+    /// Per-function CFGs, in image order.
+    pub(crate) cfgs: Vec<Cfg>,
+    /// Callees-first order over `cfgs`.
+    pub(crate) order: Vec<usize>,
+    /// The block prices the bounds were solved with.
+    pub(crate) pricing: Pricing<'a>,
+    /// Name of the entry function.
+    pub(crate) entry: String,
+    /// The entry function's bound plus `warmup`.
+    pub(crate) bound_cycles: u64,
+    /// One-time warm-up charge.
+    pub(crate) warmup: u64,
+    /// Per-function bounds (callees included), callees first.
+    pub(crate) per_function: Vec<(String, u64)>,
+    /// Per function (indexed like `cfgs`), the per-block execution
+    /// counts of the flow that witnesses its bound.
+    pub(crate) counts: Vec<Vec<u64>>,
+}
+
+/// Builds every function's CFG, derives the machine's global facts and
+/// warm-up, and solves each function's IPET bottom-up over the call
+/// graph. With `use_pipe_loops` off, `.pipeloop` records are ignored.
+pub(crate) fn solve_program<'a>(
+    image: &'a ObjectImage,
+    machine: &'a Machine,
+    use_pipe_loops: bool,
+) -> Result<ProgramSolution<'a>, WcetError> {
     if image.functions().is_empty() {
         return Err(WcetError::Empty);
     }
@@ -174,34 +245,30 @@ fn analyze_impl(
     let (facts, warmup) = match machine {
         Machine::Patmos(config) => {
             let facts = model::global_facts(image, config, &frames, max_depth);
-            let warmup = model::warmup_cost(image, config, &facts);
-            (Some(facts), warmup)
+            (facts, model::warmup_cost(image, config, &facts))
         }
-        Machine::Baseline(_) => (None, 0),
+        Machine::Baseline(_) => (model::GlobalFacts::default(), 0),
+    };
+    let pricing = Pricing {
+        image,
+        machine,
+        facts,
     };
 
     let mut wcet: HashMap<u32, u64> = HashMap::new();
     let mut per_function = Vec::new();
+    let mut counts: Vec<Vec<u64>> = vec![Vec::new(); cfgs.len()];
     for &idx in &order {
         let cfg = &cfgs[idx];
         let costs: Vec<u64> = cfg
             .blocks
             .iter()
-            .map(|b| match machine {
-                Machine::Patmos(config) => model::patmos_block_cost(
-                    b,
-                    config,
-                    facts.as_ref().expect("patmos facts computed"),
-                    image,
-                    cfg.func.size_words,
-                    &wcet,
-                ),
-                Machine::Baseline(config) => model::baseline_block_cost(b, config, &wcet),
-            })
+            .map(|b| pricing.block_cost(cfg, b, &wcet))
             .collect();
-        let (bound, _) = ipet(cfg, &costs)?;
+        let (bound, block_counts) = ipet(cfg, &costs)?;
         wcet.insert(cfg.func.start_word, bound);
         per_function.push((cfg.func.name.clone(), bound));
+        counts[idx] = block_counts;
     }
 
     let entry = image
@@ -213,16 +280,20 @@ fn analyze_impl(
         .copied()
         .ok_or(WcetError::Empty)?;
 
-    Ok(WcetReport {
+    Ok(ProgramSolution {
+        cfgs,
+        order,
+        pricing,
         entry,
         bound_cycles: entry_bound + warmup,
+        warmup,
         per_function,
-        warmup_cycles: warmup,
+        counts,
     })
 }
 
 /// Reverse-topological order over the call graph (callees first).
-pub(crate) fn topo_order(cfgs: &[Cfg]) -> Result<Vec<usize>, WcetError> {
+fn topo_order(cfgs: &[Cfg]) -> Result<Vec<usize>, WcetError> {
     let index_of: HashMap<u32, usize> = cfgs
         .iter()
         .enumerate()
@@ -267,7 +338,7 @@ pub(crate) fn topo_order(cfgs: &[Cfg]) -> Result<Vec<usize>, WcetError> {
 }
 
 /// Maximum total frame words along any call-graph path.
-pub(crate) fn max_stack_depth(cfgs: &[Cfg], order: &[usize], frames: &HashMap<u32, u32>) -> u32 {
+fn max_stack_depth(cfgs: &[Cfg], order: &[usize], frames: &HashMap<u32, u32>) -> u32 {
     let index_of: HashMap<u32, usize> = cfgs
         .iter()
         .enumerate()
@@ -296,7 +367,7 @@ pub(crate) fn max_stack_depth(cfgs: &[Cfg], order: &[usize], frames: &HashMap<u3
 /// the witnessing worst-case flow (the number of times each block runs
 /// on the path the bound charges for) — the raw material of the
 /// pessimism report.
-pub(crate) fn ipet(cfg: &Cfg, costs: &[u64]) -> Result<(u64, Vec<u64>), WcetError> {
+fn ipet(cfg: &Cfg, costs: &[u64]) -> Result<(u64, Vec<u64>), WcetError> {
     // Edge variables: a virtual entry edge, every CFG edge, one exit edge
     // per exit block.
     #[derive(Clone, Copy, PartialEq)]

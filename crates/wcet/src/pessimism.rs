@@ -23,9 +23,7 @@ use std::collections::HashMap;
 
 use patmos_asm::ObjectImage;
 
-use crate::analysis::{ipet, max_stack_depth, topo_order, Machine, WcetError};
-use crate::cfg::{build_cfg, Cfg};
-use crate::model;
+use crate::analysis::{solve_program, Machine, WcetError};
 
 /// One block's share of the bound, joined with its measured cycles.
 #[derive(Debug, Clone)]
@@ -89,64 +87,20 @@ pub fn pessimism(
     machine: &Machine,
     measured: &HashMap<u32, u64>,
 ) -> Result<PessimismReport, WcetError> {
-    if image.functions().is_empty() {
-        return Err(WcetError::Empty);
-    }
-    let cfgs: Vec<Cfg> = image
-        .functions()
-        .iter()
-        .map(|f| build_cfg(image, f))
-        .collect::<Result<_, _>>()?;
-    let order = topo_order(&cfgs)?;
+    let solved = solve_program(image, machine, true)?;
+    let (cfgs, order, counts) = (&solved.cfgs, &solved.order, &solved.counts);
 
-    let frames: HashMap<u32, u32> = cfgs
-        .iter()
-        .map(|c| (c.func.start_word, model::frame_words(c)))
-        .collect();
-    let max_depth = max_stack_depth(&cfgs, &order, &frames);
-    let (facts, warmup) = match machine {
-        Machine::Patmos(config) => {
-            let facts = model::global_facts(image, config, &frames, max_depth);
-            let warmup = model::warmup_cost(image, config, &facts);
-            (Some(facts), warmup)
-        }
-        Machine::Baseline(_) => (None, 0),
-    };
-
-    let block_cost = |cfg: &Cfg, b: &crate::cfg::Block, wcet: &HashMap<u32, u64>| match machine {
-        Machine::Patmos(config) => model::patmos_block_cost(
-            b,
-            config,
-            facts.as_ref().expect("patmos facts computed"),
-            image,
-            cfg.func.size_words,
-            wcet,
-        ),
-        Machine::Baseline(config) => model::baseline_block_cost(b, config, wcet),
-    };
-
-    // Bottom-up IPET, keeping each function's block counts and the
-    // self-only block costs (callee bodies charged to the callees).
+    // Self-only block costs: callee bodies are charged to the callees.
     let empty: HashMap<u32, u64> = HashMap::new();
-    let mut wcet: HashMap<u32, u64> = HashMap::new();
-    let mut counts: Vec<Vec<u64>> = vec![Vec::new(); cfgs.len()];
-    let mut self_costs: Vec<Vec<u64>> = vec![Vec::new(); cfgs.len()];
-    for &idx in &order {
-        let cfg = &cfgs[idx];
-        let costs: Vec<u64> = cfg
-            .blocks
-            .iter()
-            .map(|b| block_cost(cfg, b, &wcet))
-            .collect();
-        let (bound, block_counts) = ipet(cfg, &costs)?;
-        wcet.insert(cfg.func.start_word, bound);
-        counts[idx] = block_counts;
-        self_costs[idx] = cfg
-            .blocks
-            .iter()
-            .map(|b| block_cost(cfg, b, &empty))
-            .collect();
-    }
+    let self_costs: Vec<Vec<u64>> = cfgs
+        .iter()
+        .map(|cfg| {
+            cfg.blocks
+                .iter()
+                .map(|b| solved.pricing.block_cost(cfg, b, &empty))
+                .collect()
+        })
+        .collect();
 
     // Top-down invocation counts along the worst-case path: the entry
     // runs once; a callee runs once per charged execution of each
@@ -219,18 +173,10 @@ pub fn pessimism(
     }
     blocks.sort_by(|a, b| b.slack.cmp(&a.slack).then(a.start_word.cmp(&b.start_word)));
 
-    let entry = image
-        .function_at(image.entry_word())
-        .map(|f| f.name.clone())
-        .unwrap_or_default();
-    let entry_bound = wcet
-        .get(&image.entry_word())
-        .copied()
-        .ok_or(WcetError::Empty)?;
     Ok(PessimismReport {
-        entry,
-        bound_cycles: entry_bound + warmup,
-        warmup_cycles: warmup,
+        entry: solved.entry,
+        bound_cycles: solved.bound_cycles,
+        warmup_cycles: solved.warmup,
         measured_cycles: measured_total,
         blocks,
     })

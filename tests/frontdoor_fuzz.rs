@@ -73,6 +73,28 @@ fn data_past_the_top_of_the_address_space_is_an_error_not_a_panic() {
     }
 }
 
+#[test]
+fn negative_space_is_an_error_not_an_allocation() {
+    // `.space -16` used to be read as 4294967280 bytes, which the
+    // assembler then tried to allocate; a huge positive size hits the
+    // segment limit instead.
+    for (space, message) in [
+        ("-16", "`.space` operand -16"),
+        ("0xFFFFFFF0", "`d` exceeds"),
+    ] {
+        let src = format!(
+            "        .data d 0\n        .space {space}\n        .func main\n        halt\n"
+        );
+        match assemble(&src) {
+            Ok(image) => panic!(
+                "`.space {space}` assembled: {} bytes",
+                image.data()[0].bytes.len()
+            ),
+            Err(e) => assert!(e.message.contains(message), "{e}"),
+        }
+    }
+}
+
 /// PatC token soup: syntactically plausible fragments in random order,
 /// reaching parser states raw bytes rarely hit.
 fn arb_patc_soup() -> impl Strategy<Value = String> {
