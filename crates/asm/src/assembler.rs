@@ -833,7 +833,7 @@ fn cmp_from_mnemonic(m: &str) -> Option<(CmpOp, bool)> {
 /// Largest data segment the assembler lays out: 16 MiB, far above the
 /// kernel suite's largest segment (2 KiB) and far below what a hostile
 /// `.space` could otherwise make the encoding pass allocate.
-const MAX_SEGMENT_BYTES: u32 = 1 << 24;
+pub const MAX_SEGMENT_BYTES: u32 = 1 << 24;
 
 /// The data segment pass 1 is laying out.
 struct OpenSegment<'a> {

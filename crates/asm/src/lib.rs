@@ -54,7 +54,7 @@ mod disasm;
 mod lexer;
 mod object;
 
-pub use assembler::{assemble, AsmError};
+pub use assembler::{assemble, AsmError, MAX_SEGMENT_BYTES};
 pub use disasm::disassemble;
 pub use object::{
     DataSegment, FuncInfo, LoopBound, ObjectImage, PipeLoop, SourceFunc, SourceInfo, SourceLoop,

@@ -145,6 +145,9 @@ pub struct Cell {
     pub blind_bound: u64,
     /// FNV-1a 64 digest of the emitted assembly text.
     pub asm_fnv: u64,
+    /// FNV-1a 64 digest of the rendered virtual-register LIR the
+    /// allocator receives (`VModule::render` after the mid-end).
+    pub vlir_fnv: u64,
     /// The counters of one run on the conventional comparator machine.
     pub baseline: BaselineStats,
     /// The comparator machine's WCET bound.
@@ -198,6 +201,7 @@ fn measure(w: &Workload, config: &Config) -> Cell {
         bound: bound.bound_cycles,
         blind_bound: blind.bound_cycles,
         asm_fnv: fnv1a64(artifacts.asm.as_bytes()),
+        vlir_fnv: fnv1a64(artifacts.vmodule.render().as_bytes()),
         baseline,
         baseline_bound: baseline_bound.bound_cycles,
     }
@@ -268,7 +272,9 @@ pub const OPT3: &str = "opt3_cycles.json";
 pub const REGALLOC2: &str = "regalloc2_cycles.json";
 /// Pipeline-aware WCET bounds.
 pub const WCET: &str = "wcet_bounds.json";
-/// Digests of the emitted assembly: equal cycles do not prove equal code.
+/// Digests of the emitted assembly and of the mid-end's output: equal
+/// cycles do not prove equal code, and equal code does not prove an
+/// unchanged mid-end.
 pub const ASM: &str = "asm_digests.json";
 /// The conventional comparator machine: its counters and WCET bound.
 pub const BASELINE_MACHINE: &str = "baseline_machine.json";
@@ -345,6 +351,10 @@ pub const FAMILIES: [Family; 9] = [
             ("opt2_sched1", Live(O2S1, |c| c.asm_fnv)),
             ("opt3_sched2", Live(O3S2, |c| c.asm_fnv)),
             ("opt3_sched2_loop", Live(O3S2_LOOP, |c| c.asm_fnv)),
+            ("vlir_opt1_sched1", Live(O1S1, |c| c.vlir_fnv)),
+            ("vlir_opt2_sched1", Live(O2S1, |c| c.vlir_fnv)),
+            ("vlir_opt3_sched2", Live(O3S2, |c| c.vlir_fnv)),
+            ("vlir_opt3_sched2_loop", Live(O3S2_LOOP, |c| c.vlir_fnv)),
         ],
     },
     Family {

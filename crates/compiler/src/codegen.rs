@@ -1,7 +1,7 @@
 //! Tree-walking code generation: AST → virtual-register LIR.
 //!
 //! Code generation targets an unbounded supply of virtual registers
-//! ([`patmos_regalloc::vlir`]); the register allocator downstream maps
+//! ([`patmos_lir::vlir`]); the register allocator downstream maps
 //! them onto the physical file and inserts whatever spill code is
 //! actually needed. Conventions:
 //!
@@ -24,10 +24,12 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use patmos_asm::MAX_SEGMENT_BYTES;
 use patmos_isa::{
     AluOp, CmpOp, Guard, MemArea, Pred, PredOp, PredSrc, Reg, ARG_REGS, BOOL_PRED, EXIT_PRED,
 };
 use patmos_lir::vlir::{VInst, VItem, VModule, VOp, VReg};
+use patmos_lir::Function;
 
 use crate::ast::*;
 use crate::srcmap::{LoopSpan, SourceMap};
@@ -66,6 +68,27 @@ pub enum CodegenError {
     /// `spm` globals cannot carry initialisers (the loader only fills
     /// main memory).
     SpmInitialiser(String),
+    /// A global larger than one data segment may be
+    /// ([`patmos_asm::MAX_SEGMENT_BYTES`]).
+    GlobalTooLarge {
+        /// The global.
+        name: String,
+        /// Its size in bytes.
+        bytes: u64,
+    },
+    /// A global that ends past its data area: a static global running
+    /// into the heap at `0x100000`, or any global past the 32-bit
+    /// address space.
+    AreaOverflow {
+        /// The area (`static`, `heap` or `spm`).
+        area: &'static str,
+        /// The global.
+        name: String,
+        /// One past its last byte.
+        end: u64,
+        /// The highest end the area allows.
+        limit: u64,
+    },
     /// No `main` function.
     MissingMain,
 }
@@ -95,6 +118,20 @@ impl fmt::Display for CodegenError {
             CodegenError::SpmInitialiser(n) => {
                 write!(f, "spm global `{n}` cannot have initialisers")
             }
+            CodegenError::GlobalTooLarge { name, bytes } => write!(
+                f,
+                "global `{name}` needs {bytes} bytes, over the {MAX_SEGMENT_BYTES}-byte segment \
+                 limit"
+            ),
+            CodegenError::AreaOverflow {
+                area,
+                name,
+                end,
+                limit,
+            } => write!(
+                f,
+                "{area} global `{name}` ends at {end:#x}, past the end of its area at {limit:#x}"
+            ),
             CodegenError::MissingMain => f.write_str("no `main` function"),
         }
     }
@@ -129,10 +166,14 @@ pub fn lower(
     let mut srcmap = SourceMap::default();
     let mut globals: HashMap<String, GlobalRef> = HashMap::new();
 
-    // Data layout.
-    let mut static_addr = STATIC_BASE;
-    let mut heap_addr = HEAP_BASE;
-    let mut spm_off = 0u32;
+    // Data layout, in 64-bit arithmetic so no size can wrap. Per area:
+    // its name, the next free address and the highest end it allows.
+    // The static area ends where the heap begins; every area ends
+    // inside the 32-bit address space.
+    let top = u64::from(u32::MAX);
+    let mut static_area = ("static", u64::from(STATIC_BASE), u64::from(HEAP_BASE));
+    let mut heap_area = ("heap", u64::from(HEAP_BASE), top);
+    let mut spm_area = ("spm", 0, top);
     for g in &program.globals {
         if globals
             .insert(
@@ -145,39 +186,52 @@ pub fn lower(
         {
             return Err(CodegenError::Duplicate(g.name.clone()));
         }
-        match g.qualifier {
-            MemQualifier::Spm => {
-                if !g.init.is_empty() {
-                    return Err(CodegenError::SpmInitialiser(g.name.clone()));
-                }
-                module
-                    .data_lines
-                    .push(format!("        .equ {} {}", g.name, spm_off));
-                spm_off += 4 * g.len;
-            }
-            MemQualifier::Static | MemQualifier::Heap => {
-                let addr = if g.qualifier == MemQualifier::Static {
-                    &mut static_addr
-                } else {
-                    &mut heap_addr
-                };
-                module
-                    .data_lines
-                    .push(format!("        .data {} {}", g.name, *addr));
-                if !g.init.is_empty() {
-                    let words: Vec<String> = g.init.iter().map(|v| v.to_string()).collect();
-                    module
-                        .data_lines
-                        .push(format!("        .word {}", words.join(", ")));
-                }
-                let rest = g.len - g.init.len() as u32;
-                if rest > 0 {
-                    module
-                        .data_lines
-                        .push(format!("        .space {}", 4 * rest));
-                }
-                *addr += 4 * g.len;
-            }
+        if g.qualifier == MemQualifier::Spm && !g.init.is_empty() {
+            return Err(CodegenError::SpmInitialiser(g.name.clone()));
+        }
+        let bytes = 4 * u64::from(g.len);
+        if bytes > u64::from(MAX_SEGMENT_BYTES) {
+            return Err(CodegenError::GlobalTooLarge {
+                name: g.name.clone(),
+                bytes,
+            });
+        }
+        let area = match g.qualifier {
+            MemQualifier::Static => &mut static_area,
+            MemQualifier::Heap => &mut heap_area,
+            MemQualifier::Spm => &mut spm_area,
+        };
+        let (kind, addr, limit) = *area;
+        let end = addr + bytes;
+        if end > limit {
+            return Err(CodegenError::AreaOverflow {
+                area: kind,
+                name: g.name.clone(),
+                end,
+                limit,
+            });
+        }
+        area.1 = end;
+        if g.qualifier == MemQualifier::Spm {
+            module
+                .data_lines
+                .push(format!("        .equ {} {addr}", g.name));
+            continue;
+        }
+        module
+            .data_lines
+            .push(format!("        .data {} {addr}", g.name));
+        if !g.init.is_empty() {
+            let words: Vec<String> = g.init.iter().map(|v| v.to_string()).collect();
+            module
+                .data_lines
+                .push(format!("        .word {}", words.join(", ")));
+        }
+        let rest = u64::from(g.len) - g.init.len() as u64;
+        if rest > 0 {
+            module
+                .data_lines
+                .push(format!("        .space {}", 4 * rest));
         }
     }
 
@@ -210,7 +264,6 @@ pub fn lower(
             is_main: func.name == "main",
             loops: Vec::new(),
         };
-        ctx.items.push(VItem::FuncStart(func.name.clone()));
         // Home the parameters into their virtual registers.
         for (i, p) in func.params.iter().enumerate() {
             let v = ctx.alloc_local(p)?;
@@ -230,7 +283,9 @@ pub fn lower(
         });
         ctx.epilogue();
         srcmap.loops.append(&mut ctx.loops);
-        module.items.extend(ctx.items);
+        module
+            .funcs
+            .push(Function::new(func.name.clone(), ctx.items));
     }
 
     module.entry = "main".into();

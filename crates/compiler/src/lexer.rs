@@ -144,24 +144,29 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, (usize, String)> {
             }
             '0'..='9' => {
                 let start = i;
-                let value = if c == '0' && matches!(bytes.get(i + 1), Some(b'x') | Some(b'X')) {
+                let (digits, radix) = if c == '0' && matches!(bytes.get(i + 1), Some(b'x' | b'X')) {
                     i += 2;
                     let hs = i;
                     while i < bytes.len() && (bytes[i] as char).is_ascii_hexdigit() {
                         i += 1;
                     }
-                    i64::from_str_radix(&source[hs..i], 16)
-                        .map_err(|_| (line, "bad hex literal".to_string()))?
+                    if i == hs {
+                        return Err((line, "bad hex literal".to_string()));
+                    }
+                    (&source[hs..i], 16)
                 } else {
                     while i < bytes.len() && bytes[i].is_ascii_digit() {
                         i += 1;
                     }
-                    source[start..i]
-                        .parse()
-                        .map_err(|_| (line, "bad integer literal".to_string()))?
+                    (&source[start..i], 10)
                 };
+                // A literal is one 32-bit word, as in the assembler.
+                let value = u32::from_str_radix(digits, radix).map_err(|_| {
+                    let text = &source[start..i];
+                    (line, format!("integer literal {text} exceeds {}", u32::MAX))
+                })?;
                 out.push(SpannedTok {
-                    tok: Tok::Int(value),
+                    tok: Tok::Int(value.into()),
                     line,
                 });
             }

@@ -294,10 +294,9 @@ pub fn compile_to_asm(source: &str, options: &CompileOptions) -> Result<String, 
 #[derive(Debug, Clone)]
 pub struct CompileArtifacts {
     /// The virtual-register LIR handed to the allocator (post-mid-end
-    /// when `opt_level` ≥ 1), for CFG dumps and further inspection.
+    /// when `opt_level` ≥ 1), for CFG dumps and further inspection
+    /// ([`patmos_lir::VModule::render`] gives its text).
     pub vmodule: patmos_lir::VModule,
-    /// The same LIR as rendered text.
-    pub vlir: String,
     /// The mid-end's per-pass trace (`None` at `opt_level` 0).
     pub opt: Option<patmos_opt::OptReport>,
     /// The register allocator's per-function report.
@@ -325,7 +324,6 @@ pub fn compile_with_artifacts(
     let build = drive(source, options, true)?;
     let asm = sched::emit_with_map(&build.scheduled, &build.srcmap);
     Ok(CompileArtifacts {
-        vlir: build.vmodule.render(),
         vmodule: build.vmodule,
         opt: build.opt,
         allocation: build.allocation,

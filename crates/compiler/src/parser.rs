@@ -95,10 +95,16 @@ impl Parser {
         }
     }
 
+    /// A signed literal that fits one 32-bit word, read as either
+    /// `int` or `unsigned`: −2³¹ through 2³² − 1.
     fn int_lit(&mut self) -> Result<i64, ParseError> {
         let line = self.line();
         let neg = self.eat(&Tok::Minus);
         match self.next() {
+            Some(Tok::Int(v)) if neg && -v < i64::from(i32::MIN) => Err(ParseError {
+                line,
+                message: format!("integer literal -{v} is below {}", i32::MIN),
+            }),
             Some(Tok::Int(v)) => Ok(if neg { -v } else { v }),
             _ => Err(ParseError {
                 line,

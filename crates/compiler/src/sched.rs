@@ -29,19 +29,14 @@ use patmos_sched::{SchedItem, ScheduledModule};
 ///   the two labels).
 pub fn emit_with_map(module: &ScheduledModule, map: &crate::srcmap::SourceMap) -> String {
     let mut out = emit(module);
-    let mut funcs: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    let mut labels: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    for item in &module.items {
-        match item {
-            SchedItem::FuncStart(name) => {
-                funcs.insert(name.as_str());
-            }
-            SchedItem::Label(name) => {
-                labels.insert(name.as_str());
-            }
-            _ => {}
-        }
-    }
+    let funcs: std::collections::HashSet<&str> =
+        module.funcs.iter().map(|f| f.name.as_str()).collect();
+    let labels: std::collections::HashSet<&str> = (module.funcs.iter().flat_map(|f| &f.items))
+        .filter_map(|item| match item {
+            SchedItem::Label(name) => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
     for (name, line) in &map.funcs {
         if funcs.contains(name.as_str()) {
             out.push_str(&format!("        .srcfunc {name} {line}\n"));
@@ -78,35 +73,37 @@ pub fn emit(module: &ScheduledModule) -> String {
     if !module.entry.is_empty() {
         out.push_str(&format!("        .entry {}\n", module.entry));
     }
-    for item in &module.items {
-        match item {
-            SchedItem::FuncStart(name) => out.push_str(&format!("        .func {name}\n")),
-            SchedItem::Label(name) => out.push_str(&format!("{name}:\n")),
-            SchedItem::LoopBound { min, max } => {
-                out.push_str(&format!("        .loopbound {min} {max}\n"))
-            }
-            SchedItem::Bundle(b) => match &b.second {
-                None => out.push_str(&format!("        {}\n", b.first.render())),
-                Some(second) => out.push_str(&format!(
-                    "        {{ {} ; {} }}\n",
-                    b.first.render(),
-                    second.render()
+    for func in &module.funcs {
+        out.push_str(&format!("        .func {}\n", func.name));
+        for item in &func.items {
+            match item {
+                SchedItem::Label(name) => out.push_str(&format!("{name}:\n")),
+                SchedItem::LoopBound { min, max } => {
+                    out.push_str(&format!("        .loopbound {min} {max}\n"))
+                }
+                SchedItem::Bundle(b) => match &b.second {
+                    None => out.push_str(&format!("        {}\n", b.first.render())),
+                    Some(second) => out.push_str(&format!(
+                        "        {{ {} ; {} }}\n",
+                        b.first.render(),
+                        second.render()
+                    )),
+                },
+                SchedItem::PipeLoop {
+                    guard,
+                    kernel,
+                    fallback,
+                    ii,
+                    stages,
+                    prologue,
+                    epilogue,
+                    threshold,
+                    min_trips,
+                } => out.push_str(&format!(
+                    "        .pipeloop {guard} {kernel} {fallback} {ii} {stages} {prologue} \
+                     {epilogue} {threshold} {min_trips}\n"
                 )),
-            },
-            SchedItem::PipeLoop {
-                guard,
-                kernel,
-                fallback,
-                ii,
-                stages,
-                prologue,
-                epilogue,
-                threshold,
-                min_trips,
-            } => out.push_str(&format!(
-                "        .pipeloop {guard} {kernel} {fallback} {ii} {stages} {prologue} \
-                 {epilogue} {threshold} {min_trips}\n"
-            )),
+            }
         }
     }
     out
@@ -120,6 +117,7 @@ mod tests {
 
     use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Pred, Reg, SpecialReg};
     use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+    use patmos_lir::Function;
     use patmos_sched::SchedOptions;
 
     fn alu(rd: u8, rs1: u8, rs2: u8) -> Item {
@@ -164,12 +162,10 @@ mod tests {
     /// Schedules `items` as one function body and returns the emitted
     /// lines after `.func`.
     fn sched(items: Vec<Item>, dual_issue: bool) -> Vec<String> {
-        let mut all = vec![Item::FuncStart("f".into())];
-        all.extend(items);
         let module = Module {
             data_lines: Vec::new(),
             entry: String::new(),
-            items: all,
+            funcs: vec![Function::new("f", items)],
         };
         let options = SchedOptions {
             dual_issue,

@@ -183,3 +183,76 @@ fn surplus_initialisers_rejected() {
     let msg = default_err("int a[2] = {1, 2, 3}; int main() { return 0; }");
     assert!(msg.contains("initialisers"), "{msg}");
 }
+
+/// The error for `src`, which must come from the parser or code
+/// generation: the source-level stages that know the PatC names.
+fn source_err(src: &str) -> String {
+    match err_of(src, &CompileOptions::default()) {
+        e @ (CompileError::Parse(_) | CompileError::Codegen(_)) => e.to_string(),
+        other => panic!("expected a parse or codegen error, got {other:?}"),
+    }
+}
+
+#[test]
+fn static_data_running_into_the_heap_is_rejected() {
+    // 1.2 MB of static data from 0x10000 would overlap the heap at
+    // 0x100000: `a[245760]` used to overwrite `b[0]`.
+    let msg = source_err(
+        "int a[300000]; heap int b[4]; int main() { b[0] = 7; a[245760] = 9; return b[0]; }",
+    );
+    assert!(msg.contains("static global `a`"), "{msg}");
+    assert!(msg.contains("0x100000"), "{msg}");
+}
+
+#[test]
+fn array_length_beyond_32_bits_is_rejected() {
+    // Used to be truncated to one element.
+    let msg = source_err("int a[4294967297]; int main() { return 1; }");
+    assert!(msg.contains("integer literal 4294967297 exceeds"), "{msg}");
+}
+
+#[test]
+fn array_whose_byte_size_overflows_32_bits_is_rejected() {
+    // `4 * len` used to overflow: a panic in debug builds, a wrapped
+    // layout in release.
+    let msg = source_err("int a[1073741824]; int main() { return 1; }");
+    assert!(msg.contains("global `a` needs 4294967296 bytes"), "{msg}");
+}
+
+#[test]
+fn global_over_the_segment_limit_is_rejected() {
+    // Used to surface as an internal assembly error.
+    let msg = source_err("heap int h[5000000]; int main() { return 1; }");
+    assert!(msg.contains("global `h` needs 20000000 bytes"), "{msg}");
+}
+
+#[test]
+fn initialiser_beyond_32_bits_is_rejected() {
+    // Used to surface as an internal assembly error.
+    let msg = source_err("int g = 5000000000; int main() { return g; }");
+    assert!(msg.contains("integer literal 5000000000 exceeds"), "{msg}");
+}
+
+#[test]
+fn literal_beyond_32_bits_in_an_expression_is_rejected() {
+    // Used to wrap to 705032704.
+    let msg = source_err("int main() { return 5000000000; }");
+    assert!(msg.contains("integer literal 5000000000 exceeds"), "{msg}");
+}
+
+#[test]
+fn initialiser_below_the_int_range_is_rejected() {
+    // Used to hold 1.
+    let msg = source_err("int g = -4294967295; int main() { return g; }");
+    assert!(msg.contains("-4294967295 is below -2147483648"), "{msg}");
+}
+
+#[test]
+fn literals_spanning_the_whole_32_bit_word_still_compile() {
+    for src in [
+        "int g = 4294967295; int main() { return 0xFFFFFFFF == g; }",
+        "int g = -2147483648; int main() { return g == 0x80000000; }",
+    ] {
+        assert!(compile(src, &CompileOptions::default()).is_ok(), "{src}");
+    }
+}

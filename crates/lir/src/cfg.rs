@@ -10,41 +10,34 @@
 use std::collections::HashMap;
 
 use crate::vlir::{VInst, VItem, VOp};
+use crate::Function;
 
-/// A function's instructions with their surrounding item indices.
+/// A function's virtual code with its instructions numbered in layout
+/// order: position `p` is the function's `p`-th instruction.
 pub struct FuncCode<'a> {
     /// Function name.
     pub name: &'a str,
-    /// Item-index range within the module (starting at the `FuncStart`).
-    pub item_range: std::ops::Range<usize>,
+    /// The function's items.
+    pub items: &'a [VItem],
     /// The instructions in order, as `(item_index, inst)`.
     pub insts: Vec<(usize, &'a VInst)>,
 }
 
-/// Splits a module's items into per-function slices.
-pub fn split_functions(items: &[VItem]) -> Vec<FuncCode<'_>> {
-    let mut funcs: Vec<FuncCode<'_>> = Vec::new();
-    for (idx, item) in items.iter().enumerate() {
-        match item {
-            VItem::FuncStart(name) => {
-                if let Some(prev) = funcs.last_mut() {
-                    prev.item_range.end = idx;
-                }
-                funcs.push(FuncCode {
-                    name,
-                    item_range: idx..items.len(),
-                    insts: Vec::new(),
-                });
-            }
-            VItem::Inst(inst) => {
-                if let Some(f) = funcs.last_mut() {
-                    f.insts.push((idx, inst));
-                }
-            }
-            VItem::Label(_) | VItem::LoopBound { .. } => {}
+impl<'a> FuncCode<'a> {
+    /// Numbers the instructions of `func`.
+    pub fn new(func: &'a Function<VItem>) -> FuncCode<'a> {
+        let insts = (func.items.iter().enumerate())
+            .filter_map(|(idx, item)| match item {
+                VItem::Inst(inst) => Some((idx, inst)),
+                VItem::Label(_) | VItem::LoopBound { .. } => None,
+            })
+            .collect();
+        FuncCode {
+            name: &func.name,
+            items: &func.items,
+            insts,
         }
     }
-    funcs
 }
 
 /// A basic block over instruction positions (indices into
@@ -79,13 +72,13 @@ impl VCfg {
 }
 
 /// Builds the CFG of one function.
-pub fn build_vcfg(func: &FuncCode<'_>, items: &[VItem]) -> VCfg {
+pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
     let n = func.insts.len();
     // Position of the instruction that follows each label.
     let mut label_pos: HashMap<&str, usize> = HashMap::new();
     {
         let mut pos = 0usize;
-        for item in &items[func.item_range.clone()] {
+        for item in func.items {
             match item {
                 VItem::Label(name) => {
                     label_pos.insert(name.as_str(), pos);
@@ -178,10 +171,13 @@ mod tests {
         VItem::Inst(VInst::always(op))
     }
 
+    fn cfg_of(items: Vec<VItem>) -> VCfg {
+        build_vcfg(&FuncCode::new(&Function::new("f", items)))
+    }
+
     #[test]
     fn loop_shape_produces_back_edge_block() {
-        let items = vec![
-            VItem::FuncStart("f".into()),
+        let cfg = cfg_of(vec![
             inst(VOp::LoadImmLow {
                 rd: VReg::new(1),
                 imm: 5,
@@ -198,10 +194,7 @@ mod tests {
                 VOp::BrLabel("f_head".into()),
             )),
             inst(VOp::Halt),
-        ];
-        let funcs = split_functions(&items);
-        assert_eq!(funcs.len(), 1);
-        let cfg = build_vcfg(&funcs[0], &items);
+        ]);
         assert_eq!(cfg.blocks.len(), 3);
         // Loop block branches to itself and falls through to the exit.
         assert_eq!(cfg.blocks[1].succs, vec![1, 2]);
@@ -210,17 +203,14 @@ mod tests {
 
     #[test]
     fn calls_do_not_split_blocks() {
-        let items = vec![
-            VItem::FuncStart("f".into()),
+        let cfg = cfg_of(vec![
             inst(VOp::LoadImmLow {
                 rd: VReg::new(1),
                 imm: 5,
             }),
             inst(VOp::CallFunc("g".into())),
             inst(VOp::Halt),
-        ];
-        let funcs = split_functions(&items);
-        let cfg = build_vcfg(&funcs[0], &items);
+        ]);
         assert_eq!(cfg.blocks.len(), 1);
         assert_eq!(cfg.call_positions, vec![1]);
     }

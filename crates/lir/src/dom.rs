@@ -15,11 +15,10 @@
 //! ```
 //! use patmos_isa::{AluOp, Guard, Pred};
 //! use patmos_lir::vlir::{VInst, VItem, VOp, VReg};
-//! use patmos_lir::{build_vcfg, split_functions, DomTree};
+//! use patmos_lir::{build_vcfg, DomTree, FuncCode, Function};
 //!
 //! // entry -> loop body (branches back to itself) -> exit
 //! let items = vec![
-//!     VItem::FuncStart("f".into()),
 //!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: VReg::new(1), imm: 3 })),
 //!     VItem::Label("f_head1".into()),
 //!     VItem::Inst(VInst::always(VOp::AluI {
@@ -31,8 +30,8 @@
 //!     VItem::Inst(VInst::new(Guard::when(Pred::P6), VOp::BrLabel("f_head1".into()))),
 //!     VItem::Inst(VInst::always(VOp::Halt)),
 //! ];
-//! let funcs = split_functions(&items);
-//! let cfg = build_vcfg(&funcs[0], &items);
+//! let func = Function::new("f", items);
+//! let cfg = build_vcfg(&FuncCode::new(&func));
 //! let dom = DomTree::build(&cfg);
 //! assert_eq!(dom.idom(1), Some(0)); // the loop block is dominated by the entry
 //! assert_eq!(dom.idom(2), Some(1)); // the exit only through the loop
@@ -175,8 +174,9 @@ impl DomTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build_vcfg, split_functions};
+    use crate::cfg::{build_vcfg, FuncCode};
     use crate::vlir::{VInst, VItem, VOp, VReg};
+    use crate::Function;
     use patmos_isa::{Guard, Pred};
 
     fn inst(op: VOp) -> VItem {
@@ -186,7 +186,6 @@ mod tests {
     /// A diamond: entry branches over a then-block to a join.
     fn diamond() -> Vec<VItem> {
         vec![
-            VItem::FuncStart("f".into()),
             inst(VOp::CmpI {
                 op: patmos_isa::CmpOp::Eq,
                 pd: Pred::P6,
@@ -209,8 +208,8 @@ mod tests {
     #[test]
     fn diamond_join_is_dominated_by_the_fork_only() {
         let items = diamond();
-        let funcs = split_functions(&items);
-        let cfg = build_vcfg(&funcs[0], &items);
+        let func = Function::new("f", items);
+        let cfg = build_vcfg(&FuncCode::new(&func));
         let dom = DomTree::build(&cfg);
         // Blocks: 0 = cmp+br, 1 = then, 2 = join.
         assert_eq!(dom.idom(1), Some(0));
@@ -223,8 +222,8 @@ mod tests {
     #[test]
     fn entry_has_no_idom_and_dominates_everything() {
         let items = diamond();
-        let funcs = split_functions(&items);
-        let cfg = build_vcfg(&funcs[0], &items);
+        let func = Function::new("f", items);
+        let cfg = build_vcfg(&FuncCode::new(&func));
         let dom = DomTree::build(&cfg);
         assert_eq!(dom.idom(0), None);
         for b in 0..cfg.blocks.len() {

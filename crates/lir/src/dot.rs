@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use crate::cfg::{build_vcfg, split_functions};
+use crate::cfg::{build_vcfg, FuncCode};
 use crate::vlir::VModule;
 
 /// Escapes a string for use inside a DOT record label.
@@ -28,15 +28,16 @@ fn escape(s: &str) -> String {
 /// Renders every function of `module` as a Graphviz digraph.
 pub fn render(module: &VModule) -> String {
     let mut out = String::new();
-    for func in &split_functions(&module.items) {
-        let cfg = build_vcfg(func, &module.items);
-        writeln!(out, "digraph \"{}\" {{", escape(func.name)).ok();
+    for func in &module.funcs {
+        let code = FuncCode::new(func);
+        let cfg = build_vcfg(&code);
+        writeln!(out, "digraph \"{}\" {{", escape(&func.name)).ok();
         writeln!(out, "    node [shape=record, fontname=\"monospace\"];").ok();
-        writeln!(out, "    label=\"{}\";", escape(func.name)).ok();
+        writeln!(out, "    label=\"{}\";", escape(&func.name)).ok();
         for (bi, block) in cfg.blocks.iter().enumerate() {
             let mut lines = vec![format!("B{bi} [{}..{})", block.first, block.end)];
             for pos in block.first..block.end {
-                lines.push(escape(&func.insts[pos].1.to_string()));
+                lines.push(escape(&code.insts[pos].1.to_string()));
             }
             writeln!(out, "    b{bi} [label=\"{}\"];", lines.join("\\l") + "\\l").ok();
         }
@@ -54,6 +55,7 @@ pub fn render(module: &VModule) -> String {
 mod tests {
     use super::*;
     use crate::vlir::{VInst, VItem, VOp, VReg};
+    use crate::Function;
     use patmos_isa::{Guard, Pred};
 
     #[test]
@@ -61,25 +63,27 @@ mod tests {
         let module = VModule {
             data_lines: Vec::new(),
             entry: "f".into(),
-            items: vec![
-                VItem::FuncStart("f".into()),
-                VItem::Inst(VInst::always(VOp::LoadImmLow {
-                    rd: VReg::new(1),
-                    imm: 3,
-                })),
-                VItem::Label("f_head".into()),
-                VItem::Inst(VInst::always(VOp::AluI {
-                    op: patmos_isa::AluOp::Sub,
-                    rd: VReg::new(1),
-                    rs1: VReg::new(1),
-                    imm: 1,
-                })),
-                VItem::Inst(VInst::new(
-                    Guard::when(Pred::P6),
-                    VOp::BrLabel("f_head".into()),
-                )),
-                VItem::Inst(VInst::always(VOp::Halt)),
-            ],
+            funcs: vec![Function::new(
+                "f",
+                vec![
+                    VItem::Inst(VInst::always(VOp::LoadImmLow {
+                        rd: VReg::new(1),
+                        imm: 3,
+                    })),
+                    VItem::Label("f_head".into()),
+                    VItem::Inst(VInst::always(VOp::AluI {
+                        op: patmos_isa::AluOp::Sub,
+                        rd: VReg::new(1),
+                        rs1: VReg::new(1),
+                        imm: 1,
+                    })),
+                    VItem::Inst(VInst::new(
+                        Guard::when(Pred::P6),
+                        VOp::BrLabel("f_head".into()),
+                    )),
+                    VItem::Inst(VInst::always(VOp::Halt)),
+                ],
+            )],
         };
         let dot = render(&module);
         assert!(dot.starts_with("digraph \"f\" {"));

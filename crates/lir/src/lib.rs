@@ -5,10 +5,14 @@
 //! (`patmos-regalloc`) consumes it and produces physical code. All three
 //! stages share the analyses in this crate:
 //!
+//! * [`Function`] — one function: its name and its own items. Every
+//!   stage's module owns its functions as a list of these, so a pass
+//!   edits one function's items at a time and nothing searches a flat
+//!   item list for function boundaries;
 //! * [`vlir`] — the instruction set over unbounded virtual registers
 //!   ([`VReg`], [`VOp`], [`VInst`], [`VItem`], [`VModule`]);
-//! * [`mod@cfg`] — per-function basic-block splitting and successor edges
-//!   over the virtual code;
+//! * [`mod@cfg`] — basic-block splitting and successor edges over one
+//!   function's virtual code ([`FuncCode`] numbers its instructions);
 //! * [`liveness`] — backward liveness dataflow, one bitset solve per
 //!   function: block-boundary live sets for dead-code elimination and
 //!   loop-invariant code motion, and on top of them the live intervals
@@ -38,11 +42,11 @@
 //!
 //! ```
 //! use patmos_isa::{AluOp, CmpOp, Guard, Pred};
-//! use patmos_lir::{build_vcfg, split_functions, BlockLiveness, LoopForest, VInst, VItem, VOp, VReg};
+//! use patmos_lir::{build_vcfg, BlockLiveness, FuncCode, Function, LoopForest};
+//! use patmos_lir::{VInst, VItem, VOp, VReg};
 //!
 //! let v = VReg::new;
 //! let items = vec![
-//!     VItem::FuncStart("sum".into()),
 //!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })), // i
 //!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })), // acc
 //!     VItem::LoopBound { min: 1, max: 9 },
@@ -74,16 +78,17 @@
 //!     })),
 //!     VItem::Inst(VInst::always(VOp::Ret)),
 //! ];
+//! let func = Function::new("sum", items);
 //!
-//! // Per-function basic blocks and successor edges.
-//! let funcs = split_functions(&items);
-//! let cfg = build_vcfg(&funcs[0], &items);
+//! // The function's basic blocks and successor edges.
+//! let code = FuncCode::new(&func);
+//! let cfg = build_vcfg(&code);
 //! assert_eq!(cfg.blocks.len(), 4); // entry, header, body+latch, exit
 //! assert_eq!(cfg.blocks[1].succs, vec![3, 2]); // exit target, then fall-through
 //!
 //! // Backward liveness: the accumulator v2 is live across the back
 //! // edge, from its zero-init to the ABI copy.
-//! let live = BlockLiveness::solve(&funcs[0], &cfg);
+//! let live = BlockLiveness::solve(&code, &cfg);
 //! assert!(live.live_in(1).contains(v(2)));
 //! assert_eq!(live.live_out(2).iter().collect::<Vec<_>>(), vec![v(1), v(2)]);
 //!
@@ -103,9 +108,31 @@ pub mod plir;
 pub mod remark;
 pub mod vlir;
 
-pub use cfg::{build_vcfg, split_functions, FuncCode, VBlock, VCfg};
+pub use cfg::{build_vcfg, FuncCode, VBlock, VCfg};
 pub use dom::DomTree;
 pub use liveness::{analyze, BlockLiveness, Interval, Liveness, VRegSet};
 pub use loops::{header_lead, HeaderLead, LoopForest, NaturalLoop};
 pub use remark::Remark;
 pub use vlir::{VInst, VItem, VModule, VOp, VReg};
+
+/// One function of a module: its name and its own code items, in
+/// layout order. The virtual [`VModule`] holds `Function<VItem>`s, the
+/// physical [`plir::Module`] `Function<plir::Item>`s, and the
+/// scheduler's output its bundle items the same way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Function<I> {
+    /// The function's name (its `.func` symbol).
+    pub name: String,
+    /// The function's code items, in layout order.
+    pub items: Vec<I>,
+}
+
+impl<I> Function<I> {
+    /// A function named `name` with `items`.
+    pub fn new(name: impl Into<String>, items: Vec<I>) -> Function<I> {
+        Function {
+            name: name.into(),
+            items,
+        }
+    }
+}

@@ -287,8 +287,9 @@ pub fn analyze(func: &FuncCode<'_>, cfg: &VCfg) -> Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build_vcfg, split_functions};
+    use crate::cfg::{build_vcfg, FuncCode};
     use crate::vlir::{VInst, VItem, VOp};
+    use crate::Function;
     use patmos_isa::{AluOp, Guard, Pred};
 
     fn v(id: u32) -> VReg {
@@ -300,15 +301,14 @@ mod tests {
     }
 
     fn analyze_items(items: &[VItem]) -> Liveness {
-        let funcs = split_functions(items);
-        let cfg = build_vcfg(&funcs[0], items);
-        analyze(&funcs[0], &cfg)
+        let func = Function::new("f", items.to_vec());
+        let code = FuncCode::new(&func);
+        analyze(&code, &build_vcfg(&code))
     }
 
     #[test]
     fn straight_line_intervals() {
         let items = vec![
-            VItem::FuncStart("f".into()),
             inst(VOp::LoadImmLow { rd: v(1), imm: 1 }), // 0: def v1
             inst(VOp::LoadImmLow { rd: v(2), imm: 2 }), // 1: def v2
             inst(VOp::AluR {
@@ -341,7 +341,6 @@ mod tests {
         // v1 defined before the loop, updated inside, used after: its
         // interval must cover the whole loop body.
         let items = vec![
-            VItem::FuncStart("f".into()),
             inst(VOp::LoadImmLow { rd: v(1), imm: 5 }), // 0
             VItem::Label("f_head".into()),
             inst(VOp::AluI {
@@ -376,7 +375,6 @@ mod tests {
         // (p1) li v1 = 7 must treat v1 as used: the old value survives
         // when the guard is false.
         let items = vec![
-            VItem::FuncStart("f".into()),
             inst(VOp::LoadImmLow { rd: v(1), imm: 0 }), // 0
             VItem::Inst(VInst::new(
                 Guard::when(Pred::P1),
@@ -396,7 +394,6 @@ mod tests {
     #[test]
     fn live_across_call_is_precise() {
         let items = vec![
-            VItem::FuncStart("f".into()),
             inst(VOp::LoadImmLow { rd: v(1), imm: 1 }), // 0: live across
             inst(VOp::LoadImmLow { rd: v(2), imm: 2 }), // 1: dead at call
             inst(VOp::CopyToPhys {

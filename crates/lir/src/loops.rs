@@ -19,10 +19,9 @@
 //! ```
 //! use patmos_isa::{AluOp, Guard, Pred};
 //! use patmos_lir::vlir::{VInst, VItem, VOp, VReg};
-//! use patmos_lir::{build_vcfg, split_functions, LoopForest};
+//! use patmos_lir::{build_vcfg, FuncCode, Function, LoopForest};
 //!
 //! let items = vec![
-//!     VItem::FuncStart("f".into()),
 //!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: VReg::new(1), imm: 8 })),
 //!     VItem::LoopBound { min: 1, max: 9 },
 //!     VItem::Label("f_head1".into()),
@@ -43,8 +42,8 @@
 //!     VItem::Label("f_exit2".into()),
 //!     VItem::Inst(VInst::always(VOp::Halt)),
 //! ];
-//! let funcs = split_functions(&items);
-//! let cfg = build_vcfg(&funcs[0], &items);
+//! let func = Function::new("f", items);
+//! let cfg = build_vcfg(&FuncCode::new(&func));
 //! let forest = LoopForest::build(&cfg);
 //! assert_eq!(forest.loops.len(), 1);
 //! let lp = &forest.loops[0];
@@ -258,13 +257,14 @@ pub fn render(module: &crate::vlir::VModule) -> String {
     use std::fmt::Write as _;
 
     let mut out = String::new();
-    for func in &crate::cfg::split_functions(&module.items) {
-        let cfg = crate::cfg::build_vcfg(func, &module.items);
+    for func in &module.funcs {
+        let code = crate::cfg::FuncCode::new(func);
+        let cfg = crate::cfg::build_vcfg(&code);
         let forest = LoopForest::build(&cfg);
         writeln!(out, ".func {}: {} loop(s)", func.name, forest.loops.len()).ok();
         for lp in &forest.loops {
-            let first_item = func.insts[cfg.blocks[lp.header].first].0;
-            let lead = header_lead(&module.items, first_item);
+            let first_item = code.insts[cfg.blocks[lp.header].first].0;
+            let lead = header_lead(&func.items, first_item);
             let label = lead.label.unwrap_or("<entry>");
             let bound = lead.bound;
             let insts: usize = lp
@@ -292,8 +292,9 @@ pub fn render(module: &crate::vlir::VModule) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build_vcfg, split_functions};
+    use crate::cfg::{build_vcfg, FuncCode};
     use crate::vlir::{VInst, VItem, VOp, VReg};
+    use crate::Function;
     use patmos_isa::{AluOp, CmpOp, Guard, Pred};
 
     fn inst(op: VOp) -> VItem {
@@ -304,7 +305,6 @@ mod tests {
     fn nested() -> Vec<VItem> {
         let v = VReg::new;
         vec![
-            VItem::FuncStart("f".into()),
             inst(VOp::LoadImmLow { rd: v(1), imm: 0 }),
             VItem::Label("f_head1".into()),
             inst(VOp::CmpI {
@@ -352,8 +352,8 @@ mod tests {
     #[test]
     fn nested_loops_form_a_two_level_forest() {
         let items = nested();
-        let funcs = split_functions(&items);
-        let cfg = build_vcfg(&funcs[0], &items);
+        let func = Function::new("f", items);
+        let cfg = build_vcfg(&FuncCode::new(&func));
         let forest = LoopForest::build(&cfg);
         assert_eq!(forest.loops.len(), 2);
         let outer = forest
@@ -375,16 +375,15 @@ mod tests {
 
     #[test]
     fn straight_line_code_has_no_loops() {
-        let items = vec![VItem::FuncStart("f".into()), inst(VOp::Halt)];
-        let funcs = split_functions(&items);
-        let cfg = build_vcfg(&funcs[0], &items);
+        let items = vec![inst(VOp::Halt)];
+        let func = Function::new("f", items);
+        let cfg = build_vcfg(&FuncCode::new(&func));
         assert!(LoopForest::build(&cfg).loops.is_empty());
     }
 
     #[test]
     fn self_loop_is_its_own_latch() {
         let items = vec![
-            VItem::FuncStart("f".into()),
             inst(VOp::LoadImmLow {
                 rd: VReg::new(1),
                 imm: 3,
@@ -402,8 +401,8 @@ mod tests {
             )),
             inst(VOp::Halt),
         ];
-        let funcs = split_functions(&items);
-        let cfg = build_vcfg(&funcs[0], &items);
+        let func = Function::new("f", items);
+        let cfg = build_vcfg(&FuncCode::new(&func));
         let forest = LoopForest::build(&cfg);
         assert_eq!(forest.loops.len(), 1);
         assert_eq!(forest.loops[0].header, 1);

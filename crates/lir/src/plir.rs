@@ -4,11 +4,14 @@
 //! This is what the register allocator (`patmos-regalloc`) produces and
 //! the VLIW scheduler (`patmos-sched`) consumes: real [`patmos_isa::Op`]
 //! operations (plus label/symbol pseudo-ops) in linear [`Item`] order,
-//! one [`Module`] per compilation. The query surface on [`LirOp`]
-//! (defs, uses, ordering classes, visible-delay gaps) is the single
-//! source of truth the scheduler's dependence analysis is built on.
+//! one item list per function of a [`Module`]. The query surface on
+//! [`LirOp`] (defs, uses, ordering classes, visible-delay gaps) is the
+//! single source of truth the scheduler's dependence analysis is built
+//! on.
 
 use patmos_isa::{Guard, Op, Pred, Reg};
+
+use crate::Function;
 
 /// A low-level operation: either a fully resolved ISA operation or one
 /// that still references a label or data symbol.
@@ -353,8 +356,6 @@ impl CountedLoop {
 /// One item of a function's linear code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Item {
-    /// Start of a function (emits `.func`).
-    FuncStart(String),
     /// A label.
     Label(String),
     /// A `.loopbound` annotation for the label that follows.
@@ -368,13 +369,13 @@ pub enum Item {
     Inst(LirInst),
 }
 
-/// A compiled module: items plus data directives.
+/// A compiled module: functions plus data directives.
 #[derive(Debug, Clone, Default)]
 pub struct Module {
     /// Data directive lines (already in assembler syntax).
     pub data_lines: Vec<String>,
-    /// The code items of all functions.
-    pub items: Vec<Item>,
+    /// The functions, in layout order.
+    pub funcs: Vec<Function<Item>>,
     /// Name of the entry function.
     pub entry: String,
 }

@@ -18,6 +18,8 @@ use patmos_isa::{
     AccessSize, AluOp, CmpOp, Guard, MemArea, Pred, PredOp, PredSrc, Reg, SpecialReg,
 };
 
+use crate::Function;
+
 /// A virtual register. `VReg::ZERO` (id 0) is special: it always maps to
 /// the hard-wired zero register `r0` and is never allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -394,8 +396,6 @@ impl fmt::Display for VInst {
 /// One item of a function's virtual code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VItem {
-    /// Start of a function.
-    FuncStart(String),
     /// A label.
     Label(String),
     /// A `.loopbound` annotation for the label that follows.
@@ -414,8 +414,8 @@ pub enum VItem {
 pub struct VModule {
     /// Data directive lines (already in assembler syntax).
     pub data_lines: Vec<String>,
-    /// The code items of all functions.
-    pub items: Vec<VItem>,
+    /// The functions, in layout order.
+    pub funcs: Vec<Function<VItem>>,
     /// Name of the entry function.
     pub entry: String,
 }
@@ -423,10 +423,16 @@ pub struct VModule {
 impl VModule {
     /// Renders the virtual code for human inspection (`--dump-lir`).
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        self.funcs.iter().map(Function::render).collect()
+    }
+}
+
+impl Function<VItem> {
+    /// Renders the function's virtual code, `.func` line first.
+    pub fn render(&self) -> String {
+        let mut out = format!(".func {}\n", self.name);
         for item in &self.items {
             match item {
-                VItem::FuncStart(name) => out.push_str(&format!(".func {name}\n")),
                 VItem::Label(name) => out.push_str(&format!("{name}:\n")),
                 VItem::LoopBound { min, max } => {
                     out.push_str(&format!("        .loopbound {min} {max}\n"))

@@ -9,8 +9,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Pred, Reg};
-use patmos_lir::{analyze, build_vcfg, split_functions, BlockLiveness, Interval, VInst, VItem};
-use patmos_lir::{VOp, VReg};
+use patmos_lir::{analyze, build_vcfg, BlockLiveness, FuncCode, Function, Interval, VInst};
+use patmos_lir::{VItem, VOp, VReg};
 
 /// splitmix64: enough randomness for a reproducible sweep.
 struct Rng(u64);
@@ -133,7 +133,7 @@ fn gen_function(rng: &mut Rng) -> Vec<VItem> {
     let label_pos: Vec<usize> = (0..labels)
         .map(|_| rng.below(n as u64 + 1) as usize)
         .collect();
-    let mut items = vec![VItem::FuncStart("f".into())];
+    let mut items = Vec::new();
     for pos in 0..=n {
         for (l, &at) in label_pos.iter().enumerate() {
             if at == pos {
@@ -244,10 +244,11 @@ fn bitset_liveness_matches_the_naive_reference() {
     let mut rng = Rng(0x11fe_0b1e);
     for case in 0..2000 {
         let items = gen_function(&mut rng);
-        let funcs = split_functions(&items);
-        let func = &funcs[0];
-        let cfg = build_vcfg(func, &items);
         let (insts, want) = reference(&items);
+        let function = Function::new("f", items);
+        let func = &FuncCode::new(&function);
+        let items = &function.items;
+        let cfg = build_vcfg(func);
         let ctx = || {
             let text: Vec<String> = items
                 .iter()

@@ -55,10 +55,6 @@ pub use stack_cache::{StackCache, StackEffect, StackOp};
 pub use stats::CacheStats;
 pub use tdma::TdmaArbiter;
 
-/// Default base address of the static-data area laid out by the linker.
-pub const STATIC_BASE: u32 = 0x0001_0000;
-/// Default base address of the heap area.
-pub const HEAP_BASE: u32 = 0x0010_0000;
 /// Default top of the shadow stack (grows downwards); holds address-taken
 /// locals that cannot live in the stack cache.
 pub const SHADOW_STACK_TOP: u32 = 0x0800_0000;

@@ -15,7 +15,7 @@
 //! operand holds the same value whether or not the write is annulled.
 
 use patmos_isa::{AluOp, CmpOp};
-use patmos_lir::{VItem, VModule, VOp, VReg};
+use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::util::{self, commutative, copy_op, load_imm, Consts};
 
@@ -154,22 +154,20 @@ fn structural_rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
     }
 }
 
-/// Runs the pass over every block of the module.
-pub(crate) fn run(module: &mut VModule) -> bool {
+/// Runs the pass over every block of one function.
+pub(crate) fn run(func: &mut Function<VItem>) -> bool {
     let mut changed = false;
-    for fb in util::function_blocks(&module.items) {
-        for block in fb.blocks {
-            let mut consts = Consts::default();
-            for idx in block {
-                let VItem::Inst(inst) = &mut module.items[idx] else {
-                    unreachable!("blocks contain instruction indices only");
-                };
-                if let Some(new_op) = rewrite(&inst.op, &consts) {
-                    inst.op = new_op;
-                    changed = true;
-                }
-                consts.update(inst);
+    for block in util::blocks(func) {
+        let mut consts = Consts::default();
+        for idx in block {
+            let VItem::Inst(inst) = &mut func.items[idx] else {
+                unreachable!("blocks contain instruction indices only");
+            };
+            if let Some(new_op) = rewrite(&inst.op, &consts) {
+                inst.op = new_op;
+                changed = true;
             }
+            consts.update(inst);
         }
     }
     changed
@@ -184,18 +182,13 @@ mod tests {
         VReg::new(id)
     }
 
-    fn module(items: Vec<VItem>) -> VModule {
-        VModule {
-            data_lines: Vec::new(),
-            items,
-            entry: "main".into(),
-        }
+    fn func(items: Vec<VItem>) -> Function<VItem> {
+        Function::new("main", items)
     }
 
     #[test]
     fn folds_chained_constants() {
-        let mut m = module(vec![
-            VItem::FuncStart("main".into()),
+        let mut m = func(vec![
             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
             VItem::Inst(VInst::always(VOp::AluI {
                 op: AluOp::Shl,
@@ -207,7 +200,7 @@ mod tests {
         ]);
         assert!(run(&mut m));
         assert!(matches!(
-            m.items[2],
+            m.items[1],
             VItem::Inst(VInst {
                 op: VOp::LoadImmLow { imm: 24, .. },
                 ..
@@ -217,8 +210,7 @@ mod tests {
 
     #[test]
     fn narrows_alur_with_constant_operand() {
-        let mut m = module(vec![
-            VItem::FuncStart("main".into()),
+        let mut m = func(vec![
             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 3 })),
             VItem::Inst(VInst::always(VOp::AluR {
                 op: AluOp::Add,
@@ -230,7 +222,7 @@ mod tests {
         ]);
         assert!(run(&mut m));
         assert!(matches!(
-            m.items[2],
+            m.items[1],
             VItem::Inst(VInst {
                 op: VOp::AluI {
                     op: AluOp::Add,
@@ -244,8 +236,7 @@ mod tests {
 
     #[test]
     fn guarded_def_forgets_the_constant() {
-        let mut m = module(vec![
-            VItem::FuncStart("main".into()),
+        let mut m = func(vec![
             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
             VItem::Inst(VInst::new(
                 patmos_isa::Guard::when(patmos_isa::Pred::P1),
@@ -262,7 +253,7 @@ mod tests {
         // The add must NOT fold: v1 is 0 or 7 depending on p1.
         run(&mut m);
         assert!(matches!(
-            m.items[3],
+            m.items[2],
             VItem::Inst(VInst {
                 op: VOp::AluI { .. },
                 ..
@@ -272,8 +263,7 @@ mod tests {
 
     #[test]
     fn canonicalises_add_zero_to_copy() {
-        let mut m = module(vec![
-            VItem::FuncStart("main".into()),
+        let mut m = func(vec![
             VItem::Inst(VInst::always(VOp::AluI {
                 op: AluOp::Add,
                 rd: v(2),
@@ -284,7 +274,7 @@ mod tests {
         ]);
         assert!(run(&mut m));
         assert_eq!(
-            util::as_copy(match &m.items[1] {
+            util::as_copy(match &m.items[0] {
                 VItem::Inst(i) => &i.op,
                 _ => unreachable!(),
             }),

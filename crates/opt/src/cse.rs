@@ -15,7 +15,7 @@
 //! loaded value would be truncated).
 
 use patmos_isa::{AccessSize, AluOp, MemArea};
-use patmos_lir::{VItem, VModule, VOp, VReg};
+use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::util::{self, commutative, copy_op};
 use std::collections::HashMap;
@@ -95,80 +95,78 @@ impl Avail {
     }
 }
 
-/// Runs the pass over every block of the module.
-pub(crate) fn run(module: &mut VModule) -> bool {
-    run_with(module, true)
+/// Runs the pass over every block of one function.
+pub(crate) fn run(func: &mut Function<VItem>) -> bool {
+    run_with(func, true)
 }
 
 /// The shape-stable variant: no immediate-valued expression keys.
-pub(crate) fn run_shape_stable(module: &mut VModule) -> bool {
-    run_with(module, false)
+pub(crate) fn run_shape_stable(func: &mut Function<VItem>) -> bool {
+    run_with(func, false)
 }
 
-fn run_with(module: &mut VModule, imm_keys: bool) -> bool {
+fn run_with(func: &mut Function<VItem>, imm_keys: bool) -> bool {
     let mut changed = false;
-    for fb in util::function_blocks(&module.items) {
-        for block in fb.blocks {
-            let mut avail = Avail {
-                map: HashMap::new(),
+    for block in util::blocks(func) {
+        let mut avail = Avail {
+            map: HashMap::new(),
+        };
+        for idx in block {
+            let VItem::Inst(inst) = &mut func.items[idx] else {
+                unreachable!("blocks contain instruction indices only");
             };
-            for idx in block {
-                let VItem::Inst(inst) = &mut module.items[idx] else {
-                    unreachable!("blocks contain instruction indices only");
-                };
-                match &inst.op {
-                    VOp::Store {
-                        area,
-                        size,
-                        ra,
-                        offset,
-                        rs,
-                    } => {
-                        // The store may overwrite any tracked address.
-                        let (area, size, ra, offset, rs) = (*area, *size, *ra, *offset, *rs);
-                        avail.invalidate_loads();
-                        if inst.guard.is_always() && size == AccessSize::Word && !rs.is_zero() {
-                            avail.map.insert(Key::Load(area, size, ra, offset), rs);
-                        }
-                        continue;
+            match &inst.op {
+                VOp::Store {
+                    area,
+                    size,
+                    ra,
+                    offset,
+                    rs,
+                } => {
+                    // The store may overwrite any tracked address.
+                    let (area, size, ra, offset, rs) = (*area, *size, *ra, *offset, *rs);
+                    avail.invalidate_loads();
+                    if inst.guard.is_always() && size == AccessSize::Word && !rs.is_zero() {
+                        avail.map.insert(Key::Load(area, size, ra, offset), rs);
                     }
-                    VOp::CallFunc(_) => {
-                        // The callee may store anywhere.
-                        avail.invalidate_loads();
-                        continue;
-                    }
-                    _ => {}
-                }
-                let Some(d) = inst.op.def() else { continue };
-                if !inst.guard.is_always() {
-                    avail.invalidate_reg(d);
                     continue;
                 }
-                let key = Key::of(&inst.op, imm_keys);
-                match key {
-                    Some(key) => {
-                        if let Some(&w) = avail.map.get(&key) {
-                            if w != d {
-                                inst.op = copy_op(d, w);
-                                changed = true;
-                            }
-                            avail.invalidate_reg(d);
-                            // The value stays available in `w` (w ≠ d is
-                            // guaranteed: entries mapping to d died when
-                            // d was redefined) — unless the expression
-                            // itself read the register just overwritten.
-                            if !key.reads(d) {
-                                avail.map.insert(key, w);
-                            }
-                        } else {
-                            avail.invalidate_reg(d);
-                            if !key.reads(d) {
-                                avail.map.insert(key, d);
-                            }
+                VOp::CallFunc(_) => {
+                    // The callee may store anywhere.
+                    avail.invalidate_loads();
+                    continue;
+                }
+                _ => {}
+            }
+            let Some(d) = inst.op.def() else { continue };
+            if !inst.guard.is_always() {
+                avail.invalidate_reg(d);
+                continue;
+            }
+            let key = Key::of(&inst.op, imm_keys);
+            match key {
+                Some(key) => {
+                    if let Some(&w) = avail.map.get(&key) {
+                        if w != d {
+                            inst.op = copy_op(d, w);
+                            changed = true;
+                        }
+                        avail.invalidate_reg(d);
+                        // The value stays available in `w` (w ≠ d is
+                        // guaranteed: entries mapping to d died when
+                        // d was redefined) — unless the expression
+                        // itself read the register just overwritten.
+                        if !key.reads(d) {
+                            avail.map.insert(key, w);
+                        }
+                    } else {
+                        avail.invalidate_reg(d);
+                        if !key.reads(d) {
+                            avail.map.insert(key, d);
                         }
                     }
-                    None => avail.invalidate_reg(d),
                 }
+                None => avail.invalidate_reg(d),
             }
         }
     }
@@ -185,12 +183,8 @@ mod tests {
         VReg::new(id)
     }
 
-    fn module(items: Vec<VItem>) -> VModule {
-        VModule {
-            data_lines: Vec::new(),
-            items,
-            entry: "main".into(),
-        }
+    fn func(items: Vec<VItem>) -> Function<VItem> {
+        Function::new("main", items)
     }
 
     fn addr_calc(base: u32, scaled: u32, addr: u32, idx: u32) -> Vec<VItem> {
@@ -216,15 +210,14 @@ mod tests {
 
     #[test]
     fn repeated_address_arithmetic_collapses_to_copies() {
-        let mut items = vec![VItem::FuncStart("main".into())];
-        items.extend(addr_calc(2, 3, 4, 1));
+        let mut items = addr_calc(2, 3, 4, 1);
         items.extend(addr_calc(5, 6, 7, 1));
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
-        let mut m = module(items);
+        let mut m = func(items);
         assert!(run(&mut m));
         // The second lil/shl become copies immediately; the dependent
         // add follows once copy-prop has forwarded them (next round).
-        for idx in [4, 5] {
+        for idx in [3, 4] {
             let VItem::Inst(inst) = &m.items[idx] else {
                 panic!()
             };
@@ -235,7 +228,7 @@ mod tests {
         }
         crate::copyprop::run(&mut m);
         assert!(run(&mut m), "second round collapses the dependent add");
-        let VItem::Inst(inst) = &m.items[6] else {
+        let VItem::Inst(inst) = &m.items[5] else {
             panic!()
         };
         assert!(as_copy(&inst.op).is_some(), "{inst}");
@@ -252,8 +245,7 @@ mod tests {
                 offset: 0,
             }))
         };
-        let mut m = module(vec![
-            VItem::FuncStart("main".into()),
+        let mut m = func(vec![
             load(2),
             VItem::Inst(VInst::always(VOp::Store {
                 area: MemArea::Static,
@@ -267,7 +259,7 @@ mod tests {
         ]);
         assert!(run(&mut m));
         // The reload after the store forwards the stored register.
-        let VItem::Inst(inst) = &m.items[3] else {
+        let VItem::Inst(inst) = &m.items[2] else {
             panic!()
         };
         assert_eq!(as_copy(&inst.op), Some((v(4), v(3))));
@@ -275,8 +267,7 @@ mod tests {
 
     #[test]
     fn redefined_operand_kills_the_expression() {
-        let mut m = module(vec![
-            VItem::FuncStart("main".into()),
+        let mut m = func(vec![
             VItem::Inst(VInst::always(VOp::AluI {
                 op: AluOp::Shl,
                 rd: v(2),

@@ -9,31 +9,30 @@
 
 use std::collections::BTreeSet;
 
-use patmos_lir::{BlockLiveness, VModule, VRegSet};
+use patmos_lir::{BlockLiveness, FuncCode, Function, VItem, VRegSet};
 
 use crate::util;
 
-/// Runs the pass over every function of the module.
-pub(crate) fn run(module: &mut VModule) -> bool {
+/// Runs the pass over one function.
+pub(crate) fn run(func: &mut Function<VItem>) -> bool {
     let mut marked: BTreeSet<usize> = BTreeSet::new();
     let mut live = VRegSet::default();
-    for func in &patmos_lir::split_functions(&module.items) {
-        let cfg = patmos_lir::build_vcfg(func, &module.items);
-        let liveness = BlockLiveness::solve(func, &cfg);
-        for (bi, block) in cfg.blocks.iter().enumerate() {
-            live.assign(&liveness.live_out(bi));
-            for pos in (block.first..block.end).rev() {
-                let (item_idx, inst) = func.insts[pos];
-                if inst.op.is_pure() && inst.op.def().is_some_and(|d| !live.contains(d)) {
-                    marked.insert(item_idx);
-                    continue;
-                }
-                live.step_back(inst);
+    let code = FuncCode::new(func);
+    let cfg = patmos_lir::build_vcfg(&code);
+    let liveness = BlockLiveness::solve(&code, &cfg);
+    for (bi, block) in cfg.blocks.iter().enumerate() {
+        live.assign(&liveness.live_out(bi));
+        for pos in (block.first..block.end).rev() {
+            let (item_idx, inst) = code.insts[pos];
+            if inst.op.is_pure() && inst.op.def().is_some_and(|d| !live.contains(d)) {
+                marked.insert(item_idx);
+                continue;
             }
+            live.step_back(inst);
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut module.items, &marked);
+    util::remove_marked(&mut func.items, &marked);
     changed
 }
 
@@ -49,11 +48,9 @@ mod tests {
 
     #[test]
     fn dead_chain_is_removed_transitively_over_rounds() {
-        let mut m = VModule {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
+        let mut m = Function::new(
+            "main",
+            vec![
                 VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 1 })),
                 VItem::Inst(VInst::always(VOp::AluI {
                     op: AluOp::Add,
@@ -67,21 +64,19 @@ mod tests {
                 })),
                 VItem::Inst(VInst::always(VOp::Halt)),
             ],
-        };
+        );
         // One backward walk removes the whole dead chain: v2's death
         // is seen before v1's definition is reached.
         assert!(run(&mut m));
-        assert_eq!(m.items.len(), 3);
+        assert_eq!(m.items.len(), 2);
         assert!(!run(&mut m));
     }
 
     #[test]
     fn guarded_write_to_live_value_survives() {
-        let mut m = VModule {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
+        let mut m = Function::new(
+            "main",
+            vec![
                 VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
                 VItem::Inst(VInst::new(
                     Guard::when(Pred::P1),
@@ -93,18 +88,16 @@ mod tests {
                 })),
                 VItem::Inst(VInst::always(VOp::Halt)),
             ],
-        };
+        );
         assert!(!run(&mut m), "both writes feed the live result");
-        assert_eq!(m.items.len(), 5);
+        assert_eq!(m.items.len(), 4);
     }
 
     #[test]
     fn dead_guarded_bool_materialisation_is_removed() {
-        let mut m = VModule {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
+        let mut m = Function::new(
+            "main",
+            vec![
                 VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
                 VItem::Inst(VInst::new(
                     Guard::when(Pred::P1),
@@ -112,8 +105,8 @@ mod tests {
                 )),
                 VItem::Inst(VInst::always(VOp::Halt)),
             ],
-        };
+        );
         assert!(run(&mut m));
-        assert_eq!(m.items.len(), 2, "both writes of the dead bool go");
+        assert_eq!(m.items.len(), 1, "both writes of the dead bool go");
     }
 }

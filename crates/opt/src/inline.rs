@@ -36,12 +36,11 @@
 //! reachable from the entry are dropped from the module.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 
 use patmos_isa::Reg;
-use patmos_lir::{VInst, VItem, VModule, VOp, VReg};
+use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 
-use crate::util::copy_op;
+use crate::util::{copy_op, max_vreg};
 
 /// Largest callee (in instructions) worth duplicating at a site.
 const CALLEE_BUDGET: usize = 48;
@@ -51,58 +50,30 @@ const CALLER_CAP: usize = 360;
 /// settle after a handful).
 const MAX_SPLICES: usize = 64;
 
-/// One function's extent in the item stream.
-struct Func {
-    name: String,
-    /// Items including the `FuncStart`.
-    range: Range<usize>,
-    insts: usize,
-    has_call: bool,
+/// The number of instructions in `f`.
+fn inst_count(f: &Function<VItem>) -> usize {
+    f.items
+        .iter()
+        .filter(|i| matches!(i, VItem::Inst(_)))
+        .count()
 }
 
-fn split(items: &[VItem]) -> Vec<Func> {
-    let mut funcs: Vec<Func> = Vec::new();
-    for (idx, item) in items.iter().enumerate() {
-        match item {
-            VItem::FuncStart(name) => {
-                if let Some(prev) = funcs.last_mut() {
-                    prev.range.end = idx;
-                }
-                funcs.push(Func {
-                    name: name.clone(),
-                    range: idx..items.len(),
-                    insts: 0,
-                    has_call: false,
-                });
-            }
-            VItem::Inst(inst) => {
-                if let Some(f) = funcs.last_mut() {
-                    f.insts += 1;
-                    if matches!(inst.op, VOp::CallFunc(_)) {
-                        f.has_call = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    funcs
+/// The callee of every call in `f`, in item order.
+fn callees(f: &Function<VItem>) -> impl Iterator<Item = &str> {
+    f.items.iter().filter_map(|item| match item {
+        VItem::Inst(VInst {
+            op: VOp::CallFunc(callee),
+            ..
+        }) => Some(callee.as_str()),
+        _ => None,
+    })
 }
 
 /// Names of functions on a call-graph cycle (reachable from themselves).
-fn recursive_functions(items: &[VItem], funcs: &[Func]) -> HashSet<String> {
+fn recursive_functions(funcs: &[Function<VItem>]) -> HashSet<String> {
     let mut edges: HashMap<&str, HashSet<&str>> = HashMap::new();
     for f in funcs {
-        let callees = edges.entry(f.name.as_str()).or_default();
-        for item in &items[f.range.clone()] {
-            if let VItem::Inst(VInst {
-                op: VOp::CallFunc(callee),
-                ..
-            }) = item
-            {
-                callees.insert(callee.as_str());
-            }
-        }
+        edges.entry(f.name.as_str()).or_default().extend(callees(f));
     }
     let mut recursive = HashSet::new();
     for f in funcs {
@@ -127,27 +98,54 @@ fn recursive_functions(items: &[VItem], funcs: &[Func]) -> HashSet<String> {
     recursive
 }
 
+/// Whether the callee can end a path in `halt` or guards one of its
+/// protocol instructions. The splice rewrites `ret` and the ABI copies
+/// without their guards, which is only sound when there are none. The
+/// PatC generator guarantees this (returns and calls are rejected
+/// inside predicated regions), but `optimize_with` is a public API over
+/// caller-built modules.
+fn breaks_protocol(callee: &Function<VItem>) -> bool {
+    callee.items.iter().any(|i| match i {
+        VItem::Inst(inst) => match inst.op {
+            VOp::Halt => true,
+            VOp::Ret | VOp::CopyToPhys { .. } | VOp::CopyFromPhys { .. } => !inst.guard.is_always(),
+            _ => false,
+        },
+        _ => false,
+    })
+}
+
+/// Whether the item after a call is the generator's result capture.
+fn captures_result(next: Option<&VItem>) -> bool {
+    matches!(
+        next,
+        Some(VItem::Inst(VInst {
+            op: VOp::CopyFromPhys { src: Reg::R1, .. },
+            ..
+        }))
+    )
+}
+
 /// An inlinable call site.
 struct Site {
-    /// Item index of the `CallFunc`.
+    /// Index of the caller in the module's functions.
+    caller: usize,
+    /// Item index of the `CallFunc` within the caller.
     call_idx: usize,
-    /// Item range of the callee (including its `FuncStart`).
-    callee: Range<usize>,
+    /// Index of the callee in the module's functions.
+    callee: usize,
     /// Marshalling-copy item indices to delete, and the argument source
     /// per argument register index (3–6).
     marshal: Vec<usize>,
     args: HashMap<u8, VReg>,
-    /// Names for the splice record and remark.
-    caller_name: String,
-    callee_name: String,
     callee_insts: usize,
 }
 
-/// The callee's leading parameter homes: `(item offset within body,
-/// destination vreg, argument register index)`.
-fn param_homes(items: &[VItem], callee: &Range<usize>) -> Vec<(usize, VReg, u8)> {
+/// The callee's leading parameter homes: `(item index, destination
+/// vreg, argument register index)`.
+fn param_homes(callee: &Function<VItem>) -> Vec<(usize, VReg, u8)> {
     let mut homes = Vec::new();
-    for (off, item) in items[callee.start + 1..callee.end].iter().enumerate() {
+    for (off, item) in callee.items.iter().enumerate() {
         match item {
             VItem::Inst(VInst {
                 guard,
@@ -164,67 +162,42 @@ fn param_homes(items: &[VItem], callee: &Range<usize>) -> Vec<(usize, VReg, u8)>
 /// Finds the best next site: callees already free of calls first (the
 /// bottom-up order), then the first eligible site in item order.
 fn find_site(module: &VModule, prefer_leaf: bool) -> Option<Site> {
-    let items = &module.items;
-    let funcs = split(items);
-    let recursive = recursive_functions(items, &funcs);
-    let by_name: HashMap<&str, &Func> = funcs.iter().map(|f| (f.name.as_str(), f)).collect();
+    let funcs = &module.funcs;
+    let recursive = recursive_functions(funcs);
+    let by_name: HashMap<&str, usize> = (funcs.iter().enumerate())
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
 
-    for caller in &funcs {
-        for idx in caller.range.clone() {
+    for (ci, caller) in funcs.iter().enumerate() {
+        let caller_insts = inst_count(caller);
+        for (idx, item) in caller.items.iter().enumerate() {
             let VItem::Inst(VInst {
                 op: VOp::CallFunc(callee_name),
                 ..
-            }) = &items[idx]
+            }) = item
             else {
                 continue;
             };
-            let Some(callee) = by_name.get(callee_name.as_str()) else {
+            let Some(&ki) = by_name.get(callee_name.as_str()) else {
                 continue;
             };
+            let callee = &funcs[ki];
+            let callee_insts = inst_count(callee);
             if callee.name == module.entry
                 || recursive.contains(&callee.name)
-                || callee.insts > CALLEE_BUDGET
-                || caller.insts + callee.insts > CALLER_CAP
-                || (prefer_leaf && callee.has_call)
+                || callee_insts > CALLEE_BUDGET
+                || caller_insts + callee_insts > CALLER_CAP
+                || (prefer_leaf && callees(callee).next().is_some())
+                || breaks_protocol(callee)
+                || !captures_result(caller.items.get(idx + 1))
             {
-                continue;
-            }
-            // The callee must end every path in `ret` (never `halt`),
-            // and its protocol instructions must be unconditional: the
-            // splice rewrites `ret` and the ABI copies without their
-            // guards, which is only sound when there are none. The
-            // PatC generator guarantees this (returns and calls are
-            // rejected inside predicated regions), but `optimize_with`
-            // is a public API over caller-built modules.
-            if items[callee.range.clone()].iter().any(|i| match i {
-                VItem::Inst(inst) => match inst.op {
-                    VOp::Halt => true,
-                    VOp::Ret | VOp::CopyToPhys { .. } | VOp::CopyFromPhys { .. } => {
-                        !inst.guard.is_always()
-                    }
-                    _ => false,
-                },
-                _ => false,
-            }) {
-                continue;
-            }
-            // Result capture directly after the call.
-            if !matches!(
-                items.get(idx + 1),
-                Some(VItem::Inst(VInst {
-                    op: VOp::CopyFromPhys { src: Reg::R1, .. },
-                    ..
-                }))
-            ) {
                 continue;
             }
             // Contiguous marshalling copies directly before the call.
             let mut marshal = Vec::new();
             let mut args: HashMap<u8, VReg> = HashMap::new();
-            let mut at = idx;
-            while at > caller.range.start {
-                at -= 1;
-                match &items[at] {
+            for (at, item) in caller.items[..idx].iter().enumerate().rev() {
+                match item {
                     VItem::Inst(VInst {
                         guard,
                         op: VOp::CopyToPhys { dst, src },
@@ -236,20 +209,19 @@ fn find_site(module: &VModule, prefer_leaf: bool) -> Option<Site> {
                 }
             }
             // Every parameter home must have a marshalled source.
-            if param_homes(items, &callee.range)
+            if param_homes(callee)
                 .iter()
                 .any(|(_, _, reg)| !args.contains_key(reg))
             {
                 continue;
             }
             return Some(Site {
+                caller: ci,
                 call_idx: idx,
-                callee: callee.range.clone(),
+                callee: ki,
                 marshal,
                 args,
-                caller_name: caller.name.clone(),
-                callee_name: callee.name.clone(),
-                callee_insts: callee.insts,
+                callee_insts,
             });
         }
     }
@@ -266,25 +238,9 @@ fn remap(inst: &VInst, f: &impl Fn(VReg) -> VReg) -> VInst {
     out
 }
 
-fn max_vreg(items: &[VItem]) -> u32 {
-    let mut max = 0;
-    for item in items {
-        if let VItem::Inst(inst) = item {
-            if let Some(d) = inst.op.def() {
-                max = max.max(d.id());
-            }
-            for u in inst.op.uses().into_iter().flatten() {
-                max = max.max(u.id());
-            }
-        }
-    }
-    max
-}
-
 /// Splices the callee body over the call site.
 fn splice(module: &mut VModule, site: Site, serial: usize) {
-    let items = &module.items;
-    let base = max_vreg(items);
+    let base = max_vreg(module.funcs.iter().flat_map(|f| &f.items));
     let rename = |v: VReg| {
         if v.is_zero() {
             v
@@ -292,10 +248,11 @@ fn splice(module: &mut VModule, site: Site, serial: usize) {
             VReg::new(base + v.id())
         }
     };
-    let retval = VReg::new(base + max_vreg(&items[site.callee.clone()]) + 1);
+    let callee = &module.funcs[site.callee];
+    let retval = VReg::new(base + max_vreg(&callee.items) + 1);
 
-    let homes = param_homes(items, &site.callee);
-    let body = &items[site.callee.start + 1..site.callee.end];
+    let homes = param_homes(callee);
+    let body = &callee.items;
     let last_inst_off = body
         .iter()
         .rposition(|i| matches!(i, VItem::Inst(_)))
@@ -311,7 +268,6 @@ fn splice(module: &mut VModule, site: Site, serial: usize) {
                 min: *min,
                 max: *max,
             }),
-            VItem::FuncStart(_) => unreachable!("body excludes the FuncStart"),
             VItem::Inst(inst) => {
                 if let Some((_, dst, reg)) = homes.iter().find(|(h, _, _)| *h == off) {
                     spliced.push(VItem::Inst(VInst::always(copy_op(
@@ -349,7 +305,8 @@ fn splice(module: &mut VModule, site: Site, serial: usize) {
 
     // The result capture after the call becomes a copy from the fresh
     // return register.
-    let result_dst = match &items[site.call_idx + 1] {
+    let caller = &mut module.funcs[site.caller];
+    let result_dst = match &caller.items[site.call_idx + 1] {
         VItem::Inst(VInst {
             op: VOp::CopyFromPhys { dst, src: Reg::R1 },
             ..
@@ -358,11 +315,11 @@ fn splice(module: &mut VModule, site: Site, serial: usize) {
     };
     spliced.push(VItem::Inst(VInst::always(copy_op(result_dst, retval))));
 
-    // Rebuild: drop the marshalling copies, replace call + capture with
-    // the spliced body.
+    // Rebuild the caller: drop the marshalling copies, replace call +
+    // capture with the spliced body.
     let remove: HashSet<usize> = site.marshal.iter().copied().collect();
-    let mut out: Vec<VItem> = Vec::with_capacity(module.items.len() + spliced.len());
-    for (idx, item) in module.items.drain(..).enumerate() {
+    let mut out: Vec<VItem> = Vec::with_capacity(caller.items.len() + spliced.len());
+    for (idx, item) in caller.items.drain(..).enumerate() {
         if remove.contains(&idx) || idx == site.call_idx + 1 {
             continue;
         }
@@ -372,90 +329,58 @@ fn splice(module: &mut VModule, site: Site, serial: usize) {
         }
         out.push(item);
     }
-    module.items = out;
+    caller.items = out;
 }
 
 /// Drops functions no longer reachable from the entry via `call`.
-fn remove_dead_functions(module: &mut VModule) -> bool {
-    let funcs = split(&module.items);
+fn remove_dead_functions(module: &mut VModule) {
     let mut reachable: HashSet<String> = HashSet::new();
     let mut work = vec![module.entry.clone()];
     while let Some(name) = work.pop() {
         if !reachable.insert(name.clone()) {
             continue;
         }
-        if let Some(f) = funcs.iter().find(|f| f.name == name) {
-            for item in &module.items[f.range.clone()] {
-                if let VItem::Inst(VInst {
-                    op: VOp::CallFunc(callee),
-                    ..
-                }) = item
-                {
-                    work.push(callee.clone());
-                }
-            }
+        if let Some(f) = module.funcs.iter().find(|f| f.name == name) {
+            work.extend(callees(f).map(str::to_string));
         }
     }
-    let dead: Vec<Range<usize>> = funcs
-        .iter()
-        .filter(|f| !reachable.contains(&f.name))
-        .map(|f| f.range.clone())
-        .collect();
-    if dead.is_empty() {
-        return false;
-    }
-    let mut idx = 0usize;
-    module.items.retain(|_| {
-        let drop = dead.iter().any(|r| r.contains(&idx));
-        idx += 1;
-        !drop
-    });
-    true
+    module.funcs.retain(|f| reachable.contains(&f.name));
 }
 
 /// Why a surviving call site was not inlined — the first failing
 /// eligibility check, in [`find_site`]'s order.
-fn refusal_reason(module: &VModule, caller: &Func, callee: Option<&Func>, idx: usize) -> String {
-    let items = &module.items;
+fn refusal_reason(
+    module: &VModule,
+    caller: &Function<VItem>,
+    callee: Option<&Function<VItem>>,
+    idx: usize,
+) -> String {
     let Some(callee) = callee else {
         return "callee is external to the module".into();
     };
-    let recursive = recursive_functions(items, &split(items));
+    let recursive = recursive_functions(&module.funcs);
     if callee.name == module.entry {
         return "callee is the entry function".into();
     }
     if recursive.contains(&callee.name) {
         return "callee is (mutually) recursive".into();
     }
-    if callee.insts > CALLEE_BUDGET {
+    let (caller_insts, callee_insts) = (inst_count(caller), inst_count(callee));
+    if callee_insts > CALLEE_BUDGET {
         return format!(
-            "callee has {} instructions, over the {CALLEE_BUDGET}-instruction budget",
-            callee.insts
+            "callee has {callee_insts} instructions, over the {CALLEE_BUDGET}-instruction budget"
         );
     }
-    if caller.insts + callee.insts > CALLER_CAP {
+    if caller_insts + callee_insts > CALLER_CAP {
         return format!(
             "caller would grow to {} instructions, over the {CALLER_CAP}-instruction cap",
-            caller.insts + callee.insts
+            caller_insts + callee_insts
         );
     }
-    if items[callee.range.clone()].iter().any(|i| match i {
-        VItem::Inst(inst) => match inst.op {
-            VOp::Halt => true,
-            VOp::Ret | VOp::CopyToPhys { .. } | VOp::CopyFromPhys { .. } => !inst.guard.is_always(),
-            _ => false,
-        },
-        _ => false,
-    }) {
+    if breaks_protocol(callee) {
         return "callee halts or has guarded protocol instructions".into();
     }
-    if !matches!(
-        items.get(idx + 1),
-        Some(VItem::Inst(VInst {
-            op: VOp::CopyFromPhys { src: Reg::R1, .. },
-            ..
-        }))
-    ) {
+    if !captures_result(caller.items.get(idx + 1)) {
         return "call site lacks the generator's result-capture copy".into();
     }
     "call site does not match the generator's marshalling protocol".into()
@@ -464,14 +389,14 @@ fn refusal_reason(module: &VModule, caller: &Func, callee: Option<&Func>, idx: u
 /// Emits a `missed` remark for every call still standing after the
 /// splice fixpoint.
 fn remark_survivors(module: &VModule, report: &mut crate::OptReport) {
-    let funcs = split(&module.items);
-    let by_name: HashMap<&str, &Func> = funcs.iter().map(|f| (f.name.as_str(), f)).collect();
-    for caller in &funcs {
-        for idx in caller.range.clone() {
+    let by_name: HashMap<&str, &Function<VItem>> =
+        module.funcs.iter().map(|f| (f.name.as_str(), f)).collect();
+    for caller in &module.funcs {
+        for (idx, item) in caller.items.iter().enumerate() {
             let VItem::Inst(VInst {
                 op: VOp::CallFunc(callee_name),
                 ..
-            }) = &module.items[idx]
+            }) = item
             else {
                 continue;
             };
@@ -497,20 +422,22 @@ pub(crate) fn run(module: &mut VModule, report: &mut crate::OptReport) -> bool {
     for serial in 0..MAX_SPLICES {
         let site = find_site(module, true).or_else(|| find_site(module, false));
         let Some(site) = site else { break };
-        report.inlines.push(crate::InlineSplice {
-            serial,
-            callee: site.callee_name.clone(),
-            caller: site.caller_name.clone(),
-        });
+        let caller = module.funcs[site.caller].name.clone();
+        let callee = module.funcs[site.callee].name.clone();
         report.push_remark(patmos_lir::Remark {
             pass: "inline",
-            function: site.caller_name.clone(),
-            site: Some(site.callee_name.clone()),
+            function: caller.clone(),
+            site: Some(callee.clone()),
             applied: true,
             message: format!(
-                "inlined {} ({} instructions, budget {CALLEE_BUDGET})",
-                site.callee_name, site.callee_insts
+                "inlined {callee} ({} instructions, budget {CALLEE_BUDGET})",
+                site.callee_insts
             ),
+        });
+        report.inlines.push(crate::InlineSplice {
+            serial,
+            callee,
+            caller,
         });
         splice(module, site, serial);
         changed = true;
@@ -537,43 +464,44 @@ mod tests {
 
     /// `int add1(int x) { return x + 1; } int main() { return add1(5); }`
     fn call_module() -> VModule {
+        let add1 = vec![
+            inst(VOp::CopyFromPhys {
+                dst: v(1),
+                src: Reg::R3,
+            }),
+            inst(VOp::AluI {
+                op: AluOp::Add,
+                rd: v(2),
+                rs1: v(1),
+                imm: 1,
+            }),
+            inst(VOp::CopyToPhys {
+                dst: Reg::R1,
+                src: v(2),
+            }),
+            inst(VOp::Ret),
+        ];
+        let main = vec![
+            inst(VOp::LoadImmLow { rd: v(1), imm: 5 }),
+            inst(VOp::CopyToPhys {
+                dst: Reg::R3,
+                src: v(1),
+            }),
+            inst(VOp::CallFunc("add1".into())),
+            inst(VOp::CopyFromPhys {
+                dst: v(2),
+                src: Reg::R1,
+            }),
+            inst(VOp::CopyToPhys {
+                dst: Reg::R1,
+                src: v(2),
+            }),
+            inst(VOp::Halt),
+        ];
         VModule {
             data_lines: Vec::new(),
             entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("add1".into()),
-                inst(VOp::CopyFromPhys {
-                    dst: v(1),
-                    src: Reg::R3,
-                }),
-                inst(VOp::AluI {
-                    op: AluOp::Add,
-                    rd: v(2),
-                    rs1: v(1),
-                    imm: 1,
-                }),
-                inst(VOp::CopyToPhys {
-                    dst: Reg::R1,
-                    src: v(2),
-                }),
-                inst(VOp::Ret),
-                VItem::FuncStart("main".into()),
-                inst(VOp::LoadImmLow { rd: v(1), imm: 5 }),
-                inst(VOp::CopyToPhys {
-                    dst: Reg::R3,
-                    src: v(1),
-                }),
-                inst(VOp::CallFunc("add1".into())),
-                inst(VOp::CopyFromPhys {
-                    dst: v(2),
-                    src: Reg::R1,
-                }),
-                inst(VOp::CopyToPhys {
-                    dst: Reg::R1,
-                    src: v(2),
-                }),
-                inst(VOp::Halt),
-            ],
+            funcs: vec![Function::new("add1", add1), Function::new("main", main)],
         }
     }
 
@@ -581,8 +509,9 @@ mod tests {
     fn leaf_call_is_inlined_and_callee_dropped() {
         let mut m = call_module();
         assert!(run(&mut m, &mut crate::OptReport::default()));
+        let items = || m.funcs.iter().flat_map(|f| &f.items);
         assert!(
-            !m.items.iter().any(|i| matches!(
+            !items().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
                     op: VOp::CallFunc(_),
@@ -593,15 +522,13 @@ mod tests {
             m.render()
         );
         assert!(
-            !m.items
-                .iter()
-                .any(|i| matches!(i, VItem::FuncStart(n) if n == "add1")),
+            !m.funcs.iter().any(|f| f.name == "add1"),
             "unreachable callee must be dropped:\n{}",
             m.render()
         );
         // The body arrived: an add-immediate now lives in main.
         assert!(
-            m.items.iter().any(|i| matches!(
+            items().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
                     op: VOp::AluI {
@@ -621,16 +548,17 @@ mod tests {
     fn recursive_callee_is_left_alone() {
         let mut m = call_module();
         // Make add1 self-recursive.
-        m.items.insert(2, inst(VOp::CallFunc("add1".into())));
-        m.items.insert(
-            3,
+        let add1 = &mut m.funcs[0].items;
+        add1.insert(1, inst(VOp::CallFunc("add1".into())));
+        add1.insert(
+            2,
             inst(VOp::CopyFromPhys {
                 dst: v(9),
                 src: Reg::R1,
             }),
         );
-        m.items.insert(
-            2,
+        add1.insert(
+            1,
             inst(VOp::CopyToPhys {
                 dst: Reg::R3,
                 src: v(1),

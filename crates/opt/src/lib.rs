@@ -23,6 +23,10 @@
 //! 5. **dead-code elimination** — liveness-driven removal of pure
 //!    instructions whose results are never read.
 //!
+//! The module owns its functions ([`patmos_lir::Function`]), and every
+//! fixpoint pass rewrites one function's items at a time: the driver
+//! applies each pass to every function in turn.
+//!
 //! Level 2 ([`OptConfig::level`]) makes the pipeline *loop-aware*, over
 //! the dominator-tree and natural-loop-forest analyses of
 //! [`patmos_lir`]:
@@ -58,27 +62,27 @@
 //! # Example
 //!
 //! ```
-//! use patmos_lir::{VInst, VItem, VModule, VOp, VReg};
+//! use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 //!
 //! let v = VReg::new;
+//! let items = vec![
+//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
+//!     VItem::Inst(VInst::always(VOp::AluI {
+//!         op: patmos_isa::AluOp::Shl,
+//!         rd: v(2),
+//!         rs1: v(1),
+//!         imm: 3,
+//!     })),
+//!     VItem::Inst(VInst::always(VOp::CopyToPhys {
+//!         dst: patmos_isa::Reg::R1,
+//!         src: v(2),
+//!     })),
+//!     VItem::Inst(VInst::always(VOp::Halt)),
+//! ];
 //! let mut module = VModule {
 //!     data_lines: Vec::new(),
 //!     entry: "main".into(),
-//!     items: vec![
-//!         VItem::FuncStart("main".into()),
-//!         VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
-//!         VItem::Inst(VInst::always(VOp::AluI {
-//!             op: patmos_isa::AluOp::Shl,
-//!             rd: v(2),
-//!             rs1: v(1),
-//!             imm: 3,
-//!         })),
-//!         VItem::Inst(VInst::always(VOp::CopyToPhys {
-//!             dst: patmos_isa::Reg::R1,
-//!             src: v(2),
-//!         })),
-//!         VItem::Inst(VInst::always(VOp::Halt)),
-//!     ],
+//!     funcs: vec![Function::new("main", items)],
 //! };
 //! let report = patmos_opt::optimize(&mut module);
 //! // `6 << 3` folds to one immediate load of 48.
@@ -93,48 +97,48 @@
 //!
 //! ```
 //! use patmos_isa::{AluOp, CmpOp, Guard, Pred};
-//! use patmos_lir::{VInst, VItem, VModule, VOp, VReg};
+//! use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 //!
 //! let v = VReg::new;
+//! let items = vec![
+//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
+//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
+//!     VItem::LoopBound { min: 1, max: 6 },
+//!     VItem::Label("main_head1".into()),
+//!     VItem::Inst(VInst::always(VOp::CmpI {
+//!         op: CmpOp::Lt,
+//!         pd: Pred::P6,
+//!         rs1: v(1),
+//!         imm: 5,
+//!     })),
+//!     VItem::Inst(VInst::new(
+//!         Guard::unless(Pred::P6),
+//!         VOp::BrLabel("main_exit2".into()),
+//!     )),
+//!     VItem::Inst(VInst::always(VOp::AluR {
+//!         op: AluOp::Add,
+//!         rd: v(2),
+//!         rs1: v(2),
+//!         rs2: v(1),
+//!     })),
+//!     VItem::Inst(VInst::always(VOp::AluI {
+//!         op: AluOp::Add,
+//!         rd: v(1),
+//!         rs1: v(1),
+//!         imm: 1,
+//!     })),
+//!     VItem::Inst(VInst::always(VOp::BrLabel("main_head1".into()))),
+//!     VItem::Label("main_exit2".into()),
+//!     VItem::Inst(VInst::always(VOp::CopyToPhys {
+//!         dst: patmos_isa::Reg::R1,
+//!         src: v(2),
+//!     })),
+//!     VItem::Inst(VInst::always(VOp::Halt)),
+//! ];
 //! let mut module = VModule {
 //!     data_lines: Vec::new(),
 //!     entry: "main".into(),
-//!     items: vec![
-//!         VItem::FuncStart("main".into()),
-//!         VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
-//!         VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
-//!         VItem::LoopBound { min: 1, max: 6 },
-//!         VItem::Label("main_head1".into()),
-//!         VItem::Inst(VInst::always(VOp::CmpI {
-//!             op: CmpOp::Lt,
-//!             pd: Pred::P6,
-//!             rs1: v(1),
-//!             imm: 5,
-//!         })),
-//!         VItem::Inst(VInst::new(
-//!             Guard::unless(Pred::P6),
-//!             VOp::BrLabel("main_exit2".into()),
-//!         )),
-//!         VItem::Inst(VInst::always(VOp::AluR {
-//!             op: AluOp::Add,
-//!             rd: v(2),
-//!             rs1: v(2),
-//!             rs2: v(1),
-//!         })),
-//!         VItem::Inst(VInst::always(VOp::AluI {
-//!             op: AluOp::Add,
-//!             rd: v(1),
-//!             rs1: v(1),
-//!             imm: 1,
-//!         })),
-//!         VItem::Inst(VInst::always(VOp::BrLabel("main_head1".into()))),
-//!         VItem::Label("main_exit2".into()),
-//!         VItem::Inst(VInst::always(VOp::CopyToPhys {
-//!             dst: patmos_isa::Reg::R1,
-//!             src: v(2),
-//!         })),
-//!         VItem::Inst(VInst::always(VOp::Halt)),
-//!     ],
+//!     funcs: vec![Function::new("main", items)],
 //! };
 //! let config = patmos_opt::OptConfig {
 //!     level: 2,
@@ -142,7 +146,7 @@
 //! };
 //! patmos_opt::optimize_with(&mut module, config);
 //! // No control flow left: `0+1+2+3+4` became `li 10` + the ABI copy.
-//! assert!(!module.items.iter().any(|i| matches!(
+//! assert!(!module.funcs[0].items.iter().any(|i| matches!(
 //!     i,
 //!     VItem::Label(_)
 //!         | VItem::LoopBound { .. }
@@ -160,7 +164,7 @@ mod strength;
 mod unroll;
 mod util;
 
-use patmos_lir::{Remark, VItem, VModule};
+use patmos_lir::{Function, Remark, VItem, VModule};
 
 /// Upper bound on fixpoint rounds; real modules converge in two or
 /// three, so hitting this means a pass pair is oscillating.
@@ -263,39 +267,38 @@ impl OptReport {
 }
 
 fn count_insts(module: &VModule) -> usize {
-    module
-        .items
-        .iter()
+    (module.funcs.iter().flat_map(|f| &f.items))
         .filter(|i| matches!(i, VItem::Inst(_)))
         .count()
 }
 
-/// A pass entry point: rewrites the module, reports whether it changed.
-/// The report is for remark emission; the scalar passes ignore it.
-type Pass = fn(&mut VModule, &mut OptReport) -> bool;
+/// A pass entry point: rewrites one function, reports whether it
+/// changed. The report is for remark emission; the scalar passes ignore
+/// it.
+type Pass = fn(&mut Function<VItem>, &mut OptReport) -> bool;
 
 // The scalar passes make no remark-worthy decisions; adapt their plain
 // signatures to the table type.
-fn constprop_pass(m: &mut VModule, _: &mut OptReport) -> bool {
-    constprop::run(m)
+fn constprop_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+    constprop::run(f)
 }
-fn strength_pass(m: &mut VModule, _: &mut OptReport) -> bool {
-    strength::run(m)
+fn strength_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+    strength::run(f)
 }
-fn cse_pass(m: &mut VModule, _: &mut OptReport) -> bool {
-    cse::run(m)
+fn cse_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+    cse::run(f)
 }
-fn cse_shape_stable_pass(m: &mut VModule, _: &mut OptReport) -> bool {
-    cse::run_shape_stable(m)
+fn cse_shape_stable_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+    cse::run_shape_stable(f)
 }
-fn copyprop_pass(m: &mut VModule, _: &mut OptReport) -> bool {
-    copyprop::run(m)
+fn copyprop_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+    copyprop::run(f)
 }
-fn copyprop_global_pass(m: &mut VModule, _: &mut OptReport) -> bool {
-    copyprop::run_global(m)
+fn copyprop_global_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+    copyprop::run_global(f)
 }
-fn dce_pass(m: &mut VModule, _: &mut OptReport) -> bool {
-    dce::run(m)
+fn dce_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+    dce::run(f)
 }
 
 /// How to run the pipeline.
@@ -375,7 +378,11 @@ fn run_fixpoint(
         let mut changed = false;
         for &(name, pass) in passes {
             let before = config.trace.then(|| module.render());
-            if pass(module, report) {
+            let mut pass_changed = false;
+            for func in &mut module.funcs {
+                pass_changed |= pass(func, report);
+            }
+            if pass_changed {
                 changed = true;
                 if let Some(before) = before {
                     report.dumps.push(PassDump {
@@ -518,7 +525,7 @@ mod tests {
     /// with `a[1]` spelled twice: two full address computations, a
     /// multiply by a constant, and a chain of single-use temporaries.
     fn redundant_module() -> VModule {
-        let mut items = vec![VItem::FuncStart("main".into())];
+        let mut items = Vec::new();
         for (base, scaled, addr, val) in [(1u32, 2, 3, 4), (5, 6, 7, 8)] {
             items.push(VItem::Inst(VInst::always(VOp::LilSym {
                 rd: v(base),
@@ -573,7 +580,7 @@ mod tests {
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
         VModule {
             data_lines: Vec::new(),
-            items,
+            funcs: vec![Function::new("main", items)],
             entry: "main".into(),
         }
     }
@@ -594,7 +601,7 @@ mod tests {
         );
         // The multiply is strength-reduced away.
         assert!(
-            !m.items.iter().any(|i| matches!(
+            !m.funcs[0].items.iter().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
                     op: VOp::Mul { .. },
@@ -605,7 +612,7 @@ mod tests {
             m.render()
         );
         // The second load collapsed onto the first.
-        let loads = m
+        let loads = m.funcs[0]
             .items
             .iter()
             .filter(|i| {
@@ -629,20 +636,22 @@ mod tests {
         let mut m = VModule {
             data_lines: Vec::new(),
             entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
-                VItem::Inst(VInst::always(VOp::CopyToPhys {
-                    dst: Reg::R1,
-                    src: v(1),
-                })),
-                VItem::Inst(VInst::always(VOp::CopyToPhys {
-                    dst: Reg::R3,
-                    src: v(2),
-                })),
-                VItem::Inst(VInst::always(VOp::Halt)),
-            ],
+            funcs: vec![Function::new(
+                "main",
+                vec![
+                    VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
+                    VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
+                    VItem::Inst(VInst::always(VOp::CopyToPhys {
+                        dst: Reg::R1,
+                        src: v(1),
+                    })),
+                    VItem::Inst(VInst::always(VOp::CopyToPhys {
+                        dst: Reg::R3,
+                        src: v(2),
+                    })),
+                    VItem::Inst(VInst::always(VOp::Halt)),
+                ],
+            )],
         };
         let report = optimize(&mut m);
         assert!(

@@ -31,15 +31,14 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use patmos_isa::MemArea;
-use patmos_lir::{FuncCode, VCfg, VItem, VModule, VOp, VReg};
+use patmos_lir::{FuncCode, Function, VCfg, VItem, VOp, VReg};
 
 /// One loop's planned hoists: the items move, in dependency order, to
-/// just before `insert_at`. Function and header label ride along for
-/// the remark.
+/// just before `insert_at`. The header label rides along for the
+/// remark.
 struct Hoist {
     insert_at: usize,
     items: Vec<usize>,
-    function: String,
     label: String,
 }
 
@@ -48,22 +47,12 @@ struct Hoist {
 /// preheader insertion point: hoisted code must land *below* any
 /// earlier label in the run, which is a live side entry (the join
 /// label of a branching `if` right before the loop).
-fn header_lead<'a>(
-    items: &'a [VItem],
-    func: &FuncCode<'_>,
-    cfg: &VCfg,
-    header: usize,
-) -> patmos_lir::HeaderLead<'a> {
-    patmos_lir::header_lead(items, func.insts[cfg.blocks[header].first].0)
+fn header_lead<'a>(func: &FuncCode<'a>, cfg: &VCfg, header: usize) -> patmos_lir::HeaderLead<'a> {
+    patmos_lir::header_lead(func.items, func.insts[cfg.blocks[header].first].0)
 }
 
-fn plan_function(
-    items: &[VItem],
-    func: &FuncCode<'_>,
-    taken: &mut HashSet<usize>,
-    hoists: &mut Vec<Hoist>,
-) {
-    let cfg = patmos_lir::build_vcfg(func, items);
+fn plan_function(func: &FuncCode<'_>, taken: &mut HashSet<usize>, hoists: &mut Vec<Hoist>) {
+    let cfg = patmos_lir::build_vcfg(func);
     let dom = patmos_lir::DomTree::build(&cfg);
     let forest = patmos_lir::LoopForest::build_with_dom(&cfg, &dom);
     if forest.loops.is_empty() {
@@ -78,7 +67,7 @@ fn plan_function(
 
     for li in order {
         let lp = &forest.loops[li];
-        let Some(label) = header_lead(items, func, &cfg, lp.header).label else {
+        let Some(label) = header_lead(func, &cfg, lp.header).label else {
             continue;
         };
         // Every branch to the header must be one of the loop's own back
@@ -192,28 +181,25 @@ fn plan_function(
         let item_indices: Vec<usize> = ordered.iter().map(|&p| func.insts[p].0).collect();
         taken.extend(item_indices.iter().copied());
         hoists.push(Hoist {
-            insert_at: header_lead(items, func, &cfg, lp.header).start,
+            insert_at: header_lead(func, &cfg, lp.header).start,
             items: item_indices,
-            function: func.name.to_string(),
             label: label.to_string(),
         });
     }
 }
 
-/// Runs the pass over every function of the module.
-pub(crate) fn run(module: &mut VModule, report: &mut crate::OptReport) -> bool {
+/// Runs the pass over one function.
+pub(crate) fn run(func: &mut Function<VItem>, report: &mut crate::OptReport) -> bool {
     let mut taken: HashSet<usize> = HashSet::new();
     let mut hoists: Vec<Hoist> = Vec::new();
-    for func in &patmos_lir::split_functions(&module.items) {
-        plan_function(&module.items, func, &mut taken, &mut hoists);
-    }
+    plan_function(&FuncCode::new(func), &mut taken, &mut hoists);
     if hoists.is_empty() {
         return false;
     }
     for h in &hoists {
         report.push_remark(patmos_lir::Remark {
             pass: "licm",
-            function: h.function.clone(),
+            function: func.name.clone(),
             site: Some(h.label.clone()),
             applied: true,
             message: format!(
@@ -225,12 +211,12 @@ pub(crate) fn run(module: &mut VModule, report: &mut crate::OptReport) -> bool {
 
     let mut insertions: BTreeMap<usize, Vec<VItem>> = BTreeMap::new();
     for h in &hoists {
-        let moved: Vec<VItem> = h.items.iter().map(|&i| module.items[i].clone()).collect();
+        let moved: Vec<VItem> = h.items.iter().map(|&i| func.items[i].clone()).collect();
         insertions.entry(h.insert_at).or_default().extend(moved);
     }
     let removed: HashSet<usize> = taken;
-    let mut out: Vec<VItem> = Vec::with_capacity(module.items.len());
-    for (idx, item) in module.items.drain(..).enumerate() {
+    let mut out: Vec<VItem> = Vec::with_capacity(func.items.len());
+    for (idx, item) in func.items.drain(..).enumerate() {
         if let Some(mut hoisted) = insertions.remove(&idx) {
             out.append(&mut hoisted);
         }
@@ -239,7 +225,7 @@ pub(crate) fn run(module: &mut VModule, report: &mut crate::OptReport) -> bool {
         }
         out.push(item);
     }
-    module.items = out;
+    func.items = out;
     true
 }
 
@@ -259,12 +245,10 @@ mod tests {
 
     /// `for (i = 0; i < 8; i++) { s += tab[i]; }` as the generator
     /// spells it: the `lil` base reload sits inside the loop.
-    fn loop_with_invariant_base() -> VModule {
-        VModule {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
+    fn loop_with_invariant_base() -> Function<VItem> {
+        Function::new(
+            "main",
+            vec![
                 inst(VOp::LoadImmLow { rd: v(1), imm: 0 }), // i
                 inst(VOp::LoadImmLow { rd: v(2), imm: 0 }), // s
                 VItem::LoopBound { min: 1, max: 9 },
@@ -322,7 +306,7 @@ mod tests {
                 }),
                 inst(VOp::Halt),
             ],
-        }
+        )
     }
 
     #[test]
@@ -374,7 +358,7 @@ mod tests {
         // Add a store to the static area inside the loop (after the
         // accumulating add, before the increment).
         m.items.insert(
-            12,
+            11,
             inst(VOp::Store {
                 area: MemArea::Static,
                 size: AccessSize::Word,
@@ -416,7 +400,7 @@ mod tests {
         // taken path skips it (a real miscompile this reproduces).
         let mut m = loop_with_invariant_base();
         m.items.splice(
-            3..3,
+            2..2,
             vec![
                 VItem::Inst(VInst::always(VOp::CmpI {
                     op: CmpOp::Eq,
@@ -473,11 +457,9 @@ mod tests {
         // v7 is read at the loop head before being rewritten inside:
         // hoisting its (otherwise invariant-looking) redefinition would
         // clobber the pre-loop value.
-        let mut m = VModule {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
+        let mut m = Function::new(
+            "main",
+            vec![
                 inst(VOp::LoadImmLow { rd: v(7), imm: 3 }),
                 inst(VOp::LoadImmLow { rd: v(1), imm: 0 }),
                 VItem::Label("main_head1".into()),
@@ -504,7 +486,7 @@ mod tests {
                 }),
                 inst(VOp::Halt),
             ],
-        };
+        );
         let before = m.render();
         assert!(
             !run(&mut m, &mut crate::OptReport::default()),

@@ -16,7 +16,7 @@
 //! another consumer of the multiply unit.
 
 use patmos_isa::SpecialReg;
-use patmos_lir::{VItem, VModule, VOp, VReg};
+use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::util::{self, copy_op, load_imm, Consts};
 use std::collections::BTreeSet;
@@ -39,13 +39,13 @@ fn reduce(rd: VReg, v: VReg, c: u32) -> Option<VOp> {
 /// Rewrites the `mul` at item `i` / `mfs sl` at item `j` when an
 /// operand is constant, marking the `mul` for deletion.
 fn try_reduce_pair(
-    module: &mut VModule,
+    items: &mut [VItem],
     i: usize,
     j: usize,
     consts: &Consts,
     marked: &mut BTreeSet<usize>,
 ) {
-    let (VItem::Inst(mul), VItem::Inst(mfs)) = (&module.items[i], &module.items[j]) else {
+    let (VItem::Inst(mul), VItem::Inst(mfs)) = (&items[i], &items[j]) else {
         return;
     };
     let (VOp::Mul { rs1, rs2 }, true) = (&mul.op, mul.guard.is_always()) else {
@@ -69,7 +69,7 @@ fn try_reduce_pair(
         (None, None) => None,
     };
     if let Some(new_op) = replacement {
-        let VItem::Inst(mfs) = &mut module.items[j] else {
+        let VItem::Inst(mfs) = &mut items[j] else {
             unreachable!();
         };
         mfs.op = new_op;
@@ -77,43 +77,41 @@ fn try_reduce_pair(
     }
 }
 
-/// Runs the pass over every block of the module.
-pub(crate) fn run(module: &mut VModule) -> bool {
-    let mut marked: BTreeSet<usize> = BTreeSet::new();
-    for fb in util::function_blocks(&module.items) {
-        // A consumer of `sh` would observe the deleted `mul`.
-        let reads_sh = module.items[fb.range.clone()].iter().any(|item| {
-            matches!(
-                item,
-                VItem::Inst(patmos_lir::VInst {
-                    op: VOp::Mfs {
-                        ss: SpecialReg::Sh,
-                        ..
-                    },
+/// Runs the pass over every block of one function.
+pub(crate) fn run(func: &mut Function<VItem>) -> bool {
+    // A consumer of `sh` would observe the deleted `mul`.
+    let reads_sh = func.items.iter().any(|item| {
+        matches!(
+            item,
+            VItem::Inst(patmos_lir::VInst {
+                op: VOp::Mfs {
+                    ss: SpecialReg::Sh,
                     ..
-                })
-            )
-        });
-        if reads_sh {
-            continue;
-        }
-        for block in fb.blocks {
-            let mut consts = Consts::default();
-            for (w, &i) in block.iter().enumerate() {
-                if let Some(&j) = block.get(w + 1) {
-                    try_reduce_pair(module, i, j, &consts, &mut marked);
-                }
-                // A deleted `mul` defines nothing; a rewritten `mfs` is
-                // tracked in its new (possibly constant-loading) form.
-                let VItem::Inst(inst) = &module.items[i] else {
-                    unreachable!("blocks contain instruction indices only");
-                };
-                consts.update(inst);
+                },
+                ..
+            })
+        )
+    });
+    if reads_sh {
+        return false;
+    }
+    let mut marked: BTreeSet<usize> = BTreeSet::new();
+    for block in util::blocks(func) {
+        let mut consts = Consts::default();
+        for (w, &i) in block.iter().enumerate() {
+            if let Some(&j) = block.get(w + 1) {
+                try_reduce_pair(&mut func.items, i, j, &consts, &mut marked);
             }
+            // A deleted `mul` defines nothing; a rewritten `mfs` is
+            // tracked in its new (possibly constant-loading) form.
+            let VItem::Inst(inst) = &func.items[i] else {
+                unreachable!("blocks contain instruction indices only");
+            };
+            consts.update(inst);
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut module.items, &marked);
+    util::remove_marked(&mut func.items, &marked);
     changed
 }
 
@@ -127,12 +125,10 @@ mod tests {
         VReg::new(id)
     }
 
-    fn mul_by_const(c: u16) -> VModule {
-        VModule {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
+    fn mul_by_const(c: u16) -> Function<VItem> {
+        Function::new(
+            "main",
+            vec![
                 VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: c })),
                 VItem::Inst(VInst::always(VOp::Mul {
                     rs1: v(2),
@@ -144,16 +140,16 @@ mod tests {
                 })),
                 VItem::Inst(VInst::always(VOp::Halt)),
             ],
-        }
+        )
     }
 
     #[test]
     fn power_of_two_becomes_shift() {
         let mut m = mul_by_const(8);
         assert!(run(&mut m));
-        assert_eq!(m.items.len(), 4, "the mul is gone");
+        assert_eq!(m.items.len(), 3, "the mul is gone");
         assert!(matches!(
-            &m.items[2],
+            &m.items[1],
             VItem::Inst(VInst {
                 op: VOp::AluI {
                     op: AluOp::Shl,
@@ -169,14 +165,14 @@ mod tests {
     fn non_power_of_two_is_kept() {
         let mut m = mul_by_const(7);
         assert!(!run(&mut m));
-        assert_eq!(m.items.len(), 5);
+        assert_eq!(m.items.len(), 4);
     }
 
     #[test]
     fn sh_reader_blocks_the_rewrite() {
         let mut m = mul_by_const(8);
         m.items.insert(
-            4,
+            3,
             VItem::Inst(VInst::always(VOp::Mfs {
                 rd: v(4),
                 ss: SpecialReg::Sh,
@@ -190,7 +186,7 @@ mod tests {
         let mut m = mul_by_const(1);
         assert!(run(&mut m));
         assert_eq!(
-            crate::util::as_copy(match &m.items[2] {
+            crate::util::as_copy(match &m.items[1] {
                 VItem::Inst(i) => &i.op,
                 _ => unreachable!(),
             }),

@@ -66,9 +66,10 @@
 use std::collections::HashSet;
 
 use patmos_isa::{AluOp, CmpOp, Pred, EXIT_PRED};
-use patmos_lir::{FuncCode, VCfg, VInst, VItem, VModule, VOp, VReg};
+use patmos_lir::{FuncCode, Function, VCfg, VInst, VItem, VModule, VOp, VReg};
 use patmos_regalloc::{PressureEstimate, PressureModel};
 
+use crate::util::max_vreg;
 use crate::{LoopUnroll, UnrollKind};
 
 /// Largest number of instructions a fully unrolled loop (or one
@@ -88,8 +89,8 @@ enum BoundSrc {
     Reg(VReg),
 }
 
-/// One recognised counted loop, in module item-index space, with the
-/// facts the three unrolling schemes decide on.
+/// One recognised counted loop, in its function's item-index space,
+/// with the facts the three unrolling schemes decide on.
 struct Plan {
     /// First item of the loop's leading `.loopbound`/label run.
     start: usize,
@@ -211,12 +212,8 @@ fn trip_count(c0: i64, k: i64, op: CmpOp, s: i64) -> Option<i64> {
     Some(trips)
 }
 
-fn plan_loop(
-    items: &[VItem],
-    func: &FuncCode<'_>,
-    cfg: &VCfg,
-    lp: &patmos_lir::NaturalLoop,
-) -> Option<Plan> {
+fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> Option<Plan> {
+    let items = func.items;
     // Shape: contiguous blocks, the single latch laid out last.
     let h = lp.header;
     let latch = *lp.latches.first()?;
@@ -266,7 +263,7 @@ fn plan_loop(
     let head_label = as_back_branch(func.insts[lb.end - 1].1)?;
     let back_item = func.insts[lb.end - 1].0;
     let end = back_item + 1;
-    if !matches!(&items[end], VItem::Label(l) if l == exit_label) {
+    if !matches!(items.get(end), Some(VItem::Label(l)) if l == exit_label) {
         return None;
     }
 
@@ -309,7 +306,6 @@ fn plan_loop(
         match item {
             VItem::LoopBound { .. } => return None, // never: innermost
             VItem::Label(_) => flow_seen = true,
-            VItem::FuncStart(_) => unreachable!("span is within one function"),
             VItem::Inst(inst) => {
                 body_insts += 1;
                 match &inst.op {
@@ -662,20 +658,6 @@ fn choose_scheme(
     )))
 }
 
-/// The largest virtual-register id in use (fresh registers are
-/// allocated past it).
-fn max_vreg(items: &[VItem]) -> u32 {
-    let mut max = 0u32;
-    for item in items {
-        if let VItem::Inst(inst) = item {
-            for r in inst.op.uses().into_iter().flatten().chain(inst.op.def()) {
-                max = max.max(r.id());
-            }
-        }
-    }
-    max
-}
-
 /// Replicates `body` `copies` times, uniquifying internal labels (and
 /// the branches to them) with `prefix{copy}_`.
 fn replicate(body: &[VItem], copies: i64, prefix: &str) -> Vec<VItem> {
@@ -712,29 +694,31 @@ pub(crate) fn run(
     pressure: PressureEstimate,
     report: &mut crate::OptReport,
 ) -> bool {
-    let mut plans: Vec<(String, Plan, Scheme)> = Vec::new();
+    // Plans and bound tightenings by function index.
+    let mut plans: Vec<(usize, Plan, Scheme)> = Vec::new();
     // Loops with a proven constant trip count that stay loops still
     // get their `.loopbound` *min* raised to the exact header-execution
     // count: `min` never shapes code, but it rides through to the WCET
     // analysis, where it proves a software-pipelined loop's short-trip
     // fallback dead (the guard provably passes).
-    let mut tightens: Vec<(String, String, usize, u32)> = Vec::new();
-    for func in &patmos_lir::split_functions(&module.items) {
-        let cfg = patmos_lir::build_vcfg(func, &module.items);
+    let mut tightens: Vec<(usize, String, usize, u32)> = Vec::new();
+    for (fi, func) in module.funcs.iter().enumerate() {
+        let code = FuncCode::new(func);
+        let cfg = patmos_lir::build_vcfg(&code);
         let forest = patmos_lir::LoopForest::build(&cfg);
         for (li, lp) in forest.loops.iter().enumerate() {
             let innermost = !forest.loops.iter().any(|other| other.parent == Some(li));
             if !innermost {
                 continue;
             }
-            if let Some(plan) = plan_loop(&module.items, func, &cfg, lp) {
+            if let Some(plan) = plan_loop(&code, &cfg, lp) {
                 match choose_scheme(&plan, partial, defer_pipelineable, pressure) {
-                    Ok(scheme) => plans.push((func.name.to_string(), plan, scheme)),
+                    Ok(scheme) => plans.push((fi, plan, scheme)),
                     refused => {
                         if let Err(Some(message)) = refused {
                             report.push_remark(patmos_lir::Remark {
                                 pass: "unroll",
-                                function: func.name.to_string(),
+                                function: func.name.clone(),
                                 site: Some(plan.head_label.clone()),
                                 applied: false,
                                 message,
@@ -743,12 +727,7 @@ pub(crate) fn run(
                         if let (Some(trips), Some((min, max))) = (plan.trips, plan.bound_ann) {
                             let exact = trips as u32 + 1;
                             if min < exact && exact <= max {
-                                tightens.push((
-                                    func.name.to_string(),
-                                    plan.head_label.clone(),
-                                    plan.start,
-                                    exact,
-                                ));
+                                tightens.push((fi, plan.head_label.clone(), plan.start, exact));
                             }
                         }
                     }
@@ -762,14 +741,15 @@ pub(crate) fn run(
 
     // In-place single-item rewrites first: they shift no indices, so
     // the spliced plans below stay valid.
-    for (function, site, at, exact) in tightens {
-        let VItem::LoopBound { max, .. } = module.items[at] else {
+    for (fi, site, at, exact) in tightens {
+        let func = &mut module.funcs[fi];
+        let VItem::LoopBound { max, .. } = func.items[at] else {
             unreachable!("plan.start points at the recorded .loopbound");
         };
-        module.items[at] = VItem::LoopBound { min: exact, max };
+        func.items[at] = VItem::LoopBound { min: exact, max };
         report.push_remark(patmos_lir::Remark {
             pass: "unroll",
-            function,
+            function: func.name.clone(),
             site: Some(site),
             applied: true,
             message: format!(
@@ -779,11 +759,13 @@ pub(crate) fn run(
         });
     }
 
-    let mut next_vreg = max_vreg(&module.items) + 1;
+    let mut next_vreg = max_vreg(module.funcs.iter().flat_map(|f| &f.items)) + 1;
 
-    // Rewrite back to front so earlier spans stay valid.
-    plans.sort_by_key(|(_, p, _)| std::cmp::Reverse(p.start));
-    for (function, plan, scheme) in plans {
+    // Rewrite back to front, last function first, so earlier spans stay
+    // valid and fresh registers keep their layout-order numbering.
+    plans.sort_by_key(|(fi, p, _)| std::cmp::Reverse((*fi, p.start)));
+    for (fi, plan, scheme) in plans {
+        let Function { name, items } = &mut module.funcs[fi];
         let (kind, factor, trips) = match &scheme {
             Scheme::Full { trips } => (UnrollKind::Full, *trips, Some(*trips)),
             Scheme::Divisor { factor, trips } => (UnrollKind::Divisor, *factor, Some(*trips)),
@@ -791,7 +773,7 @@ pub(crate) fn run(
         };
         report.push_remark(patmos_lir::Remark {
             pass: "unroll",
-            function,
+            function: name.clone(),
             site: Some(plan.head_label.clone()),
             applied: true,
             message: match trips {
@@ -806,7 +788,7 @@ pub(crate) fn run(
                 ),
             },
         });
-        let body: Vec<VItem> = module.items[plan.body.clone()].to_vec();
+        let body: Vec<VItem> = items[plan.body.clone()].to_vec();
         match scheme {
             Scheme::Full { trips } => {
                 report.unrolls.push(LoopUnroll {
@@ -816,7 +798,7 @@ pub(crate) fn run(
                     trips: Some(trips as u32),
                 });
                 let unrolled = replicate(&body, trips, "u");
-                module.items.splice(plan.start..=plan.end, unrolled);
+                items.splice(plan.start..=plan.end, unrolled);
             }
             Scheme::Divisor { factor, trips } => {
                 report.unrolls.push(LoopUnroll {
@@ -836,19 +818,19 @@ pub(crate) fn run(
                 }];
                 // Header label + compare + exit branch, verbatim.
                 out.push(VItem::Label(plan.head_label.clone()));
-                let hdr_at = module.items[plan.start..]
+                let hdr_at = items[plan.start..]
                     .iter()
                     .position(|i| matches!(i, VItem::Inst(_)))
                     .expect("header compare exists")
                     + plan.start;
-                out.push(module.items[hdr_at].clone());
-                out.push(module.items[hdr_at + 1].clone());
+                out.push(items[hdr_at].clone());
+                out.push(items[hdr_at + 1].clone());
                 out.extend(replicate(&body, factor, "pu"));
                 out.push(VItem::Inst(VInst::always(VOp::BrLabel(
                     plan.head_label.clone(),
                 ))));
                 out.push(VItem::Label(plan.exit_label.clone()));
-                module.items.splice(plan.start..=plan.end, out);
+                items.splice(plan.start..=plan.end, out);
             }
             Scheme::Remainder { factor } => {
                 report.unrolls.push(LoopUnroll {
@@ -908,17 +890,17 @@ pub(crate) fn run(
                     max: (factor as u32).min(max_ann),
                 });
                 out.push(VItem::Label(rem_label.clone()));
-                let hdr_at = module.items[plan.start..]
+                let hdr_at = items[plan.start..]
                     .iter()
                     .position(|i| matches!(i, VItem::Inst(_)))
                     .expect("header compare exists")
                     + plan.start;
-                out.push(module.items[hdr_at].clone());
-                out.push(module.items[hdr_at + 1].clone());
+                out.push(items[hdr_at].clone());
+                out.push(items[hdr_at + 1].clone());
                 out.extend(body.iter().cloned());
                 out.push(VItem::Inst(VInst::always(VOp::BrLabel(rem_label))));
                 out.push(VItem::Label(plan.exit_label.clone()));
-                module.items.splice(plan.start..=plan.end, out);
+                items.splice(plan.start..=plan.end, out);
             }
         }
     }
@@ -966,63 +948,65 @@ mod tests {
         VModule {
             data_lines: Vec::new(),
             entry: "main".into(),
-            items: vec![
-                VItem::FuncStart("main".into()),
-                inst(VOp::LoadImmLow { rd: v(8), imm: 0 }), // outer i
-                inst(VOp::LoadImmLow { rd: v(2), imm: 0 }), // s
-                VItem::LoopBound { min: 1, max: 3 },
-                VItem::Label("main_head9".into()),
-                inst(VOp::CmpI {
-                    op: CmpOp::Lt,
-                    pd: Pred::P6,
-                    rs1: v(8),
-                    imm: 2,
-                }),
-                VItem::Inst(VInst::new(
-                    Guard::unless(Pred::P6),
-                    VOp::BrLabel("main_exit9".into()),
-                )),
-                inst(VOp::LoadImmLow { rd: v(1), imm: 0 }), // inner i
-                VItem::LoopBound { min: 1, max: 6 },
-                VItem::Label("main_head1".into()),
-                inst(VOp::CmpI {
-                    op: CmpOp::Lt,
-                    pd: Pred::P6,
-                    rs1: v(1),
-                    imm: 5,
-                }),
-                VItem::Inst(VInst::new(
-                    Guard::unless(Pred::P6),
-                    VOp::BrLabel("main_exit2".into()),
-                )),
-                inst(VOp::AluR {
-                    op: AluOp::Add,
-                    rd: v(2),
-                    rs1: v(2),
-                    rs2: v(1),
-                }),
-                inst(VOp::AluI {
-                    op: AluOp::Add,
-                    rd: v(1),
-                    rs1: v(1),
-                    imm: 1,
-                }),
-                inst(VOp::BrLabel("main_head1".into())),
-                VItem::Label("main_exit2".into()),
-                inst(VOp::AluI {
-                    op: AluOp::Add,
-                    rd: v(8),
-                    rs1: v(8),
-                    imm: 1,
-                }),
-                inst(VOp::BrLabel("main_head9".into())),
-                VItem::Label("main_exit9".into()),
-                inst(VOp::CopyToPhys {
-                    dst: Reg::R1,
-                    src: v(2),
-                }),
-                inst(VOp::Halt),
-            ],
+            funcs: vec![Function::new(
+                "main",
+                vec![
+                    inst(VOp::LoadImmLow { rd: v(8), imm: 0 }), // outer i
+                    inst(VOp::LoadImmLow { rd: v(2), imm: 0 }), // s
+                    VItem::LoopBound { min: 1, max: 3 },
+                    VItem::Label("main_head9".into()),
+                    inst(VOp::CmpI {
+                        op: CmpOp::Lt,
+                        pd: Pred::P6,
+                        rs1: v(8),
+                        imm: 2,
+                    }),
+                    VItem::Inst(VInst::new(
+                        Guard::unless(Pred::P6),
+                        VOp::BrLabel("main_exit9".into()),
+                    )),
+                    inst(VOp::LoadImmLow { rd: v(1), imm: 0 }), // inner i
+                    VItem::LoopBound { min: 1, max: 6 },
+                    VItem::Label("main_head1".into()),
+                    inst(VOp::CmpI {
+                        op: CmpOp::Lt,
+                        pd: Pred::P6,
+                        rs1: v(1),
+                        imm: 5,
+                    }),
+                    VItem::Inst(VInst::new(
+                        Guard::unless(Pred::P6),
+                        VOp::BrLabel("main_exit2".into()),
+                    )),
+                    inst(VOp::AluR {
+                        op: AluOp::Add,
+                        rd: v(2),
+                        rs1: v(2),
+                        rs2: v(1),
+                    }),
+                    inst(VOp::AluI {
+                        op: AluOp::Add,
+                        rd: v(1),
+                        rs1: v(1),
+                        imm: 1,
+                    }),
+                    inst(VOp::BrLabel("main_head1".into())),
+                    VItem::Label("main_exit2".into()),
+                    inst(VOp::AluI {
+                        op: AluOp::Add,
+                        rd: v(8),
+                        rs1: v(8),
+                        imm: 1,
+                    }),
+                    inst(VOp::BrLabel("main_head9".into())),
+                    VItem::Label("main_exit9".into()),
+                    inst(VOp::CopyToPhys {
+                        dst: Reg::R1,
+                        src: v(2),
+                    }),
+                    inst(VOp::Halt),
+                ],
+            )],
         }
     }
 
@@ -1031,7 +1015,7 @@ mod tests {
         let mut m = nested_counted_loop();
         assert!(run_full(&mut m));
         // The inner loop's branches are gone; the outer loop's remain.
-        let branches = m
+        let branches = m.funcs[0]
             .items
             .iter()
             .filter(|i| {
@@ -1046,7 +1030,7 @@ mod tests {
             .count();
         assert_eq!(branches, 2, "{}", m.render());
         // Five copies of the accumulate, inside the outer loop.
-        let adds = m
+        let adds = m.funcs[0]
             .items
             .iter()
             .filter(|i| {
@@ -1063,7 +1047,7 @@ mod tests {
         // The outer loop is now innermost and straight-line: a second
         // round flattens the whole nest (2 × 5 accumulates).
         assert!(run_full(&mut m), "outer loop unrolls next");
-        let adds = m
+        let adds = m.funcs[0]
             .items
             .iter()
             .filter(|i| {
@@ -1083,8 +1067,7 @@ mod tests {
     fn pure_toplevel_loop() -> VModule {
         let mut m = nested_counted_loop();
         // Strip the outer loop items, keep the inner one at top level.
-        m.items = vec![
-            VItem::FuncStart("main".into()),
+        m.funcs[0].items = vec![
             inst(VOp::LoadImmLow { rd: v(1), imm: 0 }),
             inst(VOp::LoadImmLow { rd: v(2), imm: 0 }),
             VItem::LoopBound { min: 1, max: 6 },
@@ -1129,7 +1112,7 @@ mod tests {
 
         let mut mem = pure_toplevel_loop();
         // Same loop, but the body loads: top level + memory = keep.
-        mem.items[7] = inst(VOp::Load {
+        mem.funcs[0].items[6] = inst(VOp::Load {
             area: patmos_isa::MemArea::Static,
             size: patmos_isa::AccessSize::Word,
             rd: v(2),
@@ -1140,7 +1123,8 @@ mod tests {
         // tightens the `.loopbound` min to the exact header count.
         assert!(run_full(&mut mem));
         assert!(
-            mem.items
+            mem.funcs[0]
+                .items
                 .iter()
                 .any(|i| matches!(i, VItem::LoopBound { min: 6, max: 6 })),
             "{}",
@@ -1154,8 +1138,8 @@ mod tests {
         let mut m = pure_toplevel_loop();
         // Body: `cmpilt p6 = v2, 9; (!p6) br skip; add; skip:` — a
         // branching if that redefines the scratch predicate first.
-        m.items.splice(
-            7..7,
+        m.funcs[0].items.splice(
+            6..6,
             vec![
                 inst(VOp::CmpI {
                     op: CmpOp::Lt,
@@ -1169,11 +1153,13 @@ mod tests {
                 )),
             ],
         );
-        m.items.insert(10, VItem::Label("main_skip4".into()));
+        m.funcs[0]
+            .items
+            .insert(9, VItem::Label("main_skip4".into()));
         assert!(run_full(&mut m));
         // Five distinct copies of the internal label, each referenced
         // by exactly one branch.
-        let labels: Vec<&str> = m
+        let labels: Vec<&str> = m.funcs[0]
             .items
             .iter()
             .filter_map(|i| match i {
@@ -1191,7 +1177,7 @@ mod tests {
         let mut m = pure_toplevel_loop();
         // Body guards an op with p6 *before* any body-local p6 write:
         // it would read the header compare we delete.
-        m.items[7] = VItem::Inst(VInst::new(
+        m.funcs[0].items[6] = VItem::Inst(VInst::new(
             Guard::when(Pred::P6),
             VOp::AluR {
                 op: AluOp::Add,
@@ -1211,8 +1197,8 @@ mod tests {
         // the init — the if may reassign `i`). The safe answer is to
         // leave the loop alone.
         let mut m = pure_toplevel_loop();
-        m.items.splice(
-            2..2,
+        m.funcs[0].items.splice(
+            1..1,
             vec![
                 inst(VOp::CmpI {
                     op: CmpOp::Eq,
@@ -1235,7 +1221,8 @@ mod tests {
         );
         assert!(!run_full(&mut m));
         assert!(
-            m.items
+            m.funcs[0]
+                .items
                 .iter()
                 .any(|i| matches!(i, VItem::Label(l) if l == "main_join9")),
             "the side-entry label must survive:\n{}",
@@ -1247,7 +1234,7 @@ mod tests {
     fn unknown_start_value_blocks_full_unrolling() {
         let mut m = pure_toplevel_loop();
         // Replace `li i = 0` with a copy from another register.
-        m.items[1] = inst(VOp::AluR {
+        m.funcs[0].items[0] = inst(VOp::AluR {
             op: AluOp::Add,
             rd: v(1),
             rs1: v(9),
@@ -1259,7 +1246,7 @@ mod tests {
     #[test]
     fn oversized_trip_count_blocks_full_unrolling() {
         let mut m = pure_toplevel_loop();
-        m.items[5] = inst(VOp::CmpI {
+        m.funcs[0].items[4] = inst(VOp::CmpI {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: v(1),
@@ -1272,8 +1259,8 @@ mod tests {
     fn guarded_body_writes_survive_unrolling_verbatim() {
         let mut m = pure_toplevel_loop();
         // A p1-guarded add (what if-conversion produces).
-        m.items.insert(
-            7,
+        m.funcs[0].items.insert(
+            6,
             VItem::Inst(VInst::new(
                 Guard::when(Pred::P1),
                 VOp::AluI {
@@ -1285,7 +1272,7 @@ mod tests {
             )),
         );
         assert!(run_full(&mut m));
-        let guarded = m
+        let guarded = m.funcs[0]
             .items
             .iter()
             .filter(|i| matches!(i, VItem::Inst(inst) if !inst.guard.is_always()))
@@ -1298,13 +1285,13 @@ mod tests {
     /// adds.
     fn overbudget_constant_loop(trip: i16, pad: usize) -> VModule {
         let mut m = pure_toplevel_loop();
-        m.items[5] = inst(VOp::CmpI {
+        m.funcs[0].items[4] = inst(VOp::CmpI {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: v(1),
             imm: trip,
         });
-        m.items[3] = VItem::LoopBound {
+        m.funcs[0].items[2] = VItem::LoopBound {
             min: 1,
             max: trip as u32 + 1,
         };
@@ -1318,7 +1305,7 @@ mod tests {
                 })
             })
             .collect();
-        m.items.splice(7..7, filler);
+        m.funcs[0].items.splice(6..6, filler);
         m
     }
 
@@ -1335,7 +1322,7 @@ mod tests {
         let mut full_only = m.clone();
         assert!(run_full(&mut full_only));
         assert!(
-            full_only
+            full_only.funcs[0]
                 .items
                 .iter()
                 .any(|i| matches!(i, VItem::LoopBound { min: 65, max: 65 })),
@@ -1350,7 +1337,7 @@ mod tests {
         assert_eq!(log[0].factor, 16, "largest paying divisor");
         // The loop survives: one back branch, one exit branch, and the
         // bound tightens to 64/16 + 1 = 5 header executions.
-        let branches = m
+        let branches = m.funcs[0]
             .items
             .iter()
             .filter(|i| {
@@ -1365,14 +1352,15 @@ mod tests {
             .count();
         assert_eq!(branches, 2, "{}", m.render());
         assert!(
-            m.items
+            m.funcs[0]
+                .items
                 .iter()
                 .any(|i| matches!(i, VItem::LoopBound { min: 5, max: 5 })),
             "{}",
             m.render()
         );
         // 16 induction updates in the replicated body.
-        let incs = m
+        let incs = m.funcs[0]
             .items
             .iter()
             .filter(|i| {
@@ -1397,13 +1385,13 @@ mod tests {
     /// A runtime-trip loop: bound in a register, straight-line body.
     fn runtime_trip_loop() -> VModule {
         let mut m = pure_toplevel_loop();
-        m.items[5] = inst(VOp::Cmp {
+        m.funcs[0].items[4] = inst(VOp::Cmp {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: v(1),
             rs2: v(9),
         });
-        m.items[3] = VItem::LoopBound { min: 1, max: 65 };
+        m.funcs[0].items[2] = VItem::LoopBound { min: 1, max: 65 };
         m
     }
 
@@ -1419,7 +1407,7 @@ mod tests {
         let rendered = m.render();
         // The guard bound is computed once into a fresh register.
         assert!(
-            m.items.iter().any(|i| matches!(
+            m.funcs[0].items.iter().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
                     op: VOp::AluI {
@@ -1433,7 +1421,7 @@ mod tests {
             "preheader computes K - 3*step:\n{rendered}"
         );
         // Two loops: main (4 copies) + remainder (1 copy).
-        let labels: Vec<&str> = m
+        let labels: Vec<&str> = m.funcs[0]
             .items
             .iter()
             .filter_map(|i| match i {
@@ -1443,7 +1431,7 @@ mod tests {
             .collect();
         assert!(labels.contains(&"main_head1_pu"), "{rendered}");
         assert!(labels.contains(&"main_head1_rem"), "{rendered}");
-        let incs = m
+        let incs = m.funcs[0]
             .items
             .iter()
             .filter(|i| {
@@ -1463,13 +1451,15 @@ mod tests {
         assert_eq!(incs, 5, "4 main copies + 1 remainder: {rendered}");
         // Both loops carry bounds: 64/4 + 1 = 17 and the factor 4.
         assert!(
-            m.items
+            m.funcs[0]
+                .items
                 .iter()
                 .any(|i| matches!(i, VItem::LoopBound { min: 1, max: 17 })),
             "{rendered}"
         );
         assert!(
-            m.items
+            m.funcs[0]
+                .items
                 .iter()
                 .any(|i| matches!(i, VItem::LoopBound { min: 1, max: 4 })),
             "{rendered}"
@@ -1481,8 +1471,8 @@ mod tests {
     #[test]
     fn runtime_trip_loop_with_branching_body_is_left_alone() {
         let mut m = runtime_trip_loop();
-        m.items.splice(
-            7..7,
+        m.funcs[0].items.splice(
+            6..6,
             vec![
                 inst(VOp::CmpI {
                     op: CmpOp::Lt,
@@ -1496,7 +1486,9 @@ mod tests {
                 )),
             ],
         );
-        m.items.insert(10, VItem::Label("main_skip4".into()));
+        m.funcs[0]
+            .items
+            .insert(9, VItem::Label("main_skip4".into()));
         assert!(!run_partial(&mut m).0, "remainder needs a single block");
     }
 
@@ -1506,7 +1498,7 @@ mod tests {
         // not fit the `addi` immediate; factor 2 (700) does. Emitting
         // the unencodable constant used to abort compilation later.
         let mut m = runtime_trip_loop();
-        m.items[8] = inst(VOp::AluI {
+        m.funcs[0].items[7] = inst(VOp::AluI {
             op: AluOp::Add,
             rd: v(1),
             rs1: v(1),
@@ -1516,7 +1508,7 @@ mod tests {
         assert!(changed, "{}", m.render());
         assert_eq!(log[0].factor, 2, "factor 4's adjustment cannot encode");
         assert!(
-            m.items.iter().any(|i| matches!(
+            m.funcs[0].items.iter().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
                     op: VOp::AluI {
@@ -1538,7 +1530,7 @@ mod tests {
         // it, but with a software pipeliner downstream it stays a
         // plain loop for the modulo scheduler to overlap.
         let mut m = runtime_trip_loop();
-        m.items[7] = inst(VOp::Load {
+        m.funcs[0].items[6] = inst(VOp::Load {
             area: patmos_isa::MemArea::Static,
             size: patmos_isa::AccessSize::Word,
             rd: v(2),
@@ -1552,7 +1544,7 @@ mod tests {
         // its proven trip count still tightens the `.loopbound` min,
         // which is what proves the pipelined fallback dead later.
         let mut m = overbudget_constant_loop(64, 4);
-        m.items[7] = inst(VOp::Load {
+        m.funcs[0].items[6] = inst(VOp::Load {
             area: patmos_isa::MemArea::Static,
             size: patmos_isa::AccessSize::Word,
             rd: v(20),
@@ -1563,7 +1555,8 @@ mod tests {
         assert!(changed, "the min-tightening still applies");
         assert!(log.is_empty(), "no unroll: {}", m.render());
         assert!(
-            m.items
+            m.funcs[0]
+                .items
                 .iter()
                 .any(|i| matches!(i, VItem::LoopBound { min: 65, max: 65 })),
             "{}",
@@ -1583,7 +1576,7 @@ mod tests {
     fn small_annotated_bound_blocks_remainder_unrolling() {
         let mut m = runtime_trip_loop();
         // At most 3 trips: a factor-2 group loop would barely run.
-        m.items[3] = VItem::LoopBound { min: 1, max: 4 };
+        m.funcs[0].items[2] = VItem::LoopBound { min: 1, max: 4 };
         assert!(!run_partial(&mut m).0);
     }
 }

@@ -2,43 +2,39 @@
 //! instruction builders, and item removal.
 
 use std::collections::{BTreeSet, HashMap};
-use std::ops::Range;
 
 use patmos_isa::AluOp;
-use patmos_lir::{VInst, VItem, VOp, VReg};
+use patmos_lir::{FuncCode, Function, VInst, VItem, VOp, VReg};
 
-/// One function's basic blocks, in item-index space.
-pub(crate) struct FuncBlocks {
-    /// The function's item range (starting at its `FuncStart`).
-    pub(crate) range: Range<usize>,
-    /// Each block as the absolute item indices of its instructions,
-    /// in layout order.
-    pub(crate) blocks: Vec<Vec<usize>>,
-}
-
-/// The basic blocks of every function, derived from the shared CFG
+/// The basic blocks of one function, each as the item indices of its
+/// instructions in layout order, derived from the shared CFG
 /// construction ([`patmos_lir::build_vcfg`]) so the block-local passes
 /// and the dataflow analyses agree on block boundaries by
 /// construction. The result owns its indices: compute it first, then
 /// mutate instructions in place (do not add or remove items while
 /// iterating it).
-pub(crate) fn function_blocks(items: &[VItem]) -> Vec<FuncBlocks> {
-    patmos_lir::split_functions(items)
+pub(crate) fn blocks(func: &Function<VItem>) -> Vec<Vec<usize>> {
+    let code = FuncCode::new(func);
+    let cfg = patmos_lir::build_vcfg(&code);
+    cfg.blocks
         .iter()
-        .map(|func| {
-            let cfg = patmos_lir::build_vcfg(func, items);
-            let blocks = cfg
-                .blocks
-                .iter()
-                .filter(|b| b.first < b.end)
-                .map(|b| (b.first..b.end).map(|pos| func.insts[pos].0).collect())
-                .collect();
-            FuncBlocks {
-                range: func.item_range.clone(),
-                blocks,
-            }
-        })
+        .filter(|b| b.first < b.end)
+        .map(|b| (b.first..b.end).map(|pos| code.insts[pos].0).collect())
         .collect()
+}
+
+/// The largest virtual-register id the items use (fresh registers are
+/// numbered past it).
+pub(crate) fn max_vreg<'a>(items: impl IntoIterator<Item = &'a VItem>) -> u32 {
+    let mut max = 0;
+    for item in items {
+        if let VItem::Inst(inst) = item {
+            for r in inst.op.uses().into_iter().flatten().chain(inst.op.def()) {
+                max = max.max(r.id());
+            }
+        }
+    }
+    max
 }
 
 /// Removes the marked item indices from `items`.

@@ -482,7 +482,7 @@ fn dump_artifacts(source: &str, options: &CompileOptions, args: &Args) -> Result
     }
     if args.dump_lir {
         println!("=== virtual LIR (before register allocation) ===");
-        print!("{}", artifacts.vlir);
+        print!("{}", artifacts.vmodule.render());
         println!("=== register allocation ===");
         print!("{}", artifacts.allocation);
         println!("=== scheduled assembly ===");

@@ -4,7 +4,7 @@
 //! chosen [`Policy`]. Both policies share the machinery in this module:
 //!
 //! 1. build the virtual CFG and run backward liveness
-//!    ([`crate::liveness`]);
+//!    ([`patmos_lir::liveness`]);
 //! 2. scan the live intervals over the allocatable pool
 //!    ([`patmos_isa::ALLOC_POOL`], `r7`–`r28`), spilling an interval to
 //!    a deterministic stack-cache slot when the pool is exhausted — the
@@ -36,11 +36,12 @@ use std::fmt;
 use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Reg, ALLOC_POOL, LINK_REG, SPILL_SCRATCH};
 
 use crate::constraints::Policy;
-use crate::lir::{Item, LirInst, LirOp, Module};
-use patmos_lir::cfg::{build_vcfg, split_functions, FuncCode, VCfg};
+use patmos_lir::cfg::{build_vcfg, FuncCode, VCfg};
 use patmos_lir::liveness::{self, Interval};
 use patmos_lir::loops::{header_lead, LoopForest, NaturalLoop};
-use patmos_lir::vlir::{VItem, VModule, VOp, VReg};
+use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+use patmos_lir::vlir::{VInst, VItem, VModule, VOp, VReg};
+use patmos_lir::Function;
 
 /// Why allocation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,7 +281,7 @@ impl fmt::Display for AllocReport {
 pub fn regalloc(policy: &Policy, module: &VModule) -> Result<(Module, AllocReport), AllocError> {
     let mut out = Module {
         data_lines: module.data_lines.clone(),
-        items: Vec::new(),
+        funcs: Vec::with_capacity(module.funcs.len()),
         entry: module.entry.clone(),
     };
     let loop_aware = match policy {
@@ -291,14 +292,9 @@ pub fn regalloc(policy: &Policy, module: &VModule) -> Result<(Module, AllocRepor
         policy: policy.name(),
         funcs: Vec::new(),
     };
-    for func in &split_functions(&module.items) {
-        let fa = run_func(
-            loop_aware,
-            func,
-            &module.items,
-            &module.entry,
-            &mut out.items,
-        )?;
+    for func in &module.funcs {
+        let (items, fa) = run_func(loop_aware, &FuncCode::new(func), &module.entry)?;
+        out.funcs.push(Function::new(func.name.clone(), items));
         report.funcs.push(fa);
     }
     Ok((out, report))
@@ -356,18 +352,16 @@ impl FreeRegs {
     }
 }
 
-/// Allocates one function; `loop_aware` selects the loop-aware
-/// disciplines (FIFO assignment inside loops, loop-quiet victims,
-/// preheader-hoisted saves and reloads) on top of the shared interval
-/// scan.
+/// Allocates one function, returning its physical items; `loop_aware`
+/// selects the loop-aware disciplines (FIFO assignment inside loops,
+/// loop-quiet victims, preheader-hoisted saves and reloads) on top of
+/// the shared interval scan.
 fn run_func(
     loop_aware: bool,
     func: &FuncCode<'_>,
-    items: &[VItem],
     entry: &str,
-    out: &mut Vec<Item>,
-) -> Result<FuncAlloc, AllocError> {
-    let cfg = build_vcfg(func, items);
+) -> Result<(Vec<Item>, FuncAlloc), AllocError> {
+    let cfg = build_vcfg(func);
     for &cp in &cfg.call_positions {
         if !func.insts[cp].1.guard.is_always() {
             return Err(AllocError::GuardedCall {
@@ -495,7 +489,6 @@ fn run_func(
     if let Some(lc) = &loops {
         let placer = LoopPlacer {
             func,
-            items,
             cfg: &cfg,
             lc,
             live: &live,
@@ -524,13 +517,13 @@ fn run_func(
         hoisted_at_call,
         splits,
     };
-    this.rewrite(items, out);
+    let items = this.rewrite();
 
     let mut assignments: Vec<(VReg, Reg)> = this.assigned.iter().map(|(v, r)| (*v, *r)).collect();
     assignments.sort_by_key(|(v, _)| v.id());
     let mut slots: Vec<(VReg, u32)> = this.slot_of.iter().map(|(v, s)| (*v, *s)).collect();
     slots.sort_by_key(|(v, _)| v.id());
-    Ok(FuncAlloc {
+    let fa = FuncAlloc {
         name: func.name.to_string(),
         vregs: live.intervals.len(),
         assignments,
@@ -544,7 +537,8 @@ fn run_func(
         loop_classes,
         hoisted_saves,
         loop_reloads,
-    })
+    };
+    Ok((items, fa))
 }
 
 /// The loop forest of one function plus per-position queries.
@@ -605,7 +599,6 @@ impl LoopCtx {
 /// the per-loop reporting classes.
 struct LoopPlacer<'a> {
     func: &'a FuncCode<'a>,
-    items: &'a [VItem],
     cfg: &'a VCfg,
     lc: &'a LoopCtx,
     live: &'a liveness::Liveness,
@@ -655,7 +648,7 @@ impl LoopPlacer<'_> {
                 .expect("loop has blocks")
                 - 1;
             let header_first_item = self.func.insts[self.cfg.blocks[lp.header].first].0;
-            let lead = header_lead(self.items, header_first_item);
+            let lead = header_lead(self.func.items, header_first_item);
 
             // The round-robin class: registers granted to intervals
             // starting inside this loop, in allocation order.
@@ -863,25 +856,25 @@ impl<'a> FuncAllocator<'a> {
         Item::Inst(LirInst::always(LirOp::Real(op)))
     }
 
-    fn rewrite(&self, items: &[VItem], out: &mut Vec<Item>) {
+    /// The function's physical items: the frame prologue, then every
+    /// item rewritten.
+    fn rewrite(&self) -> Vec<Item> {
+        let mut out = Vec::new();
+        if self.frame_words > 0 {
+            out.push(Self::always(Op::Sres {
+                words: self.frame_words,
+            }));
+        }
+        if self.save_link {
+            out.push(Self::slot_store(Guard::ALWAYS, 0, LINK_REG));
+        }
         let mut call_index = 0usize;
         let mut pos = 0usize;
-        for idx in self.func.item_range.clone() {
+        for (idx, item) in self.func.items.iter().enumerate() {
             if let Some(pre) = self.preheader.get(&idx) {
                 out.extend(pre.iter().cloned());
             }
-            match &items[idx] {
-                VItem::FuncStart(name) => {
-                    out.push(Item::FuncStart(name.clone()));
-                    if self.frame_words > 0 {
-                        out.push(Self::always(Op::Sres {
-                            words: self.frame_words,
-                        }));
-                    }
-                    if self.save_link {
-                        out.push(Self::slot_store(Guard::ALWAYS, 0, LINK_REG));
-                    }
-                }
+            match item {
                 VItem::Label(name) => out.push(Item::Label(name.clone())),
                 VItem::LoopBound { min, max } => out.push(Item::LoopBound {
                     min: *min,
@@ -928,11 +921,12 @@ impl<'a> FuncAllocator<'a> {
                             }
                             out.push(Item::Inst(LirInst::new(vinst.guard, LirOp::Real(Op::Halt))));
                         }
-                        _ => self.rewrite_plain(vinst, p, out),
+                        _ => self.rewrite_plain(vinst, p, &mut out),
                     }
                 }
             }
         }
+        out
     }
 
     /// Rewrites a non-call, non-terminator instruction: reloads spilled
@@ -940,7 +934,7 @@ impl<'a> FuncAllocator<'a> {
     /// holds them in a register at this position), maps the rest, and
     /// stores a spilled definition back to its slot under the original
     /// guard.
-    fn rewrite_plain(&self, vinst: &patmos_lir::vlir::VInst, pos: usize, out: &mut Vec<Item>) {
+    fn rewrite_plain(&self, vinst: &VInst, pos: usize, out: &mut Vec<Item>) {
         // Fast paths: ABI copies touching a spilled value become a
         // single stack access (or register move) instead of
         // reload-plus-move.

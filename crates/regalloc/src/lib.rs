@@ -1,9 +1,10 @@
 //! Liveness-driven register allocation for the PatC compiler backend.
 //!
 //! The compiler's code generator emits LIR over an unbounded supply of
-//! virtual registers ([`patmos_lir::vlir`]); this crate maps that code onto the
-//! physical Patmos register file and produces the physical LIR
-//! ([`lir`]) that the VLIW scheduler consumes:
+//! virtual registers ([`patmos_lir::vlir`]); this crate maps that code
+//! onto the physical Patmos register file and produces the physical LIR
+//! ([`patmos_lir::plir`]) that the VLIW scheduler consumes, function by
+//! function: each virtual function becomes one physical function.
 //!
 //! ```text
 //! codegen ──VModule──▶ regalloc(&Policy, ·) ──Module──▶ scheduler ──▶ assembler
@@ -36,62 +37,57 @@
 //! # Example
 //!
 //! ```
-//! use patmos_regalloc::vlir::{VInst, VItem, VModule, VOp, VReg};
+//! use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 //! use patmos_regalloc::Policy;
 //!
 //! let v1 = VReg::new(1);
 //! let module = VModule {
 //!     data_lines: Vec::new(),
 //!     entry: "main".into(),
-//!     items: vec![
-//!         VItem::FuncStart("main".into()),
-//!         VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v1, imm: 42 })),
-//!         VItem::Inst(VInst::always(VOp::CopyToPhys { dst: patmos_isa::Reg::R1, src: v1 })),
-//!         VItem::Inst(VInst::always(VOp::Halt)),
-//!     ],
+//!     funcs: vec![Function::new(
+//!         "main",
+//!         vec![
+//!             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v1, imm: 42 })),
+//!             VItem::Inst(VInst::always(VOp::CopyToPhys { dst: patmos_isa::Reg::R1, src: v1 })),
+//!             VItem::Inst(VInst::always(VOp::Halt)),
+//!         ],
+//!     )],
 //! };
 //! let (physical, report) = patmos_regalloc::regalloc(&Policy::Linear, &module)?;
 //! assert_eq!(report.policy, "linear");
 //! assert_eq!(report.funcs[0].frame_words, 0, "leaf without spills reserves nothing");
-//! assert_eq!(physical.items.len(), 4);
+//! assert_eq!(physical.funcs[0].name, "main");
+//! assert_eq!(physical.funcs[0].items.len(), 3);
 //! # Ok::<(), patmos_regalloc::AllocError>(())
 //! ```
 
 pub mod allocator;
 pub mod constraints;
-pub mod lir;
-
-/// Re-exported from [`patmos_lir`]: the shared CFG construction.
-pub use patmos_lir::cfg;
-/// Re-exported from [`patmos_lir`]: the shared liveness dataflow.
-pub use patmos_lir::liveness;
-/// Re-exported from [`patmos_lir`]: the shared virtual-register LIR.
-pub use patmos_lir::vlir;
 
 pub use allocator::{regalloc, AllocError, AllocReport, FuncAlloc, LoopClass};
 pub use constraints::{Policy, PressureEstimate, PressureModel};
-pub use patmos_lir::{Interval, VInst, VItem, VModule, VOp, VReg};
 
 #[cfg(test)]
 mod tests {
-    use super::vlir::{VInst, VItem, VModule, VOp, VReg};
     use super::*;
-    use crate::lir::{Item, LirInst, LirOp};
     use patmos_isa::{AluOp, Op, Reg};
+    use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+    use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 
     fn v(id: u32) -> VReg {
         VReg::new(id)
     }
 
-    fn module(items: Vec<VItem>) -> VModule {
+    /// A module of one function, `name`, entered at `main`.
+    fn module(name: &str, items: Vec<VItem>) -> VModule {
         VModule {
             data_lines: Vec::new(),
-            items,
+            funcs: vec![Function::new(name, items)],
             entry: "main".into(),
         }
     }
 
-    fn alloc_linear(m: &VModule) -> Result<(lir::Module, AllocReport), AllocError> {
+    fn alloc_linear(m: &VModule) -> Result<(Module, AllocReport), AllocError> {
         regalloc(&Policy::Linear, m)
     }
 
@@ -107,26 +103,28 @@ mod tests {
 
     #[test]
     fn simple_function_allocates_without_frame() {
-        let m = module(vec![
-            VItem::FuncStart("main".into()),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 7 })),
-            VItem::Inst(VInst::always(VOp::AluR {
-                op: AluOp::Add,
-                rd: v(3),
-                rs1: v(1),
-                rs2: v(2),
-            })),
-            VItem::Inst(VInst::always(VOp::CopyToPhys {
-                dst: Reg::R1,
-                src: v(3),
-            })),
-            VItem::Inst(VInst::always(VOp::Halt)),
-        ]);
+        let m = module(
+            "main",
+            vec![
+                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
+                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 7 })),
+                VItem::Inst(VInst::always(VOp::AluR {
+                    op: AluOp::Add,
+                    rd: v(3),
+                    rs1: v(1),
+                    rs2: v(2),
+                })),
+                VItem::Inst(VInst::always(VOp::CopyToPhys {
+                    dst: Reg::R1,
+                    src: v(3),
+                })),
+                VItem::Inst(VInst::always(VOp::Halt)),
+            ],
+        );
         let (out, report) = alloc_linear(&m).expect("allocates");
         assert_eq!(report.funcs[0].frame_words, 0);
         assert_eq!(report.funcs[0].pressure_spills, 0);
-        let ops = real_ops(&out.items);
+        let ops = real_ops(&out.funcs[0].items);
         assert!(
             !ops.iter().any(|o| matches!(
                 o,
@@ -138,18 +136,20 @@ mod tests {
 
     #[test]
     fn distinct_live_values_get_distinct_registers() {
-        let m = module(vec![
-            VItem::FuncStart("main".into()),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 1 })),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 2 })),
-            VItem::Inst(VInst::always(VOp::AluR {
-                op: AluOp::Add,
-                rd: v(3),
-                rs1: v(1),
-                rs2: v(2),
-            })),
-            VItem::Inst(VInst::always(VOp::Halt)),
-        ]);
+        let m = module(
+            "main",
+            vec![
+                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 1 })),
+                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 2 })),
+                VItem::Inst(VInst::always(VOp::AluR {
+                    op: AluOp::Add,
+                    rd: v(3),
+                    rs1: v(1),
+                    rs2: v(2),
+                })),
+                VItem::Inst(VInst::always(VOp::Halt)),
+            ],
+        );
         let (_, report) = alloc_linear(&m).expect("allocates");
         let fa = &report.funcs[0];
         let r1 = fa.assignments.iter().find(|(vr, _)| *vr == v(1)).unwrap().1;
@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn pressure_beyond_the_pool_spills_deterministically() {
         // Define 30 values, then use them all: 22 fit, the rest spill.
-        let mut items = vec![VItem::FuncStart("main".into())];
+        let mut items = Vec::new();
         for i in 1..=30u32 {
             items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
                 rd: v(i),
@@ -177,7 +177,7 @@ mod tests {
             })));
         }
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
-        let m = module(items);
+        let m = module("main", items);
         let (out, report) = alloc_linear(&m).expect("allocates");
         let fa = &report.funcs[0];
         assert!(
@@ -187,38 +187,40 @@ mod tests {
         assert!(fa.frame_words >= fa.pressure_spills as u32);
         // Deterministic: run twice, same result.
         let (out2, report2) = alloc_linear(&m).expect("allocates");
-        assert_eq!(out.items.len(), out2.items.len());
+        assert_eq!(out.funcs[0].items.len(), out2.funcs[0].items.len());
         assert_eq!(report.funcs[0].frame_words, report2.funcs[0].frame_words);
     }
 
     #[test]
     fn values_live_across_calls_are_saved_and_restored() {
-        let m = module(vec![
-            VItem::FuncStart("f".into()),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 9 })),
-            VItem::Inst(VInst::always(VOp::CallFunc("g".into()))),
-            VItem::Inst(VInst::always(VOp::CopyFromPhys {
-                dst: v(2),
-                src: Reg::R1,
-            })),
-            VItem::Inst(VInst::always(VOp::AluR {
-                op: AluOp::Add,
-                rd: v(3),
-                rs1: v(1),
-                rs2: v(2),
-            })),
-            VItem::Inst(VInst::always(VOp::CopyToPhys {
-                dst: Reg::R1,
-                src: v(3),
-            })),
-            VItem::Inst(VInst::always(VOp::Ret)),
-        ]);
+        let m = module(
+            "f",
+            vec![
+                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 9 })),
+                VItem::Inst(VInst::always(VOp::CallFunc("g".into()))),
+                VItem::Inst(VInst::always(VOp::CopyFromPhys {
+                    dst: v(2),
+                    src: Reg::R1,
+                })),
+                VItem::Inst(VInst::always(VOp::AluR {
+                    op: AluOp::Add,
+                    rd: v(3),
+                    rs1: v(1),
+                    rs2: v(2),
+                })),
+                VItem::Inst(VInst::always(VOp::CopyToPhys {
+                    dst: Reg::R1,
+                    src: v(3),
+                })),
+                VItem::Inst(VInst::always(VOp::Ret)),
+            ],
+        );
         let (out, report) = alloc_linear(&m).expect("allocates");
         let fa = &report.funcs[0];
         assert_eq!(fa.call_saved, 1, "only v1 crosses the call");
         // Frame: link slot + 1 save slot.
         assert_eq!(fa.frame_words, 2);
-        let ops = real_ops(&out.items);
+        let ops = real_ops(&out.funcs[0].items);
         let stores = ops
             .iter()
             .filter(|o| matches!(o, LirOp::Real(Op::Store { .. })))
@@ -235,14 +237,16 @@ mod tests {
         // The epilogue (link restore, sfree) cannot share the return's
         // guard, so a guarded `ret` would free the frame and then fall
         // through; the allocator must refuse it like guarded calls.
-        let m = module(vec![
-            VItem::FuncStart("f".into()),
-            VItem::Inst(VInst::new(
-                patmos_isa::Guard::when(patmos_isa::Pred::P1),
-                VOp::Ret,
-            )),
-            VItem::Inst(VInst::always(VOp::Ret)),
-        ]);
+        let m = module(
+            "f",
+            vec![
+                VItem::Inst(VInst::new(
+                    patmos_isa::Guard::when(patmos_isa::Pred::P1),
+                    VOp::Ret,
+                )),
+                VItem::Inst(VInst::always(VOp::Ret)),
+            ],
+        );
         assert!(matches!(
             alloc_linear(&m),
             Err(AllocError::GuardedReturn { .. })
@@ -255,7 +259,7 @@ mod tests {
         // one is live across the call, and the pool eviction pushes
         // some of them to memory. Their slot traffic is caller-save
         // traffic, so the pressure column must not count them again.
-        let mut items = vec![VItem::FuncStart("f".into())];
+        let mut items = Vec::new();
         for i in 1..=30u32 {
             items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
                 rd: v(i),
@@ -272,7 +276,7 @@ mod tests {
             })));
         }
         items.push(VItem::Inst(VInst::always(VOp::Ret)));
-        let (_, report) = alloc_linear(&module(items)).expect("allocates");
+        let (_, report) = alloc_linear(&module("f", items)).expect("allocates");
         let fa = &report.funcs[0];
         assert_eq!(
             fa.call_saved, 30,
@@ -294,7 +298,6 @@ mod tests {
         // is exactly what kills the modulo scheduler's false
         // anti-dependences.
         let items = vec![
-            VItem::FuncStart("main".into()),
             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 64 })),
             VItem::Label("main_head1".into()),
@@ -344,7 +347,7 @@ mod tests {
             VItem::Label("main_exit1".into()),
             VItem::Inst(VInst::always(VOp::Halt)),
         ];
-        let m = module(items);
+        let m = module("main", items);
         let (_, linear) = regalloc(&Policy::Linear, &m).expect("linear");
         let (_, loops) = regalloc(&Policy::Loop, &m).expect("loop");
         let reg_of = |rep: &AllocReport, id: u32| {
@@ -376,7 +379,7 @@ mod tests {
         // Determinism: the loop-aware policy replays exactly.
         let (out1, _) = regalloc(&Policy::Loop, &m).expect("loop");
         let (out2, _) = regalloc(&Policy::Loop, &m).expect("loop");
-        assert_eq!(out1.items, out2.items);
+        assert_eq!(out1.funcs, out2.funcs);
     }
 
     #[test]
@@ -385,7 +388,6 @@ mod tests {
         // it: the save store belongs in the preheader, once, not on
         // every iteration.
         let items = vec![
-            VItem::FuncStart("f".into()),
             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 3 })),
             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
             VItem::Label("f_head1".into()),
@@ -414,13 +416,13 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Ret)),
         ];
-        let m = module(items);
+        let m = module("f", items);
         let (out, report) = regalloc(&Policy::Loop, &m).expect("loop");
         let fa = &report.funcs[0];
         assert_eq!(fa.hoisted_saves, 1, "v1's save belongs in the preheader");
         // The hoisted store must precede the loop header label.
-        let header_at = out
-            .items
+        let items = &out.funcs[0].items;
+        let header_at = items
             .iter()
             .position(|i| matches!(i, Item::Label(l) if l == "f_head1"))
             .expect("header label");
@@ -430,8 +432,7 @@ mod tests {
             .find(|(vr, _)| *vr == v(1))
             .map(|(_, r)| *r)
             .expect("v1 assigned");
-        let store_at = out
-            .items
+        let store_at = items
             .iter()
             .position(
                 |i| matches!(i, Item::Inst(LirInst { op: LirOp::Real(Op::Store { rs, .. }), .. }) if *rs == reg),
@@ -442,12 +443,11 @@ mod tests {
             "the save store must sit in the preheader, before the header label"
         );
         // And no store of that register inside the loop body.
-        let exit_at = out
-            .items
+        let exit_at = items
             .iter()
             .position(|i| matches!(i, Item::Label(l) if l == "f_exit1"))
             .expect("exit label");
-        let in_loop_stores = out.items[header_at..exit_at]
+        let in_loop_stores = items[header_at..exit_at]
             .iter()
             .filter(
                 |i| matches!(i, Item::Inst(LirInst { op: LirOp::Real(Op::Store { rs, .. }), .. }) if *rs == reg),
@@ -458,19 +458,21 @@ mod tests {
 
     #[test]
     fn entry_function_skips_the_link_save() {
-        let m = module(vec![
-            VItem::FuncStart("main".into()),
-            VItem::Inst(VInst::always(VOp::CallFunc("g".into()))),
-            VItem::Inst(VInst::always(VOp::CopyFromPhys {
-                dst: v(1),
-                src: Reg::R1,
-            })),
-            VItem::Inst(VInst::always(VOp::CopyToPhys {
-                dst: Reg::R1,
-                src: v(1),
-            })),
-            VItem::Inst(VInst::always(VOp::Halt)),
-        ]);
+        let m = module(
+            "main",
+            vec![
+                VItem::Inst(VInst::always(VOp::CallFunc("g".into()))),
+                VItem::Inst(VInst::always(VOp::CopyFromPhys {
+                    dst: v(1),
+                    src: Reg::R1,
+                })),
+                VItem::Inst(VInst::always(VOp::CopyToPhys {
+                    dst: Reg::R1,
+                    src: v(1),
+                })),
+                VItem::Inst(VInst::always(VOp::Halt)),
+            ],
+        );
         let (_, report) = alloc_linear(&m).expect("allocates");
         assert_eq!(
             report.funcs[0].frame_words, 0,

@@ -4,7 +4,8 @@
 //! fills dead on the path that does not want them.
 
 use patmos_isa::{Pred, Reg, ARG_REGS};
-use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+use patmos_lir::plir::{Item, LirInst, LirOp};
+use patmos_lir::Function;
 
 /// The minimum bundle gap from `a` (earlier in program order) to `b`
 /// (later), or `None` when they are independent and may be reordered
@@ -101,7 +102,7 @@ pub fn out_gap(inst: &LirInst) -> u32 {
 #[derive(Debug, Clone)]
 pub struct Block {
     /// Marker items re-emitted verbatim before the block's bundles
-    /// (`.func`, `.loopbound`, labels), in original order.
+    /// (`.loopbound`, labels), in original order.
     pub head: Vec<Item>,
     /// Labels naming this block (usually zero or one).
     pub labels: Vec<String>,
@@ -153,7 +154,7 @@ impl Block {
 /// One function's blocks, in layout order.
 #[derive(Debug, Clone)]
 pub struct Func {
-    /// Function name (from the `.func` marker).
+    /// Function name.
     pub name: String,
     /// Blocks in layout order; block 0 is the entry.
     pub blocks: Vec<Block>,
@@ -178,85 +179,54 @@ impl Func {
     }
 }
 
-/// A module split into functions and basic blocks (plus any items that
-/// precede the first `.func`, emitted verbatim).
-#[derive(Debug, Clone)]
-pub struct SplitModule {
-    /// Items before the first function marker.
-    pub prelude: Vec<Item>,
-    /// Functions in layout order.
-    pub funcs: Vec<Func>,
-}
-
-/// Splits a module's linear items into per-function basic blocks.
-/// Blocks begin at `.func`/label markers (a `.loopbound` binds to the
-/// label that follows it) and end at control transfers.
-pub fn split_blocks(module: &Module) -> SplitModule {
-    let mut prelude = Vec::new();
-    let mut funcs: Vec<Func> = Vec::new();
+/// Splits one function's linear items into basic blocks. Blocks begin
+/// at labels (a `.loopbound` binds to the label that follows it) and
+/// end at control transfers.
+pub fn split_blocks(func: &Function<Item>) -> Func {
+    let mut blocks: Vec<Block> = Vec::new();
     let mut block = Block::new();
 
-    let flush_block = |block: &mut Block, funcs: &mut Vec<Func>| {
-        if block.is_trivial() {
-            return;
-        }
-        let done = std::mem::replace(block, Block::new());
-        if let Some(f) = funcs.last_mut() {
-            f.blocks.push(done);
+    let flush_block = |block: &mut Block, blocks: &mut Vec<Block>| {
+        if !block.is_trivial() {
+            blocks.push(std::mem::replace(block, Block::new()));
         }
     };
 
-    for item in &module.items {
+    for item in &func.items {
         match item {
-            Item::FuncStart(name) => {
-                flush_block(&mut block, &mut funcs);
-                funcs.push(Func {
-                    name: name.clone(),
-                    blocks: Vec::new(),
-                });
-                block.head.push(item.clone());
-            }
             Item::Label(name) => {
                 // A label opens a new block unless the current one is
-                // still empty (e.g. `.func` directly followed by a
-                // label, or two labels in a row).
+                // still empty (e.g. at the function's entry, or two
+                // labels in a row).
                 if !block.insts.is_empty() || block.term.is_some() {
-                    flush_block(&mut block, &mut funcs);
+                    flush_block(&mut block, &mut blocks);
                 }
                 block.head.push(item.clone());
                 block.labels.push(name.clone());
             }
             Item::LoopBound { .. } => {
                 if !block.insts.is_empty() || block.term.is_some() {
-                    flush_block(&mut block, &mut funcs);
+                    flush_block(&mut block, &mut blocks);
                 }
                 block.head.push(item.clone());
                 block.has_loop_bound = true;
             }
             Item::Inst(inst) => {
-                if funcs.is_empty() {
-                    prelude.push(item.clone());
-                    continue;
-                }
                 if inst.op.is_flow() {
                     block.term = Some(inst.clone());
-                    flush_block(&mut block, &mut funcs);
+                    flush_block(&mut block, &mut blocks);
                 } else {
                     block.insts.push(inst.clone());
                 }
             }
         }
     }
-    flush_block(&mut block, &mut funcs);
-    if funcs.is_empty() && !block.is_trivial() {
-        prelude.append(&mut block.head);
-        prelude.extend(block.insts.drain(..).map(Item::Inst));
-        if let Some(t) = block.term.take() {
-            prelude.push(Item::Inst(t));
-        }
-    }
+    flush_block(&mut block, &mut blocks);
 
-    SplitModule { prelude, funcs }
+    Func {
+        name: func.name.clone(),
+        blocks,
+    }
 }
 
 /// Register + predicate bitsets for the liveness dataflow.
@@ -421,11 +391,9 @@ mod tests {
 
     #[test]
     fn split_groups_blocks_by_labels_and_flow() {
-        let module = Module {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                Item::FuncStart("main".into()),
+        let func = Function::new(
+            "main",
+            vec![
                 Item::Inst(alu(7, 0, 0)),
                 Item::LoopBound { min: 1, max: 4 },
                 Item::Label("head".into()),
@@ -436,10 +404,8 @@ mod tests {
                 )),
                 Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
             ],
-        };
-        let split = split_blocks(&module);
-        assert_eq!(split.funcs.len(), 1);
-        let f = &split.funcs[0];
+        );
+        let f = &split_blocks(&func);
         assert_eq!(f.blocks.len(), 3);
         assert!(f.blocks[1].has_loop_bound);
         assert_eq!(f.blocks[1].labels, vec!["head".to_string()]);
@@ -455,21 +421,19 @@ mod tests {
     #[test]
     fn liveness_sees_result_register_at_exit() {
         // main: r8 = r0+r0; exit: r1 = r8+r0; halt.
-        let module = Module {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                Item::FuncStart("main".into()),
+        let func = Function::new(
+            "main",
+            vec![
                 Item::Inst(alu(8, 0, 0)),
                 Item::Inst(LirInst::always(LirOp::BrLabel("exit".into()))),
                 Item::Label("exit".into()),
                 Item::Inst(alu(1, 8, 0)),
                 Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
             ],
-        };
-        let split = split_blocks(&module);
-        let live = live_in_sets(&split.funcs[0]);
-        let exit = split.funcs[0].block_of_label("exit").expect("exists");
+        );
+        let split = split_blocks(&func);
+        let live = live_in_sets(&split);
+        let exit = split.block_of_label("exit").expect("exists");
         assert!(live[exit].has_reg(Reg::from_index(8)), "r8 live into exit");
         assert!(!live[exit].has_reg(Reg::from_index(9)), "r9 dead at exit");
         // r1 is live out of the exit block but killed inside it.
@@ -480,11 +444,9 @@ mod tests {
     fn guarded_writes_do_not_kill() {
         // Block A: (p1) add r9 = r0, r0 then use of r9 downstream —
         // the guarded def must not hide r9's upstream liveness.
-        let module = Module {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                Item::FuncStart("main".into()),
+        let func = Function::new(
+            "main",
+            vec![
                 Item::Label("a".into()),
                 Item::Inst(LirInst::new(
                     Guard::when(Pred::P1),
@@ -498,9 +460,8 @@ mod tests {
                 Item::Inst(alu(1, 9, 0)),
                 Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
             ],
-        };
-        let split = split_blocks(&module);
-        let live = live_in_sets(&split.funcs[0]);
+        );
+        let live = live_in_sets(&split_blocks(&func));
         assert!(live[0].has_reg(Reg::from_index(9)));
         assert!(live[0].has_pred(Pred::P1));
     }

@@ -5,8 +5,9 @@
 //! branch and load shadow with `nop`s. This crate replaces it with a
 //! real backend stage over the physical LIR ([`patmos_lir::plir`]):
 //!
-//! 1. **Block splitting** — the allocator's linear item stream is cut
-//!    into per-function basic blocks ([`dag::split_blocks`]).
+//! 1. **Block splitting** — each function's linear item stream, as the
+//!    allocator emitted it, is cut into basic blocks
+//!    ([`dag::split_blocks`]).
 //! 2. **Dependence DAGs** — per block, every pair of operations gets
 //!    its minimum issue-bundle gap from [`dag::dependence_gap`]: true,
 //!    anti and output dependences over registers and predicates
@@ -39,6 +40,7 @@ pub mod modulo;
 
 use patmos_isa::Op;
 use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+use patmos_lir::Function;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
@@ -81,8 +83,6 @@ pub struct SchedBundle {
 /// Items after scheduling.
 #[derive(Debug, Clone)]
 pub enum SchedItem {
-    /// `.func` marker.
-    FuncStart(String),
     /// A label.
     Label(String),
     /// A loop-bound annotation.
@@ -131,8 +131,8 @@ pub enum SchedItem {
 pub struct ScheduledModule {
     /// Data directive lines.
     pub data_lines: Vec<String>,
-    /// Scheduled code items.
-    pub items: Vec<SchedItem>,
+    /// The scheduled functions, in layout order.
+    pub funcs: Vec<Function<SchedItem>>,
     /// Entry function name.
     pub entry: String,
 }
@@ -143,7 +143,7 @@ impl ScheduledModule {
     pub fn bundle_stats(&self) -> (usize, usize) {
         let mut bundles = 0;
         let mut filled = 0;
-        for item in &self.items {
+        for item in self.funcs.iter().flat_map(|f| &f.items) {
             if let SchedItem::Bundle(b) = item {
                 bundles += 1;
                 if b.second.is_some() {
@@ -315,7 +315,6 @@ pub fn schedule(module: Module, options: &SchedOptions) -> ScheduledModule {
 
 fn push_item(items: &mut Vec<SchedItem>, item: &Item) {
     match item {
-        Item::FuncStart(name) => items.push(SchedItem::FuncStart(name.clone())),
         Item::Label(name) => items.push(SchedItem::Label(name.clone())),
         Item::LoopBound { min, max } => items.push(SchedItem::LoopBound {
             min: *min,
@@ -333,15 +332,12 @@ pub fn schedule_with_report(
     module: Module,
     options: &SchedOptions,
 ) -> (ScheduledModule, SchedReport) {
-    let mut split = dag::split_blocks(&module);
-    let mut items: Vec<SchedItem> = Vec::new();
+    let mut funcs: Vec<Function<SchedItem>> = Vec::with_capacity(module.funcs.len());
     let mut report = SchedReport::default();
 
-    for item in &split.prelude {
-        push_item(&mut items, item);
-    }
-
-    for func in &mut split.funcs {
+    for lir_func in &module.funcs {
+        let func = &mut dag::split_blocks(lir_func);
+        let mut items: Vec<SchedItem> = Vec::new();
         // Live-ins are computed once per function. Hoisting only moves
         // an operation across the single boundary between a branch and
         // its unique (or anonymous fall-through) successor, so the
@@ -460,12 +456,13 @@ pub fn schedule_with_report(
             }
         }
         report.funcs.push(func_report);
+        funcs.push(Function::new(lir_func.name.clone(), items));
     }
 
     (
         ScheduledModule {
             data_lines: module.data_lines,
-            items,
+            funcs,
             entry: module.entry,
         },
         report,
@@ -525,9 +522,7 @@ mod tests {
     }
 
     fn bundles(module: &ScheduledModule) -> Vec<&SchedBundle> {
-        module
-            .items
-            .iter()
+        (module.funcs.iter().flat_map(|f| &f.items))
             .filter_map(|i| match i {
                 SchedItem::Bundle(b) => Some(b),
                 _ => None,
@@ -542,37 +537,39 @@ mod tests {
         Module {
             data_lines: Vec::new(),
             entry: "main".into(),
-            items: vec![
-                Item::FuncStart("main".into()),
-                Item::Inst(alu(7, 0, 0)),
-                Item::Inst(alu(8, 0, 0)),
-                Item::Inst(alu(9, 0, 0)),
-                Item::LoopBound { min: 1, max: 31 },
-                Item::Label("head".into()),
-                Item::Inst(LirInst::always(LirOp::Real(Op::CmpI {
-                    op: patmos_isa::CmpOp::Lt,
-                    pd: Pred::P6,
-                    rs1: Reg::from_index(7),
-                    imm: 30,
-                }))),
-                Item::Inst(LirInst::new(
-                    Guard::unless(Pred::P6),
-                    LirOp::BrLabel("exit".into()),
-                )),
-                Item::Inst(alu(10, 8, 9)),
-                Item::Inst(alu(8, 9, 0)),
-                Item::Inst(alu(9, 10, 0)),
-                Item::Inst(LirInst::always(LirOp::Real(Op::AluI {
-                    op: AluOp::Add,
-                    rd: Reg::from_index(7),
-                    rs1: Reg::from_index(7),
-                    imm: 1,
-                }))),
-                Item::Inst(LirInst::always(LirOp::BrLabel("head".into()))),
-                Item::Label("exit".into()),
-                Item::Inst(alu(1, 8, 0)),
-                Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
-            ],
+            funcs: vec![Function::new(
+                "main",
+                vec![
+                    Item::Inst(alu(7, 0, 0)),
+                    Item::Inst(alu(8, 0, 0)),
+                    Item::Inst(alu(9, 0, 0)),
+                    Item::LoopBound { min: 1, max: 31 },
+                    Item::Label("head".into()),
+                    Item::Inst(LirInst::always(LirOp::Real(Op::CmpI {
+                        op: patmos_isa::CmpOp::Lt,
+                        pd: Pred::P6,
+                        rs1: Reg::from_index(7),
+                        imm: 30,
+                    }))),
+                    Item::Inst(LirInst::new(
+                        Guard::unless(Pred::P6),
+                        LirOp::BrLabel("exit".into()),
+                    )),
+                    Item::Inst(alu(10, 8, 9)),
+                    Item::Inst(alu(8, 9, 0)),
+                    Item::Inst(alu(9, 10, 0)),
+                    Item::Inst(LirInst::always(LirOp::Real(Op::AluI {
+                        op: AluOp::Add,
+                        rd: Reg::from_index(7),
+                        rs1: Reg::from_index(7),
+                        imm: 1,
+                    }))),
+                    Item::Inst(LirInst::always(LirOp::BrLabel("head".into()))),
+                    Item::Label("exit".into()),
+                    Item::Inst(alu(1, 8, 0)),
+                    Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
+                ],
+            )],
         }
     }
 
@@ -619,16 +616,15 @@ mod tests {
     #[test]
     fn markers_survive_in_order() {
         let (module, _) = schedule_with_report(loop_module(), &SchedOptions::default());
-        let markers: Vec<String> = module
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                SchedItem::FuncStart(n) => Some(format!("func:{n}")),
+        let mut markers: Vec<String> = Vec::new();
+        for f in &module.funcs {
+            markers.push(format!("func:{}", f.name));
+            markers.extend(f.items.iter().filter_map(|i| match i {
                 SchedItem::Label(n) => Some(format!("label:{n}")),
                 SchedItem::LoopBound { max, .. } => Some(format!("bound:{max}")),
                 SchedItem::Bundle(_) | SchedItem::PipeLoop { .. } => None,
-            })
-            .collect();
+            }));
+        }
         assert_eq!(
             markers,
             vec!["func:main", "bound:31", "label:head", "label:exit"]

@@ -996,7 +996,7 @@ fn hterm_for(func: &Func, h: usize) -> &LirInst {
 mod tests {
     use super::*;
     use patmos_isa::{AccessSize, AluOp, CmpOp, MemArea, Pred, Reg};
-    use patmos_lir::plir::Module;
+    use patmos_lir::Function;
 
     fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
         LirInst::always(LirOp::Real(Op::AluR {
@@ -1028,12 +1028,10 @@ mod tests {
 
     /// A dot-product-shaped counted loop over physical LIR:
     /// `for (r7 = 0; r7 < 60; r7++) { r9 = mem[r8]; r10 += r9; r8 += 4 }`.
-    fn counted_module(bound_max: u32) -> Module {
-        Module {
-            data_lines: Vec::new(),
-            entry: "main".into(),
-            items: vec![
-                Item::FuncStart("main".into()),
+    fn counted_loop(bound_max: u32) -> Function<Item> {
+        Function::new(
+            "main",
+            vec![
                 Item::Inst(alu(7, 0, 0)),
                 Item::Inst(alu(8, 0, 0)),
                 Item::Inst(alu(10, 0, 0)),
@@ -1061,19 +1059,18 @@ mod tests {
                 Item::Inst(alu(1, 10, 0)),
                 Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
             ],
-        }
+        )
     }
 
-    fn pipeline(module: &Module) -> Option<Pipelined> {
-        let split = crate::dag::split_blocks(module);
-        let func = &split.funcs[0];
+    fn pipeline(func: &Function<Item>) -> Option<Pipelined> {
+        let func = &crate::dag::split_blocks(func);
         let live = crate::dag::live_in_sets(func);
         try_pipeline(func, 1, true, false, &live, &mut SchedReport::default())
     }
 
     #[test]
     fn counted_loop_pipelines_with_a_small_ii() {
-        let p = pipeline(&counted_module(61)).expect("loop pipelines");
+        let p = pipeline(&counted_loop(61)).expect("loop pipelines");
         assert!(p.report.ii >= p.report.mii);
         assert!(p.report.stages >= 1);
         // The kernel is exactly II bundles and beats the plain
@@ -1101,7 +1098,7 @@ mod tests {
 
     #[test]
     fn every_schedule_respects_loop_carried_gaps() {
-        let p = pipeline(&counted_module(61)).expect("loop pipelines");
+        let p = pipeline(&counted_loop(61)).expect("loop pipelines");
         // Walk the emitted bundle stream of the whole pipelined region
         // (guard + prologue + one kernel round + epilogue): between
         // any two bundles, the dependence gap of their ops must hold.
@@ -1165,18 +1162,17 @@ mod tests {
     fn short_annotated_trip_count_rejects_pipelining() {
         // One worst-case trip: the guard and exit detour can never pay
         // for themselves.
-        assert!(pipeline(&counted_module(2)).is_none());
+        assert!(pipeline(&counted_loop(2)).is_none());
     }
 
     #[test]
     fn too_wide_a_body_is_refused_on_its_resource_mii() {
         // A hundred extra ALU ops: 105 ops per iteration need
         // ceil(105 / 2) + 1 = 54 rows, more than any II searched.
-        let mut m = counted_module(61);
+        let mut m = counted_loop(61);
         let extra = (0..100).map(|k| Item::Inst(alu(11 + k % 10, 0, 0)));
-        m.items.splice(11..11, extra);
-        let split = crate::dag::split_blocks(&m);
-        let func = &split.funcs[0];
+        m.items.splice(10..10, extra);
+        let func = &crate::dag::split_blocks(&m);
         let live = crate::dag::live_in_sets(func);
         let mut report = SchedReport::default();
         assert!(try_pipeline(func, 1, true, false, &live, &mut report).is_none());
@@ -1217,9 +1213,9 @@ mod tests {
 
     #[test]
     fn body_touching_the_exit_predicate_rejects_pipelining() {
-        let mut m = counted_module(61);
+        let mut m = counted_loop(61);
         // Guard a body op with p6.
-        m.items[8] = Item::Inst(LirInst::new(
+        m.items[7] = Item::Inst(LirInst::new(
             Guard::when(Pred::P6),
             LirOp::Real(Op::AluR {
                 op: AluOp::Add,
@@ -1233,17 +1229,17 @@ mod tests {
 
     #[test]
     fn register_bound_pipelines_via_spare_bound_registers() {
-        let mut m = counted_module(61);
+        let mut m = counted_loop(61);
         // Swap the header compare for a register bound held in r11,
         // initialised before the loop.
-        m.items[6] = Item::Inst(LirInst::always(LirOp::Real(Op::Cmp {
+        m.items[5] = Item::Inst(LirInst::always(LirOp::Real(Op::Cmp {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: Reg::from_index(7),
             rs2: Reg::from_index(11),
         })));
         m.items.insert(
-            4,
+            3,
             Item::Inst(LirInst::always(LirOp::Real(Op::LoadImmLow {
                 rd: Reg::from_index(11),
                 imm: 60,

@@ -95,6 +95,17 @@ fn negative_space_is_an_error_not_an_allocation() {
     }
 }
 
+#[test]
+fn a_global_too_large_to_lay_out_is_an_error_not_a_panic() {
+    // `4 * len` of this array used to overflow `u32` in code generation:
+    // a panic in debug builds.
+    let src = "int a[1073741824]; int main() { return 1; }";
+    match compile(src, &CompileOptions::default()) {
+        Ok(_) => panic!("a 4 GiB global compiled"),
+        Err(e) => assert!(e.to_string().contains("global `a`"), "{e}"),
+    }
+}
+
 /// PatC token soup: syntactically plausible fragments in random order,
 /// reaching parser states raw bytes rarely hit.
 fn arb_patc_soup() -> impl Strategy<Value = String> {
