@@ -7,42 +7,60 @@
 //! instruction — but their positions are recorded so the allocator can
 //! save live values around them.
 
-use std::collections::HashMap;
-
 use crate::vlir::{VInst, VItem, VOp};
 use crate::Function;
 
+/// The item index of every instruction of `items`, in layout order:
+/// entry `p` locates the function's `p`-th instruction, its *position*.
+/// The indices are owned, so they can be kept beside the function while
+/// a pass rewrites its instructions in place; they stay valid until an
+/// item is inserted, removed or moved.
+pub fn inst_positions(items: &[VItem]) -> Vec<usize> {
+    (items.iter().enumerate())
+        .filter_map(|(idx, item)| matches!(item, VItem::Inst(_)).then_some(idx))
+        .collect()
+}
+
 /// A function's virtual code with its instructions numbered in layout
-/// order: position `p` is the function's `p`-th instruction.
+/// order: position `p` is the function's `p`-th instruction, at item
+/// index `insts[p]`.
 pub struct FuncCode<'a> {
     /// Function name.
     pub name: &'a str,
     /// The function's items.
     pub items: &'a [VItem],
-    /// The instructions in order, as `(item_index, inst)`.
-    pub insts: Vec<(usize, &'a VInst)>,
+    /// The item index of each position, from [`inst_positions`].
+    pub insts: &'a [usize],
 }
 
 impl<'a> FuncCode<'a> {
-    /// Numbers the instructions of `func`.
-    pub fn new(func: &'a Function<VItem>) -> FuncCode<'a> {
-        let insts = (func.items.iter().enumerate())
-            .filter_map(|(idx, item)| match item {
-                VItem::Inst(inst) => Some((idx, inst)),
-                VItem::Label(_) | VItem::LoopBound { .. } => None,
-            })
-            .collect();
+    /// Numbers the instructions of `func` by `insts`, its
+    /// [`inst_positions`].
+    pub fn new(func: &'a Function<VItem>, insts: &'a [usize]) -> FuncCode<'a> {
         FuncCode {
             name: &func.name,
             items: &func.items,
             insts,
         }
     }
+
+    /// The instruction at position `pos`.
+    pub fn inst(&self, pos: usize) -> &'a VInst {
+        match &self.items[self.insts[pos]] {
+            VItem::Inst(inst) => inst,
+            _ => unreachable!("instruction positions index instructions"),
+        }
+    }
+
+    /// The instructions in position order, as `(item_index, inst)`.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &'a VInst)> + '_ {
+        (0..self.insts.len()).map(|pos| (self.insts[pos], self.inst(pos)))
+    }
 }
 
 /// A basic block over instruction positions (indices into
 /// [`FuncCode::insts`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VBlock {
     /// First position of the block.
     pub first: usize,
@@ -50,9 +68,13 @@ pub struct VBlock {
     pub end: usize,
     /// Successor block indices.
     pub succs: Vec<usize>,
+    /// Predecessor block indices, in block order (a block whose two
+    /// edges both reach this one is listed twice).
+    pub preds: Vec<usize>,
 }
 
 /// The CFG of one function's virtual code.
+#[derive(Debug, PartialEq, Eq)]
 pub struct VCfg {
     /// Blocks in position order, tiling the positions without gaps;
     /// block 0 is the entry.
@@ -74,40 +96,46 @@ impl VCfg {
 /// Builds the CFG of one function.
 pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
     let n = func.insts.len();
-    // Position of the instruction that follows each label.
-    let mut label_pos: HashMap<&str, usize> = HashMap::new();
-    {
-        let mut pos = 0usize;
-        for item in func.items {
-            match item {
-                VItem::Label(name) => {
-                    label_pos.insert(name.as_str(), pos);
-                }
-                VItem::Inst(_) => pos += 1,
-                _ => {}
-            }
-        }
-    }
-
-    // Leaders: entry, label targets, and the position after a terminator.
+    // One walk over the items: the position of the instruction that
+    // follows each label, the calls, and the leaders after terminators.
+    let mut label_pos: Vec<(&str, usize)> = Vec::new();
+    let mut call_positions = Vec::new();
     let mut leader = vec![false; n + 1];
     if n > 0 {
         leader[0] = true;
     }
-    for &pos in label_pos.values() {
-        if pos < n {
+    let mut pos = 0usize;
+    for item in func.items {
+        match item {
+            VItem::Label(name) => label_pos.push((name.as_str(), pos)),
+            VItem::Inst(inst) => {
+                if matches!(inst.op, VOp::CallFunc(_)) {
+                    call_positions.push(pos);
+                }
+                if inst.op.is_terminator() && pos + 1 < n {
+                    leader[pos + 1] = true;
+                }
+                pos += 1;
+            }
+            VItem::LoopBound { .. } => {}
+        }
+    }
+    // Sorted by label (a stable sort, so of two equal labels the later
+    // one is last — and is the one a branch resolves to, and the leader).
+    label_pos.sort_by_key(|&(label, _)| label);
+    for (i, &(label, pos)) in label_pos.iter().enumerate() {
+        let resolved = label_pos.get(i + 1).is_none_or(|&(next, _)| next != label);
+        if resolved && pos < n {
             leader[pos] = true;
         }
     }
-    let mut call_positions = Vec::new();
-    for (pos, (_, inst)) in func.insts.iter().enumerate() {
-        if matches!(inst.op, VOp::CallFunc(_)) {
-            call_positions.push(pos);
+    let target_of = |label: &str| {
+        let at = label_pos.partition_point(|&(l, _)| l <= label);
+        match at.checked_sub(1).map(|i| label_pos[i]) {
+            Some((l, pos)) if l == label => pos,
+            _ => panic!("branch target label exists in the function"),
         }
-        if inst.op.is_terminator() && pos + 1 < n {
-            leader[pos + 1] = true;
-        }
-    }
+    };
 
     // Carve blocks.
     let mut blocks: Vec<VBlock> = Vec::new();
@@ -118,41 +146,42 @@ pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
                 first: start,
                 end: pos,
                 succs: Vec::new(),
+                preds: Vec::new(),
             });
             start = pos;
         }
     }
 
-    // Successors.
-    let block_at = |pos: usize| blocks.binary_search_by_key(&pos, |b| b.first).ok();
-    let mut edits: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (bi, block) in blocks.iter().enumerate() {
+    // Successors, then predecessors in block order.
+    let count = blocks.len();
+    for bi in 0..count {
+        let block = &blocks[bi];
+        let last = func.inst(block.end - 1);
         let mut succs = Vec::new();
-        let last = &func.insts[block.end - 1].1;
         match &last.op {
             VOp::BrLabel(label) => {
-                let target_pos = label_pos
-                    .get(label.as_str())
-                    .copied()
-                    .expect("branch target label exists in the function");
-                if let Some(tb) = block_at(target_pos) {
+                let target_pos = target_of(label);
+                if let Ok(tb) = blocks.binary_search_by_key(&target_pos, |b| b.first) {
                     succs.push(tb);
                 }
-                if !last.guard.is_always() && bi + 1 < blocks.len() {
+                if !last.guard.is_always() && bi + 1 < count {
                     succs.push(bi + 1);
                 }
             }
             VOp::Ret | VOp::Halt => {}
             _ => {
-                if bi + 1 < blocks.len() {
+                if bi + 1 < count {
                     succs.push(bi + 1);
                 }
             }
         }
-        edits.push((bi, succs));
-    }
-    for (bi, succs) in edits {
         blocks[bi].succs = succs;
+    }
+    for bi in 0..count {
+        for si in 0..blocks[bi].succs.len() {
+            let s = blocks[bi].succs[si];
+            blocks[s].preds.push(bi);
+        }
     }
 
     VCfg {
@@ -172,7 +201,9 @@ mod tests {
     }
 
     fn cfg_of(items: Vec<VItem>) -> VCfg {
-        build_vcfg(&FuncCode::new(&Function::new("f", items)))
+        let func = Function::new("f", items);
+        let positions = inst_positions(&func.items);
+        build_vcfg(&FuncCode::new(&func, &positions))
     }
 
     #[test]
@@ -199,6 +230,10 @@ mod tests {
         // Loop block branches to itself and falls through to the exit.
         assert_eq!(cfg.blocks[1].succs, vec![1, 2]);
         assert!(cfg.blocks[2].succs.is_empty());
+        // Predecessors mirror the successor edges, in block order.
+        assert_eq!(cfg.blocks[1].preds, vec![0, 1]);
+        assert_eq!(cfg.blocks[2].preds, vec![1]);
+        assert!(cfg.blocks[0].preds.is_empty());
     }
 
     #[test]

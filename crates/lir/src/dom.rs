@@ -15,7 +15,7 @@
 //! ```
 //! use patmos_isa::{AluOp, Guard, Pred};
 //! use patmos_lir::vlir::{VInst, VItem, VOp, VReg};
-//! use patmos_lir::{build_vcfg, DomTree, FuncCode, Function};
+//! use patmos_lir::{build_vcfg, inst_positions, DomTree, FuncCode, Function};
 //!
 //! // entry -> loop body (branches back to itself) -> exit
 //! let items = vec![
@@ -31,7 +31,8 @@
 //!     VItem::Inst(VInst::always(VOp::Halt)),
 //! ];
 //! let func = Function::new("f", items);
-//! let cfg = build_vcfg(&FuncCode::new(&func));
+//! let positions = inst_positions(&func.items);
+//! let cfg = build_vcfg(&FuncCode::new(&func, &positions));
 //! let dom = DomTree::build(&cfg);
 //! assert_eq!(dom.idom(1), Some(0)); // the loop block is dominated by the entry
 //! assert_eq!(dom.idom(2), Some(1)); // the exit only through the loop
@@ -41,6 +42,7 @@
 use crate::cfg::VCfg;
 
 /// The dominator tree of one function's [`VCfg`]; block 0 is the root.
+#[derive(Debug, PartialEq, Eq)]
 pub struct DomTree {
     /// Immediate dominator per block (`idom[0] == 0` by convention;
     /// unreachable blocks keep `usize::MAX`).
@@ -87,17 +89,6 @@ impl DomTree {
             rpo_index[b] = i;
         }
 
-        // Predecessor lists (reachable blocks only).
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (b, block) in cfg.blocks.iter().enumerate() {
-            if rpo_index[b] == UNDEF {
-                continue;
-            }
-            for &s in &block.succs {
-                preds[s].push(b);
-            }
-        }
-
         let mut idom = vec![UNDEF; n];
         if n > 0 {
             idom[0] = 0;
@@ -118,7 +109,9 @@ impl DomTree {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom = UNDEF;
-                for &p in &preds[b] {
+                // An unreachable predecessor never gets an idom, so it
+                // is skipped like a reachable one not yet reached.
+                for &p in &cfg.blocks[b].preds {
                     if idom[p] == UNDEF {
                         continue;
                     }
@@ -174,7 +167,7 @@ impl DomTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build_vcfg, FuncCode};
+    use crate::cfg::{build_vcfg, inst_positions, FuncCode};
     use crate::vlir::{VInst, VItem, VOp, VReg};
     use crate::Function;
     use patmos_isa::{Guard, Pred};
@@ -209,7 +202,8 @@ mod tests {
     fn diamond_join_is_dominated_by_the_fork_only() {
         let items = diamond();
         let func = Function::new("f", items);
-        let cfg = build_vcfg(&FuncCode::new(&func));
+        let positions = inst_positions(&func.items);
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
         let dom = DomTree::build(&cfg);
         // Blocks: 0 = cmp+br, 1 = then, 2 = join.
         assert_eq!(dom.idom(1), Some(0));
@@ -223,7 +217,8 @@ mod tests {
     fn entry_has_no_idom_and_dominates_everything() {
         let items = diamond();
         let func = Function::new("f", items);
-        let cfg = build_vcfg(&FuncCode::new(&func));
+        let positions = inst_positions(&func.items);
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
         let dom = DomTree::build(&cfg);
         assert_eq!(dom.idom(0), None);
         for b in 0..cfg.blocks.len() {

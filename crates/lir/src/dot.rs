@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use crate::cfg::{build_vcfg, FuncCode};
+use crate::cfg::{build_vcfg, inst_positions, FuncCode};
 use crate::vlir::VModule;
 
 /// Escapes a string for use inside a DOT record label.
@@ -29,7 +29,8 @@ fn escape(s: &str) -> String {
 pub fn render(module: &VModule) -> String {
     let mut out = String::new();
     for func in &module.funcs {
-        let code = FuncCode::new(func);
+        let positions = inst_positions(&func.items);
+        let code = FuncCode::new(func, &positions);
         let cfg = build_vcfg(&code);
         writeln!(out, "digraph \"{}\" {{", escape(&func.name)).ok();
         writeln!(out, "    node [shape=record, fontname=\"monospace\"];").ok();
@@ -37,7 +38,7 @@ pub fn render(module: &VModule) -> String {
         for (bi, block) in cfg.blocks.iter().enumerate() {
             let mut lines = vec![format!("B{bi} [{}..{})", block.first, block.end)];
             for pos in block.first..block.end {
-                lines.push(escape(&code.insts[pos].1.to_string()));
+                lines.push(escape(&code.inst(pos).to_string()));
             }
             writeln!(out, "    b{bi} [label=\"{}\"];", lines.join("\\l") + "\\l").ok();
         }

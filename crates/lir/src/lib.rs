@@ -11,8 +11,11 @@
 //!   item list for function boundaries;
 //! * [`vlir`] — the instruction set over unbounded virtual registers
 //!   ([`VReg`], [`VOp`], [`VInst`], [`VItem`], [`VModule`]);
-//! * [`mod@cfg`] — basic-block splitting and successor edges over one
-//!   function's virtual code ([`FuncCode`] numbers its instructions);
+//! * [`mod@cfg`] — basic-block splitting, successor and predecessor
+//!   edges over one function's virtual code ([`FuncCode`] numbers its
+//!   instructions by their owned [`inst_positions`], so a caller can
+//!   keep the numbering and the CFG beside a function it edits in
+//!   place);
 //! * [`liveness`] — backward liveness dataflow, one bitset solve per
 //!   function: block-boundary live sets for dead-code elimination and
 //!   loop-invariant code motion, and on top of them the live intervals
@@ -42,7 +45,7 @@
 //!
 //! ```
 //! use patmos_isa::{AluOp, CmpOp, Guard, Pred};
-//! use patmos_lir::{build_vcfg, BlockLiveness, FuncCode, Function, LoopForest};
+//! use patmos_lir::{build_vcfg, inst_positions, BlockLiveness, FuncCode, Function, LoopForest};
 //! use patmos_lir::{VInst, VItem, VOp, VReg};
 //!
 //! let v = VReg::new;
@@ -80,11 +83,14 @@
 //! ];
 //! let func = Function::new("sum", items);
 //!
-//! // The function's basic blocks and successor edges.
-//! let code = FuncCode::new(&func);
+//! // The function's basic blocks and successor edges, over its
+//! // instructions numbered in layout order.
+//! let positions = inst_positions(&func.items);
+//! let code = FuncCode::new(&func, &positions);
 //! let cfg = build_vcfg(&code);
 //! assert_eq!(cfg.blocks.len(), 4); // entry, header, body+latch, exit
 //! assert_eq!(cfg.blocks[1].succs, vec![3, 2]); // exit target, then fall-through
+//! assert_eq!(cfg.blocks[1].preds, vec![0, 2]); // entry, then the back edge
 //!
 //! // Backward liveness: the accumulator v2 is live across the back
 //! // edge, from its zero-init to the ABI copy.
@@ -108,7 +114,7 @@ pub mod plir;
 pub mod remark;
 pub mod vlir;
 
-pub use cfg::{build_vcfg, FuncCode, VBlock, VCfg};
+pub use cfg::{build_vcfg, inst_positions, FuncCode, VBlock, VCfg};
 pub use dom::DomTree;
 pub use liveness::{analyze, BlockLiveness, Interval, Liveness, VRegSet};
 pub use loops::{header_lead, HeaderLead, LoopForest, NaturalLoop};

@@ -71,20 +71,33 @@ impl VRegSet {
         self.words.extend_from_slice(other.words);
     }
 
-    /// Adds `v`.
-    pub fn insert(&mut self, v: VReg) {
+    /// Adds `v`; returns whether it was absent.
+    pub fn insert(&mut self, v: VReg) -> bool {
         let id = v.id() as usize;
         if id / 64 >= self.words.len() {
             self.words.resize(id / 64 + 1, 0);
         }
-        self.words[id / 64] |= 1 << (id % 64);
+        let word = &mut self.words[id / 64];
+        let absent = *word >> (id % 64) & 1 == 0;
+        *word |= 1 << (id % 64);
+        absent
     }
 
-    /// Removes `v`.
-    pub fn remove(&mut self, v: VReg) {
+    /// Empties the set, keeping its storage.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Removes `v`; returns whether it was present.
+    pub fn remove(&mut self, v: VReg) -> bool {
         let id = v.id() as usize;
-        if let Some(w) = self.words.get_mut(id / 64) {
-            *w &= !(1 << (id % 64));
+        match self.words.get_mut(id / 64) {
+            Some(w) => {
+                let present = *w >> (id % 64) & 1 != 0;
+                *w &= !(1 << (id % 64));
+                present
+            }
+            None => false,
         }
     }
 
@@ -108,6 +121,7 @@ impl VRegSet {
 
 /// The registers live at every block boundary of one function: one
 /// backward dataflow solve over dense bitsets.
+#[derive(Debug, PartialEq, Eq)]
 pub struct BlockLiveness {
     /// `u64` words per set; every register id of the function fits.
     words: usize,
@@ -121,7 +135,6 @@ impl BlockLiveness {
     /// Solves block-level liveness for one function.
     pub fn solve(func: &FuncCode<'_>, cfg: &VCfg) -> BlockLiveness {
         let max_id = func
-            .insts
             .iter()
             .flat_map(|(_, inst)| inst.op.uses().into_iter().flatten().chain(inst.op.def()))
             .map(|v| v.id() as usize)
@@ -145,7 +158,7 @@ impl BlockLiveness {
             walk.words.fill(0);
             defs.words.fill(0);
             for pos in (block.first..block.end).rev() {
-                let inst = func.insts[pos].1;
+                let inst = func.inst(pos);
                 walk.step_back(inst);
                 if let Some(d) = inst.op.def().filter(|_| inst.guard.is_always()) {
                     defs.insert(d);
@@ -244,7 +257,7 @@ pub fn analyze(func: &FuncCode<'_>, cfg: &VCfg) -> Liveness {
             extend(v, block.first);
         }
         for pos in block.first..block.end {
-            let op = &func.insts[pos].1.op;
+            let op = &func.inst(pos).op;
             for v in op.uses().into_iter().flatten().chain(op.def()) {
                 extend(v, pos);
             }
@@ -272,7 +285,7 @@ pub fn analyze(func: &FuncCode<'_>, cfg: &VCfg) -> Liveness {
             let bi = cfg.block_of(call_pos);
             live.assign(&blocks.live_out(bi));
             for pos in (call_pos + 1..cfg.blocks[bi].end).rev() {
-                live.step_back(func.insts[pos].1);
+                live.step_back(func.inst(pos));
             }
             live.iter().collect()
         })
@@ -287,7 +300,7 @@ pub fn analyze(func: &FuncCode<'_>, cfg: &VCfg) -> Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build_vcfg, FuncCode};
+    use crate::cfg::{build_vcfg, inst_positions, FuncCode};
     use crate::vlir::{VInst, VItem, VOp};
     use crate::Function;
     use patmos_isa::{AluOp, Guard, Pred};
@@ -302,7 +315,8 @@ mod tests {
 
     fn analyze_items(items: &[VItem]) -> Liveness {
         let func = Function::new("f", items.to_vec());
-        let code = FuncCode::new(&func);
+        let positions = inst_positions(&func.items);
+        let code = FuncCode::new(&func, &positions);
         analyze(&code, &build_vcfg(&code))
     }
 
@@ -425,11 +439,14 @@ mod tests {
     fn sets_span_word_boundaries() {
         let mut set = VRegSet::default();
         for id in [1, 63, 64, 130] {
-            set.insert(v(id));
+            assert!(set.insert(v(id)));
         }
-        set.remove(v(64));
-        set.remove(v(500));
+        assert!(!set.insert(v(63)), "already present");
+        assert!(set.remove(v(64)));
+        assert!(!set.remove(v(64)) && !set.remove(v(500)), "already absent");
         assert!(set.contains(v(63)) && !set.contains(v(64)) && !set.contains(v(999)));
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![v(1), v(63), v(130)]);
+        set.clear();
+        assert_eq!(set.iter().count(), 0);
     }
 }

@@ -19,7 +19,7 @@
 //! ```
 //! use patmos_isa::{AluOp, Guard, Pred};
 //! use patmos_lir::vlir::{VInst, VItem, VOp, VReg};
-//! use patmos_lir::{build_vcfg, FuncCode, Function, LoopForest};
+//! use patmos_lir::{build_vcfg, inst_positions, FuncCode, Function, LoopForest};
 //!
 //! let items = vec![
 //!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: VReg::new(1), imm: 8 })),
@@ -43,7 +43,8 @@
 //!     VItem::Inst(VInst::always(VOp::Halt)),
 //! ];
 //! let func = Function::new("f", items);
-//! let cfg = build_vcfg(&FuncCode::new(&func));
+//! let positions = inst_positions(&func.items);
+//! let cfg = build_vcfg(&FuncCode::new(&func, &positions));
 //! let forest = LoopForest::build(&cfg);
 //! assert_eq!(forest.loops.len(), 1);
 //! let lp = &forest.loops[0];
@@ -57,7 +58,7 @@ use crate::cfg::VCfg;
 use crate::dom::DomTree;
 
 /// One natural loop of a function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaturalLoop {
     /// Header block (the target of the back edges; dominates the loop).
     pub header: usize,
@@ -81,6 +82,7 @@ impl NaturalLoop {
 
 /// The loop forest of one function, ordered by header block index (so
 /// an enclosing loop always precedes the loops nested inside it).
+#[derive(Debug, PartialEq, Eq)]
 pub struct LoopForest {
     /// All natural loops; nested loops point at their parent.
     pub loops: Vec<NaturalLoop>,
@@ -111,12 +113,6 @@ impl LoopForest {
 
         // Natural loop of each header: backward flood fill from the
         // latches, stopping at the header.
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); cfg.blocks.len()];
-        for (b, block) in cfg.blocks.iter().enumerate() {
-            for &s in &block.succs {
-                preds[s].push(b);
-            }
-        }
         let mut loops: Vec<NaturalLoop> = by_header
             .into_iter()
             .map(|(header, mut latches)| {
@@ -130,7 +126,7 @@ impl LoopForest {
                         continue;
                     }
                     member[b] = true;
-                    work.extend(preds[b].iter().copied());
+                    work.extend(cfg.blocks[b].preds.iter().copied());
                 }
                 let blocks: Vec<usize> = (0..cfg.blocks.len()).filter(|&b| member[b]).collect();
                 NaturalLoop {
@@ -258,12 +254,13 @@ pub fn render(module: &crate::vlir::VModule) -> String {
 
     let mut out = String::new();
     for func in &module.funcs {
-        let code = crate::cfg::FuncCode::new(func);
+        let positions = crate::cfg::inst_positions(&func.items);
+        let code = crate::cfg::FuncCode::new(func, &positions);
         let cfg = crate::cfg::build_vcfg(&code);
         let forest = LoopForest::build(&cfg);
         writeln!(out, ".func {}: {} loop(s)", func.name, forest.loops.len()).ok();
         for lp in &forest.loops {
-            let first_item = code.insts[cfg.blocks[lp.header].first].0;
+            let first_item = code.insts[cfg.blocks[lp.header].first];
             let lead = header_lead(&func.items, first_item);
             let label = lead.label.unwrap_or("<entry>");
             let bound = lead.bound;
@@ -292,7 +289,7 @@ pub fn render(module: &crate::vlir::VModule) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build_vcfg, FuncCode};
+    use crate::cfg::{build_vcfg, inst_positions, FuncCode};
     use crate::vlir::{VInst, VItem, VOp, VReg};
     use crate::Function;
     use patmos_isa::{AluOp, CmpOp, Guard, Pred};
@@ -353,7 +350,8 @@ mod tests {
     fn nested_loops_form_a_two_level_forest() {
         let items = nested();
         let func = Function::new("f", items);
-        let cfg = build_vcfg(&FuncCode::new(&func));
+        let positions = inst_positions(&func.items);
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
         let forest = LoopForest::build(&cfg);
         assert_eq!(forest.loops.len(), 2);
         let outer = forest
@@ -377,7 +375,8 @@ mod tests {
     fn straight_line_code_has_no_loops() {
         let items = vec![inst(VOp::Halt)];
         let func = Function::new("f", items);
-        let cfg = build_vcfg(&FuncCode::new(&func));
+        let positions = inst_positions(&func.items);
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
         assert!(LoopForest::build(&cfg).loops.is_empty());
     }
 
@@ -402,7 +401,8 @@ mod tests {
             inst(VOp::Halt),
         ];
         let func = Function::new("f", items);
-        let cfg = build_vcfg(&FuncCode::new(&func));
+        let positions = inst_positions(&func.items);
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
         let forest = LoopForest::build(&cfg);
         assert_eq!(forest.loops.len(), 1);
         assert_eq!(forest.loops[0].header, 1);

@@ -9,7 +9,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Pred, Reg};
-use patmos_lir::{analyze, build_vcfg, BlockLiveness, FuncCode, Function, Interval, VInst};
+use patmos_lir::{
+    analyze, build_vcfg, inst_positions, BlockLiveness, FuncCode, Function, Interval, VInst,
+};
 use patmos_lir::{VItem, VOp, VReg};
 
 /// splitmix64: enough randomness for a reproducible sweep.
@@ -246,7 +248,8 @@ fn bitset_liveness_matches_the_naive_reference() {
         let items = gen_function(&mut rng);
         let (insts, want) = reference(&items);
         let function = Function::new("f", items);
-        let func = &FuncCode::new(&function);
+        let positions = inst_positions(&function.items);
+        let func = &FuncCode::new(&function, &positions);
         let items = &function.items;
         let cfg = build_vcfg(func);
         let ctx = || {

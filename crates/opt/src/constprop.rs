@@ -17,7 +17,8 @@
 use patmos_isa::{AluOp, CmpOp};
 use patmos_lir::{Function, VItem, VOp, VReg};
 
-use crate::util::{self, commutative, copy_op, load_imm, Consts};
+use crate::cache::Analyses;
+use crate::util::{commutative, copy_op, load_imm, Consts};
 
 /// 12-bit signed ALU immediate range.
 const ALU_IMM: std::ops::RangeInclusive<i32> = -2048..=2047;
@@ -34,15 +35,14 @@ fn zero_identity(op: AluOp) -> bool {
 
 /// Rewrites one operation; returns the replacement if anything changed.
 fn rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
-    // Operands known to be zero read the zero register directly.
+    // Operands known to be zero read the zero register directly. Most
+    // operations have none, and are never cloned.
+    let known_zero = |u: VReg| !u.is_zero() && consts.get(u) == Some(0);
+    if !op.uses().into_iter().flatten().any(known_zero) {
+        return structural_rewrite(op, consts).filter(|new| new != op);
+    }
     let mut zeroed = op.clone();
-    zeroed.map_uses(|u| {
-        if !u.is_zero() && consts.get(u) == Some(0) {
-            VReg::ZERO
-        } else {
-            u
-        }
-    });
+    zeroed.map_uses(|u| if known_zero(u) { VReg::ZERO } else { u });
     let structural = structural_rewrite(&zeroed, consts).unwrap_or(zeroed);
     (structural != *op).then_some(structural)
 }
@@ -155,11 +155,12 @@ fn structural_rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
 }
 
 /// Runs the pass over every block of one function.
-pub(crate) fn run(func: &mut Function<VItem>) -> bool {
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
     let mut changed = false;
-    for block in util::blocks(func) {
-        let mut consts = Consts::default();
-        for idx in block {
+    let mut consts = Consts::new();
+    for block in cache.with_cfg(func).blocks() {
+        consts.clear();
+        for &idx in block {
             let VItem::Inst(inst) = &mut func.items[idx] else {
                 unreachable!("blocks contain instruction indices only");
             };
@@ -198,7 +199,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert!(matches!(
             m.items[1],
             VItem::Inst(VInst {
@@ -220,7 +221,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert!(matches!(
             m.items[1],
             VItem::Inst(VInst {
@@ -251,7 +252,7 @@ mod tests {
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
         // The add must NOT fold: v1 is 0 or 7 depending on p1.
-        run(&mut m);
+        run(&mut m, &mut Analyses::default());
         assert!(matches!(
             m.items[2],
             VItem::Inst(VInst {
@@ -272,15 +273,15 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert_eq!(
-            util::as_copy(match &m.items[0] {
+            crate::util::as_copy(match &m.items[0] {
                 VItem::Inst(i) => &i.op,
                 _ => unreachable!(),
             }),
             Some((v(2), v(1)))
         );
         // Idempotent: the canonical copy is stable.
-        assert!(!run(&mut m));
+        assert!(!run(&mut m, &mut Analyses::default()));
     }
 }

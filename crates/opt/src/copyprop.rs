@@ -17,33 +17,34 @@
 //! the source register holds the same value whether or not the guarded
 //! instruction is annulled.
 
-use std::collections::{BTreeSet, HashMap};
+use patmos_lir::{Function, VItem, VReg, VRegSet};
 
-use patmos_lir::{FuncCode, Function, VItem, VReg};
-
-use crate::util::{self, as_copy};
+use crate::cache::Analyses;
+use crate::util::{self, as_copy, ByReg};
 
 /// Coalesces `def src; copy dst = src` pairs with a single-use `src`.
-fn coalesce(func: &mut Function<VItem>) -> bool {
+fn coalesce(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
     // Total use counts per virtual register in this function; a
     // guarded definition reads its destination (merge semantics).
-    let mut use_count: HashMap<VReg, usize> = HashMap::new();
+    let mut use_count: ByReg<u32> = ByReg::new();
     for item in &func.items {
         let VItem::Inst(inst) = item else { continue };
         for u in inst.op.uses().into_iter().flatten() {
-            *use_count.entry(u).or_insert(0) += 1;
+            *use_count.slot(u) += 1;
         }
         if !inst.guard.is_always() {
             if let Some(d) = inst.op.def() {
-                *use_count.entry(d).or_insert(0) += 1;
+                *use_count.slot(d) += 1;
             }
         }
     }
-    let mut marked: BTreeSet<usize> = BTreeSet::new();
-    for block in util::blocks(func) {
+    // Copy item indices to delete, in increasing order: a window's
+    // copy can only be marked as the last entry.
+    let mut marked: Vec<usize> = Vec::new();
+    for block in cache.with_cfg(func).blocks() {
         for pair in block.windows(2) {
             let (i, j) = (pair[0], pair[1]);
-            if marked.contains(&i) || marked.contains(&j) {
+            if marked.last() == Some(&i) {
                 continue;
             }
             let (VItem::Inst(def_inst), VItem::Inst(copy_inst)) = (&func.items[i], &func.items[j])
@@ -59,7 +60,7 @@ fn coalesce(func: &mut Function<VItem>) -> bool {
                 || dst == src
                 || def_inst.op.def() != Some(src)
                 || !def_inst.op.is_pure()
-                || use_count.get(&src).copied().unwrap_or(0) != 1
+                || use_count.get(src) != 1
             {
                 continue;
             }
@@ -67,27 +68,75 @@ fn coalesce(func: &mut Function<VItem>) -> bool {
                 unreachable!();
             };
             assert!(def_inst.op.set_def(dst), "pure defs are redirectable");
-            marked.insert(j);
+            marked.push(j);
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut func.items, &marked);
+    util::remove_marked(&mut func.items, &mut marked);
     changed
 }
 
+/// The copies in force at one point of a block walk: `dst` holds the
+/// same value as its fully resolved source. A register table, plus a
+/// set of the registers some entry may resolve to, so a redefinition
+/// that is nobody's source costs no scan.
+struct Copies {
+    source: ByReg<Option<VReg>>,
+    /// Every register given an entry in this block (some since
+    /// dropped).
+    dsts: Vec<VReg>,
+    /// Every register some entry may resolve to.
+    sources: VRegSet,
+}
+
+impl Copies {
+    /// Forgets every copy (at a block boundary).
+    fn clear(&mut self) {
+        for dst in self.dsts.drain(..) {
+            *self.source.slot(dst) = None;
+        }
+        self.sources.clear();
+    }
+
+    /// `d` is redefined: forget its own copy and every copy of it.
+    fn kill(&mut self, d: VReg) {
+        if self.source.get(d).is_some() {
+            *self.source.slot(d) = None;
+        }
+        if self.sources.contains(d) {
+            self.sources.remove(d);
+            for &dst in &self.dsts {
+                if self.source.get(dst) == Some(d) {
+                    *self.source.slot(dst) = None;
+                }
+            }
+        }
+    }
+
+    fn insert(&mut self, dst: VReg, src: VReg) {
+        *self.source.slot(dst) = Some(src);
+        self.dsts.push(dst);
+        self.sources.insert(src);
+    }
+}
+
 /// Forwards copy sources into later uses; drops no-op copies.
-fn forward(func: &mut Function<VItem>) -> bool {
+fn forward(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
     let mut changed = false;
-    let mut marked: BTreeSet<usize> = BTreeSet::new();
-    for block in util::blocks(func) {
-        // dst -> fully resolved source.
-        let mut copies: HashMap<VReg, VReg> = HashMap::new();
-        for idx in block {
+    let mut marked: Vec<usize> = Vec::new();
+    let mut copies = Copies {
+        source: ByReg::new(),
+        dsts: Vec::new(),
+        sources: VRegSet::default(),
+    };
+    for block in cache.with_cfg(func).blocks() {
+        copies.clear();
+        for &idx in block {
             let VItem::Inst(inst) = &mut func.items[idx] else {
                 unreachable!("blocks contain instruction indices only");
             };
             inst.op.map_uses(|u| {
-                if let Some(&s) = copies.get(&u) {
+                if let Some(s) = copies.source.get(u) {
                     changed = true;
                     s
                 } else {
@@ -97,29 +146,32 @@ fn forward(func: &mut Function<VItem>) -> bool {
             if inst.guard.is_always() {
                 if let Some((dst, src)) = as_copy(&inst.op) {
                     if dst == src {
-                        marked.insert(idx);
+                        marked.push(idx);
                         changed = true;
                     } else {
-                        copies.retain(|_, s| *s != dst);
+                        copies.kill(dst);
                         copies.insert(dst, src);
                     }
                     continue;
                 }
             }
             if let Some(d) = inst.op.def() {
-                copies.remove(&d);
-                copies.retain(|_, s| *s != d);
+                copies.kill(d);
             }
         }
     }
-    util::remove_marked(&mut func.items, &marked);
+    util::remove_marked(&mut func.items, &mut marked);
     changed
 }
 
-/// Runs coalescing then forwarding.
-pub(crate) fn run(func: &mut Function<VItem>) -> bool {
-    let coalesced = coalesce(func);
-    forward(func) || coalesced
+/// Runs coalescing then forwarding. Coalescing removes items, so the
+/// forward walk then needs the function's fresh layout.
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+    let coalesced = coalesce(func, cache);
+    if coalesced {
+        cache.invalidate(crate::cache::Edits::Layout);
+    }
+    forward(func, cache) || coalesced
 }
 
 /// Function-global copy forwarding over *single-definition* registers
@@ -135,46 +187,67 @@ pub(crate) fn run(func: &mut Function<VItem>) -> bool {
 /// every block. Copy chains resolve transitively; the dead copies are
 /// left for DCE.
 pub(crate) fn run_global(func: &mut Function<VItem>) -> bool {
-    let code = FuncCode::new(func);
-    // Definition counts; a guarded def still counts (the merge makes
-    // the register multi-valued).
-    let mut defs: HashMap<VReg, (usize, bool)> = HashMap::new();
-    for (_, inst) in &code.insts {
+    let insts = || {
+        func.items.iter().filter_map(|item| match item {
+            VItem::Inst(inst) => Some(inst),
+            _ => None,
+        })
+    };
+    // Definition counts (saturating at 2: only "exactly one" matters)
+    // and whether every def is unguarded; a guarded def still counts
+    // (the merge makes the register multi-valued).
+    #[derive(Clone, Copy, Default, PartialEq)]
+    struct Defs {
+        count: u8,
+        guarded: bool,
+    }
+    let mut defs: ByReg<Defs> = ByReg::new();
+    for inst in insts() {
         if let Some(d) = inst.op.def() {
-            let e = defs.entry(d).or_insert((0, true));
-            e.0 += 1;
-            e.1 &= inst.guard.is_always();
+            let e = defs.slot(d);
+            e.count = (e.count + 1).min(2);
+            e.guarded |= !inst.guard.is_always();
         }
     }
-    let single_always = |v: VReg| v.is_zero() || defs.get(&v) == Some(&(1, true));
+    let once = Defs {
+        count: 1,
+        guarded: false,
+    };
+    let single_always = |v: VReg| v.is_zero() || defs.get(v) == once;
 
-    let mut rewrite: HashMap<VReg, VReg> = HashMap::new();
-    for (_, inst) in &code.insts {
+    let mut rewrite: ByReg<Option<VReg>> = ByReg::new();
+    let mut rewritten: Vec<VReg> = Vec::new();
+    for inst in insts() {
         if !inst.guard.is_always() {
             continue;
         }
         if let Some((dst, src)) = as_copy(&inst.op) {
-            if dst != src && defs.get(&dst) == Some(&(1, true)) && single_always(src) {
-                rewrite.insert(dst, src);
+            if dst != src && defs.get(dst) == once && single_always(src) {
+                // `dst` has one def, so it is recorded once.
+                *rewrite.slot(dst) = Some(src);
+                rewritten.push(dst);
             }
         }
     }
-    if rewrite.is_empty() {
+    if rewritten.is_empty() {
         return false;
     }
     // Resolve chains (`c → b → a` becomes `c → a`).
     let resolve = |mut v: VReg| {
         let mut hops = 0;
-        while let Some(&next) = rewrite.get(&v) {
+        while let Some(next) = rewrite.get(v) {
             v = next;
             hops += 1;
-            if hops > rewrite.len() {
+            if hops > rewritten.len() {
                 break; // self-referential degenerate chain
             }
         }
         v
     };
-    let resolved: HashMap<VReg, VReg> = rewrite.keys().map(|&d| (d, resolve(d))).collect();
+    let mut resolved: ByReg<Option<VReg>> = ByReg::new();
+    for &d in &rewritten {
+        *resolved.slot(d) = Some(resolve(d));
+    }
 
     let mut changed = false;
     for item in &mut func.items {
@@ -183,7 +256,7 @@ pub(crate) fn run_global(func: &mut Function<VItem>) -> bool {
         // copy's source is fine, but `dst = dst` must not appear.
         let own_def = inst.op.def();
         inst.op.map_uses(|u| {
-            let r = resolved.get(&u).copied().unwrap_or(u);
+            let r = resolved.get(u).unwrap_or(u);
             if r != u && Some(r) != own_def {
                 changed = true;
                 r
@@ -222,7 +295,7 @@ mod tests {
             VItem::Inst(VInst::always(util::copy_op(v(1), v(9)))),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert_eq!(m.items.len(), 2);
         assert!(matches!(
             &m.items[0],
@@ -249,7 +322,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        run(&mut m);
+        run(&mut m, &mut Analyses::default());
         // v9 has two uses; the defining add must still target v9.
         assert!(matches!(
             &m.items[0],
@@ -275,7 +348,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         let src_of = |idx: usize| match &m.items[idx] {
             VItem::Inst(VInst {
                 op: VOp::CopyToPhys { src, .. },
@@ -299,7 +372,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        run(&mut m);
+        run(&mut m, &mut Analyses::default());
         // The guarded merge copy must survive, and v1's use must not be
         // rewritten to v9.
         assert_eq!(m.items.len(), 4);

@@ -17,28 +17,105 @@
 use patmos_isa::{AccessSize, AluOp, MemArea};
 use patmos_lir::{Function, VItem, VOp, VReg};
 
-use crate::util::{self, commutative, copy_op};
-use std::collections::HashMap;
+use crate::cache::Analyses;
+use crate::util::{commutative, copy_op, ByReg};
+
+/// A multiplicative hasher (the `FxHash` scheme of rustc) for the
+/// expression keys: opcodes and register ids the compiler numbered
+/// itself, for which SipHash's resistance to chosen keys only costs
+/// time.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` keyed through [`FxHasher`].
+type FxHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// A pure expression over current register values.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Alu(AluOp, VReg, VReg),
     AluImm(AluOp, VReg, i16),
     Imm(u32),
-    Sym(String),
+    /// A symbol's address, by the symbol's index in [`Symbols`].
+    Sym(u32),
     Load(MemArea, AccessSize, VReg, i16),
 }
 
+/// The symbols one pass application has seen, so a symbol key is an
+/// index rather than a copy of the name.
+#[derive(Default)]
+struct Symbols(Vec<String>);
+
+impl Symbols {
+    fn index(&mut self, sym: &str) -> u32 {
+        let at = match self.0.iter().position(|s| s == sym) {
+            Some(at) => at,
+            None => {
+                self.0.push(sym.to_string());
+                self.0.len() - 1
+            }
+        };
+        at as u32
+    }
+}
+
 impl Key {
+    /// The registers the expression reads.
+    fn operands(&self) -> [Option<VReg>; 2] {
+        match *self {
+            Key::Alu(_, a, b) => [Some(a), Some(b)],
+            Key::AluImm(_, a, _) | Key::Load(_, _, a, _) => [Some(a), None],
+            Key::Imm(_) | Key::Sym(_) => [None, None],
+        }
+    }
+
     /// Whether the expression reads register `d`.
     fn reads(&self, d: VReg) -> bool {
-        match *self {
-            Key::Alu(_, a, b) => a == d || b == d,
-            Key::AluImm(_, a, _) => a == d,
-            Key::Load(_, _, a, _) => a == d,
-            Key::Imm(_) | Key::Sym(_) => false,
-        }
+        self.operands().contains(&Some(d))
     }
 
     /// The expression computed by `op`, if it is CSE-able. When
@@ -47,7 +124,7 @@ impl Key {
     /// *values*, which single-path mode forbids (two compilations
     /// differing only in a constant must emit the same instruction
     /// sequence).
-    fn of(op: &VOp, imm_keys: bool) -> Option<Key> {
+    fn of(op: &VOp, imm_keys: bool, symbols: &mut Symbols) -> Option<Key> {
         match op {
             VOp::AluR {
                 op,
@@ -68,7 +145,7 @@ impl Key {
             VOp::AluI { op, rs1, imm, .. } if imm_keys => Some(Key::AluImm(*op, *rs1, *imm)),
             VOp::LoadImmLow { imm, .. } if imm_keys => Some(Key::Imm(*imm as i16 as i32 as u32)),
             VOp::LoadImm32 { imm, .. } if imm_keys => Some(Key::Imm(*imm)),
-            VOp::LilSym { sym, .. } => Some(Key::Sym(sym.clone())),
+            VOp::LilSym { sym, .. } => Some(Key::Sym(symbols.index(sym))),
             VOp::Load {
                 area,
                 size,
@@ -81,37 +158,81 @@ impl Key {
     }
 }
 
+/// One available expression: the register holding it, and the
+/// generations ([`Avail`]) of that register, of the expression's
+/// operands and — for a load — of memory when it was recorded.
+#[derive(Clone, Copy)]
+struct Entry {
+    holder: VReg,
+    stamp: [u32; 4],
+}
+
+/// The expressions available in the current block. Killing a register
+/// or memory does not scan the table: it bumps a generation, and an
+/// entry recorded under an older generation of its holder, its operands
+/// or (for a load) memory is no longer available.
 struct Avail {
-    map: HashMap<Key, VReg>,
+    map: FxHashMap<Key, Entry>,
+    /// Generation of each register; bumped by every def.
+    gens: ByReg<u32>,
+    /// Generation of memory; bumped by every store and call.
+    memory: u32,
 }
 
 impl Avail {
-    fn invalidate_reg(&mut self, d: VReg) {
-        self.map.retain(|k, v| *v != d && !k.reads(d));
+    fn stamp(&self, key: &Key, holder: VReg) -> [u32; 4] {
+        let [a, b] = key.operands().map(|r| r.map_or(0, |r| self.gens.get(r)));
+        let memory = if matches!(key, Key::Load(..)) {
+            self.memory
+        } else {
+            0
+        };
+        [self.gens.get(holder), a, b, memory]
     }
 
-    fn invalidate_loads(&mut self) {
-        self.map.retain(|k, _| !matches!(k, Key::Load(..)));
+    /// The register holding `key`, if it is still available.
+    fn get(&self, key: &Key) -> Option<VReg> {
+        let entry = self.map.get(key)?;
+        (entry.stamp == self.stamp(key, entry.holder)).then_some(entry.holder)
+    }
+
+    fn insert(&mut self, key: Key, holder: VReg) {
+        let stamp = self.stamp(&key, holder);
+        self.map.insert(key, Entry { holder, stamp });
+    }
+
+    /// `d` is redefined: every expression held in or reading it dies.
+    fn kill_reg(&mut self, d: VReg) {
+        *self.gens.slot(d) += 1;
+    }
+
+    /// Memory may have changed: every load dies.
+    fn kill_loads(&mut self) {
+        self.memory += 1;
     }
 }
 
 /// Runs the pass over every block of one function.
-pub(crate) fn run(func: &mut Function<VItem>) -> bool {
-    run_with(func, true)
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+    run_with(func, cache, true)
 }
 
 /// The shape-stable variant: no immediate-valued expression keys.
-pub(crate) fn run_shape_stable(func: &mut Function<VItem>) -> bool {
-    run_with(func, false)
+pub(crate) fn run_shape_stable(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+    run_with(func, cache, false)
 }
 
-fn run_with(func: &mut Function<VItem>, imm_keys: bool) -> bool {
+fn run_with(func: &mut Function<VItem>, cache: &mut Analyses, imm_keys: bool) -> bool {
     let mut changed = false;
-    for block in util::blocks(func) {
-        let mut avail = Avail {
-            map: HashMap::new(),
-        };
-        for idx in block {
+    let mut avail = Avail {
+        map: FxHashMap::default(),
+        gens: ByReg::new(),
+        memory: 0,
+    };
+    let mut symbols = Symbols::default();
+    for block in cache.with_cfg(func).blocks() {
+        avail.map.clear();
+        for &idx in block {
             let VItem::Inst(inst) = &mut func.items[idx] else {
                 unreachable!("blocks contain instruction indices only");
             };
@@ -125,48 +246,44 @@ fn run_with(func: &mut Function<VItem>, imm_keys: bool) -> bool {
                 } => {
                     // The store may overwrite any tracked address.
                     let (area, size, ra, offset, rs) = (*area, *size, *ra, *offset, *rs);
-                    avail.invalidate_loads();
+                    avail.kill_loads();
                     if inst.guard.is_always() && size == AccessSize::Word && !rs.is_zero() {
-                        avail.map.insert(Key::Load(area, size, ra, offset), rs);
+                        avail.insert(Key::Load(area, size, ra, offset), rs);
                     }
                     continue;
                 }
                 VOp::CallFunc(_) => {
                     // The callee may store anywhere.
-                    avail.invalidate_loads();
+                    avail.kill_loads();
                     continue;
                 }
                 _ => {}
             }
             let Some(d) = inst.op.def() else { continue };
             if !inst.guard.is_always() {
-                avail.invalidate_reg(d);
+                avail.kill_reg(d);
                 continue;
             }
-            let key = Key::of(&inst.op, imm_keys);
-            match key {
+            match Key::of(&inst.op, imm_keys, &mut symbols) {
                 Some(key) => {
-                    if let Some(&w) = avail.map.get(&key) {
+                    let held = avail.get(&key);
+                    if let Some(w) = held {
                         if w != d {
                             inst.op = copy_op(d, w);
                             changed = true;
                         }
-                        avail.invalidate_reg(d);
-                        // The value stays available in `w` (w ≠ d is
-                        // guaranteed: entries mapping to d died when
-                        // d was redefined) — unless the expression
-                        // itself read the register just overwritten.
-                        if !key.reads(d) {
-                            avail.map.insert(key, w);
-                        }
-                    } else {
-                        avail.invalidate_reg(d);
-                        if !key.reads(d) {
-                            avail.map.insert(key, d);
-                        }
+                    }
+                    avail.kill_reg(d);
+                    // The value stays available in `w` (w ≠ d is
+                    // guaranteed: entries held in d died when d was
+                    // redefined), or is now available in `d` — unless
+                    // the expression itself read the register just
+                    // overwritten.
+                    if !key.reads(d) {
+                        avail.insert(key, held.unwrap_or(d));
                     }
                 }
-                None => avail.invalidate_reg(d),
+                None => avail.kill_reg(d),
             }
         }
     }
@@ -214,7 +331,7 @@ mod tests {
         items.extend(addr_calc(5, 6, 7, 1));
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
         let mut m = func(items);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         // The second lil/shl become copies immediately; the dependent
         // add follows once copy-prop has forwarded them (next round).
         for idx in [3, 4] {
@@ -226,8 +343,11 @@ mod tests {
                 "item {idx} should be a copy: {inst}"
             );
         }
-        crate::copyprop::run(&mut m);
-        assert!(run(&mut m), "second round collapses the dependent add");
+        crate::copyprop::run(&mut m, &mut Analyses::default());
+        assert!(
+            run(&mut m, &mut Analyses::default()),
+            "second round collapses the dependent add"
+        );
         let VItem::Inst(inst) = &m.items[5] else {
             panic!()
         };
@@ -257,7 +377,7 @@ mod tests {
             load(4),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         // The reload after the store forwards the stored register.
         let VItem::Inst(inst) = &m.items[2] else {
             panic!()
@@ -288,6 +408,9 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(!run(&mut m), "shl of the updated v1 must be recomputed");
+        assert!(
+            !run(&mut m, &mut Analyses::default()),
+            "shl of the updated v1 must be recomputed"
+        );
     }
 }

@@ -7,32 +7,32 @@
 //! ABI copies and control flow are never touched; loads are (the PatC
 //! memory areas cannot fault, so a dead load only warms a cache).
 
-use std::collections::BTreeSet;
+use patmos_lir::{Function, VItem, VRegSet};
 
-use patmos_lir::{BlockLiveness, FuncCode, Function, VItem, VRegSet};
-
+use crate::cache::Analyses;
 use crate::util;
 
 /// Runs the pass over one function.
-pub(crate) fn run(func: &mut Function<VItem>) -> bool {
-    let mut marked: BTreeSet<usize> = BTreeSet::new();
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+    let mut marked: Vec<usize> = Vec::new();
     let mut live = VRegSet::default();
-    let code = FuncCode::new(func);
-    let cfg = patmos_lir::build_vcfg(&code);
-    let liveness = BlockLiveness::solve(&code, &cfg);
+    let cached = cache.with_liveness(func);
+    let (positions, cfg, liveness) = (cached.positions(), cached.cfg(), cached.liveness());
     for (bi, block) in cfg.blocks.iter().enumerate() {
         live.assign(&liveness.live_out(bi));
-        for pos in (block.first..block.end).rev() {
-            let (item_idx, inst) = code.insts[pos];
+        for &item_idx in positions[block.first..block.end].iter().rev() {
+            let VItem::Inst(inst) = &func.items[item_idx] else {
+                unreachable!("positions index instructions");
+            };
             if inst.op.is_pure() && inst.op.def().is_some_and(|d| !live.contains(d)) {
-                marked.insert(item_idx);
+                marked.push(item_idx);
                 continue;
             }
             live.step_back(inst);
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut func.items, &marked);
+    util::remove_marked(&mut func.items, &mut marked);
     changed
 }
 
@@ -67,9 +67,9 @@ mod tests {
         );
         // One backward walk removes the whole dead chain: v2's death
         // is seen before v1's definition is reached.
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert_eq!(m.items.len(), 2);
-        assert!(!run(&mut m));
+        assert!(!run(&mut m, &mut Analyses::default()));
     }
 
     #[test]
@@ -89,7 +89,10 @@ mod tests {
                 VItem::Inst(VInst::always(VOp::Halt)),
             ],
         );
-        assert!(!run(&mut m), "both writes feed the live result");
+        assert!(
+            !run(&mut m, &mut Analyses::default()),
+            "both writes feed the live result"
+        );
         assert_eq!(m.items.len(), 4);
     }
 
@@ -106,7 +109,7 @@ mod tests {
                 VItem::Inst(VInst::always(VOp::Halt)),
             ],
         );
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert_eq!(m.items.len(), 1, "both writes of the dead bool go");
     }
 }

@@ -27,6 +27,20 @@
 //! fixpoint pass rewrites one function's items at a time: the driver
 //! applies each pass to every function in turn.
 //!
+//! The passes share one lazily built analysis cache per function: its
+//! instruction positions, its CFG with predecessor lists, its dominator
+//! tree and loop forest, and its liveness solve, each built on first use
+//! and kept across passes, fixpoint rounds and unroll reruns. No pass
+//! builds an analysis of its own. The pass table states once what each
+//! pass may edit: when an *operand-only* pass (const-prop, CSE,
+//! copy-prop-global) changes a function, the pass manager drops only that
+//! function's liveness; when any other pass does, it drops the whole
+//! cache. In debug builds the pass manager checks after every pass
+//! application that each cached analysis equals a fresh build.
+//! [`OptReport::passes`] counts every pass's applications, changes and
+//! host time, and [`OptReport::builds`] the analyses the caches built
+//! (`patmos-cli compile --time-passes` prints both).
+//!
 //! Level 2 ([`OptConfig::level`]) makes the pipeline *loop-aware*, over
 //! the dominator-tree and natural-loop-forest analyses of
 //! [`patmos_lir`]:
@@ -154,6 +168,7 @@
 //! )));
 //! ```
 
+mod cache;
 mod constprop;
 mod copyprop;
 mod cse;
@@ -164,7 +179,12 @@ mod strength;
 mod unroll;
 mod util;
 
+use std::time::Instant;
+
+use cache::{Analyses, Edits};
 use patmos_lir::{Function, Remark, VItem, VModule};
+
+pub use cache::AnalysisBuilds;
 
 /// Upper bound on fixpoint rounds; real modules converge in two or
 /// three, so hitting this means a pass pair is oscillating.
@@ -235,6 +255,22 @@ pub struct InlineSplice {
     pub caller: String,
 }
 
+/// The work of one pass over a pipeline run (`patmos-cli compile
+/// --time-passes`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PassStats {
+    /// Pass name.
+    pub pass: &'static str,
+    /// Applications: a scalar pass counts once per function it runs
+    /// on, the inliner and the unroller once per module.
+    pub applications: u32,
+    /// Applications that changed the code.
+    pub changes: u32,
+    /// Host time spent in the pass, analyses it had built included
+    /// (and, in debug builds, the cache oracle's checks after it).
+    pub nanos: u64,
+}
+
 /// Outcome of one optimization run.
 #[derive(Debug, Clone, Default)]
 pub struct OptReport {
@@ -253,6 +289,10 @@ pub struct OptReport {
     /// Structured decisions (applied and refused) from the inliner,
     /// LICM and the unroller, for `--remarks`.
     pub remarks: Vec<Remark>,
+    /// Per-pass work, in the order the passes first ran.
+    pub passes: Vec<PassStats>,
+    /// The analyses the per-function caches built.
+    pub builds: AnalysisBuilds,
 }
 
 impl OptReport {
@@ -264,6 +304,25 @@ impl OptReport {
             self.remarks.push(remark);
         }
     }
+
+    /// Adds `applications` applications of `pass`, `changes` of which
+    /// changed the code, taking the time since `started`.
+    fn record(&mut self, pass: &'static str, applications: u32, changes: u32, started: Instant) {
+        let nanos = started.elapsed().as_nanos() as u64;
+        match self.passes.iter_mut().find(|s| s.pass == pass) {
+            Some(stats) => {
+                stats.applications += applications;
+                stats.changes += changes;
+                stats.nanos += nanos;
+            }
+            None => self.passes.push(PassStats {
+                pass,
+                applications,
+                changes,
+                nanos,
+            }),
+        }
+    }
 }
 
 fn count_insts(module: &VModule) -> usize {
@@ -272,34 +331,61 @@ fn count_insts(module: &VModule) -> usize {
         .count()
 }
 
-/// A pass entry point: rewrites one function, reports whether it
-/// changed. The report is for remark emission; the scalar passes ignore
-/// it.
-type Pass = fn(&mut Function<VItem>, &mut OptReport) -> bool;
+/// A fixpoint pass entry point: rewrites one function, reading its
+/// analyses from the function's cache, and reports whether it changed.
+/// A pass that reports no change leaves the items untouched. The report
+/// is for remark emission; the scalar passes ignore it.
+type Pass = fn(&mut Function<VItem>, &mut Analyses, &mut OptReport) -> bool;
+
+/// One entry of a pass table: the pass, and what it may edit when it
+/// reports a change — which decides the analyses the pass manager
+/// drops.
+struct PassEntry {
+    name: &'static str,
+    run: Pass,
+    edits: Edits,
+}
+
+const fn pass(name: &'static str, run: Pass, edits: Edits) -> PassEntry {
+    PassEntry { name, run, edits }
+}
 
 // The scalar passes make no remark-worthy decisions; adapt their plain
 // signatures to the table type.
-fn constprop_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
-    constprop::run(f)
+fn constprop_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
+    constprop::run(f, c)
 }
-fn strength_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
-    strength::run(f)
+fn strength_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
+    strength::run(f, c)
 }
-fn cse_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
-    cse::run(f)
+fn cse_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
+    cse::run(f, c)
 }
-fn cse_shape_stable_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
-    cse::run_shape_stable(f)
+fn cse_shape_stable_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
+    cse::run_shape_stable(f, c)
 }
-fn copyprop_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
-    copyprop::run(f)
+fn copyprop_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
+    copyprop::run(f, c)
 }
-fn copyprop_global_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
+fn copyprop_global_pass(f: &mut Function<VItem>, _: &mut Analyses, _: &mut OptReport) -> bool {
     copyprop::run_global(f)
 }
-fn dce_pass(f: &mut Function<VItem>, _: &mut OptReport) -> bool {
-    dce::run(f)
+fn dce_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
+    dce::run(f, c)
 }
+
+// Every pass, with the edit class it declares. Const-prop, both CSE
+// variants and copy-prop-global rewrite instructions in place and never
+// touch labels, branches, `ret`/`halt` or calls; strength reduction,
+// copy-prop and DCE delete items and LICM moves them.
+const CONST_PROP: PassEntry = pass("const-prop", constprop_pass, Edits::Operands);
+const STRENGTH: PassEntry = pass("strength-reduce", strength_pass, Edits::Layout);
+const CSE: PassEntry = pass("cse", cse_pass, Edits::Operands);
+const CSE_SHAPE_STABLE: PassEntry = pass("cse", cse_shape_stable_pass, Edits::Operands);
+const LICM: PassEntry = pass("licm", licm::run, Edits::Layout);
+const COPY_PROP: PassEntry = pass("copy-prop", copyprop_pass, Edits::Layout);
+const COPY_PROP_GLOBAL: PassEntry = pass("copy-prop-global", copyprop_global_pass, Edits::Operands);
+const DCE: PassEntry = pass("dce", dce_pass, Edits::Layout);
 
 /// How to run the pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -362,72 +448,97 @@ impl Default for OptConfig {
 /// loop, and nests in practice flatten within two.
 const MAX_UNROLL_ROUNDS: u32 = 3;
 
-/// The scalar (and, at level 2, LICM) fixpoint.
-fn run_fixpoint(
-    module: &mut VModule,
-    config: OptConfig,
-    report: &mut OptReport,
-    passes: &[(&'static str, Pass)],
-) {
-    // Round numbering continues across the level-2 unroll reruns, so
-    // `OptReport::rounds` counts the whole pipeline and a traced dump's
-    // round is globally unique.
-    let base = report.rounds;
-    for round in base + 1..=base + MAX_ROUNDS {
-        report.rounds = round;
-        let mut changed = false;
-        for &(name, pass) in passes {
-            let before = config.trace.then(|| module.render());
-            let mut pass_changed = false;
-            for func in &mut module.funcs {
-                pass_changed |= pass(func, report);
-            }
-            if pass_changed {
-                changed = true;
-                if let Some(before) = before {
-                    report.dumps.push(PassDump {
-                        round,
-                        pass: name,
-                        before,
-                        after: module.render(),
-                    });
+/// The state one pipeline run threads through its passes.
+struct Run<'m> {
+    module: &'m mut VModule,
+    /// One analysis cache per entry of `module.funcs` (empty until the
+    /// inliner, which adds and drops functions, has run).
+    caches: Vec<Analyses>,
+    report: OptReport,
+    /// When tracing, the module as the last change left it: the
+    /// `before` of the next dump, since a pass that reports no change
+    /// leaves the module as it was.
+    rendered: Option<String>,
+}
+
+impl Run<'_> {
+    /// Captures the dump of a module-changing application of `pass`.
+    fn dump(&mut self, round: u32, pass: &'static str) {
+        if let Some(before) = self.rendered.take() {
+            let after = self.module.render();
+            self.rendered = Some(after.clone());
+            self.report.dumps.push(PassDump {
+                round,
+                pass,
+                before,
+                after,
+            });
+        }
+    }
+
+    /// The debug oracle: every analysis still cached must equal a fresh
+    /// build after `pass`.
+    #[cfg(debug_assertions)]
+    fn assert_caches_fresh(&self, pass: &str) {
+        for (func, cache) in self.module.funcs.iter().zip(&self.caches) {
+            cache.assert_fresh(func, pass);
+        }
+    }
+
+    /// The scalar (and, at level 2, LICM) fixpoint.
+    fn fixpoint(&mut self, passes: &[&PassEntry]) {
+        // Round numbering continues across the level-2 unroll reruns, so
+        // `OptReport::rounds` counts the whole pipeline and a traced
+        // dump's round is globally unique.
+        let base = self.report.rounds;
+        for round in base + 1..=base + MAX_ROUNDS {
+            self.report.rounds = round;
+            let mut changed = false;
+            for entry in passes {
+                let started = Instant::now();
+                let mut changes = 0;
+                let funcs = self.module.funcs.iter_mut().zip(&mut self.caches);
+                for (func, cache) in funcs {
+                    if (entry.run)(func, cache, &mut self.report) {
+                        changes += 1;
+                        cache.invalidate(entry.edits);
+                    }
+                    #[cfg(debug_assertions)]
+                    cache.assert_fresh(func, entry.name);
+                }
+                let applications = self.module.funcs.len() as u32;
+                self.report
+                    .record(entry.name, applications, changes, started);
+                if changes > 0 {
+                    changed = true;
+                    self.dump(round, entry.name);
                 }
             }
-        }
-        if !changed {
-            break;
+            if !changed {
+                break;
+            }
         }
     }
 }
 
 fn run_pipeline(module: &mut VModule, config: OptConfig) -> OptReport {
-    let full: &[(&'static str, Pass)] = &[
-        ("const-prop", constprop_pass),
-        ("strength-reduce", strength_pass),
-        ("cse", cse_pass),
-        ("copy-prop", copyprop_pass),
-        ("dce", dce_pass),
+    let full: &[&PassEntry] = &[&CONST_PROP, &STRENGTH, &CSE, &COPY_PROP, &DCE];
+    let full_loop: &[&PassEntry] = &[
+        &CONST_PROP,
+        &STRENGTH,
+        &CSE,
+        &LICM,
+        &COPY_PROP,
+        &COPY_PROP_GLOBAL,
+        &DCE,
     ];
-    let full_loop: &[(&'static str, Pass)] = &[
-        ("const-prop", constprop_pass),
-        ("strength-reduce", strength_pass),
-        ("cse", cse_pass),
-        ("licm", licm::run),
-        ("copy-prop", copyprop_pass),
-        ("copy-prop-global", copyprop_global_pass),
-        ("dce", dce_pass),
-    ];
-    let shape_stable: &[(&'static str, Pass)] = &[
-        ("cse", cse_shape_stable_pass),
-        ("copy-prop", copyprop_pass),
-        ("dce", dce_pass),
-    ];
-    let shape_stable_loop: &[(&'static str, Pass)] = &[
-        ("cse", cse_shape_stable_pass),
-        ("licm", licm::run),
-        ("copy-prop", copyprop_pass),
-        ("copy-prop-global", copyprop_global_pass),
-        ("dce", dce_pass),
+    let shape_stable: &[&PassEntry] = &[&CSE_SHAPE_STABLE, &COPY_PROP, &DCE];
+    let shape_stable_loop: &[&PassEntry] = &[
+        &CSE_SHAPE_STABLE,
+        &LICM,
+        &COPY_PROP,
+        &COPY_PROP_GLOBAL,
+        &DCE,
     ];
     let loop_aware = config.level >= 2;
     let passes = match (config.shape_stable, loop_aware) {
@@ -436,56 +547,61 @@ fn run_pipeline(module: &mut VModule, config: OptConfig) -> OptReport {
         (true, false) => shape_stable,
         (true, true) => shape_stable_loop,
     };
-    let mut report = OptReport {
-        insts_before: count_insts(module),
-        ..OptReport::default()
+    let mut run = Run {
+        report: OptReport {
+            insts_before: count_insts(module),
+            ..OptReport::default()
+        },
+        rendered: config.trace.then(|| module.render()),
+        module,
+        caches: Vec::new(),
     };
 
     if loop_aware {
-        let before = config.trace.then(|| module.render());
-        if inline::run(module, &mut report) {
-            if let Some(before) = before {
-                report.dumps.push(PassDump {
-                    round: 0,
-                    pass: "inline",
-                    before,
-                    after: module.render(),
-                });
-            }
+        let started = Instant::now();
+        let changed = inline::run(run.module, &mut run.report);
+        run.report.record("inline", 1, changed.into(), started);
+        if changed {
+            run.dump(0, "inline");
         }
     }
+    run.caches
+        .resize_with(run.module.funcs.len(), Analyses::default);
 
-    run_fixpoint(module, config, &mut report, passes);
+    run.fixpoint(passes);
 
     if loop_aware && !config.shape_stable {
         let partial = config.level >= 3;
         for _ in 0..MAX_UNROLL_ROUNDS {
-            let before = config.trace.then(|| module.render());
-            if !unroll::run(
-                module,
+            let started = Instant::now();
+            let changed = unroll::run(
+                run.module,
+                &mut run.caches,
                 partial,
                 config.defer_pipelineable,
                 config.pressure,
-                &mut report,
-            ) {
+                &mut run.report,
+            );
+            run.report.record("unroll", 1, changed.into(), started);
+            #[cfg(debug_assertions)]
+            run.assert_caches_fresh("unroll");
+            if !changed {
                 break;
             }
             // The unroll application is a round of its own; the next
             // fixpoint continues counting from it.
-            report.rounds += 1;
-            if let Some(before) = before {
-                report.dumps.push(PassDump {
-                    round: report.rounds,
-                    pass: "unroll",
-                    before,
-                    after: module.render(),
-                });
-            }
-            run_fixpoint(module, config, &mut report, passes);
+            run.report.rounds += 1;
+            let round = run.report.rounds;
+            run.dump(round, "unroll");
+            run.fixpoint(passes);
         }
     }
 
-    report.insts_after = count_insts(module);
+    let mut report = run.report;
+    for cache in &run.caches {
+        report.builds += cache.builds;
+    }
+    report.insts_after = count_insts(run.module);
     report
 }
 

@@ -28,10 +28,10 @@
 //! operand identity, dataflow — never literal values, so the pass is
 //! part of the shape-stable (single-path) pipeline.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use patmos_lir::{BlockLiveness, FuncCode, Function, LoopForest, VCfg, VItem, VOp, VReg, VRegSet};
 
-use patmos_isa::MemArea;
-use patmos_lir::{FuncCode, Function, VCfg, VItem, VOp, VReg};
+use crate::cache::Analyses;
+use crate::util::ByReg;
 
 /// One loop's planned hoists: the items move, in dependency order, to
 /// just before `insert_at`. The header label rides along for the
@@ -48,17 +48,42 @@ struct Hoist {
 /// earlier label in the run, which is a live side entry (the join
 /// label of a branching `if` right before the loop).
 fn header_lead<'a>(func: &FuncCode<'a>, cfg: &VCfg, header: usize) -> patmos_lir::HeaderLead<'a> {
-    patmos_lir::header_lead(func.items, func.insts[cfg.blocks[header].first].0)
+    patmos_lir::header_lead(func.items, func.insts[cfg.blocks[header].first])
 }
 
-fn plan_function(func: &FuncCode<'_>, taken: &mut HashSet<usize>, hoists: &mut Vec<Hoist>) {
-    let cfg = patmos_lir::build_vcfg(func);
-    let dom = patmos_lir::DomTree::build(&cfg);
-    let forest = patmos_lir::LoopForest::build_with_dom(&cfg, &dom);
-    if forest.loops.is_empty() {
-        return;
-    }
-    let liveness = patmos_lir::BlockLiveness::solve(func, &cfg);
+/// The blocks that end in a branch, by target label: the branch
+/// sources of every label, sorted by label. A branch always ends its
+/// block, so the block's last position is the branch.
+fn branch_sources<'a>(func: &FuncCode<'a>, cfg: &VCfg) -> Vec<(&'a str, usize)> {
+    let mut sources: Vec<(&'a str, usize)> = (cfg.blocks.iter().enumerate())
+        .filter_map(|(b, block)| match &func.inst(block.end - 1).op {
+            VOp::BrLabel(label) => Some((label.as_str(), b)),
+            _ => None,
+        })
+        .collect();
+    sources.sort_unstable();
+    sources
+}
+
+/// A memory area as a bit of a set of areas.
+fn area_bit(area: patmos_isa::MemArea) -> u8 {
+    1 << area as u8
+}
+
+fn plan_function(
+    func: &FuncCode<'_>,
+    cfg: &VCfg,
+    forest: &LoopForest,
+    liveness: &BlockLiveness,
+    hoists: &mut Vec<Hoist>,
+) {
+    let branches = branch_sources(func, cfg);
+    // Item indices already claimed by an inner loop's hoist.
+    let mut taken = vec![false; func.items.len()];
+    // Per-loop working sets, reset for each loop.
+    let mut def_count: ByReg<u8> = ByReg::new();
+    let mut marked = vec![false; func.insts.len()];
+    let mut marked_defs = VRegSet::default();
 
     // Innermost first: deepest loops claim their instructions before
     // the enclosing ones look.
@@ -67,121 +92,126 @@ fn plan_function(func: &FuncCode<'_>, taken: &mut HashSet<usize>, hoists: &mut V
 
     for li in order {
         let lp = &forest.loops[li];
-        let Some(label) = header_lead(func, &cfg, lp.header).label else {
+        let Some(label) = header_lead(func, cfg, lp.header).label else {
             continue;
         };
-        // Every branch to the header must be one of the loop's own back
-        // edges — otherwise the spot before the header is not a
-        // preheader.
-        let mut proper = true;
-        for (pos, (_, inst)) in func.insts.iter().enumerate() {
-            if matches!(&inst.op, VOp::BrLabel(l) if l == label)
-                && !lp.latches.contains(&cfg.block_of(pos))
-            {
-                proper = false;
-                break;
-            }
-        }
+        // Every branch to the header's own label must be one of the
+        // loop's own back edges — otherwise the spot before the header
+        // is not a preheader. (A branch to an earlier label of the
+        // header's lead run is a side entry the insertion point below
+        // already keeps clear of, so only this label counts — which CFG
+        // edges alone could not tell apart.)
+        let first = branches.partition_point(|&(l, _)| l < label);
+        let proper = branches[first..]
+            .iter()
+            .take_while(|&&(l, _)| l == label)
+            .all(|&(_, b)| lp.latches.contains(&b));
         if !proper {
             continue;
         }
 
-        // Loop-wide facts: definition counts, stored areas, calls.
-        let positions: Vec<usize> = lp
-            .blocks
-            .iter()
-            .flat_map(|&b| cfg.blocks[b].first..cfg.blocks[b].end)
-            .collect();
-        let mut def_count: HashMap<VReg, u32> = HashMap::new();
-        let mut store_areas: HashSet<MemArea> = HashSet::new();
+        // Loop-wide facts: definition counts (saturating at 2: only
+        // none, one and more matter), stored areas, calls.
+        let positions = || {
+            lp.blocks
+                .iter()
+                .flat_map(|&b| cfg.blocks[b].first..cfg.blocks[b].end)
+        };
+        def_count.clear();
+        let mut store_areas = 0u8;
         let mut has_call = false;
-        for &pos in &positions {
-            let inst = func.insts[pos].1;
+        for pos in positions() {
+            let inst = func.inst(pos);
             if let Some(d) = inst.op.def() {
-                *def_count.entry(d).or_default() += 1;
+                let count = def_count.slot(d);
+                *count = (*count + 1).min(2);
             }
             match &inst.op {
-                VOp::Store { area, .. } => {
-                    store_areas.insert(*area);
-                }
+                VOp::Store { area, .. } => store_areas |= area_bit(*area),
                 VOp::CallFunc(_) => has_call = true,
                 _ => {}
             }
         }
+        let defs_of = |v: VReg| def_count.get(v);
 
         // Invariant closure.
-        let mut marked: Vec<usize> = Vec::new(); // positions, program order
-        let mut marked_defs: HashSet<VReg> = HashSet::new();
+        let mut any_marked = false;
+        marked_defs.clear();
         loop {
             let mut grew = false;
-            for &pos in &positions {
-                let (item_idx, inst) = (func.insts[pos].0, func.insts[pos].1);
-                if taken.contains(&item_idx) || marked.contains(&pos) || !inst.guard.is_always() {
+            for pos in positions() {
+                let (item_idx, inst) = (func.insts[pos], func.inst(pos));
+                if taken[item_idx] || marked[pos] || !inst.guard.is_always() {
                     continue;
                 }
                 let hoistable_op = match &inst.op {
                     VOp::Mfs { .. } | VOp::CopyFromPhys { .. } => false,
-                    VOp::Load { area, .. } => !has_call && !store_areas.contains(area),
+                    VOp::Load { area, .. } => !has_call && store_areas & area_bit(*area) == 0,
                     op => op.is_pure(),
                 };
                 if !hoistable_op {
                     continue;
                 }
                 let Some(d) = inst.op.def() else { continue };
-                if def_count.get(&d).copied().unwrap_or(0) != 1
-                    || liveness.live_in(lp.header).contains(d)
-                {
+                if defs_of(d) != 1 || liveness.live_in(lp.header).contains(d) {
                     continue;
                 }
-                let uses_ok = inst.op.uses().into_iter().flatten().all(|u| {
-                    def_count.get(&u).copied().unwrap_or(0) == 0
-                        || (def_count[&u] == 1 && marked_defs.contains(&u))
-                });
+                let uses_ok = inst
+                    .op
+                    .uses()
+                    .into_iter()
+                    .flatten()
+                    .all(|u| defs_of(u) == 0 || (defs_of(u) == 1 && marked_defs.contains(u)));
                 if !uses_ok {
                     continue;
                 }
-                marked.push(pos);
+                marked[pos] = true;
                 marked_defs.insert(d);
+                any_marked = true;
                 grew = true;
             }
             if !grew {
                 break;
             }
         }
-        if marked.is_empty() {
+        if !any_marked {
             continue;
         }
 
         // Emit in dependency order: an instruction waits until no
         // not-yet-emitted marked instruction still defines one of its
-        // uses.
-        marked.sort_unstable();
-        let mut ordered: Vec<usize> = Vec::with_capacity(marked.len());
-        let mut pending: Vec<usize> = marked.clone();
+        // uses. Each marked def is the register's only def in the loop,
+        // so emitting an instruction retires its def from the pending
+        // set.
+        let mut pending: Vec<usize> = positions().filter(|&p| marked[p]).collect();
+        for &p in &pending {
+            marked[p] = false;
+        }
+        let mut ordered: Vec<usize> = Vec::with_capacity(pending.len());
         while !pending.is_empty() {
-            let pending_defs: HashSet<VReg> = pending
-                .iter()
-                .filter_map(|&p| func.insts[p].1.op.def())
-                .collect();
             let ready = pending.iter().position(|&p| {
-                func.insts[p]
-                    .1
-                    .op
-                    .uses()
-                    .into_iter()
-                    .flatten()
-                    .all(|u| !pending_defs.contains(&u) || func.insts[p].1.op.def() == Some(u))
+                let op = &func.inst(p).op;
+                (op.uses().into_iter().flatten())
+                    .all(|u| !marked_defs.contains(u) || op.def() == Some(u))
             });
             match ready {
-                Some(i) => ordered.push(pending.remove(i)),
+                Some(i) => {
+                    let p = pending.remove(i);
+                    if let Some(d) = func.inst(p).op.def() {
+                        marked_defs.remove(d);
+                    }
+                    ordered.push(p);
+                }
                 None => unreachable!("invariant closure has no def cycles"),
             }
         }
 
-        let item_indices: Vec<usize> = ordered.iter().map(|&p| func.insts[p].0).collect();
-        taken.extend(item_indices.iter().copied());
+        let item_indices: Vec<usize> = ordered.iter().map(|&p| func.insts[p]).collect();
+        for &i in &item_indices {
+            taken[i] = true;
+        }
         hoists.push(Hoist {
-            insert_at: header_lead(func, &cfg, lp.header).start,
+            insert_at: header_lead(func, cfg, lp.header).start,
             items: item_indices,
             label: label.to_string(),
         });
@@ -189,10 +219,23 @@ fn plan_function(func: &FuncCode<'_>, taken: &mut HashSet<usize>, hoists: &mut V
 }
 
 /// Runs the pass over one function.
-pub(crate) fn run(func: &mut Function<VItem>, report: &mut crate::OptReport) -> bool {
-    let mut taken: HashSet<usize> = HashSet::new();
+pub(crate) fn run(
+    func: &mut Function<VItem>,
+    cache: &mut Analyses,
+    report: &mut crate::OptReport,
+) -> bool {
+    if cache.with_loops(func).forest().loops.is_empty() {
+        return false;
+    }
+    let cached = cache.with_liveness(func);
     let mut hoists: Vec<Hoist> = Vec::new();
-    plan_function(&FuncCode::new(func), &mut taken, &mut hoists);
+    plan_function(
+        &FuncCode::new(func, cached.positions()),
+        cached.cfg(),
+        cached.forest(),
+        cached.liveness(),
+        &mut hoists,
+    );
     if hoists.is_empty() {
         return false;
     }
@@ -209,21 +252,30 @@ pub(crate) fn run(func: &mut Function<VItem>, report: &mut crate::OptReport) -> 
         });
     }
 
-    let mut insertions: BTreeMap<usize, Vec<VItem>> = BTreeMap::new();
+    // The hoisted items, by insertion point (hoists sharing one keep
+    // their planning order), and a mask of the items that move.
+    let mut insertions: Vec<(usize, Vec<VItem>)> = Vec::new();
+    let mut moved = vec![false; func.items.len()];
     for h in &hoists {
-        let moved: Vec<VItem> = h.items.iter().map(|&i| func.items[i].clone()).collect();
-        insertions.entry(h.insert_at).or_default().extend(moved);
+        let items: Vec<VItem> = h.items.iter().map(|&i| func.items[i].clone()).collect();
+        for &i in &h.items {
+            moved[i] = true;
+        }
+        match insertions.iter_mut().find(|(at, _)| *at == h.insert_at) {
+            Some((_, run)) => run.extend(items),
+            None => insertions.push((h.insert_at, items)),
+        }
     }
-    let removed: HashSet<usize> = taken;
+    insertions.sort_by_key(|&(at, _)| at);
+    let mut insertions = insertions.into_iter().peekable();
     let mut out: Vec<VItem> = Vec::with_capacity(func.items.len());
     for (idx, item) in func.items.drain(..).enumerate() {
-        if let Some(mut hoisted) = insertions.remove(&idx) {
-            out.append(&mut hoisted);
+        if let Some((_, hoisted)) = insertions.next_if(|&(at, _)| at == idx) {
+            out.extend(hoisted);
         }
-        if removed.contains(&idx) {
-            continue;
+        if !moved[idx] {
+            out.push(item);
         }
-        out.push(item);
     }
     func.items = out;
     true
@@ -232,7 +284,7 @@ pub(crate) fn run(func: &mut Function<VItem>, report: &mut crate::OptReport) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, Pred, Reg};
+    use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Pred, Reg};
     use patmos_lir::{VInst, VItem, VOp};
 
     fn v(id: u32) -> VReg {
@@ -312,7 +364,11 @@ mod tests {
     #[test]
     fn invariant_symbol_load_is_hoisted_to_the_preheader() {
         let mut m = loop_with_invariant_base();
-        assert!(run(&mut m, &mut crate::OptReport::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut crate::OptReport::default()
+        ));
         // The lil must now precede the .loopbound.
         let lil_at = m
             .items
@@ -349,7 +405,11 @@ mod tests {
             .expect("shl survives");
         assert!(shl_at > bound_at, "{}", m.render());
         // A second run finds nothing new.
-        assert!(!run(&mut m, &mut crate::OptReport::default()));
+        assert!(!run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut crate::OptReport::default()
+        ));
     }
 
     #[test]
@@ -368,7 +428,11 @@ mod tests {
             }),
         );
         assert!(
-            run(&mut m, &mut crate::OptReport::default()),
+            run(
+                &mut m,
+                &mut Analyses::default(),
+                &mut crate::OptReport::default()
+            ),
             "the lil still hoists"
         );
         let load_at = m
@@ -421,7 +485,11 @@ mod tests {
                 VItem::Label("main_join9".into()),
             ],
         );
-        assert!(run(&mut m, &mut crate::OptReport::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut crate::OptReport::default()
+        ));
         let join_at = m
             .items
             .iter()
@@ -489,7 +557,11 @@ mod tests {
         );
         let before = m.render();
         assert!(
-            !run(&mut m, &mut crate::OptReport::default()),
+            !run(
+                &mut m,
+                &mut Analyses::default(),
+                &mut crate::OptReport::default()
+            ),
             "nothing may hoist:\n{before}"
         );
     }

@@ -18,8 +18,8 @@
 use patmos_isa::SpecialReg;
 use patmos_lir::{Function, VItem, VOp, VReg};
 
+use crate::cache::Analyses;
 use crate::util::{self, copy_op, load_imm, Consts};
-use std::collections::BTreeSet;
 
 /// The replacement for `v * c` into `rd`, when one exists.
 fn reduce(rd: VReg, v: VReg, c: u32) -> Option<VOp> {
@@ -43,7 +43,7 @@ fn try_reduce_pair(
     i: usize,
     j: usize,
     consts: &Consts,
-    marked: &mut BTreeSet<usize>,
+    marked: &mut Vec<usize>,
 ) {
     let (VItem::Inst(mul), VItem::Inst(mfs)) = (&items[i], &items[j]) else {
         return;
@@ -73,31 +73,33 @@ fn try_reduce_pair(
             unreachable!();
         };
         mfs.op = new_op;
-        marked.insert(i);
+        marked.push(i);
     }
 }
 
 /// Runs the pass over every block of one function.
-pub(crate) fn run(func: &mut Function<VItem>) -> bool {
-    // A consumer of `sh` would observe the deleted `mul`.
-    let reads_sh = func.items.iter().any(|item| {
-        matches!(
-            item,
-            VItem::Inst(patmos_lir::VInst {
-                op: VOp::Mfs {
-                    ss: SpecialReg::Sh,
-                    ..
-                },
-                ..
-            })
-        )
-    });
-    if reads_sh {
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+    // Without a `mul` there is nothing to reduce; and a consumer of
+    // `sh` would observe the deleted `mul`.
+    let (mut has_mul, mut reads_sh) = (false, false);
+    for item in &func.items {
+        if let VItem::Inst(inst) = item {
+            match inst.op {
+                VOp::Mul { .. } => has_mul = true,
+                VOp::Mfs {
+                    ss: SpecialReg::Sh, ..
+                } => reads_sh = true,
+                _ => {}
+            }
+        }
+    }
+    if !has_mul || reads_sh {
         return false;
     }
-    let mut marked: BTreeSet<usize> = BTreeSet::new();
-    for block in util::blocks(func) {
-        let mut consts = Consts::default();
+    let mut marked: Vec<usize> = Vec::new();
+    let mut consts = Consts::new();
+    for block in cache.with_cfg(func).blocks() {
+        consts.clear();
         for (w, &i) in block.iter().enumerate() {
             if let Some(&j) = block.get(w + 1) {
                 try_reduce_pair(&mut func.items, i, j, &consts, &mut marked);
@@ -111,7 +113,7 @@ pub(crate) fn run(func: &mut Function<VItem>) -> bool {
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut func.items, &marked);
+    util::remove_marked(&mut func.items, &mut marked);
     changed
 }
 
@@ -146,7 +148,7 @@ mod tests {
     #[test]
     fn power_of_two_becomes_shift() {
         let mut m = mul_by_const(8);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert_eq!(m.items.len(), 3, "the mul is gone");
         assert!(matches!(
             &m.items[1],
@@ -164,7 +166,7 @@ mod tests {
     #[test]
     fn non_power_of_two_is_kept() {
         let mut m = mul_by_const(7);
-        assert!(!run(&mut m));
+        assert!(!run(&mut m, &mut Analyses::default()));
         assert_eq!(m.items.len(), 4);
     }
 
@@ -178,13 +180,13 @@ mod tests {
                 ss: SpecialReg::Sh,
             })),
         );
-        assert!(!run(&mut m));
+        assert!(!run(&mut m, &mut Analyses::default()));
     }
 
     #[test]
     fn mul_by_one_becomes_copy() {
         let mut m = mul_by_const(1);
-        assert!(run(&mut m));
+        assert!(run(&mut m, &mut Analyses::default()));
         assert_eq!(
             crate::util::as_copy(match &m.items[1] {
                 VItem::Inst(i) => &i.op,

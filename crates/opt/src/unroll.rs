@@ -63,12 +63,11 @@
 //! schemes read the literal values `C0`, `K` and `S`, so they are
 //! **not** shape-stable and never run in single-path mode.
 
-use std::collections::HashSet;
-
 use patmos_isa::{AluOp, CmpOp, Pred, EXIT_PRED};
-use patmos_lir::{FuncCode, Function, VCfg, VInst, VItem, VModule, VOp, VReg};
+use patmos_lir::{FuncCode, Function, VCfg, VInst, VItem, VModule, VOp, VReg, VRegSet};
 use patmos_regalloc::{PressureEstimate, PressureModel};
 
+use crate::cache::{Analyses, Edits};
 use crate::util::max_vreg;
 use crate::{LoopUnroll, UnrollKind};
 
@@ -231,8 +230,8 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
     if hb.end - hb.first != 2 {
         return None;
     }
-    let cmp = func.insts[hb.first].1;
-    let br = func.insts[hb.first + 1].1;
+    let cmp = func.inst(hb.first);
+    let br = func.inst(hb.first + 1);
     let (cmp_op, pd, vi, bound) = match cmp.op {
         VOp::CmpI {
             op: op @ (CmpOp::Lt | CmpOp::Le),
@@ -260,8 +259,8 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
 
     // Latch ends with the unconditional back branch; the exit label
     // follows immediately.
-    let head_label = as_back_branch(func.insts[lb.end - 1].1)?;
-    let back_item = func.insts[lb.end - 1].0;
+    let head_label = as_back_branch(func.inst(lb.end - 1))?;
+    let back_item = func.insts[lb.end - 1];
     let end = back_item + 1;
     if !matches!(items.get(end), Some(VItem::Label(l)) if l == exit_label) {
         return None;
@@ -269,7 +268,7 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
 
     // Both loop labels must be private: the back branch is the only way
     // to the header, the exit branch the only way to the exit.
-    for (pos, (_, inst)) in func.insts.iter().enumerate() {
+    for (pos, (_, inst)) in func.iter().enumerate() {
         if let VOp::BrLabel(l) = &inst.op {
             if l == head_label && pos != lb.end - 1 {
                 return None;
@@ -281,9 +280,9 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
     }
 
     // The body: item span between the exit branch and the back branch.
-    let body_start = func.insts[hb.first + 1].0 + 1;
+    let body_start = func.insts[hb.first + 1] + 1;
     let body = body_start..back_item;
-    let internal_labels: HashSet<&str> = items[body.clone()]
+    let internal_labels: Vec<&str> = items[body.clone()]
         .iter()
         .filter_map(|i| match i {
             VItem::Label(l) => Some(l.as_str()),
@@ -298,8 +297,9 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
     let mut has_memory = false;
     let mut mem_ops = 0usize;
     let mut carried_mul = false;
-    let mut vregs: HashSet<VReg> = HashSet::new();
-    let mut defined: HashSet<VReg> = HashSet::new();
+    let mut vregs = VRegSet::default();
+    let mut distinct_vregs = 0usize;
+    let mut defined = VRegSet::default();
     let mut flow_seen = false; // a label or branch so far
     let mut p6_defined = false;
     for item in &items[body.clone()] {
@@ -311,7 +311,7 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
                 match &inst.op {
                     VOp::Ret | VOp::Halt => return None,
                     VOp::BrLabel(l) => {
-                        if !internal_labels.contains(l.as_str()) {
+                        if !internal_labels.contains(&l.as_str()) {
                             return None;
                         }
                         flow_seen = true;
@@ -324,15 +324,19 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
                         // An operand read before any body definition is
                         // carried around the back edge.
                         for r in [rs1, rs2] {
-                            if !r.is_zero() && !defined.contains(r) {
+                            if !r.is_zero() && !defined.contains(*r) {
                                 carried_mul = true;
                             }
                         }
                     }
                     _ => {}
                 }
-                vregs.extend(inst.op.uses().into_iter().flatten().chain(inst.op.def()));
-                defined.extend(inst.op.def());
+                for r in inst.op.uses().into_iter().flatten().chain(inst.op.def()) {
+                    distinct_vregs += usize::from(vregs.insert(r));
+                }
+                if let Some(d) = inst.op.def() {
+                    defined.insert(d);
+                }
                 if uses_pred(inst, pd) && !p6_defined {
                     return None;
                 }
@@ -368,28 +372,30 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
     // induction variable and a register bound). Treating a multi-block
     // body as straight-line over-approximates liveness across its
     // internal joins — the safe direction for a pressure measure.
-    let mut live: HashSet<VReg> = HashSet::new();
-    live.insert(vi);
+    let mut live = VRegSet::default();
+    let mut live_count = usize::from(live.insert(vi));
     if let BoundSrc::Reg(k) = bound {
-        live.insert(k);
+        live_count += usize::from(live.insert(k));
     }
-    let mut max_live = live.len();
+    let mut max_live = live_count;
     for item in items[body.clone()].iter().rev() {
         if let VItem::Inst(inst) = item {
             if let Some(d) = inst.op.def() {
-                live.remove(&d);
+                live_count -= usize::from(live.remove(d));
             }
             for u in inst.op.uses().into_iter().flatten() {
                 if !u.is_zero() {
-                    live.insert(u);
+                    live_count += usize::from(live.insert(u));
                 }
             }
-            max_live = max_live.max(live.len());
+            max_live = max_live.max(live_count);
         }
     }
 
-    // The increment must sit in the latch block.
-    let latch_items: HashSet<usize> = (lb.first..lb.end).map(|pos| func.insts[pos].0).collect();
+    // The increment must sit in the latch block: its instructions are
+    // the ones between the items of the block's first and last
+    // positions.
+    let latch_items = func.insts[lb.first]..=func.insts[lb.end - 1];
     let inc_in_latch = items[body.clone()].iter().enumerate().any(|(off, item)| {
         matches!(item, VItem::Inst(inst) if inst.op.def() == Some(vi))
             && latch_items.contains(&(body.start + off))
@@ -405,7 +411,7 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
     // that must survive the splice; it also marks a side entry, so the
     // constant scan below (which starts at `start` and stops at any
     // label) never looks past it either.
-    let lead = patmos_lir::header_lead(items, func.insts[hb.first].0);
+    let lead = patmos_lir::header_lead(items, func.insts[hb.first]);
     let start = lead.start;
     let bound_ann = lead.bound;
 
@@ -433,7 +439,7 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
         has_memory,
         mem_ops,
         carried_mul,
-        distinct_vregs: vregs.len(),
+        distinct_vregs,
         max_live,
         single_block: internal_labels.is_empty() && !flow_seen,
         trips,
@@ -686,9 +692,13 @@ fn replicate(body: &[VItem], copies: i64, prefix: &str) -> Vec<VItem> {
 /// flattened bodies. With `partial`, loops the full scheme cannot
 /// handle get the divisor or remainder treatment (`opt_level` 3).
 /// Every rewrite is recorded in `report.unrolls`, and both rewrites and
-/// cost-model refusals become remarks.
+/// cost-model refusals become remarks. The loops come from each
+/// function's cache (`caches` runs parallel to `module.funcs`); the
+/// caches of the functions whose items are spliced are dropped.
+/// Tightening a `.loopbound` in place feeds no analysis and keeps them.
 pub(crate) fn run(
     module: &mut VModule,
+    caches: &mut [Analyses],
     partial: bool,
     defer_pipelineable: bool,
     pressure: PressureEstimate,
@@ -702,16 +712,18 @@ pub(crate) fn run(
     // analysis, where it proves a software-pipelined loop's short-trip
     // fallback dead (the guard provably passes).
     let mut tightens: Vec<(usize, String, usize, u32)> = Vec::new();
-    for (fi, func) in module.funcs.iter().enumerate() {
-        let code = FuncCode::new(func);
-        let cfg = patmos_lir::build_vcfg(&code);
-        let forest = patmos_lir::LoopForest::build(&cfg);
+    for (fi, (func, cache)) in module.funcs.iter().zip(caches.iter_mut()).enumerate() {
+        let cached = cache.with_loops(func);
+        let (code, cfg, forest) = (
+            FuncCode::new(func, cached.positions()),
+            cached.cfg(),
+            cached.forest(),
+        );
         for (li, lp) in forest.loops.iter().enumerate() {
-            let innermost = !forest.loops.iter().any(|other| other.parent == Some(li));
-            if !innermost {
+            if forest.has_children(li) {
                 continue;
             }
-            if let Some(plan) = plan_loop(&code, &cfg, lp) {
+            if let Some(plan) = plan_loop(&code, cfg, lp) {
                 match choose_scheme(&plan, partial, defer_pipelineable, pressure) {
                     Ok(scheme) => plans.push((fi, plan, scheme)),
                     refused => {
@@ -765,6 +777,7 @@ pub(crate) fn run(
     // valid and fresh registers keep their layout-order numbering.
     plans.sort_by_key(|(fi, p, _)| std::cmp::Reverse((*fi, p.start)));
     for (fi, plan, scheme) in plans {
+        caches[fi].invalidate(Edits::Layout);
         let Function { name, items } = &mut module.funcs[fi];
         let (kind, factor, trips) = match &scheme {
             Scheme::Full { trips } => (UnrollKind::Full, *trips, Some(*trips)),
@@ -920,26 +933,30 @@ mod tests {
         VItem::Inst(VInst::always(op))
     }
 
-    fn run_full(m: &mut VModule) -> bool {
-        run(
+    fn run_with(m: &mut VModule, partial: bool, defer: bool) -> (bool, Vec<LoopUnroll>) {
+        let mut caches: Vec<Analyses> = m.funcs.iter().map(|_| Analyses::default()).collect();
+        let mut report = crate::OptReport::default();
+        let changed = run(
             m,
-            false,
-            false,
+            &mut caches,
+            partial,
+            defer,
             PressureEstimate::default(),
-            &mut crate::OptReport::default(),
-        )
+            &mut report,
+        );
+        (changed, report.unrolls)
+    }
+
+    fn run_full(m: &mut VModule) -> bool {
+        run_with(m, false, false).0
     }
 
     fn run_partial(m: &mut VModule) -> (bool, Vec<LoopUnroll>) {
-        let mut report = crate::OptReport::default();
-        let changed = run(m, true, false, PressureEstimate::default(), &mut report);
-        (changed, report.unrolls)
+        run_with(m, true, false)
     }
 
     fn run_partial_deferring(m: &mut VModule) -> (bool, Vec<LoopUnroll>) {
-        let mut report = crate::OptReport::default();
-        let changed = run(m, true, true, PressureEstimate::default(), &mut report);
-        (changed, report.unrolls)
+        run_with(m, true, true)
     }
 
     /// An inner counted loop `for (i = 0; i < 5; i++) { s = s + i; }`
@@ -1168,7 +1185,7 @@ mod tests {
             })
             .collect();
         assert_eq!(labels.len(), 5, "{}", m.render());
-        let unique: HashSet<&str> = labels.iter().copied().collect();
+        let unique: std::collections::HashSet<&str> = labels.iter().copied().collect();
         assert_eq!(unique.len(), 5, "labels must be uniquified per copy");
     }
 

@@ -1,27 +1,8 @@
-//! Shared pass infrastructure: block discovery, constant tracking,
-//! instruction builders, and item removal.
-
-use std::collections::{BTreeSet, HashMap};
+//! Shared pass infrastructure: constant tracking, instruction
+//! builders, and item removal.
 
 use patmos_isa::AluOp;
-use patmos_lir::{FuncCode, Function, VInst, VItem, VOp, VReg};
-
-/// The basic blocks of one function, each as the item indices of its
-/// instructions in layout order, derived from the shared CFG
-/// construction ([`patmos_lir::build_vcfg`]) so the block-local passes
-/// and the dataflow analyses agree on block boundaries by
-/// construction. The result owns its indices: compute it first, then
-/// mutate instructions in place (do not add or remove items while
-/// iterating it).
-pub(crate) fn blocks(func: &Function<VItem>) -> Vec<Vec<usize>> {
-    let code = FuncCode::new(func);
-    let cfg = patmos_lir::build_vcfg(&code);
-    cfg.blocks
-        .iter()
-        .filter(|b| b.first < b.end)
-        .map(|b| (b.first..b.end).map(|pos| code.insts[pos].0).collect())
-        .collect()
-}
+use patmos_lir::{VInst, VItem, VOp, VReg, VRegSet};
 
 /// The largest virtual-register id the items use (fresh registers are
 /// numbered past it).
@@ -37,14 +18,20 @@ pub(crate) fn max_vreg<'a>(items: impl IntoIterator<Item = &'a VItem>) -> u32 {
     max
 }
 
-/// Removes the marked item indices from `items`.
-pub(crate) fn remove_marked(items: &mut Vec<VItem>, marked: &BTreeSet<usize>) {
+/// Removes the items at the `marked` indices (in any order) from
+/// `items`.
+pub(crate) fn remove_marked(items: &mut Vec<VItem>, marked: &mut [usize]) {
     if marked.is_empty() {
         return;
     }
+    marked.sort_unstable();
+    let mut next = marked.iter().copied().peekable();
     let mut idx = 0usize;
     items.retain(|_| {
-        let keep = !marked.contains(&idx);
+        let mut keep = true;
+        while next.next_if_eq(&idx).is_some() {
+            keep = false;
+        }
         idx += 1;
         keep
     });
@@ -93,41 +80,83 @@ pub(crate) fn as_copy(op: &VOp) -> Option<(VReg, VReg)> {
     }
 }
 
+/// A table indexed by virtual-register id that grows on demand; an
+/// id never written reads as `T::default()`.
+pub(crate) struct ByReg<T>(Vec<T>);
+
+impl<T: Copy + Default> ByReg<T> {
+    pub(crate) fn new() -> ByReg<T> {
+        ByReg(Vec::new())
+    }
+
+    pub(crate) fn get(&self, v: VReg) -> T {
+        self.0.get(v.id() as usize).copied().unwrap_or_default()
+    }
+
+    pub(crate) fn slot(&mut self, v: VReg) -> &mut T {
+        let id = v.id() as usize;
+        if id >= self.0.len() {
+            self.0.resize(id + 1, T::default());
+        }
+        &mut self.0[id]
+    }
+
+    /// Resets every entry to `T::default()`.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Block-local constant values of virtual registers. Only values
 /// written by an unconditional immediate load are known; any other
-/// definition of a register forgets it.
-#[derive(Default)]
+/// definition of a register forgets it. A table indexed by register id,
+/// with a bitset of the known entries, so forgetting a whole block is a
+/// few word writes.
 pub(crate) struct Consts {
-    map: HashMap<VReg, u32>,
+    known: VRegSet,
+    values: ByReg<u32>,
 }
 
 impl Consts {
+    pub(crate) fn new() -> Consts {
+        Consts {
+            known: VRegSet::default(),
+            values: ByReg::new(),
+        }
+    }
+
     /// The known value of `v`, if any (the zero alias is always 0).
     pub(crate) fn get(&self, v: VReg) -> Option<u32> {
         if v.is_zero() {
             Some(0)
         } else {
-            self.map.get(&v).copied()
+            self.known.contains(v).then(|| self.values.get(v))
         }
+    }
+
+    /// Forgets every value (at a block boundary).
+    pub(crate) fn clear(&mut self) {
+        self.known.clear();
     }
 
     /// Records the effect of `inst` on the tracked constants. Call this
     /// *after* a pass has finished rewriting the instruction.
     pub(crate) fn update(&mut self, inst: &VInst) {
         let Some(d) = inst.op.def() else { return };
-        if inst.guard.is_always() {
-            match inst.op {
-                VOp::LoadImmLow { imm, .. } => {
-                    self.map.insert(d, imm as i16 as i32 as u32);
-                    return;
-                }
-                VOp::LoadImm32 { imm, .. } => {
-                    self.map.insert(d, imm);
-                    return;
-                }
-                _ => {}
+        let value = match inst.op {
+            _ if !inst.guard.is_always() => None,
+            VOp::LoadImmLow { imm, .. } => Some(imm as i16 as i32 as u32),
+            VOp::LoadImm32 { imm, .. } => Some(imm),
+            _ => None,
+        };
+        match value {
+            Some(value) => {
+                *self.values.slot(d) = value;
+                self.known.insert(d);
+            }
+            None => {
+                self.known.remove(d);
             }
         }
-        self.map.remove(&d);
     }
 }

@@ -4,7 +4,7 @@
 //! patmos-cli compile <file.patc> [--single-path] [--no-if-convert] [--single-issue]
 //!                                [--opt-level N] [--sched-level N] [--reg-policy linear|loop]
 //!                                [--dump-lir] [--dump-opt] [--dump-cfg] [--dump-loops]
-//!                                [--dump-sched] [--dump-pipeline] [--dump-alloc]
+//!                                [--dump-sched] [--dump-pipeline] [--dump-alloc] [--time-passes]
 //! patmos-cli asm     <file.pasm>
 //! patmos-cli disasm  <file.pasm | file.patc>
 //! patmos-cli run     <file.pasm | file.patc> [--single-issue] [--non-strict] [--stats]
@@ -81,7 +81,13 @@
 //! system. `--remarks` prints the structured optimization remarks
 //! (inliner, LICM, unroller, modulo scheduler — applied rewrites and
 //! refusals with their cost-model numbers) after `compile`, `run` or
-//! `profile` of a `.patc` file. `wcet --pessimism` joins the IPET
+//! `profile` of a `.patc` file. `compile --time-passes` prints the
+//! mid-end's own work to stderr: one row per pass (applications — per
+//! function for a scalar pass, per module for the inliner and the
+//! unroller —, applications that changed the code, host microseconds
+//! and share of the mid-end's pass time), then how many CFGs,
+//! dominator tree / loop forest pairs and liveness solves the
+//! per-function analysis cache built. `wcet --pessimism` joins the IPET
 //! bound's per-block charges against a traced run of the same binary
 //! and prints the loosest blocks first.
 //!
@@ -130,6 +136,7 @@ struct Args {
     host_stats: bool,
     slow_path: bool,
     remarks: bool,
+    time_passes: bool,
     json: bool,
     chrome: Option<String>,
     cores: u32,
@@ -145,8 +152,9 @@ fn usage() -> ExitCode {
          [--single-path] [--no-if-convert] [--single-issue] [--non-strict] [--opt-level N] \
          [--sched-level N] [--reg-policy linear|loop] [--dump-lir] [--dump-opt] [--dump-cfg] \
          [--dump-loops] [--dump-sched] [--dump-pipeline] [--dump-alloc] [--stats] \
-         [--host-stats] [--slow-path] [--remarks] [--json] [--chrome <out.json>] [--cores N] \
-         [--slot-cycles N] [--pessimism] [--seed N] [--campaign N]"
+         [--host-stats] [--slow-path] [--remarks] [--time-passes] [--json] \
+         [--chrome <out.json>] [--cores N] [--slot-cycles N] [--pessimism] [--seed N] \
+         [--campaign N]"
     );
     ExitCode::from(2)
 }
@@ -174,6 +182,7 @@ fn parse_args() -> Option<Args> {
         host_stats: false,
         slow_path: false,
         remarks: false,
+        time_passes: false,
         json: false,
         chrome: None,
         cores: 1,
@@ -230,6 +239,7 @@ fn parse_args() -> Option<Args> {
             "--host-stats" => args.host_stats = true,
             "--slow-path" => args.slow_path = true,
             "--remarks" => args.remarks = true,
+            "--time-passes" => args.time_passes = true,
             "--json" => args.json = true,
             "--pessimism" => args.pessimism = true,
             "--chrome" => {
@@ -368,13 +378,49 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     let options = args.compile_options();
     if args.wants_dump() {
         dump_artifacts(&source, &options, args)?;
+    } else {
+        let asm = patmos::compiler::compile_to_asm(&source, &options).map_err(|e| e.to_string())?;
+        print!("{asm}");
+        if args.remarks {
+            print_remarks(&source, &options)?;
+        }
+    }
+    if args.time_passes {
+        print_pass_times(&source, &options)?;
+    }
+    Ok(())
+}
+
+/// Prints the mid-end's per-pass work and the analyses its cache
+/// built (`--time-passes`).
+fn print_pass_times(source: &str, options: &CompileOptions) -> Result<(), String> {
+    let artifacts =
+        patmos::compiler::compile_with_artifacts(source, options).map_err(|e| e.to_string())?;
+    let Some(report) = &artifacts.opt else {
+        eprintln!("=== mid-end disabled (opt-level 0) ===");
         return Ok(());
+    };
+    let total: u64 = report.passes.iter().map(|p| p.nanos).sum();
+    eprintln!("=== mid-end passes ({} round(s)) ===", report.rounds);
+    eprintln!(
+        "{:<18} {:>12} {:>8} {:>10} {:>7}",
+        "pass", "applications", "changes", "µs", "share"
+    );
+    for p in &report.passes {
+        eprintln!(
+            "{:<18} {:>12} {:>8} {:>10.1} {:>6.1}%",
+            p.pass,
+            p.applications,
+            p.changes,
+            p.nanos as f64 / 1e3,
+            100.0 * p.nanos as f64 / total.max(1) as f64
+        );
     }
-    let asm = patmos::compiler::compile_to_asm(&source, &options).map_err(|e| e.to_string())?;
-    print!("{asm}");
-    if args.remarks {
-        print_remarks(&source, &options)?;
-    }
+    let b = report.builds;
+    eprintln!(
+        "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness solve(s)",
+        b.cfgs, b.loop_forests, b.liveness
+    );
     Ok(())
 }
 

@@ -36,7 +36,7 @@ use std::fmt;
 use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Reg, ALLOC_POOL, LINK_REG, SPILL_SCRATCH};
 
 use crate::constraints::Policy;
-use patmos_lir::cfg::{build_vcfg, FuncCode, VCfg};
+use patmos_lir::cfg::{build_vcfg, inst_positions, FuncCode, VCfg};
 use patmos_lir::liveness::{self, Interval};
 use patmos_lir::loops::{header_lead, LoopForest, NaturalLoop};
 use patmos_lir::plir::{Item, LirInst, LirOp, Module};
@@ -293,7 +293,9 @@ pub fn regalloc(policy: &Policy, module: &VModule) -> Result<(Module, AllocRepor
         funcs: Vec::new(),
     };
     for func in &module.funcs {
-        let (items, fa) = run_func(loop_aware, &FuncCode::new(func), &module.entry)?;
+        let positions = inst_positions(&func.items);
+        let code = FuncCode::new(func, &positions);
+        let (items, fa) = run_func(loop_aware, &code, &module.entry)?;
         out.funcs.push(Function::new(func.name.clone(), items));
         report.funcs.push(fa);
     }
@@ -363,13 +365,13 @@ fn run_func(
 ) -> Result<(Vec<Item>, FuncAlloc), AllocError> {
     let cfg = build_vcfg(func);
     for &cp in &cfg.call_positions {
-        if !func.insts[cp].1.guard.is_always() {
+        if !func.inst(cp).guard.is_always() {
             return Err(AllocError::GuardedCall {
                 func: func.name.to_string(),
             });
         }
     }
-    for (_, inst) in &func.insts {
+    for (_, inst) in func.iter() {
         if matches!(inst.op, VOp::Ret | VOp::Halt) && !inst.guard.is_always() {
             return Err(AllocError::GuardedReturn {
                 func: func.name.to_string(),
@@ -561,7 +563,7 @@ impl LoopCtx {
         let depth = forest.depth_per_block(cfg.blocks.len());
         let block_of: Vec<usize> = (0..func.insts.len()).map(|p| cfg.block_of(p)).collect();
         let mut loop_uses: HashMap<VReg, u32> = HashMap::new();
-        for (p, (_, inst)) in func.insts.iter().enumerate() {
+        for (p, (_, inst)) in func.iter().enumerate() {
             if depth[block_of[p]] == 0 {
                 continue;
             }
@@ -647,7 +649,7 @@ impl LoopPlacer<'_> {
                 .max()
                 .expect("loop has blocks")
                 - 1;
-            let header_first_item = self.func.insts[self.cfg.blocks[lp.header].first].0;
+            let header_first_item = self.func.insts[self.cfg.blocks[lp.header].first];
             let lead = header_lead(self.func.items, header_first_item);
 
             // The round-robin class: registers granted to intervals
@@ -677,7 +679,7 @@ impl LoopPlacer<'_> {
             // loop (natural loops have no other side entries).
             let layout_ok = self.cfg.blocks[lp.header].first == first_pos;
             let entry_ok = lead.label.is_some_and(|l| {
-                self.func.insts.iter().enumerate().all(|(p, (_, inst))| {
+                self.func.iter().enumerate().all(|(p, (_, inst))| {
                     !matches!(&inst.op, VOp::BrLabel(t) if t == l) || self.lc.in_loop(lp, p)
                 })
             });
@@ -688,7 +690,6 @@ impl LoopPlacer<'_> {
 
             let defs_in_loop = |v: VReg| {
                 self.func
-                    .insts
                     .iter()
                     .enumerate()
                     .any(|(p, (_, inst))| self.lc.in_loop(lp, p) && inst.op.def() == Some(v))
@@ -757,7 +758,6 @@ impl LoopPlacer<'_> {
                     }
                     let uses_in_loop = self
                         .func
-                        .insts
                         .iter()
                         .enumerate()
                         .filter(|&(p, (_, inst))| {

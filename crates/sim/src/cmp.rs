@@ -10,8 +10,12 @@
 //! analysed — in isolation with its TDMA-adjusted memory costs, which is
 //! exactly what this module does, and exactly why per-core WCET analysis
 //! stays tractable (experiment E8). The same composability makes the
-//! host-side simulation embarrassingly parallel: cores run on separate
-//! `std::thread` workers with bit-identical per-core results.
+//! host-side simulation embarrassingly parallel: cores run on a pool of
+//! at most `available_parallelism` `std::thread` workers with
+//! bit-identical per-core results.
+
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use patmos_asm::ObjectImage;
 use patmos_mem::TdmaArbiter;
@@ -74,39 +78,64 @@ impl CmpSystem {
         cfg
     }
 
-    /// Runs `f` for every core on its own `std::thread` worker and
-    /// collects the outcomes in core order.
+    /// Runs `f` for every core and collects the outcomes in core order.
     ///
-    /// This is sound *because* of the TDMA schedule: the arbiter is a
-    /// pure function of `(core, cycle)` with no shared mutable state, so
-    /// each core's timing is independent of when — or on which host
-    /// thread — the other cores are simulated. The merge is
-    /// deterministic: results are joined in core index order, so the
-    /// first failing core's error is returned exactly as it would be by
-    /// a sequential loop. A worker that *panics* (a host-side bug, never
-    /// a guest error) is contained the same way: every other core's
-    /// worker still runs to completion, and the lowest panicked core
-    /// surfaces as [`SimError::CoreWorkerPanicked`] in core order.
+    /// The cores run on at most `min(cores, available_parallelism)`
+    /// scoped `std::thread` workers, each taking the next core index
+    /// from a shared counter, so a system of many cores never asks the
+    /// host for a thread per core. This is sound *because* of the TDMA
+    /// schedule: the arbiter is a pure function of `(core, cycle)` with
+    /// no shared mutable state, so each core's timing is independent of
+    /// when — or on which host thread — the other cores are simulated.
+    /// The merge is deterministic: results are joined in core index
+    /// order, so the first failing core's error is returned exactly as
+    /// it would be by a sequential loop. A core whose run *panics* (a
+    /// host-side bug, never a guest error) is contained the same way:
+    /// every other core still runs to completion, and the lowest
+    /// panicked core surfaces as [`SimError::CoreWorkerPanicked`] in
+    /// core order.
     fn run_cores<T, F>(&self, f: F) -> Result<Vec<T>, SimError>
     where
         T: Send,
         F: Fn(u32) -> Result<T, SimError> + Sync,
     {
-        let f = &f;
-        let outcomes = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.arbiter.cores())
-                .map(|core| s.spawn(move || f(core)))
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(core, h)| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(SimError::CoreWorkerPanicked { core: core as u32 }))
+        let cores = self.arbiter.cores();
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(cores as usize);
+        let next = AtomicUsize::new(0);
+        let run_core = |core: u32| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| f(core)))
+                .unwrap_or(Err(SimError::CoreWorkerPanicked { core }))
+        };
+        let mut outcomes: Vec<Option<Result<T, SimError>>> = (0..cores).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            // Relaxed: the counter only hands out core
+                            // indices; outcomes come back through `join`.
+                            let core = next.fetch_add(1, Ordering::Relaxed);
+                            if core >= cores as usize {
+                                return done;
+                            }
+                            done.push((core, run_core(core as u32)));
+                        }
+                    })
                 })
-                .collect::<Vec<_>>()
+                .collect();
+            for handle in handles {
+                let done = handle.join().expect("core panics are caught per core");
+                for (core, outcome) in done {
+                    outcomes[core] = Some(outcome);
+                }
+            }
         });
-        outcomes.into_iter().collect()
+        (outcomes.into_iter())
+            .map(|outcome| outcome.expect("every core ran"))
+            .collect()
     }
 
     /// Runs the same image on every core and collects per-core results.
@@ -252,6 +281,37 @@ mod tests {
         });
         assert_eq!(result, Err(SimError::CoreWorkerPanicked { core: 2 }));
         assert_eq!(completed.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn cores_share_a_bounded_pool_of_host_threads() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let cmp = CmpSystem::new(SimConfig::default(), 16, 64).expect("slots fit");
+        let threads = Mutex::new(Vec::new());
+        let result = cmp.run_cores(|core| {
+            threads
+                .lock()
+                .expect("no core panics")
+                .push(std::thread::current().id());
+            Ok(core)
+        });
+        assert_eq!(
+            result,
+            Ok((0..16).collect::<Vec<u32>>()),
+            "merged in core order"
+        );
+        let threads = threads.into_inner().expect("no core panics");
+        assert_eq!(threads.len(), 16, "every core ran exactly once");
+        let distinct: HashSet<_> = threads.into_iter().collect();
+        let bound = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(16);
+        assert!(
+            distinct.len() <= bound,
+            "{} host threads ran 16 cores; the bound is {bound}",
+            distinct.len()
+        );
     }
 
     #[test]
