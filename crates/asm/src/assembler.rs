@@ -1,4 +1,5 @@
-//! The two-pass assembler.
+//! The assembler: text to an [`AsmModule`] ([`parse`]), and the two
+//! passes that lay a module out and encode it ([`link`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -9,6 +10,7 @@ use patmos_isa::{
 };
 
 use crate::lexer::{tokenize_line, Token};
+use crate::module::{AsmInst, AsmModule, Line, Operand, Stmt};
 use crate::object::{
     DataSegment, FuncInfo, LoopBound, ObjectImage, PipeLoop, SourceFunc, SourceInfo, SourceLoop,
 };
@@ -30,88 +32,8 @@ impl fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-/// An operand that may still be a symbol.
-#[derive(Debug, Clone)]
-enum SymOrVal {
-    Sym(String),
-    Val(i64),
-}
-
-/// A parsed instruction, possibly awaiting symbol resolution.
-#[derive(Debug, Clone)]
-enum PInst {
-    Ready(Inst),
-    /// `br`/`call` with a label target.
-    Flow {
-        guard: Guard,
-        call: bool,
-        target: SymOrVal,
-    },
-    /// `lil rd = symbol`.
-    LongImm {
-        guard: Guard,
-        rd: Reg,
-        value: SymOrVal,
-    },
-}
-
-impl PInst {
-    /// Words this instruction contributes when it is the only slot.
-    fn is_long(&self) -> bool {
-        matches!(self, PInst::LongImm { .. })
-            || matches!(self, PInst::Ready(i) if matches!(i.op, Op::LoadImm32 { .. }))
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Stmt {
-    Label(String),
-    Func(String),
-    Entry(String),
-    DataStart {
-        name: String,
-        addr: u32,
-    },
-    Words(Vec<SymOrVal>),
-    Bytes(Vec<i64>),
-    Space(u32),
-    Equ {
-        name: String,
-        value: i64,
-    },
-    LoopBound {
-        min: u32,
-        max: u32,
-    },
-    SrcFunc {
-        name: String,
-        line: u32,
-    },
-    SrcLoop {
-        line: u32,
-        start: String,
-        end: String,
-    },
-    PipeLoop {
-        guard: String,
-        kernel: String,
-        fallback: String,
-        ii: u32,
-        stages: u32,
-        prologue: u32,
-        epilogue: u32,
-        threshold: u32,
-        min_trips: u32,
-    },
-    Bundle(Vec<PInst>),
-}
-
-struct Line {
-    number: usize,
-    stmt: Stmt,
-}
-
-/// Assembles a complete program into an [`ObjectImage`].
+/// Assembles a complete program into an [`ObjectImage`]: [`link`] of
+/// [`parse`].
 ///
 /// # Errors
 ///
@@ -120,6 +42,19 @@ struct Line {
 /// undefined or duplicate symbols, calls to non-function labels, and
 /// branches that leave their function.
 pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
+    link(&parse(source)?)
+}
+
+/// Parses assembly text into an [`AsmModule`], each statement numbered
+/// by its source line.
+///
+/// # Errors
+///
+/// Returns an [`AsmError`] naming the offending line for lexical errors,
+/// unknown mnemonics or directives, and malformed or out-of-range
+/// operands. Everything that needs the whole program is left to
+/// [`link`].
+pub fn parse(source: &str) -> Result<AsmModule, AsmError> {
     let mut lines = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let number = idx + 1;
@@ -137,6 +72,25 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
             lines.push(Line { number, stmt });
         }
     }
+    Ok(AsmModule { lines })
+}
+
+/// Lays out and encodes a module: the assembler's two passes. Every
+/// check on a statement lives here, so a module built without
+/// [`parse`] is held to the same rules as text.
+///
+/// # Errors
+///
+/// Returns an [`AsmError`] naming the statement's line for undefined or
+/// duplicate symbols, data directives outside a segment and
+/// instructions outside a function, segments past the address space or
+/// the segment limit, a `.loopbound` whose min exceeds its max, a
+/// `.pipeloop` with a zero II or stage count, bundles of other than one
+/// or two instructions, literals text cannot spell, operations that do
+/// not encode or pair, `br`/`call` without a target operand, calls to
+/// non-function labels, and branches that leave their function.
+pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
+    let lines = &module.lines;
 
     // Pass 1: addresses, symbols, functions, annotations.
     let mut symbols: HashMap<String, u32> = HashMap::new();
@@ -160,7 +114,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
         Ok(())
     };
 
-    for line in &lines {
+    for line in lines {
         match &line.stmt {
             Stmt::Label(name) => {
                 let value = segment.as_ref().map_or(addr, |seg| seg.end);
@@ -179,7 +133,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                 });
             }
             Stmt::Entry(name) => entry_name = Some((name.clone(), line.number)),
-            Stmt::DataStart { name, addr: a } => {
+            Stmt::Data { name, addr: a } => {
                 segment = Some(OpenSegment {
                     name,
                     start: *a,
@@ -194,6 +148,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                         message: ".word outside a .data segment".into(),
                     });
                 };
+                non_empty(ws, ".word", line.number)?;
                 seg.grow(ws.len(), 4, line.number)?;
             }
             Stmt::Bytes(bs) => {
@@ -203,6 +158,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                         message: ".byte outside a .data segment".into(),
                     });
                 };
+                non_empty(bs, ".byte", line.number)?;
                 seg.grow(bs.len(), 1, line.number)?;
             }
             Stmt::Space(n) => {
@@ -215,9 +171,16 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                 seg.grow(*n as usize, 1, line.number)?;
             }
             Stmt::Equ { name, value } => {
-                define(&mut symbols, name, *value as u32, line.number)?;
+                let value = literal(*value, line.number)?;
+                define(&mut symbols, name, value as u32, line.number)?;
             }
             Stmt::LoopBound { min, max } => {
+                if min > max {
+                    return Err(AsmError {
+                        line: line.number,
+                        message: "loop bound min exceeds max".into(),
+                    });
+                }
                 loop_bounds.push(LoopBound {
                     addr,
                     min: *min,
@@ -234,7 +197,13 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
             } => {
                 src_loops.push((*l, start.clone(), end.clone(), line.number));
             }
-            Stmt::PipeLoop { .. } => {
+            Stmt::PipeLoop { ii, stages, .. } => {
+                if *ii == 0 || *stages == 0 {
+                    return Err(AsmError {
+                        line: line.number,
+                        message: "pipeloop II and stage count must be positive".into(),
+                    });
+                }
                 raw_pipe_loops.push((line.stmt.clone(), line.number));
             }
             Stmt::Bundle(insts) => {
@@ -250,10 +219,19 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                         message: "instruction before the first .func".into(),
                     });
                 }
-                let width = if insts.len() == 2 || insts[0].is_long() {
-                    2
-                } else {
-                    1
+                let width = match insts.as_slice() {
+                    [only] if only.is_long() => 2,
+                    [_] => 1,
+                    [_, _] => 2,
+                    _ => {
+                        return Err(AsmError {
+                            line: line.number,
+                            message: format!(
+                                "a bundle holds 1 or 2 instructions, not {}",
+                                insts.len()
+                            ),
+                        })
+                    }
                 };
                 addr += width;
             }
@@ -334,10 +312,10 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
     }
 
     // Pass 2: encode.
-    let resolve = |sv: &SymOrVal, line: usize| -> Result<i64, AsmError> {
-        match sv {
-            SymOrVal::Val(v) => Ok(*v),
-            SymOrVal::Sym(name) => symbols
+    let resolve = |operand: &Operand, line: usize| -> Result<i64, AsmError> {
+        match operand {
+            Operand::Val(v) => literal(*v, line),
+            Operand::Sym(name) => symbols
                 .get(name)
                 .map(|&v| v as i64)
                 .ok_or_else(|| AsmError {
@@ -361,9 +339,9 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
             }),
         }
     };
-    for line in &lines {
+    for line in lines {
         match &line.stmt {
-            Stmt::DataStart { name, addr: a } => {
+            Stmt::Data { name, addr: a } => {
                 data.push(DataSegment {
                     name: name.clone(),
                     addr: *a,
@@ -380,7 +358,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
             Stmt::Bytes(bs) => {
                 let seg = open_segment(&mut data, line.number)?;
                 for b in bs {
-                    data[seg].bytes.push(*b as u8);
+                    data[seg].bytes.push(literal(*b, line.number)? as u8);
                 }
             }
             Stmt::Space(n) => {
@@ -393,8 +371,16 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                 let mut resolved = Vec::with_capacity(insts.len());
                 for p in insts {
                     let inst = match p {
-                        PInst::Ready(i) => *i,
-                        PInst::Flow {
+                        AsmInst::Ready(i) if matches!(i.op, Op::Br { .. } | Op::Call { .. }) => {
+                            return Err(AsmError {
+                                line: line.number,
+                                message: "a `br` or `call` needs a target operand, not a \
+                                          resolved offset"
+                                    .into(),
+                            })
+                        }
+                        AsmInst::Ready(i) => *i,
+                        AsmInst::Flow {
                             guard,
                             call,
                             target,
@@ -441,7 +427,7 @@ pub fn assemble(source: &str) -> Result<ObjectImage, AsmError> {
                                 )
                             }
                         }
-                        PInst::LongImm { guard, rd, value } => {
+                        AsmInst::LongImm { guard, rd, value } => {
                             let v = resolve(value, line.number)? as u32;
                             Inst::new(*guard, Op::LoadImm32 { rd: *rd, imm: v })
                         }
@@ -559,14 +545,14 @@ impl<'a> Cursor<'a> {
             .map_err(|_| format!("`{directive}` operand {v} is outside 0..={}", u32::MAX))
     }
 
-    fn sym_or_int(&mut self) -> Result<SymOrVal, String> {
+    fn sym_or_int(&mut self) -> Result<Operand, String> {
         match self.peek() {
             Some(Token::Ident(s)) => {
                 let s = s.clone();
                 self.pos += 1;
-                Ok(SymOrVal::Sym(s))
+                Ok(Operand::Sym(s))
             }
-            _ => Ok(SymOrVal::Val(self.int()?)),
+            _ => Ok(Operand::Val(self.int()?)),
         }
     }
 
@@ -659,7 +645,7 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                 ".data" => {
                     let name = cur.ident()?.to_string();
                     let addr = cur.u32_operand(&directive)?;
-                    Stmt::DataStart { name, addr }
+                    Stmt::Data { name, addr }
                 }
                 ".word" => {
                     let mut ws = vec![cur.sym_or_int()?];
@@ -684,9 +670,6 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                 ".loopbound" => {
                     let min = cur.u32_operand(&directive)?;
                     let max = cur.u32_operand(&directive)?;
-                    if min > max {
-                        return Err("loop bound min exceeds max".into());
-                    }
                     Stmt::LoopBound { min, max }
                 }
                 ".srcfunc" => {
@@ -710,9 +693,6 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                     let epilogue = cur.u32_operand(&directive)?;
                     let threshold = cur.u32_operand(&directive)?;
                     let min_trips = cur.u32_operand(&directive)?;
-                    if ii == 0 || stages == 0 {
-                        return Err("pipeloop II and stage count must be positive".into());
-                    }
                     Stmt::PipeLoop {
                         guard,
                         kernel,
@@ -755,7 +735,7 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
     Ok(stmts)
 }
 
-fn parse_inst(cur: &mut Cursor) -> Result<PInst, String> {
+fn parse_inst(cur: &mut Cursor) -> Result<AsmInst, String> {
     // Optional guard `(pN)` / `(!pN)`.
     let guard = if cur.eat(&Token::LParen) {
         let negate = cur.eat(&Token::Bang);
@@ -769,20 +749,20 @@ fn parse_inst(cur: &mut Cursor) -> Result<PInst, String> {
     let mnemonic = cur.ident()?.to_string();
     let op = parse_op(&mnemonic, cur)?;
     match op {
-        ParsedOp::Op(op) => Ok(PInst::Ready(Inst::new(guard, op))),
-        ParsedOp::Flow { call, target } => Ok(PInst::Flow {
+        ParsedOp::Op(op) => Ok(AsmInst::Ready(Inst::new(guard, op))),
+        ParsedOp::Flow { call, target } => Ok(AsmInst::Flow {
             guard,
             call,
             target,
         }),
-        ParsedOp::LongImm { rd, value } => Ok(PInst::LongImm { guard, rd, value }),
+        ParsedOp::LongImm { rd, value } => Ok(AsmInst::LongImm { guard, rd, value }),
     }
 }
 
 enum ParsedOp {
     Op(Op),
-    Flow { call: bool, target: SymOrVal },
-    LongImm { rd: Reg, value: SymOrVal },
+    Flow { call: bool, target: Operand },
+    LongImm { rd: Reg, value: Operand },
 }
 
 fn alu_from_mnemonic(m: &str) -> Option<(AluOp, bool)> {
@@ -828,6 +808,30 @@ fn cmp_from_mnemonic(m: &str) -> Option<(CmpOp, bool)> {
         _ => return None,
     };
     Some((op, imm))
+}
+
+/// A literal as text can spell it: a `u32` literal with an optional
+/// minus.
+fn literal(value: i64, line: usize) -> Result<i64, AsmError> {
+    if value.unsigned_abs() <= u64::from(u32::MAX) {
+        Ok(value)
+    } else {
+        Err(AsmError {
+            line,
+            message: format!("literal {value} is outside ±{}", u32::MAX),
+        })
+    }
+}
+
+/// A `.word` or `.byte` list holds at least one value, as in text.
+fn non_empty<T>(values: &[T], directive: &str, line: usize) -> Result<(), AsmError> {
+    if values.is_empty() {
+        return Err(AsmError {
+            line,
+            message: format!("`{directive}` needs at least one value"),
+        });
+    }
+    Ok(())
 }
 
 /// Largest data segment the assembler lays out: 16 MiB, far above the
@@ -1216,6 +1220,127 @@ mod tests {
             "        .data d 0\n        .word 0xFFFFFFFF, 4294967295\n        .func main\n        halt\n",
         );
         assert_eq!(img.data()[0].bytes, [0xFF; 8]);
+    }
+
+    /// A module built directly: one statement per line, as its text.
+    fn module(stmts: Vec<Stmt>) -> AsmModule {
+        stmts.into_iter().collect()
+    }
+
+    fn ready(op: Op) -> AsmInst {
+        AsmInst::Ready(Inst::always(op))
+    }
+
+    fn pipeloop(ii: u32, stages: u32) -> Stmt {
+        Stmt::PipeLoop {
+            guard: "l".into(),
+            kernel: "l".into(),
+            fallback: "l".into(),
+            ii,
+            stages,
+            prologue: 0,
+            epilogue: 0,
+            threshold: 1,
+            min_trips: 0,
+        }
+    }
+
+    #[test]
+    fn link_checks_statements_that_skip_the_parser() {
+        // Each bad statement sits on line 3 of `.func main`, `l:`, it,
+        // `halt`; text either cannot spell it or only `link` rejects it.
+        let long = |value| AsmInst::LongImm {
+            guard: Guard::ALWAYS,
+            rd: Reg::R1,
+            value: Operand::Val(value),
+        };
+        for (stmt, message) in [
+            (Stmt::LoopBound { min: 4, max: 3 }, "min exceeds max"),
+            (pipeloop(0, 2), "II and stage count must be positive"),
+            (pipeloop(2, 0), "II and stage count must be positive"),
+            (Stmt::Bundle(Vec::new()), "1 or 2 instructions, not 0"),
+            (
+                Stmt::Bundle(vec![ready(Op::Nop), ready(Op::Nop), ready(Op::Nop)]),
+                "1 or 2 instructions, not 3",
+            ),
+            (
+                Stmt::Bundle(vec![ready(Op::Br { offset: 0 })]),
+                "needs a target operand",
+            ),
+            (
+                Stmt::Bundle(vec![ready(Op::Call { offset: 0 })]),
+                "needs a target operand",
+            ),
+            (Stmt::Bundle(vec![long(1 << 32)]), "literal 4294967296"),
+            (
+                Stmt::Equ {
+                    name: "n".into(),
+                    value: -(1 << 32),
+                },
+                "literal -4294967296",
+            ),
+        ] {
+            let m = module(vec![
+                Stmt::Func("main".into()),
+                Stmt::Label("l".into()),
+                stmt,
+                Stmt::Bundle(vec![ready(Op::Halt)]),
+            ]);
+            let err = link(&m).expect_err(&m.to_string());
+            assert_eq!(err.line, 3, "{m}{err}");
+            assert!(err.message.contains(message), "{m}{err}");
+        }
+        // Data statements sit on line 2, inside a segment.
+        for (stmt, message) in [
+            (Stmt::Words(Vec::new()), "`.word` needs at least one value"),
+            (Stmt::Bytes(Vec::new()), "`.byte` needs at least one value"),
+            (Stmt::Words(vec![Operand::Val(i64::MIN)]), "outside"),
+            (Stmt::Bytes(vec![1 << 40]), "outside"),
+        ] {
+            let m = module(vec![
+                Stmt::Data {
+                    name: "d".into(),
+                    addr: 0,
+                },
+                stmt,
+                Stmt::Func("main".into()),
+                Stmt::Bundle(vec![ready(Op::Halt)]),
+            ]);
+            let err = link(&m).expect_err(&m.to_string());
+            assert_eq!(err.line, 2, "{m}{err}");
+            assert!(err.message.contains(message), "{m}{err}");
+        }
+    }
+
+    #[test]
+    fn text_errors_on_moved_checks_keep_their_lines() {
+        for (src, message) in [
+            (
+                "        .func main\n        nop\n        .loopbound 3 2\nl:\n        halt\n",
+                "min exceeds max",
+            ),
+            (
+                "        .func main\nl:\n        .pipeloop l l l 0 1 0 0 0 0\n        halt\n",
+                "must be positive",
+            ),
+        ] {
+            let err = assemble(src).expect_err(src);
+            assert_eq!(err.line, 3, "{src}");
+            assert!(err.message.contains(message), "{err}");
+        }
+    }
+
+    #[test]
+    fn text_is_the_display_of_its_parse() {
+        let src = "        .data t 65536\n        .word 1, -2, t\n        .space 8\n        \
+                   .equ n 4\n        .entry main\n        .func main\nl:\n        \
+                   .loopbound 1 4\n        { (p1) lil r1 = t ; nop }\n        (!p6) br l\n        \
+                   call main\n        halt\n        .srcfunc main 1\n        .srcloop 2 l l\n";
+        let parsed = parse(src).expect("parses");
+        assert_eq!(parsed.to_string(), src);
+        // A bundle holding a long immediate does not pair, as in text.
+        let err = link(&parsed).expect_err("lil does not pair");
+        assert_eq!(err.line, 9);
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl SourceInfo {
 
 /// The assembled program: code, function table, data, symbols and
 /// annotations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjectImage {
     pub(crate) code: Vec<u32>,
     pub(crate) functions: Vec<FuncInfo>,

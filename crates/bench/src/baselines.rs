@@ -17,9 +17,9 @@
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-use patmos::asm::assemble;
+use patmos::asm::{assemble, ObjectImage};
 use patmos::baseline::{BaselineConfig, BaselineSim, BaselineStats};
-use patmos::compiler::{compile_with_artifacts, CompileOptions};
+use patmos::compiler::{compile, compile_with_artifacts, CompileOptions};
 use patmos::isa::Reg;
 use patmos::opt::UnrollKind;
 use patmos::sim::{SimConfig, Simulator};
@@ -148,6 +148,10 @@ pub struct Cell {
     /// FNV-1a 64 digest of the rendered virtual-register LIR the
     /// allocator receives (`VModule::render` after the mid-end).
     pub vlir_fnv: u64,
+    /// FNV-1a 64 digest of every field of the linked image: code
+    /// words, functions, data segments, symbols sorted by name, loop
+    /// bounds, pipelined loops, the source map and the entry word.
+    pub image_fnv: u64,
     /// The counters of one run on the conventional comparator machine.
     pub baseline: BaselineStats,
     /// The comparator machine's WCET bound.
@@ -161,6 +165,59 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// FNV-1a 64 over every field of an image, in a fixed text form: code
+/// words, functions, data segments, symbols sorted by name, loop
+/// bounds, pipelined loops, the source map and the entry word.
+fn image_fnv(image: &ObjectImage) -> u64 {
+    let mut text = String::new();
+    for word in image.code() {
+        let _ = write!(text, "{word:08x}");
+    }
+    text.push('\n');
+    for f in image.functions() {
+        let _ = writeln!(text, "func {} {} {}", f.name, f.start_word, f.size_words);
+    }
+    for seg in image.data() {
+        let _ = write!(text, "data {} {} ", seg.name, seg.addr);
+        for byte in &seg.bytes {
+            let _ = write!(text, "{byte:02x}");
+        }
+        text.push('\n');
+    }
+    let mut symbols: Vec<(&String, &u32)> = image.symbols().iter().collect();
+    symbols.sort();
+    for (name, value) in symbols {
+        let _ = writeln!(text, "symbol {name} {value}");
+    }
+    for b in image.loop_bounds() {
+        let _ = writeln!(text, "loopbound {} {} {}", b.addr, b.min, b.max);
+    }
+    for p in image.pipe_loops() {
+        let _ = writeln!(
+            text,
+            "pipeloop {} {} {} {} {} {} {} {} {}",
+            p.guard_word,
+            p.kernel_word,
+            p.fallback_word,
+            p.ii,
+            p.stages,
+            p.prologue,
+            p.epilogue,
+            p.threshold,
+            p.min_trips
+        );
+    }
+    let source = image.source_info();
+    for f in &source.funcs {
+        let _ = writeln!(text, "srcfunc {} {}", f.name, f.line);
+    }
+    for l in &source.loops {
+        let _ = writeln!(text, "srcloop {} {} {}", l.line, l.start_word, l.end_word);
+    }
+    let _ = writeln!(text, "entry {}", image.entry_word());
+    fnv1a64(text.as_bytes())
+}
+
 /// Compiles, runs and analyses one kernel under one configuration.
 fn measure(w: &Workload, config: &Config) -> Cell {
     let fail = |e: &dyn std::fmt::Display| -> ! { panic!("{} at {config:?}: {e}", w.name) };
@@ -172,7 +229,12 @@ fn measure(w: &Workload, config: &Config) -> Cell {
         ..CompileOptions::default()
     };
     let artifacts = compile_with_artifacts(&w.source, &options).unwrap_or_else(|e| fail(&e));
-    let image = assemble(&artifacts.asm).unwrap_or_else(|e| fail(&e));
+    // `compile` links the lowered statements directly; the text of the
+    // same statements must assemble to the same image.
+    let image = compile(&w.source, &options).unwrap_or_else(|e| fail(&e));
+    if assemble(&artifacts.asm).as_ref() != Ok(&image) {
+        fail(&"the linked image differs from its assembled text's");
+    }
     let mut sim = Simulator::new(&image, SimConfig::default());
     sim.run().unwrap_or_else(|e| fail(&e));
     if sim.reg(Reg::R1) != w.expected {
@@ -202,6 +264,7 @@ fn measure(w: &Workload, config: &Config) -> Cell {
         blind_bound: blind.bound_cycles,
         asm_fnv: fnv1a64(artifacts.asm.as_bytes()),
         vlir_fnv: fnv1a64(artifacts.vmodule.render().as_bytes()),
+        image_fnv: image_fnv(&image),
         baseline,
         baseline_bound: baseline_bound.bound_cycles,
     }
@@ -272,9 +335,10 @@ pub const OPT3: &str = "opt3_cycles.json";
 pub const REGALLOC2: &str = "regalloc2_cycles.json";
 /// Pipeline-aware WCET bounds.
 pub const WCET: &str = "wcet_bounds.json";
-/// Digests of the emitted assembly and of the mid-end's output: equal
-/// cycles do not prove equal code, and equal code does not prove an
-/// unchanged mid-end.
+/// Digests of the emitted assembly, of the mid-end's output and of the
+/// linked image: equal cycles do not prove equal code, equal code does
+/// not prove an unchanged mid-end, and equal text does not prove an
+/// equal image.
 pub const ASM: &str = "asm_digests.json";
 /// The conventional comparator machine: its counters and WCET bound.
 pub const BASELINE_MACHINE: &str = "baseline_machine.json";
@@ -355,6 +419,10 @@ pub const FAMILIES: [Family; 9] = [
             ("vlir_opt2_sched1", Live(O2S1, |c| c.vlir_fnv)),
             ("vlir_opt3_sched2", Live(O3S2, |c| c.vlir_fnv)),
             ("vlir_opt3_sched2_loop", Live(O3S2_LOOP, |c| c.vlir_fnv)),
+            ("image_opt1_sched1", Live(O1S1, |c| c.image_fnv)),
+            ("image_opt2_sched1", Live(O2S1, |c| c.image_fnv)),
+            ("image_opt3_sched2", Live(O3S2, |c| c.image_fnv)),
+            ("image_opt3_sched2_loop", Live(O3S2_LOOP, |c| c.image_fnv)),
         ],
     },
     Family {

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use patmos_asm::MAX_SEGMENT_BYTES;
+use patmos_asm::{Operand, MAX_SEGMENT_BYTES};
 use patmos_isa::{
     AluOp, CmpOp, Guard, MemArea, Pred, PredOp, PredSrc, Reg, ARG_REGS, BOOL_PRED, EXIT_PRED,
 };
@@ -153,7 +153,9 @@ fn area_of(q: MemQualifier) -> MemArea {
 }
 
 /// Lowers a parsed program to virtual-register LIR, alongside the
-/// source map relating generated labels back to PatC source lines.
+/// source map relating generated labels back to PatC source lines and
+/// the data layout as assembler statements (`.data`, `.word`, `.space`,
+/// `.equ`).
 ///
 /// # Errors
 ///
@@ -161,9 +163,10 @@ fn area_of(q: MemQualifier) -> MemArea {
 pub fn lower(
     program: &Program,
     options: &CompileOptions,
-) -> Result<(VModule, SourceMap), CodegenError> {
+) -> Result<(VModule, SourceMap, Vec<patmos_asm::Stmt>), CodegenError> {
     let mut module = VModule::default();
     let mut srcmap = SourceMap::default();
+    let mut data = Vec::new();
     let mut globals: HashMap<String, GlobalRef> = HashMap::new();
 
     // Data layout, in 64-bit arithmetic so no size can wrap. Per area:
@@ -212,26 +215,28 @@ pub fn lower(
             });
         }
         area.1 = end;
+        let name = g.name.clone();
+        // Every area ends inside the 32-bit address space (checked
+        // above), so its addresses fit a `u32`.
         if g.qualifier == MemQualifier::Spm {
-            module
-                .data_lines
-                .push(format!("        .equ {} {addr}", g.name));
+            data.push(patmos_asm::Stmt::Equ {
+                name,
+                value: addr as i64,
+            });
             continue;
         }
-        module
-            .data_lines
-            .push(format!("        .data {} {addr}", g.name));
+        data.push(patmos_asm::Stmt::Data {
+            name,
+            addr: addr as u32,
+        });
         if !g.init.is_empty() {
-            let words: Vec<String> = g.init.iter().map(|v| v.to_string()).collect();
-            module
-                .data_lines
-                .push(format!("        .word {}", words.join(", ")));
+            let words = g.init.iter().map(|&v| Operand::Val(v)).collect();
+            data.push(patmos_asm::Stmt::Words(words));
         }
+        // At most `MAX_SEGMENT_BYTES` (checked above).
         let rest = u64::from(g.len) - g.init.len() as u64;
         if rest > 0 {
-            module
-                .data_lines
-                .push(format!("        .space {}", 4 * rest));
+            data.push(patmos_asm::Stmt::Space(4 * rest as u32));
         }
     }
 
@@ -289,7 +294,7 @@ pub fn lower(
     }
 
     module.entry = "main".into();
-    Ok((module, srcmap))
+    Ok((module, srcmap, data))
 }
 
 struct FnCtx<'a> {

@@ -44,8 +44,11 @@
 //! dependence DAGs, critical-path list scheduling, dual-issue packing,
 //! delay-slot filling, and — at level 2 — iterative modulo scheduling
 //! of innermost counted loops, controlled by
-//! [`CompileOptions::sched_level`]) → Patmos assembly text →
-//! [`patmos_asm::assemble`].
+//! [`CompileOptions::sched_level`]) → a [`patmos_asm::AsmModule`] of
+//! assembler statements → [`patmos_asm::link`]. No text is rendered or
+//! lexed on the way to the image: the module's `Display` is the
+//! assembly text [`compile_to_asm`] returns, and assembling that text
+//! gives the same image.
 //!
 //! # Example
 //!
@@ -74,7 +77,7 @@ pub use parser::{parse, ParseError};
 pub use patmos_regalloc::{AllocError, AllocReport, Policy};
 pub use srcmap::{LoopSpan, SourceMap};
 
-use patmos_asm::ObjectImage;
+use patmos_asm::{AsmModule, ObjectImage};
 
 /// Compiler configuration.
 #[derive(Debug, Clone)]
@@ -165,7 +168,8 @@ pub enum CompileError {
     Codegen(CodegenError),
     /// Register allocation failed (frame overflow).
     RegAlloc(AllocError),
-    /// The generated assembly failed to assemble (a compiler bug).
+    /// The lowered module failed to link (a compiler bug): the link
+    /// error, then the module's assembly text.
     Assemble(String),
     /// The options select a pipeline level that does not exist.
     InvalidOptions(String),
@@ -225,6 +229,8 @@ struct Build {
     sched: patmos_sched::SchedReport,
     srcmap: SourceMap,
     scheduled: patmos_sched::ScheduledModule,
+    /// The data layout as assembler statements.
+    data: Vec<patmos_asm::Stmt>,
 }
 
 /// The compile driver behind every entry point: options check, parse,
@@ -233,7 +239,7 @@ struct Build {
 fn drive(source: &str, options: &CompileOptions, trace: bool) -> Result<Build, CompileError> {
     check_levels(options)?;
     let program = parse(source)?;
-    let (mut vmodule, mut srcmap) = codegen::lower(&program, options)?;
+    let (mut vmodule, mut srcmap, data) = codegen::lower(&program, options)?;
     // Single-path compilations restrict the mid-end to shape-stable
     // rewrites, so code shape (and so execution time) cannot depend on
     // literal values.
@@ -273,10 +279,18 @@ fn drive(source: &str, options: &CompileOptions, trace: bool) -> Result<Build, C
         sched,
         srcmap,
         scheduled,
+        data,
     })
 }
 
-/// Compiles PatC source to Patmos assembly text.
+/// Compiles to the assembler's statements: the driver, then lowering.
+fn lower(source: &str, options: &CompileOptions) -> Result<AsmModule, CompileError> {
+    let build = drive(source, options, false)?;
+    Ok(sched::lower(build.scheduled, build.data, &build.srcmap))
+}
+
+/// Compiles PatC source to Patmos assembly text: the `Display` of the
+/// statements [`compile`] links.
 ///
 /// # Errors
 ///
@@ -285,8 +299,7 @@ fn drive(source: &str, options: &CompileOptions, trace: bool) -> Result<Build, C
 /// allowed here but rejected later by the WCET analysis), or missing
 /// loop bounds.
 pub fn compile_to_asm(source: &str, options: &CompileOptions) -> Result<String, CompileError> {
-    let build = drive(source, options, false)?;
-    Ok(sched::emit_with_map(&build.scheduled, &build.srcmap))
+    Ok(lower(source, options)?.to_string())
 }
 
 /// Intermediate artefacts of one compilation, for inspection tools
@@ -307,7 +320,7 @@ pub struct CompileArtifacts {
     /// The source map after inline bookkeeping — what became the
     /// `.srcfunc`/`.srcloop` directives in `asm`.
     pub srcmap: SourceMap,
-    /// The scheduled assembly text.
+    /// The scheduled assembly text, as [`compile_to_asm`] returns it.
     pub asm: String,
 }
 
@@ -322,7 +335,7 @@ pub fn compile_with_artifacts(
     options: &CompileOptions,
 ) -> Result<CompileArtifacts, CompileError> {
     let build = drive(source, options, true)?;
-    let asm = sched::emit_with_map(&build.scheduled, &build.srcmap);
+    let asm = sched::lower(build.scheduled, build.data, &build.srcmap).to_string();
     Ok(CompileArtifacts {
         vmodule: build.vmodule,
         opt: build.opt,
@@ -333,14 +346,16 @@ pub fn compile_with_artifacts(
     })
 }
 
-/// Compiles PatC source all the way to a loadable [`ObjectImage`].
+/// Compiles PatC source all the way to a loadable [`ObjectImage`],
+/// linking the lowered statements directly. The image equals
+/// `patmos_asm::assemble(&compile_to_asm(source, options)?)`.
 ///
 /// # Errors
 ///
 /// See [`compile_to_asm`].
 pub fn compile(source: &str, options: &CompileOptions) -> Result<ObjectImage, CompileError> {
-    let asm = compile_to_asm(source, options)?;
-    patmos_asm::assemble(&asm).map_err(|e| CompileError::Assemble(format!("{e}\n{asm}")))
+    let module = lower(source, options)?;
+    patmos_asm::link(&module).map_err(|e| CompileError::Assemble(format!("{e}\n{module}")))
 }
 
 /// Static scheduling statistics of a compilation: `(bundles, bundles

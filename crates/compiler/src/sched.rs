@@ -1,16 +1,27 @@
-//! Assembly emission — the thin final layer of the compiler.
+//! Lowering to the assembler's statements — the thin final layer of
+//! the compiler.
 //!
 //! Scheduling itself is [`patmos_sched`] at every
 //! [`CompileOptions::sched_level`](crate::CompileOptions::sched_level):
 //! dependence DAGs, critical-path list scheduling, dual-issue packing,
 //! delay-slot filling and, at level 2, software pipelining. This module
-//! renders the resulting [`ScheduledModule`] as assembler text, with the
-//! source map appended.
+//! lowers the resulting [`ScheduledModule`], the data layout and the
+//! source map into one [`AsmModule`], which [`patmos_asm::link`]
+//! encodes with no text in between. The module's `Display` is the
+//! compiler's assembly text.
 
+use std::collections::HashSet;
+
+use patmos_asm::{AsmInst, AsmModule, Operand, Stmt};
+use patmos_isa::{Inst, Op};
+use patmos_lir::plir::{LirInst, LirOp};
 use patmos_sched::{SchedItem, ScheduledModule};
 
-/// Renders a scheduled module as assembler source, appending the
-/// source map as `.srcfunc`/`.srcloop` directives.
+use crate::srcmap::SourceMap;
+
+/// Lowers a scheduled module to assembler statements: the data layout
+/// `data`, the entry, every function, then the source map as
+/// `.srcfunc`/`.srcloop` directives.
 ///
 /// The map is validated against the *final* code shape, so every
 /// mid-end and back-end transformation is accounted for by
@@ -27,19 +38,72 @@ use patmos_sched::{SchedItem, ScheduledModule};
 ///   exit labels, so their spans pass through unchanged (a pipelined
 ///   loop's prologue, kernel, epilogue and fallback all lie between
 ///   the two labels).
-pub fn emit_with_map(module: &ScheduledModule, map: &crate::srcmap::SourceMap) -> String {
-    let mut out = emit(module);
-    let funcs: std::collections::HashSet<&str> =
-        module.funcs.iter().map(|f| f.name.as_str()).collect();
-    let labels: std::collections::HashSet<&str> = (module.funcs.iter().flat_map(|f| &f.items))
+pub fn lower(module: ScheduledModule, data: Vec<Stmt>, map: &SourceMap) -> AsmModule {
+    let source_map = source_map(&module, map);
+    let mut out = AsmModule::default();
+    for stmt in data {
+        out.push(stmt);
+    }
+    if !module.entry.is_empty() {
+        out.push(Stmt::Entry(module.entry));
+    }
+    for func in module.funcs {
+        out.push(Stmt::Func(func.name));
+        for item in func.items {
+            out.push(match item {
+                SchedItem::Label(name) => Stmt::Label(name),
+                SchedItem::LoopBound { min, max } => Stmt::LoopBound { min, max },
+                SchedItem::Bundle(b) => Stmt::Bundle(match b.second {
+                    None => vec![asm_inst(b.first)],
+                    Some(second) => vec![asm_inst(b.first), asm_inst(second)],
+                }),
+                SchedItem::PipeLoop {
+                    guard,
+                    kernel,
+                    fallback,
+                    ii,
+                    stages,
+                    prologue,
+                    epilogue,
+                    threshold,
+                    min_trips,
+                } => Stmt::PipeLoop {
+                    guard,
+                    kernel,
+                    fallback,
+                    ii,
+                    stages,
+                    prologue,
+                    epilogue,
+                    threshold,
+                    min_trips,
+                },
+            });
+        }
+    }
+    for stmt in source_map {
+        out.push(stmt);
+    }
+    out
+}
+
+/// The source map's directives for the functions and loop labels that
+/// survive in `module` (see [`lower`]).
+fn source_map(module: &ScheduledModule, map: &SourceMap) -> Vec<Stmt> {
+    let funcs: HashSet<&str> = module.funcs.iter().map(|f| f.name.as_str()).collect();
+    let labels: HashSet<&str> = (module.funcs.iter().flat_map(|f| &f.items))
         .filter_map(|item| match item {
             SchedItem::Label(name) => Some(name.as_str()),
             _ => None,
         })
         .collect();
+    let mut out = Vec::new();
     for (name, line) in &map.funcs {
         if funcs.contains(name.as_str()) {
-            out.push_str(&format!("        .srcfunc {name} {line}\n"));
+            out.push(Stmt::SrcFunc {
+                name: name.clone(),
+                line: *line,
+            });
         }
     }
     for lp in &map.loops {
@@ -55,63 +119,43 @@ pub fn emit_with_map(module: &ScheduledModule, map: &crate::srcmap::SourceMap) -
         if !labels.contains(lp.exit.as_str()) {
             continue;
         }
-        out.push_str(&format!(
-            "        .srcloop {} {head} {}\n",
-            lp.line, lp.exit
-        ));
+        out.push(Stmt::SrcLoop {
+            line: lp.line,
+            start: head,
+            end: lp.exit.clone(),
+        });
     }
     out
 }
 
-/// Renders a scheduled module as assembler source.
-pub fn emit(module: &ScheduledModule) -> String {
-    let mut out = String::new();
-    for line in &module.data_lines {
-        out.push_str(line);
-        out.push('\n');
+/// An instruction as the assembler reads its text: a numeric `br` or
+/// `call` operand is an absolute word, so a resolved branch or call
+/// lowers to a flow instruction whose target is its offset, exactly as
+/// `Inst`'s rendering would parse.
+fn asm_inst(inst: LirInst) -> AsmInst {
+    let guard = inst.guard;
+    let flow = |call: bool, target: Operand| AsmInst::Flow {
+        guard,
+        call,
+        target,
+    };
+    match inst.op {
+        LirOp::Real(Op::Br { offset }) => flow(false, Operand::Val(offset.into())),
+        LirOp::Real(Op::Call { offset }) => flow(true, Operand::Val(offset.into())),
+        LirOp::Real(op) => AsmInst::Ready(Inst::new(guard, op)),
+        LirOp::BrLabel(label) => flow(false, Operand::Sym(label)),
+        LirOp::CallFunc(func) => flow(true, Operand::Sym(func)),
+        LirOp::LilSym(rd, sym) => AsmInst::LongImm {
+            guard,
+            rd,
+            value: Operand::Sym(sym),
+        },
     }
-    if !module.entry.is_empty() {
-        out.push_str(&format!("        .entry {}\n", module.entry));
-    }
-    for func in &module.funcs {
-        out.push_str(&format!("        .func {}\n", func.name));
-        for item in &func.items {
-            match item {
-                SchedItem::Label(name) => out.push_str(&format!("{name}:\n")),
-                SchedItem::LoopBound { min, max } => {
-                    out.push_str(&format!("        .loopbound {min} {max}\n"))
-                }
-                SchedItem::Bundle(b) => match &b.second {
-                    None => out.push_str(&format!("        {}\n", b.first.render())),
-                    Some(second) => out.push_str(&format!(
-                        "        {{ {} ; {} }}\n",
-                        b.first.render(),
-                        second.render()
-                    )),
-                },
-                SchedItem::PipeLoop {
-                    guard,
-                    kernel,
-                    fallback,
-                    ii,
-                    stages,
-                    prologue,
-                    epilogue,
-                    threshold,
-                    min_trips,
-                } => out.push_str(&format!(
-                    "        .pipeloop {guard} {kernel} {fallback} {ii} {stages} {prologue} \
-                     {epilogue} {threshold} {min_trips}\n"
-                )),
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    //! The bundle contract emission relies on, checked on the scheduler
+    //! The bundle contract lowering relies on, checked on the scheduler
     //! every level runs: pairing, dependence gaps, memory order, delay
     //! slots and fall-through padding.
 
@@ -119,6 +163,8 @@ mod tests {
     use patmos_lir::plir::{Item, LirInst, LirOp, Module};
     use patmos_lir::Function;
     use patmos_sched::SchedOptions;
+
+    use crate::srcmap::SourceMap;
 
     fn alu(rd: u8, rs1: u8, rs2: u8) -> Item {
         Item::Inst(LirInst::always(LirOp::Real(Op::AluR {
@@ -159,11 +205,10 @@ mod tests {
         Item::Inst(LirInst::new(guard, LirOp::BrLabel("x".into())))
     }
 
-    /// Schedules `items` as one function body and returns the emitted
-    /// lines after `.func`.
+    /// Schedules `items` as one function body and returns the lowered
+    /// module's text lines after `.func`.
     fn sched(items: Vec<Item>, dual_issue: bool) -> Vec<String> {
         let module = Module {
-            data_lines: Vec::new(),
             entry: String::new(),
             funcs: vec![Function::new("f", items)],
         };
@@ -171,7 +216,8 @@ mod tests {
             dual_issue,
             ..SchedOptions::default()
         };
-        let text = super::emit(&patmos_sched::schedule(module, &options));
+        let scheduled = patmos_sched::schedule(module, &options);
+        let text = super::lower(scheduled, Vec::new(), &SourceMap::default()).to_string();
         text.lines().skip(1).map(|l| l.trim().to_string()).collect()
     }
 

@@ -11,9 +11,9 @@
 //!   callee's loop spans under the same prefix, so an inlined loop
 //!   still attributes to its original source line — now inside the
 //!   caller.
-//! * **Unrolling** is handled lazily at emission: a *divisor*-unrolled
+//! * **Unrolling** is handled lazily at lowering: a *divisor*-unrolled
 //!   loop keeps its header label, a *remainder*-split loop replaces it
-//!   with `{head}_pu` (which [`crate::sched::emit_with_map`] falls
+//!   with `{head}_pu` (which [`crate::sched::lower`] falls
 //!   back to, and which covers both the main and remainder loops), and
 //!   a *fully* unrolled loop has no labels left — its span is dropped,
 //!   and the straight-line cycles attribute to the function.
@@ -21,8 +21,8 @@
 //!   the kernel/fallback blocks between them, so the span covers
 //!   prologue, kernel, epilogue and fallback unchanged.
 //!
-//! At emission the map becomes `.srcfunc`/`.srcloop` directives, which
-//! the assembler resolves into the object's
+//! At lowering the map becomes `.srcfunc`/`.srcloop` statements, which
+//! the linker resolves into the object's
 //! [`patmos_asm::SourceInfo`] side table — what `patmos-cli profile`
 //! folds cycles onto.
 

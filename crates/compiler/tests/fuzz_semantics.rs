@@ -2,11 +2,13 @@
 //! compiled, executed on the strict cycle-accurate simulator, and
 //! compared against a direct Rust interpreter of the same AST — with
 //! if-conversion on and off. Any divergence is a code-generation or
-//! scheduling bug; any strict-mode error is a scheduler bug.
+//! scheduling bug; any strict-mode error is a scheduler bug. Every
+//! program's directly linked image must also equal the one assembled
+//! from its assembly text.
 
 use proptest::prelude::*;
 
-use patmos_compiler::{compile, CompileOptions};
+use patmos_compiler::{compile, compile_to_asm, CompileOptions};
 use patmos_isa::Reg;
 use patmos_sim::{SimConfig, Simulator};
 
@@ -165,6 +167,15 @@ fn run_program(stmts: &[S], init: [i32; 3], options: &CompileOptions) -> u32 {
     source.push_str("    return (a ^ b) ^ c;\n}\n");
     let image =
         compile(&source, options).unwrap_or_else(|e| panic!("compile failed: {e}\n{source}"));
+    // `compile` links the lowered statements directly: their text must
+    // be the rendering of its own parse and assemble to the same image.
+    let text = compile_to_asm(&source, options).expect("compiles to text");
+    let parsed = patmos_asm::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert_eq!(parsed.to_string(), text, "text is not its parse's display");
+    assert!(
+        patmos_asm::assemble(&text).as_ref() == Ok(&image),
+        "the text assembles to a different image\n{source}"
+    );
     let mut sim = Simulator::new(&image, SimConfig::default());
     sim.run()
         .unwrap_or_else(|e| panic!("strict simulation failed: {e}\n{source}"));

@@ -62,7 +62,6 @@ mod tests {
     #[test]
     fn loop_renders_with_back_edge() {
         let module = VModule {
-            data_lines: Vec::new(),
             entry: "f".into(),
             funcs: vec![Function::new(
                 "f",

@@ -369,11 +369,9 @@ pub enum Item {
     Inst(LirInst),
 }
 
-/// A compiled module: functions plus data directives.
+/// A compiled module: its functions and its entry.
 #[derive(Debug, Clone, Default)]
 pub struct Module {
-    /// Data directive lines (already in assembler syntax).
-    pub data_lines: Vec<String>,
     /// The functions, in layout order.
     pub funcs: Vec<Function<Item>>,
     /// Name of the entry function.

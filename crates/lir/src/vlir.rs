@@ -412,8 +412,6 @@ pub enum VItem {
 /// A compiled module over virtual registers.
 #[derive(Debug, Clone, Default)]
 pub struct VModule {
-    /// Data directive lines (already in assembler syntax).
-    pub data_lines: Vec<String>,
     /// The functions, in layout order.
     pub funcs: Vec<Function<VItem>>,
     /// Name of the entry function.

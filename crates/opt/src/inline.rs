@@ -499,7 +499,6 @@ mod tests {
             inst(VOp::Halt),
         ];
         VModule {
-            data_lines: Vec::new(),
             entry: "main".into(),
             funcs: vec![Function::new("add1", add1), Function::new("main", main)],
         }

@@ -94,7 +94,6 @@
 //!     VItem::Inst(VInst::always(VOp::Halt)),
 //! ];
 //! let mut module = VModule {
-//!     data_lines: Vec::new(),
 //!     entry: "main".into(),
 //!     funcs: vec![Function::new("main", items)],
 //! };
@@ -150,7 +149,6 @@
 //!     VItem::Inst(VInst::always(VOp::Halt)),
 //! ];
 //! let mut module = VModule {
-//!     data_lines: Vec::new(),
 //!     entry: "main".into(),
 //!     funcs: vec![Function::new("main", items)],
 //! };
@@ -695,7 +693,6 @@ mod tests {
         })));
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
         VModule {
-            data_lines: Vec::new(),
             funcs: vec![Function::new("main", items)],
             entry: "main".into(),
         }
@@ -750,7 +747,6 @@ mod tests {
         // NOT fold that copy back into a `li`, or the pair ping-pongs
         // until the round cap. Two live uses keep both values alive.
         let mut m = VModule {
-            data_lines: Vec::new(),
             entry: "main".into(),
             funcs: vec![Function::new(
                 "main",

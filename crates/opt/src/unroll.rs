@@ -963,7 +963,6 @@ mod tests {
     /// nested in an outer counted loop, in the generator's shape.
     fn nested_counted_loop() -> VModule {
         VModule {
-            data_lines: Vec::new(),
             entry: "main".into(),
             funcs: vec![Function::new(
                 "main",

@@ -111,7 +111,7 @@ use std::process::ExitCode;
 
 use patmos::asm::ObjectImage;
 use patmos::baseline::{BaselineConfig, BaselineSim};
-use patmos::compiler::CompileOptions;
+use patmos::compiler::{CompileArtifacts, CompileOptions};
 use patmos::sim::{SimConfig, Simulator};
 use patmos::wcet::{analyze, Machine};
 
@@ -374,31 +374,43 @@ fn main() -> ExitCode {
 }
 
 fn cmd_compile(args: &Args) -> Result<(), String> {
-    let source = std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
-    let options = args.compile_options();
-    if args.wants_dump() {
-        dump_artifacts(&source, &options, args)?;
-    } else {
-        let asm = patmos::compiler::compile_to_asm(&source, &options).map_err(|e| e.to_string())?;
+    if !(args.wants_dump() || args.remarks || args.time_passes) {
+        let source =
+            std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
+        let asm = patmos::compiler::compile_to_asm(&source, &args.compile_options())
+            .map_err(|e| e.to_string())?;
         print!("{asm}");
-        if args.remarks {
-            print_remarks(&source, &options)?;
-        }
+        return Ok(());
+    }
+    // One traced compile serves the dumps and both reports.
+    let artifacts = compile_artifacts(args)?;
+    if args.wants_dump() {
+        dump_artifacts(&artifacts, args);
+    } else {
+        print!("{}", artifacts.asm);
+    }
+    if args.remarks {
+        print_remarks(&artifacts);
     }
     if args.time_passes {
-        print_pass_times(&source, &options)?;
+        print_pass_times(&artifacts);
     }
     Ok(())
 }
 
+/// Compiles the `.patc` file with its intermediate artefacts.
+fn compile_artifacts(args: &Args) -> Result<CompileArtifacts, String> {
+    let source = std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
+    patmos::compiler::compile_with_artifacts(&source, &args.compile_options())
+        .map_err(|e| e.to_string())
+}
+
 /// Prints the mid-end's per-pass work and the analyses its cache
 /// built (`--time-passes`).
-fn print_pass_times(source: &str, options: &CompileOptions) -> Result<(), String> {
-    let artifacts =
-        patmos::compiler::compile_with_artifacts(source, options).map_err(|e| e.to_string())?;
+fn print_pass_times(artifacts: &CompileArtifacts) {
     let Some(report) = &artifacts.opt else {
         eprintln!("=== mid-end disabled (opt-level 0) ===");
-        return Ok(());
+        return;
     };
     let total: u64 = report.passes.iter().map(|p| p.nanos).sum();
     eprintln!("=== mid-end passes ({} round(s)) ===", report.rounds);
@@ -421,15 +433,12 @@ fn print_pass_times(source: &str, options: &CompileOptions) -> Result<(), String
         "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness solve(s)",
         b.cfgs, b.loop_forests, b.liveness
     );
-    Ok(())
 }
 
 /// Prints the optimizer's and scheduler's structured remarks: every
 /// applied rewrite and every refusal, with the cost-model numbers that
 /// decided it.
-fn print_remarks(source: &str, options: &CompileOptions) -> Result<(), String> {
-    let artifacts =
-        patmos::compiler::compile_with_artifacts(source, options).map_err(|e| e.to_string())?;
+fn print_remarks(artifacts: &CompileArtifacts) {
     let opt_remarks = artifacts.opt.as_ref().map_or(&[][..], |r| &r.remarks);
     let sched_remarks = &artifacts.sched.remarks;
     eprintln!(
@@ -440,16 +449,13 @@ fn print_remarks(source: &str, options: &CompileOptions) -> Result<(), String> {
     for r in opt_remarks.iter().chain(sched_remarks) {
         eprintln!("{r}");
     }
-    Ok(())
 }
 
 /// Prints the requested intermediate artefacts: the optimizer's
 /// per-pass trace (`--dump-opt`), the CFG as Graphviz DOT
 /// (`--dump-cfg`), and/or the virtual LIR plus allocation report and
 /// scheduled assembly (`--dump-lir`).
-fn dump_artifacts(source: &str, options: &CompileOptions, args: &Args) -> Result<(), String> {
-    let artifacts =
-        patmos::compiler::compile_with_artifacts(source, options).map_err(|e| e.to_string())?;
+fn dump_artifacts(artifacts: &CompileArtifacts, args: &Args) {
     if args.dump_opt {
         match &artifacts.opt {
             Some(report) => {
@@ -534,7 +540,6 @@ fn dump_artifacts(source: &str, options: &CompileOptions, args: &Args) -> Result
         println!("=== scheduled assembly ===");
         print!("{}", artifacts.asm);
     }
-    Ok(())
 }
 
 fn cmd_asm(args: &Args) -> Result<(), String> {
@@ -570,15 +575,14 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    if args.wants_dump() && args.path.ends_with(".patc") {
-        let source =
-            std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
-        dump_artifacts(&source, &args.compile_options(), args)?;
-    }
-    if args.remarks && args.path.ends_with(".patc") {
-        let source =
-            std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
-        print_remarks(&source, &args.compile_options())?;
+    if (args.wants_dump() || args.remarks) && args.path.ends_with(".patc") {
+        let artifacts = compile_artifacts(args)?;
+        if args.wants_dump() {
+            dump_artifacts(&artifacts, args);
+        }
+        if args.remarks {
+            print_remarks(&artifacts);
+        }
     }
     let image = load_image(args)?;
     let mut core = Simulator::try_new(&image, args.sim_config()).map_err(|e| e.to_string())?;
@@ -620,11 +624,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("stack cache ops  = {}", stats.stack_ops);
         println!("S$ words moved   = {}", stats.stack_cache.transferred_words);
         if args.path.ends_with(".patc") {
-            let source =
-                std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
-            let artifacts =
-                patmos::compiler::compile_with_artifacts(&source, &args.compile_options())
-                    .map_err(|e| e.to_string())?;
+            let artifacts = compile_artifacts(args)?;
             println!("--- loop throughput ---");
             println!(
                 "loops unrolled   = {}",
@@ -676,9 +676,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// CMP system and each core gets its own report and trace track.
 fn cmd_profile(args: &Args) -> Result<(), String> {
     if args.remarks && args.path.ends_with(".patc") {
-        let source =
-            std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
-        print_remarks(&source, &args.compile_options())?;
+        print_remarks(&compile_artifacts(args)?);
     }
     let image = load_image(args)?;
     let config = args.sim_config();

@@ -280,7 +280,6 @@ impl fmt::Display for AllocReport {
 /// offset range or a call/return carries a guard.
 pub fn regalloc(policy: &Policy, module: &VModule) -> Result<(Module, AllocReport), AllocError> {
     let mut out = Module {
-        data_lines: module.data_lines.clone(),
         funcs: Vec::with_capacity(module.funcs.len()),
         entry: module.entry.clone(),
     };

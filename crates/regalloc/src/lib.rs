@@ -42,7 +42,6 @@
 //!
 //! let v1 = VReg::new(1);
 //! let module = VModule {
-//!     data_lines: Vec::new(),
 //!     entry: "main".into(),
 //!     funcs: vec![Function::new(
 //!         "main",
@@ -81,7 +80,6 @@ mod tests {
     /// A module of one function, `name`, entered at `main`.
     fn module(name: &str, items: Vec<VItem>) -> VModule {
         VModule {
-            data_lines: Vec::new(),
             funcs: vec![Function::new(name, items)],
             entry: "main".into(),
         }

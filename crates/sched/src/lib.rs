@@ -31,7 +31,7 @@
 //! numbers, ordering classes), never of immediate operand values, so
 //! single-path code keeps its data-independent shape and timing.
 //!
-//! Emission to assembler text stays in the compiler
+//! Lowering to the assembler's statements stays in the compiler
 //! (`patmos_compiler`); this crate only produces the bundle stream.
 
 pub mod dag;
@@ -126,11 +126,9 @@ pub enum SchedItem {
     },
 }
 
-/// A scheduled module ready for emission.
+/// A scheduled module, ready to lower to assembler statements.
 #[derive(Debug, Clone)]
 pub struct ScheduledModule {
-    /// Data directive lines.
-    pub data_lines: Vec<String>,
     /// The scheduled functions, in layout order.
     pub funcs: Vec<Function<SchedItem>>,
     /// Entry function name.
@@ -461,7 +459,6 @@ pub fn schedule_with_report(
 
     (
         ScheduledModule {
-            data_lines: module.data_lines,
             funcs,
             entry: module.entry,
         },
@@ -535,7 +532,6 @@ mod tests {
     /// branch, labelled exit computing the result.
     fn loop_module() -> Module {
         Module {
-            data_lines: Vec::new(),
             entry: "main".into(),
             funcs: vec![Function::new(
                 "main",

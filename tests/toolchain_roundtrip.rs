@@ -1,10 +1,99 @@
 //! Toolchain round trips across crates: PatC → assembly → image →
-//! disassembly → reassembly must be stable, and the image must decode
-//! into exactly the bundles the encoder produced.
+//! disassembly → reassembly must be stable, the image must decode
+//! into exactly the bundles the encoder produced, and the image
+//! `compile` links straight from the compiler's statements must equal
+//! the one assembled from their text.
 
-use patmos::asm::{assemble, disassemble};
+use patmos::asm::{assemble, disassemble, parse, ObjectImage};
 use patmos::compiler::{compile, compile_to_asm, CompileOptions};
 use patmos::isa::decode_all;
+use patmos::Policy;
+
+/// Asserts that two images agree on every field, naming the first
+/// that differs.
+fn assert_same_image(direct: &ObjectImage, text: &ObjectImage, label: &str) {
+    assert_eq!(direct.code(), text.code(), "{label}: code");
+    assert_eq!(direct.functions(), text.functions(), "{label}: functions");
+    assert_eq!(direct.data(), text.data(), "{label}: data");
+    assert_eq!(direct.symbols(), text.symbols(), "{label}: symbols");
+    assert_eq!(
+        direct.loop_bounds(),
+        text.loop_bounds(),
+        "{label}: loop bounds"
+    );
+    assert_eq!(
+        direct.pipe_loops(),
+        text.pipe_loops(),
+        "{label}: pipe loops"
+    );
+    assert_eq!(
+        direct.source_info(),
+        text.source_info(),
+        "{label}: source map"
+    );
+    assert_eq!(direct.entry_word(), text.entry_word(), "{label}: entry");
+    assert!(direct == text, "{label}: images differ");
+}
+
+/// Compiles `source` both ways and checks that they agree: `compile`'s
+/// image equals `assemble(compile_to_asm(..))`'s, the text is the
+/// rendering of its own parse, and a program one path rejects the
+/// other rejects with the same error.
+fn assert_direct_matches_text(source: &str, options: &CompileOptions, label: &str) {
+    let direct = compile(source, options);
+    let text = match compile_to_asm(source, options) {
+        Ok(text) => text,
+        Err(e) => {
+            assert_eq!(direct.err(), Some(e), "{label}: only the text path failed");
+            return;
+        }
+    };
+    let parsed = parse(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(
+        parsed.to_string(),
+        text,
+        "{label}: text is not its parse's display"
+    );
+    let direct = direct.unwrap_or_else(|e| panic!("{label}: {e}"));
+    let assembled = assemble(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_same_image(&direct, &assembled, label);
+}
+
+#[test]
+fn direct_and_text_lowering_agree() {
+    let mut configs: Vec<(String, CompileOptions)> = Vec::new();
+    for (opt_level, sched_level, reg_policy) in [
+        (1, 1, Policy::Linear),
+        (2, 1, Policy::Linear),
+        (3, 2, Policy::Linear),
+        (3, 2, Policy::Loop),
+    ] {
+        let options = CompileOptions {
+            opt_level,
+            sched_level,
+            reg_policy,
+            ..CompileOptions::default()
+        };
+        configs.push((
+            format!("opt{opt_level}/s{sched_level}/{reg_policy:?}"),
+            options,
+        ));
+    }
+    for opt_level in [0, 2] {
+        let options = CompileOptions {
+            opt_level,
+            sched_level: 1,
+            single_path: true,
+            ..CompileOptions::default()
+        };
+        configs.push((format!("opt{opt_level}/s1 single-path"), options));
+    }
+    for w in patmos::workloads::all() {
+        for (config, options) in &configs {
+            assert_direct_matches_text(&w.source, options, &format!("{} {config}", w.name));
+        }
+    }
+}
 
 #[test]
 fn compiled_assembly_reassembles_identically() {
