@@ -223,6 +223,26 @@ fn modulo_search_effort_is_pinned() {
     assert_eq!((ii_tried, placements), (10, 229));
 }
 
+/// The list scheduler's work over the suite at the default options,
+/// pinned exactly: the dependence DAGs it built (the modulo scheduler's
+/// baseline and fallback schedules included), their ops and their
+/// edges. The relation decides the edges, so a scheduler speed-up that
+/// keeps the relation keeps these counts; a change to the relation, or
+/// to which blocks are scheduled, fails here.
+#[test]
+fn scheduler_work_is_pinned() {
+    let (mut dags, mut ops, mut edges) = (0, 0, 0);
+    for w in workloads::all() {
+        let sched = compile_with_artifacts(&w.source, &CompileOptions::default())
+            .expect("kernel compiles")
+            .sched;
+        dags += sched.dags;
+        ops += sched.dag_ops;
+        edges += sched.dag_edges;
+    }
+    assert_eq!((dags, ops, edges), (267, 1716, 18755));
+}
+
 /// The mid-end's work over the suite at the default options: fixpoint
 /// rounds, instructions in and instructions out, pinned exactly. A
 /// mid-end compile-time speed-up must do this same work faster; fewer

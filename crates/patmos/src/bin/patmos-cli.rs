@@ -87,7 +87,12 @@
 //! unroller —, applications that changed the code, host microseconds
 //! and share of the mid-end's pass time), then how many CFGs,
 //! dominator tree / loop forest pairs and liveness solves the
-//! per-function analysis cache built. `wcet --pessimism` joins the IPET
+//! per-function analysis cache built, then one row per scheduler: the
+//! list scheduler's blocks, DAG ops, dependence edges and host
+//! microseconds, and the modulo scheduler's loops tried and pipelined,
+//! II values tried, placement steps and host microseconds (its list
+//! schedules count in the first row). `run` and `profile` compile a
+//! `.patc` file once per invocation. `wcet --pessimism` joins the IPET
 //! bound's per-block charges against a traced run of the same binary
 //! and prints the loosest blocks first.
 //!
@@ -338,6 +343,26 @@ impl Args {
     }
 }
 
+/// The `.patc` file's one compile with its artefacts, when `wanted`
+/// (by a dump, the remarks or the static counts of `run --stats`).
+fn patc_artifacts(args: &Args, wanted: bool) -> Result<Option<CompileArtifacts>, String> {
+    if wanted && args.path.ends_with(".patc") {
+        compile_artifacts(args).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+/// The image to simulate: assembled from `artifacts` when the `.patc`
+/// file was already compiled with them (the same image `compile`
+/// links), so one invocation compiles it once.
+fn image_of(args: &Args, artifacts: Option<&CompileArtifacts>) -> Result<ObjectImage, String> {
+    match artifacts {
+        Some(artifacts) => patmos::asm::assemble(&artifacts.asm).map_err(|e| e.to_string()),
+        None => load_image(args),
+    }
+}
+
 fn load_image(args: &Args) -> Result<ObjectImage, String> {
     let source = std::fs::read_to_string(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
     if args.path.ends_with(".patc") {
@@ -406,32 +431,49 @@ fn compile_artifacts(args: &Args) -> Result<CompileArtifacts, String> {
 }
 
 /// Prints the mid-end's per-pass work and the analyses its cache
-/// built (`--time-passes`).
+/// built, then the list and modulo schedulers' work (`--time-passes`).
 fn print_pass_times(artifacts: &CompileArtifacts) {
-    let Some(report) = &artifacts.opt else {
-        eprintln!("=== mid-end disabled (opt-level 0) ===");
-        return;
-    };
-    let total: u64 = report.passes.iter().map(|p| p.nanos).sum();
-    eprintln!("=== mid-end passes ({} round(s)) ===", report.rounds);
-    eprintln!(
-        "{:<18} {:>12} {:>8} {:>10} {:>7}",
-        "pass", "applications", "changes", "µs", "share"
-    );
-    for p in &report.passes {
-        eprintln!(
-            "{:<18} {:>12} {:>8} {:>10.1} {:>6.1}%",
-            p.pass,
-            p.applications,
-            p.changes,
-            p.nanos as f64 / 1e3,
-            100.0 * p.nanos as f64 / total.max(1) as f64
-        );
+    match &artifacts.opt {
+        None => eprintln!("=== mid-end disabled (opt-level 0) ==="),
+        Some(report) => {
+            let total: u64 = report.passes.iter().map(|p| p.nanos).sum();
+            eprintln!("=== mid-end passes ({} round(s)) ===", report.rounds);
+            eprintln!(
+                "{:<18} {:>12} {:>8} {:>10} {:>7}",
+                "pass", "applications", "changes", "µs", "share"
+            );
+            for p in &report.passes {
+                eprintln!(
+                    "{:<18} {:>12} {:>8} {:>10.1} {:>6.1}%",
+                    p.pass,
+                    p.applications,
+                    p.changes,
+                    p.nanos as f64 / 1e3,
+                    100.0 * p.nanos as f64 / total.max(1) as f64
+                );
+            }
+            let b = report.builds;
+            eprintln!(
+                "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness solve(s)",
+                b.cfgs, b.loop_forests, b.liveness
+            );
+        }
     }
-    let b = report.builds;
+    let s = &artifacts.sched;
     eprintln!(
-        "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness solve(s)",
-        b.cfgs, b.loop_forests, b.liveness
+        "list scheduler: {} block(s), {} op(s), {} edge(s), {:.1} µs",
+        s.dags,
+        s.dag_ops,
+        s.dag_edges,
+        s.list_nanos as f64 / 1e3
+    );
+    eprintln!(
+        "modulo scheduler: {} loop(s) tried, {} pipelined, {} II(s) tried, {} placement(s), {:.1} µs",
+        s.loops_tried(),
+        s.pipelined_loops().count(),
+        s.ii_tried,
+        s.placements,
+        s.modulo_nanos as f64 / 1e3
     );
 }
 
@@ -575,16 +617,17 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    if (args.wants_dump() || args.remarks) && args.path.ends_with(".patc") {
-        let artifacts = compile_artifacts(args)?;
+    let wants_artifacts = args.wants_dump() || args.remarks || args.stats;
+    let artifacts = patc_artifacts(args, wants_artifacts)?;
+    if let Some(artifacts) = &artifacts {
         if args.wants_dump() {
-            dump_artifacts(&artifacts, args);
+            dump_artifacts(artifacts, args);
         }
         if args.remarks {
-            print_remarks(&artifacts);
+            print_remarks(artifacts);
         }
     }
-    let image = load_image(args)?;
+    let image = image_of(args, artifacts.as_ref())?;
     let mut core = Simulator::try_new(&image, args.sim_config()).map_err(|e| e.to_string())?;
     let started = std::time::Instant::now();
     core.run().map_err(|e| e.to_string())?;
@@ -623,8 +666,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("returns          = {}", stats.returns);
         println!("stack cache ops  = {}", stats.stack_ops);
         println!("S$ words moved   = {}", stats.stack_cache.transferred_words);
-        if args.path.ends_with(".patc") {
-            let artifacts = compile_artifacts(args)?;
+        if let Some(artifacts) = &artifacts {
             println!("--- loop throughput ---");
             println!(
                 "loops unrolled   = {}",
@@ -675,10 +717,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// `--cores N` the same image runs on every core of the TDMA-arbitrated
 /// CMP system and each core gets its own report and trace track.
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    if args.remarks && args.path.ends_with(".patc") {
-        print_remarks(&compile_artifacts(args)?);
+    let artifacts = patc_artifacts(args, args.remarks)?;
+    if let Some(artifacts) = &artifacts {
+        print_remarks(artifacts);
     }
-    let image = load_image(args)?;
+    let image = image_of(args, artifacts.as_ref())?;
     let config = args.sim_config();
 
     // One event stream per core.

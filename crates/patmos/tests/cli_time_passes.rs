@@ -1,12 +1,14 @@
 //! `patmos-cli compile --time-passes` prints the mid-end's own work to
 //! stderr: one row per pass and then how many analyses the
-//! per-function cache built. The rows and counts must agree with the
-//! library's `OptReport` for the same compile; the times are host
-//! dependent and not checked.
+//! per-function cache built, then one row each for the list and the
+//! modulo scheduler. The rows and counts must agree with the library's
+//! `OptReport` and `SchedReport` for the same compile; the times are
+//! host dependent and not checked.
 
 use std::process::Command;
 
 use patmos::compiler::{compile_with_artifacts, CompileOptions};
+use patmos::sched::SchedReport;
 
 const SOURCE: &str = "int a[8]; int main() { int i; int s = 0; \
     for (i = 0; i < 8; i = i + 1) bound(8) { a[i] = i * 3; s = s + a[i]; } return s; }";
@@ -28,6 +30,33 @@ fn rows(stderr: &str) -> Vec<(String, u32, u32)> {
             }
         })
         .collect()
+}
+
+/// The two scheduler rows `report` must produce, up to their host
+/// times.
+fn scheduler_rows(report: &SchedReport) -> [String; 2] {
+    [
+        format!(
+            "list scheduler: {} block(s), {} op(s), {} edge(s), ",
+            report.dags, report.dag_ops, report.dag_edges
+        ),
+        format!(
+            "modulo scheduler: {} loop(s) tried, {} pipelined, {} II(s) tried, {} placement(s), ",
+            report.loops_tried(),
+            report.pipelined_loops().count(),
+            report.ii_tried,
+            report.placements
+        ),
+    ]
+}
+
+/// Whether `stderr` has a line of `prefix` and a host time in µs.
+fn has_row(stderr: &str, prefix: &str) -> bool {
+    stderr.lines().any(|line| {
+        line.strip_prefix(prefix)
+            .and_then(|rest| rest.strip_suffix(" µs"))
+            .is_some_and(|micros| micros.parse::<f64>().is_ok())
+    })
 }
 
 #[test]
@@ -53,10 +82,8 @@ fn time_passes_prints_every_pass_and_the_cache_builds() {
         "the assembly still goes to stdout"
     );
 
-    let report = compile_with_artifacts(SOURCE, &CompileOptions::default())
-        .expect("compiles")
-        .opt
-        .expect("the default options run the mid-end");
+    let artifacts = compile_with_artifacts(SOURCE, &CompileOptions::default()).expect("compiles");
+    let report = artifacts.opt.expect("the default options run the mid-end");
     let want: Vec<(String, u32, u32)> = (report.passes.iter())
         .map(|p| (p.pass.to_string(), p.applications, p.changes))
         .collect();
@@ -86,6 +113,18 @@ fn time_passes_prints_every_pass_and_the_cache_builds() {
     );
     assert!(stderr.lines().any(|l| l == builds), "{stderr}");
 
+    // The scheduler rows follow the mid-end's, with the library's
+    // counts; the modulo scheduler tries the loop at the default levels.
+    let sched = &artifacts.sched;
+    assert!(sched.dags > 0 && sched.dag_edges > 0, "{sched:?}");
+    assert_eq!(sched.loops_tried(), 1, "{sched:?}");
+    for row in scheduler_rows(sched) {
+        assert!(has_row(&stderr, &row), "no `{row}` row in {stderr}");
+    }
+    let at = |prefix: &str| stderr.lines().position(|l| l.starts_with(prefix));
+    assert!(at("analyses built:") < at("list scheduler:"), "{stderr}");
+    assert!(at("list scheduler:") < at("modulo scheduler:"), "{stderr}");
+
     // Without the mid-end there is nothing to time.
     let out = cli(&["--time-passes", "--opt-level", "0"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -95,4 +134,15 @@ fn time_passes_prints_every_pass_and_the_cache_builds() {
         stderr.contains("mid-end disabled (opt-level 0)"),
         "{stderr}"
     );
+    // The schedulers still run, and report.
+    let options = CompileOptions {
+        opt_level: 0,
+        ..CompileOptions::default()
+    };
+    let sched = compile_with_artifacts(SOURCE, &options)
+        .expect("compiles")
+        .sched;
+    for row in scheduler_rows(&sched) {
+        assert!(has_row(&stderr, &row), "no `{row}` row in {stderr}");
+    }
 }

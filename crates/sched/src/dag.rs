@@ -2,10 +2,71 @@
 //! pairwise minimum-gap relation the per-block DAGs are built from, and
 //! a backward liveness dataflow used to prove speculative delay-slot
 //! fills dead on the path that does not want them.
+//!
+//! The relation, [`dependence_gap`], is defined over [`DepSummary`]s:
+//! bit masks of one op's register and predicate defs and reads (the
+//! guard counted as a read), its result's `def_gap`, and four flags
+//! (ordered, call, writes and reads the multiplier). Callers summarise
+//! a block or a loop body once, and then relate every pair at the cost
+//! of a few mask tests.
 
 use patmos_isa::{Pred, Reg, ARG_REGS};
 use patmos_lir::plir::{Item, LirInst, LirOp};
 use patmos_lir::Function;
+
+/// What the dependence relation reads of one instruction, as bit masks:
+/// built once per op, so relating two ops is a handful of mask tests
+/// instead of re-querying both ops' operands.
+#[derive(Debug, Clone, Copy)]
+pub struct DepSummary {
+    /// The register written (one bit), or no bit.
+    def: u32,
+    /// The registers read.
+    uses: u32,
+    /// The predicate written (one bit), or no bit.
+    pred_def: u8,
+    /// The predicates read, the guard included unless it is `always`.
+    pred_reads: u8,
+    /// The gap a reader of `def` must keep ([`LirOp::def_gap`]).
+    def_gap: u32,
+    /// `ORDERED`, `CALL`, `WRITES_MUL` and `READS_MUL`.
+    flags: u8,
+}
+
+/// A memory or stack-control op ([`LirOp::is_ordered`]).
+const ORDERED: u8 = 1;
+/// A call: a barrier nothing moves across.
+const CALL: u8 = 2;
+/// Writes `sl`/`sh` ([`LirOp::writes_mul`]).
+const WRITES_MUL: u8 = 4;
+/// Reads `sl`/`sh` ([`LirOp::reads_mul`]).
+const READS_MUL: u8 = 8;
+
+impl DepSummary {
+    /// The summary of `inst`.
+    pub fn of(inst: &LirInst) -> DepSummary {
+        let op = &inst.op;
+        let reg_bit = |r: Reg| 1u32 << r.index();
+        let pred_bit = |p: Pred| 1u8 << p.index();
+        let guard = (!inst.guard.is_always()).then_some(inst.guard.pred);
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        DepSummary {
+            def: op.def().map_or(0, reg_bit),
+            uses: (op.uses().into_iter().flatten())
+                .map(reg_bit)
+                .fold(0, |m, b| m | b),
+            pred_def: op.pred_def().map_or(0, pred_bit),
+            pred_reads: (op.pred_uses().into_iter().flatten().chain(guard))
+                .map(pred_bit)
+                .fold(0, |m, b| m | b),
+            def_gap: op.def_gap(),
+            flags: flag(op.is_ordered(), ORDERED)
+                | flag(matches!(op, LirOp::CallFunc(_)), CALL)
+                | flag(op.writes_mul(), WRITES_MUL)
+                | flag(op.reads_mul(), READS_MUL),
+        }
+    }
+}
 
 /// The minimum bundle gap from `a` (earlier in program order) to `b`
 /// (later), or `None` when they are independent and may be reordered
@@ -14,74 +75,41 @@ use patmos_lir::Function;
 /// A gap of `0` means `b` may share `a`'s bundle (both slots read
 /// pre-state) but must not move *before* it; any caller that reorders
 /// `b` in front of `a` must therefore require `None`, not `Some(0)`.
-pub fn dependence_gap(a: &LirInst, b: &LirInst) -> Option<u32> {
-    let mut gap: Option<u32> = None;
-    let mut need = |g: u32| gap = Some(gap.map_or(g, |old: u32| old.max(g)));
+#[inline]
+pub fn dependence_gap(a: &DepSummary, b: &DepSummary) -> Option<u32> {
+    let (a_has, b_has) = (
+        |flag: u8| a.flags & flag != 0,
+        |flag: u8| b.flags & flag != 0,
+    );
+    // The rules, grouped by the gap they demand. `|` rather than `||`
+    // keeps the pair test free of branches.
+    //
+    // A register RAW waits for the result (loads deliver late).
+    let reg_raw = a.def & b.uses != 0;
+    // `mul` -> `mfs` waits for the multiplier.
+    let mul_raw = a_has(WRITES_MUL) & b_has(READS_MUL);
+    // One bundle: memory/stack-control order is preserved, calls are
+    // barriers (nothing moves across them), and register, predicate
+    // and multiplier WAW and predicate RAW (guards included) do not
+    // share a bundle.
+    let one = (a_has(ORDERED) & b_has(ORDERED))
+        | (a_has(CALL) | b_has(CALL))
+        | (a.def & b.def != 0)
+        | (a.pred_def & (b.pred_reads | b.pred_def) != 0)
+        | (a_has(WRITES_MUL) & b_has(WRITES_MUL));
+    // The same bundle is fine for a WAR (reads see pre-state), but `b`
+    // must not move before `a`.
+    let zero = (b.def & a.uses != 0)
+        | (b.pred_def & a.pred_reads != 0)
+        | (a_has(READS_MUL) & b_has(WRITES_MUL));
 
-    // Memory/stack-control order is preserved.
-    if a.op.is_ordered() && b.op.is_ordered() {
-        need(1);
-    }
-    // Calls are barriers: nothing moves across them.
-    if matches!(a.op, LirOp::CallFunc(_)) || matches!(b.op, LirOp::CallFunc(_)) {
-        need(1);
-    }
-
-    // Register RAW/WAW/WAR.
-    if let Some(d) = a.op.def() {
-        if b.op.uses().into_iter().flatten().any(|u| u == d) {
-            need(a.op.def_gap());
-        }
-        if b.op.def() == Some(d) {
-            need(1);
-        }
-    }
-    if let Some(d) = b.op.def() {
-        if a.op.uses().into_iter().flatten().any(|u| u == d) {
-            need(0); // same bundle is fine: reads see pre-state
-        }
-    }
-
-    // Predicate RAW/WAW/WAR, including guards.
-    let b_pred_reads = || {
-        b.op.pred_uses()
-            .into_iter()
-            .flatten()
-            .chain((!b.guard.is_always()).then_some(b.guard.pred))
-    };
-    if let Some(d) = a.op.pred_def() {
-        if b_pred_reads().any(|p| p == d) {
-            need(1);
-        }
-        if b.op.pred_def() == Some(d) {
-            need(1);
-        }
-    }
-    if let Some(d) = b.op.pred_def() {
-        let a_reads =
-            a.op.pred_uses()
-                .into_iter()
-                .flatten()
-                .chain((!a.guard.is_always()).then_some(a.guard.pred));
-        for p in a_reads {
-            if p == d {
-                need(0);
-            }
-        }
-    }
-
-    // Multiplier unit.
-    if a.op.writes_mul() && b.op.reads_mul() {
-        need(1 + patmos_isa::timing::MUL_GAP);
-    }
-    if a.op.writes_mul() && b.op.writes_mul() {
-        need(1);
-    }
-    if a.op.reads_mul() && b.op.writes_mul() {
-        need(0);
-    }
-
-    gap
+    // Gaps count from one here, so that zero stands for "no rule holds".
+    let rule = |holds: bool, gap: u32| u32::from(holds) * (gap + 1);
+    let raised = rule(reg_raw, a.def_gap)
+        .max(rule(mul_raw, 1 + patmos_isa::timing::MUL_GAP))
+        .max(rule(one, 1))
+        .max(rule(zero, 0));
+    raised.checked_sub(1)
 }
 
 /// The visible-delay residue an instruction owes *past* its issue

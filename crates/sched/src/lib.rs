@@ -13,10 +13,14 @@
 //!    anti and output dependences over registers and predicates
 //!    (guards included), conservative program order between memory and
 //!    stack-control operations, call barriers, and the multiplier's
-//!    `mul`→`mfs` latency.
+//!    `mul`→`mfs` latency. The relation reads one bit-mask
+//!    [`dag::DepSummary`] per op, built once per block or loop, so a
+//!    pair costs a few mask tests.
 //! 3. **Critical-path list scheduling** — operations issue in
 //!    longest-path-first order, packing a legal second slot per bundle
-//!    when dual issue is on ([`list::schedule_block`]).
+//!    when dual issue is on ([`list::schedule_block`]); placing an op
+//!    releases its successors, so the cycle loop costs about one step
+//!    per dependence edge.
 //! 4. **Delay-slot filling** — a label branch is pulled forward so the
 //!    trailing bundles of its own block execute in its shadow, and
 //!    remaining empty shadow bundles are filled from a successor when
@@ -25,6 +29,10 @@
 //!    the anonymous fall-through path of a conditional branch when the
 //!    hoisted op is pure and its targets are dead on the taken path
 //!    (shown by the [`dag::live_in_sets`] dataflow).
+//!
+//! [`SchedReport`] counts the work: the DAGs built, their ops and
+//! edges, the modulo scheduler's IIs and placement steps, and the host
+//! time of each scheduler (`patmos-cli compile --time-passes`).
 //!
 //! The scheduler is **shape-stable** by construction: every decision
 //! is a function of the dependence structure (opcodes, register
@@ -37,6 +45,8 @@
 pub mod dag;
 pub mod list;
 pub mod modulo;
+
+use std::time::Instant;
 
 use patmos_isa::Op;
 use patmos_lir::plir::{Item, LirInst, LirOp, Module};
@@ -229,6 +239,20 @@ pub struct SchedReport {
     /// places one op, or runs out of budget), summed over loops, IIs and
     /// placement orders.
     pub placements: u64,
+    /// Dependence DAGs the list scheduler built: one per
+    /// [`list::schedule_block`] call, the modulo scheduler's baseline
+    /// and fallback schedules included.
+    pub dags: u64,
+    /// Operations in those DAGs (a terminator is not a DAG node).
+    pub dag_ops: u64,
+    /// Dependence edges in those DAGs.
+    pub dag_edges: u64,
+    /// Host nanoseconds spent list scheduling: building and scheduling
+    /// those DAGs, and filling branch shadows from successors.
+    pub list_nanos: u64,
+    /// Host nanoseconds spent in the modulo scheduler, its list
+    /// schedules excluded.
+    pub modulo_nanos: u64,
 }
 
 impl SchedReport {
@@ -253,6 +277,12 @@ impl SchedReport {
     /// All software-pipelined loops, across functions.
     pub fn pipelined_loops(&self) -> impl Iterator<Item = &LoopReport> {
         self.funcs.iter().flat_map(|f| &f.loops)
+    }
+
+    /// Loops the modulo scheduler tried: each gets exactly one remark,
+    /// pipelined or refused.
+    pub fn loops_tried(&self) -> usize {
+        self.remarks.len()
     }
 
     /// Total cross-iteration renames the modulo scheduler performed.
@@ -311,6 +341,28 @@ pub fn schedule(module: Module, options: &SchedOptions) -> ScheduledModule {
     schedule_with_report(module, options).0
 }
 
+/// Host nanoseconds since `start`.
+fn nanos_since(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
+}
+
+/// [`list::schedule_block`], with its DAG and host time booked in
+/// `report`.
+pub(crate) fn list_schedule(
+    report: &mut SchedReport,
+    insts: &[LirInst],
+    term: Option<&LirInst>,
+    dual_issue: bool,
+) -> list::BlockSchedule {
+    let start = Instant::now();
+    let sched = list::schedule_block(insts, term, dual_issue);
+    report.list_nanos += nanos_since(start);
+    report.dags += 1;
+    report.dag_ops += insts.len() as u64;
+    report.dag_edges += sched.edges as u64;
+    sched
+}
+
 fn push_item(items: &mut Vec<SchedItem>, item: &Item) {
     match item {
         Item::Label(name) => items.push(SchedItem::Label(name.clone())),
@@ -358,14 +410,18 @@ pub fn schedule_with_report(
             // at a winning II replaces both blocks with its
             // guard/prologue/kernel/epilogue/fallback stream.
             if options.pipeline {
-                if let Some(p) = modulo::try_pipeline(
+                let (start, list_before) = (Instant::now(), report.list_nanos);
+                let pipelined = modulo::try_pipeline(
                     func,
                     bi,
                     options.dual_issue,
                     options.reuse_renaming,
                     &live_in,
                     &mut report,
-                ) {
+                );
+                let nested = report.list_nanos - list_before;
+                report.modulo_nanos += nanos_since(start).saturating_sub(nested);
+                if let Some(p) = pipelined {
                     report.remarks.push(patmos_lir::Remark {
                         pass: "modulo-sched",
                         function: func.name.clone(),
@@ -395,7 +451,7 @@ pub fn schedule_with_report(
             }
             let insts = std::mem::take(&mut func.blocks[bi].insts);
             let term = func.blocks[bi].term.clone();
-            let mut sched = list::schedule_block(&insts, term.as_ref(), options.dual_issue);
+            let mut sched = list_schedule(&mut report, &insts, term.as_ref(), options.dual_issue);
 
             // Try to fill leftover shadow bundles from a successor.
             let mut hoisted = 0u32;
@@ -412,6 +468,7 @@ pub fn schedule_with_report(
                             };
                             let run = term.guard.is_always() || speculative.is_some();
                             if run {
+                                let start = Instant::now();
                                 let mut donor_insts = std::mem::take(&mut func.blocks[donor].insts);
                                 hoisted = list::hoist_into_shadow(
                                     &mut sched.bundles,
@@ -421,6 +478,7 @@ pub fn schedule_with_report(
                                     speculative,
                                 );
                                 func.blocks[donor].insts = donor_insts;
+                                report.list_nanos += nanos_since(start);
                             }
                         }
                     }

@@ -1,6 +1,15 @@
 //! Latency-weighted critical-path list scheduling over one basic
 //! block, dual-issue packing, and delay-slot filling.
 //!
+//! A block's dependence DAG is built once, from one [`DepSummary`] per
+//! op, into flat successor arrays. Scheduling then costs about one
+//! step per edge: each op keeps a count of its unplaced predecessors
+//! and the earliest bundle their gaps allow, and placing an op releases
+//! its successors into the candidate set (Gibbons & Muchnick's list
+//! scheduler). Slot one's op is released before the second slot is
+//! chosen, so a successor behind a zero-gap edge (a WAR) may share its
+//! bundle.
+//!
 //! The terminator of a block is handled in one of three ways:
 //!
 //! * **no terminator** (fall-through into the next label): the body is
@@ -27,11 +36,11 @@
 use patmos_isa::Op;
 use patmos_lir::plir::{LirInst, LirOp};
 
-use crate::dag::{dependence_gap, out_gap, LiveSet};
+use crate::dag::{dependence_gap, out_gap, DepSummary, LiveSet};
 
 /// A scheduled block: final bundles plus the facts the driver and the
 /// report need.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSchedule {
     /// The issue sequence; `(nop, None)` bundles are real issued nops.
     pub bundles: Vec<(LirInst, Option<LirInst>)>,
@@ -47,6 +56,9 @@ pub struct BlockSchedule {
     /// Whether the terminator's shadow may legally be filled by
     /// hoisting from a successor block.
     pub shadow_fillable: bool,
+    /// Edges of the body's dependence DAG (ordered op pairs with a
+    /// gap).
+    pub edges: usize,
 }
 
 fn nop() -> LirInst {
@@ -65,6 +77,100 @@ fn fillable(term: &LirInst) -> bool {
     matches!(term.op, LirOp::BrLabel(_))
 }
 
+/// A block's dependence DAG in flat arrays: the successors of op `i`,
+/// each with its minimum bundle gap, are `succ[first[i]..first[i + 1]]`
+/// in program order, and `preds[i]` counts op `i`'s predecessors.
+struct Dag {
+    first: Vec<u32>,
+    succ: Vec<(u32, u32)>,
+    preds: Vec<u32>,
+}
+
+impl Dag {
+    /// Relates every ordered pair of the block's ops once.
+    fn build(deps: &[DepSummary]) -> Dag {
+        let n = deps.len();
+        let mut first = Vec::with_capacity(n + 1);
+        let mut succ = Vec::new();
+        let mut preds = vec![0u32; n];
+        for (i, a) in deps.iter().enumerate() {
+            first.push(succ.len() as u32);
+            for (j, b) in deps.iter().enumerate().skip(i + 1) {
+                if let Some(gap) = dependence_gap(a, b) {
+                    succ.push((j as u32, gap));
+                    preds[j] += 1;
+                }
+            }
+        }
+        first.push(succ.len() as u32);
+        Dag { first, succ, preds }
+    }
+
+    fn succs(&self, i: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        (self.succ[self.first[i] as usize..self.first[i + 1] as usize].iter())
+            .map(|&(j, gap)| (j as usize, gap))
+    }
+}
+
+/// The list scheduler's candidates: the unplaced ops whose
+/// predecessors are all placed, each ready from the latest of their
+/// gaps. Placing an op releases its successors.
+struct Readiness {
+    /// Per op, the predecessors not yet placed.
+    unplaced_preds: Vec<u32>,
+    /// Per op, the first bundle its placed predecessors allow.
+    ready_at: Vec<u32>,
+    /// The candidates, in no particular order.
+    avail: Vec<usize>,
+}
+
+impl Readiness {
+    fn new(dag: &Dag) -> Readiness {
+        let n = dag.preds.len();
+        Readiness {
+            unplaced_preds: dag.preds.clone(),
+            ready_at: vec![0; n],
+            avail: (0..n).filter(|&i| dag.preds[i] == 0).collect(),
+        }
+    }
+
+    /// Removes and returns the candidate ready by `cycle` that `fits`
+    /// and `beats` every other such candidate.
+    fn take_best(
+        &mut self,
+        cycle: u32,
+        beats: impl Fn(usize, usize) -> bool,
+        fits: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (k, &i) in self.avail.iter().enumerate() {
+            if self.ready_at[i] <= cycle && fits(i) && best.is_none_or(|b| beats(i, self.avail[b]))
+            {
+                best = Some(k);
+            }
+        }
+        best.map(|k| self.avail.swap_remove(k))
+    }
+
+    /// The first bundle at which some candidate is ready.
+    fn next_ready(&self) -> u32 {
+        (self.avail.iter().map(|&i| self.ready_at[i]))
+            .min()
+            .expect("an acyclic DAG always has a candidate")
+    }
+
+    /// Records op `i` placed at `cycle`.
+    fn release(&mut self, dag: &Dag, i: usize, cycle: u32) {
+        for (j, gap) in dag.succs(i) {
+            self.ready_at[j] = self.ready_at[j].max(cycle + gap);
+            self.unplaced_preds[j] -= 1;
+            if self.unplaced_preds[j] == 0 {
+                self.avail.push(j);
+            }
+        }
+    }
+}
+
 /// Schedules one block's body plus terminator.
 pub fn schedule_block(
     insts: &[LirInst],
@@ -72,92 +178,58 @@ pub fn schedule_block(
     dual_issue: bool,
 ) -> BlockSchedule {
     let n = insts.len();
-
-    // Dependence DAG: (pred, succ, min bundle gap), pred < succ.
-    let mut edges: Vec<(usize, usize, u32)> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if let Some(gap) = dependence_gap(&insts[i], &insts[j]) {
-                edges.push((i, j, gap));
-            }
-        }
-    }
+    let deps: Vec<DepSummary> = insts.iter().map(DepSummary::of).collect();
+    let dag = Dag::build(&deps);
 
     // Critical-path heights: longest latency-weighted path to any sink,
     // including the residue each op owes past its own issue bundle.
     let mut height: Vec<u32> = (0..n).map(|i| out_gap(&insts[i]).max(1)).collect();
-    for &(i, j, gap) in edges.iter().rev() {
-        height[i] = height[i].max(gap + height[j]);
+    for i in (0..n).rev() {
+        for (j, gap) in dag.succs(i) {
+            height[i] = height[i].max(gap + height[j]);
+        }
     }
     let critical_path = height.iter().copied().max().unwrap_or(0);
+    // Highest critical-path height wins; program order breaks ties
+    // (deterministic, and shape-stable: priorities depend only on the
+    // dependence structure, never on operand values).
+    let beats = |i: usize, f: usize| height[i] > height[f] || (height[i] == height[f] && i < f);
+    let beats = &beats;
 
-    // Cycle-by-cycle list scheduling of the body. An op is ready once
-    // every predecessor is placed, at the latest of their gaps.
-    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for &(p, s, gap) in &edges {
-        preds[s].push((p, gap));
-    }
+    // Cycle-by-cycle list scheduling of the body.
+    let mut ready = Readiness::new(&dag);
     let mut sched: Vec<Option<u32>> = vec![None; n];
-    let earliest = |i: usize, sched: &[Option<u32>]| -> Option<u32> {
-        (preds[i].iter()).try_fold(0u32, |at, &(p, gap)| Some(at.max(sched[p]? + gap)))
-    };
-
     let mut cycles: Vec<(Option<usize>, Option<usize>)> = Vec::new();
     let mut remaining = n;
     let mut paired = 0usize;
     while remaining > 0 {
         let cycle = cycles.len() as u32;
-        // Highest critical-path height wins; program order breaks ties
-        // (deterministic, and shape-stable: priorities depend only on
-        // the dependence structure, never on operand values).
-        let mut first: Option<usize> = None;
-        for i in 0..n {
-            if sched[i].is_some() {
-                continue;
-            }
-            if matches!(earliest(i, &sched), Some(r) if r <= cycle)
-                && first.is_none_or(|f| height[i] > height[f])
-            {
-                first = Some(i);
-            }
-        }
-        let Some(fi) = first else {
-            cycles.push((None, None)); // nothing ready: let delays elapse
+        let Some(fi) = ready.take_best(cycle, beats, |_| true) else {
+            // Nothing ready: let delays elapse until the first op is.
+            cycles.resize(ready.next_ready() as usize, (None, None));
             continue;
         };
+        // Slot one's successors are released before the second-slot
+        // scan: a zero-gap WAR edge lets one share the bundle.
         sched[fi] = Some(cycle);
+        ready.release(&dag, fi, cycle);
         remaining -= 1;
 
         let mut second: Option<usize> = None;
         if dual_issue && !insts[fi].op.is_long() {
-            for j in 0..n {
-                if sched[j].is_some()
-                    || !insts[j].op.allowed_in_second_slot()
-                    || insts[j].op.is_long()
-                {
-                    continue;
-                }
-                // Ready even against the op just placed in slot one
-                // (a zero-gap WAR edge permits sharing the bundle).
-                if !matches!(earliest(j, &sched), Some(r) if r <= cycle) {
-                    continue;
-                }
-                // No conflicting writes within the bundle.
-                if insts[fi].op.def().is_some() && insts[fi].op.def() == insts[j].op.def() {
-                    continue;
-                }
-                if insts[fi].op.pred_def().is_some()
-                    && insts[fi].op.pred_def() == insts[j].op.pred_def()
-                {
-                    continue;
-                }
-                if second.is_none_or(|s| height[j] > height[s]) {
-                    second = Some(j);
-                }
-            }
+            let (def, pred_def) = (insts[fi].op.def(), insts[fi].op.pred_def());
+            let fits = |j: usize| {
+                insts[j].op.allowed_in_second_slot()
+                    && !insts[j].op.is_long()
+                    // No conflicting writes within the bundle.
+                    && def.is_none_or(|d| insts[j].op.def() != Some(d))
+                    && pred_def.is_none_or(|p| insts[j].op.pred_def() != Some(p))
+            };
+            second = ready.take_best(cycle, beats, fits);
         }
         if let Some(sj) = second {
             sched[sj] = Some(cycle);
+            ready.release(&dag, sj, cycle);
             remaining -= 1;
             paired += 1;
         }
@@ -170,6 +242,7 @@ pub fn schedule_block(
         (materialize(c.0).unwrap_or_else(nop), materialize(c.1))
     };
 
+    let edges = dag.succ.len();
     let mut bundles: Vec<(LirInst, Option<LirInst>)> = Vec::new();
     let residue_end = (0..n)
         .map(|i| sched[i].expect("all scheduled") + out_gap(&insts[i]))
@@ -190,15 +263,17 @@ pub fn schedule_block(
             critical_path,
             paired,
             shadow_fillable: false,
+            edges,
         };
     };
 
     let delay = term.op.delay_slots(term.guard);
+    let term_deps = DepSummary::of(term);
     if !fillable(term) {
         // Barrier: everything issues before the terminator.
         let beta = (0..n)
             .map(|i| {
-                let gap = dependence_gap(&insts[i], term).unwrap_or(0).max(1);
+                let gap = dependence_gap(&deps[i], &term_deps).unwrap_or(0).max(1);
                 sched[i].expect("all scheduled") + gap
             })
             .max()
@@ -225,6 +300,7 @@ pub fn schedule_block(
             critical_path,
             paired,
             shadow_fillable: false,
+            edges,
         };
     }
 
@@ -233,7 +309,7 @@ pub fn schedule_block(
     // the trailing bundles shifted into the shadow — still completes
     // its visible-delay residue by the end of the block.
     let beta_min = (0..n)
-        .map(|i| match dependence_gap(&insts[i], term) {
+        .map(|i| match dependence_gap(&deps[i], &term_deps) {
             Some(gap) => sched[i].expect("all scheduled") + gap,
             None => 0,
         })
@@ -275,6 +351,7 @@ pub fn schedule_block(
         critical_path,
         paired,
         shadow_fillable: true,
+        edges,
     }
 }
 
@@ -351,8 +428,12 @@ pub fn hoist_into_shadow(
     }
 
     let mut open = empty_slots;
-    let mut skipped: Vec<LirInst> = Vec::new();
+    let mut skipped: Vec<DepSummary> = Vec::new();
     let mut taken: Vec<usize> = Vec::new();
+    // Every op already in the block, summarised once, per bundle.
+    let mut placed: Vec<(DepSummary, Option<DepSummary>)> = (bundles.iter())
+        .map(|(first, second)| (DepSummary::of(first), second.as_ref().map(DepSummary::of)))
+        .collect();
 
     'candidates: for (di, cand) in donor.iter().enumerate() {
         if open.is_empty() {
@@ -366,32 +447,34 @@ pub fn hoist_into_shadow(
             }
             None => unique_path_safe(cand),
         };
-        let independent_of_skipped = skipped.iter().all(|s| dependence_gap(s, cand).is_none());
+        let deps = DepSummary::of(cand);
+        let independent_of_skipped = skipped.iter().all(|s| dependence_gap(s, &deps).is_none());
         if !safe || !independent_of_skipped {
-            skipped.push(cand.clone());
+            skipped.push(deps);
             continue;
         }
         for (oi, &b) in open.iter().enumerate() {
             if (b as u32) + out_gap(cand) > total {
                 continue;
             }
-            let deps_met = bundles.iter().enumerate().all(|(p, bundle)| {
+            let deps_met = placed.iter().enumerate().all(|(p, bundle)| {
                 [Some(&bundle.0), bundle.1.as_ref()]
                     .into_iter()
                     .flatten()
-                    .all(|op| match dependence_gap(op, cand) {
+                    .all(|op| match dependence_gap(op, &deps) {
                         Some(gap) => p as u32 + gap <= b as u32,
                         None => true,
                     })
             });
             if deps_met {
                 bundles[b].0 = cand.clone();
+                placed[b].0 = deps;
                 taken.push(di);
                 open.remove(oi);
                 continue 'candidates;
             }
         }
-        skipped.push(cand.clone());
+        skipped.push(deps);
     }
 
     for &di in taken.iter().rev() {
@@ -584,7 +667,7 @@ mod tests {
                 }
                 for a in [Some(&b.0), b.1.as_ref()].into_iter().flatten() {
                     for z in [Some(&c.0), c.1.as_ref()].into_iter().flatten() {
-                        if let Some(gap) = dependence_gap(a, z) {
+                        if let Some(gap) = dependence_gap(&DepSummary::of(a), &DepSummary::of(z)) {
                             assert!(
                                 p as u32 + gap <= q as u32,
                                 "gap violated {p}->{q}: before={before:?} after={:?}",

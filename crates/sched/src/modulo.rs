@@ -65,9 +65,8 @@
 use patmos_isa::{AluOp, Guard, Op, Reg, ALLOC_POOL};
 use patmos_lir::plir::{CountedLoop, Item, LirInst, LirOp, LoopBoundSrc};
 
-use crate::dag::{dependence_gap, out_gap, Func, LiveSet};
-use crate::list;
-use crate::{LoopReport, SchedBundle, SchedItem, SchedReport};
+use crate::dag::{dependence_gap, out_gap, DepSummary, Func, LiveSet};
+use crate::{list_schedule, LoopReport, SchedBundle, SchedItem, SchedReport};
 
 /// Candidate initiation intervals are searched up to this bound; a
 /// partially unrolled body's memory chain alone can push `II` past 30.
@@ -370,10 +369,10 @@ pub(crate) fn try_pipeline(
     // The plain per-iteration cost the pipeline has to beat, at the
     // annotated worst-case trip count. No II above the last one whose
     // one-stage estimate passes can pay, so the search stops there.
-    let baseline = list::schedule_block(&hb.insts, Some(hterm), dual_issue)
+    let baseline = list_schedule(report, &hb.insts, Some(hterm), dual_issue)
         .bundles
         .len()
-        + list::schedule_block(&bb.insts, Some(bterm), dual_issue)
+        + list_schedule(report, &bb.insts, Some(bterm), dual_issue)
             .bundles
             .len();
     let (trips, baseline) = (max_ann.saturating_sub(1) as i64, baseline as i64);
@@ -475,7 +474,7 @@ pub(crate) fn try_pipeline(
 
         let mut p = emit(
             func, h, &cl, bound_regs, &label, exit_label, &ops, &times, ii, stages, mii, min_ann,
-            max_ann, dual_issue,
+            max_ann, dual_issue, report,
         );
         p.report.renamed = renamed;
         return Some(p);
@@ -522,8 +521,9 @@ fn last_paying_ii(trips: i64, baseline: i64) -> u32 {
 }
 
 /// `dependence_gap` between every ordered pair of one iteration's ops,
-/// computed once per loop and shared by the MII, the priorities, every
-/// II and placement order, and the re-verification.
+/// from the ops' summaries, computed once per loop and shared by the
+/// MII, the priorities, every II and placement order, and the
+/// re-verification.
 struct Gaps {
     n: usize,
     gap: Vec<Option<u32>>,
@@ -532,8 +532,9 @@ struct Gaps {
 impl Gaps {
     fn new(ops: &[LirInst]) -> Gaps {
         let n = ops.len();
-        let gap = (ops.iter())
-            .flat_map(|a| ops.iter().map(move |b| dependence_gap(a, b)))
+        let deps: Vec<DepSummary> = ops.iter().map(DepSummary::of).collect();
+        let gap = (deps.iter())
+            .flat_map(|a| deps.iter().map(move |b| dependence_gap(a, b)))
             .collect();
         Gaps { n, gap }
     }
@@ -760,6 +761,7 @@ fn emit(
     min_ann: u32,
     max_ann: u32,
     dual_issue: bool,
+    report: &mut SchedReport,
 ) -> Pipelined {
     let hb = &func.blocks[h];
     let bb = &func.blocks[h + 1];
@@ -936,12 +938,12 @@ fn emit(
         max: max_ann,
     });
     items.push(SchedItem::Label(fb_label.clone()));
-    let head_sched = list::schedule_block(&hb.insts, Some(hterm_for(func, h)), dual_issue);
+    let head_sched = list_schedule(report, &hb.insts, Some(hterm_for(func, h)), dual_issue);
     for (f, s) in head_sched.bundles {
         push_bundle(&mut items, f, s);
     }
     let fb_back = LirInst::always(LirOp::BrLabel(fb_label));
-    let body_sched = list::schedule_block(&bb.insts, Some(&fb_back), dual_issue);
+    let body_sched = list_schedule(report, &bb.insts, Some(&fb_back), dual_issue);
     for (f, s) in body_sched.bundles {
         push_bundle(&mut items, f, s);
     }
@@ -1125,7 +1127,7 @@ mod tests {
                 if pa == pb {
                     continue; // same bundle: reads see pre-state
                 }
-                if let Some(g) = dependence_gap(a, b) {
+                if let Some(g) = dependence_gap(&DepSummary::of(a), &DepSummary::of(b)) {
                     assert!(
                         pb - pa >= g as usize,
                         "gap {g} violated between {} @{pa} and {} @{pb}",
@@ -1146,7 +1148,7 @@ mod tests {
             .collect();
         for &(pa, a) in &kernel {
             for &(pb, b) in &kernel {
-                if let Some(g) = dependence_gap(a, b) {
+                if let Some(g) = dependence_gap(&DepSummary::of(a), &DepSummary::of(b)) {
                     assert!(
                         pb + ii - pa >= g as usize,
                         "loop-carried gap {g} violated between {} @{pa} and {} @+{pb}",

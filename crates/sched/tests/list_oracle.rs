@@ -1,14 +1,24 @@
-//! A seeded oracle for `list::schedule_block`: generated blocks of 1–60
-//! operations over a handful of registers, every terminator kind, dual
-//! and single issue. Whatever the schedule, each op is placed exactly
-//! once, every dependence gap holds between final bundle positions, and
-//! every visible-delay residue completes by the end of the block.
+//! A seeded oracle for the dependence relation and
+//! `list::schedule_block`.
+//!
+//! The reference below states both in their plainest form: the
+//! pairwise relation read straight from the `LirOp` queries of both
+//! ops, and a list scheduler that relates every pair and rescans every
+//! unplaced op's predecessors each cycle. The library builds per-op dependence
+//! summaries and releases successors as ops are placed; it must agree
+//! with the reference on every ordered pair of a wide op pool, and on
+//! every generated block (1-150 operations over a handful of
+//! registers, every terminator kind, dual and single issue) in every
+//! field of the `BlockSchedule`. Whatever the schedule, each op is
+//! placed exactly once, every reference dependence gap holds between
+//! final bundle positions, and every visible-delay residue completes by
+//! the end of the block.
 
 use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Op, Pred, PredOp, PredSrc};
 use patmos_isa::{Reg, SpecialReg};
 use patmos_lir::plir::{LirInst, LirOp};
-use patmos_sched::dag::{dependence_gap, out_gap};
-use patmos_sched::list::schedule_block;
+use patmos_sched::dag::{dependence_gap, DepSummary};
+use patmos_sched::list::{schedule_block, BlockSchedule};
 
 /// splitmix64: enough randomness for a reproducible sweep.
 struct Rng(u64);
@@ -127,86 +137,518 @@ fn terminator(kind: u64, rng: &mut Rng) -> Option<LirInst> {
     }
 }
 
+/// An op the block generator above never draws: a `lil` of a symbol
+/// (to `r0` too), a long immediate, `mts`/`mfs` of the multiplier's
+/// `sl`/`sh` and of `sm`, stack control, or an ALU op whose predicate
+/// logic or guard names `p0` (`!p0` included).
+fn rare_op(rng: &mut Rng) -> LirInst {
+    let special = [SpecialReg::Sl, SpecialReg::Sh, SpecialReg::Sm][rng.below(3) as usize];
+    let op = match rng.below(8) {
+        0 => LirOp::LilSym([rng.reg(), Reg::R0][rng.below(2) as usize], "sym".into()),
+        1 => LirOp::Real(Op::LoadImm32 {
+            rd: rng.reg(),
+            imm: rng.next() as u32,
+        }),
+        2 => LirOp::Real(Op::Mts {
+            sd: special,
+            rs: rng.reg(),
+        }),
+        3 => LirOp::Real(Op::Mfs {
+            rd: rng.reg(),
+            ss: special,
+        }),
+        4 => LirOp::Real(Op::Sres { words: 4 }),
+        5 => LirOp::Real(Op::PredSet {
+            op: PredOp::Or,
+            pd: rng.pred(),
+            p1: PredSrc::plain(Pred::P0),
+            p2: PredSrc::plain(rng.pred()),
+        }),
+        6 => LirOp::Real(Op::Cmp {
+            op: CmpOp::Eq,
+            pd: rng.pred(),
+            rs1: rng.reg(),
+            rs2: Reg::R0,
+        }),
+        _ => LirOp::Real(Op::AluI {
+            op: AluOp::Add,
+            rd: rng.reg(),
+            rs1: Reg::R0,
+            imm: rng.imm(),
+        }),
+    };
+    let guard = match rng.below(4) {
+        0 => Guard::unless(Pred::P0),
+        1 => Guard::when(rng.pred()),
+        _ => Guard::ALWAYS,
+    };
+    LirInst::new(guard, op)
+}
+
+/// Mostly generated body ops, with one in eight a [`rare_op`].
+fn wide_op(rng: &mut Rng) -> LirInst {
+    if rng.below(8) == 0 {
+        rare_op(rng)
+    } else {
+        body_op(rng)
+    }
+}
+
 fn is_nop(inst: &LirInst) -> bool {
     matches!(inst.op, LirOp::Real(Op::Nop))
 }
 
+// ---- the reference ----
+
+/// The minimum bundle gap from `a` to `b`, read from both ops'
+/// `LirOp` queries.
+fn ref_gap(a: &LirInst, b: &LirInst) -> Option<u32> {
+    let mut gap: Option<u32> = None;
+    let mut need = |g: u32| gap = Some(gap.map_or(g, |old: u32| old.max(g)));
+
+    // Memory/stack-control order is preserved.
+    if a.op.is_ordered() && b.op.is_ordered() {
+        need(1);
+    }
+    // Calls are barriers: nothing moves across them.
+    if matches!(a.op, LirOp::CallFunc(_)) || matches!(b.op, LirOp::CallFunc(_)) {
+        need(1);
+    }
+
+    // Register RAW/WAW/WAR.
+    if let Some(d) = a.op.def() {
+        if b.op.uses().into_iter().flatten().any(|u| u == d) {
+            need(a.op.def_gap());
+        }
+        if b.op.def() == Some(d) {
+            need(1);
+        }
+    }
+    if let Some(d) = b.op.def() {
+        if a.op.uses().into_iter().flatten().any(|u| u == d) {
+            need(0); // same bundle is fine: reads see pre-state
+        }
+    }
+
+    // Predicate RAW/WAW/WAR, including guards.
+    let b_pred_reads = || {
+        b.op.pred_uses()
+            .into_iter()
+            .flatten()
+            .chain((!b.guard.is_always()).then_some(b.guard.pred))
+    };
+    if let Some(d) = a.op.pred_def() {
+        if b_pred_reads().any(|p| p == d) {
+            need(1);
+        }
+        if b.op.pred_def() == Some(d) {
+            need(1);
+        }
+    }
+    if let Some(d) = b.op.pred_def() {
+        let a_reads =
+            a.op.pred_uses()
+                .into_iter()
+                .flatten()
+                .chain((!a.guard.is_always()).then_some(a.guard.pred));
+        for p in a_reads {
+            if p == d {
+                need(0);
+            }
+        }
+    }
+
+    // Multiplier unit.
+    if a.op.writes_mul() && b.op.reads_mul() {
+        need(1 + patmos_isa::timing::MUL_GAP);
+    }
+    if a.op.writes_mul() && b.op.writes_mul() {
+        need(1);
+    }
+    if a.op.reads_mul() && b.op.writes_mul() {
+        need(0);
+    }
+
+    gap
+}
+
+fn nop() -> LirInst {
+    LirInst::always(LirOp::Real(Op::Nop))
+}
+
+fn fillable(term: &LirInst) -> bool {
+    matches!(term.op, LirOp::BrLabel(_))
+}
+
+/// The visible-delay residue an op owes past its issue bundle.
+fn ref_out_gap(inst: &LirInst) -> u32 {
+    if inst.op.writes_mul() {
+        1 + patmos_isa::timing::MUL_GAP
+    } else if inst.op.def().is_some() {
+        inst.op.def_gap()
+    } else {
+        0
+    }
+}
+
+/// Schedules one block, relating every pair of ops and re-reading every
+/// unplaced op's predecessors each cycle.
+fn ref_schedule_block(
+    insts: &[LirInst],
+    term: Option<&LirInst>,
+    dual_issue: bool,
+) -> BlockSchedule {
+    let n = insts.len();
+
+    // Dependence DAG: (pred, succ, min bundle gap), pred < succ.
+    let mut edges: Vec<(usize, usize, u32)> = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if let Some(gap) = ref_gap(&insts[i], &insts[j]) {
+                edges.push((i, j, gap));
+            }
+        }
+    }
+
+    // Critical-path heights: longest latency-weighted path to any sink,
+    // including the residue each op owes past its own issue bundle.
+    let mut height: Vec<u32> = (0..n).map(|i| ref_out_gap(&insts[i]).max(1)).collect();
+    for &(i, j, gap) in edges.iter().rev() {
+        height[i] = height[i].max(gap + height[j]);
+    }
+    let critical_path = height.iter().copied().max().unwrap_or(0);
+
+    // Cycle-by-cycle list scheduling of the body. An op is ready once
+    // every predecessor is placed, at the latest of their gaps.
+    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+    for &(p, s, gap) in &edges {
+        preds[s].push((p, gap));
+    }
+    let mut sched: Vec<Option<u32>> = vec![None; n];
+    let earliest = |i: usize, sched: &[Option<u32>]| -> Option<u32> {
+        (preds[i].iter()).try_fold(0u32, |at, &(p, gap)| Some(at.max(sched[p]? + gap)))
+    };
+
+    let mut cycles: Vec<(Option<usize>, Option<usize>)> = Vec::new();
+    let mut remaining = n;
+    let mut paired = 0usize;
+    while remaining > 0 {
+        let cycle = cycles.len() as u32;
+        // Highest critical-path height wins; program order breaks ties
+        // (deterministic, and shape-stable: priorities depend only on
+        // the dependence structure, never on operand values).
+        let mut first: Option<usize> = None;
+        for i in 0..n {
+            if sched[i].is_some() {
+                continue;
+            }
+            if matches!(earliest(i, &sched), Some(r) if r <= cycle)
+                && first.is_none_or(|f| height[i] > height[f])
+            {
+                first = Some(i);
+            }
+        }
+        let Some(fi) = first else {
+            cycles.push((None, None)); // nothing ready: let delays elapse
+            continue;
+        };
+        sched[fi] = Some(cycle);
+        remaining -= 1;
+
+        let mut second: Option<usize> = None;
+        if dual_issue && !insts[fi].op.is_long() {
+            for j in 0..n {
+                if sched[j].is_some()
+                    || !insts[j].op.allowed_in_second_slot()
+                    || insts[j].op.is_long()
+                {
+                    continue;
+                }
+                // Ready even against the op just placed in slot one
+                // (a zero-gap WAR edge permits sharing the bundle).
+                if !matches!(earliest(j, &sched), Some(r) if r <= cycle) {
+                    continue;
+                }
+                // No conflicting writes within the bundle.
+                if insts[fi].op.def().is_some() && insts[fi].op.def() == insts[j].op.def() {
+                    continue;
+                }
+                if insts[fi].op.pred_def().is_some()
+                    && insts[fi].op.pred_def() == insts[j].op.pred_def()
+                {
+                    continue;
+                }
+                if second.is_none_or(|s| height[j] > height[s]) {
+                    second = Some(j);
+                }
+            }
+        }
+        if let Some(sj) = second {
+            sched[sj] = Some(cycle);
+            remaining -= 1;
+            paired += 1;
+        }
+        cycles.push((Some(fi), second));
+    }
+    let body_len = cycles.len() as u32;
+
+    let materialize = |slot: Option<usize>| slot.map(|i| insts[i].clone());
+    let bundle_at = |c: &(Option<usize>, Option<usize>)| -> (LirInst, Option<LirInst>) {
+        (materialize(c.0).unwrap_or_else(nop), materialize(c.1))
+    };
+
+    let mut bundles: Vec<(LirInst, Option<LirInst>)> = Vec::new();
+    let residue_end = (0..n)
+        .map(|i| sched[i].expect("all scheduled") + ref_out_gap(&insts[i]))
+        .max()
+        .unwrap_or(0);
+
+    let Some(term) = term else {
+        // Fall-through: pad the edge so trailing loads/muls are visible
+        // before the next block's first bundle.
+        bundles.extend(cycles.iter().map(bundle_at));
+        while (bundles.len() as u32) < residue_end.max(body_len) {
+            bundles.push((nop(), None));
+        }
+        return BlockSchedule {
+            bundles,
+            term_at: None,
+            delay_slots: 0,
+            critical_path,
+            paired,
+            shadow_fillable: false,
+            edges: edges.len(),
+        };
+    };
+
+    let delay = term.op.delay_slots(term.guard);
+    if !fillable(term) {
+        // Barrier: everything issues before the terminator.
+        let beta = (0..n)
+            .map(|i| {
+                let gap = ref_gap(&insts[i], term).unwrap_or(0).max(1);
+                sched[i].expect("all scheduled") + gap
+            })
+            .max()
+            .unwrap_or(0)
+            .max(body_len);
+        bundles.extend(cycles.iter().map(bundle_at));
+        while (bundles.len() as u32) < beta {
+            bundles.push((nop(), None));
+        }
+        let term_at = bundles.len();
+        bundles.push((term.clone(), None));
+        for _ in 0..delay {
+            bundles.push((nop(), None));
+        }
+        // Residue past the delay slots (parity with the fall-through
+        // rule; only reachable when the terminator can fall through).
+        while (bundles.len() as u32) < residue_end {
+            bundles.push((nop(), None));
+        }
+        return BlockSchedule {
+            bundles,
+            term_at: Some(term_at),
+            delay_slots: delay,
+            critical_path,
+            paired,
+            shadow_fillable: false,
+            edges: edges.len(),
+        };
+    }
+
+    // Branch: choose the earliest issue bundle `beta` such that the
+    // branch's own dependences are met and every body op — including
+    // the trailing bundles shifted into the shadow — still completes
+    // its visible-delay residue by the end of the block.
+    let beta_min = (0..n)
+        .map(|i| match ref_gap(&insts[i], term) {
+            Some(gap) => sched[i].expect("all scheduled") + gap,
+            None => 0,
+        })
+        .max()
+        .unwrap_or(0);
+    let mut beta = beta_min.max(body_len.saturating_sub(delay));
+    loop {
+        let total = (body_len + 1).max(beta + 1 + delay);
+        let fits = (0..n).all(|i| {
+            let at = sched[i].expect("all scheduled");
+            let final_at = if at >= beta { at + 1 } else { at };
+            final_at + ref_out_gap(&insts[i]) <= total
+        });
+        if fits || beta >= body_len {
+            break;
+        }
+        beta += 1;
+    }
+
+    for cycle in cycles.iter().take(beta.min(body_len) as usize) {
+        bundles.push(bundle_at(cycle));
+    }
+    while (bundles.len() as u32) < beta {
+        bundles.push((nop(), None));
+    }
+    let term_at = bundles.len();
+    bundles.push((term.clone(), None));
+    for cycle in cycles.iter().skip(beta as usize) {
+        bundles.push(bundle_at(cycle));
+    }
+    while (bundles.len() as u32) < beta + 1 + delay {
+        bundles.push((nop(), None));
+    }
+
+    BlockSchedule {
+        bundles,
+        term_at: Some(term_at),
+        delay_slots: delay,
+        critical_path,
+        paired,
+        shadow_fillable: true,
+        edges: edges.len(),
+    }
+}
+
+// ---- the checks ----
+
+/// Schedules one generated block with the library and checks it
+/// against the reference: equal in every field, and legal under the
+/// reference relation.
+fn check_block(what: &str, body: &[LirInst], term: Option<&LirInst>, dual: bool) {
+    let s = schedule_block(body, term, dual);
+    assert_eq!(
+        s,
+        ref_schedule_block(body, term, dual),
+        "{what}: differs from the reference"
+    );
+    let n = body.len();
+
+    // Program order: the body, then the terminator.
+    let program: Vec<&LirInst> = body.iter().chain(term).collect();
+    let mut placed: Vec<(usize, &LirInst)> = Vec::new();
+    for (p, (first, second)) in s.bundles.iter().enumerate() {
+        assert!(dual || second.is_none(), "{what}: paired at {p}");
+        if let Some(second) = second {
+            assert!(
+                second.op.allowed_in_second_slot() && !second.op.is_long() && !first.op.is_long(),
+                "{what}: illegal pair at {p}"
+            );
+        }
+        placed.extend(
+            [Some(first), second.as_ref()]
+                .into_iter()
+                .flatten()
+                .map(|i| (p, i)),
+        );
+    }
+    placed.retain(|(_, i)| !is_nop(i));
+
+    // Each op exactly once. Identical ops are interchangeable, so
+    // the k-th copy in program order takes the k-th copy's bundle.
+    assert_eq!(placed.len(), program.len(), "{what}: op count");
+    let mut at = vec![usize::MAX; program.len()];
+    for (i, op) in program.iter().enumerate() {
+        let copy = program[..i].iter().filter(|o| o == &op).count();
+        let mut copies = placed.iter().filter(|(_, o)| o == op);
+        let (p, _) = copies
+            .nth(copy)
+            .unwrap_or_else(|| panic!("{what}: op {i} `{}` missing", op.render()));
+        at[i] = *p;
+    }
+    if term.is_some() {
+        assert_eq!(s.term_at, Some(at[n]), "{what}: terminator position");
+    }
+
+    // Every dependence gap, between final positions.
+    for i in 0..program.len() {
+        for j in i + 1..program.len() {
+            if let Some(gap) = ref_gap(program[i], program[j]) {
+                assert!(
+                    at[j] >= at[i] + gap as usize,
+                    "{what}: `{}` @{} -> `{}` @{} needs gap {gap}",
+                    program[i].render(),
+                    at[i],
+                    program[j].render(),
+                    at[j]
+                );
+            }
+        }
+    }
+
+    // Every visible-delay residue completes inside the block.
+    for (i, op) in body.iter().enumerate() {
+        assert!(
+            at[i] + ref_out_gap(op) as usize <= s.bundles.len(),
+            "{what}: `{}` @{} owes {} past {} bundles",
+            op.render(),
+            at[i],
+            ref_out_gap(op),
+            s.bundles.len()
+        );
+    }
+}
+
+const KINDS: u64 = 6;
+
 #[test]
 fn generated_blocks_schedule_legally() {
-    const KINDS: u64 = 6;
     let mut rng = Rng(0x5eed_0f11_57a7);
     for case in 0..480u64 {
         let n = 1 + rng.below(60) as usize;
         let body: Vec<LirInst> = (0..n).map(|_| body_op(&mut rng)).collect();
         let term = terminator(case % KINDS, &mut rng);
         let dual = (case / KINDS) % 2 == 0;
-        let s = schedule_block(&body, term.as_ref(), dual);
         let what = format!("case {case}: {n} ops, terminator {term:?}, dual {dual}");
+        check_block(&what, &body, term.as_ref(), dual);
+    }
+}
 
-        // Program order: the body, then the terminator.
-        let program: Vec<&LirInst> = body.iter().chain(term.iter()).collect();
-        let mut placed: Vec<(usize, &LirInst)> = Vec::new();
-        for (p, (first, second)) in s.bundles.iter().enumerate() {
-            assert!(dual || second.is_none(), "{what}: paired at {p}");
-            if let Some(second) = second {
-                assert!(
-                    second.op.allowed_in_second_slot()
-                        && !second.op.is_long()
-                        && !first.op.is_long(),
-                    "{what}: illegal pair at {p}"
-                );
-            }
-            placed.extend(
-                [Some(first), second.as_ref()]
-                    .into_iter()
-                    .flatten()
-                    .map(|i| (p, i)),
-            );
-        }
-        placed.retain(|(_, i)| !is_nop(i));
+/// Blocks as large as the suite's largest (fir's 144 ops) and past it,
+/// with the rare ops mixed in.
+#[test]
+fn large_generated_blocks_match_the_reference() {
+    let mut rng = Rng(0x1a46_e0b1_0c75);
+    for case in 0..48u64 {
+        let n = 61 + rng.below(90) as usize;
+        let body: Vec<LirInst> = (0..n).map(|_| wide_op(&mut rng)).collect();
+        let term = terminator(case % KINDS, &mut rng);
+        let dual = (case / KINDS) % 2 == 0;
+        let what = format!("large case {case}: {n} ops, terminator {term:?}, dual {dual}");
+        check_block(&what, &body, term.as_ref(), dual);
+    }
+}
 
-        // Each op exactly once. Identical ops are interchangeable, so
-        // the k-th copy in program order takes the k-th copy's bundle.
-        assert_eq!(placed.len(), program.len(), "{what}: op count");
-        let mut at = vec![usize::MAX; program.len()];
-        for (i, op) in program.iter().enumerate() {
-            let copy = program[..i].iter().filter(|o| o == &op).count();
-            let mut copies = placed.iter().filter(|(_, o)| o == op);
-            let (p, _) = copies
-                .nth(copy)
-                .unwrap_or_else(|| panic!("{what}: op {i} `{}` missing", op.render()));
-            at[i] = *p;
-        }
-        if term.is_some() {
-            assert_eq!(s.term_at, Some(at[n]), "{what}: terminator position");
-        }
-
-        // Every dependence gap, between final positions.
-        for i in 0..program.len() {
-            for j in i + 1..program.len() {
-                if let Some(gap) = dependence_gap(program[i], program[j]) {
-                    assert!(
-                        at[j] >= at[i] + gap as usize,
-                        "{what}: `{}` @{} -> `{}` @{} needs gap {gap}",
-                        program[i].render(),
-                        at[i],
-                        program[j].render(),
-                        at[j]
-                    );
-                }
-            }
-        }
-
-        // Every visible-delay residue completes inside the block.
-        for (i, op) in body.iter().enumerate() {
-            assert!(
-                at[i] + out_gap(op) as usize <= s.bundles.len(),
-                "{what}: `{}` @{} owes {} past {} bundles",
-                op.render(),
-                at[i],
-                out_gap(op),
-                s.bundles.len()
-            );
+/// The summarised relation equals the reference on every ordered pair
+/// (self-pairs included) of a pool of generated body ops, every
+/// terminator kind and the rare ops.
+#[test]
+fn the_relation_matches_the_reference_on_every_pair() {
+    let mut rng = Rng(0xdeb5_0a11_9a1e);
+    let mut pool: Vec<LirInst> = (0..160).map(|_| body_op(&mut rng)).collect();
+    pool.extend((0..64).map(|_| rare_op(&mut rng)));
+    for kind in 1..KINDS {
+        for _ in 0..4 {
+            pool.extend(terminator(kind, &mut rng));
         }
     }
+    for guard in [Guard::unless(Pred::P0), Guard::when(Pred::P2)] {
+        pool.push(LirInst::new(guard, LirOp::BrLabel("next".into())));
+        pool.push(LirInst::new(guard, LirOp::CallFunc("callee".into())));
+    }
+    let deps: Vec<DepSummary> = pool.iter().map(DepSummary::of).collect();
+    let mut related = 0;
+    for (a, da) in pool.iter().zip(&deps) {
+        for (b, db) in pool.iter().zip(&deps) {
+            let want = ref_gap(a, b);
+            assert_eq!(
+                dependence_gap(da, db),
+                want,
+                "`{}` -> `{}`",
+                a.render(),
+                b.render()
+            );
+            related += want.is_some() as usize;
+        }
+    }
+    // The pool exercises both answers.
+    assert!(related > 0 && related < pool.len() * pool.len());
 }
