@@ -98,7 +98,7 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
     let mut loop_bounds: Vec<LoopBound> = Vec::new();
     let mut src_funcs: Vec<(String, u32, usize)> = Vec::new();
     let mut src_loops: Vec<(u32, String, String, usize)> = Vec::new();
-    let mut raw_pipe_loops: Vec<(Stmt, usize)> = Vec::new();
+    let mut raw_pipe_loops: Vec<(&PipeLoop<String>, usize)> = Vec::new();
     let mut entry_name: Option<(String, usize)> = None;
     let mut addr: u32 = 0;
     // The data segment being laid out; `None` in code.
@@ -197,14 +197,14 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
             } => {
                 src_loops.push((*l, start.clone(), end.clone(), line.number));
             }
-            Stmt::PipeLoop { ii, stages, .. } => {
-                if *ii == 0 || *stages == 0 {
+            Stmt::PipeLoop(record) => {
+                if record.ii == 0 || record.stages == 0 {
                     return Err(AsmError {
                         line: line.number,
                         message: "pipeloop II and stage count must be positive".into(),
                     });
                 }
-                raw_pipe_loops.push((line.stmt.clone(), line.number));
+                raw_pipe_loops.push((record, line.number));
             }
             Stmt::Bundle(insts) => {
                 if segment.is_some() {
@@ -277,38 +277,13 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
         });
     }
     let mut pipe_loops: Vec<PipeLoop> = Vec::new();
-    for (stmt, line) in raw_pipe_loops {
-        let Stmt::PipeLoop {
-            guard,
-            kernel,
-            fallback,
-            ii,
-            stages,
-            prologue,
-            epilogue,
-            threshold,
-            min_trips,
-        } = stmt
-        else {
-            unreachable!("only PipeLoop statements are collected");
-        };
-        let lookup = |name: &str| {
+    for (record, line) in raw_pipe_loops {
+        pipe_loops.push(record.try_map(|name| {
             symbols.get(name).copied().ok_or_else(|| AsmError {
                 line,
                 message: format!(".pipeloop references undefined label `{name}`"),
             })
-        };
-        pipe_loops.push(PipeLoop {
-            guard_word: lookup(&guard)?,
-            kernel_word: lookup(&kernel)?,
-            fallback_word: lookup(&fallback)?,
-            ii,
-            stages,
-            prologue,
-            epilogue,
-            threshold,
-            min_trips,
-        });
+        })?);
     }
 
     // Pass 2: encode.
@@ -683,28 +658,17 @@ fn parse_statements(tokens: &[Token]) -> Result<Vec<Stmt>, String> {
                     let end = cur.ident()?.to_string();
                     Stmt::SrcLoop { line, start, end }
                 }
-                ".pipeloop" => {
-                    let guard = cur.ident()?.to_string();
-                    let kernel = cur.ident()?.to_string();
-                    let fallback = cur.ident()?.to_string();
-                    let ii = cur.u32_operand(&directive)?;
-                    let stages = cur.u32_operand(&directive)?;
-                    let prologue = cur.u32_operand(&directive)?;
-                    let epilogue = cur.u32_operand(&directive)?;
-                    let threshold = cur.u32_operand(&directive)?;
-                    let min_trips = cur.u32_operand(&directive)?;
-                    Stmt::PipeLoop {
-                        guard,
-                        kernel,
-                        fallback,
-                        ii,
-                        stages,
-                        prologue,
-                        epilogue,
-                        threshold,
-                        min_trips,
-                    }
-                }
+                ".pipeloop" => Stmt::PipeLoop(PipeLoop {
+                    guard: cur.ident()?.to_string(),
+                    kernel: cur.ident()?.to_string(),
+                    fallback: cur.ident()?.to_string(),
+                    ii: cur.u32_operand(&directive)?,
+                    stages: cur.u32_operand(&directive)?,
+                    prologue: cur.u32_operand(&directive)?,
+                    epilogue: cur.u32_operand(&directive)?,
+                    threshold: cur.u32_operand(&directive)?,
+                    min_trips: cur.u32_operand(&directive)?,
+                }),
                 other => return Err(format!("unknown directive `{other}`")),
             };
             if !cur.done() {
@@ -1231,10 +1195,11 @@ mod tests {
         AsmInst::Ready(Inst::always(op))
     }
 
-    fn pipeloop(ii: u32, stages: u32) -> Stmt {
-        Stmt::PipeLoop {
+    /// A `.pipeloop` whose guard and fallback are `l`.
+    fn pipeloop(kernel: &str, ii: u32, stages: u32) -> Stmt {
+        Stmt::PipeLoop(PipeLoop {
             guard: "l".into(),
-            kernel: "l".into(),
+            kernel: kernel.into(),
             fallback: "l".into(),
             ii,
             stages,
@@ -1242,7 +1207,7 @@ mod tests {
             epilogue: 0,
             threshold: 1,
             min_trips: 0,
-        }
+        })
     }
 
     #[test]
@@ -1256,8 +1221,9 @@ mod tests {
         };
         for (stmt, message) in [
             (Stmt::LoopBound { min: 4, max: 3 }, "min exceeds max"),
-            (pipeloop(0, 2), "II and stage count must be positive"),
-            (pipeloop(2, 0), "II and stage count must be positive"),
+            (pipeloop("l", 0, 2), "II and stage count must be positive"),
+            (pipeloop("l", 2, 0), "II and stage count must be positive"),
+            (pipeloop("m", 2, 1), "references undefined label `m`"),
             (Stmt::Bundle(Vec::new()), "1 or 2 instructions, not 0"),
             (
                 Stmt::Bundle(vec![ready(Op::Nop), ready(Op::Nop), ready(Op::Nop)]),
@@ -1322,6 +1288,10 @@ mod tests {
             (
                 "        .func main\nl:\n        .pipeloop l l l 0 1 0 0 0 0\n        halt\n",
                 "must be positive",
+            ),
+            (
+                "        .func main\nl:\n        .pipeloop l m l 2 1 0 0 1 0\n        halt\n",
+                "references undefined label `m`",
             ),
         ] {
             let err = assemble(src).expect_err(src);

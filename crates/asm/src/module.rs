@@ -7,6 +7,8 @@ use std::fmt;
 
 use patmos_isa::{Guard, Inst, Op, Reg};
 
+use crate::object::PipeLoop;
+
 /// An operand that may still be a symbol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operand {
@@ -108,27 +110,8 @@ pub enum Stmt {
         end: String,
     },
     /// `.pipeloop guard kernel fallback ii stages prologue epilogue
-    /// threshold min_trips`: see [`crate::PipeLoop`].
-    PipeLoop {
-        /// Label of the guard block.
-        guard: String,
-        /// Label of the kernel loop header.
-        kernel: String,
-        /// Label of the fallback loop header.
-        fallback: String,
-        /// Kernel initiation interval in bundles.
-        ii: u32,
-        /// Pipeline stage count.
-        stages: u32,
-        /// Prologue bundle count.
-        prologue: u32,
-        /// Epilogue bundle count.
-        epilogue: u32,
-        /// The guard's trip-count threshold.
-        threshold: u32,
-        /// Provable lower bound on the trip count.
-        min_trips: u32,
-    },
+    /// threshold min_trips`, its blocks named by labels.
+    PipeLoop(PipeLoop<String>),
     /// One instruction, or a dual-issue pair.
     Bundle(Vec<AsmInst>),
 }
@@ -243,21 +226,7 @@ impl fmt::Display for Stmt {
             Stmt::SrcLoop { line, start, end } => {
                 write!(f, "{INDENT}.srcloop {line} {start} {end}")
             }
-            Stmt::PipeLoop {
-                guard,
-                kernel,
-                fallback,
-                ii,
-                stages,
-                prologue,
-                epilogue,
-                threshold,
-                min_trips,
-            } => write!(
-                f,
-                "{INDENT}.pipeloop {guard} {kernel} {fallback} {ii} {stages} {prologue} \
-                 {epilogue} {threshold} {min_trips}"
-            ),
+            Stmt::PipeLoop(record) => write!(f, "{INDENT}.pipeloop {record}"),
             Stmt::Bundle(insts) => match insts.as_slice() {
                 [only] => write!(f, "{INDENT}{only}"),
                 _ => {

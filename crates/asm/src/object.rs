@@ -1,6 +1,7 @@
 //! Object images: the linked output of the assembler.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use patmos_isa::{decode_all, Bundle, DecodeError};
 
@@ -68,34 +69,85 @@ impl SourceLoop {
     }
 }
 
-/// A software-pipelined loop's structured shape record, from a
+/// A software-pipelined loop's structured shape record, the
 /// `.pipeloop` directive: which block guards the pipeline, where the
 /// kernel and the short-trip fallback loop live, and the facts the
 /// WCET analysis needs to charge the pipelined shape instead of the
 /// fallback — the fallback runs at most `threshold` header executions
 /// per entry (it is only entered when the guard fails), and it never
 /// runs at all when `min_trips >= threshold`.
+///
+/// `L` names the three blocks: labels in a
+/// [`Stmt::PipeLoop`](crate::Stmt::PipeLoop), word
+/// addresses in [`ObjectImage::pipe_loops`]. Its `Display` is the
+/// directive's operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipeLoop {
-    /// Word address of the guard block (the original loop header).
-    pub guard_word: u32,
-    /// Word address of the kernel loop header.
-    pub kernel_word: u32,
-    /// Word address of the fallback loop header.
-    pub fallback_word: u32,
+pub struct PipeLoop<L = u32> {
+    /// The block holding the guard compare-and-branch (the original
+    /// loop header).
+    pub guard: L,
+    /// The kernel loop header.
+    pub kernel: L,
+    /// The header of the list-scheduled short-trip fallback loop.
+    pub fallback: L,
     /// Kernel initiation interval in bundles.
     pub ii: u32,
     /// Pipeline stage count.
     pub stages: u32,
-    /// Prologue bundle count.
+    /// Prologue bundle count (`(stages − 1) × ii`).
     pub prologue: u32,
-    /// Epilogue bundle count.
+    /// Epilogue bundle count (drain plus shadow padding).
     pub epilogue: u32,
     /// The guard's trip-count threshold: the guard passes exactly when
     /// the loop runs at least this many iterations.
     pub threshold: u32,
-    /// Provable lower bound on the trip count (0 when unknown).
+    /// Provable lower bound on the trip count (0 when unknown); the
+    /// compiler writes its `.loopbound` min, in header executions,
+    /// minus one.
     pub min_trips: u32,
+}
+
+impl<L> PipeLoop<L> {
+    /// The same record with its three blocks named by `f`, which is
+    /// asked for the guard, the kernel and the fallback in turn; its
+    /// first error is returned.
+    pub(crate) fn try_map<M, E>(
+        &self,
+        mut f: impl FnMut(&L) -> Result<M, E>,
+    ) -> Result<PipeLoop<M>, E> {
+        Ok(PipeLoop {
+            guard: f(&self.guard)?,
+            kernel: f(&self.kernel)?,
+            fallback: f(&self.fallback)?,
+            ii: self.ii,
+            stages: self.stages,
+            prologue: self.prologue,
+            epilogue: self.epilogue,
+            threshold: self.threshold,
+            min_trips: self.min_trips,
+        })
+    }
+}
+
+impl<L: fmt::Display> fmt::Display for PipeLoop<L> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let PipeLoop {
+            guard,
+            kernel,
+            fallback,
+            ii,
+            stages,
+            prologue,
+            epilogue,
+            threshold,
+            min_trips,
+        } = self;
+        write!(
+            f,
+            "{guard} {kernel} {fallback} {ii} {stages} {prologue} {epilogue} {threshold} \
+             {min_trips}"
+        )
+    }
 }
 
 /// The source-map side table: function definition lines and loop code

@@ -196,9 +196,9 @@ fn image_fnv(image: &ObjectImage) -> u64 {
         let _ = writeln!(
             text,
             "pipeloop {} {} {} {} {} {} {} {} {}",
-            p.guard_word,
-            p.kernel_word,
-            p.fallback_word,
+            p.guard,
+            p.kernel,
+            p.fallback,
             p.ii,
             p.stages,
             p.prologue,
@@ -232,7 +232,8 @@ fn measure(w: &Workload, config: &Config) -> Cell {
     // `compile` links the lowered statements directly; the text of the
     // same statements must assemble to the same image.
     let image = compile(&w.source, &options).unwrap_or_else(|e| fail(&e));
-    if assemble(&artifacts.asm).as_ref() != Ok(&image) {
+    let asm = artifacts.asm.to_string();
+    if assemble(&asm).as_ref() != Ok(&image) {
         fail(&"the linked image differs from its assembled text's");
     }
     let mut sim = Simulator::new(&image, SimConfig::default());
@@ -262,7 +263,7 @@ fn measure(w: &Workload, config: &Config) -> Cell {
         pipelined: pipelined.map(|l| (l.mii, l.ii)).collect(),
         bound: bound.bound_cycles,
         blind_bound: blind.bound_cycles,
-        asm_fnv: fnv1a64(artifacts.asm.as_bytes()),
+        asm_fnv: fnv1a64(asm.as_bytes()),
         vlir_fnv: fnv1a64(artifacts.vmodule.render().as_bytes()),
         image_fnv: image_fnv(&image),
         baseline,

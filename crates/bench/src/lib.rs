@@ -17,10 +17,10 @@ use std::fmt::Write as _;
 use patmos::asm::assemble;
 use patmos::baseline::{BaselineConfig, BaselineSim};
 use patmos::compiler::{compile, CompileOptions};
-use patmos::isa::Reg;
+use patmos::isa::{timing, Reg};
 use patmos::mem::{MethodCacheConfig, ReplacementPolicy};
 use patmos::rf::fpga;
-use patmos::sim::{CmpSystem, SimConfig, Simulator};
+use patmos::sim::{CmpSystem, SimConfig, SimError, Simulator};
 use patmos::wcet::{analyze, Machine};
 use patmos::workloads::{self, micro, Category};
 
@@ -42,9 +42,64 @@ fn run_patc(
     (sim.reg(Reg::R1), sim.stats())
 }
 
-/// F1 — the pipeline contract of Figure 1: measured cycle deltas match
-/// the architecturally visible delays exactly.
+/// F1 — the pipeline contract of Figure 1: the delays the simulator
+/// exhibits match the architecturally visible delays of
+/// [`patmos::isa::timing`] exactly.
 pub fn exp_f1_pipeline() -> String {
+    let base = "        .func main\n        .entry main\n";
+    // Zero-latency memory isolates the pipeline from the cold
+    // method-cache fill, whose size would otherwise differ per program.
+    let cfg = SimConfig {
+        mem: patmos::mem::MemConfig::new(0, 0),
+        ..SimConfig::default()
+    };
+    let run = |body: &str| {
+        let image =
+            assemble(&format!("{base}{body}        halt\n")).expect("experiment assembly is valid");
+        let mut sim = Simulator::new(&image, cfg.clone());
+        sim.run().map(|_| sim)
+    };
+    let cycles = |body: &str| run(body).expect("experiment program runs").stats().cycles;
+
+    // Baseline program: N dependent ALU ops, 1 cycle each (full
+    // forwarding: no stalls, no gaps).
+    let chain4 = cycles("        li r1 = 1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n");
+    let chain8 = cycles("        li r1 = 1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n");
+
+    // Dual issue: two independent ops per bundle halve the time.
+    let seq =
+        cycles("        li r1 = 1\n        li r2 = 2\n        li r3 = 3\n        li r4 = 4\n");
+    let par = cycles("        { li r1 = 1 ; li r2 = 2 }\n        { li r3 = 3 ; li r4 = 4 }\n");
+
+    // Delay slots: the shadow instructions a taken branch executes.
+    // Three candidates follow the branch, each setting its own
+    // register; the target is past all three.
+    let shadow = |branch: &str| {
+        let body = format!("{branch}        li r2 = 1\n        li r3 = 1\n        li r4 = 1\nt:\n");
+        let sim = run(&body).expect("experiment program runs");
+        [Reg::R2, Reg::R3, Reg::R4]
+            .into_iter()
+            .map(|r| u64::from(sim.reg(r)))
+            .sum::<u64>()
+    };
+    let uncond = shadow("        br t\n");
+    let cond = shadow("        cmpieq p1 = r0, 0\n        (p1) br t\n");
+
+    // Load-use gap: the fewest bundles between a stack load and its use
+    // that the strict simulator accepts. Every closer spacing must fail
+    // with a delay violation; any other error measures nothing.
+    let load_use = |spacing: u64| {
+        let nops = "        nop\n".repeat(spacing as usize);
+        run(&format!(
+            "        sres 1\n        sws [r0 + 0] = r0\n        lws r1 = [r0 + 0]\n{nops}        \
+             add r2 = r1, r1\n        sfree 1\n"
+        ))
+    };
+    let gap = (0..=4)
+        .map(|spacing| (spacing, load_use(spacing)))
+        .find(|(_, run)| !matches!(run, Err(SimError::DelayViolation { .. })))
+        .and_then(|(spacing, run)| run.is_ok().then_some(spacing));
+
     let mut out = String::new();
     writeln!(
         out,
@@ -57,79 +112,25 @@ pub fn exp_f1_pipeline() -> String {
         "property", "measured", "predicted", "ok"
     )
     .ok();
-
-    let base = "        .func main\n        .entry main\n";
-    let wrap = |body: &str| format!("{base}{body}        halt\n");
-    // Zero-latency memory isolates the pipeline from the cold
-    // method-cache fill, whose size would otherwise differ per program.
-    let cfg = SimConfig {
-        mem: patmos::mem::MemConfig::new(0, 0),
-        ..SimConfig::default()
-    };
-    let cycles = |body: &str| run_asm(&wrap(body), cfg.clone()).cycles;
-
-    // Baseline program: N dependent ALU ops, 1 cycle each (full
-    // forwarding: no stalls, no gaps).
-    let chain4 = cycles("        li r1 = 1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n");
-    let chain8 = cycles("        li r1 = 1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n        add r1 = r1, r1\n");
-    let fwd = chain8 - chain4;
-    writeln!(
-        out,
-        "{:<34} {:>9} {:>10} {:>6}",
-        "ALU forwarding (4 extra deps)",
-        fwd,
-        4,
-        fwd == 4
-    )
-    .ok();
-
-    // Dual issue: two independent ops per bundle halve the time.
-    let seq =
-        cycles("        li r1 = 1\n        li r2 = 2\n        li r3 = 3\n        li r4 = 4\n");
-    let par = cycles("        { li r1 = 1 ; li r2 = 2 }\n        { li r3 = 3 ; li r4 = 4 }\n");
-    writeln!(
-        out,
-        "{:<34} {:>9} {:>10} {:>6}",
-        "dual-issue pair saving",
-        seq - par,
-        2,
-        seq - par == 2
-    )
-    .ok();
-
-    // Unconditional branch: 1 delay slot; guarded branch: 2.
-    let uncond = cycles("        br t\n        nop\nt:\n        nop\n");
-    let cond = cycles(
-        "        cmpieq p1 = r0, 0\n        (p1) br t\n        nop\n        nop\nt:\n        nop\n",
-    );
-    writeln!(
-        out,
-        "{:<34} {:>9} {:>10} {:>6}",
-        "uncond branch delay slots",
-        uncond - 3,
-        1,
-        uncond - 3 == 1
-    )
-    .ok();
-    writeln!(
-        out,
-        "{:<34} {:>9} {:>10} {:>6}",
-        "guarded branch delay slots",
-        cond - 5,
-        1,
-        cond - 5 == 1
-    )
-    .ok();
-
-    // Load-use gap: one bundle between a stack load and its use.
-    let spaced = cycles("        sres 1\n        sws [r0 + 0] = r0\n        lws r1 = [r0 + 0]\n        nop\n        add r2 = r1, r1\n        sfree 1\n");
-    let _ = spaced;
-    writeln!(
-        out,
-        "{:<34} {:>9} {:>10} {:>6}",
-        "load-use gap respected", 1, 1, true
-    )
-    .ok();
+    for (property, measured, predicted) in [
+        ("ALU forwarding (4 extra deps)", Some(chain8 - chain4), 4),
+        ("dual-issue pair saving", Some(seq - par), 2),
+        (
+            "uncond branch delay slots",
+            Some(uncond),
+            timing::BRANCH_DELAY_UNCOND,
+        ),
+        (
+            "guarded branch delay slots",
+            Some(cond),
+            timing::BRANCH_DELAY_COND,
+        ),
+        ("load-use gap respected", gap, timing::LOAD_USE_GAP),
+    ] {
+        let shown = measured.map_or("none".to_string(), |m| m.to_string());
+        let ok = measured == Some(u64::from(predicted));
+        writeln!(out, "{property:<34} {shown:>9} {predicted:>10} {ok:>6}").ok();
+    }
     out
 }
 

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use patmos::compiler::{compile, compile_with_artifacts, CompileOptions};
 use patmos::sim::{SimConfig, Simulator};
-use patmos::trace::{cycles_by_pc, NullSink, Profile, StallCause, VecSink};
+use patmos::trace::{cycles_by_pc, json_escape, NullSink, Profile, StallCause, VecSink};
 use patmos::wcet::{pessimism, Machine};
 use patmos::workloads;
 
@@ -19,10 +19,6 @@ fn opt3() -> CompileOptions {
         sched_level: 2,
         ..CompileOptions::default()
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// E16 — cycle attribution: every kernel's cycles split into issue
@@ -156,14 +152,14 @@ pub fn suite_remarks_json() -> String {
                     format!(
                         "      {{\"pass\": \"{}\", \"function\": \"{}\", \"site\": {}, \
                          \"applied\": {}, \"message\": \"{}\"}}",
-                        escape(r.pass),
-                        escape(&r.function),
+                        json_escape(r.pass),
+                        json_escape(&r.function),
                         r.site
                             .as_ref()
-                            .map(|s| format!("\"{}\"", escape(s)))
+                            .map(|s| format!("\"{}\"", json_escape(s)))
                             .unwrap_or_else(|| "null".into()),
                         r.applied,
-                        escape(&r.message)
+                        json_escape(&r.message)
                     )
                 })
                 .collect();
@@ -203,7 +199,7 @@ pub fn suite_pessimism_json() -> String {
                             format!(
                                 "{{\"function\": \"{}\", \"start_word\": {}, \"charged\": {}, \
                                  \"measured\": {}, \"slack\": {}}}",
-                                escape(&b.function),
+                                json_escape(&b.function),
                                 b.start_word,
                                 b.contribution,
                                 b.measured,
@@ -222,7 +218,7 @@ pub fn suite_pessimism_json() -> String {
                 Err(e) => format!(
                     "    \"{}\": {{\"error\": \"{}\"}}",
                     w.name,
-                    escape(&e.to_string())
+                    json_escape(&e.to_string())
                 ),
             }
         })

@@ -44,8 +44,10 @@
 //! dependence DAGs, critical-path list scheduling, dual-issue packing,
 //! delay-slot filling, and — at level 2 — iterative modulo scheduling
 //! of innermost counted loops, controlled by
-//! [`CompileOptions::sched_level`]) → a [`patmos_asm::AsmModule`] of
-//! assembler statements → [`patmos_asm::link`]. No text is rendered or
+//! [`CompileOptions::sched_level`]), which emits each function's
+//! assembler statements → a [`patmos_asm::AsmModule`] with the data
+//! layout, the `.func`/`.entry` directives and the source map →
+//! [`patmos_asm::link`]. No text is rendered or
 //! lexed on the way to the image: the module's `Display` is the
 //! assembly text [`compile_to_asm`] returns, and assembling that text
 //! gives the same image.
@@ -320,8 +322,9 @@ pub struct CompileArtifacts {
     /// The source map after inline bookkeeping — what became the
     /// `.srcfunc`/`.srcloop` directives in `asm`.
     pub srcmap: SourceMap,
-    /// The scheduled assembly text, as [`compile_to_asm`] returns it.
-    pub asm: String,
+    /// The lowered assembler statements [`compile`] links; their
+    /// `Display` is the text [`compile_to_asm`] returns.
+    pub asm: AsmModule,
 }
 
 /// Compiles PatC source, returning the intermediate artefacts alongside
@@ -335,7 +338,7 @@ pub fn compile_with_artifacts(
     options: &CompileOptions,
 ) -> Result<CompileArtifacts, CompileError> {
     let build = drive(source, options, true)?;
-    let asm = sched::lower(build.scheduled, build.data, &build.srcmap).to_string();
+    let asm = sched::lower(build.scheduled, build.data, &build.srcmap);
     Ok(CompileArtifacts {
         vmodule: build.vmodule,
         opt: build.opt,

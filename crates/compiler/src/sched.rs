@@ -4,18 +4,17 @@
 //! Scheduling itself is [`patmos_sched`] at every
 //! [`CompileOptions::sched_level`](crate::CompileOptions::sched_level):
 //! dependence DAGs, critical-path list scheduling, dual-issue packing,
-//! delay-slot filling and, at level 2, software pipelining. This module
-//! lowers the resulting [`ScheduledModule`], the data layout and the
-//! source map into one [`AsmModule`], which [`patmos_asm::link`]
-//! encodes with no text in between. The module's `Display` is the
-//! compiler's assembly text.
+//! delay-slot filling and, at level 2, software pipelining. Its
+//! [`ScheduledModule`] already holds each function's statements; this
+//! module puts the data layout, the `.entry` and `.func` directives and
+//! the source map around them into one [`AsmModule`], which
+//! [`patmos_asm::link`] encodes with no text in between. The module's
+//! `Display` is the compiler's assembly text.
 
 use std::collections::HashSet;
 
-use patmos_asm::{AsmInst, AsmModule, Operand, Stmt};
-use patmos_isa::{Inst, Op};
-use patmos_lir::plir::{LirInst, LirOp};
-use patmos_sched::{SchedItem, ScheduledModule};
+use patmos_asm::{AsmModule, Stmt};
+use patmos_sched::ScheduledModule;
 
 use crate::srcmap::SourceMap;
 
@@ -40,51 +39,14 @@ use crate::srcmap::SourceMap;
 ///   the two labels).
 pub fn lower(module: ScheduledModule, data: Vec<Stmt>, map: &SourceMap) -> AsmModule {
     let source_map = source_map(&module, map);
-    let mut out = AsmModule::default();
-    for stmt in data {
-        out.push(stmt);
-    }
-    if !module.entry.is_empty() {
-        out.push(Stmt::Entry(module.entry));
-    }
-    for func in module.funcs {
-        out.push(Stmt::Func(func.name));
-        for item in func.items {
-            out.push(match item {
-                SchedItem::Label(name) => Stmt::Label(name),
-                SchedItem::LoopBound { min, max } => Stmt::LoopBound { min, max },
-                SchedItem::Bundle(b) => Stmt::Bundle(match b.second {
-                    None => vec![asm_inst(b.first)],
-                    Some(second) => vec![asm_inst(b.first), asm_inst(second)],
-                }),
-                SchedItem::PipeLoop {
-                    guard,
-                    kernel,
-                    fallback,
-                    ii,
-                    stages,
-                    prologue,
-                    epilogue,
-                    threshold,
-                    min_trips,
-                } => Stmt::PipeLoop {
-                    guard,
-                    kernel,
-                    fallback,
-                    ii,
-                    stages,
-                    prologue,
-                    epilogue,
-                    threshold,
-                    min_trips,
-                },
-            });
-        }
-    }
-    for stmt in source_map {
-        out.push(stmt);
-    }
-    out
+    let entry = (!module.entry.is_empty()).then_some(Stmt::Entry(module.entry));
+    let funcs = (module.funcs.into_iter())
+        .flat_map(|func| std::iter::once(Stmt::Func(func.name)).chain(func.items));
+    data.into_iter()
+        .chain(entry)
+        .chain(funcs)
+        .chain(source_map)
+        .collect()
 }
 
 /// The source map's directives for the functions and loop labels that
@@ -93,7 +55,7 @@ fn source_map(module: &ScheduledModule, map: &SourceMap) -> Vec<Stmt> {
     let funcs: HashSet<&str> = module.funcs.iter().map(|f| f.name.as_str()).collect();
     let labels: HashSet<&str> = (module.funcs.iter().flat_map(|f| &f.items))
         .filter_map(|item| match item {
-            SchedItem::Label(name) => Some(name.as_str()),
+            Stmt::Label(name) => Some(name.as_str()),
             _ => None,
         })
         .collect();
@@ -126,31 +88,6 @@ fn source_map(module: &ScheduledModule, map: &SourceMap) -> Vec<Stmt> {
         });
     }
     out
-}
-
-/// An instruction as the assembler reads its text: a numeric `br` or
-/// `call` operand is an absolute word, so a resolved branch or call
-/// lowers to a flow instruction whose target is its offset, exactly as
-/// `Inst`'s rendering would parse.
-fn asm_inst(inst: LirInst) -> AsmInst {
-    let guard = inst.guard;
-    let flow = |call: bool, target: Operand| AsmInst::Flow {
-        guard,
-        call,
-        target,
-    };
-    match inst.op {
-        LirOp::Real(Op::Br { offset }) => flow(false, Operand::Val(offset.into())),
-        LirOp::Real(Op::Call { offset }) => flow(true, Operand::Val(offset.into())),
-        LirOp::Real(op) => AsmInst::Ready(Inst::new(guard, op)),
-        LirOp::BrLabel(label) => flow(false, Operand::Sym(label)),
-        LirOp::CallFunc(func) => flow(true, Operand::Sym(func)),
-        LirOp::LilSym(rd, sym) => AsmInst::LongImm {
-            guard,
-            rd,
-            value: Operand::Sym(sym),
-        },
-    }
 }
 
 #[cfg(test)]

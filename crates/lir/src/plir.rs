@@ -7,9 +7,12 @@
 //! one item list per function of a [`Module`]. The query surface on
 //! [`LirOp`] (defs, uses, ordering classes, visible-delay gaps) is the
 //! single source of truth the scheduler's dependence analysis is built
-//! on.
+//! on. A scheduled instruction becomes the assembler's
+//! [`patmos_asm::AsmInst`] through its `From<LirInst>`, the one spelling
+//! of a physical instruction.
 
-use patmos_isa::{Guard, Op, Pred, Reg};
+use patmos_asm::{AsmInst, Operand};
+use patmos_isa::{Guard, Inst, Op, Pred, Reg};
 
 use crate::Function;
 
@@ -178,32 +181,31 @@ impl LirInst {
     pub fn new(guard: Guard, op: LirOp) -> LirInst {
         LirInst { guard, op }
     }
+}
 
-    /// Renders the instruction in assembler syntax.
-    pub fn render(&self) -> String {
-        match &self.op {
-            LirOp::Real(op) => patmos_isa::Inst::new(self.guard, *op).to_string(),
-            LirOp::BrLabel(label) => {
-                if self.guard.is_always() {
-                    format!("br {label}")
-                } else {
-                    format!("{} br {label}", self.guard)
-                }
-            }
-            LirOp::CallFunc(func) => {
-                if self.guard.is_always() {
-                    format!("call {func}")
-                } else {
-                    format!("{} call {func}", self.guard)
-                }
-            }
-            LirOp::LilSym(rd, sym) => {
-                if self.guard.is_always() {
-                    format!("lil {rd} = {sym}")
-                } else {
-                    format!("{} lil {rd} = {sym}", self.guard)
-                }
-            }
+/// The instruction as the assembler reads its text: a numeric `br` or
+/// `call` operand is an absolute word, so a resolved branch or call
+/// becomes a flow instruction whose target is its offset, exactly as
+/// `Inst`'s rendering would parse.
+impl From<LirInst> for AsmInst {
+    fn from(inst: LirInst) -> AsmInst {
+        let guard = inst.guard;
+        let flow = |call: bool, target: Operand| AsmInst::Flow {
+            guard,
+            call,
+            target,
+        };
+        match inst.op {
+            LirOp::Real(Op::Br { offset }) => flow(false, Operand::Val(offset.into())),
+            LirOp::Real(Op::Call { offset }) => flow(true, Operand::Val(offset.into())),
+            LirOp::Real(op) => AsmInst::Ready(Inst::new(guard, op)),
+            LirOp::BrLabel(label) => flow(false, Operand::Sym(label)),
+            LirOp::CallFunc(func) => flow(true, Operand::Sym(func)),
+            LirOp::LilSym(rd, sym) => AsmInst::LongImm {
+                guard,
+                rd,
+                value: Operand::Sym(sym),
+            },
         }
     }
 }
@@ -391,9 +393,9 @@ mod tests {
             rs1: Reg::R3,
             imm: 1,
         }));
-        assert_eq!(i.render(), "addi r3 = r3, 1");
+        assert_eq!(AsmInst::from(i).to_string(), "addi r3 = r3, 1");
         let b = LirInst::new(Guard::unless(Pred::P6), LirOp::BrLabel("f_L1".into()));
-        assert_eq!(b.render(), "(!p6) br f_L1");
+        assert_eq!(AsmInst::from(b).to_string(), "(!p6) br f_L1");
     }
 
     #[test]

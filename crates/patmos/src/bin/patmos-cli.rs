@@ -353,12 +353,12 @@ fn patc_artifacts(args: &Args, wanted: bool) -> Result<Option<CompileArtifacts>,
     }
 }
 
-/// The image to simulate: assembled from `artifacts` when the `.patc`
-/// file was already compiled with them (the same image `compile`
-/// links), so one invocation compiles it once.
+/// The image to simulate: linked from `artifacts` when the `.patc`
+/// file was already compiled with them (the image `compile` links),
+/// so one invocation compiles it once.
 fn image_of(args: &Args, artifacts: Option<&CompileArtifacts>) -> Result<ObjectImage, String> {
     match artifacts {
-        Some(artifacts) => patmos::asm::assemble(&artifacts.asm).map_err(|e| e.to_string()),
+        Some(artifacts) => patmos::asm::link(&artifacts.asm).map_err(|e| e.to_string()),
         None => load_image(args),
     }
 }

@@ -61,7 +61,8 @@ fn remarks_print_with_and_without_dumps() {
     let want = remarks(&source);
     let asm = compile_with_artifacts(&source, &CompileOptions::default())
         .expect("compiles")
-        .asm;
+        .asm
+        .to_string();
 
     let (stdout, stderr) = cli(&["--dump-sched", "--remarks"]);
     assert!(stdout.starts_with("=== scheduler: "), "{stdout}");

@@ -10,6 +10,7 @@
 //! a block or a loop body once, and then relate every pair at the cost
 //! of a few mask tests.
 
+use patmos_asm::Stmt;
 use patmos_isa::{Pred, Reg, ARG_REGS};
 use patmos_lir::plir::{Item, LirInst, LirOp};
 use patmos_lir::Function;
@@ -129,9 +130,9 @@ pub fn out_gap(inst: &LirInst) -> u32 {
 /// One basic block of physical LIR.
 #[derive(Debug, Clone)]
 pub struct Block {
-    /// Marker items re-emitted verbatim before the block's bundles
+    /// Marker statements emitted before the block's bundles
     /// (`.loopbound`, labels), in original order.
-    pub head: Vec<Item>,
+    pub head: Vec<Stmt>,
     /// Labels naming this block (usually zero or one).
     pub labels: Vec<String>,
     /// Whether a `.loopbound` annotation is attached to this block.
@@ -229,14 +230,17 @@ pub fn split_blocks(func: &Function<Item>) -> Func {
                 if !block.insts.is_empty() || block.term.is_some() {
                     flush_block(&mut block, &mut blocks);
                 }
-                block.head.push(item.clone());
+                block.head.push(Stmt::Label(name.clone()));
                 block.labels.push(name.clone());
             }
-            Item::LoopBound { .. } => {
+            Item::LoopBound { min, max } => {
                 if !block.insts.is_empty() || block.term.is_some() {
                     flush_block(&mut block, &mut blocks);
                 }
-                block.head.push(item.clone());
+                block.head.push(Stmt::LoopBound {
+                    min: *min,
+                    max: *max,
+                });
                 block.has_loop_bound = true;
             }
             Item::Inst(inst) => {

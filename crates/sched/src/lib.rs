@@ -39,8 +39,11 @@
 //! numbers, ordering classes), never of immediate operand values, so
 //! single-path code keeps its data-independent shape and timing.
 //!
-//! Lowering to the assembler's statements stays in the compiler
-//! (`patmos_compiler`); this crate only produces the bundle stream.
+//! The output is the assembler's statements ([`patmos_asm::Stmt`]):
+//! each function's labels, `.loopbound` and `.pipeloop` records and
+//! bundles, every instruction spelled by its `From<LirInst>` as the
+//! bundle is pushed. The compiler (`patmos_compiler`) adds the data
+//! layout, the `.func`/`.entry` directives and the source map.
 
 pub mod dag;
 pub mod list;
@@ -48,8 +51,9 @@ pub mod modulo;
 
 use std::time::Instant;
 
+use patmos_asm::{AsmInst, Stmt};
 use patmos_isa::Op;
-use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+use patmos_lir::plir::{LirInst, LirOp, Module};
 use patmos_lir::Function;
 
 /// Scheduler configuration.
@@ -81,66 +85,12 @@ impl Default for SchedOptions {
     }
 }
 
-/// A scheduled bundle: one or two instructions.
-#[derive(Debug, Clone)]
-pub struct SchedBundle {
-    /// Slot one.
-    pub first: LirInst,
-    /// Slot two, if paired.
-    pub second: Option<LirInst>,
-}
-
-/// Items after scheduling.
-#[derive(Debug, Clone)]
-pub enum SchedItem {
-    /// A label.
-    Label(String),
-    /// A loop-bound annotation.
-    LoopBound {
-        /// Minimum header executions.
-        min: u32,
-        /// Maximum header executions.
-        max: u32,
-    },
-    /// An issued bundle.
-    Bundle(SchedBundle),
-    /// Structured metadata for one software-pipelined loop, emitted
-    /// right before the loop's guard so the WCET analysis can model
-    /// the guard/prologue/kernel/epilogue shape instead of charging
-    /// the short-trip fallback loop at the full trip count.
-    PipeLoop {
-        /// Label of the block holding the guard compare-and-branch.
-        guard: String,
-        /// Label of the steady-state kernel loop.
-        kernel: String,
-        /// Label of the list-scheduled short-trip fallback loop.
-        fallback: String,
-        /// Kernel initiation interval in bundles.
-        ii: u32,
-        /// Pipeline stage count.
-        stages: u32,
-        /// Prologue bundle count (`(stages − 1) × ii`).
-        prologue: u32,
-        /// Epilogue bundle count (drain plus shadow padding).
-        epilogue: u32,
-        /// The guard's trip-count threshold: the guard passes exactly
-        /// when the loop runs at least this many iterations, so the
-        /// fallback executes its header at most `threshold` times per
-        /// entry (it is only entered when the guard fails).
-        threshold: u32,
-        /// Provable lower bound on the trip count, from the
-        /// `.loopbound` annotation's `min` (header executions − 1).
-        /// When `min_trips ≥ threshold` the guard provably passes and
-        /// the fallback is dead.
-        min_trips: u32,
-    },
-}
-
-/// A scheduled module, ready to lower to assembler statements.
+/// A scheduled module: each function's labels, `.loopbound` and
+/// `.pipeloop` records and bundles, as the assembler's statements.
 #[derive(Debug, Clone)]
 pub struct ScheduledModule {
     /// The scheduled functions, in layout order.
-    pub funcs: Vec<Function<SchedItem>>,
+    pub funcs: Vec<Function<Stmt>>,
     /// Entry function name.
     pub entry: String,
 }
@@ -152,15 +102,24 @@ impl ScheduledModule {
         let mut bundles = 0;
         let mut filled = 0;
         for item in self.funcs.iter().flat_map(|f| &f.items) {
-            if let SchedItem::Bundle(b) = item {
+            if let Stmt::Bundle(insts) = item {
                 bundles += 1;
-                if b.second.is_some() {
-                    filled += 1;
-                }
+                filled += (insts.len() == 2) as usize;
             }
         }
         (bundles, filled)
     }
+}
+
+/// The statement of one scheduled bundle: slot one, then slot two when
+/// paired.
+pub(crate) fn bundle((first, second): (LirInst, Option<LirInst>)) -> Stmt {
+    Stmt::Bundle(
+        std::iter::once(first)
+            .chain(second)
+            .map(AsmInst::from)
+            .collect(),
+    )
 }
 
 /// Per-block line of the scheduling report.
@@ -241,7 +200,8 @@ pub struct SchedReport {
     pub placements: u64,
     /// Dependence DAGs the list scheduler built: one per
     /// [`list::schedule_block`] call, the modulo scheduler's baseline
-    /// and fallback schedules included.
+    /// schedules of a loop's header and body included (a pipelined
+    /// loop's fallback reuses them).
     pub dags: u64,
     /// Operations in those DAGs (a terminator is not a DAG node).
     pub dag_ops: u64,
@@ -363,31 +323,17 @@ pub(crate) fn list_schedule(
     sched
 }
 
-fn push_item(items: &mut Vec<SchedItem>, item: &Item) {
-    match item {
-        Item::Label(name) => items.push(SchedItem::Label(name.clone())),
-        Item::LoopBound { min, max } => items.push(SchedItem::LoopBound {
-            min: *min,
-            max: *max,
-        }),
-        Item::Inst(inst) => items.push(SchedItem::Bundle(SchedBundle {
-            first: inst.clone(),
-            second: None,
-        })),
-    }
-}
-
 /// Schedules a module and returns the per-block report alongside it.
 pub fn schedule_with_report(
     module: Module,
     options: &SchedOptions,
 ) -> (ScheduledModule, SchedReport) {
-    let mut funcs: Vec<Function<SchedItem>> = Vec::with_capacity(module.funcs.len());
+    let mut funcs: Vec<Function<Stmt>> = Vec::with_capacity(module.funcs.len());
     let mut report = SchedReport::default();
 
     for lir_func in &module.funcs {
         let func = &mut dag::split_blocks(lir_func);
-        let mut items: Vec<SchedItem> = Vec::new();
+        let mut items: Vec<Stmt> = Vec::new();
         // Live-ins are computed once per function. Hoisting only moves
         // an operation across the single boundary between a branch and
         // its unique (or anonymous fall-through) successor, so the
@@ -504,12 +450,8 @@ pub fn schedule_with_report(
                 hoisted,
             });
 
-            for item in &func.blocks[bi].head {
-                push_item(&mut items, item);
-            }
-            for (first, second) in sched.bundles {
-                items.push(SchedItem::Bundle(SchedBundle { first, second }));
-            }
+            items.extend(func.blocks[bi].head.iter().cloned());
+            items.extend(sched.bundles.into_iter().map(bundle));
         }
         report.funcs.push(func_report);
         funcs.push(Function::new(lir_func.name.clone(), items));
@@ -565,7 +507,8 @@ fn donor_index(func: &dag::Func, bi: usize, target: &str, uncond: bool) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AluOp, Guard, Pred, Reg};
+    use patmos_isa::{AluOp, Guard, Inst, Pred, Reg};
+    use patmos_lir::plir::Item;
 
     fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
         LirInst::always(LirOp::Real(Op::AluR {
@@ -576,13 +519,33 @@ mod tests {
         }))
     }
 
-    fn bundles(module: &ScheduledModule) -> Vec<&SchedBundle> {
+    fn bundles(module: &ScheduledModule) -> Vec<&[AsmInst]> {
         (module.funcs.iter().flat_map(|f| &f.items))
             .filter_map(|i| match i {
-                SchedItem::Bundle(b) => Some(b),
+                Stmt::Bundle(b) => Some(b.as_slice()),
                 _ => None,
             })
             .collect()
+    }
+
+    /// An emitted instruction as the machine issues it: a flow target
+    /// resolved to offset 0 and a long immediate to 0, which changes
+    /// neither its kind nor its delay slots.
+    fn issued(inst: &AsmInst) -> Inst {
+        match inst {
+            AsmInst::Ready(i) => *i,
+            AsmInst::Flow { guard, call, .. } => Inst::new(
+                *guard,
+                if *call {
+                    Op::Call { offset: 0 }
+                } else {
+                    Op::Br { offset: 0 }
+                },
+            ),
+            AsmInst::LongImm { guard, rd, .. } => {
+                Inst::new(*guard, Op::LoadImm32 { rd: *rd, imm: 0 })
+            }
+        }
     }
 
     /// A loop in the shape the compiler emits: head with a guarded
@@ -646,13 +609,14 @@ mod tests {
         let bs = bundles(&module);
         let mut shadow_left = 0u32;
         for b in &bs {
+            let (first, rest) = (issued(&b[0]), &b[1..]);
             if shadow_left > 0 {
-                assert!(!b.first.op.is_flow(), "flow op in a delay slot");
-                assert!(b.second.as_ref().is_none_or(|s| !s.op.is_flow()));
+                assert!(!first.op.is_flow(), "flow op in a delay slot");
+                assert!(rest.iter().all(|s| !issued(s).op.is_flow()));
                 shadow_left -= 1;
             }
-            if b.first.op.is_flow() {
-                shadow_left = b.first.op.delay_slots(b.first.guard);
+            if first.op.is_flow() {
+                shadow_left = first.delay_slots();
             }
         }
     }
@@ -664,7 +628,7 @@ mod tests {
             ..SchedOptions::default()
         };
         let (module, _) = schedule_with_report(loop_module(), &options);
-        assert!(bundles(&module).iter().all(|b| b.second.is_none()));
+        assert!(bundles(&module).iter().all(|b| b.len() == 1));
     }
 
     #[test]
@@ -674,9 +638,9 @@ mod tests {
         for f in &module.funcs {
             markers.push(format!("func:{}", f.name));
             markers.extend(f.items.iter().filter_map(|i| match i {
-                SchedItem::Label(n) => Some(format!("label:{n}")),
-                SchedItem::LoopBound { max, .. } => Some(format!("bound:{max}")),
-                SchedItem::Bundle(_) | SchedItem::PipeLoop { .. } => None,
+                Stmt::Label(n) => Some(format!("label:{n}")),
+                Stmt::LoopBound { max, .. } => Some(format!("bound:{max}")),
+                _ => None,
             }));
         }
         assert_eq!(
@@ -690,15 +654,8 @@ mod tests {
         let a = schedule(loop_module(), &SchedOptions::default());
         let b = schedule(loop_module(), &SchedOptions::default());
         let render = |m: &ScheduledModule| -> Vec<String> {
-            bundles(m)
-                .iter()
-                .map(|x| {
-                    format!(
-                        "{}|{}",
-                        x.first.render(),
-                        x.second.as_ref().map(|s| s.render()).unwrap_or_default()
-                    )
-                })
+            (m.funcs.iter().flat_map(|f| &f.items))
+                .map(|s| s.to_string())
                 .collect()
         };
         assert_eq!(render(&a), render(&b));

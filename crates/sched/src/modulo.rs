@@ -62,11 +62,13 @@
 //! single-path compilations never enable the pipeliner
 //! ([`crate::SchedOptions::pipeline`] stays off).
 
+use patmos_asm::{PipeLoop, Stmt};
 use patmos_isa::{AluOp, Guard, Op, Reg, ALLOC_POOL};
-use patmos_lir::plir::{CountedLoop, Item, LirInst, LirOp, LoopBoundSrc};
+use patmos_lir::plir::{CountedLoop, LirInst, LirOp, LoopBoundSrc};
 
 use crate::dag::{dependence_gap, out_gap, DepSummary, Func, LiveSet};
-use crate::{list_schedule, LoopReport, SchedBundle, SchedItem, SchedReport};
+use crate::list::BlockSchedule;
+use crate::{bundle, list_schedule, LoopReport, SchedReport};
 
 /// Candidate initiation intervals are searched up to this bound; a
 /// partially unrolled body's memory chain alone can push `II` past 30.
@@ -79,8 +81,8 @@ const CMPI_IMM_RANGE: std::ops::RangeInclusive<i64> = -1024..=1023;
 
 /// A pipelined loop, ready for emission.
 pub(crate) struct Pipelined {
-    /// The full item stream replacing the header and body blocks.
-    pub(crate) items: Vec<SchedItem>,
+    /// The statements replacing the header and body blocks.
+    pub(crate) items: Vec<Stmt>,
     /// The per-loop report line.
     pub(crate) report: LoopReport,
     /// Bundles emitted (for the block report).
@@ -184,10 +186,10 @@ fn rename_loop_temporaries(
     renamed
 }
 
-/// The `.loopbound` annotation among a block's head items.
-fn head_bound(head: &[Item]) -> Option<(u32, u32)> {
+/// The `.loopbound` annotation among a block's head statements.
+fn head_bound(head: &[Stmt]) -> Option<(u32, u32)> {
     head.iter().find_map(|item| match item {
-        Item::LoopBound { min, max } => Some((*min, *max)),
+        Stmt::LoopBound { min, max } => Some((*min, *max)),
         _ => None,
     })
 }
@@ -369,12 +371,12 @@ pub(crate) fn try_pipeline(
     // The plain per-iteration cost the pipeline has to beat, at the
     // annotated worst-case trip count. No II above the last one whose
     // one-stage estimate passes can pay, so the search stops there.
-    let baseline = list_schedule(report, &hb.insts, Some(hterm), dual_issue)
-        .bundles
-        .len()
-        + list_schedule(report, &bb.insts, Some(bterm), dual_issue)
-            .bundles
-            .len();
+    // The two schedules are also the fallback loop's.
+    let fallback = [
+        list_schedule(report, &hb.insts, Some(hterm), dual_issue),
+        list_schedule(report, &bb.insts, Some(bterm), dual_issue),
+    ];
+    let baseline = fallback.iter().map(|s| s.bundles.len()).sum::<usize>();
     let (trips, baseline) = (max_ann.saturating_sub(1) as i64, baseline as i64);
     let last = last_paying_ii(trips, baseline);
     let hi = last.min(MAX_II);
@@ -473,8 +475,8 @@ pub(crate) fn try_pipeline(
         }
 
         let mut p = emit(
-            func, h, &cl, bound_regs, &label, exit_label, &ops, &times, ii, stages, mii, min_ann,
-            max_ann, dual_issue, report,
+            &hb.head, &cl, bound_regs, &label, exit_label, &ops, &times, ii, stages, mii, min_ann,
+            max_ann, fallback,
         );
         p.report.renamed = renamed;
         return Some(p);
@@ -744,11 +746,12 @@ fn place_all(
     Some(times)
 }
 
-/// Builds the replacement item stream for a scheduled loop.
+/// Builds the statements replacing a scheduled loop. `fallback` holds
+/// the list schedules of the loop's header and body, which become the
+/// fallback loop once the body's back branch targets it.
 #[allow(clippy::too_many_arguments)]
 fn emit(
-    func: &Func,
-    h: usize,
+    head: &[Stmt],
     cl: &CountedLoop,
     bound_regs: Option<(Reg, Reg, Reg)>,
     label: &str,
@@ -760,11 +763,8 @@ fn emit(
     mii: u32,
     min_ann: u32,
     max_ann: u32,
-    dual_issue: bool,
-    report: &mut SchedReport,
+    fallback: [BlockSchedule; 2],
 ) -> Pipelined {
-    let hb = &func.blocks[h];
-    let bb = &func.blocks[h + 1];
     let kern_label = format!("{label}_mk");
     let fb_label = format!("{label}_mf");
     let br_row = ii - 1 - patmos_isa::timing::BRANCH_DELAY_COND;
@@ -772,24 +772,24 @@ fn emit(
     let row_of = |i: usize| times[i].t % ii;
     let stage_of = |i: usize| times[i].t / ii;
 
-    let mut items: Vec<SchedItem> = Vec::new();
+    let mut items: Vec<Stmt> = Vec::new();
     let mut bundles = 0usize;
     let mut paired = 0usize;
-    let mut push_bundle = |items: &mut Vec<SchedItem>, first: LirInst, second: Option<LirInst>| {
+    let mut push_bundle = |items: &mut Vec<Stmt>, first: LirInst, second: Option<LirInst>| {
         bundles += 1;
         if second.is_some() {
             paired += 1;
         }
-        items.push(SchedItem::Bundle(SchedBundle { first, second }));
+        items.push(bundle((first, second)));
     };
 
     // Original head markers minus the `.loopbound` (fresh bounds are
     // attached to the kernel and fallback loops below).
-    for item in &hb.head {
-        if let Item::Label(l) = item {
-            items.push(SchedItem::Label(l.clone()));
-        }
-    }
+    items.extend(
+        head.iter()
+            .filter(|item| matches!(item, Stmt::Label(_)))
+            .cloned(),
+    );
     // The `.pipeloop` record lands here, once the prologue/epilogue
     // bundle counts are known.
     let pipeinfo_at = items.len();
@@ -883,11 +883,11 @@ fn emit(
 
     // Kernel: II rows, every stage live, the back branch at its fixed
     // row with the last two rows as its delay slots.
-    items.push(SchedItem::LoopBound {
+    items.push(Stmt::LoopBound {
         min: 1,
         max: max_ann.saturating_sub(stages).max(1),
     });
-    items.push(SchedItem::Label(kern_label.clone()));
+    items.push(Stmt::Label(kern_label.clone()));
     for row in 0..ii {
         if row == br_row {
             push_bundle(
@@ -931,20 +931,21 @@ fn emit(
         push_bundle(&mut items, nop(), None);
     }
 
-    // Fallback: the original loop, relabelled and list-scheduled — it
-    // runs the short-trip cases the guard rejects.
-    items.push(SchedItem::LoopBound {
+    // Fallback: the original loop, relabelled, in its list schedules —
+    // it runs the short-trip cases the guard rejects. The back branch
+    // is the body's terminator; the relation ignores labels, so
+    // retargeting it leaves the schedule as it is.
+    items.push(Stmt::LoopBound {
         min: 1,
         max: max_ann,
     });
-    items.push(SchedItem::Label(fb_label.clone()));
-    let head_sched = list_schedule(report, &hb.insts, Some(hterm_for(func, h)), dual_issue);
-    for (f, s) in head_sched.bundles {
-        push_bundle(&mut items, f, s);
-    }
-    let fb_back = LirInst::always(LirOp::BrLabel(fb_label));
-    let body_sched = list_schedule(report, &bb.insts, Some(&fb_back), dual_issue);
-    for (f, s) in body_sched.bundles {
+    items.push(Stmt::Label(fb_label.clone()));
+    let [head_sched, mut body_sched] = fallback;
+    let back = body_sched
+        .term_at
+        .expect("the body ends in its back branch");
+    body_sched.bundles[back].0 = LirInst::always(LirOp::BrLabel(fb_label.clone()));
+    for (f, s) in head_sched.bundles.into_iter().chain(body_sched.bundles) {
         push_bundle(&mut items, f, s);
     }
 
@@ -955,17 +956,17 @@ fn emit(
     // proves that many trips.
     items.insert(
         pipeinfo_at,
-        SchedItem::PipeLoop {
+        Stmt::PipeLoop(PipeLoop {
             guard: label.to_string(),
-            kernel: kern_label.clone(),
-            fallback: format!("{label}_mf"),
+            kernel: kern_label,
+            fallback: fb_label,
             ii,
             stages,
             prologue: prologue_len as u32,
             epilogue: epilogue_len as u32,
             threshold: stages,
             min_trips: min_ann.saturating_sub(1),
-        },
+        }),
     );
 
     let report = LoopReport {
@@ -987,17 +988,12 @@ fn emit(
     }
 }
 
-fn hterm_for(func: &Func, h: usize) -> &LirInst {
-    func.blocks[h]
-        .term
-        .as_ref()
-        .expect("header has a terminator")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AccessSize, AluOp, CmpOp, MemArea, Pred, Reg};
+    use patmos_asm::{AsmInst, Operand};
+    use patmos_isa::{AccessSize, AluOp, CmpOp, Inst, MemArea, Pred, Reg};
+    use patmos_lir::plir::Item;
     use patmos_lir::Function;
 
     fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
@@ -1064,6 +1060,22 @@ mod tests {
         )
     }
 
+    /// The physical instruction an emitted one spells, for the
+    /// dependence relation; `None` for `nop` and flow instructions.
+    fn body_op(inst: &AsmInst) -> Option<LirInst> {
+        match inst {
+            AsmInst::Ready(i) if !matches!(i.op, Op::Nop) && !i.op.is_flow() => {
+                Some(LirInst::new(i.guard, LirOp::Real(i.op)))
+            }
+            AsmInst::LongImm {
+                guard,
+                rd,
+                value: Operand::Sym(sym),
+            } => Some(LirInst::new(*guard, LirOp::LilSym(*rd, sym.clone()))),
+            _ => None,
+        }
+    }
+
     fn pipeline(func: &Function<Item>) -> Option<Pipelined> {
         let func = &crate::dag::split_blocks(func);
         let live = crate::dag::live_in_sets(func);
@@ -1082,14 +1094,21 @@ mod tests {
         let kernel_at = p
             .items
             .iter()
-            .position(|i| matches!(i, SchedItem::Label(l) if l == "main_head1_mk"))
+            .position(|i| matches!(i, Stmt::Label(l) if l == "main_head1_mk"))
             .expect("kernel label");
         let mut row = 0u32;
         for item in &p.items[kernel_at + 1..] {
-            let SchedItem::Bundle(b) = item else { break };
-            if matches!(&b.first.op, LirOp::BrLabel(l) if l == "main_head1_mk") {
-                assert_eq!(row, p.report.ii - 3, "branch two rows before the end");
-                assert!(!b.first.guard.is_always() && !b.first.guard.negate);
+            let Stmt::Bundle(b) = item else { break };
+            if let AsmInst::Flow {
+                guard,
+                call: false,
+                target: Operand::Sym(l),
+            } = &b[0]
+            {
+                if l == "main_head1_mk" {
+                    assert_eq!(row, p.report.ii - 3, "branch two rows before the end");
+                    assert!(!guard.is_always() && !guard.negate);
+                }
             }
             row += 1;
             if row == p.report.ii {
@@ -1104,17 +1123,17 @@ mod tests {
         // Walk the emitted bundle stream of the whole pipelined region
         // (guard + prologue + one kernel round + epilogue): between
         // any two bundles, the dependence gap of their ops must hold.
-        let mut linear: Vec<(usize, LirInst)> = Vec::new();
+        let mut linear: Vec<(usize, &AsmInst, LirInst)> = Vec::new();
         let mut pos = 0usize;
         let mut kernel_start: Option<usize> = None;
         for item in &p.items {
             match item {
-                SchedItem::Label(l) if l.ends_with("_mk") => kernel_start = Some(pos),
-                SchedItem::Label(l) if l.ends_with("_mf") => break,
-                SchedItem::Bundle(b) => {
-                    for op in [Some(&b.first), b.second.as_ref()].into_iter().flatten() {
-                        if !matches!(op.op, LirOp::Real(Op::Nop)) && !op.op.is_flow() {
-                            linear.push((pos, op.clone()));
+                Stmt::Label(l) if l.ends_with("_mk") => kernel_start = Some(pos),
+                Stmt::Label(l) if l.ends_with("_mf") => break,
+                Stmt::Bundle(b) => {
+                    for inst in b {
+                        if let Some(op) = body_op(inst) {
+                            linear.push((pos, inst, op));
                         }
                     }
                     pos += 1;
@@ -1122,17 +1141,15 @@ mod tests {
                 _ => {}
             }
         }
-        for (ai, (pa, a)) in linear.iter().enumerate() {
-            for (pb, b) in linear.iter().skip(ai + 1) {
+        for (ai, (pa, sa, a)) in linear.iter().enumerate() {
+            for (pb, sb, b) in linear.iter().skip(ai + 1) {
                 if pa == pb {
                     continue; // same bundle: reads see pre-state
                 }
                 if let Some(g) = dependence_gap(&DepSummary::of(a), &DepSummary::of(b)) {
                     assert!(
                         pb - pa >= g as usize,
-                        "gap {g} violated between {} @{pa} and {} @{pb}",
-                        a.render(),
-                        b.render()
+                        "gap {g} violated between {sa} @{pa} and {sb} @{pb}"
                     );
                 }
             }
@@ -1141,19 +1158,16 @@ mod tests {
         // II later) must respect the gap from every op of round r.
         let ks = kernel_start.expect("kernel label present");
         let ii = p.report.ii as usize;
-        let kernel: Vec<(usize, &LirInst)> = linear
+        let kernel: Vec<&(usize, &AsmInst, LirInst)> = linear
             .iter()
-            .filter(|(q, _)| *q >= ks && *q < ks + ii)
-            .map(|(q, op)| (*q, op))
+            .filter(|(q, ..)| *q >= ks && *q < ks + ii)
             .collect();
-        for &(pa, a) in &kernel {
-            for &(pb, b) in &kernel {
+        for (pa, sa, a) in &kernel {
+            for (pb, sb, b) in &kernel {
                 if let Some(g) = dependence_gap(&DepSummary::of(a), &DepSummary::of(b)) {
                     assert!(
                         pb + ii - pa >= g as usize,
-                        "loop-carried gap {g} violated between {} @{pa} and {} @+{pb}",
-                        a.render(),
-                        b.render()
+                        "loop-carried gap {g} violated between {sa} @{pa} and {sb} @+{pb}"
                     );
                 }
             }
@@ -1256,9 +1270,10 @@ mod tests {
             .filter(|i| {
                 matches!(
                     i,
-                    SchedItem::Bundle(b) if matches!(
-                        b.first.op,
-                        LirOp::Real(Op::AluI { op: AluOp::Add, imm, .. }) if imm < 0
+                    Stmt::Bundle(b) if matches!(
+                        b[0],
+                        AsmInst::Ready(Inst { op: Op::AluI { op: AluOp::Add, imm, .. }, .. })
+                            if imm < 0
                     )
                 )
             })
@@ -1267,9 +1282,8 @@ mod tests {
         // The kernel compare reads a register bound.
         assert!(p.items.iter().any(|i| matches!(
             i,
-            SchedItem::Bundle(b) if matches!(b.first.op, LirOp::Real(Op::Cmp { .. }))
-                || b.second.as_ref().is_some_and(
-                    |s| matches!(s.op, LirOp::Real(Op::Cmp { .. })))
+            Stmt::Bundle(b) if b.iter().any(
+                |s| matches!(s, AsmInst::Ready(Inst { op: Op::Cmp { .. }, .. })))
         )));
     }
 }

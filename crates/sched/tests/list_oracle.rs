@@ -14,11 +14,17 @@
 //! final bundle positions, and every visible-delay residue completes by
 //! the end of the block.
 
+use patmos_asm::AsmInst;
 use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Op, Pred, PredOp, PredSrc};
 use patmos_isa::{Reg, SpecialReg};
 use patmos_lir::plir::{LirInst, LirOp};
 use patmos_sched::dag::{dependence_gap, DepSummary};
 use patmos_sched::list::{schedule_block, BlockSchedule};
+
+/// An op in assembler syntax, for failure messages.
+fn show(op: &LirInst) -> AsmInst {
+    AsmInst::from(op.clone())
+}
 
 /// splitmix64: enough randomness for a reproducible sweep.
 struct Rng(u64);
@@ -551,7 +557,7 @@ fn check_block(what: &str, body: &[LirInst], term: Option<&LirInst>, dual: bool)
         let mut copies = placed.iter().filter(|(_, o)| o == op);
         let (p, _) = copies
             .nth(copy)
-            .unwrap_or_else(|| panic!("{what}: op {i} `{}` missing", op.render()));
+            .unwrap_or_else(|| panic!("{what}: op {i} `{}` missing", show(op)));
         at[i] = *p;
     }
     if term.is_some() {
@@ -565,9 +571,9 @@ fn check_block(what: &str, body: &[LirInst], term: Option<&LirInst>, dual: bool)
                 assert!(
                     at[j] >= at[i] + gap as usize,
                     "{what}: `{}` @{} -> `{}` @{} needs gap {gap}",
-                    program[i].render(),
+                    show(program[i]),
                     at[i],
-                    program[j].render(),
+                    show(program[j]),
                     at[j]
                 );
             }
@@ -579,7 +585,7 @@ fn check_block(what: &str, body: &[LirInst], term: Option<&LirInst>, dual: bool)
         assert!(
             at[i] + ref_out_gap(op) as usize <= s.bundles.len(),
             "{what}: `{}` @{} owes {} past {} bundles",
-            op.render(),
+            show(op),
             at[i],
             ref_out_gap(op),
             s.bundles.len()
@@ -643,8 +649,8 @@ fn the_relation_matches_the_reference_on_every_pair() {
                 dependence_gap(da, db),
                 want,
                 "`{}` -> `{}`",
-                a.render(),
-                b.render()
+                show(a),
+                show(b)
             );
             related += want.is_some() as usize;
         }

@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use patmos_asm::ObjectImage;
 
 use crate::event::TraceEvent;
+use crate::json_escape;
 
 /// One core's recorded stream, tagged with its core id.
 #[derive(Debug, Clone, Copy)]
@@ -30,10 +31,6 @@ pub struct TdmaSlots {
     pub slot_cycles: u32,
     /// Number of cores sharing the wheel.
     pub cores: u32,
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn func_name(image: &ObjectImage, pc: u32) -> String {
@@ -71,7 +68,7 @@ pub fn chrome_trace(
         let mut stack: Vec<String> = vec![func_name(image, image.entry_word())];
         rows.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"B\",\"ts\":0,\"pid\":{pid},\"tid\":0}}",
-            escape(&stack[0])
+            json_escape(&stack[0])
         ));
 
         let mut core_last = 0u64;
@@ -82,7 +79,7 @@ pub fn chrome_trace(
                     let name = func_name(image, pc);
                     rows.push(format!(
                         "{{\"name\":\"{}\",\"ph\":\"B\",\"ts\":{cycle},\"pid\":{pid},\"tid\":0}}",
-                        escape(&name)
+                        json_escape(&name)
                     ));
                     stack.push(name);
                 }

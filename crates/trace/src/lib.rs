@@ -66,3 +66,26 @@ mod sink;
 pub use event::{cycles_by_pc, CacheKind, EventTotals, FaultKind, StallCause, TraceEvent};
 pub use profile::{FuncProfile, LoopProfile, Profile};
 pub use sink::{NullSink, TraceSink, VecSink};
+
+/// `s` escaped for the inside of a JSON string: quote, backslash and
+/// every control character. Function names come from linked images,
+/// and a module built without the parser may name a function anything.
+///
+/// ```
+/// assert_eq!(patmos_trace::json_escape("a\"b\\c\n"), r#"a\"b\\c\u000a"#);
+/// ```
+pub fn json_escape(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}

@@ -6,6 +6,7 @@ use std::collections::HashMap;
 use patmos_asm::ObjectImage;
 
 use crate::event::{StallCause, TraceEvent};
+use crate::json_escape;
 
 /// Cycles attributed to one region (a function, a loop, or a line).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -290,7 +291,7 @@ impl Profile {
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"line\": {}, \"cycles\": {}, \"issue\": {}, \"stall\": {}}}",
-                f.name,
+                json_escape(&f.name),
                 f.line.map(|l| l.to_string()).unwrap_or_else(|| "null".into()),
                 f.cycles.total_cycles(),
                 f.cycles.issue_cycles,
@@ -308,7 +309,7 @@ impl Profile {
                 out,
                 "    {{\"func\": \"{}\", \"line\": {}, \"start_word\": {}, \"end_word\": {}, \
                  \"cycles\": {}, \"issue\": {}, \"stall\": {}}}",
-                l.func,
+                json_escape(&l.func),
                 l.line,
                 l.start_word,
                 l.end_word,

@@ -329,9 +329,9 @@ pub fn build_cfg(image: &ObjectImage, func: &FuncInfo) -> Result<Cfg, CfgError> 
         .iter()
         .filter_map(|record| {
             Some(PipeLoopInfo {
-                guard: block_containing(record.guard_word)?,
-                kernel: block_at(record.kernel_word)?,
-                fallback: block_at(record.fallback_word)?,
+                guard: block_containing(record.guard)?,
+                kernel: block_at(record.kernel)?,
+                fallback: block_at(record.fallback)?,
                 record: *record,
             })
         })

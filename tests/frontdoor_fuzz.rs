@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use patmos::asm::{
-    assemble, disassemble, link, AsmInst, AsmModule, FuncInfo, ObjectImage, Operand, Stmt,
+    assemble, disassemble, link, AsmInst, AsmModule, FuncInfo, ObjectImage, Operand, PipeLoop, Stmt,
 };
 use patmos::baseline::{BaselineConfig, BaselineSim};
 use patmos::compiler::{compile, CompileOptions};
@@ -393,7 +393,7 @@ fn arb_fault() -> impl Strategy<Value = Stmt> {
         long(i64::MIN),
         Stmt::Bytes(vec![1 << 40]),
         Stmt::LoopBound { min: 3, max: 1 },
-        Stmt::PipeLoop {
+        Stmt::PipeLoop(PipeLoop {
             guard: "l".into(),
             kernel: "m".into(),
             fallback: "l".into(),
@@ -403,7 +403,7 @@ fn arb_fault() -> impl Strategy<Value = Stmt> {
             epilogue: 1,
             threshold: 2,
             min_trips: 0,
-        },
+        }),
         Stmt::SrcLoop {
             line: 3,
             start: "x".into(),
@@ -416,16 +416,18 @@ fn arb_fault() -> impl Strategy<Value = Stmt> {
 /// An annotation: the entry, the source map, a pipelined loop.
 fn arb_annotation() -> impl Strategy<Value = Stmt> {
     let count = || prop::sample::select(vec![1u32, 2, 3]);
-    let pipeloop = (count(), count(), 0u32..4).prop_map(|(ii, stages, threshold)| Stmt::PipeLoop {
-        guard: "l".into(),
-        kernel: "m".into(),
-        fallback: "l".into(),
-        ii,
-        stages,
-        prologue: ii * (stages - 1),
-        epilogue: 1,
-        threshold,
-        min_trips: 0,
+    let pipeloop = (count(), count(), 0u32..4).prop_map(|(ii, stages, threshold)| {
+        Stmt::PipeLoop(PipeLoop {
+            guard: "l".into(),
+            kernel: "m".into(),
+            fallback: "l".into(),
+            ii,
+            stages,
+            prologue: ii * (stages - 1),
+            epilogue: 1,
+            threshold,
+            min_trips: 0,
+        })
     });
     prop_oneof![
         arb_name(&["main", "f"]).prop_map(Stmt::Entry),
