@@ -240,6 +240,7 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
     if let Some(prev) = functions.last_mut() {
         prev.size_words = addr - prev.start_word;
     }
+    let code_words = addr as usize;
 
     // Source map: resolvable only now that every label has an address.
     let mut source = SourceInfo::default();
@@ -300,7 +301,7 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
         }
     };
 
-    let mut code: Vec<u32> = Vec::new();
+    let mut code: Vec<u32> = Vec::with_capacity(code_words);
     let mut data: Vec<DataSegment> = Vec::new();
     let mut addr: u32 = 0;
     // Pass 1 rejected data directives outside a segment; re-check here
@@ -343,8 +344,10 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
                     .extend(std::iter::repeat_n(0u8, *n as usize));
             }
             Stmt::Bundle(insts) => {
-                let mut resolved = Vec::with_capacity(insts.len());
-                for p in insts {
+                // Pass 1 admitted one or two instructions: resolve them
+                // into a fixed pair of slots.
+                let mut resolved: [Option<Inst>; 2] = [None; 2];
+                for (slot, p) in insts.iter().enumerate() {
                     let inst = match p {
                         AsmInst::Ready(i) if matches!(i.op, Op::Br { .. } | Op::Call { .. }) => {
                             return Err(AsmError {
@@ -411,15 +414,19 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
                         line: line.number,
                         message: e.to_string(),
                     })?;
-                    resolved.push(inst);
+                    if let Some(cell) = resolved.get_mut(slot) {
+                        *cell = Some(inst);
+                    }
                 }
-                let bundle = match resolved.len() {
-                    1 => Bundle::single(resolved[0]),
-                    2 => Bundle::try_pair(resolved[0], resolved[1]).map_err(|e| AsmError {
-                        line: line.number,
-                        message: e.to_string(),
-                    })?,
-                    n => {
+                let bundle = match (insts.len(), resolved) {
+                    (1, [Some(only), None]) => Bundle::single(only),
+                    (2, [Some(first), Some(second)]) => {
+                        Bundle::try_pair(first, second).map_err(|e| AsmError {
+                            line: line.number,
+                            message: e.to_string(),
+                        })?
+                    }
+                    (n, _) => {
                         return Err(AsmError {
                             line: line.number,
                             message: format!("a bundle holds 1 or 2 instructions, not {n}"),
@@ -428,7 +435,7 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
                 };
                 let words = encode(&bundle);
                 addr += words.len() as u32;
-                code.extend(words);
+                code.extend_from_slice(&words);
             }
             _ => {}
         }

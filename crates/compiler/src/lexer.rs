@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-/// A PatC token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
-    Ident(String),
+/// A PatC token; an identifier borrows its name from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     // Keywords.
     KwInt,
@@ -49,7 +49,7 @@ pub enum Tok {
     OrOr,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             Tok::Ident(s) => return write!(f, "{s}"),
@@ -98,16 +98,16 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its 1-based source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedTok {
-    pub tok: Tok,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpannedTok<'a> {
+    pub tok: Tok<'a>,
     pub line: usize,
 }
 
 /// Lexes a whole source file.
 ///
 /// Returns `Err((line, message))` on an unexpected character.
-pub fn lex(source: &str) -> Result<Vec<SpannedTok>, (usize, String)> {
+pub fn lex(source: &str) -> Result<Vec<SpannedTok<'_>>, (usize, String)> {
     let mut out = Vec::new();
     let bytes = source.as_bytes();
     let mut i = 0;
@@ -191,7 +191,7 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, (usize, String)> {
                     "bound" => Tok::KwBound,
                     "heap" => Tok::KwHeap,
                     "spm" => Tok::KwSpm,
-                    _ => Tok::Ident(word.to_string()),
+                    _ => Tok::Ident(word),
                 };
                 out.push(SpannedTok { tok, line });
             }
@@ -251,7 +251,7 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, (usize, String)> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src)
             .expect("lexes")
             .into_iter()
@@ -265,7 +265,7 @@ mod tests {
             toks("int x; if while bound"),
             vec![
                 Tok::KwInt,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Semi,
                 Tok::KwIf,
                 Tok::KwWhile,
@@ -279,15 +279,15 @@ mod tests {
         assert_eq!(
             toks("a <= b == c >> 2 && d"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Le,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::EqEq,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Shr,
                 Tok::Int(2),
                 Tok::AndAnd,
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
             ]
         );
     }

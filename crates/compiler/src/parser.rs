@@ -22,12 +22,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn line(&self) -> usize {
         self.toks
             .get(self.pos.min(self.toks.len().saturating_sub(1)))
@@ -42,21 +42,21 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos).map(|t| &t.tok)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
+    fn peek2(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos + 1).map(|t| &t.tok)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.toks.get(self.pos).map(|t| t.tok);
         self.pos += 1;
         t
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: &Tok<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -65,7 +65,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, t: Tok<'_>) -> Result<(), ParseError> {
         if self.eat(&t) {
             Ok(())
         } else {
@@ -79,7 +79,9 @@ impl Parser {
             .unwrap_or_else(|| "end of input".into())
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    /// The next token's identifier, still borrowed from the source: the
+    /// AST node that keeps it allocates it.
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         let line = self.line();
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
@@ -126,7 +128,7 @@ impl Parser {
                 None
             };
             self.expect(Tok::KwInt)?;
-            let name = self.ident()?;
+            let name = self.ident()?.to_string();
             if qualifier.is_none() && self.peek() == Some(&Tok::LParen) {
                 program.functions.push(self.function(name)?);
             } else {
@@ -181,7 +183,7 @@ impl Parser {
         if !self.eat(&Tok::RParen) {
             loop {
                 self.expect(Tok::KwInt)?;
-                params.push(self.ident()?);
+                params.push(self.ident()?.to_string());
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
@@ -236,7 +238,7 @@ impl Parser {
                     None
                 };
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Decl(name, init))
+                Ok(Stmt::Decl(name.to_string(), init))
             }
             Some(Tok::KwReturn) => {
                 self.next();
@@ -309,7 +311,7 @@ impl Parser {
                     let name = self.ident()?;
                     self.next(); // `=`
                     let e = self.expr()?;
-                    return Ok(Stmt::Assign(name, e));
+                    return Ok(Stmt::Assign(name.to_string(), e));
                 }
                 Tok::LBracket => {
                     // Could be `a[i] = e` or an expression; try assignment.
@@ -320,7 +322,7 @@ impl Parser {
                     self.expect(Tok::RBracket)?;
                     if self.eat(&Tok::Assign) {
                         let e = self.expr()?;
-                        return Ok(Stmt::AssignIndex(name, idx, e));
+                        return Ok(Stmt::AssignIndex(name.to_string(), idx, e));
                     }
                     self.pos = save;
                 }
@@ -498,13 +500,13 @@ impl Parser {
                         }
                         self.expect(Tok::RParen)?;
                     }
-                    Ok(Expr::Call(name, args))
+                    Ok(Expr::Call(name.to_string(), args))
                 } else if self.eat(&Tok::LBracket) {
                     let idx = self.expr()?;
                     self.expect(Tok::RBracket)?;
-                    Ok(Expr::Index(name, Box::new(idx)))
+                    Ok(Expr::Index(name.to_string(), Box::new(idx)))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok(Expr::Var(name.to_string()))
                 }
             }
             other => Err(ParseError {

@@ -257,6 +257,32 @@ fn encode_inst(inst: &Inst) -> u32 {
     guard_bits(inst.guard) | op_bits(&inst.op)
 }
 
+/// The one or two 32-bit words a bundle encodes to, held inline: a
+/// slice of them by [`Deref`](std::ops::Deref), or the words in order by
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BundleWords {
+    words: [u32; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for BundleWords {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.words[..self.len]
+    }
+}
+
+impl IntoIterator for BundleWords {
+    type Item = u32;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u32, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.words.into_iter().take(self.len)
+    }
+}
+
 /// Encodes a bundle into one or two 32-bit words.
 ///
 /// # Panics
@@ -271,24 +297,23 @@ fn encode_inst(inst: &Inst) -> u32 {
 /// let words = encode(&Bundle::single(Inst::always(Op::Ret)));
 /// assert_eq!(words.len(), 1);
 /// ```
-pub fn encode(bundle: &Bundle) -> Vec<u32> {
+pub fn encode(bundle: &Bundle) -> BundleWords {
     for inst in bundle.slots() {
         if let Err(e) = validate_op(&inst.op) {
             panic!("cannot encode `{inst}`: {e}");
         }
     }
-    match (bundle.first(), bundle.second()) {
+    let (words, len) = match (bundle.first(), bundle.second()) {
         (first, None) => {
             if let Op::LoadImm32 { imm, .. } = first.op {
-                vec![encode_inst(first) | SIZE_BIT, imm]
+                ([encode_inst(first) | SIZE_BIT, imm], 2)
             } else {
-                vec![encode_inst(first)]
+                ([encode_inst(first), 0], 1)
             }
         }
-        (first, Some(second)) => {
-            vec![encode_inst(first) | SIZE_BIT, encode_inst(second)]
-        }
-    }
+        (first, Some(second)) => ([encode_inst(first) | SIZE_BIT, encode_inst(second)], 2),
+    };
+    BundleWords { words, len }
 }
 
 fn sign_extend(value: u32, bits: u32) -> i32 {

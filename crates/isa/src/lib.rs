@@ -43,7 +43,7 @@ pub mod mem;
 pub mod reg;
 pub mod timing;
 
-pub use encoding::{decode, decode_all, encode, DecodeError};
+pub use encoding::{decode, decode_all, encode, BundleWords, DecodeError};
 pub use inst::{AluOp, Bundle, BundleError, CmpOp, FlowKind, Guard, Inst, Op, PredOp, PredSrc};
 pub use mem::{AccessSize, MemArea};
 pub use reg::{Pred, Reg, SpecialReg};

@@ -6,6 +6,17 @@
 //! terminator. Calls do *not* end blocks — control returns to the next
 //! instruction — but their positions are recorded so the allocator can
 //! save live values around them.
+//!
+//! An edit that inserts, removes or moves only non-control instructions
+//! (never a label, a branch, `ret`/`halt` or a call) leaves every leader
+//! where it is among the labels and terminators, so unless it empties a
+//! block or fills the gap between two leaders, the block graph is the
+//! same: [`VCfg::relayout`] then renumbers the positions, block extents
+//! and call positions in place and keeps the successor and predecessor
+//! lists (and with them any dominator tree or loop forest built over
+//! them).
+
+use std::fmt;
 
 use crate::vlir::{VInst, VItem, VOp};
 use crate::Function;
@@ -16,9 +27,12 @@ use crate::Function;
 /// a pass rewrites its instructions in place; they stay valid until an
 /// item is inserted, removed or moved.
 pub fn inst_positions(items: &[VItem]) -> Vec<usize> {
-    (items.iter().enumerate())
-        .filter_map(|(idx, item)| matches!(item, VItem::Inst(_)).then_some(idx))
-        .collect()
+    let mut positions = Vec::with_capacity(items.len());
+    positions.extend(
+        (items.iter().enumerate())
+            .filter_map(|(idx, item)| matches!(item, VItem::Inst(_)).then_some(idx)),
+    );
+    positions
 }
 
 /// A function's virtual code with its instructions numbered in layout
@@ -81,6 +95,12 @@ pub struct VCfg {
     pub blocks: Vec<VBlock>,
     /// Positions of `CallFunc` instructions.
     pub call_positions: Vec<usize>,
+    /// Per block, how many labels and terminators precede its first
+    /// instruction in the items: which gap between two of them the
+    /// block fills. `None` when a label is defined twice, so that not
+    /// every label leads a block; [`VCfg::relayout`] then always asks
+    /// for a rebuild.
+    gaps: Option<Vec<u32>>,
 }
 
 impl VCfg {
@@ -91,14 +111,96 @@ impl VCfg {
         assert!(bi < self.blocks.len(), "position belongs to a block");
         bi
     }
+
+    /// Renumbers the CFG after an edit of `items` that inserted,
+    /// removed or moved only non-control instructions — never a label,
+    /// a branch, `ret`/`halt` or a call — since `positions` (the
+    /// function's [`inst_positions`]) and the CFG were built: rewrites
+    /// `positions`, every block's extent and the call positions in
+    /// place, and keeps the successor and predecessor lists.
+    ///
+    /// The labels and terminators cut the items into gaps, and a block
+    /// is exactly the instructions of one non-empty gap; the edit moved
+    /// no cut, so the block graph is unchanged as long as the same gaps
+    /// hold instructions. Returns `false` when they do not — the edit
+    /// emptied a block or filled an empty gap — or when a label is
+    /// defined twice: `positions` and the CFG are then stale, and the
+    /// caller rebuilds both.
+    pub fn relayout(&mut self, items: &[VItem], positions: &mut Vec<usize>) -> bool {
+        let Some(gaps) = &self.gaps else {
+            return false;
+        };
+        positions.clear();
+        self.call_positions.clear();
+        // The cuts passed so far, the gap the last instruction sat in,
+        // and the next block to open.
+        let (mut cuts, mut open, mut next) = (0u32, None, 0usize);
+        for (idx, item) in items.iter().enumerate() {
+            let inst = match item {
+                VItem::Inst(inst) => inst,
+                VItem::Label(_) => {
+                    cuts += 1;
+                    continue;
+                }
+                VItem::LoopBound { .. } => continue,
+            };
+            let pos = positions.len();
+            if open != Some(cuts) {
+                // The first instruction of a gap opens the next block.
+                if gaps.get(next) != Some(&cuts) {
+                    return false;
+                }
+                if let Some(prev) = next.checked_sub(1) {
+                    self.blocks[prev].end = pos;
+                }
+                self.blocks[next].first = pos;
+                (open, next) = (Some(cuts), next + 1);
+            }
+            if matches!(inst.op, VOp::CallFunc(_)) {
+                self.call_positions.push(pos);
+            }
+            positions.push(idx);
+            if inst.op.is_terminator() {
+                cuts += 1;
+            }
+        }
+        if next != self.blocks.len() {
+            return false;
+        }
+        if let Some(last) = self.blocks.last_mut() {
+            last.end = positions.len();
+        }
+        true
+    }
 }
 
+/// A branch names a label its function does not define, so the branch
+/// has no target block and the function no CFG.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UndefinedLabel {
+    /// The label the branch names.
+    pub label: String,
+}
+
+impl fmt::Display for UndefinedLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "branch to undefined label `{}`", self.label)
+    }
+}
+
+impl std::error::Error for UndefinedLabel {}
+
 /// Builds the CFG of one function.
-pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
+///
+/// # Errors
+///
+/// [`UndefinedLabel`] when a branch names a label the function does not
+/// define.
+pub fn build_vcfg(func: &FuncCode<'_>) -> Result<VCfg, UndefinedLabel> {
     let n = func.insts.len();
     // One walk over the items: the position of the instruction that
     // follows each label, the calls, and the leaders after terminators.
-    let mut label_pos: Vec<(&str, usize)> = Vec::new();
+    let mut label_pos: Vec<(&str, usize)> = Vec::with_capacity(func.items.len().saturating_sub(n));
     let mut call_positions = Vec::new();
     let mut leader = vec![false; n + 1];
     if n > 0 {
@@ -123,8 +225,10 @@ pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
     // Sorted by label (a stable sort, so of two equal labels the later
     // one is last — and is the one a branch resolves to, and the leader).
     label_pos.sort_by_key(|&(label, _)| label);
+    let mut unique = true;
     for (i, &(label, pos)) in label_pos.iter().enumerate() {
         let resolved = label_pos.get(i + 1).is_none_or(|&(next, _)| next != label);
+        unique &= resolved;
         if resolved && pos < n {
             leader[pos] = true;
         }
@@ -132,13 +236,15 @@ pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
     let target_of = |label: &str| {
         let at = label_pos.partition_point(|&(l, _)| l <= label);
         match at.checked_sub(1).map(|i| label_pos[i]) {
-            Some((l, pos)) if l == label => pos,
-            _ => panic!("branch target label exists in the function"),
+            Some((l, pos)) if l == label => Ok(pos),
+            _ => Err(UndefinedLabel {
+                label: label.to_string(),
+            }),
         }
     };
 
     // Carve blocks.
-    let mut blocks: Vec<VBlock> = Vec::new();
+    let mut blocks: Vec<VBlock> = Vec::with_capacity(leader.iter().filter(|&&l| l).count());
     let mut start = 0usize;
     for (pos, &is_leader) in leader.iter().enumerate().skip(1) {
         if pos == n || is_leader {
@@ -160,7 +266,7 @@ pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
         let mut succs = Vec::new();
         match &last.op {
             VOp::BrLabel(label) => {
-                let target_pos = target_of(label);
+                let target_pos = target_of(label)?;
                 if let Ok(tb) = blocks.binary_search_by_key(&target_pos, |b| b.first) {
                     succs.push(tb);
                 }
@@ -184,10 +290,31 @@ pub fn build_vcfg(func: &FuncCode<'_>) -> VCfg {
         }
     }
 
-    VCfg {
+    // With every label a leader, each block is the instructions between
+    // two consecutive cuts (labels and terminators): number the gaps.
+    let gaps = unique.then(|| {
+        let (mut gaps, mut cuts, mut pos) = (Vec::with_capacity(count), 0u32, 0usize);
+        for item in func.items {
+            match item {
+                VItem::Label(_) => cuts += 1,
+                VItem::Inst(inst) => {
+                    if blocks.get(gaps.len()).is_some_and(|b| b.first == pos) {
+                        gaps.push(cuts);
+                    }
+                    pos += 1;
+                    cuts += inst.op.is_terminator() as u32;
+                }
+                VItem::LoopBound { .. } => {}
+            }
+        }
+        gaps
+    });
+
+    Ok(VCfg {
         blocks,
         call_positions,
-    }
+        gaps,
+    })
 }
 
 #[cfg(test)]
@@ -203,7 +330,7 @@ mod tests {
     fn cfg_of(items: Vec<VItem>) -> VCfg {
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);
-        build_vcfg(&FuncCode::new(&func, &positions))
+        build_vcfg(&FuncCode::new(&func, &positions)).expect("every branch label is defined")
     }
 
     #[test]
@@ -248,5 +375,71 @@ mod tests {
         ]);
         assert_eq!(cfg.blocks.len(), 1);
         assert_eq!(cfg.call_positions, vec![1]);
+    }
+
+    #[test]
+    fn an_undefined_branch_label_is_an_error() {
+        let func = Function::new(
+            "f",
+            vec![inst(VOp::BrLabel("nowhere".into())), inst(VOp::Halt)],
+        );
+        let positions = inst_positions(&func.items);
+        let err = build_vcfg(&FuncCode::new(&func, &positions)).expect_err("no such label");
+        assert_eq!(err.label, "nowhere");
+        assert_eq!(err.to_string(), "branch to undefined label `nowhere`");
+    }
+
+    #[test]
+    fn relayout_keeps_the_graph_until_a_block_empties() {
+        let li = |imm| {
+            inst(VOp::LoadImmLow {
+                rd: VReg::new(1),
+                imm,
+            })
+        };
+        let mut func = Function::new(
+            "f",
+            vec![
+                li(1),
+                VItem::Label("f_a".into()),
+                li(2),
+                li(3),
+                VItem::Inst(VInst::new(
+                    Guard::when(Pred::P6),
+                    VOp::BrLabel("f_a".into()),
+                )),
+                VItem::Label("f_b".into()),
+                inst(VOp::CallFunc("g".into())),
+                inst(VOp::Halt),
+            ],
+        );
+        let mut positions = inst_positions(&func.items);
+        let mut cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
+
+        // Deleting one of block 1's two instructions keeps every block.
+        func.items.remove(2);
+        assert!(cfg.relayout(&func.items, &mut positions));
+        assert_eq!(positions, inst_positions(&func.items));
+        let fresh = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
+        assert_eq!(cfg, fresh);
+        assert_eq!(cfg.call_positions, vec![3]);
+
+        // Deleting the entry block's only instruction empties it.
+        func.items.remove(0);
+        assert!(!cfg.relayout(&func.items, &mut positions));
+    }
+
+    #[test]
+    fn a_label_defined_twice_always_rebuilds() {
+        let items = vec![
+            VItem::Label("f_a".into()),
+            inst(VOp::Halt),
+            VItem::Label("f_a".into()),
+            inst(VOp::Halt),
+        ];
+        let func = Function::new("f", items);
+        let mut positions = inst_positions(&func.items);
+        let mut cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
+        assert!(!cfg.relayout(&func.items, &mut positions));
     }
 }

@@ -32,7 +32,7 @@
 //! ];
 //! let func = Function::new("f", items);
 //! let positions = inst_positions(&func.items);
-//! let cfg = build_vcfg(&FuncCode::new(&func, &positions));
+//! let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
 //! let dom = DomTree::build(&cfg);
 //! assert_eq!(dom.idom(1), Some(0)); // the loop block is dominated by the entry
 //! assert_eq!(dom.idom(2), Some(1)); // the exit only through the loop
@@ -203,7 +203,7 @@ mod tests {
         let items = diamond();
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);
-        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
         let dom = DomTree::build(&cfg);
         // Blocks: 0 = cmp+br, 1 = then, 2 = join.
         assert_eq!(dom.idom(1), Some(0));
@@ -218,7 +218,7 @@ mod tests {
         let items = diamond();
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);
-        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
         let dom = DomTree::build(&cfg);
         assert_eq!(dom.idom(0), None);
         for b in 0..cfg.blocks.len() {

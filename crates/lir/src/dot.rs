@@ -31,9 +31,16 @@ pub fn render(module: &VModule) -> String {
     for func in &module.funcs {
         let positions = inst_positions(&func.items);
         let code = FuncCode::new(func, &positions);
-        let cfg = build_vcfg(&code);
         writeln!(out, "digraph \"{}\" {{", escape(&func.name)).ok();
         writeln!(out, "    node [shape=record, fontname=\"monospace\"];").ok();
+        let cfg = match build_vcfg(&code) {
+            Ok(cfg) => cfg,
+            Err(e) => {
+                let label = format!("{}: {e}", func.name);
+                writeln!(out, "    label=\"{}\";\n}}", escape(&label)).ok();
+                continue;
+            }
+        };
         writeln!(out, "    label=\"{}\";", escape(&func.name)).ok();
         for (bi, block) in cfg.blocks.iter().enumerate() {
             let mut lines = vec![format!("B{bi} [{}..{})", block.first, block.end)];

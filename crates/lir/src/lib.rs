@@ -87,7 +87,7 @@
 //! // instructions numbered in layout order.
 //! let positions = inst_positions(&func.items);
 //! let code = FuncCode::new(&func, &positions);
-//! let cfg = build_vcfg(&code);
+//! let cfg = build_vcfg(&code).expect("labels resolve");
 //! assert_eq!(cfg.blocks.len(), 4); // entry, header, body+latch, exit
 //! assert_eq!(cfg.blocks[1].succs, vec![3, 2]); // exit target, then fall-through
 //! assert_eq!(cfg.blocks[1].preds, vec![0, 2]); // entry, then the back edge
@@ -114,7 +114,7 @@ pub mod plir;
 pub mod remark;
 pub mod vlir;
 
-pub use cfg::{build_vcfg, inst_positions, FuncCode, VBlock, VCfg};
+pub use cfg::{build_vcfg, inst_positions, FuncCode, UndefinedLabel, VBlock, VCfg};
 pub use dom::DomTree;
 pub use liveness::{analyze, BlockLiveness, Interval, Liveness, VRegSet};
 pub use loops::{header_lead, HeaderLead, LoopForest, NaturalLoop};

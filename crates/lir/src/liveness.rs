@@ -317,7 +317,7 @@ mod tests {
         let func = Function::new("f", items.to_vec());
         let positions = inst_positions(&func.items);
         let code = FuncCode::new(&func, &positions);
-        analyze(&code, &build_vcfg(&code))
+        analyze(&code, &build_vcfg(&code).expect("labels resolve"))
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! ];
 //! let func = Function::new("f", items);
 //! let positions = inst_positions(&func.items);
-//! let cfg = build_vcfg(&FuncCode::new(&func, &positions));
+//! let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
 //! let forest = LoopForest::build(&cfg);
 //! assert_eq!(forest.loops.len(), 1);
 //! let lp = &forest.loops[0];
@@ -256,7 +256,13 @@ pub fn render(module: &crate::vlir::VModule) -> String {
     for func in &module.funcs {
         let positions = crate::cfg::inst_positions(&func.items);
         let code = crate::cfg::FuncCode::new(func, &positions);
-        let cfg = crate::cfg::build_vcfg(&code);
+        let cfg = match crate::cfg::build_vcfg(&code) {
+            Ok(cfg) => cfg,
+            Err(e) => {
+                writeln!(out, ".func {}: {e}", func.name).ok();
+                continue;
+            }
+        };
         let forest = LoopForest::build(&cfg);
         writeln!(out, ".func {}: {} loop(s)", func.name, forest.loops.len()).ok();
         for lp in &forest.loops {
@@ -351,7 +357,7 @@ mod tests {
         let items = nested();
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);
-        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
         let forest = LoopForest::build(&cfg);
         assert_eq!(forest.loops.len(), 2);
         let outer = forest
@@ -376,7 +382,7 @@ mod tests {
         let items = vec![inst(VOp::Halt)];
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);
-        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
         assert!(LoopForest::build(&cfg).loops.is_empty());
     }
 
@@ -402,7 +408,7 @@ mod tests {
         ];
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);
-        let cfg = build_vcfg(&FuncCode::new(&func, &positions));
+        let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
         let forest = LoopForest::build(&cfg);
         assert_eq!(forest.loops.len(), 1);
         assert_eq!(forest.loops[0].header, 1);

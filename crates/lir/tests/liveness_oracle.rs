@@ -251,7 +251,7 @@ fn bitset_liveness_matches_the_naive_reference() {
         let positions = inst_positions(&function.items);
         let func = &FuncCode::new(&function, &positions);
         let items = &function.items;
-        let cfg = build_vcfg(func);
+        let cfg = build_vcfg(func).expect("generated labels resolve");
         let ctx = || {
             let text: Vec<String> = items
                 .iter()

@@ -5,17 +5,25 @@
 //! (owned item indices, so the cache can stay beside the function while
 //! a pass edits it), its CFG with predecessor lists, its dominator tree
 //! and loop forest, and its liveness solve. Each is built on first use
-//! and kept until the pass manager drops it, according to what the pass that
-//! changed the function may have edited ([`Edits`], stated once per
-//! pass in the pass table).
+//! and kept until the pass manager drops it, according to what the pass
+//! that changed the function may have edited ([`Edits`], stated once
+//! per pass in the pass table). Only edits that touch labels or control
+//! flow drop the block graph: after an instruction-only edit the cache
+//! renumbers the positions and block extents in place
+//! ([`patmos_lir::VCfg::relayout`]) and keeps the successor and
+//! predecessor lists, the dominator tree and the loop forest, unless the
+//! edit emptied a block (or filled an empty gap between two labels or
+//! terminators), which drops them for a rebuild on next use.
 //!
 //! In debug builds the pass manager checks after every pass application that
 //! each analysis still cached equals a fresh build
 //! ([`Analyses::assert_fresh`]), so a pass that edits more than its
-//! table entry admits fails the first test that runs it.
+//! table entry admits, or a renumbering that kept a changed block graph,
+//! fails the first test that runs it.
 
 use patmos_lir::{
-    build_vcfg, inst_positions, BlockLiveness, DomTree, FuncCode, Function, LoopForest, VCfg, VItem,
+    build_vcfg, inst_positions, BlockLiveness, DomTree, FuncCode, Function, LoopForest,
+    UndefinedLabel, VCfg, VItem,
 };
 
 /// What a pass may edit when it reports a change, and so which of the
@@ -28,11 +36,19 @@ pub(crate) enum Edits {
     /// item: the positions, the CFG, the dominator tree and the loop
     /// forest stay valid, and only liveness is dropped.
     Operands,
-    /// May insert, remove or move items: every analysis is dropped.
+    /// May also insert, remove or move instructions, but never a label,
+    /// a `.loopbound`, a branch, `ret`/`halt` or a call: the positions
+    /// and block extents are renumbered in place and the block graph,
+    /// the dominator tree and the loop forest kept, unless the edit
+    /// emptied a block or filled an empty gap between two labels or
+    /// terminators; liveness is dropped.
+    Instructions,
+    /// May insert, remove or move any item: every analysis is dropped.
     Layout,
 }
 
-/// How many analyses the caches built over one pipeline run.
+/// How many analyses the caches built, and kept across an edit, over
+/// one pipeline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisBuilds {
     /// CFGs built (each over freshly numbered positions).
@@ -41,6 +57,12 @@ pub struct AnalysisBuilds {
     pub loop_forests: u32,
     /// Liveness solves.
     pub liveness: u32,
+    /// CFGs kept across an instruction-only edit: their positions and
+    /// block extents renumbered in place, their block graph kept.
+    pub cfgs_kept: u32,
+    /// Dominator trees and loop forests kept across an instruction-only
+    /// edit, with the CFG under them.
+    pub loop_forests_kept: u32,
 }
 
 impl std::ops::AddAssign for AnalysisBuilds {
@@ -48,7 +70,16 @@ impl std::ops::AddAssign for AnalysisBuilds {
         self.cfgs += other.cfgs;
         self.loop_forests += other.loop_forests;
         self.liveness += other.liveness;
+        self.cfgs_kept += other.cfgs_kept;
+        self.loop_forests_kept += other.loop_forests_kept;
     }
+}
+
+/// The positions of `func` and its CFG over them.
+fn build(func: &Function<VItem>) -> Result<(Vec<usize>, VCfg), UndefinedLabel> {
+    let positions = inst_positions(&func.items);
+    let cfg = build_vcfg(&FuncCode::new(func, &positions))?;
+    Ok((positions, cfg))
 }
 
 /// The lazily built analyses of one function.
@@ -63,21 +94,45 @@ pub(crate) struct Analyses {
 }
 
 impl Analyses {
-    /// Drops what a change of kind `edits` may have made stale.
-    pub(crate) fn invalidate(&mut self, edits: Edits) {
+    /// The cache of `func` with its CFG built, or `None` when a branch
+    /// of `func` names a label it does not define: such a function has
+    /// no CFG, and the pass manager leaves it untouched for the
+    /// register allocator to report.
+    pub(crate) fn of(func: &Function<VItem>) -> Option<Analyses> {
+        let cfg = build(func).ok()?;
+        Some(Analyses {
+            cfg: Some(cfg),
+            builds: AnalysisBuilds {
+                cfgs: 1,
+                ..AnalysisBuilds::default()
+            },
+            ..Analyses::default()
+        })
+    }
+
+    /// Drops or renumbers what a change of kind `edits` to `func` may
+    /// have made stale.
+    pub(crate) fn invalidate(&mut self, func: &Function<VItem>, edits: Edits) {
         self.liveness = None;
-        if edits == Edits::Layout {
+        let kept = match (edits, &mut self.cfg) {
+            (Edits::Operands, _) => true,
+            (Edits::Instructions, Some((positions, cfg))) => cfg.relayout(&func.items, positions),
+            (Edits::Instructions, None) | (Edits::Layout, _) => false,
+        };
+        if !kept {
             self.cfg = None;
             self.loops = None;
+        } else if edits == Edits::Instructions {
+            self.builds.cfgs_kept += 1;
+            self.builds.loop_forests_kept += self.loops.is_some() as u32;
         }
     }
 
     /// Builds the positions and the CFG of `func` unless cached.
     pub(crate) fn with_cfg(&mut self, func: &Function<VItem>) -> &Analyses {
         if self.cfg.is_none() {
-            let positions = inst_positions(&func.items);
-            let cfg = build_vcfg(&FuncCode::new(func, &positions));
-            self.cfg = Some((positions, cfg));
+            let built = build(func).expect("every pass keeps each branch target defined");
+            self.cfg = Some(built);
             self.builds.cfgs += 1;
         }
         self
@@ -160,7 +215,7 @@ impl Analyses {
             stale("instruction positions");
         }
         let code = FuncCode::new(func, &positions);
-        let cfg = build_vcfg(&code);
+        let cfg = build_vcfg(&code).expect("a cached CFG's labels resolve");
         if *cached_cfg != cfg {
             stale("CFG");
         }
@@ -211,7 +266,7 @@ mod tests {
 
     #[test]
     fn analyses_are_built_once_until_invalidated() {
-        let func = looped();
+        let mut func = looped();
         let mut cache = Analyses::default();
         for _ in 0..3 {
             cache.with_loops(&func);
@@ -221,12 +276,13 @@ mod tests {
             cfgs: 1,
             loop_forests: 1,
             liveness: 1,
+            ..AnalysisBuilds::default()
         };
         assert_eq!(cache.builds, once);
         assert_eq!(cache.forest().loops.len(), 1);
 
         // An operand rewrite keeps the layout analyses.
-        cache.invalidate(Edits::Operands);
+        cache.invalidate(&func, Edits::Operands);
         cache.with_loops(&func);
         cache.with_liveness(&func);
         assert_eq!(
@@ -237,10 +293,41 @@ mod tests {
             }
         );
 
-        // A layout edit drops everything.
-        cache.invalidate(Edits::Layout);
+        // A second entry instruction moves every position but keeps the
+        // block graph: the CFG and the loop forest are renumbered, not
+        // rebuilt.
+        let li = VItem::Inst(VInst::always(VOp::LoadImmLow {
+            rd: VReg::new(2),
+            imm: 0,
+        }));
+        func.items.insert(0, li);
+        cache.invalidate(&func, Edits::Instructions);
+        cache.with_loops(&func);
+        cache.with_liveness(&func);
+        #[cfg(debug_assertions)]
+        cache.assert_fresh(&func, "an inserted instruction");
+        assert_eq!(
+            cache.builds,
+            AnalysisBuilds {
+                liveness: 3,
+                cfgs_kept: 1,
+                loop_forests_kept: 1,
+                ..once
+            }
+        );
+
+        // Emptying the entry block changes the block count: everything
+        // is rebuilt on next use.
+        func.items.drain(..2);
+        cache.invalidate(&func, Edits::Instructions);
         cache.with_loops(&func);
         assert_eq!((cache.builds.cfgs, cache.builds.loop_forests), (2, 2));
+        assert_eq!(cache.builds.cfgs_kept, 1);
+
+        // A layout edit drops everything.
+        cache.invalidate(&func, Edits::Layout);
+        cache.with_loops(&func);
+        assert_eq!((cache.builds.cfgs, cache.builds.loop_forests), (3, 3));
     }
 
     #[test]
@@ -252,7 +339,7 @@ mod tests {
         cache.with_loops(&func);
         // Deleting an item shifts the positions under the cached CFG.
         func.items.remove(0);
-        cache.invalidate(Edits::Operands);
+        cache.invalidate(&func, Edits::Operands);
         cache.assert_fresh(&func, "a mis-classified pass");
     }
 

@@ -18,7 +18,7 @@ use patmos_isa::{AluOp, CmpOp};
 use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::cache::Analyses;
-use crate::util::{commutative, copy_op, load_imm, Consts};
+use crate::util::{commutative, copy_op, load_imm, Consts, Scratch};
 
 /// 12-bit signed ALU immediate range.
 const ALU_IMM: std::ops::RangeInclusive<i32> = -2048..=2047;
@@ -155,16 +155,16 @@ fn structural_rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
 }
 
 /// Runs the pass over every block of one function.
-pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses, scratch: &mut Scratch) -> bool {
     let mut changed = false;
-    let mut consts = Consts::new();
+    let consts = &mut scratch.consts;
     for block in cache.with_cfg(func).blocks() {
         consts.clear();
         for &idx in block {
             let VItem::Inst(inst) = &mut func.items[idx] else {
                 unreachable!("blocks contain instruction indices only");
             };
-            if let Some(new_op) = rewrite(&inst.op, &consts) {
+            if let Some(new_op) = rewrite(&inst.op, consts) {
                 inst.op = new_op;
                 changed = true;
             }
@@ -199,7 +199,11 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert!(matches!(
             m.items[1],
             VItem::Inst(VInst {
@@ -221,7 +225,11 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert!(matches!(
             m.items[1],
             VItem::Inst(VInst {
@@ -252,7 +260,7 @@ mod tests {
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
         // The add must NOT fold: v1 is 0 or 7 depending on p1.
-        run(&mut m, &mut Analyses::default());
+        run(&mut m, &mut Analyses::default(), &mut Scratch::default());
         assert!(matches!(
             m.items[2],
             VItem::Inst(VInst {
@@ -273,7 +281,11 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert_eq!(
             crate::util::as_copy(match &m.items[0] {
                 VItem::Inst(i) => &i.op,
@@ -282,6 +294,10 @@ mod tests {
             Some((v(2), v(1)))
         );
         // Idempotent: the canonical copy is stable.
-        assert!(!run(&mut m, &mut Analyses::default()));
+        assert!(!run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
     }
 }

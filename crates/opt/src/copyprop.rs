@@ -19,14 +19,53 @@
 
 use patmos_lir::{Function, VItem, VReg, VRegSet};
 
-use crate::cache::Analyses;
-use crate::util::{self, as_copy, ByReg};
+use crate::cache::{Analyses, Edits};
+use crate::util::{self, as_copy, ByReg, Scratch};
+
+/// The passes' tables, kept in [`Scratch`] across applications.
+#[derive(Default)]
+pub(crate) struct Tables {
+    /// Uses per register (coalescing).
+    use_count: ByReg<u32>,
+    /// The copies in force (forwarding).
+    copies: Copies,
+    /// Definitions per register (global forwarding).
+    defs: ByReg<Defs>,
+    /// The copy each single-definition register is, and its resolved
+    /// source (global forwarding).
+    rewrite: ByReg<Option<VReg>>,
+    resolved: ByReg<Option<VReg>>,
+    /// The registers `rewrite` maps.
+    rewritten: Vec<VReg>,
+}
+
+impl Tables {
+    /// Tables with room for the registers `0..regs`.
+    pub(crate) fn with_regs(regs: usize) -> Tables {
+        Tables {
+            use_count: ByReg::with_regs(regs),
+            copies: Copies {
+                source: ByReg::with_regs(regs),
+                ..Copies::default()
+            },
+            defs: ByReg::with_regs(regs),
+            rewrite: ByReg::with_regs(regs),
+            resolved: ByReg::with_regs(regs),
+            rewritten: Vec::new(),
+        }
+    }
+}
 
 /// Coalesces `def src; copy dst = src` pairs with a single-use `src`.
-fn coalesce(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+fn coalesce(
+    func: &mut Function<VItem>,
+    cache: &mut Analyses,
+    use_count: &mut ByReg<u32>,
+    marked: &mut Vec<usize>,
+) -> bool {
     // Total use counts per virtual register in this function; a
     // guarded definition reads its destination (merge semantics).
-    let mut use_count: ByReg<u32> = ByReg::new();
+    use_count.clear();
     for item in &func.items {
         let VItem::Inst(inst) = item else { continue };
         for u in inst.op.uses().into_iter().flatten() {
@@ -40,7 +79,6 @@ fn coalesce(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
     }
     // Copy item indices to delete, in increasing order: a window's
     // copy can only be marked as the last entry.
-    let mut marked: Vec<usize> = Vec::new();
     for block in cache.with_cfg(func).blocks() {
         for pair in block.windows(2) {
             let (i, j) = (pair[0], pair[1]);
@@ -72,7 +110,7 @@ fn coalesce(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut func.items, &mut marked);
+    util::remove_marked(&mut func.items, marked);
     changed
 }
 
@@ -80,6 +118,7 @@ fn coalesce(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
 /// same value as its fully resolved source. A register table, plus a
 /// set of the registers some entry may resolve to, so a redefinition
 /// that is nobody's source costs no scan.
+#[derive(Default)]
 struct Copies {
     source: ByReg<Option<VReg>>,
     /// Every register given an entry in this block (some since
@@ -121,14 +160,13 @@ impl Copies {
 }
 
 /// Forwards copy sources into later uses; drops no-op copies.
-fn forward(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+fn forward(
+    func: &mut Function<VItem>,
+    cache: &mut Analyses,
+    copies: &mut Copies,
+    marked: &mut Vec<usize>,
+) -> bool {
     let mut changed = false;
-    let mut marked: Vec<usize> = Vec::new();
-    let mut copies = Copies {
-        source: ByReg::new(),
-        dsts: Vec::new(),
-        sources: VRegSet::default(),
-    };
     for block in cache.with_cfg(func).blocks() {
         copies.clear();
         for &idx in block {
@@ -160,18 +198,28 @@ fn forward(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
             }
         }
     }
-    util::remove_marked(&mut func.items, &mut marked);
+    util::remove_marked(&mut func.items, marked);
     changed
 }
 
-/// Runs coalescing then forwarding. Coalescing removes items, so the
-/// forward walk then needs the function's fresh layout.
-pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
-    let coalesced = coalesce(func, cache);
+/// Runs coalescing then forwarding. Coalescing removes copies, so the
+/// forward walk then needs the function's renumbered positions.
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses, scratch: &mut Scratch) -> bool {
+    let (tables, marked) = (&mut scratch.copyprop, &mut scratch.marked);
+    let coalesced = coalesce(func, cache, &mut tables.use_count, marked);
     if coalesced {
-        cache.invalidate(crate::cache::Edits::Layout);
+        cache.invalidate(func, Edits::Instructions);
     }
-    forward(func, cache) || coalesced
+    forward(func, cache, &mut tables.copies, marked) || coalesced
+}
+
+/// A register's definition count (saturating at 2: only "exactly one"
+/// matters) and whether every def is unguarded; a guarded def still
+/// counts (the merge makes the register multi-valued).
+#[derive(Clone, Copy, Default, PartialEq)]
+struct Defs {
+    count: u8,
+    guarded: bool,
 }
 
 /// Function-global copy forwarding over *single-definition* registers
@@ -186,22 +234,21 @@ pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
 /// value `src` ever holds, so the rewrite `dst → src` is sound in
 /// every block. Copy chains resolve transitively; the dead copies are
 /// left for DCE.
-pub(crate) fn run_global(func: &mut Function<VItem>) -> bool {
+pub(crate) fn run_global(func: &mut Function<VItem>, scratch: &mut Scratch) -> bool {
+    let Tables {
+        defs,
+        rewrite,
+        resolved,
+        rewritten,
+        ..
+    } = &mut scratch.copyprop;
     let insts = || {
         func.items.iter().filter_map(|item| match item {
             VItem::Inst(inst) => Some(inst),
             _ => None,
         })
     };
-    // Definition counts (saturating at 2: only "exactly one" matters)
-    // and whether every def is unguarded; a guarded def still counts
-    // (the merge makes the register multi-valued).
-    #[derive(Clone, Copy, Default, PartialEq)]
-    struct Defs {
-        count: u8,
-        guarded: bool,
-    }
-    let mut defs: ByReg<Defs> = ByReg::new();
+    defs.clear();
     for inst in insts() {
         if let Some(d) = inst.op.def() {
             let e = defs.slot(d);
@@ -215,8 +262,8 @@ pub(crate) fn run_global(func: &mut Function<VItem>) -> bool {
     };
     let single_always = |v: VReg| v.is_zero() || defs.get(v) == once;
 
-    let mut rewrite: ByReg<Option<VReg>> = ByReg::new();
-    let mut rewritten: Vec<VReg> = Vec::new();
+    rewrite.clear();
+    rewritten.clear();
     for inst in insts() {
         if !inst.guard.is_always() {
             continue;
@@ -244,8 +291,8 @@ pub(crate) fn run_global(func: &mut Function<VItem>) -> bool {
         }
         v
     };
-    let mut resolved: ByReg<Option<VReg>> = ByReg::new();
-    for &d in &rewritten {
+    resolved.clear();
+    for &d in rewritten.iter() {
         *resolved.slot(d) = Some(resolve(d));
     }
 
@@ -295,7 +342,11 @@ mod tests {
             VItem::Inst(VInst::always(util::copy_op(v(1), v(9)))),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert_eq!(m.items.len(), 2);
         assert!(matches!(
             &m.items[0],
@@ -322,7 +373,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        run(&mut m, &mut Analyses::default());
+        run(&mut m, &mut Analyses::default(), &mut Scratch::default());
         // v9 has two uses; the defining add must still target v9.
         assert!(matches!(
             &m.items[0],
@@ -348,7 +399,11 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         let src_of = |idx: usize| match &m.items[idx] {
             VItem::Inst(VInst {
                 op: VOp::CopyToPhys { src, .. },
@@ -372,7 +427,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        run(&mut m, &mut Analyses::default());
+        run(&mut m, &mut Analyses::default(), &mut Scratch::default());
         // The guarded merge copy must survive, and v1's use must not be
         // rewritten to v9.
         assert_eq!(m.items.len(), 4);

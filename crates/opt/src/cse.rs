@@ -18,7 +18,7 @@ use patmos_isa::{AccessSize, AluOp, MemArea};
 use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::cache::Analyses;
-use crate::util::{commutative, copy_op, ByReg};
+use crate::util::{commutative, copy_op, ByReg, Scratch};
 
 /// A multiplicative hasher (the `FxHash` scheme of rustc) for the
 /// expression keys: opcodes and register ids the compiler numbered
@@ -85,8 +85,8 @@ enum Key {
     Load(MemArea, AccessSize, VReg, i16),
 }
 
-/// The symbols one pass application has seen, so a symbol key is an
-/// index rather than a copy of the name.
+/// The symbols the pass has seen over one pipeline run, so a symbol key
+/// is an index rather than a copy of the name.
 #[derive(Default)]
 struct Symbols(Vec<String>);
 
@@ -171,6 +171,7 @@ struct Entry {
 /// or memory does not scan the table: it bumps a generation, and an
 /// entry recorded under an older generation of its holder, its operands
 /// or (for a load) memory is no longer available.
+#[derive(Default)]
 struct Avail {
     map: FxHashMap<Key, Entry>,
     /// Generation of each register; bumped by every def.
@@ -212,24 +213,51 @@ impl Avail {
     }
 }
 
+/// The pass's tables, kept in [`Scratch`] across applications.
+#[derive(Default)]
+pub(crate) struct Tables {
+    avail: Avail,
+    symbols: Symbols,
+}
+
+impl Tables {
+    /// Tables with room for the registers `0..regs`.
+    pub(crate) fn with_regs(regs: usize) -> Tables {
+        let avail = Avail {
+            gens: ByReg::with_regs(regs),
+            ..Avail::default()
+        };
+        Tables {
+            avail,
+            ..Tables::default()
+        }
+    }
+}
+
 /// Runs the pass over every block of one function.
-pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
-    run_with(func, cache, true)
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses, scratch: &mut Scratch) -> bool {
+    run_with(func, cache, &mut scratch.cse, true)
 }
 
 /// The shape-stable variant: no immediate-valued expression keys.
-pub(crate) fn run_shape_stable(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
-    run_with(func, cache, false)
+pub(crate) fn run_shape_stable(
+    func: &mut Function<VItem>,
+    cache: &mut Analyses,
+    scratch: &mut Scratch,
+) -> bool {
+    run_with(func, cache, &mut scratch.cse, false)
 }
 
-fn run_with(func: &mut Function<VItem>, cache: &mut Analyses, imm_keys: bool) -> bool {
+fn run_with(
+    func: &mut Function<VItem>,
+    cache: &mut Analyses,
+    tables: &mut Tables,
+    imm_keys: bool,
+) -> bool {
     let mut changed = false;
-    let mut avail = Avail {
-        map: FxHashMap::default(),
-        gens: ByReg::new(),
-        memory: 0,
-    };
-    let mut symbols = Symbols::default();
+    let Tables { avail, symbols } = tables;
+    avail.gens.clear();
+    avail.memory = 0;
     for block in cache.with_cfg(func).blocks() {
         avail.map.clear();
         for &idx in block {
@@ -264,7 +292,7 @@ fn run_with(func: &mut Function<VItem>, cache: &mut Analyses, imm_keys: bool) ->
                 avail.kill_reg(d);
                 continue;
             }
-            match Key::of(&inst.op, imm_keys, &mut symbols) {
+            match Key::of(&inst.op, imm_keys, symbols) {
                 Some(key) => {
                     let held = avail.get(&key);
                     if let Some(w) = held {
@@ -331,7 +359,11 @@ mod tests {
         items.extend(addr_calc(5, 6, 7, 1));
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
         let mut m = func(items);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         // The second lil/shl become copies immediately; the dependent
         // add follows once copy-prop has forwarded them (next round).
         for idx in [3, 4] {
@@ -343,9 +375,9 @@ mod tests {
                 "item {idx} should be a copy: {inst}"
             );
         }
-        crate::copyprop::run(&mut m, &mut Analyses::default());
+        crate::copyprop::run(&mut m, &mut Analyses::default(), &mut Scratch::default());
         assert!(
-            run(&mut m, &mut Analyses::default()),
+            run(&mut m, &mut Analyses::default(), &mut Scratch::default()),
             "second round collapses the dependent add"
         );
         let VItem::Inst(inst) = &m.items[5] else {
@@ -377,7 +409,11 @@ mod tests {
             load(4),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         // The reload after the store forwards the stored register.
         let VItem::Inst(inst) = &m.items[2] else {
             panic!()
@@ -409,7 +445,7 @@ mod tests {
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
         assert!(
-            !run(&mut m, &mut Analyses::default()),
+            !run(&mut m, &mut Analyses::default(), &mut Scratch::default()),
             "shl of the updated v1 must be recomputed"
         );
     }

@@ -7,15 +7,14 @@
 //! ABI copies and control flow are never touched; loads are (the PatC
 //! memory areas cannot fault, so a dead load only warms a cache).
 
-use patmos_lir::{Function, VItem, VRegSet};
+use patmos_lir::{Function, VItem};
 
 use crate::cache::Analyses;
-use crate::util;
+use crate::util::{self, Scratch};
 
 /// Runs the pass over one function.
-pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
-    let mut marked: Vec<usize> = Vec::new();
-    let mut live = VRegSet::default();
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses, scratch: &mut Scratch) -> bool {
+    let Scratch { marked, live, .. } = scratch;
     let cached = cache.with_liveness(func);
     let (positions, cfg, liveness) = (cached.positions(), cached.cfg(), cached.liveness());
     for (bi, block) in cfg.blocks.iter().enumerate() {
@@ -32,7 +31,7 @@ pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut func.items, &mut marked);
+    util::remove_marked(&mut func.items, marked);
     changed
 }
 
@@ -67,9 +66,17 @@ mod tests {
         );
         // One backward walk removes the whole dead chain: v2's death
         // is seen before v1's definition is reached.
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert_eq!(m.items.len(), 2);
-        assert!(!run(&mut m, &mut Analyses::default()));
+        assert!(!run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
     }
 
     #[test]
@@ -90,7 +97,7 @@ mod tests {
             ],
         );
         assert!(
-            !run(&mut m, &mut Analyses::default()),
+            !run(&mut m, &mut Analyses::default(), &mut Scratch::default()),
             "both writes feed the live result"
         );
         assert_eq!(m.items.len(), 4);
@@ -109,7 +116,11 @@ mod tests {
                 VItem::Inst(VInst::always(VOp::Halt)),
             ],
         );
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert_eq!(m.items.len(), 1, "both writes of the dead bool go");
     }
 }

@@ -34,12 +34,22 @@
 //! builds an analysis of its own. The pass table states once what each
 //! pass may edit: when an *operand-only* pass (const-prop, CSE,
 //! copy-prop-global) changes a function, the pass manager drops only that
-//! function's liveness; when any other pass does, it drops the whole
-//! cache. In debug builds the pass manager checks after every pass
-//! application that each cached analysis equals a fresh build.
-//! [`OptReport::passes`] counts every pass's applications, changes and
-//! host time, and [`OptReport::builds`] the analyses the caches built
-//! (`patmos-cli compile --time-passes` prints both).
+//! function's liveness; when an *instruction-only* pass (strength
+//! reduction, LICM, copy-prop, DCE: they insert, remove or move
+//! non-control instructions, never a label, branch, `ret`/`halt` or
+//! call) does, it also renumbers the positions and block extents in
+//! place and keeps the block graph, the dominator tree and the loop
+//! forest, unless the edit emptied a block or filled an empty gap
+//! between two labels or terminators; only the inliner and the unroller
+//! drop the whole cache. In debug builds the pass manager
+//! checks after every pass application that each cached analysis
+//! equals a fresh build. A function whose branch names an undefined
+//! label has no CFG: the pipeline leaves it untouched, and the register
+//! allocator reports it. The passes' own tables are reused across
+//! applications. [`OptReport::passes`] counts every pass's
+//! applications, changes and host time, and [`OptReport::builds`] the
+//! analyses the caches built and kept (`patmos-cli compile
+//! --time-passes` prints both).
 //!
 //! Level 2 ([`OptConfig::level`]) makes the pipeline *loop-aware*, over
 //! the dominator-tree and natural-loop-forest analyses of
@@ -181,6 +191,7 @@ use std::time::Instant;
 
 use cache::{Analyses, Edits};
 use patmos_lir::{Function, Remark, VItem, VModule};
+use util::Scratch;
 
 pub use cache::AnalysisBuilds;
 
@@ -330,10 +341,11 @@ fn count_insts(module: &VModule) -> usize {
 }
 
 /// A fixpoint pass entry point: rewrites one function, reading its
-/// analyses from the function's cache, and reports whether it changed.
-/// A pass that reports no change leaves the items untouched. The report
-/// is for remark emission; the scalar passes ignore it.
-type Pass = fn(&mut Function<VItem>, &mut Analyses, &mut OptReport) -> bool;
+/// analyses from the function's cache and filling the run's scratch
+/// tables, and reports whether it changed. A pass that reports no change
+/// leaves the items untouched. The report is for remark emission; the
+/// scalar passes ignore it.
+type Pass = fn(&mut Function<VItem>, &mut Analyses, &mut Scratch, &mut OptReport) -> bool;
 
 /// One entry of a pass table: the pass, and what it may edit when it
 /// reports a change — which decides the analyses the pass manager
@@ -348,42 +360,39 @@ const fn pass(name: &'static str, run: Pass, edits: Edits) -> PassEntry {
     PassEntry { name, run, edits }
 }
 
-// The scalar passes make no remark-worthy decisions; adapt their plain
-// signatures to the table type.
-fn constprop_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
-    constprop::run(f, c)
-}
-fn strength_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
-    strength::run(f, c)
-}
-fn cse_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
-    cse::run(f, c)
-}
-fn cse_shape_stable_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
-    cse::run_shape_stable(f, c)
-}
-fn copyprop_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
-    copyprop::run(f, c)
-}
-fn copyprop_global_pass(f: &mut Function<VItem>, _: &mut Analyses, _: &mut OptReport) -> bool {
-    copyprop::run_global(f)
-}
-fn dce_pass(f: &mut Function<VItem>, c: &mut Analyses, _: &mut OptReport) -> bool {
-    dce::run(f, c)
-}
-
 // Every pass, with the edit class it declares. Const-prop, both CSE
 // variants and copy-prop-global rewrite instructions in place and never
 // touch labels, branches, `ret`/`halt` or calls; strength reduction,
-// copy-prop and DCE delete items and LICM moves them.
-const CONST_PROP: PassEntry = pass("const-prop", constprop_pass, Edits::Operands);
-const STRENGTH: PassEntry = pass("strength-reduce", strength_pass, Edits::Layout);
-const CSE: PassEntry = pass("cse", cse_pass, Edits::Operands);
-const CSE_SHAPE_STABLE: PassEntry = pass("cse", cse_shape_stable_pass, Edits::Operands);
-const LICM: PassEntry = pass("licm", licm::run, Edits::Layout);
-const COPY_PROP: PassEntry = pass("copy-prop", copyprop_pass, Edits::Layout);
-const COPY_PROP_GLOBAL: PassEntry = pass("copy-prop-global", copyprop_global_pass, Edits::Operands);
-const DCE: PassEntry = pass("dce", dce_pass, Edits::Layout);
+// copy-prop and DCE delete non-control instructions and LICM moves them.
+// The scalar passes make no remark-worthy decisions and take no report.
+const CONST_PROP: PassEntry = pass(
+    "const-prop",
+    |f, c, s, _| constprop::run(f, c, s),
+    Edits::Operands,
+);
+const STRENGTH: PassEntry = pass(
+    "strength-reduce",
+    |f, c, s, _| strength::run(f, c, s),
+    Edits::Instructions,
+);
+const CSE: PassEntry = pass("cse", |f, c, s, _| cse::run(f, c, s), Edits::Operands);
+const CSE_SHAPE_STABLE: PassEntry = pass(
+    "cse",
+    |f, c, s, _| cse::run_shape_stable(f, c, s),
+    Edits::Operands,
+);
+const LICM: PassEntry = pass("licm", licm::run, Edits::Instructions);
+const COPY_PROP: PassEntry = pass(
+    "copy-prop",
+    |f, c, s, _| copyprop::run(f, c, s),
+    Edits::Instructions,
+);
+const COPY_PROP_GLOBAL: PassEntry = pass(
+    "copy-prop-global",
+    |f, _, s, _| copyprop::run_global(f, s),
+    Edits::Operands,
+);
+const DCE: PassEntry = pass("dce", |f, c, s, _| dce::run(f, c, s), Edits::Instructions);
 
 /// How to run the pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -450,8 +459,11 @@ const MAX_UNROLL_ROUNDS: u32 = 3;
 struct Run<'m> {
     module: &'m mut VModule,
     /// One analysis cache per entry of `module.funcs` (empty until the
-    /// inliner, which adds and drops functions, has run).
-    caches: Vec<Analyses>,
+    /// inliner, which adds and drops functions, has run); `None` for a
+    /// function with no CFG, which every pass leaves untouched.
+    caches: Vec<Option<Analyses>>,
+    /// The passes' tables, reused across applications.
+    scratch: Scratch,
     report: OptReport,
     /// When tracing, the module as the last change left it: the
     /// `before` of the next dump, since a pass that reports no change
@@ -479,7 +491,9 @@ impl Run<'_> {
     #[cfg(debug_assertions)]
     fn assert_caches_fresh(&self, pass: &str) {
         for (func, cache) in self.module.funcs.iter().zip(&self.caches) {
-            cache.assert_fresh(func, pass);
+            if let Some(cache) = cache {
+                cache.assert_fresh(func, pass);
+            }
         }
     }
 
@@ -494,17 +508,18 @@ impl Run<'_> {
             let mut changed = false;
             for entry in passes {
                 let started = Instant::now();
-                let mut changes = 0;
+                let (mut applications, mut changes) = (0, 0);
                 let funcs = self.module.funcs.iter_mut().zip(&mut self.caches);
                 for (func, cache) in funcs {
-                    if (entry.run)(func, cache, &mut self.report) {
+                    let Some(cache) = cache else { continue };
+                    applications += 1;
+                    if (entry.run)(func, cache, &mut self.scratch, &mut self.report) {
                         changes += 1;
-                        cache.invalidate(entry.edits);
+                        cache.invalidate(func, entry.edits);
                     }
                     #[cfg(debug_assertions)]
                     cache.assert_fresh(func, entry.name);
                 }
-                let applications = self.module.funcs.len() as u32;
                 self.report
                     .record(entry.name, applications, changes, started);
                 if changes > 0 {
@@ -553,6 +568,7 @@ fn run_pipeline(module: &mut VModule, config: OptConfig) -> OptReport {
         rendered: config.trace.then(|| module.render()),
         module,
         caches: Vec::new(),
+        scratch: Scratch::default(),
     };
 
     if loop_aware {
@@ -563,8 +579,9 @@ fn run_pipeline(module: &mut VModule, config: OptConfig) -> OptReport {
             run.dump(0, "inline");
         }
     }
-    run.caches
-        .resize_with(run.module.funcs.len(), Analyses::default);
+    run.caches = run.module.funcs.iter().map(Analyses::of).collect();
+    let regs = util::max_vreg(run.module.funcs.iter().flat_map(|f| &f.items)) as usize + 1;
+    run.scratch = Scratch::with_regs(regs);
 
     run.fixpoint(passes);
 
@@ -596,7 +613,7 @@ fn run_pipeline(module: &mut VModule, config: OptConfig) -> OptReport {
     }
 
     let mut report = run.report;
-    for cache in &run.caches {
+    for cache in run.caches.iter().flatten() {
         report.builds += cache.builds;
     }
     report.insts_after = count_insts(run.module);
@@ -771,6 +788,56 @@ mod tests {
             "pipeline oscillated:\n{}",
             m.render()
         );
+    }
+
+    #[test]
+    fn a_function_with_an_undefined_label_is_left_to_the_allocator() {
+        // `main` branches to a label it never defines, so it has no CFG:
+        // every pipeline leaves it as it is, the foldable `li`/`shl`
+        // pair included, and the register allocator reports the label.
+        let module = || VModule {
+            entry: "main".into(),
+            funcs: vec![Function::new(
+                "main",
+                vec![
+                    VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
+                    VItem::Inst(VInst::always(VOp::AluI {
+                        op: AluOp::Shl,
+                        rd: v(2),
+                        rs1: v(1),
+                        imm: 3,
+                    })),
+                    VItem::Inst(VInst::always(VOp::CopyToPhys {
+                        dst: Reg::R1,
+                        src: v(2),
+                    })),
+                    VItem::Inst(VInst::always(VOp::BrLabel("nowhere".into()))),
+                    VItem::Inst(VInst::always(VOp::Halt)),
+                ],
+            )],
+        };
+        for level in 1..=3 {
+            for shape_stable in [false, true] {
+                let mut m = module();
+                let config = OptConfig {
+                    level,
+                    shape_stable,
+                    ..OptConfig::default()
+                };
+                let report = optimize_with(&mut m, config);
+                assert_eq!(m.render(), module().render(), "level {level}");
+                assert_eq!(report.insts_after, report.insts_before);
+                let err = patmos_regalloc::regalloc(&patmos_regalloc::Policy::default(), &m)
+                    .expect_err("the branch has no target");
+                assert_eq!(
+                    err,
+                    patmos_regalloc::AllocError::UndefinedLabel {
+                        func: "main".into(),
+                        label: "nowhere".into(),
+                    }
+                );
+            }
+        }
     }
 
     #[test]

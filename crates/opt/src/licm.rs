@@ -31,7 +31,7 @@
 use patmos_lir::{BlockLiveness, FuncCode, Function, LoopForest, VCfg, VItem, VOp, VReg, VRegSet};
 
 use crate::cache::Analyses;
-use crate::util::ByReg;
+use crate::util::{ByReg, Scratch};
 
 /// One loop's planned hoists: the items move, in dependency order, to
 /// just before `insert_at`. The header label rides along for the
@@ -51,18 +51,51 @@ fn header_lead<'a>(func: &FuncCode<'a>, cfg: &VCfg, header: usize) -> patmos_lir
     patmos_lir::header_lead(func.items, func.insts[cfg.blocks[header].first])
 }
 
-/// The blocks that end in a branch, by target label: the branch
-/// sources of every label, sorted by label. A branch always ends its
-/// block, so the block's last position is the branch.
-fn branch_sources<'a>(func: &FuncCode<'a>, cfg: &VCfg) -> Vec<(&'a str, usize)> {
-    let mut sources: Vec<(&'a str, usize)> = (cfg.blocks.iter().enumerate())
-        .filter_map(|(b, block)| match &func.inst(block.end - 1).op {
-            VOp::BrLabel(label) => Some((label.as_str(), b)),
-            _ => None,
-        })
-        .collect();
-    sources.sort_unstable();
-    sources
+/// The blocks that end in a branch, as `(position, block)` of the
+/// branch, sorted by target label: the branch sources of every label. A
+/// branch always ends its block, so the block's last position is the
+/// branch.
+fn branch_sources(func: &FuncCode<'_>, cfg: &VCfg, sources: &mut Vec<(usize, usize)>) {
+    sources.clear();
+    sources.extend((cfg.blocks.iter().enumerate()).filter_map(|(b, block)| {
+        matches!(func.inst(block.end - 1).op, VOp::BrLabel(_)).then_some((block.end - 1, b))
+    }));
+    sources.sort_unstable_by(|&(p, b), &(q, c)| (target(func, p), b).cmp(&(target(func, q), c)));
+}
+
+/// The label the branch at position `pos` targets.
+fn target<'a>(func: &FuncCode<'a>, pos: usize) -> &'a str {
+    match &func.inst(pos).op {
+        VOp::BrLabel(label) => label,
+        _ => unreachable!("branch sources are branches"),
+    }
+}
+
+/// The planner's tables, kept in [`crate::util::Scratch`] across
+/// applications.
+#[derive(Default)]
+pub(crate) struct Tables {
+    /// The branch sources, from [`branch_sources`].
+    branches: Vec<(usize, usize)>,
+    /// Item indices already claimed by an inner loop's hoist.
+    taken: Vec<bool>,
+    /// Per loop: definitions per register, the positions marked
+    /// invariant, and their defs.
+    def_count: ByReg<u8>,
+    marked: Vec<bool>,
+    marked_defs: VRegSet,
+    /// Loop indices, innermost first.
+    order: Vec<usize>,
+}
+
+impl Tables {
+    /// Tables with room for the registers `0..regs`.
+    pub(crate) fn with_regs(regs: usize) -> Tables {
+        Tables {
+            def_count: ByReg::with_regs(regs),
+            ..Tables::default()
+        }
+    }
 }
 
 /// A memory area as a bit of a set of areas.
@@ -75,22 +108,31 @@ fn plan_function(
     cfg: &VCfg,
     forest: &LoopForest,
     liveness: &BlockLiveness,
+    tables: &mut Tables,
     hoists: &mut Vec<Hoist>,
 ) {
-    let branches = branch_sources(func, cfg);
-    // Item indices already claimed by an inner loop's hoist.
-    let mut taken = vec![false; func.items.len()];
+    let Tables {
+        branches,
+        taken,
+        def_count,
+        marked,
+        marked_defs,
+        order,
+    } = tables;
+    branch_sources(func, cfg, branches);
+    taken.clear();
+    taken.resize(func.items.len(), false);
     // Per-loop working sets, reset for each loop.
-    let mut def_count: ByReg<u8> = ByReg::new();
-    let mut marked = vec![false; func.insts.len()];
-    let mut marked_defs = VRegSet::default();
+    marked.clear();
+    marked.resize(func.insts.len(), false);
 
     // Innermost first: deepest loops claim their instructions before
     // the enclosing ones look.
-    let mut order: Vec<usize> = (0..forest.loops.len()).collect();
+    order.clear();
+    order.extend(0..forest.loops.len());
     order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
 
-    for li in order {
+    for &li in order.iter() {
         let lp = &forest.loops[li];
         let Some(label) = header_lead(func, cfg, lp.header).label else {
             continue;
@@ -101,10 +143,10 @@ fn plan_function(
         // header's lead run is a side entry the insertion point below
         // already keeps clear of, so only this label counts — which CFG
         // edges alone could not tell apart.)
-        let first = branches.partition_point(|&(l, _)| l < label);
+        let first = branches.partition_point(|&(p, _)| target(func, p) < label);
         let proper = branches[first..]
             .iter()
-            .take_while(|&&(l, _)| l == label)
+            .take_while(|&&(p, _)| target(func, p) == label)
             .all(|&(_, b)| lp.latches.contains(&b));
         if !proper {
             continue;
@@ -222,6 +264,7 @@ fn plan_function(
 pub(crate) fn run(
     func: &mut Function<VItem>,
     cache: &mut Analyses,
+    scratch: &mut Scratch,
     report: &mut crate::OptReport,
 ) -> bool {
     if cache.with_loops(func).forest().loops.is_empty() {
@@ -234,6 +277,7 @@ pub(crate) fn run(
         cached.cfg(),
         cached.forest(),
         cached.liveness(),
+        &mut scratch.licm,
         &mut hoists,
     );
     if hoists.is_empty() {
@@ -253,11 +297,16 @@ pub(crate) fn run(
     }
 
     // The hoisted items, by insertion point (hoists sharing one keep
-    // their planning order), and a mask of the items that move.
+    // their planning order), and a mask of the items that move. A moved
+    // item is taken out of the function, a placeholder left in its
+    // place.
     let mut insertions: Vec<(usize, Vec<VItem>)> = Vec::new();
     let mut moved = vec![false; func.items.len()];
     for h in &hoists {
-        let items: Vec<VItem> = h.items.iter().map(|&i| func.items[i].clone()).collect();
+        let placeholder = || VItem::LoopBound { min: 0, max: 0 };
+        let items: Vec<VItem> = (h.items.iter())
+            .map(|&i| std::mem::replace(&mut func.items[i], placeholder()))
+            .collect();
         for &i in &h.items {
             moved[i] = true;
         }
@@ -367,6 +416,7 @@ mod tests {
         assert!(run(
             &mut m,
             &mut Analyses::default(),
+            &mut Scratch::default(),
             &mut crate::OptReport::default()
         ));
         // The lil must now precede the .loopbound.
@@ -408,6 +458,7 @@ mod tests {
         assert!(!run(
             &mut m,
             &mut Analyses::default(),
+            &mut Scratch::default(),
             &mut crate::OptReport::default()
         ));
     }
@@ -431,6 +482,7 @@ mod tests {
             run(
                 &mut m,
                 &mut Analyses::default(),
+                &mut Scratch::default(),
                 &mut crate::OptReport::default()
             ),
             "the lil still hoists"
@@ -488,6 +540,7 @@ mod tests {
         assert!(run(
             &mut m,
             &mut Analyses::default(),
+            &mut Scratch::default(),
             &mut crate::OptReport::default()
         ));
         let join_at = m
@@ -560,6 +613,7 @@ mod tests {
             !run(
                 &mut m,
                 &mut Analyses::default(),
+                &mut Scratch::default(),
                 &mut crate::OptReport::default()
             ),
             "nothing may hoist:\n{before}"

@@ -19,7 +19,7 @@ use patmos_isa::SpecialReg;
 use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::cache::Analyses;
-use crate::util::{self, copy_op, load_imm, Consts};
+use crate::util::{self, copy_op, load_imm, Consts, Scratch};
 
 /// The replacement for `v * c` into `rd`, when one exists.
 fn reduce(rd: VReg, v: VReg, c: u32) -> Option<VOp> {
@@ -78,7 +78,7 @@ fn try_reduce_pair(
 }
 
 /// Runs the pass over every block of one function.
-pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
+pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses, scratch: &mut Scratch) -> bool {
     // Without a `mul` there is nothing to reduce; and a consumer of
     // `sh` would observe the deleted `mul`.
     let (mut has_mul, mut reads_sh) = (false, false);
@@ -96,13 +96,12 @@ pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
     if !has_mul || reads_sh {
         return false;
     }
-    let mut marked: Vec<usize> = Vec::new();
-    let mut consts = Consts::new();
+    let Scratch { marked, consts, .. } = scratch;
     for block in cache.with_cfg(func).blocks() {
         consts.clear();
         for (w, &i) in block.iter().enumerate() {
             if let Some(&j) = block.get(w + 1) {
-                try_reduce_pair(&mut func.items, i, j, &consts, &mut marked);
+                try_reduce_pair(&mut func.items, i, j, consts, marked);
             }
             // A deleted `mul` defines nothing; a rewritten `mfs` is
             // tracked in its new (possibly constant-loading) form.
@@ -113,7 +112,7 @@ pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses) -> bool {
         }
     }
     let changed = !marked.is_empty();
-    util::remove_marked(&mut func.items, &mut marked);
+    util::remove_marked(&mut func.items, marked);
     changed
 }
 
@@ -148,7 +147,11 @@ mod tests {
     #[test]
     fn power_of_two_becomes_shift() {
         let mut m = mul_by_const(8);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert_eq!(m.items.len(), 3, "the mul is gone");
         assert!(matches!(
             &m.items[1],
@@ -166,7 +169,11 @@ mod tests {
     #[test]
     fn non_power_of_two_is_kept() {
         let mut m = mul_by_const(7);
-        assert!(!run(&mut m, &mut Analyses::default()));
+        assert!(!run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert_eq!(m.items.len(), 4);
     }
 
@@ -180,13 +187,21 @@ mod tests {
                 ss: SpecialReg::Sh,
             })),
         );
-        assert!(!run(&mut m, &mut Analyses::default()));
+        assert!(!run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
     }
 
     #[test]
     fn mul_by_one_becomes_copy() {
         let mut m = mul_by_const(1);
-        assert!(run(&mut m, &mut Analyses::default()));
+        assert!(run(
+            &mut m,
+            &mut Analyses::default(),
+            &mut Scratch::default()
+        ));
         assert_eq!(
             crate::util::as_copy(match &m.items[1] {
                 VItem::Inst(i) => &i.op,

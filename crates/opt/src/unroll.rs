@@ -698,7 +698,7 @@ fn replicate(body: &[VItem], copies: i64, prefix: &str) -> Vec<VItem> {
 /// Tightening a `.loopbound` in place feeds no analysis and keeps them.
 pub(crate) fn run(
     module: &mut VModule,
-    caches: &mut [Analyses],
+    caches: &mut [Option<Analyses>],
     partial: bool,
     defer_pipelineable: bool,
     pressure: PressureEstimate,
@@ -713,6 +713,7 @@ pub(crate) fn run(
     // fallback dead (the guard provably passes).
     let mut tightens: Vec<(usize, String, usize, u32)> = Vec::new();
     for (fi, (func, cache)) in module.funcs.iter().zip(caches.iter_mut()).enumerate() {
+        let Some(cache) = cache else { continue };
         let cached = cache.with_loops(func);
         let (code, cfg, forest) = (
             FuncCode::new(func, cached.positions()),
@@ -777,7 +778,9 @@ pub(crate) fn run(
     // valid and fresh registers keep their layout-order numbering.
     plans.sort_by_key(|(fi, p, _)| std::cmp::Reverse((*fi, p.start)));
     for (fi, plan, scheme) in plans {
-        caches[fi].invalidate(Edits::Layout);
+        if let Some(cache) = &mut caches[fi] {
+            cache.invalidate(&module.funcs[fi], Edits::Layout);
+        }
         let Function { name, items } = &mut module.funcs[fi];
         let (kind, factor, trips) = match &scheme {
             Scheme::Full { trips } => (UnrollKind::Full, *trips, Some(*trips)),
@@ -934,7 +937,8 @@ mod tests {
     }
 
     fn run_with(m: &mut VModule, partial: bool, defer: bool) -> (bool, Vec<LoopUnroll>) {
-        let mut caches: Vec<Analyses> = m.funcs.iter().map(|_| Analyses::default()).collect();
+        let mut caches: Vec<Option<Analyses>> =
+            m.funcs.iter().map(|_| Some(Analyses::default())).collect();
         let mut report = crate::OptReport::default();
         let changed = run(
             m,

@@ -1,8 +1,45 @@
 //! Shared pass infrastructure: constant tracking, instruction
-//! builders, and item removal.
+//! builders, item removal, and the scratch tables the passes reuse.
 
 use patmos_isa::AluOp;
 use patmos_lir::{VInst, VItem, VOp, VReg, VRegSet};
+
+use crate::{copyprop, cse, licm};
+
+/// The tables the fixpoint passes fill, kept for a whole pipeline run:
+/// each pass application clears what it uses and keeps the storage, so
+/// a table grows to the largest function once instead of being
+/// allocated and grown again by every application.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Item indices to delete (strength reduction, copy-prop, DCE);
+    /// empty between uses.
+    pub(crate) marked: Vec<usize>,
+    /// Block-local constants (const-prop, strength reduction).
+    pub(crate) consts: Consts,
+    /// DCE's live set.
+    pub(crate) live: VRegSet,
+    pub(crate) cse: cse::Tables,
+    pub(crate) copyprop: copyprop::Tables,
+    pub(crate) licm: licm::Tables,
+}
+
+impl Scratch {
+    /// Scratch whose register tables hold the registers `0..regs`
+    /// without growing.
+    pub(crate) fn with_regs(regs: usize) -> Scratch {
+        Scratch {
+            consts: Consts {
+                values: ByReg::with_regs(regs),
+                ..Consts::default()
+            },
+            cse: cse::Tables::with_regs(regs),
+            copyprop: copyprop::Tables::with_regs(regs),
+            licm: licm::Tables::with_regs(regs),
+            ..Scratch::default()
+        }
+    }
+}
 
 /// The largest virtual-register id the items use (fresh registers are
 /// numbered past it).
@@ -19,8 +56,8 @@ pub(crate) fn max_vreg<'a>(items: impl IntoIterator<Item = &'a VItem>) -> u32 {
 }
 
 /// Removes the items at the `marked` indices (in any order) from
-/// `items`.
-pub(crate) fn remove_marked(items: &mut Vec<VItem>, marked: &mut [usize]) {
+/// `items`, and empties `marked`.
+pub(crate) fn remove_marked(items: &mut Vec<VItem>, marked: &mut Vec<usize>) {
     if marked.is_empty() {
         return;
     }
@@ -35,6 +72,7 @@ pub(crate) fn remove_marked(items: &mut Vec<VItem>, marked: &mut [usize]) {
         idx += 1;
         keep
     });
+    marked.clear();
 }
 
 /// Whether swapping the operands of `op` preserves the result.
@@ -84,11 +122,20 @@ pub(crate) fn as_copy(op: &VOp) -> Option<(VReg, VReg)> {
 /// id never written reads as `T::default()`.
 pub(crate) struct ByReg<T>(Vec<T>);
 
-impl<T: Copy + Default> ByReg<T> {
-    pub(crate) fn new() -> ByReg<T> {
+impl<T> Default for ByReg<T> {
+    fn default() -> ByReg<T> {
         ByReg(Vec::new())
     }
+}
 
+impl<T> ByReg<T> {
+    /// An empty table with room for the registers `0..regs`.
+    pub(crate) fn with_regs(regs: usize) -> ByReg<T> {
+        ByReg(Vec::with_capacity(regs))
+    }
+}
+
+impl<T: Copy + Default> ByReg<T> {
     pub(crate) fn get(&self, v: VReg) -> T {
         self.0.get(v.id() as usize).copied().unwrap_or_default()
     }
@@ -101,7 +148,7 @@ impl<T: Copy + Default> ByReg<T> {
         &mut self.0[id]
     }
 
-    /// Resets every entry to `T::default()`.
+    /// Resets every entry to `T::default()`, keeping the storage.
     pub(crate) fn clear(&mut self) {
         self.0.clear();
     }
@@ -112,19 +159,13 @@ impl<T: Copy + Default> ByReg<T> {
 /// definition of a register forgets it. A table indexed by register id,
 /// with a bitset of the known entries, so forgetting a whole block is a
 /// few word writes.
+#[derive(Default)]
 pub(crate) struct Consts {
     known: VRegSet,
     values: ByReg<u32>,
 }
 
 impl Consts {
-    pub(crate) fn new() -> Consts {
-        Consts {
-            known: VRegSet::default(),
-            values: ByReg::new(),
-        }
-    }
-
     /// The known value of `v`, if any (the zero alias is always 0).
     pub(crate) fn get(&self, v: VReg) -> Option<u32> {
         if v.is_zero() {

@@ -454,8 +454,9 @@ fn print_pass_times(artifacts: &CompileArtifacts) {
             }
             let b = report.builds;
             eprintln!(
-                "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness solve(s)",
-                b.cfgs, b.loop_forests, b.liveness
+                "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness \
+                 solve(s); kept across an edit: {} CFG(s), {} dominator tree / loop forest(s)",
+                b.cfgs, b.loop_forests, b.liveness, b.cfgs_kept, b.loop_forests_kept
             );
         }
     }

@@ -1,7 +1,7 @@
 //! `patmos-cli compile --time-passes` prints the mid-end's own work to
 //! stderr: one row per pass and then how many analyses the
-//! per-function cache built, then one row each for the list and the
-//! modulo scheduler. The rows and counts must agree with the library's
+//! per-function cache built and kept across an edit, then one row each
+//! for the list and the modulo scheduler. The rows and counts must agree with the library's
 //! `OptReport` and `SchedReport` for the same compile; the times are
 //! host dependent and not checked.
 
@@ -107,9 +107,11 @@ fn time_passes_prints_every_pass_and_the_cache_builds() {
     );
     let b = report.builds;
     assert!(b.cfgs > 0 && b.loop_forests > 0 && b.liveness > 0, "{b:?}");
+    assert!(b.cfgs_kept > 0 && b.loop_forests_kept > 0, "{b:?}");
     let builds = format!(
-        "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness solve(s)",
-        b.cfgs, b.loop_forests, b.liveness
+        "analyses built: {} CFG(s), {} dominator tree / loop forest(s), {} liveness solve(s); \
+         kept across an edit: {} CFG(s), {} dominator tree / loop forest(s)",
+        b.cfgs, b.loop_forests, b.liveness, b.cfgs_kept, b.loop_forests_kept
     );
     assert!(stderr.lines().any(|l| l == builds), "{stderr}");
 

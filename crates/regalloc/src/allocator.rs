@@ -67,6 +67,14 @@ pub enum AllocError {
         /// The function.
         func: String,
     },
+    /// A branch names a label its function does not define (the
+    /// compiler never emits one; a hand-built module can).
+    UndefinedLabel {
+        /// The function.
+        func: String,
+        /// The label the branch names.
+        label: String,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -83,6 +91,9 @@ impl fmt::Display for AllocError {
             }
             AllocError::GuardedReturn { func } => {
                 write!(f, "guarded return in `{func}` cannot be allocated")
+            }
+            AllocError::UndefinedLabel { func, label } => {
+                write!(f, "branch to undefined label `{label}` in `{func}`")
             }
         }
     }
@@ -362,7 +373,10 @@ fn run_func(
     func: &FuncCode<'_>,
     entry: &str,
 ) -> Result<(Vec<Item>, FuncAlloc), AllocError> {
-    let cfg = build_vcfg(func);
+    let cfg = build_vcfg(func).map_err(|e| AllocError::UndefinedLabel {
+        func: func.name.to_string(),
+        label: e.label,
+    })?;
     for &cp in &cfg.call_positions {
         if !func.inst(cp).guard.is_always() {
             return Err(AllocError::GuardedCall {

@@ -252,6 +252,29 @@ mod tests {
     }
 
     #[test]
+    fn undefined_branch_labels_are_rejected() {
+        let m = module(
+            "f",
+            vec![
+                VItem::Inst(VInst::always(VOp::BrLabel("nowhere".into()))),
+                VItem::Inst(VInst::always(VOp::Ret)),
+            ],
+        );
+        let err = alloc_linear(&m).expect_err("the branch has no target");
+        assert_eq!(
+            err,
+            AllocError::UndefinedLabel {
+                func: "f".into(),
+                label: "nowhere".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "branch to undefined label `nowhere` in `f`"
+        );
+    }
+
+    #[test]
     fn call_crossing_spills_are_not_double_counted_as_pressure() {
         // 30 values defined before a call and all used after it: every
         // one is live across the call, and the pool eviction pushes

@@ -133,8 +133,6 @@ pub struct Block {
     /// Marker statements emitted before the block's bundles
     /// (`.loopbound`, labels), in original order.
     pub head: Vec<Stmt>,
-    /// Labels naming this block (usually zero or one).
-    pub labels: Vec<String>,
     /// Whether a `.loopbound` annotation is attached to this block.
     pub has_loop_bound: bool,
     /// Straight-line body, terminator excluded.
@@ -147,11 +145,18 @@ impl Block {
     fn new() -> Block {
         Block {
             head: Vec::new(),
-            labels: Vec::new(),
             has_loop_bound: false,
             insts: Vec::new(),
             term: None,
         }
+    }
+
+    /// The labels naming this block (usually zero or one), in order.
+    pub fn labels(&self) -> impl Iterator<Item = &str> {
+        self.head.iter().filter_map(|stmt| match stmt {
+            Stmt::Label(label) => Some(label.as_str()),
+            _ => None,
+        })
     }
 
     fn is_trivial(&self) -> bool {
@@ -194,7 +199,7 @@ impl Func {
     pub fn block_of_label(&self, label: &str) -> Option<usize> {
         self.blocks
             .iter()
-            .position(|b| b.labels.iter().any(|l| l == label))
+            .position(|b| b.labels().any(|l| l == label))
     }
 
     /// How many branches of this function target `label`.
@@ -208,10 +213,10 @@ impl Func {
     }
 }
 
-/// Splits one function's linear items into basic blocks. Blocks begin
-/// at labels (a `.loopbound` binds to the label that follows it) and
-/// end at control transfers.
-pub fn split_blocks(func: &Function<Item>) -> Func {
+/// Splits one function's linear items into basic blocks, moving each
+/// item into its block. Blocks begin at labels (a `.loopbound` binds to
+/// the label that follows it) and end at control transfers.
+pub fn split_blocks(func: Function<Item>) -> Func {
     let mut blocks: Vec<Block> = Vec::new();
     let mut block = Block::new();
 
@@ -221,7 +226,8 @@ pub fn split_blocks(func: &Function<Item>) -> Func {
         }
     };
 
-    for item in &func.items {
+    let mut items = func.items.into_iter();
+    while let Some(item) = items.next() {
         match item {
             Item::Label(name) => {
                 // A label opens a new block unless the current one is
@@ -230,33 +236,35 @@ pub fn split_blocks(func: &Function<Item>) -> Func {
                 if !block.insts.is_empty() || block.term.is_some() {
                     flush_block(&mut block, &mut blocks);
                 }
-                block.head.push(Stmt::Label(name.clone()));
-                block.labels.push(name.clone());
+                block.head.push(Stmt::Label(name));
             }
             Item::LoopBound { min, max } => {
                 if !block.insts.is_empty() || block.term.is_some() {
                     flush_block(&mut block, &mut blocks);
                 }
-                block.head.push(Stmt::LoopBound {
-                    min: *min,
-                    max: *max,
-                });
+                block.head.push(Stmt::LoopBound { min, max });
                 block.has_loop_bound = true;
             }
+            Item::Inst(inst) if inst.op.is_flow() => {
+                block.term = Some(inst);
+                flush_block(&mut block, &mut blocks);
+            }
             Item::Inst(inst) => {
-                if inst.op.is_flow() {
-                    block.term = Some(inst.clone());
-                    flush_block(&mut block, &mut blocks);
-                } else {
-                    block.insts.push(inst.clone());
+                if block.insts.is_empty() {
+                    // Room for the whole straight-line run at once.
+                    let run = (items.as_slice().iter())
+                        .take_while(|item| matches!(item, Item::Inst(i) if !i.op.is_flow()))
+                        .count();
+                    block.insts.reserve_exact(run + 1);
                 }
+                block.insts.push(inst);
             }
         }
     }
     flush_block(&mut block, &mut blocks);
 
     Func {
-        name: func.name.clone(),
+        name: func.name,
         blocks,
     }
 }
@@ -437,13 +445,13 @@ mod tests {
                 Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
             ],
         );
-        let f = &split_blocks(&func);
+        let f = &split_blocks(func);
         assert_eq!(f.blocks.len(), 3);
         assert!(f.blocks[1].has_loop_bound);
-        assert_eq!(f.blocks[1].labels, vec!["head".to_string()]);
+        assert_eq!(f.blocks[1].labels().collect::<Vec<_>>(), ["head"]);
         assert!(f.blocks[1].term.is_some());
         assert!(
-            f.blocks[2].labels.is_empty(),
+            f.blocks[2].labels().next().is_none(),
             "fall-through block is anonymous"
         );
         assert_eq!(f.block_of_label("head"), Some(1));
@@ -463,7 +471,7 @@ mod tests {
                 Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
             ],
         );
-        let split = split_blocks(&func);
+        let split = split_blocks(func);
         let live = live_in_sets(&split);
         let exit = split.block_of_label("exit").expect("exists");
         assert!(live[exit].has_reg(Reg::from_index(8)), "r8 live into exit");
@@ -493,7 +501,7 @@ mod tests {
                 Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
             ],
         );
-        let live = live_in_sets(&split_blocks(&func));
+        let live = live_in_sets(&split_blocks(func));
         assert!(live[0].has_reg(Reg::from_index(9)));
         assert!(live[0].has_pred(Pred::P1));
     }

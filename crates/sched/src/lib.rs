@@ -306,16 +306,17 @@ fn nanos_since(start: Instant) -> u64 {
     start.elapsed().as_nanos() as u64
 }
 
-/// [`list::schedule_block`], with its DAG and host time booked in
-/// `report`.
+/// [`list::schedule_block`] in the module's `buffers`, with its DAG and
+/// host time booked in `report`.
 pub(crate) fn list_schedule(
     report: &mut SchedReport,
+    buffers: &mut list::Buffers,
     insts: &[LirInst],
     term: Option<&LirInst>,
     dual_issue: bool,
 ) -> list::BlockSchedule {
     let start = Instant::now();
-    let sched = list::schedule_block(insts, term, dual_issue);
+    let sched = list::schedule_block_in(buffers, insts, term, dual_issue);
     report.list_nanos += nanos_since(start);
     report.dags += 1;
     report.dag_ops += insts.len() as u64;
@@ -330,8 +331,9 @@ pub fn schedule_with_report(
 ) -> (ScheduledModule, SchedReport) {
     let mut funcs: Vec<Function<Stmt>> = Vec::with_capacity(module.funcs.len());
     let mut report = SchedReport::default();
+    let mut buffers = list::Buffers::default();
 
-    for lir_func in &module.funcs {
+    for lir_func in module.funcs {
         let func = &mut dag::split_blocks(lir_func);
         let mut items: Vec<Stmt> = Vec::new();
         // Live-ins are computed once per function. Hoisting only moves
@@ -364,6 +366,7 @@ pub fn schedule_with_report(
                     options.reuse_renaming,
                     &live_in,
                     &mut report,
+                    &mut buffers,
                 );
                 let nested = report.list_nanos - list_before;
                 report.modulo_nanos += nanos_since(start).saturating_sub(nested);
@@ -380,7 +383,7 @@ pub fn schedule_with_report(
                     });
                     let ops = func.blocks[bi].insts.len() + func.blocks[bi + 1].insts.len() + 2;
                     func_report.blocks.push(BlockReport {
-                        label: func.blocks[bi].labels.first().cloned(),
+                        label: func.blocks[bi].labels().next().map(str::to_string),
                         ops,
                         bundles: p.bundles,
                         critical_path: 0,
@@ -397,7 +400,13 @@ pub fn schedule_with_report(
             }
             let insts = std::mem::take(&mut func.blocks[bi].insts);
             let term = func.blocks[bi].term.clone();
-            let mut sched = list_schedule(&mut report, &insts, term.as_ref(), options.dual_issue);
+            let mut sched = list_schedule(
+                &mut report,
+                &mut buffers,
+                &insts,
+                term.as_ref(),
+                options.dual_issue,
+            );
 
             // Try to fill leftover shadow bundles from a successor.
             let mut hoisted = 0u32;
@@ -440,7 +449,7 @@ pub fn schedule_with_report(
                 None => 0,
             };
             func_report.blocks.push(BlockReport {
-                label: func.blocks[bi].labels.first().cloned(),
+                label: func.blocks[bi].labels().next().map(str::to_string),
                 ops: insts.len() + term.is_some() as usize,
                 bundles: sched.bundles.len(),
                 critical_path: sched.critical_path,
@@ -454,7 +463,7 @@ pub fn schedule_with_report(
             items.extend(sched.bundles.into_iter().map(bundle));
         }
         report.funcs.push(func_report);
-        funcs.push(Function::new(lir_func.name.clone(), items));
+        funcs.push(Function::new(std::mem::take(&mut func.name), items));
     }
 
     (
@@ -480,11 +489,7 @@ pub fn schedule_with_report(
 fn donor_index(func: &dag::Func, bi: usize, target: &str, uncond: bool) -> Option<usize> {
     if uncond {
         let ti = func.block_of_label(target)?;
-        let refs: usize = func.blocks[ti]
-            .labels
-            .iter()
-            .map(|l| func.label_refs(l))
-            .sum();
+        let refs: usize = func.blocks[ti].labels().map(|l| func.label_refs(l)).sum();
         let fall_through_entry = ti > 0 && func.blocks[ti - 1].falls_through();
         if ti > bi && refs == 1 && !fall_through_entry && !func.blocks[ti].has_loop_bound {
             Some(ti)
@@ -494,7 +499,7 @@ fn donor_index(func: &dag::Func, bi: usize, target: &str, uncond: bool) -> Optio
     } else {
         let di = bi + 1;
         if di < func.blocks.len()
-            && func.blocks[di].labels.is_empty()
+            && func.blocks[di].labels().next().is_none()
             && !func.blocks[di].has_loop_bound
         {
             Some(di)

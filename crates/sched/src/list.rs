@@ -80,6 +80,7 @@ fn fillable(term: &LirInst) -> bool {
 /// A block's dependence DAG in flat arrays: the successors of op `i`,
 /// each with its minimum bundle gap, are `succ[first[i]..first[i + 1]]`
 /// in program order, and `preds[i]` counts op `i`'s predecessors.
+#[derive(Default)]
 struct Dag {
     first: Vec<u32>,
     succ: Vec<(u32, u32)>,
@@ -87,23 +88,24 @@ struct Dag {
 }
 
 impl Dag {
-    /// Relates every ordered pair of the block's ops once.
-    fn build(deps: &[DepSummary]) -> Dag {
+    /// Relates every ordered pair of the block's ops once, replacing
+    /// the previous block's DAG.
+    fn build(&mut self, deps: &[DepSummary]) {
         let n = deps.len();
-        let mut first = Vec::with_capacity(n + 1);
-        let mut succ = Vec::new();
-        let mut preds = vec![0u32; n];
+        self.first.clear();
+        self.succ.clear();
+        self.preds.clear();
+        self.preds.resize(n, 0);
         for (i, a) in deps.iter().enumerate() {
-            first.push(succ.len() as u32);
+            self.first.push(self.succ.len() as u32);
             for (j, b) in deps.iter().enumerate().skip(i + 1) {
                 if let Some(gap) = dependence_gap(a, b) {
-                    succ.push((j as u32, gap));
-                    preds[j] += 1;
+                    self.succ.push((j as u32, gap));
+                    self.preds[j] += 1;
                 }
             }
         }
-        first.push(succ.len() as u32);
-        Dag { first, succ, preds }
+        self.first.push(self.succ.len() as u32);
     }
 
     fn succs(&self, i: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
@@ -115,6 +117,7 @@ impl Dag {
 /// The list scheduler's candidates: the unplaced ops whose
 /// predecessors are all placed, each ready from the latest of their
 /// gaps. Placing an op releases its successors.
+#[derive(Default)]
 struct Readiness {
     /// Per op, the predecessors not yet placed.
     unplaced_preds: Vec<u32>,
@@ -125,13 +128,15 @@ struct Readiness {
 }
 
 impl Readiness {
-    fn new(dag: &Dag) -> Readiness {
+    /// Starts over on `dag`, with every source op a candidate.
+    fn reset(&mut self, dag: &Dag) {
         let n = dag.preds.len();
-        Readiness {
-            unplaced_preds: dag.preds.clone(),
-            ready_at: vec![0; n],
-            avail: (0..n).filter(|&i| dag.preds[i] == 0).collect(),
-        }
+        self.unplaced_preds.clear();
+        self.unplaced_preds.extend_from_slice(&dag.preds);
+        self.ready_at.clear();
+        self.ready_at.resize(n, 0);
+        self.avail.clear();
+        self.avail.extend((0..n).filter(|&i| dag.preds[i] == 0));
     }
 
     /// Removes and returns the candidate ready by `cycle` that `fits`
@@ -171,19 +176,56 @@ impl Readiness {
     }
 }
 
+/// The list scheduler's working storage for one block — dependence
+/// summaries, the DAG, critical-path heights, the candidates and the
+/// cycle-by-cycle placement — kept across the blocks of a module, so
+/// each block clears it instead of allocating its own.
+#[derive(Default)]
+pub struct Buffers {
+    deps: Vec<DepSummary>,
+    dag: Dag,
+    height: Vec<u32>,
+    ready: Readiness,
+    /// Per op, its bundle.
+    sched: Vec<Option<u32>>,
+    /// Per bundle, the ops of its two slots.
+    cycles: Vec<(Option<usize>, Option<usize>)>,
+}
+
 /// Schedules one block's body plus terminator.
 pub fn schedule_block(
     insts: &[LirInst],
     term: Option<&LirInst>,
     dual_issue: bool,
 ) -> BlockSchedule {
+    schedule_block_in(&mut Buffers::default(), insts, term, dual_issue)
+}
+
+/// [`schedule_block`] in `buffers`, which it clears first: a module's
+/// blocks share one set.
+pub fn schedule_block_in(
+    buffers: &mut Buffers,
+    insts: &[LirInst],
+    term: Option<&LirInst>,
+    dual_issue: bool,
+) -> BlockSchedule {
+    let Buffers {
+        deps,
+        dag,
+        height,
+        ready,
+        sched,
+        cycles,
+    } = buffers;
     let n = insts.len();
-    let deps: Vec<DepSummary> = insts.iter().map(DepSummary::of).collect();
-    let dag = Dag::build(&deps);
+    deps.clear();
+    deps.extend(insts.iter().map(DepSummary::of));
+    dag.build(deps);
 
     // Critical-path heights: longest latency-weighted path to any sink,
     // including the residue each op owes past its own issue bundle.
-    let mut height: Vec<u32> = (0..n).map(|i| out_gap(&insts[i]).max(1)).collect();
+    height.clear();
+    height.extend(insts.iter().map(|inst| out_gap(inst).max(1)));
     for i in (0..n).rev() {
         for (j, gap) in dag.succs(i) {
             height[i] = height[i].max(gap + height[j]);
@@ -193,13 +235,15 @@ pub fn schedule_block(
     // Highest critical-path height wins; program order breaks ties
     // (deterministic, and shape-stable: priorities depend only on the
     // dependence structure, never on operand values).
+    let height = &*height;
     let beats = |i: usize, f: usize| height[i] > height[f] || (height[i] == height[f] && i < f);
     let beats = &beats;
 
     // Cycle-by-cycle list scheduling of the body.
-    let mut ready = Readiness::new(&dag);
-    let mut sched: Vec<Option<u32>> = vec![None; n];
-    let mut cycles: Vec<(Option<usize>, Option<usize>)> = Vec::new();
+    ready.reset(dag);
+    sched.clear();
+    sched.resize(n, None);
+    cycles.clear();
     let mut remaining = n;
     let mut paired = 0usize;
     while remaining > 0 {
@@ -212,7 +256,7 @@ pub fn schedule_block(
         // Slot one's successors are released before the second-slot
         // scan: a zero-gap WAR edge lets one share the bundle.
         sched[fi] = Some(cycle);
-        ready.release(&dag, fi, cycle);
+        ready.release(dag, fi, cycle);
         remaining -= 1;
 
         let mut second: Option<usize> = None;
@@ -229,7 +273,7 @@ pub fn schedule_block(
         }
         if let Some(sj) = second {
             sched[sj] = Some(cycle);
-            ready.release(&dag, sj, cycle);
+            ready.release(dag, sj, cycle);
             remaining -= 1;
             paired += 1;
         }
@@ -243,7 +287,6 @@ pub fn schedule_block(
     };
 
     let edges = dag.succ.len();
-    let mut bundles: Vec<(LirInst, Option<LirInst>)> = Vec::new();
     let residue_end = (0..n)
         .map(|i| sched[i].expect("all scheduled") + out_gap(&insts[i]))
         .max()
@@ -252,10 +295,10 @@ pub fn schedule_block(
     let Some(term) = term else {
         // Fall-through: pad the edge so trailing loads/muls are visible
         // before the next block's first bundle.
+        let total = residue_end.max(body_len) as usize;
+        let mut bundles = Vec::with_capacity(total);
         bundles.extend(cycles.iter().map(bundle_at));
-        while (bundles.len() as u32) < residue_end.max(body_len) {
-            bundles.push((nop(), None));
-        }
+        bundles.resize_with(total, || (nop(), None));
         return BlockSchedule {
             bundles,
             term_at: None,
@@ -279,20 +322,15 @@ pub fn schedule_block(
             .max()
             .unwrap_or(0)
             .max(body_len);
-        bundles.extend(cycles.iter().map(bundle_at));
-        while (bundles.len() as u32) < beta {
-            bundles.push((nop(), None));
-        }
-        let term_at = bundles.len();
-        bundles.push((term.clone(), None));
-        for _ in 0..delay {
-            bundles.push((nop(), None));
-        }
         // Residue past the delay slots (parity with the fall-through
         // rule; only reachable when the terminator can fall through).
-        while (bundles.len() as u32) < residue_end {
-            bundles.push((nop(), None));
-        }
+        let total = (beta + 1 + delay).max(residue_end) as usize;
+        let mut bundles = Vec::with_capacity(total);
+        bundles.extend(cycles.iter().map(bundle_at));
+        bundles.resize_with(beta as usize, || (nop(), None));
+        let term_at = bundles.len();
+        bundles.push((term.clone(), None));
+        bundles.resize_with(total, || (nop(), None));
         return BlockSchedule {
             bundles,
             term_at: Some(term_at),
@@ -329,20 +367,14 @@ pub fn schedule_block(
         beta += 1;
     }
 
-    for cycle in cycles.iter().take(beta.min(body_len) as usize) {
-        bundles.push(bundle_at(cycle));
-    }
-    while (bundles.len() as u32) < beta {
-        bundles.push((nop(), None));
-    }
+    let total = (body_len + 1).max(beta + 1 + delay) as usize;
+    let mut bundles = Vec::with_capacity(total);
+    bundles.extend(cycles.iter().take(beta as usize).map(bundle_at));
+    bundles.resize_with(beta as usize, || (nop(), None));
     let term_at = bundles.len();
     bundles.push((term.clone(), None));
-    for cycle in cycles.iter().skip(beta as usize) {
-        bundles.push(bundle_at(cycle));
-    }
-    while (bundles.len() as u32) < beta + 1 + delay {
-        bundles.push((nop(), None));
-    }
+    bundles.extend(cycles.iter().skip(beta as usize).map(bundle_at));
+    bundles.resize_with(total, || (nop(), None));
 
     BlockSchedule {
         bundles,

@@ -67,7 +67,7 @@ use patmos_isa::{AluOp, Guard, Op, Reg, ALLOC_POOL};
 use patmos_lir::plir::{CountedLoop, LirInst, LirOp, LoopBoundSrc};
 
 use crate::dag::{dependence_gap, out_gap, DepSummary, Func, LiveSet};
-use crate::list::BlockSchedule;
+use crate::list::{self, BlockSchedule};
 use crate::{bundle, list_schedule, LoopReport, SchedReport};
 
 /// Candidate initiation intervals are searched up to this bound; a
@@ -211,6 +211,7 @@ pub(crate) fn try_pipeline(
     reuse_renaming: bool,
     live_in: &[LiveSet],
     report: &mut SchedReport,
+    buffers: &mut list::Buffers,
 ) -> Option<Pipelined> {
     // ---- shape ----
     if h == 0 || h + 1 >= func.blocks.len() {
@@ -218,10 +219,11 @@ pub(crate) fn try_pipeline(
     }
     let hb = &func.blocks[h];
     let bb = &func.blocks[h + 1];
-    if hb.labels.len() != 1 || !hb.has_loop_bound {
+    let mut labels = hb.labels();
+    let (Some(label), None, true) = (labels.next(), labels.next(), hb.has_loop_bound) else {
         return None;
-    }
-    let label = hb.labels[0].clone();
+    };
+    let label = label.to_string();
     let refuse = |report: &mut SchedReport, message: String| {
         report.remarks.push(patmos_lir::Remark {
             pass: "modulo-sched",
@@ -240,7 +242,7 @@ pub(crate) fn try_pipeline(
     let LirOp::BrLabel(back_label) = &bterm.op else {
         return None;
     };
-    if back_label != &label || !bb.labels.is_empty() || bb.has_loop_bound {
+    if back_label != &label || bb.labels().next().is_some() || bb.has_loop_bound {
         return None;
     }
     if func.label_refs(&label) != 1 || func.block_of_label(exit_label).is_none() {
@@ -373,8 +375,8 @@ pub(crate) fn try_pipeline(
     // one-stage estimate passes can pay, so the search stops there.
     // The two schedules are also the fallback loop's.
     let fallback = [
-        list_schedule(report, &hb.insts, Some(hterm), dual_issue),
-        list_schedule(report, &bb.insts, Some(bterm), dual_issue),
+        list_schedule(report, buffers, &hb.insts, Some(hterm), dual_issue),
+        list_schedule(report, buffers, &bb.insts, Some(bterm), dual_issue),
     ];
     let baseline = fallback.iter().map(|s| s.bundles.len()).sum::<usize>();
     let (trips, baseline) = (max_ann.saturating_sub(1) as i64, baseline as i64);
@@ -1077,9 +1079,10 @@ mod tests {
     }
 
     fn pipeline(func: &Function<Item>) -> Option<Pipelined> {
-        let func = &crate::dag::split_blocks(func);
+        let func = &crate::dag::split_blocks(func.clone());
         let live = crate::dag::live_in_sets(func);
-        try_pipeline(func, 1, true, false, &live, &mut SchedReport::default())
+        let (report, buffers) = (&mut SchedReport::default(), &mut list::Buffers::default());
+        try_pipeline(func, 1, true, false, &live, report, buffers)
     }
 
     #[test]
@@ -1188,10 +1191,11 @@ mod tests {
         let mut m = counted_loop(61);
         let extra = (0..100).map(|k| Item::Inst(alu(11 + k % 10, 0, 0)));
         m.items.splice(10..10, extra);
-        let func = &crate::dag::split_blocks(&m);
+        let func = &crate::dag::split_blocks(m);
         let live = crate::dag::live_in_sets(func);
         let mut report = SchedReport::default();
-        assert!(try_pipeline(func, 1, true, false, &live, &mut report).is_none());
+        let buffers = &mut list::Buffers::default();
+        assert!(try_pipeline(func, 1, true, false, &live, &mut report, buffers).is_none());
         assert_eq!(report.remarks.len(), 1, "{:?}", report.remarks);
         let remark = &report.remarks[0];
         assert!(!remark.applied);

@@ -9,7 +9,9 @@
 //! with the reference on every ordered pair of a wide op pool, and on
 //! every generated block (1-150 operations over a handful of
 //! registers, every terminator kind, dual and single issue) in every
-//! field of the `BlockSchedule`. Whatever the schedule, each op is
+//! field of the `BlockSchedule`, whether scheduled in fresh buffers or
+//! in one set of `list::Buffers` reused across a test's blocks, as the
+//! driver reuses it across a module's. Whatever the schedule, each op is
 //! placed exactly once, every reference dependence gap holds between
 //! final bundle positions, and every visible-delay residue completes by
 //! the end of the block.
@@ -19,7 +21,7 @@ use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Op, Pred, PredOp, Pre
 use patmos_isa::{Reg, SpecialReg};
 use patmos_lir::plir::{LirInst, LirOp};
 use patmos_sched::dag::{dependence_gap, DepSummary};
-use patmos_sched::list::{schedule_block, BlockSchedule};
+use patmos_sched::list::{schedule_block, schedule_block_in, BlockSchedule, Buffers};
 
 /// An op in assembler syntax, for failure messages.
 fn show(op: &LirInst) -> AsmInst {
@@ -516,15 +518,26 @@ fn ref_schedule_block(
 
 // ---- the checks ----
 
-/// Schedules one generated block with the library and checks it
-/// against the reference: equal in every field, and legal under the
-/// reference relation.
-fn check_block(what: &str, body: &[LirInst], term: Option<&LirInst>, dual: bool) {
+/// Schedules one generated block with the library, in fresh buffers and
+/// in the reused `buffers`, and checks it against the reference: equal
+/// in every field, and legal under the reference relation.
+fn check_block(
+    buffers: &mut Buffers,
+    what: &str,
+    body: &[LirInst],
+    term: Option<&LirInst>,
+    dual: bool,
+) {
     let s = schedule_block(body, term, dual);
     assert_eq!(
         s,
         ref_schedule_block(body, term, dual),
         "{what}: differs from the reference"
+    );
+    assert_eq!(
+        schedule_block_in(buffers, body, term, dual),
+        s,
+        "{what}: reused buffers differ from fresh ones"
     );
     let n = body.len();
 
@@ -598,13 +611,14 @@ const KINDS: u64 = 6;
 #[test]
 fn generated_blocks_schedule_legally() {
     let mut rng = Rng(0x5eed_0f11_57a7);
+    let buffers = &mut Buffers::default();
     for case in 0..480u64 {
         let n = 1 + rng.below(60) as usize;
         let body: Vec<LirInst> = (0..n).map(|_| body_op(&mut rng)).collect();
         let term = terminator(case % KINDS, &mut rng);
         let dual = (case / KINDS) % 2 == 0;
         let what = format!("case {case}: {n} ops, terminator {term:?}, dual {dual}");
-        check_block(&what, &body, term.as_ref(), dual);
+        check_block(buffers, &what, &body, term.as_ref(), dual);
     }
 }
 
@@ -613,13 +627,14 @@ fn generated_blocks_schedule_legally() {
 #[test]
 fn large_generated_blocks_match_the_reference() {
     let mut rng = Rng(0x1a46_e0b1_0c75);
+    let buffers = &mut Buffers::default();
     for case in 0..48u64 {
         let n = 61 + rng.below(90) as usize;
         let body: Vec<LirInst> = (0..n).map(|_| wide_op(&mut rng)).collect();
         let term = terminator(case % KINDS, &mut rng);
         let dual = (case / KINDS) % 2 == 0;
         let what = format!("large case {case}: {n} ops, terminator {term:?}, dual {dual}");
-        check_block(&what, &body, term.as_ref(), dual);
+        check_block(buffers, &what, &body, term.as_ref(), dual);
     }
 }
 
