@@ -47,10 +47,49 @@ pub enum AsmInst {
 }
 
 impl AsmInst {
-    /// Words this instruction contributes when it is the only slot.
-    pub(crate) fn is_long(&self) -> bool {
-        matches!(self, AsmInst::LongImm { .. })
-            || matches!(self, AsmInst::Ready(i) if matches!(i.op, Op::LoadImm32 { .. }))
+    /// The ISA instruction this one encodes to, with its `br`/`call`
+    /// target or `lil` value read as 0: a `br` or `call` becomes
+    /// [`Op::Br`] or [`Op::Call`], a `lil` becomes [`Op::LoadImm32`]. A
+    /// symbol only ever fills an offset or an immediate, so what the
+    /// instruction reads, writes and delays, and which issue slots it may
+    /// take, are the shape's.
+    pub fn shape(&self) -> Inst {
+        match self {
+            AsmInst::Ready(inst) => *inst,
+            AsmInst::Flow { guard, call, .. } => {
+                let op = if *call {
+                    Op::Call { offset: 0 }
+                } else {
+                    Op::Br { offset: 0 }
+                };
+                Inst::new(*guard, op)
+            }
+            AsmInst::LongImm { guard, rd, .. } => {
+                Inst::new(*guard, Op::LoadImm32 { rd: *rd, imm: 0 })
+            }
+        }
+    }
+
+    /// Rewrites the registers the shape reads through `f`, as
+    /// [`Op::map_uses`] does.
+    pub fn map_uses(&mut self, f: impl FnMut(Reg) -> Reg) {
+        if let AsmInst::Ready(inst) = self {
+            inst.op.map_uses(f);
+        }
+    }
+
+    /// Redirects the register the shape writes to `new`, as
+    /// [`Op::set_def`] does: `false` when there is none, or only the link
+    /// register a call writes implicitly.
+    pub fn set_def(&mut self, new: Reg) -> bool {
+        match self {
+            AsmInst::Ready(inst) => inst.op.set_def(new),
+            AsmInst::LongImm { rd, .. } if !rd.is_zero() => {
+                *rd = new;
+                true
+            }
+            _ => false,
+        }
     }
 }
 

@@ -335,127 +335,20 @@ impl<'a> Parser<'a> {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.logical_or()
+        self.binary(0)
     }
 
-    fn logical_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.logical_and()?;
-        while self.eat(&Tok::OrOr) {
-            let rhs = self.logical_and()?;
-            lhs = Expr::Bin(BinOp::LogOr, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bit_or()?;
-        while self.eat(&Tok::AndAnd) {
-            let rhs = self.bit_or()?;
-            lhs = Expr::Bin(BinOp::LogAnd, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bit_xor()?;
-        while self.eat(&Tok::Pipe) {
-            let rhs = self.bit_xor()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bit_and()?;
-        while self.eat(&Tok::Caret) {
-            let rhs = self.bit_and()?;
-            lhs = Expr::Bin(BinOp::Xor, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality()?;
-        while self.eat(&Tok::Amp) {
-            let rhs = self.equality()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::EqEq) => BinOp::Eq,
-                Some(Tok::NotEq) => BinOp::Ne,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.relational()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.shift()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Lt) => BinOp::Lt,
-                Some(Tok::Le) => BinOp::Le,
-                Some(Tok::Gt) => BinOp::Gt,
-                Some(Tok::Ge) => BinOp::Ge,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.shift()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Shl) => BinOp::Shl,
-                Some(Tok::Shr) => BinOp::Shr,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.additive()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// A left-associative chain of operands joined by binary operators
+    /// of `min`'s level or tighter; each right operand binds one level
+    /// tighter than its operator.
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                Some(Tok::Percent) => BinOp::Rem,
-                _ => break,
-            };
+        while let Some((op, level)) = self.peek().and_then(binary_op) {
+            if level < min {
+                break;
+            }
             self.next();
-            let rhs = self.unary()?;
+            let rhs = self.binary(level + 1)?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -522,6 +415,33 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The binary operator a token spells and its level, loosest first, as
+/// in C: `||`, `&&`, `|`, `^`, `&`, equality, relational, shift,
+/// additive, multiplicative.
+fn binary_op(tok: &Tok<'_>) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::LogOr, 0),
+        Tok::AndAnd => (BinOp::LogAnd, 1),
+        Tok::Pipe => (BinOp::Or, 2),
+        Tok::Caret => (BinOp::Xor, 3),
+        Tok::Amp => (BinOp::And, 4),
+        Tok::EqEq => (BinOp::Eq, 5),
+        Tok::NotEq => (BinOp::Ne, 5),
+        Tok::Lt => (BinOp::Lt, 6),
+        Tok::Le => (BinOp::Le, 6),
+        Tok::Gt => (BinOp::Gt, 6),
+        Tok::Ge => (BinOp::Ge, 6),
+        Tok::Shl => (BinOp::Shl, 7),
+        Tok::Shr => (BinOp::Shr, 7),
+        Tok::Plus => (BinOp::Add, 8),
+        Tok::Minus => (BinOp::Sub, 8),
+        Tok::Star => (BinOp::Mul, 9),
+        Tok::Slash => (BinOp::Div, 9),
+        Tok::Percent => (BinOp::Rem, 9),
+        _ => return None,
+    })
+}
+
 /// Parses a PatC translation unit.
 ///
 /// # Errors
@@ -570,6 +490,28 @@ mod tests {
         };
         // Top-level operator is &&.
         assert!(matches!(e, Expr::Bin(BinOp::LogAnd, _, _)));
+
+        // All ten levels, each operator once looser and once tighter
+        // than its neighbours, and left-associative within a level.
+        fn paren(e: &Expr) -> String {
+            match e {
+                Expr::Lit(v) => v.to_string(),
+                Expr::Bin(op, l, r) => format!("({} {op:?} {})", paren(l), paren(r)),
+                _ => panic!("unexpected {e:?}"),
+            }
+        }
+        let src = "int main() { return 1 || 2 && 3 | 4 ^ 5 & 6 == 7 < 8 << 9 + 10 * 11 \
+                   % 12 - 13 >> 14 >= 15 != 16 & 17 ^ 18 | 19 && 20 || 21; }";
+        let p = parse(src).expect("parses");
+        let Stmt::Return(e) = &p.functions[0].body[0] else {
+            panic!("return")
+        };
+        assert_eq!(
+            paren(e),
+            "((1 LogOr ((2 LogAnd ((3 Or ((4 Xor ((5 And ((6 Eq ((7 Lt ((8 Shl ((9 Add \
+             ((10 Mul 11) Rem 12)) Sub 13)) Shr 14)) Ge 15)) Ne 16)) And 17)) Xor 18)) \
+             Or 19)) LogAnd 20)) LogOr 21)"
+        );
     }
 
     #[test]

@@ -96,26 +96,27 @@ mod tests {
     //! every level runs: pairing, dependence gaps, memory order, delay
     //! slots and fall-through padding.
 
-    use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Pred, Reg, SpecialReg};
-    use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+    use patmos_asm::{AsmInst, Operand};
+    use patmos_isa::{AccessSize, AluOp, Guard, Inst, MemArea, Op, Pred, Reg, SpecialReg};
+    use patmos_lir::plir::{Item, Module};
     use patmos_lir::Function;
     use patmos_sched::SchedOptions;
 
     use crate::srcmap::SourceMap;
 
     fn alu(rd: u8, rs1: u8, rs2: u8) -> Item {
-        Item::Inst(LirInst::always(LirOp::Real(Op::AluR {
+        op(Op::AluR {
             op: AluOp::Add,
             rd: Reg::from_index(rd),
             rs1: Reg::from_index(rs1),
             rs2: Reg::from_index(rs2),
-        })))
+        })
     }
 
     fn mem(store: bool, reg: u8) -> Item {
         let (area, size, ra, offset) = (MemArea::Stack, AccessSize::Word, Reg::R0, 1);
         let r = Reg::from_index(reg);
-        Item::Inst(LirInst::always(LirOp::Real(if store {
+        op(if store {
             Op::Store {
                 area,
                 size,
@@ -131,15 +132,19 @@ mod tests {
                 ra,
                 offset,
             }
-        })))
+        })
     }
 
     fn op(op: Op) -> Item {
-        Item::Inst(LirInst::always(LirOp::Real(op)))
+        Item::Inst(AsmInst::Ready(Inst::always(op)))
     }
 
     fn branch(guard: Guard) -> Item {
-        Item::Inst(LirInst::new(guard, LirOp::BrLabel("x".into())))
+        Item::Inst(AsmInst::Flow {
+            guard,
+            call: false,
+            target: Operand::Sym("x".into()),
+        })
     }
 
     /// Schedules `items` as one function body and returns the lowered

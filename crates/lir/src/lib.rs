@@ -31,7 +31,7 @@
 //!   (`patmos-cli compile --dump-cfg`);
 //! * [`plir`] — the *physical* LIR over machine registers that the
 //!   register allocator emits and the VLIW scheduler (`patmos-sched`)
-//!   consumes ([`plir::LirOp`], [`plir::LirInst`], [`plir::Item`],
+//!   consumes ([`plir::Item`]s of the assembler's [`plir::AsmInst`],
 //!   [`plir::Module`]).
 //!
 //! The virtual side deliberately knows nothing about physical registers

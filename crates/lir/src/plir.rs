@@ -2,213 +2,18 @@
 //! with labels and data symbols still unresolved.
 //!
 //! This is what the register allocator (`patmos-regalloc`) produces and
-//! the VLIW scheduler (`patmos-sched`) consumes: real [`patmos_isa::Op`]
-//! operations (plus label/symbol pseudo-ops) in linear [`Item`] order,
-//! one item list per function of a [`Module`]. The query surface on
-//! [`LirOp`] (defs, uses, ordering classes, visible-delay gaps) is the
-//! single source of truth the scheduler's dependence analysis is built
-//! on. A scheduled instruction becomes the assembler's
-//! [`patmos_asm::AsmInst`] through its `From<LirInst>`, the one spelling
-//! of a physical instruction.
+//! the VLIW scheduler (`patmos-sched`) consumes: the assembler's
+//! [`AsmInst`]s, one spelling of a physical instruction from the
+//! allocator to the linker, in linear [`Item`] order, one item list per
+//! function of a [`Module`]. A `br`, `call` or `lil` may still name a
+//! label, function or data symbol; every question the scheduler's
+//! dependence analysis asks (defs, uses, ordering classes, issue slots,
+//! visible-delay gaps) goes to the ISA through [`AsmInst::shape`].
 
-use patmos_asm::{AsmInst, Operand};
-use patmos_isa::{Guard, Inst, Op, Pred, Reg};
+pub use patmos_asm::{AsmInst, Operand};
+use patmos_isa::{Inst, Op, Pred, Reg};
 
 use crate::Function;
-
-/// A low-level operation: either a fully resolved ISA operation or one
-/// that still references a label or data symbol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LirOp {
-    /// A resolved ISA operation.
-    Real(Op),
-    /// A branch to a label within the same function.
-    BrLabel(String),
-    /// A direct call to a function by name.
-    CallFunc(String),
-    /// `lil rd = symbol`.
-    LilSym(Reg, String),
-}
-
-impl LirOp {
-    /// The general-purpose register defined, mirroring [`Op::def`].
-    pub fn def(&self) -> Option<Reg> {
-        match self {
-            LirOp::Real(op) => op.def(),
-            LirOp::BrLabel(_) => None,
-            LirOp::CallFunc(_) => Some(patmos_isa::LINK_REG),
-            LirOp::LilSym(rd, _) => (!rd.is_zero()).then_some(*rd),
-        }
-    }
-
-    /// Registers read, mirroring [`Op::uses`].
-    pub fn uses(&self) -> [Option<Reg>; 2] {
-        match self {
-            LirOp::Real(op) => op.uses(),
-            _ => [None, None],
-        }
-    }
-
-    /// Rewrites the registers [`LirOp::uses`] reports through `f`,
-    /// mirroring [`Op::map_uses`].
-    pub fn map_uses(&mut self, f: impl FnMut(Reg) -> Reg) {
-        if let LirOp::Real(op) = self {
-            op.map_uses(f);
-        }
-    }
-
-    /// Redirects the register [`LirOp::def`] reports to `new`, mirroring
-    /// [`Op::set_def`]: `false` when there is none, or only the link
-    /// register a call writes implicitly.
-    pub fn set_def(&mut self, new: Reg) -> bool {
-        match self {
-            LirOp::Real(op) => op.set_def(new),
-            LirOp::LilSym(rd, _) if !rd.is_zero() => {
-                *rd = new;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The predicate defined, mirroring [`Op::pred_def`].
-    pub fn pred_def(&self) -> Option<Pred> {
-        match self {
-            LirOp::Real(op) => op.pred_def(),
-            _ => None,
-        }
-    }
-
-    /// Predicates read by the operation body.
-    pub fn pred_uses(&self) -> [Option<Pred>; 2] {
-        match self {
-            LirOp::Real(op) => op.pred_uses(),
-            _ => [None, None],
-        }
-    }
-
-    /// Whether this is a control transfer (ends a schedulable block).
-    pub fn is_flow(&self) -> bool {
-        match self {
-            LirOp::Real(op) => op.is_flow(),
-            LirOp::BrLabel(_) | LirOp::CallFunc(_) => true,
-            LirOp::LilSym(..) => false,
-        }
-    }
-
-    /// Whether this is a memory or stack-control operation whose order
-    /// must be preserved.
-    pub fn is_ordered(&self) -> bool {
-        match self {
-            LirOp::Real(op) => op.is_memory() || op.is_stack_control(),
-            _ => false,
-        }
-    }
-
-    /// Whether this op may go in the second issue slot.
-    pub fn allowed_in_second_slot(&self) -> bool {
-        match self {
-            LirOp::Real(op) => op.allowed_in_second_slot(),
-            _ => false,
-        }
-    }
-
-    /// Whether this op occupies a whole bundle (`lil`).
-    pub fn is_long(&self) -> bool {
-        matches!(self, LirOp::LilSym(..)) || matches!(self, LirOp::Real(Op::LoadImm32 { .. }))
-    }
-
-    /// Whether this op writes `sl`/`sh` (the multiply unit).
-    pub fn writes_mul(&self) -> bool {
-        matches!(self, LirOp::Real(Op::Mul { .. }))
-    }
-
-    /// Whether this op reads `sl`/`sh`.
-    pub fn reads_mul(&self) -> bool {
-        matches!(
-            self,
-            LirOp::Real(Op::Mfs {
-                ss: patmos_isa::SpecialReg::Sl | patmos_isa::SpecialReg::Sh,
-                ..
-            })
-        )
-    }
-
-    /// The extra bundle gap a consumer of this op's register result must
-    /// respect (loads deliver late).
-    pub fn def_gap(&self) -> u32 {
-        match self {
-            LirOp::Real(Op::Load { .. }) => 1 + patmos_isa::timing::LOAD_USE_GAP,
-            _ => 1,
-        }
-    }
-
-    /// Delay slots this op exposes when it is a flow op with `guard`.
-    pub fn delay_slots(&self, guard: Guard) -> u32 {
-        match self {
-            LirOp::Real(op) => patmos_isa::Inst::new(guard, *op).delay_slots(),
-            LirOp::BrLabel(_) | LirOp::CallFunc(_) => {
-                if guard.is_always() {
-                    patmos_isa::timing::BRANCH_DELAY_UNCOND
-                } else {
-                    patmos_isa::timing::BRANCH_DELAY_COND
-                }
-            }
-            LirOp::LilSym(..) => 0,
-        }
-    }
-}
-
-/// A guarded LIR instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LirInst {
-    /// The guard.
-    pub guard: Guard,
-    /// The operation.
-    pub op: LirOp,
-}
-
-impl LirInst {
-    /// An unconditional instruction.
-    pub fn always(op: LirOp) -> LirInst {
-        LirInst {
-            guard: Guard::ALWAYS,
-            op,
-        }
-    }
-
-    /// A guarded instruction.
-    pub fn new(guard: Guard, op: LirOp) -> LirInst {
-        LirInst { guard, op }
-    }
-}
-
-/// The instruction as the assembler reads its text: a numeric `br` or
-/// `call` operand is an absolute word, so a resolved branch or call
-/// becomes a flow instruction whose target is its offset, exactly as
-/// `Inst`'s rendering would parse.
-impl From<LirInst> for AsmInst {
-    fn from(inst: LirInst) -> AsmInst {
-        let guard = inst.guard;
-        let flow = |call: bool, target: Operand| AsmInst::Flow {
-            guard,
-            call,
-            target,
-        };
-        match inst.op {
-            LirOp::Real(Op::Br { offset }) => flow(false, Operand::Val(offset.into())),
-            LirOp::Real(Op::Call { offset }) => flow(true, Operand::Val(offset.into())),
-            LirOp::Real(op) => AsmInst::Ready(Inst::new(guard, op)),
-            LirOp::BrLabel(label) => flow(false, Operand::Sym(label)),
-            LirOp::CallFunc(func) => flow(true, Operand::Sym(func)),
-            LirOp::LilSym(rd, sym) => AsmInst::LongImm {
-                guard,
-                rd,
-                value: Operand::Sym(sym),
-            },
-        }
-    }
-}
 
 /// The bound operand of a counted loop's header compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,43 +55,48 @@ impl CountedLoop {
     /// Recognises the canonical counted-loop shape over a header block
     /// (instructions + conditional exit branch) and a body block
     /// (instructions + unconditional back branch). Returns `None` for
-    /// anything the pipeliner cannot reason about: a register bound,
-    /// extra header work, a body that touches the exit predicate or
+    /// anything the pipeliner cannot reason about: a register bound the
+    /// body writes, extra header work, a body that touches the exit predicate or
     /// the stack frame, special-register traffic beyond the multiply
     /// unit, or a non-canonical induction update.
     pub fn recognize(
-        header: &[LirInst],
-        header_term: &LirInst,
-        body: &[LirInst],
-        body_term: &LirInst,
+        header: &[AsmInst],
+        header_term: &AsmInst,
+        body: &[AsmInst],
+        body_term: &AsmInst,
     ) -> Option<CountedLoop> {
         // Header: exactly the compare, then the guarded exit branch.
         let [cmp] = header else { return None };
-        let (cmp_op, pd, vi, bound) = match &cmp.op {
-            LirOp::Real(Op::CmpI {
+        let cmp = cmp.shape();
+        let (cmp_op, pd, vi, bound) = match cmp.op {
+            Op::CmpI {
                 op: op @ (patmos_isa::CmpOp::Lt | patmos_isa::CmpOp::Le),
                 pd,
                 rs1,
                 imm,
-            }) => (*op, *pd, *rs1, LoopBoundSrc::Imm(*imm)),
-            LirOp::Real(Op::Cmp {
+            } => (op, pd, rs1, LoopBoundSrc::Imm(imm)),
+            Op::Cmp {
                 op: op @ (patmos_isa::CmpOp::Lt | patmos_isa::CmpOp::Le),
                 pd,
                 rs1,
                 rs2,
-            }) if rs2 != rs1 => (*op, *pd, *rs1, LoopBoundSrc::Reg(*rs2)),
+            } if rs2 != rs1 => (op, pd, rs1, LoopBoundSrc::Reg(rs2)),
             _ => return None,
         };
         if !cmp.guard.is_always() || vi.is_zero() {
             return None;
         }
-        if !(matches!(&header_term.op, LirOp::BrLabel(_))
-            && header_term.guard.negate
-            && header_term.guard.pred == pd)
-        {
-            return None;
-        }
-        if !matches!(&body_term.op, LirOp::BrLabel(_)) || !body_term.guard.is_always() {
+        // The exit and back branches name their labels.
+        let branch_guard = |inst: &AsmInst| match inst {
+            AsmInst::Flow {
+                guard,
+                call: false,
+                target: Operand::Sym(_),
+            } => Some(*guard),
+            _ => None,
+        };
+        let (exit, back) = (branch_guard(header_term)?, branch_guard(body_term)?);
+        if !(exit.negate && exit.pred == pd && back.is_always()) {
             return None;
         }
 
@@ -295,14 +105,8 @@ impl CountedLoop {
         // predicate, and only canonical induction updates (one per
         // unrolled copy; their steps sum).
         let mut step: i32 = 0;
-        for inst in body.iter() {
-            let op = match &inst.op {
-                LirOp::Real(op) => op,
-                LirOp::LilSym(..) => {
-                    continue;
-                }
-                LirOp::BrLabel(_) | LirOp::CallFunc(_) => return None,
-            };
+        for inst in body {
+            let Inst { guard, op } = inst.shape();
             if op.is_flow() || op.is_stack_control() {
                 return None;
             }
@@ -316,27 +120,27 @@ impl CountedLoop {
                 _ => {}
             }
             // The exit predicate belongs to the header compare alone.
-            if inst.op.pred_def() == Some(pd)
-                || inst.op.pred_uses().into_iter().flatten().any(|p| p == pd)
-                || (!inst.guard.is_always() && inst.guard.pred == pd)
+            if op.pred_def() == Some(pd)
+                || op.pred_uses().into_iter().flatten().any(|p| p == pd)
+                || (!guard.is_always() && guard.pred == pd)
             {
                 return None;
             }
             // A register bound must be loop-invariant.
             if let LoopBoundSrc::Reg(k) = bound {
-                if inst.op.def() == Some(k) {
+                if op.def() == Some(k) {
                     return None;
                 }
             }
-            if inst.op.def() == Some(vi) {
+            if op.def() == Some(vi) {
                 match op {
                     Op::AluI {
                         op: patmos_isa::AluOp::Add,
                         rs1,
                         imm,
                         ..
-                    } if *rs1 == vi && inst.guard.is_always() && *imm > 0 => {
-                        step += *imm as i32;
+                    } if rs1 == vi && guard.is_always() && imm > 0 => {
+                        step += imm as i32;
                     }
                     _ => return None,
                 }
@@ -368,7 +172,7 @@ pub enum Item {
         max: u32,
     },
     /// An instruction.
-    Inst(LirInst),
+    Inst(AsmInst),
 }
 
 /// A compiled module: its functions and its entry.
@@ -383,40 +187,58 @@ pub struct Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AluOp, Op};
+    use patmos_isa::{AluOp, Guard};
+
+    /// A `br` to `label` under `guard`.
+    fn br(guard: Guard, label: &str) -> AsmInst {
+        AsmInst::Flow {
+            guard,
+            call: false,
+            target: Operand::Sym(label.into()),
+        }
+    }
+
+    /// A `lil rd = sym` under `guard`.
+    fn lil(guard: Guard, rd: u8) -> AsmInst {
+        AsmInst::LongImm {
+            guard,
+            rd: Reg::from_index(rd),
+            value: Operand::Sym("table".into()),
+        }
+    }
 
     #[test]
     fn render_matches_assembler_syntax() {
-        let i = LirInst::always(LirOp::Real(Op::AluI {
+        let i = AsmInst::Ready(Inst::always(Op::AluI {
             op: AluOp::Add,
             rd: Reg::R3,
             rs1: Reg::R3,
             imm: 1,
         }));
-        assert_eq!(AsmInst::from(i).to_string(), "addi r3 = r3, 1");
-        let b = LirInst::new(Guard::unless(Pred::P6), LirOp::BrLabel("f_L1".into()));
-        assert_eq!(AsmInst::from(b).to_string(), "(!p6) br f_L1");
+        assert_eq!(i.to_string(), "addi r3 = r3, 1");
+        let b = br(Guard::unless(Pred::P6), "f_L1");
+        assert_eq!(b.to_string(), "(!p6) br f_L1");
     }
 
     #[test]
     fn counted_loop_recognition() {
-        use patmos_isa::{AluOp, CmpOp, Guard};
-        let cmp = LirInst::always(LirOp::Real(Op::CmpI {
+        use patmos_isa::CmpOp;
+        let cmp = AsmInst::Ready(Inst::always(Op::CmpI {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: Reg::from_index(7),
             imm: 60,
         }));
-        let exit_br = LirInst::new(Guard::unless(Pred::P6), LirOp::BrLabel("exit".into()));
+        let exit_br = br(Guard::unless(Pred::P6), "exit");
         let addi = |rd: u8, imm: i16| {
-            LirInst::always(LirOp::Real(Op::AluI {
+            AsmInst::Ready(Inst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: Reg::from_index(rd),
                 rs1: Reg::from_index(rd),
                 imm,
             }))
         };
-        let back = LirInst::always(LirOp::BrLabel("head".into()));
+        let back = br(Guard::ALWAYS, "head");
         // Two canonical updates (a partially unrolled body): steps sum.
         let body = vec![addi(7, 1), addi(8, 4), addi(7, 2)];
         let cl = CountedLoop::recognize(std::slice::from_ref(&cmp), &exit_br, &body, &back)
@@ -425,15 +247,12 @@ mod tests {
         assert_eq!(cl.step, 3);
         assert_eq!(cl.bound, LoopBoundSrc::Imm(60));
         // A body touching the exit predicate is rejected.
-        let bad = vec![
-            addi(7, 1),
-            LirInst::new(Guard::when(Pred::P6), LirOp::Real(Op::Nop)),
-        ];
+        let bad = vec![addi(7, 1), AsmInst::Ready(Inst::when(Pred::P6, Op::Nop))];
         assert!(
             CountedLoop::recognize(std::slice::from_ref(&cmp), &exit_br, &bad, &back).is_none()
         );
         // A register bound is recognised when loop-invariant…
-        let rcmp = LirInst::always(LirOp::Real(Op::Cmp {
+        let rcmp = AsmInst::Ready(Inst::always(Op::Cmp {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: Reg::from_index(7),
@@ -448,22 +267,49 @@ mod tests {
             CountedLoop::recognize(std::slice::from_ref(&rcmp), &exit_br, &clobber, &back)
                 .is_none()
         );
+        // A `lil` of a symbol is checked like any other body op: it may
+        // load an unrelated register, but not overwrite the induction
+        // variable or the register bound, nor sit under the exit
+        // predicate.
+        let with_lil = |lil: AsmInst| vec![lil, addi(7, 1)];
+        let unrelated = with_lil(lil(Guard::ALWAYS, 9));
+        assert!(
+            CountedLoop::recognize(std::slice::from_ref(&rcmp), &exit_br, &unrelated, &back)
+                .is_some()
+        );
+        for body in [
+            with_lil(lil(Guard::ALWAYS, 7)),
+            with_lil(lil(Guard::ALWAYS, 11)),
+            with_lil(lil(Guard::when(Pred::P6), 9)),
+        ] {
+            assert!(
+                CountedLoop::recognize(std::slice::from_ref(&rcmp), &exit_br, &body, &back)
+                    .is_none(),
+                "{}",
+                body[0]
+            );
+        }
     }
 
     #[test]
     fn flow_and_ordering_queries() {
-        assert!(LirOp::BrLabel("x".into()).is_flow());
-        assert!(LirOp::CallFunc("f".into()).is_flow());
-        assert!(!LirOp::LilSym(Reg::R3, "g".into()).is_flow());
-        assert!(LirOp::LilSym(Reg::R3, "g".into()).is_long());
-        let load = LirOp::Real(Op::Load {
+        let shape = |inst: AsmInst| inst.shape().op;
+        assert!(shape(br(Guard::ALWAYS, "x")).is_flow());
+        let call = AsmInst::Flow {
+            guard: Guard::ALWAYS,
+            call: true,
+            target: Operand::Sym("f".into()),
+        };
+        assert!(shape(call).is_flow());
+        assert!(!shape(lil(Guard::ALWAYS, 3)).is_flow());
+        assert!(matches!(shape(lil(Guard::ALWAYS, 3)), Op::LoadImm32 { .. }));
+        let load = Op::Load {
             area: patmos_isa::MemArea::Stack,
             size: patmos_isa::AccessSize::Word,
             rd: Reg::R3,
             ra: Reg::R0,
             offset: 0,
-        });
-        assert!(load.is_ordered());
-        assert_eq!(load.def_gap(), 2);
+        };
+        assert!(shape(AsmInst::Ready(Inst::always(load))).is_memory());
     }
 }

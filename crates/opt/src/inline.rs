@@ -70,6 +70,11 @@ fn callees(f: &Function<VItem>) -> impl Iterator<Item = &str> {
 }
 
 /// Names of functions on a call-graph cycle (reachable from themselves).
+///
+/// One computation serves a whole inliner run: splicing a non-recursive
+/// callee `B` into `C` adds an edge `C → X` only for a path
+/// `C → B → X` that already existed, so it creates no cycle, and it
+/// breaks none, because no cycle passes through `B`.
 fn recursive_functions(funcs: &[Function<VItem>]) -> HashSet<String> {
     let mut edges: HashMap<&str, HashSet<&str>> = HashMap::new();
     for f in funcs {
@@ -161,9 +166,9 @@ fn param_homes(callee: &Function<VItem>) -> Vec<(usize, VReg, u8)> {
 
 /// Finds the best next site: callees already free of calls first (the
 /// bottom-up order), then the first eligible site in item order.
-fn find_site(module: &VModule, prefer_leaf: bool) -> Option<Site> {
+/// `recursive` is the module's [`recursive_functions`].
+fn find_site(module: &VModule, recursive: &HashSet<String>, prefer_leaf: bool) -> Option<Site> {
     let funcs = &module.funcs;
-    let recursive = recursive_functions(funcs);
     let by_name: HashMap<&str, usize> = (funcs.iter().enumerate())
         .map(|(i, f)| (f.name.as_str(), i))
         .collect();
@@ -351,6 +356,7 @@ fn remove_dead_functions(module: &mut VModule) {
 /// eligibility check, in [`find_site`]'s order.
 fn refusal_reason(
     module: &VModule,
+    recursive: &HashSet<String>,
     caller: &Function<VItem>,
     callee: Option<&Function<VItem>>,
     idx: usize,
@@ -358,7 +364,6 @@ fn refusal_reason(
     let Some(callee) = callee else {
         return "callee is external to the module".into();
     };
-    let recursive = recursive_functions(&module.funcs);
     if callee.name == module.entry {
         return "callee is the entry function".into();
     }
@@ -388,7 +393,7 @@ fn refusal_reason(
 
 /// Emits a `missed` remark for every call still standing after the
 /// splice fixpoint.
-fn remark_survivors(module: &VModule, report: &mut crate::OptReport) {
+fn remark_survivors(module: &VModule, recursive: &HashSet<String>, report: &mut crate::OptReport) {
     let by_name: HashMap<&str, &Function<VItem>> =
         module.funcs.iter().map(|f| (f.name.as_str(), f)).collect();
     for caller in &module.funcs {
@@ -408,7 +413,7 @@ fn remark_survivors(module: &VModule, report: &mut crate::OptReport) {
                 applied: false,
                 message: format!(
                     "call not inlined: {}",
-                    refusal_reason(module, caller, callee, idx)
+                    refusal_reason(module, recursive, caller, callee, idx)
                 ),
             });
         }
@@ -419,8 +424,10 @@ fn remark_survivors(module: &VModule, report: &mut crate::OptReport) {
 /// changed. Splices and refusals are recorded on `report`.
 pub(crate) fn run(module: &mut VModule, report: &mut crate::OptReport) -> bool {
     let mut changed = false;
+    let recursive = recursive_functions(&module.funcs);
     for serial in 0..MAX_SPLICES {
-        let site = find_site(module, true).or_else(|| find_site(module, false));
+        let site =
+            find_site(module, &recursive, true).or_else(|| find_site(module, &recursive, false));
         let Some(site) = site else { break };
         let caller = module.funcs[site.caller].name.clone();
         let callee = module.funcs[site.callee].name.clone();
@@ -442,7 +449,7 @@ pub(crate) fn run(module: &mut VModule, report: &mut crate::OptReport) -> bool {
         splice(module, site, serial);
         changed = true;
     }
-    remark_survivors(module, report);
+    remark_survivors(module, &recursive, report);
     if changed {
         remove_dead_functions(module);
     }

@@ -630,18 +630,6 @@ pub fn optimize(module: &mut VModule) -> OptReport {
     run_pipeline(module, OptConfig::default())
 }
 
-/// Like [`optimize`], additionally capturing a per-pass before/after
-/// snapshot for every pass that changed the module (`--dump-opt`).
-pub fn optimize_traced(module: &mut VModule) -> OptReport {
-    run_pipeline(
-        module,
-        OptConfig {
-            trace: true,
-            ..OptConfig::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,14 +830,18 @@ mod tests {
 
     #[test]
     fn trace_captures_only_changing_passes() {
+        let traced = || OptConfig {
+            trace: true,
+            ..OptConfig::default()
+        };
         let mut m = redundant_module();
-        let report = optimize_traced(&mut m);
+        let report = optimize_with(&mut m, traced());
         assert!(!report.dumps.is_empty());
         for dump in &report.dumps {
             assert_ne!(dump.before, dump.after, "{} captured a no-op", dump.pass);
         }
         // A second run is a no-op and captures nothing.
-        let report2 = optimize_traced(&mut m);
+        let report2 = optimize_with(&mut m, traced());
         assert!(report2.dumps.is_empty());
         assert_eq!(report2.rounds, 1);
     }

@@ -33,13 +33,15 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Reg, ALLOC_POOL, LINK_REG, SPILL_SCRATCH};
+use patmos_isa::{
+    AccessSize, AluOp, Guard, Inst, MemArea, Op, Reg, ALLOC_POOL, LINK_REG, SPILL_SCRATCH,
+};
 
 use crate::constraints::Policy;
 use patmos_lir::cfg::{build_vcfg, inst_positions, FuncCode, VCfg};
 use patmos_lir::liveness::{self, Interval};
 use patmos_lir::loops::{header_lead, LoopForest, NaturalLoop};
-use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+use patmos_lir::plir::{AsmInst, Item, Module, Operand};
 use patmos_lir::vlir::{VInst, VItem, VModule, VOp, VReg};
 use patmos_lir::Function;
 
@@ -843,30 +845,34 @@ impl<'a> FuncAllocator<'a> {
     }
 
     fn slot_load(reg: Reg, slot: u32) -> Item {
-        Item::Inst(LirInst::always(LirOp::Real(Op::Load {
+        Self::always(Op::Load {
             area: MemArea::Stack,
             size: AccessSize::Word,
             rd: reg,
             ra: Reg::R0,
             offset: slot as i16,
-        })))
+        })
     }
 
     fn slot_store(guard: Guard, slot: u32, reg: Reg) -> Item {
-        Item::Inst(LirInst::new(
+        Self::inst(
             guard,
-            LirOp::Real(Op::Store {
+            Op::Store {
                 area: MemArea::Stack,
                 size: AccessSize::Word,
                 ra: Reg::R0,
                 offset: slot as i16,
                 rs: reg,
-            }),
-        ))
+            },
+        )
     }
 
     fn always(op: Op) -> Item {
-        Item::Inst(LirInst::always(LirOp::Real(op)))
+        Self::inst(Guard::ALWAYS, op)
+    }
+
+    fn inst(guard: Guard, op: Op) -> Item {
+        Item::Inst(AsmInst::Ready(Inst::new(guard, op)))
     }
 
     /// The function's physical items: the frame prologue, then every
@@ -904,7 +910,11 @@ impl<'a> FuncAllocator<'a> {
                                 }
                                 out.push(Self::slot_store(Guard::ALWAYS, slot, reg));
                             }
-                            out.push(Item::Inst(LirInst::always(LirOp::CallFunc(name.clone()))));
+                            out.push(Item::Inst(AsmInst::Flow {
+                                guard: Guard::ALWAYS,
+                                call: true,
+                                target: Operand::Sym(name.clone()),
+                            }));
                             if self.frame_words > 0 {
                                 out.push(Self::always(Op::Sens {
                                     words: self.frame_words,
@@ -924,7 +934,7 @@ impl<'a> FuncAllocator<'a> {
                                     words: self.frame_words,
                                 }));
                             }
-                            out.push(Item::Inst(LirInst::new(vinst.guard, LirOp::Real(Op::Ret))));
+                            out.push(Self::inst(vinst.guard, Op::Ret));
                         }
                         VOp::Halt => {
                             if self.frame_words > 0 {
@@ -932,7 +942,7 @@ impl<'a> FuncAllocator<'a> {
                                     words: self.frame_words,
                                 }));
                             }
-                            out.push(Item::Inst(LirInst::new(vinst.guard, LirOp::Real(Op::Halt))));
+                            out.push(Self::inst(vinst.guard, Op::Halt));
                         }
                         _ => self.rewrite_plain(vinst, p, &mut out),
                     }
@@ -955,59 +965,59 @@ impl<'a> FuncAllocator<'a> {
             VOp::CopyToPhys { dst, src } => {
                 match self.loc(src) {
                     Loc::Slot(slot) => match self.split_for(src, pos) {
-                        Some(r) => out.push(Item::Inst(LirInst::new(
+                        Some(r) => out.push(Self::inst(
                             vinst.guard,
-                            LirOp::Real(Op::AluR {
+                            Op::AluR {
                                 op: AluOp::Add,
                                 rd: dst,
                                 rs1: r,
                                 rs2: Reg::R0,
-                            }),
-                        ))),
-                        None => out.push(Item::Inst(LirInst::new(
+                            },
+                        )),
+                        None => out.push(Self::inst(
                             vinst.guard,
-                            LirOp::Real(Op::Load {
+                            Op::Load {
                                 area: MemArea::Stack,
                                 size: AccessSize::Word,
                                 rd: dst,
                                 ra: Reg::R0,
                                 offset: slot as i16,
-                            }),
-                        ))),
+                            },
+                        )),
                     },
-                    Loc::Reg(r) => out.push(Item::Inst(LirInst::new(
+                    Loc::Reg(r) => out.push(Self::inst(
                         vinst.guard,
-                        LirOp::Real(Op::AluR {
+                        Op::AluR {
                             op: AluOp::Add,
                             rd: dst,
                             rs1: r,
                             rs2: Reg::R0,
-                        }),
-                    ))),
-                    Loc::Zero => out.push(Item::Inst(LirInst::new(
+                        },
+                    )),
+                    Loc::Zero => out.push(Self::inst(
                         vinst.guard,
-                        LirOp::Real(Op::AluR {
+                        Op::AluR {
                             op: AluOp::Add,
                             rd: dst,
                             rs1: Reg::R0,
                             rs2: Reg::R0,
-                        }),
-                    ))),
+                        },
+                    )),
                 }
                 return;
             }
             VOp::CopyFromPhys { dst, src } => {
                 match self.loc(dst) {
                     Loc::Slot(slot) => out.push(Self::slot_store(vinst.guard, slot, src)),
-                    Loc::Reg(r) => out.push(Item::Inst(LirInst::new(
+                    Loc::Reg(r) => out.push(Self::inst(
                         vinst.guard,
-                        LirOp::Real(Op::AluR {
+                        Op::AluR {
                             op: AluOp::Add,
                             rd: r,
                             rs1: src,
                             rs2: Reg::R0,
-                        }),
-                    ))),
+                        },
+                    )),
                     Loc::Zero => {}
                 }
                 return;
@@ -1130,20 +1140,22 @@ impl<'a> FuncAllocator<'a> {
                 rs: map(*rs),
             },
             VOp::LilSym { rd, sym } => {
-                out.push(Item::Inst(LirInst::new(
-                    vinst.guard,
-                    LirOp::LilSym(map(*rd), sym.clone()),
-                )));
+                out.push(Item::Inst(AsmInst::LongImm {
+                    guard: vinst.guard,
+                    rd: map(*rd),
+                    value: Operand::Sym(sym.clone()),
+                }));
                 if let Some((slot, reg)) = def_store {
                     out.push(Self::slot_store(vinst.guard, slot, reg));
                 }
                 return;
             }
             VOp::BrLabel(label) => {
-                out.push(Item::Inst(LirInst::new(
-                    vinst.guard,
-                    LirOp::BrLabel(label.clone()),
-                )));
+                out.push(Item::Inst(AsmInst::Flow {
+                    guard: vinst.guard,
+                    call: false,
+                    target: Operand::Sym(label.clone()),
+                }));
                 return;
             }
             VOp::CopyToPhys { .. }
@@ -1152,7 +1164,7 @@ impl<'a> FuncAllocator<'a> {
             | VOp::Ret
             | VOp::Halt => unreachable!("handled by the caller"),
         };
-        out.push(Item::Inst(LirInst::new(vinst.guard, LirOp::Real(op))));
+        out.push(Self::inst(vinst.guard, op));
         if let Some((slot, reg)) = def_store {
             out.push(Self::slot_store(vinst.guard, slot, reg));
         }

@@ -4,7 +4,9 @@
 //! virtual registers ([`patmos_lir::vlir`]); this crate maps that code
 //! onto the physical Patmos register file and produces the physical LIR
 //! ([`patmos_lir::plir`]) that the VLIW scheduler consumes, function by
-//! function: each virtual function becomes one physical function.
+//! function: each virtual function becomes one physical function, its
+//! instructions the assembler's own [`patmos_lir::plir::AsmInst`]s, a
+//! `br`, `call` or `lil` still naming its label or symbol.
 //!
 //! ```text
 //! codegen ──VModule──▶ regalloc(&Policy, ·) ──Module──▶ scheduler ──▶ assembler
@@ -69,8 +71,8 @@ pub use constraints::{Policy, PressureEstimate, PressureModel};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AluOp, Op, Reg};
-    use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+    use patmos_isa::{AluOp, Inst, Op, Reg};
+    use patmos_lir::plir::{AsmInst, Item, Module};
     use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 
     fn v(id: u32) -> VReg {
@@ -89,11 +91,11 @@ mod tests {
         regalloc(&Policy::Linear, m)
     }
 
-    fn real_ops(items: &[Item]) -> Vec<&LirOp> {
+    fn real_ops(items: &[Item]) -> Vec<Op> {
         items
             .iter()
             .filter_map(|i| match i {
-                Item::Inst(LirInst { op, .. }) => Some(op),
+                Item::Inst(inst) => Some(inst.shape().op),
                 _ => None,
             })
             .collect()
@@ -124,10 +126,8 @@ mod tests {
         assert_eq!(report.funcs[0].pressure_spills, 0);
         let ops = real_ops(&out.funcs[0].items);
         assert!(
-            !ops.iter().any(|o| matches!(
-                o,
-                LirOp::Real(Op::Sres { .. } | Op::Sens { .. } | Op::Sfree { .. })
-            )),
+            !ops.iter()
+                .any(|o| matches!(o, Op::Sres { .. } | Op::Sens { .. } | Op::Sfree { .. })),
             "leaf without spills must not touch the stack cache"
         );
     }
@@ -219,15 +219,10 @@ mod tests {
         // Frame: link slot + 1 save slot.
         assert_eq!(fa.frame_words, 2);
         let ops = real_ops(&out.funcs[0].items);
-        let stores = ops
-            .iter()
-            .filter(|o| matches!(o, LirOp::Real(Op::Store { .. })))
-            .count();
+        let stores = ops.iter().filter(|o| matches!(o, Op::Store { .. })).count();
         // Link save + one call save.
         assert_eq!(stores, 2);
-        assert!(ops
-            .iter()
-            .any(|o| matches!(o, LirOp::Real(Op::Sens { words: 2 }))));
+        assert!(ops.iter().any(|o| matches!(o, Op::Sens { words: 2 })));
     }
 
     #[test]
@@ -456,7 +451,7 @@ mod tests {
         let store_at = items
             .iter()
             .position(
-                |i| matches!(i, Item::Inst(LirInst { op: LirOp::Real(Op::Store { rs, .. }), .. }) if *rs == reg),
+                |i| matches!(i, Item::Inst(AsmInst::Ready(Inst { op: Op::Store { rs, .. }, .. })) if *rs == reg),
             )
             .expect("hoisted store");
         assert!(
@@ -471,7 +466,7 @@ mod tests {
         let in_loop_stores = items[header_at..exit_at]
             .iter()
             .filter(
-                |i| matches!(i, Item::Inst(LirInst { op: LirOp::Real(Op::Store { rs, .. }), .. }) if *rs == reg),
+                |i| matches!(i, Item::Inst(AsmInst::Ready(Inst { op: Op::Store { rs, .. }, .. })) if *rs == reg),
             )
             .count();
         assert_eq!(in_loop_stores, 0, "the per-call store was hoisted away");

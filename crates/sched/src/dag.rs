@@ -6,13 +6,14 @@
 //! The relation, [`dependence_gap`], is defined over [`DepSummary`]s:
 //! bit masks of one op's register and predicate defs and reads (the
 //! guard counted as a read), its result's `def_gap`, and four flags
-//! (ordered, call, writes and reads the multiplier). Callers summarise
-//! a block or a loop body once, and then relate every pair at the cost
-//! of a few mask tests.
+//! (ordered, call, writes and reads the multiplier), all read from the
+//! ISA through the op's [`AsmInst::shape`]. Callers summarise a block
+//! or a loop body once, and then relate every pair at the cost of a few
+//! mask tests.
 
-use patmos_asm::Stmt;
-use patmos_isa::{Pred, Reg, ARG_REGS};
-use patmos_lir::plir::{Item, LirInst, LirOp};
+use patmos_asm::{AsmInst, Operand, Stmt};
+use patmos_isa::{FlowKind, Inst, Op, Pred, Reg, SpecialReg, ARG_REGS};
+use patmos_lir::plir::Item;
 use patmos_lir::Function;
 
 /// What the dependence relation reads of one instruction, as bit masks:
@@ -28,28 +29,68 @@ pub struct DepSummary {
     pred_def: u8,
     /// The predicates read, the guard included unless it is `always`.
     pred_reads: u8,
-    /// The gap a reader of `def` must keep ([`LirOp::def_gap`]).
+    /// The gap a reader of `def` must keep ([`def_gap`]).
     def_gap: u32,
     /// `ORDERED`, `CALL`, `WRITES_MUL` and `READS_MUL`.
     flags: u8,
 }
 
-/// A memory or stack-control op ([`LirOp::is_ordered`]).
+/// A memory or stack-control op, whose order is preserved.
 const ORDERED: u8 = 1;
-/// A call: a barrier nothing moves across.
+/// A call by name ([`is_named_call`]): a barrier nothing moves across.
 const CALL: u8 = 2;
-/// Writes `sl`/`sh` ([`LirOp::writes_mul`]).
+/// Writes `sl`/`sh` ([`Op::writes_mul_result`]).
 const WRITES_MUL: u8 = 4;
-/// Reads `sl`/`sh` ([`LirOp::reads_mul`]).
+/// Reads `sl`/`sh`.
 const READS_MUL: u8 = 8;
 
+/// The extra bundle gap a consumer of `op`'s register result must
+/// respect: loads deliver late.
+fn def_gap(op: &Op) -> u32 {
+    match op {
+        Op::Load { .. } => 1 + patmos_isa::timing::LOAD_USE_GAP,
+        _ => 1,
+    }
+}
+
+/// Whether `inst` is a `call` of a function by name: a barrier the
+/// relation moves nothing across, and a reader of every argument
+/// register and predicate for the liveness below.
+fn is_named_call(inst: &AsmInst) -> bool {
+    matches!(
+        inst,
+        AsmInst::Flow {
+            call: true,
+            target: Operand::Sym(_),
+            ..
+        }
+    )
+}
+
+/// The label a `br` by name targets.
+pub(crate) fn branch_label(inst: &AsmInst) -> Option<&str> {
+    match inst {
+        AsmInst::Flow {
+            call: false,
+            target: Operand::Sym(label),
+            ..
+        } => Some(label),
+        _ => None,
+    }
+}
+
+/// Whether `op` occupies a whole bundle.
+pub(crate) fn is_long(op: &Op) -> bool {
+    matches!(op, Op::LoadImm32 { .. })
+}
+
 impl DepSummary {
-    /// The summary of `inst`.
-    pub fn of(inst: &LirInst) -> DepSummary {
-        let op = &inst.op;
+    /// The summary of `inst`, read from its [`AsmInst::shape`].
+    pub fn of(inst: &AsmInst) -> DepSummary {
+        let Inst { guard, op } = inst.shape();
         let reg_bit = |r: Reg| 1u32 << r.index();
         let pred_bit = |p: Pred| 1u8 << p.index();
-        let guard = (!inst.guard.is_always()).then_some(inst.guard.pred);
+        let guard = (!guard.is_always()).then_some(guard.pred);
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
         DepSummary {
             def: op.def().map_or(0, reg_bit),
@@ -60,11 +101,20 @@ impl DepSummary {
             pred_reads: (op.pred_uses().into_iter().flatten().chain(guard))
                 .map(pred_bit)
                 .fold(0, |m, b| m | b),
-            def_gap: op.def_gap(),
-            flags: flag(op.is_ordered(), ORDERED)
-                | flag(matches!(op, LirOp::CallFunc(_)), CALL)
-                | flag(op.writes_mul(), WRITES_MUL)
-                | flag(op.reads_mul(), READS_MUL),
+            def_gap: def_gap(&op),
+            flags: flag(op.is_memory() || op.is_stack_control(), ORDERED)
+                | flag(is_named_call(inst), CALL)
+                | flag(op.writes_mul_result(), WRITES_MUL)
+                | flag(
+                    matches!(
+                        op,
+                        Op::Mfs {
+                            ss: SpecialReg::Sl | SpecialReg::Sh,
+                            ..
+                        }
+                    ),
+                    READS_MUL,
+                ),
         }
     }
 }
@@ -117,11 +167,12 @@ pub fn dependence_gap(a: &DepSummary, b: &DepSummary) -> Option<u32> {
 /// bundle: the number of bundles that must separate it from the first
 /// bundle of whatever executes next (possibly in another block) before
 /// every result it produces is architecturally visible.
-pub fn out_gap(inst: &LirInst) -> u32 {
-    if inst.op.writes_mul() {
+pub fn out_gap(inst: &AsmInst) -> u32 {
+    let op = inst.shape().op;
+    if op.writes_mul_result() {
         1 + patmos_isa::timing::MUL_GAP
-    } else if inst.op.def().is_some() {
-        inst.op.def_gap()
+    } else if op.def().is_some() {
+        def_gap(&op)
     } else {
         0
     }
@@ -136,9 +187,9 @@ pub struct Block {
     /// Whether a `.loopbound` annotation is attached to this block.
     pub has_loop_bound: bool,
     /// Straight-line body, terminator excluded.
-    pub insts: Vec<LirInst>,
+    pub insts: Vec<AsmInst>,
     /// The control transfer ending the block, if any.
-    pub term: Option<LirInst>,
+    pub term: Option<AsmInst>,
 }
 
 impl Block {
@@ -166,22 +217,14 @@ impl Block {
     /// Whether control can fall off the end of this block into the
     /// next one in layout order.
     pub fn falls_through(&self) -> bool {
-        match &self.term {
-            None => true,
-            Some(t) => match &t.op {
-                // A guarded transfer falls through when the guard is
-                // false; calls resume after their delay slots.
-                LirOp::BrLabel(_) => !t.guard.is_always(),
-                LirOp::CallFunc(_) => true,
-                LirOp::Real(op) => match op.flow_kind() {
-                    patmos_isa::FlowKind::CallDirect(_) | patmos_isa::FlowKind::CallIndirect(_) => {
-                        true
-                    }
-                    _ => !t.guard.is_always(),
-                },
-                LirOp::LilSym(..) => true,
-            },
-        }
+        let Some(term) = &self.term else { return true };
+        // Calls resume after their delay slots; any other transfer falls
+        // through when its guard is false.
+        let Inst { guard, op } = term.shape();
+        matches!(
+            op.flow_kind(),
+            FlowKind::CallDirect(_) | FlowKind::CallIndirect(_)
+        ) || !guard.is_always()
     }
 }
 
@@ -206,9 +249,7 @@ impl Func {
     pub fn label_refs(&self, label: &str) -> usize {
         self.blocks
             .iter()
-            .filter(
-                |b| matches!(&b.term, Some(t) if matches!(&t.op, LirOp::BrLabel(l) if l == label)),
-            )
+            .filter(|b| b.term.as_ref().and_then(branch_label) == Some(label))
             .count()
     }
 }
@@ -245,7 +286,7 @@ pub fn split_blocks(func: Function<Item>) -> Func {
                 block.head.push(Stmt::LoopBound { min, max });
                 block.has_loop_bound = true;
             }
-            Item::Inst(inst) if inst.op.is_flow() => {
+            Item::Inst(inst) if inst.shape().op.is_flow() => {
                 block.term = Some(inst);
                 flush_block(&mut block, &mut blocks);
             }
@@ -253,7 +294,7 @@ pub fn split_blocks(func: Function<Item>) -> Func {
                 if block.insts.is_empty() {
                     // Room for the whole straight-line run at once.
                     let run = (items.as_slice().iter())
-                        .take_while(|item| matches!(item, Item::Inst(i) if !i.op.is_flow()))
+                        .take_while(|item| matches!(item, Item::Inst(i) if !i.shape().op.is_flow()))
                         .count();
                     block.insts.reserve_exact(run + 1);
                 }
@@ -305,21 +346,22 @@ impl LiveSet {
     }
 }
 
-/// What one instruction reads, beyond what [`LirOp::uses`] reports: a
-/// call reads its (up to four) argument registers and, conservatively,
-/// every predicate.
-fn inst_reads(inst: &LirInst) -> LiveSet {
+/// What one instruction reads, beyond what its shape's [`Op::uses`]
+/// reports: a call by name reads its (up to four) argument registers
+/// and, conservatively, every predicate.
+fn inst_reads(inst: &AsmInst) -> LiveSet {
+    let Inst { guard, op } = inst.shape();
     let mut set = LiveSet::default();
-    for r in inst.op.uses().into_iter().flatten() {
+    for r in op.uses().into_iter().flatten() {
         set.add_reg(r);
     }
-    for p in inst.op.pred_uses().into_iter().flatten() {
+    for p in op.pred_uses().into_iter().flatten() {
         set.add_pred(p);
     }
-    if !inst.guard.is_always() {
-        set.add_pred(inst.guard.pred);
+    if !guard.is_always() {
+        set.add_pred(guard.pred);
     }
-    if matches!(inst.op, LirOp::CallFunc(_)) {
+    if is_named_call(inst) {
         for r in ARG_REGS {
             set.add_reg(r);
         }
@@ -332,12 +374,13 @@ fn inst_reads(inst: &LirInst) -> LiveSet {
 /// register; claiming less than the callee might clobber overstates
 /// liveness upstream, which is the safe direction for the speculation
 /// checks built on these sets.
-fn inst_writes(inst: &LirInst) -> LiveSet {
+fn inst_writes(inst: &AsmInst) -> LiveSet {
+    let op = inst.shape().op;
     let mut set = LiveSet::default();
-    if let Some(r) = inst.op.def() {
+    if let Some(r) = op.def() {
         set.add_reg(r);
     }
-    if let Some(p) = inst.op.pred_def() {
+    if let Some(p) = op.pred_def() {
         set.add_pred(p);
     }
     set
@@ -361,7 +404,7 @@ pub fn live_in_sets(func: &Func) -> Vec<LiveSet> {
             gen[bi].preds |= reads.preds & !kill[bi].preds;
             let writes = inst_writes(inst);
             // A guarded write may not happen; it cannot kill liveness.
-            if inst.guard.is_always() {
+            if inst.shape().guard.is_always() {
                 kill[bi].regs |= writes.regs;
                 kill[bi].preds |= writes.preds;
             }
@@ -377,12 +420,11 @@ pub fn live_in_sets(func: &Func) -> Vec<LiveSet> {
         .enumerate()
         .map(|(bi, block)| {
             let mut s = Vec::new();
-            if let Some(t) = &block.term {
-                if let LirOp::BrLabel(l) = &t.op {
-                    if let Some(ti) = func.block_of_label(l) {
-                        s.push(ti);
-                    }
-                }
+            if let Some(ti) = (block.term.as_ref())
+                .and_then(branch_label)
+                .and_then(|l| func.block_of_label(l))
+            {
+                s.push(ti);
             }
             if block.falls_through() && bi + 1 < n {
                 s.push(bi + 1);
@@ -418,15 +460,36 @@ pub fn live_in_sets(func: &Func) -> Vec<LiveSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AluOp, Guard, Op};
+    use patmos_isa::{AccessSize, AluOp, Guard, MemArea};
 
-    fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
-        LirInst::always(LirOp::Real(Op::AluR {
+    fn alu(rd: u8, rs1: u8, rs2: u8) -> AsmInst {
+        AsmInst::Ready(Inst::always(Op::AluR {
             op: AluOp::Add,
             rd: Reg::from_index(rd),
             rs1: Reg::from_index(rs1),
             rs2: Reg::from_index(rs2),
         }))
+    }
+
+    fn br(guard: Guard, label: &str) -> AsmInst {
+        AsmInst::Flow {
+            guard,
+            call: false,
+            target: Operand::Sym(label.into()),
+        }
+    }
+
+    #[test]
+    fn a_load_result_is_owed_one_bundle_past_its_use_gap() {
+        let load = AsmInst::Ready(Inst::always(Op::Load {
+            area: MemArea::Stack,
+            size: AccessSize::Word,
+            rd: Reg::R3,
+            ra: Reg::R0,
+            offset: 0,
+        }));
+        assert!(DepSummary::of(&load).flags & ORDERED != 0);
+        assert_eq!(out_gap(&load), 2);
     }
 
     #[test]
@@ -438,11 +501,8 @@ mod tests {
                 Item::LoopBound { min: 1, max: 4 },
                 Item::Label("head".into()),
                 Item::Inst(alu(8, 7, 7)),
-                Item::Inst(LirInst::new(
-                    Guard::unless(Pred::P6),
-                    LirOp::BrLabel("head".into()),
-                )),
-                Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
+                Item::Inst(br(Guard::unless(Pred::P6), "head")),
+                Item::Inst(AsmInst::Ready(Inst::always(Op::Halt))),
             ],
         );
         let f = &split_blocks(func);
@@ -465,10 +525,10 @@ mod tests {
             "main",
             vec![
                 Item::Inst(alu(8, 0, 0)),
-                Item::Inst(LirInst::always(LirOp::BrLabel("exit".into()))),
+                Item::Inst(br(Guard::ALWAYS, "exit")),
                 Item::Label("exit".into()),
                 Item::Inst(alu(1, 8, 0)),
-                Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
+                Item::Inst(AsmInst::Ready(Inst::always(Op::Halt))),
             ],
         );
         let split = split_blocks(func);
@@ -488,17 +548,17 @@ mod tests {
             "main",
             vec![
                 Item::Label("a".into()),
-                Item::Inst(LirInst::new(
+                Item::Inst(AsmInst::Ready(Inst::new(
                     Guard::when(Pred::P1),
-                    LirOp::Real(Op::AluR {
+                    Op::AluR {
                         op: AluOp::Add,
                         rd: Reg::from_index(9),
                         rs1: Reg::R0,
                         rs2: Reg::R0,
-                    }),
-                )),
+                    },
+                ))),
                 Item::Inst(alu(1, 9, 0)),
-                Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
+                Item::Inst(AsmInst::Ready(Inst::always(Op::Halt))),
             ],
         );
         let live = live_in_sets(&split_blocks(func));

@@ -41,9 +41,10 @@
 //!
 //! The output is the assembler's statements ([`patmos_asm::Stmt`]):
 //! each function's labels, `.loopbound` and `.pipeloop` records and
-//! bundles, every instruction spelled by its `From<LirInst>` as the
-//! bundle is pushed. The compiler (`patmos_compiler`) adds the data
-//! layout, the `.func`/`.entry` directives and the source map.
+//! bundles of [`patmos_asm::AsmInst`]s, the type the allocator emits,
+//! so no instruction is converted on the way. The compiler
+//! (`patmos_compiler`) adds the data layout, the `.func`/`.entry`
+//! directives and the source map.
 
 pub mod dag;
 pub mod list;
@@ -53,7 +54,7 @@ use std::time::Instant;
 
 use patmos_asm::{AsmInst, Stmt};
 use patmos_isa::Op;
-use patmos_lir::plir::{LirInst, LirOp, Module};
+use patmos_lir::plir::Module;
 use patmos_lir::Function;
 
 /// Scheduler configuration.
@@ -113,13 +114,8 @@ impl ScheduledModule {
 
 /// The statement of one scheduled bundle: slot one, then slot two when
 /// paired.
-pub(crate) fn bundle((first, second): (LirInst, Option<LirInst>)) -> Stmt {
-    Stmt::Bundle(
-        std::iter::once(first)
-            .chain(second)
-            .map(AsmInst::from)
-            .collect(),
-    )
+pub(crate) fn bundle((first, second): (AsmInst, Option<AsmInst>)) -> Stmt {
+    Stmt::Bundle(std::iter::once(first).chain(second).collect())
 }
 
 /// Per-block line of the scheduling report.
@@ -311,8 +307,8 @@ fn nanos_since(start: Instant) -> u64 {
 pub(crate) fn list_schedule(
     report: &mut SchedReport,
     buffers: &mut list::Buffers,
-    insts: &[LirInst],
-    term: Option<&LirInst>,
+    insts: &[AsmInst],
+    term: Option<&AsmInst>,
     dual_issue: bool,
 ) -> list::BlockSchedule {
     let start = Instant::now();
@@ -412,16 +408,17 @@ pub fn schedule_with_report(
             let mut hoisted = 0u32;
             if sched.shadow_fillable {
                 if let (Some(term_at), Some(term)) = (sched.term_at, &term) {
-                    if let LirOp::BrLabel(target) = &term.op {
-                        if let Some(donor) = donor_index(func, bi, target, term.guard.is_always()) {
-                            let speculative = if term.guard.is_always() {
+                    let uncond = term.shape().guard.is_always();
+                    if let Some(target) = dag::branch_label(term) {
+                        if let Some(donor) = donor_index(func, bi, target, uncond) {
+                            let speculative = if uncond {
                                 None
                             } else {
                                 // The op will also run on the taken
                                 // path; its targets must be dead there.
                                 func.block_of_label(target).map(|ti| live_in[ti])
                             };
-                            let run = term.guard.is_always() || speculative.is_some();
+                            let run = uncond || speculative.is_some();
                             if run {
                                 let start = Instant::now();
                                 let mut donor_insts = std::mem::take(&mut func.blocks[donor].insts);
@@ -444,7 +441,7 @@ pub fn schedule_with_report(
                 Some(t) => sched.bundles[t + 1..]
                     .iter()
                     .take(sched.delay_slots as usize)
-                    .filter(|b| !matches!(b.0.op, LirOp::Real(Op::Nop)) || b.1.is_some())
+                    .filter(|b| b.0.shape().op != Op::Nop || b.1.is_some())
                     .count() as u32,
                 None => 0,
             };
@@ -512,11 +509,12 @@ fn donor_index(func: &dag::Func, bi: usize, target: &str, uncond: bool) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patmos_asm::Operand;
     use patmos_isa::{AluOp, Guard, Inst, Pred, Reg};
     use patmos_lir::plir::Item;
 
-    fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
-        LirInst::always(LirOp::Real(Op::AluR {
+    fn alu(rd: u8, rs1: u8, rs2: u8) -> AsmInst {
+        AsmInst::Ready(Inst::always(Op::AluR {
             op: AluOp::Add,
             rd: Reg::from_index(rd),
             rs1: Reg::from_index(rs1),
@@ -533,23 +531,11 @@ mod tests {
             .collect()
     }
 
-    /// An emitted instruction as the machine issues it: a flow target
-    /// resolved to offset 0 and a long immediate to 0, which changes
-    /// neither its kind nor its delay slots.
-    fn issued(inst: &AsmInst) -> Inst {
-        match inst {
-            AsmInst::Ready(i) => *i,
-            AsmInst::Flow { guard, call, .. } => Inst::new(
-                *guard,
-                if *call {
-                    Op::Call { offset: 0 }
-                } else {
-                    Op::Br { offset: 0 }
-                },
-            ),
-            AsmInst::LongImm { guard, rd, .. } => {
-                Inst::new(*guard, Op::LoadImm32 { rd: *rd, imm: 0 })
-            }
+    fn br(guard: Guard, label: &str) -> AsmInst {
+        AsmInst::Flow {
+            guard,
+            call: false,
+            target: Operand::Sym(label.into()),
         }
     }
 
@@ -567,29 +553,26 @@ mod tests {
                     Item::Inst(alu(9, 0, 0)),
                     Item::LoopBound { min: 1, max: 31 },
                     Item::Label("head".into()),
-                    Item::Inst(LirInst::always(LirOp::Real(Op::CmpI {
+                    Item::Inst(AsmInst::Ready(Inst::always(Op::CmpI {
                         op: patmos_isa::CmpOp::Lt,
                         pd: Pred::P6,
                         rs1: Reg::from_index(7),
                         imm: 30,
                     }))),
-                    Item::Inst(LirInst::new(
-                        Guard::unless(Pred::P6),
-                        LirOp::BrLabel("exit".into()),
-                    )),
+                    Item::Inst(br(Guard::unless(Pred::P6), "exit")),
                     Item::Inst(alu(10, 8, 9)),
                     Item::Inst(alu(8, 9, 0)),
                     Item::Inst(alu(9, 10, 0)),
-                    Item::Inst(LirInst::always(LirOp::Real(Op::AluI {
+                    Item::Inst(AsmInst::Ready(Inst::always(Op::AluI {
                         op: AluOp::Add,
                         rd: Reg::from_index(7),
                         rs1: Reg::from_index(7),
                         imm: 1,
                     }))),
-                    Item::Inst(LirInst::always(LirOp::BrLabel("head".into()))),
+                    Item::Inst(br(Guard::ALWAYS, "head")),
                     Item::Label("exit".into()),
                     Item::Inst(alu(1, 8, 0)),
-                    Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
+                    Item::Inst(AsmInst::Ready(Inst::always(Op::Halt))),
                 ],
             )],
         }
@@ -614,10 +597,10 @@ mod tests {
         let bs = bundles(&module);
         let mut shadow_left = 0u32;
         for b in &bs {
-            let (first, rest) = (issued(&b[0]), &b[1..]);
+            let (first, rest) = (b[0].shape(), &b[1..]);
             if shadow_left > 0 {
                 assert!(!first.op.is_flow(), "flow op in a delay slot");
-                assert!(rest.iter().all(|s| !issued(s).op.is_flow()));
+                assert!(rest.iter().all(|s| !s.shape().op.is_flow()));
                 shadow_left -= 1;
             }
             if first.op.is_flow() {

@@ -33,17 +33,17 @@
 //! the driver can try to hoist operations from a safe successor into
 //! them (see [`hoist_into_shadow`]).
 
-use patmos_isa::Op;
-use patmos_lir::plir::{LirInst, LirOp};
+use patmos_asm::AsmInst;
+use patmos_isa::{Inst, Op};
 
-use crate::dag::{dependence_gap, out_gap, DepSummary, LiveSet};
+use crate::dag::{branch_label, dependence_gap, is_long, out_gap, DepSummary, LiveSet};
 
 /// A scheduled block: final bundles plus the facts the driver and the
 /// report need.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSchedule {
     /// The issue sequence; `(nop, None)` bundles are real issued nops.
-    pub bundles: Vec<(LirInst, Option<LirInst>)>,
+    pub bundles: Vec<(AsmInst, Option<AsmInst>)>,
     /// Bundle index of the terminator, if the block has one.
     pub term_at: Option<usize>,
     /// Architectural delay slots of the terminator.
@@ -61,20 +61,20 @@ pub struct BlockSchedule {
     pub edges: usize,
 }
 
-fn nop() -> LirInst {
-    LirInst::always(LirOp::Real(Op::Nop))
+fn nop() -> AsmInst {
+    AsmInst::Ready(Inst::nop())
 }
 
-fn is_nop_bundle(b: &(LirInst, Option<LirInst>)) -> bool {
-    matches!(b.0.op, LirOp::Real(Op::Nop)) && b.1.is_none()
+fn is_nop_bundle(b: &(AsmInst, Option<AsmInst>)) -> bool {
+    b.0.shape().op == Op::Nop && b.1.is_none()
 }
 
 /// Whether the terminator's delay slots may hold real work moved from
 /// before it. Only direct label branches qualify: calls and returns
 /// are barriers (the callee/caller may touch anything), and `halt`
 /// has no shadow.
-fn fillable(term: &LirInst) -> bool {
-    matches!(term.op, LirOp::BrLabel(_))
+fn fillable(term: &AsmInst) -> bool {
+    branch_label(term).is_some()
 }
 
 /// A block's dependence DAG in flat arrays: the successors of op `i`,
@@ -194,8 +194,8 @@ pub struct Buffers {
 
 /// Schedules one block's body plus terminator.
 pub fn schedule_block(
-    insts: &[LirInst],
-    term: Option<&LirInst>,
+    insts: &[AsmInst],
+    term: Option<&AsmInst>,
     dual_issue: bool,
 ) -> BlockSchedule {
     schedule_block_in(&mut Buffers::default(), insts, term, dual_issue)
@@ -205,8 +205,8 @@ pub fn schedule_block(
 /// blocks share one set.
 pub fn schedule_block_in(
     buffers: &mut Buffers,
-    insts: &[LirInst],
-    term: Option<&LirInst>,
+    insts: &[AsmInst],
+    term: Option<&AsmInst>,
     dual_issue: bool,
 ) -> BlockSchedule {
     let Buffers {
@@ -260,14 +260,16 @@ pub fn schedule_block_in(
         remaining -= 1;
 
         let mut second: Option<usize> = None;
-        if dual_issue && !insts[fi].op.is_long() {
-            let (def, pred_def) = (insts[fi].op.def(), insts[fi].op.pred_def());
+        let first = insts[fi].shape().op;
+        if dual_issue && !is_long(&first) {
+            let (def, pred_def) = (first.def(), first.pred_def());
             let fits = |j: usize| {
-                insts[j].op.allowed_in_second_slot()
-                    && !insts[j].op.is_long()
+                let op = insts[j].shape().op;
+                op.allowed_in_second_slot()
+                    && !is_long(&op)
                     // No conflicting writes within the bundle.
-                    && def.is_none_or(|d| insts[j].op.def() != Some(d))
-                    && pred_def.is_none_or(|p| insts[j].op.pred_def() != Some(p))
+                    && def.is_none_or(|d| op.def() != Some(d))
+                    && pred_def.is_none_or(|p| op.pred_def() != Some(p))
             };
             second = ready.take_best(cycle, beats, fits);
         }
@@ -282,7 +284,7 @@ pub fn schedule_block_in(
     let body_len = cycles.len() as u32;
 
     let materialize = |slot: Option<usize>| slot.map(|i| insts[i].clone());
-    let bundle_at = |c: &(Option<usize>, Option<usize>)| -> (LirInst, Option<LirInst>) {
+    let bundle_at = |c: &(Option<usize>, Option<usize>)| -> (AsmInst, Option<AsmInst>) {
         (materialize(c.0).unwrap_or_else(nop), materialize(c.1))
     };
 
@@ -310,7 +312,7 @@ pub fn schedule_block_in(
         };
     };
 
-    let delay = term.op.delay_slots(term.guard);
+    let delay = term.shape().delay_slots();
     let term_deps = DepSummary::of(term);
     if !fillable(term) {
         // Barrier: everything issues before the terminator.
@@ -393,34 +395,27 @@ pub fn schedule_block_in(
 /// can fault or move machine state, `mul` clobbers `sl`/`sh` (not
 /// tracked by liveness), and special-register moves touch the stack
 /// frame; none of those may be speculated.
-fn speculation_safe(inst: &LirInst) -> bool {
-    match &inst.op {
-        LirOp::Real(op) => matches!(
-            op,
-            Op::AluR { .. }
-                | Op::AluI { .. }
-                | Op::LoadImmLow { .. }
-                | Op::LoadImmHigh { .. }
-                | Op::LoadImm32 { .. }
-                | Op::Cmp { .. }
-                | Op::CmpI { .. }
-                | Op::PredSet { .. }
-        ),
-        LirOp::LilSym(..) => true,
-        LirOp::BrLabel(_) | LirOp::CallFunc(_) => false,
-    }
+fn speculation_safe(inst: &AsmInst) -> bool {
+    matches!(
+        inst.shape().op,
+        Op::AluR { .. }
+            | Op::AluI { .. }
+            | Op::LoadImmLow { .. }
+            | Op::LoadImmHigh { .. }
+            | Op::LoadImm32 { .. }
+            | Op::Cmp { .. }
+            | Op::CmpI { .. }
+            | Op::PredSet { .. }
+    )
 }
 
 /// Whether an operation may be hoisted along its *only* path (an
 /// unconditional branch to a block with no other predecessor): any
 /// non-flow operation except special-register moves, whose ordering
 /// against stack-control ops the dependence relation does not model.
-fn unique_path_safe(inst: &LirInst) -> bool {
-    match &inst.op {
-        LirOp::Real(op) => !op.is_flow() && !matches!(op, Op::Mts { .. } | Op::Mfs { .. }),
-        LirOp::LilSym(..) => true,
-        LirOp::BrLabel(_) | LirOp::CallFunc(_) => false,
-    }
+fn unique_path_safe(inst: &AsmInst) -> bool {
+    let op = inst.shape().op;
+    !op.is_flow() && !matches!(op, Op::Mts { .. } | Op::Mfs { .. })
 }
 
 /// Tries to move operations from the *front* of `donor` (a successor
@@ -444,10 +439,10 @@ fn unique_path_safe(inst: &LirInst) -> bool {
 /// Returns the number of operations hoisted; they are removed from
 /// `donor`.
 pub fn hoist_into_shadow(
-    bundles: &mut [(LirInst, Option<LirInst>)],
+    bundles: &mut [(AsmInst, Option<AsmInst>)],
     term_at: usize,
     delay_slots: u32,
-    donor: &mut Vec<LirInst>,
+    donor: &mut Vec<AsmInst>,
     speculative: Option<LiveSet>,
 ) -> u32 {
     let total = bundles.len() as u32;
@@ -473,9 +468,10 @@ pub fn hoist_into_shadow(
         }
         let safe = match speculative {
             Some(live) => {
+                let op = cand.shape().op;
                 speculation_safe(cand)
-                    && cand.op.def().is_none_or(|r| !live.has_reg(r))
-                    && cand.op.pred_def().is_none_or(|p| !live.has_pred(p))
+                    && op.def().is_none_or(|r| !live.has_reg(r))
+                    && op.pred_def().is_none_or(|p| !live.has_pred(p))
             }
             None => unique_path_safe(cand),
         };
@@ -518,10 +514,11 @@ pub fn hoist_into_shadow(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patmos_asm::Operand;
     use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Pred, Reg};
 
-    fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
-        LirInst::always(LirOp::Real(Op::AluR {
+    fn alu(rd: u8, rs1: u8, rs2: u8) -> AsmInst {
+        AsmInst::Ready(Inst::always(Op::AluR {
             op: AluOp::Add,
             rd: Reg::from_index(rd),
             rs1: Reg::from_index(rs1),
@@ -529,8 +526,8 @@ mod tests {
         }))
     }
 
-    fn load(rd: u8, slot: i16) -> LirInst {
-        LirInst::always(LirOp::Real(Op::Load {
+    fn load(rd: u8, slot: i16) -> AsmInst {
+        AsmInst::Ready(Inst::always(Op::Load {
             area: MemArea::Stack,
             size: AccessSize::Word,
             rd: Reg::from_index(rd),
@@ -539,12 +536,20 @@ mod tests {
         }))
     }
 
-    fn br(label: &str) -> LirInst {
-        LirInst::always(LirOp::BrLabel(label.into()))
+    fn flow(guard: Guard, call: bool, label: &str) -> AsmInst {
+        AsmInst::Flow {
+            guard,
+            call,
+            target: Operand::Sym(label.into()),
+        }
     }
 
-    fn cond_br(label: &str) -> LirInst {
-        LirInst::new(Guard::unless(Pred::P6), LirOp::BrLabel(label.into()))
+    fn br(label: &str) -> AsmInst {
+        flow(Guard::ALWAYS, false, label)
+    }
+
+    fn cond_br(label: &str) -> AsmInst {
+        flow(Guard::unless(Pred::P6), false, label)
     }
 
     #[test]
@@ -571,7 +576,7 @@ mod tests {
 
     #[test]
     fn conditional_branch_waits_for_its_guard() {
-        let cmp = LirInst::always(LirOp::Real(Op::CmpI {
+        let cmp = AsmInst::Ready(Inst::always(Op::CmpI {
             op: patmos_isa::CmpOp::Lt,
             pd: Pred::P6,
             rs1: Reg::from_index(7),
@@ -592,7 +597,7 @@ mod tests {
         let s = schedule_block(&body, Some(&br("x")), true);
         let last = s.bundles.last().expect("non-empty");
         assert!(
-            !matches!(last.0.op, LirOp::Real(Op::Load { .. })),
+            !matches!(last.0.shape().op, Op::Load { .. }),
             "load in last bundle of {:?}",
             s.bundles
         );
@@ -600,7 +605,7 @@ mod tests {
         // the ALU there.
         let total = s.bundles.len() as u32;
         for (p, b) in s.bundles.iter().enumerate() {
-            if !is_nop_bundle(b) && !b.0.op.is_flow() {
+            if !is_nop_bundle(b) && !b.0.shape().op.is_flow() {
                 assert!(p as u32 + out_gap(&b.0) <= total);
             }
         }
@@ -609,7 +614,7 @@ mod tests {
     #[test]
     fn barrier_terminators_keep_everything_in_front() {
         let body = [alu(3, 0, 0), alu(4, 0, 0), alu(5, 0, 0)];
-        let call = LirInst::always(LirOp::CallFunc("f".into()));
+        let call = flow(Guard::ALWAYS, true, "f");
         let s = schedule_block(&body, Some(&call), true);
         let term_at = s.term_at.expect("has terminator");
         assert!(
@@ -627,7 +632,7 @@ mod tests {
         let n = hoist_into_shadow(&mut s.bundles, 0, 1, &mut donor, None);
         assert_eq!(n, 1, "only the first donor op fits the one slot");
         assert_eq!(donor.len(), 1);
-        assert!(matches!(s.bundles[1].0.op, LirOp::Real(Op::AluR { .. })));
+        assert!(matches!(s.bundles[1].0.shape().op, Op::AluR { .. }));
     }
 
     #[test]
@@ -638,7 +643,7 @@ mod tests {
         // may jump over it.
         live.regs |= 1 << 9;
         let s = &mut schedule_block(
-            &[LirInst::always(LirOp::Real(Op::CmpI {
+            &[AsmInst::Ready(Inst::always(Op::CmpI {
                 op: patmos_isa::CmpOp::Lt,
                 pd: Pred::P6,
                 rs1: Reg::from_index(7),
@@ -658,7 +663,7 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(donor.len(), 1);
         assert!(
-            matches!(donor[0].op, LirOp::Real(Op::AluR { rd, .. }) if rd == Reg::from_index(9)),
+            matches!(donor[0].shape().op, Op::AluR { rd, .. } if rd == Reg::from_index(9)),
             "the live-def op stays in the donor"
         );
     }

@@ -62,11 +62,11 @@
 //! single-path compilations never enable the pipeliner
 //! ([`crate::SchedOptions::pipeline`] stays off).
 
-use patmos_asm::{PipeLoop, Stmt};
-use patmos_isa::{AluOp, Guard, Op, Reg, ALLOC_POOL};
-use patmos_lir::plir::{CountedLoop, LirInst, LirOp, LoopBoundSrc};
+use patmos_asm::{AsmInst, Operand, PipeLoop, Stmt};
+use patmos_isa::{AluOp, Guard, Inst, Op, Reg, ALLOC_POOL};
+use patmos_lir::plir::{CountedLoop, LoopBoundSrc};
 
-use crate::dag::{dependence_gap, out_gap, DepSummary, Func, LiveSet};
+use crate::dag::{branch_label, dependence_gap, is_long, out_gap, DepSummary, Func, LiveSet};
 use crate::list::{self, BlockSchedule};
 use crate::{bundle, list_schedule, LoopReport, SchedReport};
 
@@ -122,7 +122,7 @@ struct Placed {
 ///
 /// Returns the number of definitions renamed to a fresh register.
 fn rename_loop_temporaries(
-    ops: &mut [LirInst],
+    ops: &mut [AsmInst],
     boundary_live: LiveSet,
     mut pool: Vec<Reg>,
     reuse_aware: bool,
@@ -133,9 +133,10 @@ fn rename_loop_temporaries(
     for r in ALLOC_POOL {
         renameable[r as usize] = !boundary_live.has_reg(Reg::from_index(r));
     }
-    for op in ops.iter() {
-        if let Some(d) = op.op.def() {
-            if !op.guard.is_always() {
+    for inst in ops.iter() {
+        let Inst { guard, op } = inst.shape();
+        if let Some(d) = op.def() {
+            if !guard.is_always() {
                 renameable[d.index() as usize] = false;
             }
         }
@@ -147,8 +148,9 @@ fn rename_loop_temporaries(
     if reuse_aware {
         let mut openings = [0u32; 32];
         for inst in ops.iter() {
-            if let Some(d) = inst.op.def() {
-                if !inst.op.uses().into_iter().flatten().any(|u| u == d) {
+            let op = inst.shape().op;
+            if let Some(d) = op.def() {
+                if !op.uses().into_iter().flatten().any(|u| u == d) {
                     openings[d.index() as usize] += 1;
                 }
             }
@@ -166,10 +168,11 @@ fn rename_loop_temporaries(
         // Original def name and whether the op also reads it (an
         // update like `lih rd = …` or `add r = r, c` continues its
         // range rather than opening a new one).
-        let orig_def = inst.op.def();
+        let op = inst.shape().op;
+        let orig_def = op.def();
         let reads_own_def =
-            orig_def.is_some_and(|d| inst.op.uses().into_iter().flatten().any(|u| u == d));
-        inst.op.map_uses(|r| map[r.index() as usize]);
+            orig_def.is_some_and(|d| op.uses().into_iter().flatten().any(|u| u == d));
+        inst.map_uses(|r| map[r.index() as usize]);
         let Some(orig) = orig_def else { continue };
         if !renameable[orig.index() as usize] {
             continue;
@@ -181,7 +184,7 @@ fn rename_loop_temporaries(
             }
             // Pool exhausted: the def keeps its current mapping.
         }
-        inst.op.set_def(map[orig.index() as usize]);
+        inst.set_def(map[orig.index() as usize]);
     }
     renamed
 }
@@ -194,8 +197,23 @@ fn head_bound(head: &[Stmt]) -> Option<(u32, u32)> {
     })
 }
 
-fn nop() -> LirInst {
-    LirInst::always(LirOp::Real(Op::Nop))
+fn nop() -> AsmInst {
+    AsmInst::Ready(Inst::nop())
+}
+
+/// A `br` to `label` under `guard`.
+fn branch(guard: Guard, label: String) -> AsmInst {
+    AsmInst::Flow {
+        guard,
+        call: false,
+        target: Operand::Sym(label),
+    }
+}
+
+/// Whether `inst` may issue only in the first slot.
+fn slot1_only(inst: &AsmInst) -> bool {
+    let op = inst.shape().op;
+    !op.allowed_in_second_slot() || is_long(&op)
 }
 
 /// Tries to software-pipeline the loop whose header is block `h` (body
@@ -236,13 +254,9 @@ pub(crate) fn try_pipeline(
     let (min_ann, max_ann) = head_bound(&hb.head)?;
     let hterm = hb.term.as_ref()?;
     let bterm = bb.term.as_ref()?;
-    let LirOp::BrLabel(exit_label) = &hterm.op else {
-        return None;
-    };
-    let LirOp::BrLabel(back_label) = &bterm.op else {
-        return None;
-    };
-    if back_label != &label || bb.labels().next().is_some() || bb.has_loop_bound {
+    let exit_label = branch_label(hterm)?;
+    let back_label = branch_label(bterm)?;
+    if back_label != label || bb.labels().next().is_some() || bb.has_loop_bound {
         return None;
     }
     if func.label_refs(&label) != 1 || func.block_of_label(exit_label).is_none() {
@@ -265,7 +279,8 @@ pub(crate) fn try_pipeline(
     boundary_live.preds |= live_in[h + 1].preds | live_in[exit_block].preds;
     let mut used = [false; 32];
     for inst in hb.insts.iter().chain(bb.insts.iter()) {
-        for r in inst.op.uses().into_iter().flatten().chain(inst.op.def()) {
+        let op = inst.shape().op;
+        for r in op.uses().into_iter().flatten().chain(op.def()) {
             used[r.index() as usize] = true;
         }
     }
@@ -322,17 +337,18 @@ pub(crate) fn try_pipeline(
         },
         (LoopBoundSrc::Reg(_), None) => unreachable!("reserved above"),
     };
-    let mut ops: Vec<LirInst> = Vec::with_capacity(bb.insts.len() + 1);
-    ops.push(LirInst::always(LirOp::Real(kern_cmp)));
+    let mut ops: Vec<AsmInst> = Vec::with_capacity(bb.insts.len() + 1);
+    ops.push(AsmInst::Ready(Inst::always(kern_cmp)));
     ops.extend(bb.insts.iter().cloned());
     let n = ops.len();
     let cmp_idx = 0usize;
     let slots = if dual_issue { 2usize } else { 1 };
-    let slot1_only = |op: &LirInst| !op.op.allowed_in_second_slot() || op.op.is_long();
 
     // ---- resource MII: the cheapest refusal, before any O(n²) work ----
     let n_slot1: u32 = ops.iter().filter(|o| slot1_only(o)).count() as u32;
-    let width: u32 = ops.iter().map(|o| if o.op.is_long() { 2 } else { 1 }).sum();
+    let width: u32 = (ops.iter())
+        .map(|o| if is_long(&o.shape().op) { 2 } else { 1 })
+        .sum();
     let res_mii = (n_slot1 + 1).max(width.div_ceil(slots as u32) + 1);
     if res_mii > MAX_II {
         refuse(
@@ -534,7 +550,7 @@ struct Gaps {
 }
 
 impl Gaps {
-    fn new(ops: &[LirInst]) -> Gaps {
+    fn new(ops: &[AsmInst]) -> Gaps {
         let n = ops.len();
         let deps: Vec<DepSummary> = ops.iter().map(DepSummary::of).collect();
         let gap = (deps.iter())
@@ -554,7 +570,7 @@ impl Gaps {
 /// distance-one constraint (re-verified exhaustively before
 /// returning).
 fn place_all(
-    ops: &[LirInst],
+    ops: &[AsmInst],
     gaps: &Gaps,
     order: &[usize],
     ii: u32,
@@ -564,7 +580,7 @@ fn place_all(
 ) -> Option<Vec<Placed>> {
     let n = ops.len();
     let gap = |a: usize, b: usize| gaps.get(a, b);
-    let slot1_only = |op: &LirInst| !op.op.allowed_in_second_slot() || op.op.is_long();
+    let long_at = |i: usize| is_long(&ops[i].shape().op);
     let br_row = ii - 1 - patmos_isa::timing::BRANCH_DELAY_COND;
     let horizon = (MAX_STAGES * ii - 1) as i64;
 
@@ -621,7 +637,7 @@ fn place_all(
         if lo > hard_hi {
             return None;
         }
-        let long = ops[idx].op.is_long();
+        let long = long_at(idx);
         let needs_slot1 = slot1_only(&ops[idx]);
         // First choice: a resource-free row within one II of the
         // earliest start.
@@ -645,7 +661,7 @@ fn place_all(
                 && !needs_slot1
                 && slots == 2
                 && table[row][1].is_none()
-                && !ops[table[row][0].expect("occupied")].op.is_long()
+                && !long_at(table[row][0].expect("occupied"))
             {
                 chosen = Some(Placed {
                     t: t as u32,
@@ -676,7 +692,7 @@ fn place_all(
             let conflict = if long {
                 true
             } else {
-                table[row][p.slot] == Some(x) || ops[x].op.is_long()
+                table[row][p.slot] == Some(x) || long_at(x)
             };
             if conflict {
                 clear(&mut table, x);
@@ -758,7 +774,7 @@ fn emit(
     bound_regs: Option<(Reg, Reg, Reg)>,
     label: &str,
     exit_label: &str,
-    ops: &[LirInst],
+    ops: &[AsmInst],
     times: &[Placed],
     ii: u32,
     stages: u32,
@@ -777,7 +793,7 @@ fn emit(
     let mut items: Vec<Stmt> = Vec::new();
     let mut bundles = 0usize;
     let mut paired = 0usize;
-    let mut push_bundle = |items: &mut Vec<Stmt>, first: LirInst, second: Option<LirInst>| {
+    let mut push_bundle = |items: &mut Vec<Stmt>, first: AsmInst, second: Option<AsmInst>| {
         bundles += 1;
         if second.is_some() {
             paired += 1;
@@ -810,7 +826,7 @@ fn emit(
             // `kb1` the guard (when any prologue exists).
             push_bundle(
                 &mut items,
-                LirInst::always(LirOp::Real(Op::AluI {
+                AsmInst::Ready(Inst::always(Op::AluI {
                     op: AluOp::Add,
                     rd: kb2,
                     rs1: k,
@@ -821,7 +837,7 @@ fn emit(
             let guard_src = if stages > 1 {
                 push_bundle(
                     &mut items,
-                    LirInst::always(LirOp::Real(Op::AluI {
+                    AsmInst::Ready(Inst::always(Op::AluI {
                         op: AluOp::Add,
                         rd: kb1,
                         rs1: k,
@@ -842,10 +858,10 @@ fn emit(
         }
         (LoopBoundSrc::Reg(_), None) => unreachable!("reserved by the caller"),
     };
-    push_bundle(&mut items, LirInst::always(LirOp::Real(guard_cmp)), None);
+    push_bundle(&mut items, AsmInst::Ready(Inst::always(guard_cmp)), None);
     push_bundle(
         &mut items,
-        LirInst::new(Guard::unless(cl.pd), LirOp::BrLabel(fb_label.clone())),
+        branch(Guard::unless(cl.pd), fb_label.clone()),
         None,
     );
     for _ in 0..patmos_isa::timing::BRANCH_DELAY_COND {
@@ -854,9 +870,9 @@ fn emit(
 
     // One emitted row: the ops reserved at `row` whose stage passes
     // `keep`, in slot order.
-    let row_bundle = |row: u32, keep: &dyn Fn(u32) -> bool| -> (LirInst, Option<LirInst>) {
-        let mut first: Option<LirInst> = None;
-        let mut second: Option<LirInst> = None;
+    let row_bundle = |row: u32, keep: &dyn Fn(u32) -> bool| -> (AsmInst, Option<AsmInst>) {
+        let mut first: Option<AsmInst> = None;
+        let mut second: Option<AsmInst> = None;
         for (i, op) in ops.iter().enumerate().take(n) {
             if row_of(i) != row || !keep(stage_of(i)) {
                 continue;
@@ -894,7 +910,7 @@ fn emit(
         if row == br_row {
             push_bundle(
                 &mut items,
-                LirInst::new(Guard::when(cl.pd), LirOp::BrLabel(kern_label.clone())),
+                branch(Guard::when(cl.pd), kern_label.clone()),
                 None,
             );
         } else {
@@ -926,7 +942,7 @@ fn emit(
     }
     push_bundle(
         &mut items,
-        LirInst::always(LirOp::BrLabel(exit_label.to_string())),
+        branch(Guard::ALWAYS, exit_label.to_string()),
         None,
     );
     for _ in 0..patmos_isa::timing::BRANCH_DELAY_UNCOND {
@@ -946,7 +962,7 @@ fn emit(
     let back = body_sched
         .term_at
         .expect("the body ends in its back branch");
-    body_sched.bundles[back].0 = LirInst::always(LirOp::BrLabel(fb_label.clone()));
+    body_sched.bundles[back].0 = branch(Guard::ALWAYS, fb_label.clone());
     for (f, s) in head_sched.bundles.into_iter().chain(body_sched.bundles) {
         push_bundle(&mut items, f, s);
     }
@@ -993,13 +1009,12 @@ fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_asm::{AsmInst, Operand};
-    use patmos_isa::{AccessSize, AluOp, CmpOp, Inst, MemArea, Pred, Reg};
+    use patmos_isa::{AccessSize, AluOp, CmpOp, MemArea, Pred, Reg};
     use patmos_lir::plir::Item;
     use patmos_lir::Function;
 
-    fn alu(rd: u8, rs1: u8, rs2: u8) -> LirInst {
-        LirInst::always(LirOp::Real(Op::AluR {
+    fn alu(rd: u8, rs1: u8, rs2: u8) -> AsmInst {
+        AsmInst::Ready(Inst::always(Op::AluR {
             op: AluOp::Add,
             rd: Reg::from_index(rd),
             rs1: Reg::from_index(rs1),
@@ -1007,8 +1022,8 @@ mod tests {
         }))
     }
 
-    fn load(rd: u8, ra: u8) -> LirInst {
-        LirInst::always(LirOp::Real(Op::Load {
+    fn load(rd: u8, ra: u8) -> AsmInst {
+        AsmInst::Ready(Inst::always(Op::Load {
             area: MemArea::Static,
             size: AccessSize::Word,
             rd: Reg::from_index(rd),
@@ -1017,8 +1032,8 @@ mod tests {
         }))
     }
 
-    fn addi(rd: u8, rs1: u8, imm: i16) -> LirInst {
-        LirInst::always(LirOp::Real(Op::AluI {
+    fn addi(rd: u8, rs1: u8, imm: i16) -> AsmInst {
+        AsmInst::Ready(Inst::always(Op::AluI {
             op: AluOp::Add,
             rd: Reg::from_index(rd),
             rs1: Reg::from_index(rs1),
@@ -1040,42 +1055,23 @@ mod tests {
                     max: bound_max,
                 },
                 Item::Label("main_head1".into()),
-                Item::Inst(LirInst::always(LirOp::Real(Op::CmpI {
+                Item::Inst(AsmInst::Ready(Inst::always(Op::CmpI {
                     op: CmpOp::Lt,
                     pd: Pred::P6,
                     rs1: Reg::from_index(7),
                     imm: 60,
                 }))),
-                Item::Inst(LirInst::new(
-                    Guard::unless(Pred::P6),
-                    LirOp::BrLabel("main_exit2".into()),
-                )),
+                Item::Inst(branch(Guard::unless(Pred::P6), "main_exit2".into())),
                 Item::Inst(load(9, 8)),
                 Item::Inst(alu(10, 10, 9)),
                 Item::Inst(addi(8, 8, 4)),
                 Item::Inst(addi(7, 7, 1)),
-                Item::Inst(LirInst::always(LirOp::BrLabel("main_head1".into()))),
+                Item::Inst(branch(Guard::ALWAYS, "main_head1".into())),
                 Item::Label("main_exit2".into()),
                 Item::Inst(alu(1, 10, 0)),
-                Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
+                Item::Inst(AsmInst::Ready(Inst::always(Op::Halt))),
             ],
         )
-    }
-
-    /// The physical instruction an emitted one spells, for the
-    /// dependence relation; `None` for `nop` and flow instructions.
-    fn body_op(inst: &AsmInst) -> Option<LirInst> {
-        match inst {
-            AsmInst::Ready(i) if !matches!(i.op, Op::Nop) && !i.op.is_flow() => {
-                Some(LirInst::new(i.guard, LirOp::Real(i.op)))
-            }
-            AsmInst::LongImm {
-                guard,
-                rd,
-                value: Operand::Sym(sym),
-            } => Some(LirInst::new(*guard, LirOp::LilSym(*rd, sym.clone()))),
-            _ => None,
-        }
     }
 
     fn pipeline(func: &Function<Item>) -> Option<Pipelined> {
@@ -1126,7 +1122,7 @@ mod tests {
         // Walk the emitted bundle stream of the whole pipelined region
         // (guard + prologue + one kernel round + epilogue): between
         // any two bundles, the dependence gap of their ops must hold.
-        let mut linear: Vec<(usize, &AsmInst, LirInst)> = Vec::new();
+        let mut linear: Vec<(usize, &AsmInst)> = Vec::new();
         let mut pos = 0usize;
         let mut kernel_start: Option<usize> = None;
         for item in &p.items {
@@ -1134,25 +1130,25 @@ mod tests {
                 Stmt::Label(l) if l.ends_with("_mk") => kernel_start = Some(pos),
                 Stmt::Label(l) if l.ends_with("_mf") => break,
                 Stmt::Bundle(b) => {
-                    for inst in b {
-                        if let Some(op) = body_op(inst) {
-                            linear.push((pos, inst, op));
-                        }
-                    }
+                    // Every op but `nop`s and flow instructions.
+                    linear.extend(b.iter().map(|inst| (pos, inst)).filter(|(_, inst)| {
+                        let op = inst.shape().op;
+                        op != Op::Nop && !op.is_flow()
+                    }));
                     pos += 1;
                 }
                 _ => {}
             }
         }
-        for (ai, (pa, sa, a)) in linear.iter().enumerate() {
-            for (pb, sb, b) in linear.iter().skip(ai + 1) {
+        for (ai, (pa, a)) in linear.iter().enumerate() {
+            for (pb, b) in linear.iter().skip(ai + 1) {
                 if pa == pb {
                     continue; // same bundle: reads see pre-state
                 }
                 if let Some(g) = dependence_gap(&DepSummary::of(a), &DepSummary::of(b)) {
                     assert!(
                         pb - pa >= g as usize,
-                        "gap {g} violated between {sa} @{pa} and {sb} @{pb}"
+                        "gap {g} violated between {a} @{pa} and {b} @{pb}"
                     );
                 }
             }
@@ -1161,16 +1157,16 @@ mod tests {
         // II later) must respect the gap from every op of round r.
         let ks = kernel_start.expect("kernel label present");
         let ii = p.report.ii as usize;
-        let kernel: Vec<&(usize, &AsmInst, LirInst)> = linear
+        let kernel: Vec<&(usize, &AsmInst)> = linear
             .iter()
             .filter(|(q, ..)| *q >= ks && *q < ks + ii)
             .collect();
-        for (pa, sa, a) in &kernel {
-            for (pb, sb, b) in &kernel {
+        for (pa, a) in &kernel {
+            for (pb, b) in &kernel {
                 if let Some(g) = dependence_gap(&DepSummary::of(a), &DepSummary::of(b)) {
                     assert!(
                         pb + ii - pa >= g as usize,
-                        "loop-carried gap {g} violated between {sa} @{pa} and {sb} @+{pb}"
+                        "loop-carried gap {g} violated between {a} @{pa} and {b} @+{pb}"
                     );
                 }
             }
@@ -1235,15 +1231,15 @@ mod tests {
     fn body_touching_the_exit_predicate_rejects_pipelining() {
         let mut m = counted_loop(61);
         // Guard a body op with p6.
-        m.items[7] = Item::Inst(LirInst::new(
+        m.items[7] = Item::Inst(AsmInst::Ready(Inst::new(
             Guard::when(Pred::P6),
-            LirOp::Real(Op::AluR {
+            Op::AluR {
                 op: AluOp::Add,
                 rd: Reg::from_index(9),
                 rs1: Reg::from_index(9),
                 rs2: Reg::from_index(9),
-            }),
-        ));
+            },
+        )));
         assert!(pipeline(&m).is_none());
     }
 
@@ -1252,7 +1248,7 @@ mod tests {
         let mut m = counted_loop(61);
         // Swap the header compare for a register bound held in r11,
         // initialised before the loop.
-        m.items[5] = Item::Inst(LirInst::always(LirOp::Real(Op::Cmp {
+        m.items[5] = Item::Inst(AsmInst::Ready(Inst::always(Op::Cmp {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: Reg::from_index(7),
@@ -1260,7 +1256,7 @@ mod tests {
         })));
         m.items.insert(
             3,
-            Item::Inst(LirInst::always(LirOp::Real(Op::LoadImmLow {
+            Item::Inst(AsmInst::Ready(Inst::always(Op::LoadImmLow {
                 rd: Reg::from_index(11),
                 imm: 60,
             }))),

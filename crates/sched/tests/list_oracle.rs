@@ -2,31 +2,25 @@
 //! `list::schedule_block`.
 //!
 //! The reference below states both in their plainest form: the
-//! pairwise relation read straight from the `LirOp` queries of both
-//! ops, and a list scheduler that relates every pair and rescans every
-//! unplaced op's predecessors each cycle. The library builds per-op dependence
-//! summaries and releases successors as ops are placed; it must agree
-//! with the reference on every ordered pair of a wide op pool, and on
-//! every generated block (1-150 operations over a handful of
-//! registers, every terminator kind, dual and single issue) in every
-//! field of the `BlockSchedule`, whether scheduled in fresh buffers or
-//! in one set of `list::Buffers` reused across a test's blocks, as the
-//! driver reuses it across a module's. Whatever the schedule, each op is
-//! placed exactly once, every reference dependence gap holds between
-//! final bundle positions, and every visible-delay residue completes by
-//! the end of the block.
+//! pairwise relation read straight from the ISA's queries on both ops'
+//! `AsmInst::shape`, and a list scheduler that relates every pair and
+//! rescans every unplaced op's predecessors each cycle. The library
+//! builds per-op dependence summaries and releases successors as ops
+//! are placed; it must agree with the reference on every ordered pair
+//! of a wide op pool, and on every generated block (1-150 operations
+//! over a handful of registers, every terminator kind, dual and single
+//! issue) in every field of the `BlockSchedule`, whether scheduled in
+//! fresh buffers or in one set of `list::Buffers` reused across a
+//! test's blocks, as the driver reuses it across a module's. Whatever
+//! the schedule, each op is placed exactly once, every reference
+//! dependence gap holds between final bundle positions, and every
+//! visible-delay residue completes by the end of the block.
 
-use patmos_asm::AsmInst;
-use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Op, Pred, PredOp, PredSrc};
+use patmos_asm::{AsmInst, Operand};
+use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, Inst, MemArea, Op, Pred, PredOp, PredSrc};
 use patmos_isa::{Reg, SpecialReg};
-use patmos_lir::plir::{LirInst, LirOp};
 use patmos_sched::dag::{dependence_gap, DepSummary};
 use patmos_sched::list::{schedule_block, schedule_block_in, BlockSchedule, Buffers};
-
-/// An op in assembler syntax, for failure messages.
-fn show(op: &LirInst) -> AsmInst {
-    AsmInst::from(op.clone())
-}
 
 /// splitmix64: enough randomness for a reproducible sweep.
 struct Rng(u64);
@@ -59,7 +53,7 @@ impl Rng {
 
 /// One body op: ALU, immediate, load/store, `mul`/`mfs`, compare or
 /// predicate logic, occasionally guarded.
-fn body_op(rng: &mut Rng) -> LirInst {
+fn body_op(rng: &mut Rng) -> AsmInst {
     let area = [MemArea::Stack, MemArea::Static][rng.below(2) as usize];
     let op = match rng.below(11) {
         0 => Op::AluR {
@@ -128,20 +122,28 @@ fn body_op(rng: &mut Rng) -> LirInst {
         1 => Guard::unless(rng.pred()),
         _ => Guard::ALWAYS,
     };
-    LirInst::new(guard, LirOp::Real(op))
+    AsmInst::Ready(Inst::new(guard, op))
+}
+
+/// A `br` (or, with `call`, a `call`) of `name` under `guard`.
+fn flow(guard: Guard, call: bool, name: &str) -> AsmInst {
+    AsmInst::Flow {
+        guard,
+        call,
+        target: Operand::Sym(name.into()),
+    }
 }
 
 /// Every terminator kind: fall-through, unconditional and conditional
 /// label branches, and the barriers (call, return, halt).
-fn terminator(kind: u64, rng: &mut Rng) -> Option<LirInst> {
-    let label = || LirOp::BrLabel("next".into());
+fn terminator(kind: u64, rng: &mut Rng) -> Option<AsmInst> {
     match kind {
         0 => None,
-        1 => Some(LirInst::always(label())),
-        2 => Some(LirInst::new(Guard::unless(rng.pred()), label())),
-        3 => Some(LirInst::always(LirOp::CallFunc("callee".into()))),
-        4 => Some(LirInst::always(LirOp::Real(Op::Ret))),
-        _ => Some(LirInst::always(LirOp::Real(Op::Halt))),
+        1 => Some(flow(Guard::ALWAYS, false, "next")),
+        2 => Some(flow(Guard::unless(rng.pred()), false, "next")),
+        3 => Some(flow(Guard::ALWAYS, true, "callee")),
+        4 => Some(AsmInst::Ready(Inst::always(Op::Ret))),
+        _ => Some(AsmInst::Ready(Inst::always(Op::Halt))),
     }
 }
 
@@ -149,36 +151,41 @@ fn terminator(kind: u64, rng: &mut Rng) -> Option<LirInst> {
 /// (to `r0` too), a long immediate, `mts`/`mfs` of the multiplier's
 /// `sl`/`sh` and of `sm`, stack control, or an ALU op whose predicate
 /// logic or guard names `p0` (`!p0` included).
-fn rare_op(rng: &mut Rng) -> LirInst {
+fn rare_op(rng: &mut Rng) -> AsmInst {
     let special = [SpecialReg::Sl, SpecialReg::Sh, SpecialReg::Sm][rng.below(3) as usize];
-    let op = match rng.below(8) {
-        0 => LirOp::LilSym([rng.reg(), Reg::R0][rng.below(2) as usize], "sym".into()),
-        1 => LirOp::Real(Op::LoadImm32 {
+    let ready = |op| AsmInst::Ready(Inst::always(op));
+    let inst = match rng.below(8) {
+        0 => AsmInst::LongImm {
+            guard: Guard::ALWAYS,
+            rd: [rng.reg(), Reg::R0][rng.below(2) as usize],
+            value: Operand::Sym("sym".into()),
+        },
+        1 => ready(Op::LoadImm32 {
             rd: rng.reg(),
             imm: rng.next() as u32,
         }),
-        2 => LirOp::Real(Op::Mts {
+        2 => ready(Op::Mts {
             sd: special,
             rs: rng.reg(),
         }),
-        3 => LirOp::Real(Op::Mfs {
+        3 => ready(Op::Mfs {
             rd: rng.reg(),
             ss: special,
         }),
-        4 => LirOp::Real(Op::Sres { words: 4 }),
-        5 => LirOp::Real(Op::PredSet {
+        4 => ready(Op::Sres { words: 4 }),
+        5 => ready(Op::PredSet {
             op: PredOp::Or,
             pd: rng.pred(),
             p1: PredSrc::plain(Pred::P0),
             p2: PredSrc::plain(rng.pred()),
         }),
-        6 => LirOp::Real(Op::Cmp {
+        6 => ready(Op::Cmp {
             op: CmpOp::Eq,
             pd: rng.pred(),
             rs1: rng.reg(),
             rs2: Reg::R0,
         }),
-        _ => LirOp::Real(Op::AluI {
+        _ => ready(Op::AluI {
             op: AluOp::Add,
             rd: rng.reg(),
             rs1: Reg::R0,
@@ -190,11 +197,16 @@ fn rare_op(rng: &mut Rng) -> LirInst {
         1 => Guard::when(rng.pred()),
         _ => Guard::ALWAYS,
     };
-    LirInst::new(guard, op)
+    // The guard is drawn after the operands; it replaces `always`.
+    match inst {
+        AsmInst::Ready(inst) => AsmInst::Ready(Inst::new(guard, inst.op)),
+        AsmInst::LongImm { rd, value, .. } => AsmInst::LongImm { guard, rd, value },
+        AsmInst::Flow { .. } => unreachable!("no rare op transfers control"),
+    }
 }
 
 /// Mostly generated body ops, with one in eight a [`rare_op`].
-fn wide_op(rng: &mut Rng) -> LirInst {
+fn wide_op(rng: &mut Rng) -> AsmInst {
     if rng.below(8) == 0 {
         rare_op(rng)
     } else {
@@ -202,63 +214,108 @@ fn wide_op(rng: &mut Rng) -> LirInst {
     }
 }
 
-fn is_nop(inst: &LirInst) -> bool {
-    matches!(inst.op, LirOp::Real(Op::Nop))
+fn is_nop(inst: &AsmInst) -> bool {
+    matches!(inst, AsmInst::Ready(i) if i.op == Op::Nop)
 }
 
 // ---- the reference ----
 
-/// The minimum bundle gap from `a` to `b`, read from both ops'
-/// `LirOp` queries.
-fn ref_gap(a: &LirInst, b: &LirInst) -> Option<u32> {
+/// Whether `inst` is a `call` of a function by name.
+fn is_named_call(inst: &AsmInst) -> bool {
+    matches!(
+        inst,
+        AsmInst::Flow {
+            call: true,
+            target: Operand::Sym(_),
+            ..
+        }
+    )
+}
+
+/// Whether `op` occupies a whole bundle.
+fn is_long(op: &Op) -> bool {
+    matches!(op, Op::LoadImm32 { .. })
+}
+
+/// Whether `op` writes the multiplier's `sl`/`sh`.
+fn writes_mul(op: &Op) -> bool {
+    matches!(op, Op::Mul { .. })
+}
+
+/// Whether `op` reads the multiplier's `sl`/`sh`.
+fn reads_mul(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Mfs {
+            ss: SpecialReg::Sl | SpecialReg::Sh,
+            ..
+        }
+    )
+}
+
+/// The gap a reader of `op`'s register result must keep.
+fn def_gap(op: &Op) -> u32 {
+    if matches!(op, Op::Load { .. }) {
+        1 + patmos_isa::timing::LOAD_USE_GAP
+    } else {
+        1
+    }
+}
+
+/// The minimum bundle gap from `a` to `b`, read from the ISA's queries
+/// on both ops' shapes.
+fn ref_gap(a: &AsmInst, b: &AsmInst) -> Option<u32> {
+    let (sa, sb) = (a.shape(), b.shape());
+    let (ao, bo) = (&sa.op, &sb.op);
     let mut gap: Option<u32> = None;
     let mut need = |g: u32| gap = Some(gap.map_or(g, |old: u32| old.max(g)));
 
     // Memory/stack-control order is preserved.
-    if a.op.is_ordered() && b.op.is_ordered() {
+    let ordered = |op: &Op| op.is_memory() || op.is_stack_control();
+    if ordered(ao) && ordered(bo) {
         need(1);
     }
     // Calls are barriers: nothing moves across them.
-    if matches!(a.op, LirOp::CallFunc(_)) || matches!(b.op, LirOp::CallFunc(_)) {
+    if is_named_call(a) || is_named_call(b) {
         need(1);
     }
 
     // Register RAW/WAW/WAR.
-    if let Some(d) = a.op.def() {
-        if b.op.uses().into_iter().flatten().any(|u| u == d) {
-            need(a.op.def_gap());
+    if let Some(d) = ao.def() {
+        if bo.uses().into_iter().flatten().any(|u| u == d) {
+            need(def_gap(ao));
         }
-        if b.op.def() == Some(d) {
+        if bo.def() == Some(d) {
             need(1);
         }
     }
-    if let Some(d) = b.op.def() {
-        if a.op.uses().into_iter().flatten().any(|u| u == d) {
+    if let Some(d) = bo.def() {
+        if ao.uses().into_iter().flatten().any(|u| u == d) {
             need(0); // same bundle is fine: reads see pre-state
         }
     }
 
     // Predicate RAW/WAW/WAR, including guards.
     let b_pred_reads = || {
-        b.op.pred_uses()
+        bo.pred_uses()
             .into_iter()
             .flatten()
-            .chain((!b.guard.is_always()).then_some(b.guard.pred))
+            .chain((!sb.guard.is_always()).then_some(sb.guard.pred))
     };
-    if let Some(d) = a.op.pred_def() {
+    if let Some(d) = ao.pred_def() {
         if b_pred_reads().any(|p| p == d) {
             need(1);
         }
-        if b.op.pred_def() == Some(d) {
+        if bo.pred_def() == Some(d) {
             need(1);
         }
     }
-    if let Some(d) = b.op.pred_def() {
-        let a_reads =
-            a.op.pred_uses()
-                .into_iter()
-                .flatten()
-                .chain((!a.guard.is_always()).then_some(a.guard.pred));
+    if let Some(d) = bo.pred_def() {
+        let a_reads = ao
+            .pred_uses()
+            .into_iter()
+            .flatten()
+            .chain((!sa.guard.is_always()).then_some(sa.guard.pred));
         for p in a_reads {
             if p == d {
                 need(0);
@@ -267,33 +324,41 @@ fn ref_gap(a: &LirInst, b: &LirInst) -> Option<u32> {
     }
 
     // Multiplier unit.
-    if a.op.writes_mul() && b.op.reads_mul() {
+    if writes_mul(ao) && reads_mul(bo) {
         need(1 + patmos_isa::timing::MUL_GAP);
     }
-    if a.op.writes_mul() && b.op.writes_mul() {
+    if writes_mul(ao) && writes_mul(bo) {
         need(1);
     }
-    if a.op.reads_mul() && b.op.writes_mul() {
+    if reads_mul(ao) && writes_mul(bo) {
         need(0);
     }
 
     gap
 }
 
-fn nop() -> LirInst {
-    LirInst::always(LirOp::Real(Op::Nop))
+fn nop() -> AsmInst {
+    AsmInst::Ready(Inst::nop())
 }
 
-fn fillable(term: &LirInst) -> bool {
-    matches!(term.op, LirOp::BrLabel(_))
+fn fillable(term: &AsmInst) -> bool {
+    matches!(
+        term,
+        AsmInst::Flow {
+            call: false,
+            target: Operand::Sym(_),
+            ..
+        }
+    )
 }
 
 /// The visible-delay residue an op owes past its issue bundle.
-fn ref_out_gap(inst: &LirInst) -> u32 {
-    if inst.op.writes_mul() {
+fn ref_out_gap(inst: &AsmInst) -> u32 {
+    let op = inst.shape().op;
+    if writes_mul(&op) {
         1 + patmos_isa::timing::MUL_GAP
-    } else if inst.op.def().is_some() {
-        inst.op.def_gap()
+    } else if op.def().is_some() {
+        def_gap(&op)
     } else {
         0
     }
@@ -302,8 +367,8 @@ fn ref_out_gap(inst: &LirInst) -> u32 {
 /// Schedules one block, relating every pair of ops and re-reading every
 /// unplaced op's predecessors each cycle.
 fn ref_schedule_block(
-    insts: &[LirInst],
-    term: Option<&LirInst>,
+    insts: &[AsmInst],
+    term: Option<&AsmInst>,
     dual_issue: bool,
 ) -> BlockSchedule {
     let n = insts.len();
@@ -364,12 +429,11 @@ fn ref_schedule_block(
         remaining -= 1;
 
         let mut second: Option<usize> = None;
-        if dual_issue && !insts[fi].op.is_long() {
+        let first = insts[fi].shape().op;
+        if dual_issue && !is_long(&first) {
             for j in 0..n {
-                if sched[j].is_some()
-                    || !insts[j].op.allowed_in_second_slot()
-                    || insts[j].op.is_long()
-                {
+                let op = insts[j].shape().op;
+                if sched[j].is_some() || !op.allowed_in_second_slot() || is_long(&op) {
                     continue;
                 }
                 // Ready even against the op just placed in slot one
@@ -378,12 +442,10 @@ fn ref_schedule_block(
                     continue;
                 }
                 // No conflicting writes within the bundle.
-                if insts[fi].op.def().is_some() && insts[fi].op.def() == insts[j].op.def() {
+                if first.def().is_some() && first.def() == op.def() {
                     continue;
                 }
-                if insts[fi].op.pred_def().is_some()
-                    && insts[fi].op.pred_def() == insts[j].op.pred_def()
-                {
+                if first.pred_def().is_some() && first.pred_def() == op.pred_def() {
                     continue;
                 }
                 if second.is_none_or(|s| height[j] > height[s]) {
@@ -401,11 +463,11 @@ fn ref_schedule_block(
     let body_len = cycles.len() as u32;
 
     let materialize = |slot: Option<usize>| slot.map(|i| insts[i].clone());
-    let bundle_at = |c: &(Option<usize>, Option<usize>)| -> (LirInst, Option<LirInst>) {
+    let bundle_at = |c: &(Option<usize>, Option<usize>)| -> (AsmInst, Option<AsmInst>) {
         (materialize(c.0).unwrap_or_else(nop), materialize(c.1))
     };
 
-    let mut bundles: Vec<(LirInst, Option<LirInst>)> = Vec::new();
+    let mut bundles: Vec<(AsmInst, Option<AsmInst>)> = Vec::new();
     let residue_end = (0..n)
         .map(|i| sched[i].expect("all scheduled") + ref_out_gap(&insts[i]))
         .max()
@@ -429,7 +491,7 @@ fn ref_schedule_block(
         };
     };
 
-    let delay = term.op.delay_slots(term.guard);
+    let delay = term.shape().delay_slots();
     if !fillable(term) {
         // Barrier: everything issues before the terminator.
         let beta = (0..n)
@@ -524,8 +586,8 @@ fn ref_schedule_block(
 fn check_block(
     buffers: &mut Buffers,
     what: &str,
-    body: &[LirInst],
-    term: Option<&LirInst>,
+    body: &[AsmInst],
+    term: Option<&AsmInst>,
     dual: bool,
 ) {
     let s = schedule_block(body, term, dual);
@@ -542,13 +604,14 @@ fn check_block(
     let n = body.len();
 
     // Program order: the body, then the terminator.
-    let program: Vec<&LirInst> = body.iter().chain(term).collect();
-    let mut placed: Vec<(usize, &LirInst)> = Vec::new();
+    let program: Vec<&AsmInst> = body.iter().chain(term).collect();
+    let mut placed: Vec<(usize, &AsmInst)> = Vec::new();
     for (p, (first, second)) in s.bundles.iter().enumerate() {
         assert!(dual || second.is_none(), "{what}: paired at {p}");
         if let Some(second) = second {
+            let (first, second) = (first.shape().op, second.shape().op);
             assert!(
-                second.op.allowed_in_second_slot() && !second.op.is_long() && !first.op.is_long(),
+                second.allowed_in_second_slot() && !is_long(&second) && !is_long(&first),
                 "{what}: illegal pair at {p}"
             );
         }
@@ -570,7 +633,7 @@ fn check_block(
         let mut copies = placed.iter().filter(|(_, o)| o == op);
         let (p, _) = copies
             .nth(copy)
-            .unwrap_or_else(|| panic!("{what}: op {i} `{}` missing", show(op)));
+            .unwrap_or_else(|| panic!("{what}: op {i} `{op}` missing"));
         at[i] = *p;
     }
     if term.is_some() {
@@ -584,9 +647,9 @@ fn check_block(
                 assert!(
                     at[j] >= at[i] + gap as usize,
                     "{what}: `{}` @{} -> `{}` @{} needs gap {gap}",
-                    show(program[i]),
+                    program[i],
                     at[i],
-                    show(program[j]),
+                    program[j],
                     at[j]
                 );
             }
@@ -597,8 +660,7 @@ fn check_block(
     for (i, op) in body.iter().enumerate() {
         assert!(
             at[i] + ref_out_gap(op) as usize <= s.bundles.len(),
-            "{what}: `{}` @{} owes {} past {} bundles",
-            show(op),
+            "{what}: `{op}` @{} owes {} past {} bundles",
             at[i],
             ref_out_gap(op),
             s.bundles.len()
@@ -614,7 +676,7 @@ fn generated_blocks_schedule_legally() {
     let buffers = &mut Buffers::default();
     for case in 0..480u64 {
         let n = 1 + rng.below(60) as usize;
-        let body: Vec<LirInst> = (0..n).map(|_| body_op(&mut rng)).collect();
+        let body: Vec<AsmInst> = (0..n).map(|_| body_op(&mut rng)).collect();
         let term = terminator(case % KINDS, &mut rng);
         let dual = (case / KINDS) % 2 == 0;
         let what = format!("case {case}: {n} ops, terminator {term:?}, dual {dual}");
@@ -630,7 +692,7 @@ fn large_generated_blocks_match_the_reference() {
     let buffers = &mut Buffers::default();
     for case in 0..48u64 {
         let n = 61 + rng.below(90) as usize;
-        let body: Vec<LirInst> = (0..n).map(|_| wide_op(&mut rng)).collect();
+        let body: Vec<AsmInst> = (0..n).map(|_| wide_op(&mut rng)).collect();
         let term = terminator(case % KINDS, &mut rng);
         let dual = (case / KINDS) % 2 == 0;
         let what = format!("large case {case}: {n} ops, terminator {term:?}, dual {dual}");
@@ -644,7 +706,7 @@ fn large_generated_blocks_match_the_reference() {
 #[test]
 fn the_relation_matches_the_reference_on_every_pair() {
     let mut rng = Rng(0xdeb5_0a11_9a1e);
-    let mut pool: Vec<LirInst> = (0..160).map(|_| body_op(&mut rng)).collect();
+    let mut pool: Vec<AsmInst> = (0..160).map(|_| body_op(&mut rng)).collect();
     pool.extend((0..64).map(|_| rare_op(&mut rng)));
     for kind in 1..KINDS {
         for _ in 0..4 {
@@ -652,21 +714,15 @@ fn the_relation_matches_the_reference_on_every_pair() {
         }
     }
     for guard in [Guard::unless(Pred::P0), Guard::when(Pred::P2)] {
-        pool.push(LirInst::new(guard, LirOp::BrLabel("next".into())));
-        pool.push(LirInst::new(guard, LirOp::CallFunc("callee".into())));
+        pool.push(flow(guard, false, "next"));
+        pool.push(flow(guard, true, "callee"));
     }
     let deps: Vec<DepSummary> = pool.iter().map(DepSummary::of).collect();
     let mut related = 0;
     for (a, da) in pool.iter().zip(&deps) {
         for (b, db) in pool.iter().zip(&deps) {
             let want = ref_gap(a, b);
-            assert_eq!(
-                dependence_gap(da, db),
-                want,
-                "`{}` -> `{}`",
-                show(a),
-                show(b)
-            );
+            assert_eq!(dependence_gap(da, db), want, "`{a}` -> `{b}`");
             related += want.is_some() as usize;
         }
     }

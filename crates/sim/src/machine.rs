@@ -426,11 +426,6 @@ impl Simulator {
         &self.spm
     }
 
-    /// Mutable scratchpad (for preparing inputs).
-    pub fn scratchpad_mut(&mut self) -> &mut Scratchpad {
-        &mut self.spm
-    }
-
     /// Execution counters so far.
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
