@@ -220,7 +220,7 @@ pub fn link(module: &AsmModule) -> Result<ObjectImage, AsmError> {
                     });
                 }
                 let width = match insts.as_slice() {
-                    [only] if matches!(only.shape().op, Op::LoadImm32 { .. }) => 2,
+                    [only] if only.shape().op.fills_bundle() => 2,
                     [_] => 1,
                     [_, _] => 2,
                     _ => {

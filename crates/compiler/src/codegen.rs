@@ -26,7 +26,7 @@ use std::fmt;
 
 use patmos_asm::{Operand, MAX_SEGMENT_BYTES};
 use patmos_isa::{
-    AluOp, CmpOp, Guard, MemArea, Pred, PredOp, PredSrc, Reg, ARG_REGS, BOOL_PRED, EXIT_PRED,
+    AluOp, CmpOp, Guard, MemArea, Op, Pred, PredOp, PredSrc, Reg, ARG_REGS, BOOL_PRED, EXIT_PRED,
 };
 use patmos_lir::vlir::{VInst, VItem, VModule, VOp, VReg};
 use patmos_lir::Function;
@@ -320,11 +320,11 @@ impl FnCtx<'_> {
         v
     }
 
-    fn push_op(&mut self, op: VOp) {
+    fn push_op(&mut self, op: impl Into<VOp>) {
         self.items.push(VItem::Inst(VInst::always(op)));
     }
 
-    fn push_guarded(&mut self, op: VOp) {
+    fn push_guarded(&mut self, op: impl Into<VOp>) {
         self.items.push(VItem::Inst(VInst::new(self.guard, op)));
     }
 
@@ -365,7 +365,7 @@ impl FnCtx<'_> {
 
     /// Emits a copy `dst = src` under the current guard.
     fn copy_guarded(&mut self, dst: VReg, src: VReg) {
-        self.push_guarded(VOp::AluR {
+        self.push_guarded(Op::AluR {
             op: AluOp::Add,
             rd: dst,
             rs1: src,
@@ -393,7 +393,7 @@ impl FnCtx<'_> {
                         rd: addr,
                         sym: name.clone(),
                     });
-                    self.push_op(VOp::Load {
+                    self.push_op(Op::Load {
                         area: area_of(g.qualifier),
                         size: patmos_isa::AccessSize::Word,
                         rd: value,
@@ -419,19 +419,19 @@ impl FnCtx<'_> {
                     rd: base,
                     sym: name.clone(),
                 });
-                self.push_op(VOp::AluI {
+                self.push_op(Op::AluI {
                     op: AluOp::Shl,
                     rd: scaled,
                     rs1: ti,
                     imm: 2,
                 });
-                self.push_op(VOp::AluR {
+                self.push_op(Op::AluR {
                     op: AluOp::Add,
                     rd: addr,
                     rs1: base,
                     rs2: scaled,
                 });
-                self.push_op(VOp::Load {
+                self.push_op(Op::Load {
                     area: area_of(g.qualifier),
                     size: patmos_isa::AccessSize::Word,
                     rd: value,
@@ -445,7 +445,7 @@ impl FnCtx<'_> {
                 match op {
                     UnOp::Neg => {
                         let d = self.fresh();
-                        self.push_op(VOp::AluR {
+                        self.push_op(Op::AluR {
                             op: AluOp::Sub,
                             rd: d,
                             rs1: VReg::ZERO,
@@ -455,7 +455,7 @@ impl FnCtx<'_> {
                     }
                     UnOp::BitNot => {
                         let d = self.fresh();
-                        self.push_op(VOp::AluR {
+                        self.push_op(Op::AluR {
                             op: AluOp::Nor,
                             rd: d,
                             rs1: t,
@@ -464,7 +464,7 @@ impl FnCtx<'_> {
                         Ok(d)
                     }
                     UnOp::Not => {
-                        self.push_op(VOp::CmpI {
+                        self.push_op(Op::CmpI {
                             op: CmpOp::Eq,
                             pd: BOOL_PRED,
                             rs1: t,
@@ -481,12 +481,12 @@ impl FnCtx<'_> {
 
     fn load_const(&mut self, dst: VReg, v: i64) {
         if (-32768..=32767).contains(&v) {
-            self.push_op(VOp::LoadImmLow {
+            self.push_op(Op::LoadImmLow {
                 rd: dst,
                 imm: v as i16 as u16,
             });
         } else {
-            self.push_op(VOp::LoadImm32 {
+            self.push_op(Op::LoadImm32 {
                 rd: dst,
                 imm: v as u32,
             });
@@ -500,10 +500,10 @@ impl FnCtx<'_> {
     /// the zero write rather than conservatively at function entry.
     fn materialize_bool(&mut self) -> VReg {
         let d = self.fresh();
-        self.push_op(VOp::LoadImmLow { rd: d, imm: 0 });
+        self.push_op(Op::LoadImmLow { rd: d, imm: 0 });
         self.push(VInst::new(
             Guard::when(BOOL_PRED),
-            VOp::LoadImmLow { rd: d, imm: 1 },
+            Op::LoadImmLow { rd: d, imm: 1 },
         ));
         d
     }
@@ -521,7 +521,7 @@ impl FnCtx<'_> {
             let out = self.fresh();
             if op == BinOp::Div {
                 let shift = d.trailing_zeros() as i16;
-                self.push_op(VOp::AluI {
+                self.push_op(Op::AluI {
                     op: AluOp::Sra,
                     rd: out,
                     rs1: t,
@@ -530,7 +530,7 @@ impl FnCtx<'_> {
             } else {
                 let mask = *d - 1;
                 if mask <= 2047 {
-                    self.push_op(VOp::AluI {
+                    self.push_op(Op::AluI {
                         op: AluOp::And,
                         rd: out,
                         rs1: t,
@@ -539,7 +539,7 @@ impl FnCtx<'_> {
                 } else {
                     let m = self.fresh();
                     self.load_const(m, mask);
-                    self.push_op(VOp::AluR {
+                    self.push_op(Op::AluR {
                         op: AluOp::And,
                         rd: out,
                         rs1: t,
@@ -566,7 +566,7 @@ impl FnCtx<'_> {
             } else {
                 AluOp::Or
             };
-            self.push_op(VOp::AluR {
+            self.push_op(Op::AluR {
                 op: alu,
                 rd: out,
                 rs1: bl,
@@ -583,8 +583,8 @@ impl FnCtx<'_> {
                 let tl = self.expr(lhs)?;
                 let tr = self.expr(rhs)?;
                 let out = self.fresh();
-                self.push_op(VOp::Mul { rs1: tl, rs2: tr });
-                self.push_op(VOp::Mfs {
+                self.push_op(Op::Mul { rs1: tl, rs2: tr });
+                self.push_op(Op::Mfs {
                     rd: out,
                     ss: patmos_isa::SpecialReg::Sl,
                 });
@@ -601,7 +601,7 @@ impl FnCtx<'_> {
         if let Expr::Lit(v) = rhs {
             if (-2048..=2047).contains(v) {
                 let out = self.fresh();
-                self.push_op(VOp::AluI {
+                self.push_op(Op::AluI {
                     op: alu,
                     rd: out,
                     rs1: tl,
@@ -612,7 +612,7 @@ impl FnCtx<'_> {
         }
         let tr = self.expr(rhs)?;
         let out = self.fresh();
-        self.push_op(VOp::AluR {
+        self.push_op(Op::AluR {
             op: alu,
             rd: out,
             rs1: tl,
@@ -623,7 +623,7 @@ impl FnCtx<'_> {
 
     /// Normalises `v` to a fresh 0/1 register.
     fn bool_of(&mut self, v: VReg) -> VReg {
-        self.push_op(VOp::CmpI {
+        self.push_op(Op::CmpI {
             op: CmpOp::Neq,
             pd: BOOL_PRED,
             rs1: v,
@@ -654,7 +654,7 @@ impl FnCtx<'_> {
         if !swap {
             if let Expr::Lit(v) = rhs {
                 if (-1024..=1023).contains(v) {
-                    self.push_op(VOp::CmpI {
+                    self.push_op(Op::CmpI {
                         op: cmp,
                         pd,
                         rs1: tl,
@@ -677,7 +677,7 @@ impl FnCtx<'_> {
         if swap {
             std::mem::swap(&mut rl, &mut rr);
         }
-        self.push_op(VOp::Cmp {
+        self.push_op(Op::Cmp {
             op: cmp,
             pd,
             rs1: rl,
@@ -694,7 +694,7 @@ impl FnCtx<'_> {
             }
             _ => {
                 let t = self.expr(e)?;
-                self.push_op(VOp::CmpI {
+                self.push_op(Op::CmpI {
                     op: CmpOp::Neq,
                     pd,
                     rs1: t,
@@ -746,7 +746,7 @@ impl FnCtx<'_> {
                 // Zero-initialise unconditionally, mirroring the zeroed
                 // stack-cache slot a local used to occupy: reads before
                 // the first (possibly guarded) write see 0.
-                self.push_op(VOp::LoadImmLow { rd: v, imm: 0 });
+                self.push_op(Op::LoadImmLow { rd: v, imm: 0 });
                 if let Some(e) = init {
                     let t = self.expr(e)?;
                     self.copy_guarded(v, t);
@@ -765,7 +765,7 @@ impl FnCtx<'_> {
                         rd: addr,
                         sym: name.clone(),
                     });
-                    self.push_guarded(VOp::Store {
+                    self.push_guarded(Op::Store {
                         area: area_of(g.qualifier),
                         size: patmos_isa::AccessSize::Word,
                         ra: addr,
@@ -791,19 +791,19 @@ impl FnCtx<'_> {
                     rd: base,
                     sym: name.clone(),
                 });
-                self.push_op(VOp::AluI {
+                self.push_op(Op::AluI {
                     op: AluOp::Shl,
                     rd: scaled,
                     rs1: ti,
                     imm: 2,
                 });
-                self.push_op(VOp::AluR {
+                self.push_op(Op::AluR {
                     op: AluOp::Add,
                     rd: addr,
                     rs1: base,
                     rs2: scaled,
                 });
-                self.push_guarded(VOp::Store {
+                self.push_guarded(Op::Store {
                     area: area_of(g.qualifier),
                     size: patmos_isa::AccessSize::Word,
                     ra: addr,
@@ -837,9 +837,9 @@ impl FnCtx<'_> {
         // The allocator expands this into link restore + `sfree` +
         // return once the frame size is known.
         if self.is_main {
-            self.push_op(VOp::Halt);
+            self.push_op(Op::Halt);
         } else {
-            self.push_op(VOp::Ret);
+            self.push_op(Op::Ret);
         }
     }
 
@@ -891,7 +891,7 @@ impl FnCtx<'_> {
             self.cond(cond_e, pc)?;
             let pt = self.alloc_pred()?;
             let gsrc = self.guard_src();
-            self.push_op(VOp::PredSet {
+            self.push_op(Op::PredSet {
                 op: PredOp::And,
                 pd: pt,
                 p1: PredSrc::plain(pc),
@@ -904,7 +904,7 @@ impl FnCtx<'_> {
             if !else_body.is_empty() {
                 self.guard = saved_guard;
                 let pe = self.alloc_pred()?;
-                self.push_op(VOp::PredSet {
+                self.push_op(Op::PredSet {
                     op: PredOp::And,
                     pd: pe,
                     p1: PredSrc::negated(pc),
@@ -982,7 +982,7 @@ impl FnCtx<'_> {
             let saved_depth = self.pred_depth;
             let live = self.alloc_pred()?;
             let gsrc = self.guard_src();
-            self.push_op(VOp::PredSet {
+            self.push_op(Op::PredSet {
                 op: PredOp::Or,
                 pd: live,
                 p1: gsrc,
@@ -998,7 +998,7 @@ impl FnCtx<'_> {
             self.items.push(VItem::Label(head.clone()));
             // Deactivate once the source condition fails.
             self.cond(cond_e, BOOL_PRED)?;
-            self.push_op(VOp::PredSet {
+            self.push_op(Op::PredSet {
                 op: PredOp::And,
                 pd: live,
                 p1: PredSrc::plain(live),
@@ -1010,13 +1010,13 @@ impl FnCtx<'_> {
             }
             self.guard = saved_guard;
             // Counter update and back edge (always runs `bound` times).
-            self.push_op(VOp::AluI {
+            self.push_op(Op::AluI {
                 op: AluOp::Sub,
                 rd: counter,
                 rs1: counter,
                 imm: 1,
             });
-            self.push_op(VOp::CmpI {
+            self.push_op(Op::CmpI {
                 op: CmpOp::Neq,
                 pd: EXIT_PRED,
                 rs1: counter,

@@ -22,9 +22,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest a function body may nest. A function's statements sit
+/// at level 1; an `if` or `while` body's statements, a statement's
+/// expressions, an operator's operands, call arguments and array
+/// indices sit one level below their parent, and an expression in
+/// parentheses one level below the parentheses. Parsing, code
+/// generation and dropping the syntax tree each recurse once per level,
+/// so a deeper program is refused here rather than overflowing the
+/// stack later.
+const MAX_NESTING: u32 = 64;
+
 struct Parser<'a> {
     toks: Vec<SpannedTok<'a>>,
     pos: usize,
+    /// The level of the construct being parsed.
+    depth: u32,
+    /// The deepest level reached by the expression being folded in
+    /// [`Parser::binary`].
+    deepest: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -40,6 +55,28 @@ impl<'a> Parser<'a> {
             line: self.line(),
             message: message.into(),
         }
+    }
+
+    /// Fails when `level` is deeper than [`MAX_NESTING`]; otherwise
+    /// records it as reached.
+    fn reach(&mut self, level: u32) -> Result<(), ParseError> {
+        if level > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.deepest = self.deepest.max(level);
+        Ok(())
+    }
+
+    /// Runs `parse` one level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
     }
 
     fn peek(&self) -> Option<&Tok<'a>> {
@@ -204,16 +241,20 @@ impl<'a> Parser<'a> {
 
     // ---- statements ----
 
+    /// A `{ ... }` block, whose statements sit one level below the
+    /// current one.
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.expect(Tok::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            if self.peek().is_none() {
-                return Err(self.err("unterminated block"));
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.eat(&Tok::RBrace) {
+                if p.peek().is_none() {
+                    return Err(p.err("unterminated block"));
+                }
+                stmts.push(p.stmt()?);
             }
-            stmts.push(self.stmt()?);
-        }
-        Ok(stmts)
+            Ok(stmts)
+        })
     }
 
     fn bound(&mut self) -> Result<u32, ParseError> {
@@ -272,27 +313,27 @@ impl<'a> Parser<'a> {
             Some(Tok::KwFor) => {
                 let line = self.line() as u32;
                 self.next();
-                self.expect(Tok::LParen)?;
-                let init = self.simple_stmt()?;
-                self.expect(Tok::Semi)?;
-                let cond = self.expr()?;
-                self.expect(Tok::Semi)?;
-                let step = self.simple_stmt()?;
-                self.expect(Tok::RParen)?;
-                let bound = self.bound()?;
-                let mut body = self.block()?;
-                body.push(step);
-                // Desugar: { init; while (cond) bound { body; step; } }
-                // wrapped as an If(1, ..) so declarations stay scoped? PatC
-                // has function-level scope, so a plain sequence is fine —
-                // but Stmt is a single node, so emit a While preceded by
-                // init through a synthetic block: we return a two-element
-                // sequence via If(true).
-                Ok(Stmt::If(
-                    Expr::Lit(1),
-                    vec![init, Stmt::While(cond, bound, body, line)],
-                    vec![],
-                ))
+                // Desugared to `if (1) { init; while (cond) bound(n)
+                // { body; step; } }` (PatC scopes are function-wide), so
+                // its parts sit at the level of the `while`, and the
+                // step, which ends the body, one level below.
+                self.nested(|p| {
+                    p.expect(Tok::LParen)?;
+                    let init = p.simple_stmt()?;
+                    p.expect(Tok::Semi)?;
+                    let cond = p.expr()?;
+                    p.expect(Tok::Semi)?;
+                    let step = p.nested(Self::simple_stmt)?;
+                    p.expect(Tok::RParen)?;
+                    let bound = p.bound()?;
+                    let mut body = p.block()?;
+                    body.push(step);
+                    Ok(Stmt::If(
+                        Expr::Lit(1),
+                        vec![init, Stmt::While(cond, bound, body, line)],
+                        vec![],
+                    ))
+                })
             }
             Some(_) => {
                 let s = self.simple_stmt()?;
@@ -334,42 +375,41 @@ impl<'a> Parser<'a> {
 
     // ---- expressions (precedence climbing) ----
 
+    /// An expression, one level below the current one.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.binary(0)
+        self.nested(|p| p.binary(0))
     }
 
     /// A left-associative chain of operands joined by binary operators
     /// of `min`'s level or tighter; each right operand binds one level
     /// tighter than its operator.
     fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
         let mut lhs = self.unary()?;
         while let Some((op, level)) = self.peek().and_then(binary_op) {
             if level < min {
                 break;
             }
             self.next();
-            let rhs = self.binary(level + 1)?;
+            // The new node takes the place of `lhs`, which moves one
+            // level down: a long chain nests as deep as it is long.
+            self.reach(self.deepest + 1)?;
+            let rhs = self.nested(|p| p.binary(level + 1))?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.deepest = self.deepest.max(outer);
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Tok::Minus) => {
-                self.next();
-                Ok(Expr::Un(UnOp::Neg, Box::new(self.unary()?)))
-            }
-            Some(Tok::Bang) => {
-                self.next();
-                Ok(Expr::Un(UnOp::Not, Box::new(self.unary()?)))
-            }
-            Some(Tok::Tilde) => {
-                self.next();
-                Ok(Expr::Un(UnOp::BitNot, Box::new(self.unary()?)))
-            }
-            _ => self.primary(),
-        }
+        let op = match self.peek() {
+            Some(Tok::Minus) => UnOp::Neg,
+            Some(Tok::Bang) => UnOp::Not,
+            Some(Tok::Tilde) => UnOp::BitNot,
+            _ => return self.primary(),
+        };
+        self.next();
+        Ok(Expr::Un(op, Box::new(self.nested(Self::unary)?)))
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
@@ -449,7 +489,12 @@ fn binary_op(tok: &Tok<'_>) -> Option<(BinOp, u8)> {
 /// Returns a [`ParseError`] with the offending line.
 pub fn parse(source: &str) -> Result<Program, ParseError> {
     let toks = lex(source).map_err(|(line, message)| ParseError { line, message })?;
-    let mut parser = Parser { toks, pos: 0 };
+    let mut parser = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+        deepest: 0,
+    };
     parser.program()
 }
 

@@ -256,3 +256,74 @@ fn literals_spanning_the_whole_32_bit_word_still_compile() {
         assert!(compile(src, &CompileOptions::default()).is_ok(), "{src}");
     }
 }
+
+/// A `main` whose deepest construct sits `level` levels down (its
+/// statements are level 1, their expressions level 2), nested on line
+/// 2 as parentheses, unary minuses, `if`s or a left-associative sum.
+fn nested(shape: &str, level: usize) -> String {
+    let k = level - 2;
+    let body = match shape {
+        "parens" => format!("return {}1{};", "(".repeat(k), ")".repeat(k)),
+        "minuses" => format!("return {}1;", "- ".repeat(k)),
+        "ifs" => format!("{}return 0;{}", "if (1) { ".repeat(k), " }".repeat(k)),
+        "sum" => format!("return 1{};", " + 1".repeat(k)),
+        _ => unreachable!("no shape {shape}"),
+    };
+    format!("int main() {{\n  {body}\n  return 1;\n}}")
+}
+
+const SHAPES: [&str; 4] = ["parens", "minuses", "ifs", "sum"];
+
+/// `shape` one level past the limit must be a parse error on its line.
+fn assert_too_deep(shape: &str) {
+    match compile(&nested(shape, 65), &CompileOptions::default()) {
+        Err(CompileError::Parse(e)) => {
+            assert_eq!(e.line, 2, "{shape}: {e}");
+            assert!(
+                e.message.contains("nesting deeper than 64 levels"),
+                "{shape}: {e}"
+            );
+        }
+        other => panic!("{shape}: expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn parentheses_past_the_nesting_limit_are_rejected() {
+    assert_too_deep("parens");
+}
+
+#[test]
+fn unary_operators_past_the_nesting_limit_are_rejected() {
+    assert_too_deep("minuses");
+}
+
+#[test]
+fn ifs_past_the_nesting_limit_are_rejected() {
+    assert_too_deep("ifs");
+}
+
+#[test]
+fn a_sum_past_the_nesting_limit_is_rejected() {
+    // A left-associative chain nests one level per operator.
+    assert_too_deep("sum");
+}
+
+#[test]
+fn nesting_at_the_limit_compiles_on_a_small_stack() {
+    // Parsing, code generation and dropping the tree recurse once per
+    // level: at the limit they fit a 2 MiB thread, even unoptimised.
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            for shape in SHAPES {
+                let src = nested(shape, 64);
+                if let Err(e) = compile(&src, &CompileOptions::default()) {
+                    panic!("{shape}: {e}");
+                }
+            }
+        })
+        .expect("spawns")
+        .join()
+        .expect("compiles every shape");
+}

@@ -293,8 +293,15 @@ impl fmt::Display for Guard {
 /// Offsets of typed loads and stores are in units of the access size;
 /// branch and call offsets are in words, relative to the address of the
 /// first word of the bundle containing the control-transfer instruction.
+///
+/// The register type `R` is the physical [`Reg`] by default; a compiler
+/// spells the same operations over its virtual registers before
+/// allocation and maps them over with [`Op::map_regs`]. The queries on
+/// every `Op<R>` read the operand fields alone; what the hardware adds
+/// (a call writes and `ret` reads the link register, a write to `r0` is
+/// discarded) is known on `Op<Reg>` only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Op {
+pub enum Op<R = Reg> {
     /// No operation.
     Nop,
     /// Register-register ALU operation: `rd = rs1 <op> rs2`.
@@ -302,11 +309,11 @@ pub enum Op {
         /// The function.
         op: AluOp,
         /// Destination register.
-        rd: Reg,
+        rd: R,
         /// First source register.
-        rs1: Reg,
+        rs1: R,
         /// Second source register.
-        rs2: Reg,
+        rs2: R,
     },
     /// Register-immediate ALU operation: `rd = rs1 <op> imm` with a
     /// sign-extended 12-bit immediate.
@@ -314,9 +321,9 @@ pub enum Op {
         /// The function.
         op: AluOp,
         /// Destination register.
-        rd: Reg,
+        rd: R,
         /// Source register.
-        rs1: Reg,
+        rs1: R,
         /// Sign-extended 12-bit immediate (must fit in `-2048..=2047`).
         imm: i16,
     },
@@ -324,14 +331,14 @@ pub enum Op {
     /// visible one-bundle gap before `mfs` may read it.
     Mul {
         /// First source register.
-        rs1: Reg,
+        rs1: R,
         /// Second source register.
-        rs2: Reg,
+        rs2: R,
     },
     /// Load a 16-bit immediate into the lower half (sign-extending) of `rd`.
     LoadImmLow {
         /// Destination register.
-        rd: Reg,
+        rd: R,
         /// The immediate.
         imm: u16,
     },
@@ -339,7 +346,7 @@ pub enum Op {
     /// lower half.
     LoadImmHigh {
         /// Destination register.
-        rd: Reg,
+        rd: R,
         /// The immediate.
         imm: u16,
     },
@@ -347,7 +354,7 @@ pub enum Op {
     /// constant (paper, Section 3.1). Occupies the whole bundle.
     LoadImm32 {
         /// Destination register.
-        rd: Reg,
+        rd: R,
         /// The immediate.
         imm: u32,
     },
@@ -358,9 +365,9 @@ pub enum Op {
         /// Destination predicate.
         pd: Pred,
         /// First source register.
-        rs1: Reg,
+        rs1: R,
         /// Second source register.
-        rs2: Reg,
+        rs2: R,
     },
     /// Compare a register against a sign-extended 11-bit immediate.
     CmpI {
@@ -369,7 +376,7 @@ pub enum Op {
         /// Destination predicate.
         pd: Pred,
         /// Source register.
-        rs1: Reg,
+        rs1: R,
         /// Sign-extended 11-bit immediate (must fit in `-1024..=1023`).
         imm: i16,
     },
@@ -392,9 +399,9 @@ pub enum Op {
         /// Access width.
         size: AccessSize,
         /// Destination register.
-        rd: Reg,
+        rd: R,
         /// Base address register.
-        ra: Reg,
+        ra: R,
         /// Signed offset in units of the access size (`-64..=63`).
         offset: i16,
     },
@@ -405,18 +412,18 @@ pub enum Op {
         /// Access width.
         size: AccessSize,
         /// Base address register.
-        ra: Reg,
+        ra: R,
         /// Signed offset in units of the access size (`-64..=63`).
         offset: i16,
         /// Source register.
-        rs: Reg,
+        rs: R,
     },
     /// Start a split main-memory load of the word at `ra + offset*4`
     /// (paper, Section 3.3). The result lands in `sm`; [`Op::MainWait`]
     /// retrieves it, stalling only if it has not yet arrived.
     MainLoad {
         /// Base address register.
-        ra: Reg,
+        ra: R,
         /// Signed word offset (`-2048..=2047`).
         offset: i16,
     },
@@ -424,18 +431,18 @@ pub enum Op {
     /// to `rd`. This is the only data instruction that may stall.
     MainWait {
         /// Destination register.
-        rd: Reg,
+        rd: R,
     },
     /// Posted store of `rs` to main memory at `ra + offset*4`. Retires
     /// through a one-entry write buffer; a subsequent main-memory access
     /// waits for it to drain.
     MainStore {
         /// Base address register.
-        ra: Reg,
+        ra: R,
         /// Signed word offset (`-2048..=2047`).
         offset: i16,
         /// Source register.
-        rs: Reg,
+        rs: R,
     },
     /// Relative branch within the current function, 22-bit word offset.
     Br {
@@ -452,7 +459,7 @@ pub enum Op {
     /// (paper, Section 3.1). Checks the method cache.
     CallR {
         /// Register holding the target word address.
-        rs: Reg,
+        rs: R,
     },
     /// Return to the address in `r31`. Checks the method cache.
     Ret,
@@ -478,12 +485,12 @@ pub enum Op {
         /// Destination special register.
         sd: SpecialReg,
         /// Source register.
-        rs: Reg,
+        rs: R,
     },
     /// Move a special register to a register.
     Mfs {
         /// Destination register.
-        rd: Reg,
+        rd: R,
         /// Source special register.
         ss: SpecialReg,
     },
@@ -509,29 +516,17 @@ pub enum FlowKind {
     Halt,
 }
 
-impl Op {
-    /// The control-flow effect of this operation.
-    #[inline]
-    pub fn flow_kind(&self) -> FlowKind {
-        match *self {
-            Op::Br { offset } => FlowKind::Branch(offset),
-            Op::Call { offset } => FlowKind::CallDirect(offset),
-            Op::CallR { rs } => FlowKind::CallIndirect(rs),
-            Op::Ret => FlowKind::Return,
-            Op::Halt => FlowKind::Halt,
-            _ => FlowKind::None,
-        }
+impl<R: Copy> Op<R> {
+    /// The register field the operation writes, if any. A field naming
+    /// `r0` is reported too; [`Op::def`] is the physical definition.
+    pub fn dest(&self) -> Option<R> {
+        let mut op = *self;
+        op.dest_mut().copied()
     }
 
-    /// Whether this operation transfers control.
-    #[inline]
-    pub fn is_flow(&self) -> bool {
-        !matches!(self.flow_kind(), FlowKind::None)
-    }
-
-    /// The general-purpose register written, if any.
-    pub fn def(&self) -> Option<Reg> {
-        match *self {
+    /// The field [`Op::dest`] reports, for rewriting it in place.
+    pub fn dest_mut(&mut self) -> Option<&mut R> {
+        match self {
             Op::AluR { rd, .. }
             | Op::AluI { rd, .. }
             | Op::LoadImmLow { rd, .. }
@@ -539,15 +534,16 @@ impl Op {
             | Op::LoadImm32 { rd, .. }
             | Op::Load { rd, .. }
             | Op::MainWait { rd }
-            | Op::Mfs { rd, .. } => (!rd.is_zero()).then_some(rd),
-            Op::Call { .. } | Op::CallR { .. } => Some(LINK_REG),
+            | Op::Mfs { rd, .. } => Some(rd),
             _ => None,
         }
     }
 
-    /// The general-purpose registers read (at most two, `None`-padded).
+    /// The register fields the operation reads (at most two,
+    /// `None`-padded), in the order [`Op::map_uses`] visits them. `ret`
+    /// reads the link register through no field; [`Op::uses`] adds it.
     #[inline]
-    pub fn uses(&self) -> [Option<Reg>; 2] {
+    pub fn sources(&self) -> [Option<R>; 2] {
         match *self {
             Op::AluR { rs1, rs2, .. } | Op::Mul { rs1, rs2 } | Op::Cmp { rs1, rs2, .. } => {
                 [Some(rs1), Some(rs2)]
@@ -556,17 +552,14 @@ impl Op {
             Op::LoadImmHigh { rd, .. } => [Some(rd), None],
             Op::Load { ra, .. } | Op::MainLoad { ra, .. } => [Some(ra), None],
             Op::Store { ra, rs, .. } | Op::MainStore { ra, rs, .. } => [Some(ra), Some(rs)],
-            Op::CallR { rs } => [Some(rs), None],
-            Op::Ret => [Some(LINK_REG), None],
-            Op::Mts { rs, .. } => [Some(rs), None],
+            Op::CallR { rs } | Op::Mts { rs, .. } => [Some(rs), None],
             _ => [None, None],
         }
     }
 
-    /// Rewrites every register [`Op::uses`] reports through `f`, in the
-    /// same order. The link register `ret` reads implicitly has no
-    /// operand field and stays as it is.
-    pub fn map_uses(&mut self, mut f: impl FnMut(Reg) -> Reg) {
+    /// Rewrites every register [`Op::sources`] reports through `f`, in
+    /// the same order.
+    pub fn map_uses(&mut self, mut f: impl FnMut(R) -> R) {
         match self {
             Op::AluR { rs1, rs2, .. } | Op::Mul { rs1, rs2 } | Op::Cmp { rs1, rs2, .. } => {
                 *rs1 = f(*rs1);
@@ -584,26 +577,86 @@ impl Op {
         }
     }
 
-    /// Redirects the register [`Op::def`] reports to `new`. Returns
-    /// `false`, leaving the operation alone, when it defines no register
-    /// (a write to `r0` included) or only the link register a call
-    /// writes implicitly.
-    pub fn set_def(&mut self, new: Reg) -> bool {
+    /// The same operation over the registers `f` maps every register
+    /// field to; every other field is kept.
+    pub fn map_regs<S>(self, mut f: impl FnMut(R) -> S) -> Op<S> {
         match self {
-            Op::AluR { rd, .. }
-            | Op::AluI { rd, .. }
-            | Op::LoadImmLow { rd, .. }
-            | Op::LoadImmHigh { rd, .. }
-            | Op::LoadImm32 { rd, .. }
-            | Op::Load { rd, .. }
-            | Op::MainWait { rd }
-            | Op::Mfs { rd, .. }
-                if !rd.is_zero() =>
-            {
-                *rd = new;
-                true
-            }
-            _ => false,
+            Op::Nop => Op::Nop,
+            Op::AluR { op, rd, rs1, rs2 } => Op::AluR {
+                op,
+                rd: f(rd),
+                rs1: f(rs1),
+                rs2: f(rs2),
+            },
+            Op::AluI { op, rd, rs1, imm } => Op::AluI {
+                op,
+                rd: f(rd),
+                rs1: f(rs1),
+                imm,
+            },
+            Op::Mul { rs1, rs2 } => Op::Mul {
+                rs1: f(rs1),
+                rs2: f(rs2),
+            },
+            Op::LoadImmLow { rd, imm } => Op::LoadImmLow { rd: f(rd), imm },
+            Op::LoadImmHigh { rd, imm } => Op::LoadImmHigh { rd: f(rd), imm },
+            Op::LoadImm32 { rd, imm } => Op::LoadImm32 { rd: f(rd), imm },
+            Op::Cmp { op, pd, rs1, rs2 } => Op::Cmp {
+                op,
+                pd,
+                rs1: f(rs1),
+                rs2: f(rs2),
+            },
+            Op::CmpI { op, pd, rs1, imm } => Op::CmpI {
+                op,
+                pd,
+                rs1: f(rs1),
+                imm,
+            },
+            Op::PredSet { op, pd, p1, p2 } => Op::PredSet { op, pd, p1, p2 },
+            Op::Load {
+                area,
+                size,
+                rd,
+                ra,
+                offset,
+            } => Op::Load {
+                area,
+                size,
+                rd: f(rd),
+                ra: f(ra),
+                offset,
+            },
+            Op::Store {
+                area,
+                size,
+                ra,
+                offset,
+                rs,
+            } => Op::Store {
+                area,
+                size,
+                ra: f(ra),
+                offset,
+                rs: f(rs),
+            },
+            Op::MainLoad { ra, offset } => Op::MainLoad { ra: f(ra), offset },
+            Op::MainWait { rd } => Op::MainWait { rd: f(rd) },
+            Op::MainStore { ra, offset, rs } => Op::MainStore {
+                ra: f(ra),
+                offset,
+                rs: f(rs),
+            },
+            Op::Br { offset } => Op::Br { offset },
+            Op::Call { offset } => Op::Call { offset },
+            Op::CallR { rs } => Op::CallR { rs: f(rs) },
+            Op::Ret => Op::Ret,
+            Op::Sres { words } => Op::Sres { words },
+            Op::Sens { words } => Op::Sens { words },
+            Op::Sfree { words } => Op::Sfree { words },
+            Op::Mts { sd, rs } => Op::Mts { sd, rs: f(rs) },
+            Op::Mfs { rd, ss } => Op::Mfs { rd: f(rd), ss },
+            Op::Halt => Op::Halt,
         }
     }
 
@@ -651,7 +704,7 @@ impl Op {
     /// Per the paper (Section 3.1), branches and memory accesses are
     /// restricted to the first pipeline; this implementation also keeps
     /// the multiplier, special-register moves, stack control and `halt`
-    /// in slot one. [`Op::LoadImm32`] occupies the whole bundle.
+    /// in slot one.
     pub fn allowed_in_second_slot(&self) -> bool {
         matches!(
             self,
@@ -664,6 +717,142 @@ impl Op {
                 | Op::CmpI { .. }
                 | Op::PredSet { .. }
         )
+    }
+
+    /// Whether this operation fills its bundle: a [`Op::LoadImm32`]
+    /// carries its constant in the second slot's word (paper, Section
+    /// 3.1), so it pairs with nothing and its bundle takes two words.
+    #[inline]
+    pub fn fills_bundle(&self) -> bool {
+        matches!(self, Op::LoadImm32 { .. })
+    }
+}
+
+impl Op {
+    /// The control-flow effect of this operation.
+    #[inline]
+    pub fn flow_kind(&self) -> FlowKind {
+        match *self {
+            Op::Br { offset } => FlowKind::Branch(offset),
+            Op::Call { offset } => FlowKind::CallDirect(offset),
+            Op::CallR { rs } => FlowKind::CallIndirect(rs),
+            Op::Ret => FlowKind::Return,
+            Op::Halt => FlowKind::Halt,
+            _ => FlowKind::None,
+        }
+    }
+
+    /// Whether this operation transfers control.
+    #[inline]
+    pub fn is_flow(&self) -> bool {
+        !matches!(self.flow_kind(), FlowKind::None)
+    }
+
+    /// The general-purpose register written, if any: [`Op::dest`] unless
+    /// it is `r0`, and the link register for a call.
+    pub fn def(&self) -> Option<Reg> {
+        match self {
+            Op::Call { .. } | Op::CallR { .. } => Some(LINK_REG),
+            _ => self.dest().filter(|rd| !rd.is_zero()),
+        }
+    }
+
+    /// The general-purpose registers read (at most two, `None`-padded):
+    /// [`Op::sources`], and the link register for `ret`.
+    #[inline]
+    pub fn uses(&self) -> [Option<Reg>; 2] {
+        match self {
+            Op::Ret => [Some(LINK_REG), None],
+            _ => self.sources(),
+        }
+    }
+
+    /// Redirects the register [`Op::def`] reports to `new`. Returns
+    /// `false`, leaving the operation alone, when it defines no register
+    /// (a write to `r0` included) or only the link register a call
+    /// writes implicitly.
+    pub fn set_def(&mut self, new: Reg) -> bool {
+        match self.dest_mut() {
+            Some(rd) if !rd.is_zero() => {
+                *rd = new;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+impl<R: fmt::Display> fmt::Display for Op<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Op::Nop => write!(f, "nop"),
+            Op::AluR { op, rd, rs1, rs2 } => {
+                write!(f, "{} {} = {}, {}", op.mnemonic(), rd, rs1, rs2)
+            }
+            Op::AluI { op, rd, rs1, imm } => {
+                write!(f, "{}i {} = {}, {}", op.mnemonic(), rd, rs1, imm)
+            }
+            Op::Mul { rs1, rs2 } => write!(f, "mul {}, {}", rs1, rs2),
+            Op::LoadImmLow { rd, imm } => write!(f, "li {} = {}", rd, *imm as i16),
+            Op::LoadImmHigh { rd, imm } => write!(f, "liu {} = {}", rd, imm),
+            Op::LoadImm32 { rd, imm } => write!(f, "lil {} = {}", rd, imm),
+            Op::Cmp { op, pd, rs1, rs2 } => {
+                write!(f, "cmp{} {} = {}, {}", op.mnemonic(), pd, rs1, rs2)
+            }
+            Op::CmpI { op, pd, rs1, imm } => {
+                write!(f, "cmpi{} {} = {}, {}", op.mnemonic(), pd, rs1, imm)
+            }
+            Op::PredSet { op, pd, p1, p2 } => {
+                write!(f, "{} {} = {}, {}", op.mnemonic(), pd, p1, p2)
+            }
+            Op::Load {
+                area,
+                size,
+                rd,
+                ra,
+                offset,
+            } => {
+                write!(
+                    f,
+                    "l{}{} {} = [{} + {}]",
+                    size,
+                    area.suffix(),
+                    rd,
+                    ra,
+                    offset
+                )
+            }
+            Op::Store {
+                area,
+                size,
+                ra,
+                offset,
+                rs,
+            } => {
+                write!(
+                    f,
+                    "s{}{} [{} + {}] = {}",
+                    size,
+                    area.suffix(),
+                    ra,
+                    offset,
+                    rs
+                )
+            }
+            Op::MainLoad { ra, offset } => write!(f, "ldm [{} + {}]", ra, offset),
+            Op::MainWait { rd } => write!(f, "wres {}", rd),
+            Op::MainStore { ra, offset, rs } => write!(f, "stm [{} + {}] = {}", ra, offset, rs),
+            Op::Br { offset } => write!(f, "br {}", offset),
+            Op::Call { offset } => write!(f, "call {}", offset),
+            Op::CallR { rs } => write!(f, "callr {}", rs),
+            Op::Ret => write!(f, "ret"),
+            Op::Sres { words } => write!(f, "sres {}", words),
+            Op::Sens { words } => write!(f, "sens {}", words),
+            Op::Sfree { words } => write!(f, "sfree {}", words),
+            Op::Mts { sd, rs } => write!(f, "mts {} = {}", sd, rs),
+            Op::Mfs { rd, ss } => write!(f, "mfs {} = {}", rd, ss),
+            Op::Halt => write!(f, "halt"),
+        }
     }
 }
 
@@ -755,75 +944,7 @@ impl fmt::Display for Inst {
         if !self.guard.is_always() {
             write!(f, "{} ", self.guard)?;
         }
-        match self.op {
-            Op::Nop => write!(f, "nop"),
-            Op::AluR { op, rd, rs1, rs2 } => {
-                write!(f, "{} {} = {}, {}", op.mnemonic(), rd, rs1, rs2)
-            }
-            Op::AluI { op, rd, rs1, imm } => {
-                write!(f, "{}i {} = {}, {}", op.mnemonic(), rd, rs1, imm)
-            }
-            Op::Mul { rs1, rs2 } => write!(f, "mul {}, {}", rs1, rs2),
-            Op::LoadImmLow { rd, imm } => write!(f, "li {} = {}", rd, imm as i16),
-            Op::LoadImmHigh { rd, imm } => write!(f, "liu {} = {}", rd, imm),
-            Op::LoadImm32 { rd, imm } => write!(f, "lil {} = {}", rd, imm),
-            Op::Cmp { op, pd, rs1, rs2 } => {
-                write!(f, "cmp{} {} = {}, {}", op.mnemonic(), pd, rs1, rs2)
-            }
-            Op::CmpI { op, pd, rs1, imm } => {
-                write!(f, "cmpi{} {} = {}, {}", op.mnemonic(), pd, rs1, imm)
-            }
-            Op::PredSet { op, pd, p1, p2 } => {
-                write!(f, "{} {} = {}, {}", op.mnemonic(), pd, p1, p2)
-            }
-            Op::Load {
-                area,
-                size,
-                rd,
-                ra,
-                offset,
-            } => {
-                write!(
-                    f,
-                    "l{}{} {} = [{} + {}]",
-                    size,
-                    area.suffix(),
-                    rd,
-                    ra,
-                    offset
-                )
-            }
-            Op::Store {
-                area,
-                size,
-                ra,
-                offset,
-                rs,
-            } => {
-                write!(
-                    f,
-                    "s{}{} [{} + {}] = {}",
-                    size,
-                    area.suffix(),
-                    ra,
-                    offset,
-                    rs
-                )
-            }
-            Op::MainLoad { ra, offset } => write!(f, "ldm [{} + {}]", ra, offset),
-            Op::MainWait { rd } => write!(f, "wres {}", rd),
-            Op::MainStore { ra, offset, rs } => write!(f, "stm [{} + {}] = {}", ra, offset, rs),
-            Op::Br { offset } => write!(f, "br {}", offset),
-            Op::Call { offset } => write!(f, "call {}", offset),
-            Op::CallR { rs } => write!(f, "callr {}", rs),
-            Op::Ret => write!(f, "ret"),
-            Op::Sres { words } => write!(f, "sres {}", words),
-            Op::Sens { words } => write!(f, "sens {}", words),
-            Op::Sfree { words } => write!(f, "sfree {}", words),
-            Op::Mts { sd, rs } => write!(f, "mts {} = {}", sd, rs),
-            Op::Mfs { rd, ss } => write!(f, "mfs {} = {}", rd, ss),
-            Op::Halt => write!(f, "halt"),
-        }
+        write!(f, "{}", self.op)
     }
 }
 
@@ -900,7 +1021,7 @@ impl Bundle {
     /// slot two, either operation is a long immediate load, or both slots
     /// write the same register.
     pub fn try_pair(first: Inst, second: Inst) -> Result<Bundle, BundleError> {
-        if matches!(first.op, Op::LoadImm32 { .. }) || matches!(second.op, Op::LoadImm32 { .. }) {
+        if first.op.fills_bundle() || second.op.fills_bundle() {
             return Err(BundleError::LongImmediateNotAlone);
         }
         if !second.op.allowed_in_second_slot() {
@@ -942,7 +1063,7 @@ impl Bundle {
     /// The number of 32-bit words this bundle occupies in memory (1 or 2).
     #[inline]
     pub fn width_words(&self) -> u32 {
-        if self.second.is_some() || matches!(self.first.op, Op::LoadImm32 { .. }) {
+        if self.second.is_some() || self.first.op.fills_bundle() {
             2
         } else {
             1

@@ -1,6 +1,10 @@
 //! Property tests: every constructible bundle survives an encode/decode
-//! round trip, arbitrary words never panic the decoder, and the operand
-//! rewriters agree with the def/use table.
+//! round trip, arbitrary words never panic the decoder, the operand
+//! rewriters agree with the def/use table, and `map_regs` and the
+//! printer agree with them over any register type.
+
+use std::cell::Cell;
+use std::fmt;
 
 use proptest::prelude::*;
 
@@ -111,6 +115,17 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A register that prints as `Reg` does, counting its prints.
+#[derive(Clone, Copy)]
+struct Shown<'a>(Reg, &'a Cell<usize>);
+
+impl fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.1.set(self.1.get() + 1);
+        self.0.fmt(f)
+    }
+}
+
 fn arb_inst() -> impl Strategy<Value = Inst> {
     (arb_guard(), arb_op()).prop_map(|(guard, op)| Inst { guard, op })
 }
@@ -181,6 +196,30 @@ proptest! {
         }
         moved.map_uses(|r| Reg::from_index((r.index() + 31) % 32));
         prop_assert_eq!(moved, op);
+    }
+
+    #[test]
+    fn map_regs_is_the_one_register_map_and_the_printer_reads_it(op in arb_op()) {
+        // An injective map onto another register type and back restores
+        // the op: every register field is mapped, and nothing else.
+        let up = |r: Reg| u32::from(r.index()) + 100;
+        let wide: Op<u32> = op.map_regs(up);
+        prop_assert_eq!(wide.map_regs(|w| Reg::from_index((w - 100) as u8)), op);
+        // The field queries commute with the map.
+        prop_assert_eq!(wide.dest(), op.dest().map(up));
+        prop_assert_eq!(wide.sources(), op.sources().map(|s| s.map(up)));
+        // Over a register type that prints like `Reg`, the op prints as
+        // itself, printing each register field exactly once.
+        let mut fields = 0;
+        let _ = op.map_regs(|r| {
+            fields += 1;
+            r
+        });
+        let printed = Cell::new(0);
+        let shown = op.map_regs(|r| Shown(r, &printed));
+        prop_assert_eq!(shown.to_string(), op.to_string());
+        prop_assert_eq!(printed.get(), fields);
+        prop_assert_eq!(Inst::always(op).to_string(), op.to_string());
     }
 
     #[test]

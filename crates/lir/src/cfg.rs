@@ -18,6 +18,8 @@
 
 use std::fmt;
 
+use patmos_isa::Op;
+
 use crate::vlir::{VInst, VItem, VOp};
 use crate::Function;
 
@@ -274,7 +276,7 @@ pub fn build_vcfg(func: &FuncCode<'_>) -> Result<VCfg, UndefinedLabel> {
                     succs.push(bi + 1);
                 }
             }
-            VOp::Ret | VOp::Halt => {}
+            VOp::Machine(Op::Ret | Op::Halt) => {}
             _ => {
                 if bi + 1 < count {
                     succs.push(bi + 1);
@@ -323,7 +325,7 @@ mod tests {
     use crate::vlir::{VOp, VReg};
     use patmos_isa::{Guard, Pred};
 
-    fn inst(op: VOp) -> VItem {
+    fn inst(op: impl Into<VOp>) -> VItem {
         VItem::Inst(VInst::always(op))
     }
 
@@ -336,12 +338,12 @@ mod tests {
     #[test]
     fn loop_shape_produces_back_edge_block() {
         let cfg = cfg_of(vec![
-            inst(VOp::LoadImmLow {
+            inst(Op::LoadImmLow {
                 rd: VReg::new(1),
                 imm: 5,
             }),
             VItem::Label("f_head".into()),
-            inst(VOp::AluI {
+            inst(Op::AluI {
                 op: patmos_isa::AluOp::Sub,
                 rd: VReg::new(1),
                 rs1: VReg::new(1),
@@ -351,7 +353,7 @@ mod tests {
                 Guard::when(Pred::P6),
                 VOp::BrLabel("f_head".into()),
             )),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ]);
         assert_eq!(cfg.blocks.len(), 3);
         // Loop block branches to itself and falls through to the exit.
@@ -366,12 +368,12 @@ mod tests {
     #[test]
     fn calls_do_not_split_blocks() {
         let cfg = cfg_of(vec![
-            inst(VOp::LoadImmLow {
+            inst(Op::LoadImmLow {
                 rd: VReg::new(1),
                 imm: 5,
             }),
             inst(VOp::CallFunc("g".into())),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ]);
         assert_eq!(cfg.blocks.len(), 1);
         assert_eq!(cfg.call_positions, vec![1]);
@@ -381,7 +383,7 @@ mod tests {
     fn an_undefined_branch_label_is_an_error() {
         let func = Function::new(
             "f",
-            vec![inst(VOp::BrLabel("nowhere".into())), inst(VOp::Halt)],
+            vec![inst(VOp::BrLabel("nowhere".into())), inst(Op::Halt)],
         );
         let positions = inst_positions(&func.items);
         let err = build_vcfg(&FuncCode::new(&func, &positions)).expect_err("no such label");
@@ -392,7 +394,7 @@ mod tests {
     #[test]
     fn relayout_keeps_the_graph_until_a_block_empties() {
         let li = |imm| {
-            inst(VOp::LoadImmLow {
+            inst(Op::LoadImmLow {
                 rd: VReg::new(1),
                 imm,
             })
@@ -410,7 +412,7 @@ mod tests {
                 )),
                 VItem::Label("f_b".into()),
                 inst(VOp::CallFunc("g".into())),
-                inst(VOp::Halt),
+                inst(Op::Halt),
             ],
         );
         let mut positions = inst_positions(&func.items);
@@ -433,9 +435,9 @@ mod tests {
     fn a_label_defined_twice_always_rebuilds() {
         let items = vec![
             VItem::Label("f_a".into()),
-            inst(VOp::Halt),
+            inst(Op::Halt),
             VItem::Label("f_a".into()),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ];
         let func = Function::new("f", items);
         let mut positions = inst_positions(&func.items);

@@ -13,22 +13,22 @@
 //! # Example
 //!
 //! ```
-//! use patmos_isa::{AluOp, Guard, Pred};
+//! use patmos_isa::{AluOp, Guard, Op, Pred};
 //! use patmos_lir::vlir::{VInst, VItem, VOp, VReg};
 //! use patmos_lir::{build_vcfg, inst_positions, DomTree, FuncCode, Function};
 //!
 //! // entry -> loop body (branches back to itself) -> exit
 //! let items = vec![
-//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: VReg::new(1), imm: 3 })),
+//!     VItem::Inst(VInst::always(Op::LoadImmLow { rd: VReg::new(1), imm: 3 })),
 //!     VItem::Label("f_head1".into()),
-//!     VItem::Inst(VInst::always(VOp::AluI {
+//!     VItem::Inst(VInst::always(Op::AluI {
 //!         op: AluOp::Sub,
 //!         rd: VReg::new(1),
 //!         rs1: VReg::new(1),
 //!         imm: 1,
 //!     })),
 //!     VItem::Inst(VInst::new(Guard::when(Pred::P6), VOp::BrLabel("f_head1".into()))),
-//!     VItem::Inst(VInst::always(VOp::Halt)),
+//!     VItem::Inst(VInst::always(Op::Halt)),
 //! ];
 //! let func = Function::new("f", items);
 //! let positions = inst_positions(&func.items);
@@ -170,16 +170,16 @@ mod tests {
     use crate::cfg::{build_vcfg, inst_positions, FuncCode};
     use crate::vlir::{VInst, VItem, VOp, VReg};
     use crate::Function;
-    use patmos_isa::{Guard, Pred};
+    use patmos_isa::{Guard, Op, Pred};
 
-    fn inst(op: VOp) -> VItem {
+    fn inst(op: impl Into<VOp>) -> VItem {
         VItem::Inst(VInst::always(op))
     }
 
     /// A diamond: entry branches over a then-block to a join.
     fn diamond() -> Vec<VItem> {
         vec![
-            inst(VOp::CmpI {
+            inst(Op::CmpI {
                 op: patmos_isa::CmpOp::Eq,
                 pd: Pred::P6,
                 rs1: VReg::new(1),
@@ -189,12 +189,12 @@ mod tests {
                 Guard::unless(Pred::P6),
                 VOp::BrLabel("f_else".into()),
             )),
-            inst(VOp::LoadImmLow {
+            inst(Op::LoadImmLow {
                 rd: VReg::new(2),
                 imm: 1,
             }),
             VItem::Label("f_else".into()),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ]
     }
 

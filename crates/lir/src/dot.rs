@@ -64,7 +64,7 @@ mod tests {
     use super::*;
     use crate::vlir::{VInst, VItem, VOp, VReg};
     use crate::Function;
-    use patmos_isa::{Guard, Pred};
+    use patmos_isa::{Guard, Op, Pred};
 
     #[test]
     fn loop_renders_with_back_edge() {
@@ -73,12 +73,12 @@ mod tests {
             funcs: vec![Function::new(
                 "f",
                 vec![
-                    VItem::Inst(VInst::always(VOp::LoadImmLow {
+                    VItem::Inst(VInst::always(Op::LoadImmLow {
                         rd: VReg::new(1),
                         imm: 3,
                     })),
                     VItem::Label("f_head".into()),
-                    VItem::Inst(VInst::always(VOp::AluI {
+                    VItem::Inst(VInst::always(Op::AluI {
                         op: patmos_isa::AluOp::Sub,
                         rd: VReg::new(1),
                         rs1: VReg::new(1),
@@ -88,7 +88,7 @@ mod tests {
                         Guard::when(Pred::P6),
                         VOp::BrLabel("f_head".into()),
                     )),
-                    VItem::Inst(VInst::always(VOp::Halt)),
+                    VItem::Inst(VInst::always(Op::Halt)),
                 ],
             )],
         };

@@ -9,8 +9,11 @@
 //!   stage's module owns its functions as a list of these, so a pass
 //!   edits one function's items at a time and nothing searches a flat
 //!   item list for function boundaries;
-//! * [`vlir`] — the instruction set over unbounded virtual registers
-//!   ([`VReg`], [`VOp`], [`VInst`], [`VItem`], [`VModule`]);
+//! * [`vlir`] — the instructions over unbounded virtual registers
+//!   ([`VReg`], [`VOp`], [`VInst`], [`VItem`], [`VModule`]): the ISA's
+//!   own [`patmos_isa::Op`] over [`VReg`], beside the few operations the
+//!   ISA cannot spell before allocation — a `lil`, `call` or `br` by
+//!   name and the ABI copies — so every operand rule is the ISA's;
 //! * [`mod@cfg`] — basic-block splitting, successor and predecessor
 //!   edges over one function's virtual code ([`FuncCode`] numbers its
 //!   instructions by their owned [`inst_positions`], so a caller can
@@ -44,30 +47,30 @@
 //! fall-through, one back edge from the latch — analysed end to end:
 //!
 //! ```
-//! use patmos_isa::{AluOp, CmpOp, Guard, Pred};
+//! use patmos_isa::{AluOp, CmpOp, Guard, Op, Pred};
 //! use patmos_lir::{build_vcfg, inst_positions, BlockLiveness, FuncCode, Function, LoopForest};
 //! use patmos_lir::{VInst, VItem, VOp, VReg};
 //!
 //! let v = VReg::new;
 //! let items = vec![
-//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })), // i
-//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })), // acc
+//!     VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 0 })), // i
+//!     VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(2), imm: 0 })), // acc
 //!     VItem::LoopBound { min: 1, max: 9 },
 //!     VItem::Label("sum_head1".into()),
-//!     VItem::Inst(VInst::always(VOp::CmpI {
+//!     VItem::Inst(VInst::always(Op::CmpI {
 //!         op: CmpOp::Lt,
 //!         pd: Pred::P6,
 //!         rs1: v(1),
 //!         imm: 8,
 //!     })),
 //!     VItem::Inst(VInst::new(Guard::unless(Pred::P6), VOp::BrLabel("sum_exit2".into()))),
-//!     VItem::Inst(VInst::always(VOp::AluR {
+//!     VItem::Inst(VInst::always(Op::AluR {
 //!         op: AluOp::Add,
 //!         rd: v(2),
 //!         rs1: v(2),
 //!         rs2: v(1),
 //!     })),
-//!     VItem::Inst(VInst::always(VOp::AluI {
+//!     VItem::Inst(VInst::always(Op::AluI {
 //!         op: AluOp::Add,
 //!         rd: v(1),
 //!         rs1: v(1),
@@ -79,7 +82,7 @@
 //!         dst: patmos_isa::Reg::R1,
 //!         src: v(2),
 //!     })),
-//!     VItem::Inst(VInst::always(VOp::Ret)),
+//!     VItem::Inst(VInst::always(Op::Ret)),
 //! ];
 //! let func = Function::new("sum", items);
 //!

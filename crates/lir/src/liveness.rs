@@ -303,13 +303,13 @@ mod tests {
     use crate::cfg::{build_vcfg, inst_positions, FuncCode};
     use crate::vlir::{VInst, VItem, VOp};
     use crate::Function;
-    use patmos_isa::{AluOp, Guard, Pred};
+    use patmos_isa::{AluOp, Guard, Op, Pred};
 
     fn v(id: u32) -> VReg {
         VReg::new(id)
     }
 
-    fn inst(op: VOp) -> VItem {
+    fn inst(op: impl Into<VOp>) -> VItem {
         VItem::Inst(VInst::always(op))
     }
 
@@ -323,9 +323,9 @@ mod tests {
     #[test]
     fn straight_line_intervals() {
         let items = vec![
-            inst(VOp::LoadImmLow { rd: v(1), imm: 1 }), // 0: def v1
-            inst(VOp::LoadImmLow { rd: v(2), imm: 2 }), // 1: def v2
-            inst(VOp::AluR {
+            inst(Op::LoadImmLow { rd: v(1), imm: 1 }), // 0: def v1
+            inst(Op::LoadImmLow { rd: v(2), imm: 2 }), // 1: def v2
+            inst(Op::AluR {
                 op: AluOp::Add,
                 rd: v(3),
                 rs1: v(1),
@@ -335,7 +335,7 @@ mod tests {
                 dst: patmos_isa::Reg::R1,
                 src: v(3),
             }), // 3
-            inst(VOp::Halt),                            // 4
+            inst(Op::Halt),                            // 4
         ];
         let l = analyze_items(&items);
         let of = |id: u32| {
@@ -355,15 +355,15 @@ mod tests {
         // v1 defined before the loop, updated inside, used after: its
         // interval must cover the whole loop body.
         let items = vec![
-            inst(VOp::LoadImmLow { rd: v(1), imm: 5 }), // 0
+            inst(Op::LoadImmLow { rd: v(1), imm: 5 }), // 0
             VItem::Label("f_head".into()),
-            inst(VOp::AluI {
+            inst(Op::AluI {
                 op: AluOp::Sub,
                 rd: v(1),
                 rs1: v(1),
                 imm: 1,
             }), // 1
-            inst(VOp::CmpI {
+            inst(Op::CmpI {
                 op: patmos_isa::CmpOp::Neq,
                 pd: Pred::P6,
                 rs1: v(1),
@@ -377,7 +377,7 @@ mod tests {
                 dst: patmos_isa::Reg::R1,
                 src: v(1),
             }), // 4
-            inst(VOp::Halt), // 5
+            inst(Op::Halt), // 5
         ];
         let l = analyze_items(&items);
         let iv = l.intervals.iter().find(|iv| iv.vreg == v(1)).unwrap();
@@ -389,16 +389,16 @@ mod tests {
         // (p1) li v1 = 7 must treat v1 as used: the old value survives
         // when the guard is false.
         let items = vec![
-            inst(VOp::LoadImmLow { rd: v(1), imm: 0 }), // 0
+            inst(Op::LoadImmLow { rd: v(1), imm: 0 }), // 0
             VItem::Inst(VInst::new(
                 Guard::when(Pred::P1),
-                VOp::LoadImmLow { rd: v(1), imm: 7 },
+                Op::LoadImmLow { rd: v(1), imm: 7 },
             )), // 1
             inst(VOp::CopyToPhys {
                 dst: patmos_isa::Reg::R1,
                 src: v(1),
             }), // 2
-            inst(VOp::Halt),                            // 3
+            inst(Op::Halt),                            // 3
         ];
         let l = analyze_items(&items);
         let iv = l.intervals.iter().find(|iv| iv.vreg == v(1)).unwrap();
@@ -408,18 +408,18 @@ mod tests {
     #[test]
     fn live_across_call_is_precise() {
         let items = vec![
-            inst(VOp::LoadImmLow { rd: v(1), imm: 1 }), // 0: live across
-            inst(VOp::LoadImmLow { rd: v(2), imm: 2 }), // 1: dead at call
+            inst(Op::LoadImmLow { rd: v(1), imm: 1 }), // 0: live across
+            inst(Op::LoadImmLow { rd: v(2), imm: 2 }), // 1: dead at call
             inst(VOp::CopyToPhys {
                 dst: patmos_isa::Reg::R3,
                 src: v(2),
             }), // 2
-            inst(VOp::CallFunc("g".into())),            // 3
+            inst(VOp::CallFunc("g".into())),           // 3
             inst(VOp::CopyFromPhys {
                 dst: v(3),
                 src: patmos_isa::Reg::R1,
             }), // 4
-            inst(VOp::AluR {
+            inst(Op::AluR {
                 op: AluOp::Add,
                 rd: v(4),
                 rs1: v(1),
@@ -429,7 +429,7 @@ mod tests {
                 dst: patmos_isa::Reg::R1,
                 src: v(4),
             }), // 6
-            inst(VOp::Halt),                            // 7
+            inst(Op::Halt),                            // 7
         ];
         let l = analyze_items(&items);
         assert_eq!(l.live_across_calls, vec![vec![v(1)]]);

@@ -17,22 +17,22 @@
 //! # Example
 //!
 //! ```
-//! use patmos_isa::{AluOp, Guard, Pred};
+//! use patmos_isa::{AluOp, Guard, Op, Pred};
 //! use patmos_lir::vlir::{VInst, VItem, VOp, VReg};
 //! use patmos_lir::{build_vcfg, inst_positions, FuncCode, Function, LoopForest};
 //!
 //! let items = vec![
-//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: VReg::new(1), imm: 8 })),
+//!     VItem::Inst(VInst::always(Op::LoadImmLow { rd: VReg::new(1), imm: 8 })),
 //!     VItem::LoopBound { min: 1, max: 9 },
 //!     VItem::Label("f_head1".into()),
-//!     VItem::Inst(VInst::always(VOp::CmpI {
+//!     VItem::Inst(VInst::always(Op::CmpI {
 //!         op: patmos_isa::CmpOp::Lt,
 //!         pd: Pred::P6,
 //!         rs1: VReg::new(2),
 //!         imm: 8,
 //!     })),
 //!     VItem::Inst(VInst::new(Guard::unless(Pred::P6), VOp::BrLabel("f_exit2".into()))),
-//!     VItem::Inst(VInst::always(VOp::AluI {
+//!     VItem::Inst(VInst::always(Op::AluI {
 //!         op: AluOp::Add,
 //!         rd: VReg::new(2),
 //!         rs1: VReg::new(2),
@@ -40,7 +40,7 @@
 //!     })),
 //!     VItem::Inst(VInst::always(VOp::BrLabel("f_head1".into()))),
 //!     VItem::Label("f_exit2".into()),
-//!     VItem::Inst(VInst::always(VOp::Halt)),
+//!     VItem::Inst(VInst::always(Op::Halt)),
 //! ];
 //! let func = Function::new("f", items);
 //! let positions = inst_positions(&func.items);
@@ -298,9 +298,9 @@ mod tests {
     use crate::cfg::{build_vcfg, inst_positions, FuncCode};
     use crate::vlir::{VInst, VItem, VOp, VReg};
     use crate::Function;
-    use patmos_isa::{AluOp, CmpOp, Guard, Pred};
+    use patmos_isa::{AluOp, CmpOp, Guard, Op, Pred};
 
-    fn inst(op: VOp) -> VItem {
+    fn inst(op: impl Into<VOp>) -> VItem {
         VItem::Inst(VInst::always(op))
     }
 
@@ -308,9 +308,9 @@ mod tests {
     fn nested() -> Vec<VItem> {
         let v = VReg::new;
         vec![
-            inst(VOp::LoadImmLow { rd: v(1), imm: 0 }),
+            inst(Op::LoadImmLow { rd: v(1), imm: 0 }),
             VItem::Label("f_head1".into()),
-            inst(VOp::CmpI {
+            inst(Op::CmpI {
                 op: CmpOp::Lt,
                 pd: Pred::P6,
                 rs1: v(1),
@@ -320,9 +320,9 @@ mod tests {
                 Guard::unless(Pred::P6),
                 VOp::BrLabel("f_exit1".into()),
             )),
-            inst(VOp::LoadImmLow { rd: v(2), imm: 0 }),
+            inst(Op::LoadImmLow { rd: v(2), imm: 0 }),
             VItem::Label("f_head2".into()),
-            inst(VOp::CmpI {
+            inst(Op::CmpI {
                 op: CmpOp::Lt,
                 pd: Pred::P6,
                 rs1: v(2),
@@ -332,7 +332,7 @@ mod tests {
                 Guard::unless(Pred::P6),
                 VOp::BrLabel("f_exit2".into()),
             )),
-            inst(VOp::AluI {
+            inst(Op::AluI {
                 op: AluOp::Add,
                 rd: v(2),
                 rs1: v(2),
@@ -340,7 +340,7 @@ mod tests {
             }),
             inst(VOp::BrLabel("f_head2".into())),
             VItem::Label("f_exit2".into()),
-            inst(VOp::AluI {
+            inst(Op::AluI {
                 op: AluOp::Add,
                 rd: v(1),
                 rs1: v(1),
@@ -348,7 +348,7 @@ mod tests {
             }),
             inst(VOp::BrLabel("f_head1".into())),
             VItem::Label("f_exit1".into()),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ]
     }
 
@@ -379,7 +379,7 @@ mod tests {
 
     #[test]
     fn straight_line_code_has_no_loops() {
-        let items = vec![inst(VOp::Halt)];
+        let items = vec![inst(Op::Halt)];
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);
         let cfg = build_vcfg(&FuncCode::new(&func, &positions)).expect("labels resolve");
@@ -389,12 +389,12 @@ mod tests {
     #[test]
     fn self_loop_is_its_own_latch() {
         let items = vec![
-            inst(VOp::LoadImmLow {
+            inst(Op::LoadImmLow {
                 rd: VReg::new(1),
                 imm: 3,
             }),
             VItem::Label("f_head1".into()),
-            inst(VOp::AluI {
+            inst(Op::AluI {
                 op: AluOp::Sub,
                 rd: VReg::new(1),
                 rs1: VReg::new(1),
@@ -404,7 +404,7 @@ mod tests {
                 Guard::when(Pred::P6),
                 VOp::BrLabel("f_head1".into()),
             )),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ];
         let func = Function::new("f", items);
         let positions = inst_positions(&func.items);

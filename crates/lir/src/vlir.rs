@@ -2,11 +2,15 @@
 //!
 //! Code generation produces instructions over an unbounded supply of
 //! [`VReg`] virtual registers; the allocator (`patmos-regalloc`) maps
-//! them onto the physical Patmos register file. Interactions with the
-//! calling convention are expressed with two pseudo-operations
-//! ([`VOp::CopyToPhys`], [`VOp::CopyFromPhys`]) so the allocator never
-//! has to reason about general pre-colored operands: physical registers
-//! appear only as the source or destination of a copy.
+//! them onto the physical Patmos register file. A machine operation is
+//! the ISA's own [`Op`] over [`VReg`] ([`VOp::Machine`]): its operand
+//! queries and its printer are the ISA's, and the allocator maps it with
+//! [`Op::map_regs`]. The other operations are the ones the ISA cannot
+//! spell before allocation: a `lil`, `call` or `br` naming a symbol, and
+//! the calling convention's two copies ([`VOp::CopyToPhys`],
+//! [`VOp::CopyFromPhys`]), so the allocator never has to reason about
+//! general pre-colored operands: physical registers appear only as the
+//! source or destination of a copy.
 //!
 //! Stack-control instructions (`sres`/`sens`/`sfree`), the link-register
 //! save, and all spill traffic are *absent* at this level — the
@@ -14,9 +18,7 @@
 
 use std::fmt;
 
-use patmos_isa::{
-    AccessSize, AluOp, CmpOp, Guard, MemArea, Pred, PredOp, PredSrc, Reg, SpecialReg,
-};
+use patmos_isa::{Guard, Op, Reg};
 
 use crate::Function;
 
@@ -55,118 +57,16 @@ impl fmt::Display for VReg {
     }
 }
 
-/// An operation over virtual registers.
+/// An operation over virtual registers: one the ISA spells, or one it
+/// cannot spell before allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VOp {
-    /// Register-register ALU operation.
-    AluR {
-        /// The function.
-        op: AluOp,
-        /// Destination.
-        rd: VReg,
-        /// First source.
-        rs1: VReg,
-        /// Second source.
-        rs2: VReg,
-    },
-    /// Register-immediate ALU operation (12-bit signed immediate).
-    AluI {
-        /// The function.
-        op: AluOp,
-        /// Destination.
-        rd: VReg,
-        /// Source.
-        rs1: VReg,
-        /// Immediate.
-        imm: i16,
-    },
-    /// Multiply into `sl`/`sh`.
-    Mul {
-        /// First source.
-        rs1: VReg,
-        /// Second source.
-        rs2: VReg,
-    },
-    /// Special-register read.
-    Mfs {
-        /// Destination.
-        rd: VReg,
-        /// Source special register.
-        ss: SpecialReg,
-    },
-    /// Load a sign-extended 16-bit immediate.
-    LoadImmLow {
-        /// Destination.
-        rd: VReg,
-        /// Immediate.
-        imm: u16,
-    },
-    /// Load a full 32-bit immediate (occupies a whole bundle).
-    LoadImm32 {
-        /// Destination.
-        rd: VReg,
-        /// Immediate.
-        imm: u32,
-    },
-    /// Register-register compare into a predicate.
-    Cmp {
-        /// The comparison.
-        op: CmpOp,
-        /// Destination predicate.
-        pd: Pred,
-        /// First source.
-        rs1: VReg,
-        /// Second source.
-        rs2: VReg,
-    },
-    /// Register-immediate compare into a predicate (11-bit signed).
-    CmpI {
-        /// The comparison.
-        op: CmpOp,
-        /// Destination predicate.
-        pd: Pred,
-        /// Source.
-        rs1: VReg,
-        /// Immediate.
-        imm: i16,
-    },
-    /// Predicate combination.
-    PredSet {
-        /// The combination.
-        op: PredOp,
-        /// Destination predicate.
-        pd: Pred,
-        /// First operand.
-        p1: PredSrc,
-        /// Second operand.
-        p2: PredSrc,
-    },
-    /// Typed load.
-    Load {
-        /// Memory area.
-        area: MemArea,
-        /// Access width.
-        size: AccessSize,
-        /// Destination.
-        rd: VReg,
-        /// Base address.
-        ra: VReg,
-        /// Offset in units of the access size.
-        offset: i16,
-    },
-    /// Typed store.
-    Store {
-        /// Memory area.
-        area: MemArea,
-        /// Access width.
-        size: AccessSize,
-        /// Base address.
-        ra: VReg,
-        /// Offset in units of the access size.
-        offset: i16,
-        /// Stored value.
-        rs: VReg,
-    },
+    /// An ISA operation over virtual registers. Code generation emits
+    /// ALU, multiply, immediate-load, compare, predicate, typed memory,
+    /// `mfs`, `ret` and `halt` operations; the allocator maps their
+    /// registers, and adds the link restore and `sfree` before a `ret`
+    /// and the `sfree` before a `halt`.
+    Machine(Op<VReg>),
     /// `lil rd = symbol`.
     LilSym {
         /// Destination.
@@ -195,11 +95,12 @@ pub enum VOp {
     CallFunc(String),
     /// Branch to a label in the same function.
     BrLabel(String),
-    /// Return through the link register (the allocator prepends the
-    /// link restore and `sfree`).
-    Ret,
-    /// Stop the simulated processor (entry function only).
-    Halt,
+}
+
+impl From<Op<VReg>> for VOp {
+    fn from(op: Op<VReg>) -> VOp {
+        VOp::Machine(op)
+    }
 }
 
 impl VOp {
@@ -207,29 +108,18 @@ impl VOp {
     /// are discarded, mirroring `r0`).
     pub fn def(&self) -> Option<VReg> {
         let rd = match *self {
-            VOp::AluR { rd, .. }
-            | VOp::AluI { rd, .. }
-            | VOp::Mfs { rd, .. }
-            | VOp::LoadImmLow { rd, .. }
-            | VOp::LoadImm32 { rd, .. }
-            | VOp::Load { rd, .. }
-            | VOp::LilSym { rd, .. }
-            | VOp::CopyFromPhys { dst: rd, .. } => rd,
-            _ => return None,
+            VOp::Machine(op) => op.dest(),
+            VOp::LilSym { rd, .. } | VOp::CopyFromPhys { dst: rd, .. } => Some(rd),
+            _ => None,
         };
-        (!rd.is_zero()).then_some(rd)
+        rd.filter(|v| !v.is_zero())
     }
 
     /// The virtual registers read (at most two; the zero alias is
     /// filtered out).
     pub fn uses(&self) -> [Option<VReg>; 2] {
         let raw = match *self {
-            VOp::AluR { rs1, rs2, .. } | VOp::Mul { rs1, rs2 } | VOp::Cmp { rs1, rs2, .. } => {
-                [Some(rs1), Some(rs2)]
-            }
-            VOp::AluI { rs1, .. } | VOp::CmpI { rs1, .. } => [Some(rs1), None],
-            VOp::Load { ra, .. } => [Some(ra), None],
-            VOp::Store { ra, rs, .. } => [Some(ra), Some(rs)],
+            VOp::Machine(op) => op.sources(),
             VOp::CopyToPhys { src, .. } => [Some(src), None],
             _ => [None, None],
         };
@@ -238,45 +128,29 @@ impl VOp {
 
     /// Whether this operation ends a basic block.
     pub fn is_terminator(&self) -> bool {
-        matches!(self, VOp::BrLabel(_) | VOp::Ret | VOp::Halt)
+        matches!(self, VOp::BrLabel(_) | VOp::Machine(Op::Ret | Op::Halt))
     }
 
     /// Rewrites every virtual-register operand through `f` (defs are
     /// untouched; the zero alias passes through `f` like any other).
     pub fn map_uses(&mut self, mut f: impl FnMut(VReg) -> VReg) {
         match self {
-            VOp::AluR { rs1, rs2, .. } | VOp::Mul { rs1, rs2 } | VOp::Cmp { rs1, rs2, .. } => {
-                *rs1 = f(*rs1);
-                *rs2 = f(*rs2);
-            }
-            VOp::AluI { rs1, .. } | VOp::CmpI { rs1, .. } => *rs1 = f(*rs1),
-            VOp::Load { ra, .. } => *ra = f(*ra),
-            VOp::Store { ra, rs, .. } => {
-                *ra = f(*ra);
-                *rs = f(*rs);
-            }
+            VOp::Machine(op) => op.map_uses(f),
             VOp::CopyToPhys { src, .. } => *src = f(*src),
             _ => {}
         }
     }
 
-    /// Redirects the defined register to `new`. Returns `false` (and
-    /// leaves the operation alone) when it defines nothing.
+    /// Redirects the defined register to `new`, the zero alias included.
+    /// Returns `false` (and leaves the operation alone) when it defines
+    /// nothing.
     pub fn set_def(&mut self, new: VReg) -> bool {
-        match self {
-            VOp::AluR { rd, .. }
-            | VOp::AluI { rd, .. }
-            | VOp::Mfs { rd, .. }
-            | VOp::LoadImmLow { rd, .. }
-            | VOp::LoadImm32 { rd, .. }
-            | VOp::Load { rd, .. }
-            | VOp::LilSym { rd, .. }
-            | VOp::CopyFromPhys { dst: rd, .. } => {
-                *rd = new;
-                true
-            }
-            _ => false,
-        }
+        let rd = match self {
+            VOp::Machine(op) => op.dest_mut(),
+            VOp::LilSym { rd, .. } | VOp::CopyFromPhys { dst: rd, .. } => Some(rd),
+            _ => None,
+        };
+        rd.map(|rd| *rd = new).is_some()
     }
 
     /// Whether the operation has no effect beyond its register def: it
@@ -287,15 +161,30 @@ impl VOp {
     pub fn is_pure(&self) -> bool {
         matches!(
             self,
-            VOp::AluR { .. }
-                | VOp::AluI { .. }
-                | VOp::Mfs { .. }
-                | VOp::LoadImmLow { .. }
-                | VOp::LoadImm32 { .. }
-                | VOp::Load { .. }
-                | VOp::LilSym { .. }
+            VOp::Machine(
+                Op::AluR { .. }
+                    | Op::AluI { .. }
+                    | Op::Mfs { .. }
+                    | Op::LoadImmLow { .. }
+                    | Op::LoadImmHigh { .. }
+                    | Op::LoadImm32 { .. }
+                    | Op::Load { .. }
+            ) | VOp::LilSym { .. }
                 | VOp::CopyFromPhys { .. }
         )
+    }
+}
+
+impl fmt::Display for VOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VOp::Machine(op) => write!(f, "{op}"),
+            VOp::LilSym { rd, sym } => write!(f, "lil {rd} = {sym}"),
+            VOp::CopyToPhys { dst, src } => write!(f, "mov {dst} = {src}"),
+            VOp::CopyFromPhys { dst, src } => write!(f, "mov {dst} = {src}"),
+            VOp::CallFunc(name) => write!(f, "call {name}"),
+            VOp::BrLabel(label) => write!(f, "br {label}"),
+        }
     }
 }
 
@@ -310,16 +199,16 @@ pub struct VInst {
 
 impl VInst {
     /// An unconditional instruction.
-    pub fn always(op: VOp) -> VInst {
-        VInst {
-            guard: Guard::ALWAYS,
-            op,
-        }
+    pub fn always(op: impl Into<VOp>) -> VInst {
+        VInst::new(Guard::ALWAYS, op)
     }
 
     /// A guarded instruction.
-    pub fn new(guard: Guard, op: VOp) -> VInst {
-        VInst { guard, op }
+    pub fn new(guard: Guard, op: impl Into<VOp>) -> VInst {
+        VInst {
+            guard,
+            op: op.into(),
+        }
     }
 }
 
@@ -328,68 +217,7 @@ impl fmt::Display for VInst {
         if !self.guard.is_always() {
             write!(f, "{} ", self.guard)?;
         }
-        match &self.op {
-            VOp::AluR { op, rd, rs1, rs2 } => {
-                write!(f, "{} {} = {}, {}", op.mnemonic(), rd, rs1, rs2)
-            }
-            VOp::AluI { op, rd, rs1, imm } => {
-                write!(f, "{}i {} = {}, {}", op.mnemonic(), rd, rs1, imm)
-            }
-            VOp::Mul { rs1, rs2 } => write!(f, "mul {}, {}", rs1, rs2),
-            VOp::Mfs { rd, ss } => write!(f, "mfs {} = {}", rd, ss),
-            VOp::LoadImmLow { rd, imm } => write!(f, "li {} = {}", rd, *imm as i16),
-            VOp::LoadImm32 { rd, imm } => write!(f, "lil {} = {}", rd, imm),
-            VOp::Cmp { op, pd, rs1, rs2 } => {
-                write!(f, "cmp{} {} = {}, {}", op.mnemonic(), pd, rs1, rs2)
-            }
-            VOp::CmpI { op, pd, rs1, imm } => {
-                write!(f, "cmpi{} {} = {}, {}", op.mnemonic(), pd, rs1, imm)
-            }
-            VOp::PredSet { op, pd, p1, p2 } => {
-                write!(f, "{} {} = {}, {}", op.mnemonic(), pd, p1, p2)
-            }
-            VOp::Load {
-                area,
-                size,
-                rd,
-                ra,
-                offset,
-            } => {
-                write!(
-                    f,
-                    "l{}{} {} = [{} + {}]",
-                    size,
-                    area.suffix(),
-                    rd,
-                    ra,
-                    offset
-                )
-            }
-            VOp::Store {
-                area,
-                size,
-                ra,
-                offset,
-                rs,
-            } => {
-                write!(
-                    f,
-                    "s{}{} [{} + {}] = {}",
-                    size,
-                    area.suffix(),
-                    ra,
-                    offset,
-                    rs
-                )
-            }
-            VOp::LilSym { rd, sym } => write!(f, "lil {} = {}", rd, sym),
-            VOp::CopyToPhys { dst, src } => write!(f, "mov {} = {}", dst, src),
-            VOp::CopyFromPhys { dst, src } => write!(f, "mov {} = {}", dst, src),
-            VOp::CallFunc(name) => write!(f, "call {}", name),
-            VOp::BrLabel(label) => write!(f, "br {}", label),
-            VOp::Ret => f.write_str("ret"),
-            VOp::Halt => f.write_str("halt"),
-        }
+        write!(f, "{}", self.op)
     }
 }
 
@@ -445,15 +273,16 @@ impl Function<VItem> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patmos_isa::AluOp;
 
     #[test]
     fn zero_alias_is_never_a_def_or_use() {
-        let op = VOp::AluR {
+        let op = VOp::Machine(Op::AluR {
             op: AluOp::Add,
             rd: VReg::ZERO,
             rs1: VReg::new(1),
             rs2: VReg::ZERO,
-        };
+        });
         assert_eq!(op.def(), None);
         assert_eq!(op.uses(), [Some(VReg::new(1)), None]);
     }
@@ -476,7 +305,7 @@ mod tests {
 
     #[test]
     fn render_is_stable() {
-        let inst = VInst::always(VOp::AluI {
+        let inst = VInst::always(Op::AluI {
             op: AluOp::Add,
             rd: VReg::new(3),
             rs1: VReg::new(2),

@@ -16,7 +16,7 @@
 //! block count changed (a block emptied or a gap filled), and exactly
 //! when the non-empty gaps changed or a label is defined twice.
 
-use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Pred, Reg};
+use patmos_isa::{AccessSize, AluOp, Guard, MemArea, Op, Pred, Reg};
 use patmos_lir::{build_vcfg, inst_positions, DomTree, FuncCode, LoopForest, VCfg};
 use patmos_lir::{Function, VInst, VItem, VOp, VReg};
 
@@ -45,30 +45,30 @@ impl Rng {
 /// a branch to one of `labels` labels, or `ret`/`halt`.
 fn gen_inst(rng: &mut Rng, labels: usize) -> VInst {
     let op = match rng.below(12) {
-        0..=2 => VOp::AluR {
+        0..=2 => VOp::Machine(Op::AluR {
             op: AluOp::Add,
             rd: rng.vreg(),
             rs1: rng.vreg(),
             rs2: rng.vreg(),
-        },
-        3 => VOp::LoadImmLow {
+        }),
+        3 => VOp::Machine(Op::LoadImmLow {
             rd: rng.vreg(),
             imm: 7,
-        },
-        4 => VOp::Load {
+        }),
+        4 => VOp::Machine(Op::Load {
             area: MemArea::Static,
             size: AccessSize::Word,
             rd: rng.vreg(),
             ra: rng.vreg(),
             offset: 0,
-        },
-        5 => VOp::Store {
+        }),
+        5 => VOp::Machine(Op::Store {
             area: MemArea::Static,
             size: AccessSize::Word,
             ra: rng.vreg(),
             offset: 0,
             rs: rng.vreg(),
-        },
+        }),
         6 => VOp::CopyToPhys {
             dst: Reg::R1,
             src: rng.vreg(),
@@ -83,15 +83,15 @@ fn gen_inst(rng: &mut Rng, labels: usize) -> VInst {
             return VInst::new(guard, target);
         }
         10 => match rng.below(2) {
-            0 => VOp::Ret,
-            _ => VOp::Halt,
+            0 => VOp::Machine(Op::Ret),
+            _ => VOp::Machine(Op::Halt),
         },
-        _ => VOp::AluI {
+        _ => VOp::Machine(Op::AluI {
             op: AluOp::Sub,
             rd: rng.vreg(),
             rs1: rng.vreg(),
             imm: 1,
-        },
+        }),
     };
     VInst::always(op)
 }

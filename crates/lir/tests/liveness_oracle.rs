@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Pred, Reg};
+use patmos_isa::{AccessSize, AluOp, CmpOp, Guard, MemArea, Op, Pred, Reg};
 use patmos_lir::{
     analyze, build_vcfg, inst_positions, BlockLiveness, FuncCode, Function, Interval, VInst,
 };
@@ -54,54 +54,54 @@ impl Rng {
 fn gen_inst(rng: &mut Rng, labels: usize) -> VInst {
     let area = [MemArea::Stack, MemArea::Static][rng.below(2) as usize];
     let op = match rng.below(14) {
-        0 | 1 => VOp::AluR {
+        0 | 1 => VOp::Machine(Op::AluR {
             op: AluOp::Add,
             rd: rng.vreg(),
             rs1: rng.vreg(),
             rs2: rng.vreg(),
-        },
-        2 => VOp::AluI {
+        }),
+        2 => VOp::Machine(Op::AluI {
             op: AluOp::Sub,
             rd: rng.vreg(),
             rs1: rng.vreg(),
             imm: 1,
-        },
-        3 => VOp::LoadImmLow {
+        }),
+        3 => VOp::Machine(Op::LoadImmLow {
             rd: rng.vreg(),
             imm: 7,
-        },
+        }),
         4 => VOp::CopyFromPhys {
             dst: rng.vreg(),
             src: Reg::R1,
         },
-        5 => VOp::Load {
+        5 => VOp::Machine(Op::Load {
             area,
             size: AccessSize::Word,
             rd: rng.vreg(),
             ra: rng.vreg(),
             offset: 0,
-        },
-        6 => VOp::Store {
+        }),
+        6 => VOp::Machine(Op::Store {
             area,
             size: AccessSize::Word,
             ra: rng.vreg(),
             offset: 0,
             rs: rng.vreg(),
-        },
+        }),
         7 => VOp::CopyToPhys {
             dst: Reg::R3,
             src: rng.vreg(),
         },
-        8 => VOp::Mul {
+        8 => VOp::Machine(Op::Mul {
             rs1: rng.vreg(),
             rs2: rng.vreg(),
-        },
-        9 => VOp::CmpI {
+        }),
+        9 => VOp::Machine(Op::CmpI {
             op: CmpOp::Lt,
             pd: Pred::P1,
             rs1: rng.vreg(),
             imm: 3,
-        },
+        }),
         10 => return VInst::always(VOp::CallFunc("g".into())),
         11 | 12 if labels > 0 => {
             let target = VOp::BrLabel(format!("L{}", rng.below(labels as u64)));
@@ -114,15 +114,15 @@ fn gen_inst(rng: &mut Rng, labels: usize) -> VInst {
         }
         13 => {
             return VInst::always(if rng.below(2) == 0 {
-                VOp::Ret
+                VOp::Machine(Op::Ret)
             } else {
-                VOp::Halt
+                VOp::Machine(Op::Halt)
             })
         }
-        _ => VOp::LoadImmLow {
+        _ => VOp::Machine(Op::LoadImmLow {
             rd: rng.vreg(),
             imm: 1,
-        },
+        }),
     };
     VInst::new(rng.guard(), op)
 }
@@ -182,7 +182,7 @@ fn reference(items: &[VItem]) -> (Vec<VInst>, Reference) {
         .map(|p| {
             let next = (p + 1 < n).then_some(p + 1);
             match &insts[p].op {
-                VOp::Ret | VOp::Halt => Vec::new(),
+                VOp::Machine(Op::Ret | Op::Halt) => Vec::new(),
                 VOp::BrLabel(l) => {
                     let target = Some(label_pos[l.as_str()]).filter(|&t| t < n);
                     let fall = next.filter(|_| !insts[p].guard.is_always());

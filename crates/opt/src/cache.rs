@@ -239,7 +239,7 @@ impl Analyses {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AluOp, Guard, Pred};
+    use patmos_isa::{AluOp, Guard, Op, Pred};
     use patmos_lir::{VInst, VOp, VReg};
 
     fn looped() -> Function<VItem> {
@@ -247,9 +247,9 @@ mod tests {
         Function::new(
             "f",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 3 })),
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 3 })),
                 VItem::Label("f_head1".into()),
-                VItem::Inst(VInst::always(VOp::AluI {
+                VItem::Inst(VInst::always(Op::AluI {
                     op: AluOp::Sub,
                     rd: v(1),
                     rs1: v(1),
@@ -259,7 +259,7 @@ mod tests {
                     Guard::when(Pred::P6),
                     VOp::BrLabel("f_head1".into()),
                 )),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         )
     }
@@ -296,7 +296,7 @@ mod tests {
         // A second entry instruction moves every position but keeps the
         // block graph: the CFG and the loop forest are renumbered, not
         // rebuilt.
-        let li = VItem::Inst(VInst::always(VOp::LoadImmLow {
+        let li = VItem::Inst(VInst::always(Op::LoadImmLow {
             rd: VReg::new(2),
             imm: 0,
         }));

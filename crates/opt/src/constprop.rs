@@ -14,7 +14,7 @@
 //! value may flow through) but their operands are still rewritten — an
 //! operand holds the same value whether or not the write is annulled.
 
-use patmos_isa::{AluOp, CmpOp};
+use patmos_isa::{AluOp, CmpOp, Op};
 use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::cache::Analyses;
@@ -50,12 +50,12 @@ fn rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
 /// The structural rules, applied after zero-operand replacement.
 fn structural_rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
     match *op {
-        VOp::AluI {
+        VOp::Machine(Op::AluI {
             op: alu,
             rd,
             rs1,
             imm,
-        } => {
+        }) => {
             if let Some(a) = consts.get(rs1) {
                 return Some(load_imm(rd, alu.apply(a, imm as i32 as u32)));
             }
@@ -69,12 +69,12 @@ fn structural_rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
             }
             None
         }
-        VOp::AluR {
+        VOp::Machine(Op::AluR {
             op: alu,
             rd,
             rs1,
             rs2,
-        } => {
+        }) => {
             // The canonical copy `add rd = rs1, vz` is final form even
             // when rs1 is constant: folding it back to an immediate
             // load would oscillate with CSE (which rewrites duplicate
@@ -102,50 +102,50 @@ fn structural_rewrite(op: &VOp, consts: &Consts) -> Option<VOp> {
             }
             if let Some(b) = c2 {
                 if ALU_IMM.contains(&(b as i32)) {
-                    return Some(VOp::AluI {
+                    return Some(VOp::Machine(Op::AluI {
                         op: alu,
                         rd,
                         rs1,
                         imm: b as i32 as i16,
-                    });
+                    }));
                 }
             }
             if let Some(a) = c1 {
                 if commutative(alu) && ALU_IMM.contains(&(a as i32)) {
-                    return Some(VOp::AluI {
+                    return Some(VOp::Machine(Op::AluI {
                         op: alu,
                         rd,
                         rs1: rs2,
                         imm: a as i32 as i16,
-                    });
+                    }));
                 }
             }
             None
         }
-        VOp::Cmp {
+        VOp::Machine(Op::Cmp {
             op: cmp,
             pd,
             rs1,
             rs2,
-        } => {
+        }) => {
             if let Some(b) = consts.get(rs2) {
                 if CMP_IMM.contains(&(b as i32)) {
-                    return Some(VOp::CmpI {
+                    return Some(VOp::Machine(Op::CmpI {
                         op: cmp,
                         pd,
                         rs1,
                         imm: b as i32 as i16,
-                    });
+                    }));
                 }
             }
             if let Some(a) = consts.get(rs1) {
                 if matches!(cmp, CmpOp::Eq | CmpOp::Neq) && CMP_IMM.contains(&(a as i32)) {
-                    return Some(VOp::CmpI {
+                    return Some(VOp::Machine(Op::CmpI {
                         op: cmp,
                         pd,
                         rs1: rs2,
                         imm: a as i32 as i16,
-                    });
+                    }));
                 }
             }
             None
@@ -190,14 +190,14 @@ mod tests {
     #[test]
     fn folds_chained_constants() {
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 6 })),
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Shl,
                 rd: v(2),
                 rs1: v(1),
                 imm: 2,
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         assert!(run(
             &mut m,
@@ -207,7 +207,7 @@ mod tests {
         assert!(matches!(
             m.items[1],
             VItem::Inst(VInst {
-                op: VOp::LoadImmLow { imm: 24, .. },
+                op: VOp::Machine(Op::LoadImmLow { imm: 24, .. }),
                 ..
             })
         ));
@@ -216,14 +216,14 @@ mod tests {
     #[test]
     fn narrows_alur_with_constant_operand() {
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 3 })),
-            VItem::Inst(VInst::always(VOp::AluR {
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 3 })),
+            VItem::Inst(VInst::always(Op::AluR {
                 op: AluOp::Add,
                 rd: v(3),
                 rs1: v(2),
                 rs2: v(1),
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         assert!(run(
             &mut m,
@@ -233,11 +233,11 @@ mod tests {
         assert!(matches!(
             m.items[1],
             VItem::Inst(VInst {
-                op: VOp::AluI {
+                op: VOp::Machine(Op::AluI {
                     op: AluOp::Add,
                     imm: 3,
                     ..
-                },
+                }),
                 ..
             })
         ));
@@ -246,25 +246,25 @@ mod tests {
     #[test]
     fn guarded_def_forgets_the_constant() {
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 0 })),
             VItem::Inst(VInst::new(
                 patmos_isa::Guard::when(patmos_isa::Pred::P1),
-                VOp::LoadImmLow { rd: v(1), imm: 7 },
+                Op::LoadImmLow { rd: v(1), imm: 7 },
             )),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(2),
                 rs1: v(1),
                 imm: 1,
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         // The add must NOT fold: v1 is 0 or 7 depending on p1.
         run(&mut m, &mut Analyses::default(), &mut Scratch::default());
         assert!(matches!(
             m.items[2],
             VItem::Inst(VInst {
-                op: VOp::AluI { .. },
+                op: VOp::Machine(Op::AluI { .. }),
                 ..
             })
         ));
@@ -273,13 +273,13 @@ mod tests {
     #[test]
     fn canonicalises_add_zero_to_copy() {
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(2),
                 rs1: v(1),
                 imm: 0,
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         assert!(run(
             &mut m,

@@ -318,7 +318,7 @@ pub(crate) fn run_global(func: &mut Function<VItem>, scratch: &mut Scratch) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::AluOp;
+    use patmos_isa::{AluOp, Op};
     use patmos_lir::{VInst, VOp};
 
     fn v(id: u32) -> VReg {
@@ -333,14 +333,14 @@ mod tests {
     fn coalesces_single_use_temporary() {
         // t = s + 1; s = t  ==>  s = s + 1
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(9),
                 rs1: v(1),
                 imm: 1,
             })),
             VItem::Inst(VInst::always(util::copy_op(v(1), v(9)))),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         assert!(run(
             &mut m,
@@ -351,7 +351,7 @@ mod tests {
         assert!(matches!(
             &m.items[0],
             VItem::Inst(VInst {
-                op: VOp::AluI { rd, rs1, imm: 1, .. },
+                op: VOp::Machine(Op::AluI { rd, rs1, imm: 1, .. }),
                 ..
             }) if *rd == v(1) && *rs1 == v(1)
         ));
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn multi_use_temporary_is_not_coalesced() {
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(9),
                 rs1: v(1),
@@ -371,14 +371,14 @@ mod tests {
                 dst: patmos_isa::Reg::R1,
                 src: v(9),
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         run(&mut m, &mut Analyses::default(), &mut Scratch::default());
         // v9 has two uses; the defining add must still target v9.
         assert!(matches!(
             &m.items[0],
             VItem::Inst(VInst {
-                op: VOp::AluI { rd, .. },
+                op: VOp::Machine(Op::AluI { rd, .. }),
                 ..
             }) if *rd == v(9)
         ));
@@ -392,12 +392,12 @@ mod tests {
                 dst: patmos_isa::Reg::R3,
                 src: v(2),
             })),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 9 })),
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 9 })),
             VItem::Inst(VInst::always(VOp::CopyToPhys {
                 dst: patmos_isa::Reg::R4,
                 src: v(2),
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         assert!(run(
             &mut m,
@@ -419,13 +419,13 @@ mod tests {
     fn guarded_copy_is_left_alone() {
         let guard = patmos_isa::Guard::when(patmos_isa::Pred::P1);
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(9), imm: 7 })),
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(9), imm: 7 })),
             VItem::Inst(VInst::new(guard, util::copy_op(v(1), v(9)))),
             VItem::Inst(VInst::always(VOp::CopyToPhys {
                 dst: patmos_isa::Reg::R1,
                 src: v(1),
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         run(&mut m, &mut Analyses::default(), &mut Scratch::default());
         // The guarded merge copy must survive, and v1's use must not be

@@ -14,7 +14,7 @@
 //! later load (store-to-load forwarding); sub-word stores do not (the
 //! loaded value would be truncated).
 
-use patmos_isa::{AccessSize, AluOp, MemArea};
+use patmos_isa::{AccessSize, AluOp, MemArea, Op};
 use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::cache::Analyses;
@@ -126,12 +126,12 @@ impl Key {
     /// sequence).
     fn of(op: &VOp, imm_keys: bool, symbols: &mut Symbols) -> Option<Key> {
         match op {
-            VOp::AluR {
+            VOp::Machine(Op::AluR {
                 op,
                 rd: _,
                 rs1,
                 rs2,
-            } => {
+            }) => {
                 if *op == AluOp::Add && rs2.is_zero() {
                     return None; // copies belong to copy-prop
                 }
@@ -142,17 +142,21 @@ impl Key {
                 };
                 Some(Key::Alu(*op, a, b))
             }
-            VOp::AluI { op, rs1, imm, .. } if imm_keys => Some(Key::AluImm(*op, *rs1, *imm)),
-            VOp::LoadImmLow { imm, .. } if imm_keys => Some(Key::Imm(*imm as i16 as i32 as u32)),
-            VOp::LoadImm32 { imm, .. } if imm_keys => Some(Key::Imm(*imm)),
+            VOp::Machine(Op::AluI { op, rs1, imm, .. }) if imm_keys => {
+                Some(Key::AluImm(*op, *rs1, *imm))
+            }
+            VOp::Machine(Op::LoadImmLow { imm, .. }) if imm_keys => {
+                Some(Key::Imm(*imm as i16 as i32 as u32))
+            }
+            VOp::Machine(Op::LoadImm32 { imm, .. }) if imm_keys => Some(Key::Imm(*imm)),
             VOp::LilSym { sym, .. } => Some(Key::Sym(symbols.index(sym))),
-            VOp::Load {
+            VOp::Machine(Op::Load {
                 area,
                 size,
                 ra,
                 offset,
                 ..
-            } => Some(Key::Load(*area, *size, *ra, *offset)),
+            }) => Some(Key::Load(*area, *size, *ra, *offset)),
             _ => None,
         }
     }
@@ -265,13 +269,13 @@ fn run_with(
                 unreachable!("blocks contain instruction indices only");
             };
             match &inst.op {
-                VOp::Store {
+                VOp::Machine(Op::Store {
                     area,
                     size,
                     ra,
                     offset,
                     rs,
-                } => {
+                }) => {
                     // The store may overwrite any tracked address.
                     let (area, size, ra, offset, rs) = (*area, *size, *ra, *offset, *rs);
                     avail.kill_loads();
@@ -338,13 +342,13 @@ mod tests {
                 rd: v(base),
                 sym: "a".into(),
             })),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Shl,
                 rd: v(scaled),
                 rs1: v(idx),
                 imm: 2,
             })),
-            VItem::Inst(VInst::always(VOp::AluR {
+            VItem::Inst(VInst::always(Op::AluR {
                 op: AluOp::Add,
                 rd: v(addr),
                 rs1: v(base),
@@ -357,7 +361,7 @@ mod tests {
     fn repeated_address_arithmetic_collapses_to_copies() {
         let mut items = addr_calc(2, 3, 4, 1);
         items.extend(addr_calc(5, 6, 7, 1));
-        items.push(VItem::Inst(VInst::always(VOp::Halt)));
+        items.push(VItem::Inst(VInst::always(Op::Halt)));
         let mut m = func(items);
         assert!(run(
             &mut m,
@@ -389,7 +393,7 @@ mod tests {
     #[test]
     fn store_invalidates_loads_and_forwards_its_value() {
         let load = |rd: u32| {
-            VItem::Inst(VInst::always(VOp::Load {
+            VItem::Inst(VInst::always(Op::Load {
                 area: MemArea::Static,
                 size: AccessSize::Word,
                 rd: v(rd),
@@ -399,7 +403,7 @@ mod tests {
         };
         let mut m = func(vec![
             load(2),
-            VItem::Inst(VInst::always(VOp::Store {
+            VItem::Inst(VInst::always(Op::Store {
                 area: MemArea::Static,
                 size: AccessSize::Word,
                 ra: v(1),
@@ -407,7 +411,7 @@ mod tests {
                 rs: v(3),
             })),
             load(4),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         assert!(run(
             &mut m,
@@ -424,25 +428,25 @@ mod tests {
     #[test]
     fn redefined_operand_kills_the_expression() {
         let mut m = func(vec![
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Shl,
                 rd: v(2),
                 rs1: v(1),
                 imm: 2,
             })),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(1),
                 rs1: v(1),
                 imm: 1,
             })),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Shl,
                 rd: v(3),
                 rs1: v(1),
                 imm: 2,
             })),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ]);
         assert!(
             !run(&mut m, &mut Analyses::default(), &mut Scratch::default()),

@@ -38,7 +38,7 @@ pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses, scratch: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AluOp, Guard, Pred, Reg};
+    use patmos_isa::{AluOp, Guard, Op, Pred, Reg};
     use patmos_lir::{VInst, VItem, VOp, VReg};
 
     fn v(id: u32) -> VReg {
@@ -50,8 +50,8 @@ mod tests {
         let mut m = Function::new(
             "main",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 1 })),
-                VItem::Inst(VInst::always(VOp::AluI {
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 1 })),
+                VItem::Inst(VInst::always(Op::AluI {
                     op: AluOp::Add,
                     rd: v(2),
                     rs1: v(1),
@@ -61,7 +61,7 @@ mod tests {
                     dst: Reg::R1,
                     src: VReg::ZERO,
                 })),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         );
         // One backward walk removes the whole dead chain: v2's death
@@ -84,16 +84,16 @@ mod tests {
         let mut m = Function::new(
             "main",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 0 })),
                 VItem::Inst(VInst::new(
                     Guard::when(Pred::P1),
-                    VOp::LoadImmLow { rd: v(1), imm: 1 },
+                    Op::LoadImmLow { rd: v(1), imm: 1 },
                 )),
                 VItem::Inst(VInst::always(VOp::CopyToPhys {
                     dst: Reg::R1,
                     src: v(1),
                 })),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         );
         assert!(
@@ -108,12 +108,12 @@ mod tests {
         let mut m = Function::new(
             "main",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 0 })),
                 VItem::Inst(VInst::new(
                     Guard::when(Pred::P1),
-                    VOp::LoadImmLow { rd: v(1), imm: 1 },
+                    Op::LoadImmLow { rd: v(1), imm: 1 },
                 )),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         );
         assert!(run(

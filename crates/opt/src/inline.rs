@@ -37,7 +37,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use patmos_isa::Reg;
+use patmos_isa::{Op, Reg};
 use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 
 use crate::util::{copy_op, max_vreg};
@@ -112,8 +112,10 @@ fn recursive_functions(funcs: &[Function<VItem>]) -> HashSet<String> {
 fn breaks_protocol(callee: &Function<VItem>) -> bool {
     callee.items.iter().any(|i| match i {
         VItem::Inst(inst) => match inst.op {
-            VOp::Halt => true,
-            VOp::Ret | VOp::CopyToPhys { .. } | VOp::CopyFromPhys { .. } => !inst.guard.is_always(),
+            VOp::Machine(Op::Halt) => true,
+            VOp::Machine(Op::Ret) | VOp::CopyToPhys { .. } | VOp::CopyFromPhys { .. } => {
+                !inst.guard.is_always()
+            }
             _ => false,
         },
         _ => false,
@@ -285,7 +287,7 @@ fn splice(module: &mut VModule, site: Site, serial: usize) {
                     VOp::CopyToPhys { dst: Reg::R1, src } => {
                         spliced.push(VItem::Inst(VInst::always(copy_op(retval, rename(*src)))));
                     }
-                    VOp::Ret => {
+                    VOp::Machine(Op::Ret) => {
                         if off == last_inst_off {
                             // Falls through to the continuation.
                         } else {
@@ -465,7 +467,7 @@ mod tests {
         VReg::new(id)
     }
 
-    fn inst(op: VOp) -> VItem {
+    fn inst(op: impl Into<VOp>) -> VItem {
         VItem::Inst(VInst::always(op))
     }
 
@@ -476,7 +478,7 @@ mod tests {
                 dst: v(1),
                 src: Reg::R3,
             }),
-            inst(VOp::AluI {
+            inst(Op::AluI {
                 op: AluOp::Add,
                 rd: v(2),
                 rs1: v(1),
@@ -486,10 +488,10 @@ mod tests {
                 dst: Reg::R1,
                 src: v(2),
             }),
-            inst(VOp::Ret),
+            inst(Op::Ret),
         ];
         let main = vec![
-            inst(VOp::LoadImmLow { rd: v(1), imm: 5 }),
+            inst(Op::LoadImmLow { rd: v(1), imm: 5 }),
             inst(VOp::CopyToPhys {
                 dst: Reg::R3,
                 src: v(1),
@@ -503,7 +505,7 @@ mod tests {
                 dst: Reg::R1,
                 src: v(2),
             }),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ];
         VModule {
             entry: "main".into(),
@@ -537,11 +539,11 @@ mod tests {
             items().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
-                    op: VOp::AluI {
+                    op: VOp::Machine(Op::AluI {
                         op: AluOp::Add,
                         imm: 1,
                         ..
-                    },
+                    }),
                     ..
                 })
             )),

@@ -86,12 +86,13 @@
 //! # Example
 //!
 //! ```
+//! use patmos_isa::Op;
 //! use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 //!
 //! let v = VReg::new;
 //! let items = vec![
-//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
-//!     VItem::Inst(VInst::always(VOp::AluI {
+//!     VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 6 })),
+//!     VItem::Inst(VInst::always(Op::AluI {
 //!         op: patmos_isa::AluOp::Shl,
 //!         rd: v(2),
 //!         rs1: v(1),
@@ -101,7 +102,7 @@
 //!         dst: patmos_isa::Reg::R1,
 //!         src: v(2),
 //!     })),
-//!     VItem::Inst(VInst::always(VOp::Halt)),
+//!     VItem::Inst(VInst::always(Op::Halt)),
 //! ];
 //! let mut module = VModule {
 //!     entry: "main".into(),
@@ -119,16 +120,16 @@
 //! induction variable per copy, and the whole computation folds:
 //!
 //! ```
-//! use patmos_isa::{AluOp, CmpOp, Guard, Pred};
+//! use patmos_isa::{AluOp, CmpOp, Guard, Op, Pred};
 //! use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 //!
 //! let v = VReg::new;
 //! let items = vec![
-//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
-//!     VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
+//!     VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 0 })),
+//!     VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(2), imm: 0 })),
 //!     VItem::LoopBound { min: 1, max: 6 },
 //!     VItem::Label("main_head1".into()),
-//!     VItem::Inst(VInst::always(VOp::CmpI {
+//!     VItem::Inst(VInst::always(Op::CmpI {
 //!         op: CmpOp::Lt,
 //!         pd: Pred::P6,
 //!         rs1: v(1),
@@ -138,13 +139,13 @@
 //!         Guard::unless(Pred::P6),
 //!         VOp::BrLabel("main_exit2".into()),
 //!     )),
-//!     VItem::Inst(VInst::always(VOp::AluR {
+//!     VItem::Inst(VInst::always(Op::AluR {
 //!         op: AluOp::Add,
 //!         rd: v(2),
 //!         rs1: v(2),
 //!         rs2: v(1),
 //!     })),
-//!     VItem::Inst(VInst::always(VOp::AluI {
+//!     VItem::Inst(VInst::always(Op::AluI {
 //!         op: AluOp::Add,
 //!         rd: v(1),
 //!         rs1: v(1),
@@ -156,7 +157,7 @@
 //!         dst: patmos_isa::Reg::R1,
 //!         src: v(2),
 //!     })),
-//!     VItem::Inst(VInst::always(VOp::Halt)),
+//!     VItem::Inst(VInst::always(Op::Halt)),
 //! ];
 //! let mut module = VModule {
 //!     entry: "main".into(),
@@ -633,7 +634,7 @@ pub fn optimize(module: &mut VModule) -> OptReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patmos_isa::{AluOp, Reg, SpecialReg};
+    use patmos_isa::{AluOp, Op, Reg, SpecialReg};
     use patmos_lir::{VInst, VOp, VReg};
 
     fn v(id: u32) -> VReg {
@@ -650,23 +651,23 @@ mod tests {
                 rd: v(base),
                 sym: "a".into(),
             })));
-            items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
+            items.push(VItem::Inst(VInst::always(Op::LoadImmLow {
                 rd: v(20 + base),
                 imm: 1,
             })));
-            items.push(VItem::Inst(VInst::always(VOp::AluI {
+            items.push(VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Shl,
                 rd: v(scaled),
                 rs1: v(20 + base),
                 imm: 2,
             })));
-            items.push(VItem::Inst(VInst::always(VOp::AluR {
+            items.push(VItem::Inst(VInst::always(Op::AluR {
                 op: AluOp::Add,
                 rd: v(addr),
                 rs1: v(base),
                 rs2: v(scaled),
             })));
-            items.push(VItem::Inst(VInst::always(VOp::Load {
+            items.push(VItem::Inst(VInst::always(Op::Load {
                 area: patmos_isa::MemArea::Static,
                 size: patmos_isa::AccessSize::Word,
                 rd: v(val),
@@ -674,21 +675,21 @@ mod tests {
                 offset: 0,
             })));
         }
-        items.push(VItem::Inst(VInst::always(VOp::AluR {
+        items.push(VItem::Inst(VInst::always(Op::AluR {
             op: AluOp::Add,
             rd: v(9),
             rs1: v(4),
             rs2: v(8),
         })));
-        items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
+        items.push(VItem::Inst(VInst::always(Op::LoadImmLow {
             rd: v(10),
             imm: 4,
         })));
-        items.push(VItem::Inst(VInst::always(VOp::Mul {
+        items.push(VItem::Inst(VInst::always(Op::Mul {
             rs1: v(9),
             rs2: v(10),
         })));
-        items.push(VItem::Inst(VInst::always(VOp::Mfs {
+        items.push(VItem::Inst(VInst::always(Op::Mfs {
             rd: v(11),
             ss: SpecialReg::Sl,
         })));
@@ -696,7 +697,7 @@ mod tests {
             dst: Reg::R1,
             src: v(11),
         })));
-        items.push(VItem::Inst(VInst::always(VOp::Halt)));
+        items.push(VItem::Inst(VInst::always(Op::Halt)));
         VModule {
             funcs: vec![Function::new("main", items)],
             entry: "main".into(),
@@ -722,7 +723,7 @@ mod tests {
             !m.funcs[0].items.iter().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
-                    op: VOp::Mul { .. },
+                    op: VOp::Machine(Op::Mul { .. }),
                     ..
                 })
             )),
@@ -737,7 +738,7 @@ mod tests {
                 matches!(
                     i,
                     VItem::Inst(VInst {
-                        op: VOp::Load { .. },
+                        op: VOp::Machine(Op::Load { .. }),
                         ..
                     })
                 )
@@ -756,8 +757,8 @@ mod tests {
             funcs: vec![Function::new(
                 "main",
                 vec![
-                    VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
-                    VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
+                    VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 0 })),
+                    VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(2), imm: 0 })),
                     VItem::Inst(VInst::always(VOp::CopyToPhys {
                         dst: Reg::R1,
                         src: v(1),
@@ -766,7 +767,7 @@ mod tests {
                         dst: Reg::R3,
                         src: v(2),
                     })),
-                    VItem::Inst(VInst::always(VOp::Halt)),
+                    VItem::Inst(VInst::always(Op::Halt)),
                 ],
             )],
         };
@@ -788,8 +789,8 @@ mod tests {
             funcs: vec![Function::new(
                 "main",
                 vec![
-                    VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
-                    VItem::Inst(VInst::always(VOp::AluI {
+                    VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 6 })),
+                    VItem::Inst(VInst::always(Op::AluI {
                         op: AluOp::Shl,
                         rd: v(2),
                         rs1: v(1),
@@ -800,7 +801,7 @@ mod tests {
                         src: v(2),
                     })),
                     VItem::Inst(VInst::always(VOp::BrLabel("nowhere".into()))),
-                    VItem::Inst(VInst::always(VOp::Halt)),
+                    VItem::Inst(VInst::always(Op::Halt)),
                 ],
             )],
         };

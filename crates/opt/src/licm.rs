@@ -28,6 +28,7 @@
 //! operand identity, dataflow — never literal values, so the pass is
 //! part of the shape-stable (single-path) pipeline.
 
+use patmos_isa::Op;
 use patmos_lir::{BlockLiveness, FuncCode, Function, LoopForest, VCfg, VItem, VOp, VReg, VRegSet};
 
 use crate::cache::Analyses;
@@ -169,7 +170,7 @@ fn plan_function(
                 *count = (*count + 1).min(2);
             }
             match &inst.op {
-                VOp::Store { area, .. } => store_areas |= area_bit(*area),
+                VOp::Machine(Op::Store { area, .. }) => store_areas |= area_bit(*area),
                 VOp::CallFunc(_) => has_call = true,
                 _ => {}
             }
@@ -187,8 +188,10 @@ fn plan_function(
                     continue;
                 }
                 let hoistable_op = match &inst.op {
-                    VOp::Mfs { .. } | VOp::CopyFromPhys { .. } => false,
-                    VOp::Load { area, .. } => !has_call && store_areas & area_bit(*area) == 0,
+                    VOp::Machine(Op::Mfs { .. }) | VOp::CopyFromPhys { .. } => false,
+                    VOp::Machine(Op::Load { area, .. }) => {
+                        !has_call && store_areas & area_bit(*area) == 0
+                    }
                     op => op.is_pure(),
                 };
                 if !hoistable_op {
@@ -340,7 +343,7 @@ mod tests {
         VReg::new(id)
     }
 
-    fn inst(op: VOp) -> VItem {
+    fn inst(op: impl Into<VOp>) -> VItem {
         VItem::Inst(VInst::always(op))
     }
 
@@ -350,11 +353,11 @@ mod tests {
         Function::new(
             "main",
             vec![
-                inst(VOp::LoadImmLow { rd: v(1), imm: 0 }), // i
-                inst(VOp::LoadImmLow { rd: v(2), imm: 0 }), // s
+                inst(Op::LoadImmLow { rd: v(1), imm: 0 }), // i
+                inst(Op::LoadImmLow { rd: v(2), imm: 0 }), // s
                 VItem::LoopBound { min: 1, max: 9 },
                 VItem::Label("main_head1".into()),
-                inst(VOp::CmpI {
+                inst(Op::CmpI {
                     op: CmpOp::Lt,
                     pd: Pred::P6,
                     rs1: v(1),
@@ -368,32 +371,32 @@ mod tests {
                     rd: v(3),
                     sym: "tab".into(),
                 }), // invariant
-                inst(VOp::AluI {
+                inst(Op::AluI {
                     op: AluOp::Shl,
                     rd: v(4),
                     rs1: v(1),
                     imm: 2,
                 }), // variant (uses i)
-                inst(VOp::AluR {
+                inst(Op::AluR {
                     op: AluOp::Add,
                     rd: v(5),
                     rs1: v(3),
                     rs2: v(4),
                 }),
-                inst(VOp::Load {
+                inst(Op::Load {
                     area: MemArea::Static,
                     size: AccessSize::Word,
                     rd: v(6),
                     ra: v(5),
                     offset: 0,
                 }),
-                inst(VOp::AluR {
+                inst(Op::AluR {
                     op: AluOp::Add,
                     rd: v(2),
                     rs1: v(2),
                     rs2: v(6),
                 }),
-                inst(VOp::AluI {
+                inst(Op::AluI {
                     op: AluOp::Add,
                     rd: v(1),
                     rs1: v(1),
@@ -405,7 +408,7 @@ mod tests {
                     dst: Reg::R1,
                     src: v(2),
                 }),
-                inst(VOp::Halt),
+                inst(Op::Halt),
             ],
         )
     }
@@ -447,7 +450,7 @@ mod tests {
                 matches!(
                     i,
                     VItem::Inst(VInst {
-                        op: VOp::AluI { op: AluOp::Shl, .. },
+                        op: VOp::Machine(Op::AluI { op: AluOp::Shl, .. }),
                         ..
                     })
                 )
@@ -470,7 +473,7 @@ mod tests {
         // accumulating add, before the increment).
         m.items.insert(
             11,
-            inst(VOp::Store {
+            inst(Op::Store {
                 area: MemArea::Static,
                 size: AccessSize::Word,
                 ra: v(3),
@@ -494,7 +497,7 @@ mod tests {
                 matches!(
                     i,
                     VItem::Inst(VInst {
-                        op: VOp::Load { .. },
+                        op: VOp::Machine(Op::Load { .. }),
                         ..
                     })
                 )
@@ -518,7 +521,7 @@ mod tests {
         m.items.splice(
             2..2,
             vec![
-                VItem::Inst(VInst::always(VOp::CmpI {
+                VItem::Inst(VInst::always(Op::CmpI {
                     op: CmpOp::Eq,
                     pd: Pred::P6,
                     rs1: v(9),
@@ -528,7 +531,7 @@ mod tests {
                     Guard::unless(Pred::P6),
                     VOp::BrLabel("main_join9".into()),
                 )),
-                inst(VOp::AluI {
+                inst(Op::AluI {
                     op: AluOp::Add,
                     rd: v(9),
                     rs1: v(9),
@@ -581,17 +584,17 @@ mod tests {
         let mut m = Function::new(
             "main",
             vec![
-                inst(VOp::LoadImmLow { rd: v(7), imm: 3 }),
-                inst(VOp::LoadImmLow { rd: v(1), imm: 0 }),
+                inst(Op::LoadImmLow { rd: v(7), imm: 3 }),
+                inst(Op::LoadImmLow { rd: v(1), imm: 0 }),
                 VItem::Label("main_head1".into()),
-                inst(VOp::AluR {
+                inst(Op::AluR {
                     op: AluOp::Add,
                     rd: v(1),
                     rs1: v(1),
                     rs2: v(7),
                 }),
-                inst(VOp::LoadImmLow { rd: v(7), imm: 9 }),
-                inst(VOp::CmpI {
+                inst(Op::LoadImmLow { rd: v(7), imm: 9 }),
+                inst(Op::CmpI {
                     op: CmpOp::Lt,
                     pd: Pred::P6,
                     rs1: v(1),
@@ -605,7 +608,7 @@ mod tests {
                     dst: Reg::R1,
                     src: v(1),
                 }),
-                inst(VOp::Halt),
+                inst(Op::Halt),
             ],
         );
         let before = m.render();

@@ -15,7 +15,7 @@
 //! the function never reads `sh`, so deleting the `mul` cannot starve
 //! another consumer of the multiply unit.
 
-use patmos_isa::SpecialReg;
+use patmos_isa::{Op, SpecialReg};
 use patmos_lir::{Function, VItem, VOp, VReg};
 
 use crate::cache::Analyses;
@@ -26,12 +26,12 @@ fn reduce(rd: VReg, v: VReg, c: u32) -> Option<VOp> {
     match c {
         0 => Some(load_imm(rd, 0)),
         1 => Some(copy_op(rd, v)),
-        _ if c.is_power_of_two() => Some(VOp::AluI {
+        _ if c.is_power_of_two() => Some(VOp::Machine(Op::AluI {
             op: patmos_isa::AluOp::Shl,
             rd,
             rs1: v,
             imm: c.trailing_zeros() as i16,
-        }),
+        })),
         _ => None,
     }
 }
@@ -48,14 +48,14 @@ fn try_reduce_pair(
     let (VItem::Inst(mul), VItem::Inst(mfs)) = (&items[i], &items[j]) else {
         return;
     };
-    let (VOp::Mul { rs1, rs2 }, true) = (&mul.op, mul.guard.is_always()) else {
+    let (VOp::Machine(Op::Mul { rs1, rs2 }), true) = (&mul.op, mul.guard.is_always()) else {
         return;
     };
     let (
-        VOp::Mfs {
+        VOp::Machine(Op::Mfs {
             rd,
             ss: SpecialReg::Sl,
-        },
+        }),
         true,
     ) = (&mfs.op, mfs.guard.is_always())
     else {
@@ -85,10 +85,10 @@ pub(crate) fn run(func: &mut Function<VItem>, cache: &mut Analyses, scratch: &mu
     for item in &func.items {
         if let VItem::Inst(inst) = item {
             match inst.op {
-                VOp::Mul { .. } => has_mul = true,
-                VOp::Mfs {
+                VOp::Machine(Op::Mul { .. }) => has_mul = true,
+                VOp::Machine(Op::Mfs {
                     ss: SpecialReg::Sh, ..
-                } => reads_sh = true,
+                }) => reads_sh = true,
                 _ => {}
             }
         }
@@ -130,16 +130,16 @@ mod tests {
         Function::new(
             "main",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: c })),
-                VItem::Inst(VInst::always(VOp::Mul {
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: c })),
+                VItem::Inst(VInst::always(Op::Mul {
                     rs1: v(2),
                     rs2: v(1),
                 })),
-                VItem::Inst(VInst::always(VOp::Mfs {
+                VItem::Inst(VInst::always(Op::Mfs {
                     rd: v(3),
                     ss: SpecialReg::Sl,
                 })),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         )
     }
@@ -156,11 +156,11 @@ mod tests {
         assert!(matches!(
             &m.items[1],
             VItem::Inst(VInst {
-                op: VOp::AluI {
+                op: VOp::Machine(Op::AluI {
                     op: AluOp::Shl,
                     imm: 3,
                     ..
-                },
+                }),
                 ..
             })
         ));
@@ -182,7 +182,7 @@ mod tests {
         let mut m = mul_by_const(8);
         m.items.insert(
             3,
-            VItem::Inst(VInst::always(VOp::Mfs {
+            VItem::Inst(VInst::always(Op::Mfs {
                 rd: v(4),
                 ss: SpecialReg::Sh,
             })),

@@ -63,7 +63,7 @@
 //! schemes read the literal values `C0`, `K` and `S`, so they are
 //! **not** shape-stable and never run in single-path mode.
 
-use patmos_isa::{AluOp, CmpOp, Pred, EXIT_PRED};
+use patmos_isa::{AluOp, CmpOp, Op, Pred, EXIT_PRED};
 use patmos_lir::{FuncCode, Function, VCfg, VInst, VItem, VModule, VOp, VReg, VRegSet};
 use patmos_regalloc::{PressureEstimate, PressureModel};
 
@@ -154,16 +154,13 @@ fn as_back_branch(inst: &VInst) -> Option<&str> {
 
 /// Whether `op` writes predicate `p`.
 fn defines_pred(op: &VOp, p: Pred) -> bool {
-    matches!(
-        op,
-        VOp::Cmp { pd, .. } | VOp::CmpI { pd, .. } | VOp::PredSet { pd, .. } if *pd == p
-    )
+    matches!(op, VOp::Machine(op) if op.pred_def() == Some(p))
 }
 
 /// Whether `inst` reads predicate `p` (as a guard or combination input).
 fn uses_pred(inst: &VInst, p: Pred) -> bool {
     (!inst.guard.is_always() && inst.guard.pred == p)
-        || matches!(&inst.op, VOp::PredSet { p1, p2, .. } if p1.pred == p || p2.pred == p)
+        || matches!(&inst.op, VOp::Machine(op) if op.pred_uses().contains(&Some(p)))
 }
 
 /// The constant reaching definition of `vi` at the loop entry: the last
@@ -179,8 +176,8 @@ fn entry_constant(items: &[VItem], loop_start: usize, vi: VReg) -> Option<i64> {
                 return None;
             }
             return match inst.op {
-                VOp::LoadImmLow { imm, .. } => Some(imm as i16 as i64),
-                VOp::LoadImm32 { imm, .. } => Some(imm as i32 as i64),
+                VOp::Machine(Op::LoadImmLow { imm, .. }) => Some(imm as i16 as i64),
+                VOp::Machine(Op::LoadImm32 { imm, .. }) => Some(imm as i32 as i64),
                 // The canonical zero copy `add vi = vz, vz` — what the
                 // scalar passes leave behind for `i = 0`.
                 _ => match crate::util::as_copy(&inst.op) {
@@ -233,18 +230,18 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
     let cmp = func.inst(hb.first);
     let br = func.inst(hb.first + 1);
     let (cmp_op, pd, vi, bound) = match cmp.op {
-        VOp::CmpI {
+        VOp::Machine(Op::CmpI {
             op: op @ (CmpOp::Lt | CmpOp::Le),
             pd,
             rs1,
             imm,
-        } => (op, pd, rs1, BoundSrc::Imm(imm)),
-        VOp::Cmp {
+        }) => (op, pd, rs1, BoundSrc::Imm(imm)),
+        VOp::Machine(Op::Cmp {
             op: op @ (CmpOp::Lt | CmpOp::Le),
             pd,
             rs1,
             rs2,
-        } if rs2 != rs1 => (op, pd, rs1, BoundSrc::Reg(rs2)),
+        }) if rs2 != rs1 => (op, pd, rs1, BoundSrc::Reg(rs2)),
         _ => return None,
     };
     if !cmp.guard.is_always() || pd != EXIT_PRED {
@@ -294,7 +291,6 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
     // predicate discipline, memory traffic, bound invariance.
     let mut step: Option<i64> = None;
     let mut body_insts = 0usize;
-    let mut has_memory = false;
     let mut mem_ops = 0usize;
     let mut carried_mul = false;
     let mut vregs = VRegSet::default();
@@ -309,18 +305,15 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
             VItem::Inst(inst) => {
                 body_insts += 1;
                 match &inst.op {
-                    VOp::Ret | VOp::Halt => return None,
+                    VOp::Machine(Op::Ret | Op::Halt) => return None,
                     VOp::BrLabel(l) => {
                         if !internal_labels.contains(&l.as_str()) {
                             return None;
                         }
                         flow_seen = true;
                     }
-                    VOp::Load { .. } | VOp::Store { .. } | VOp::CallFunc(_) => {
-                        has_memory = true;
-                        mem_ops += 1;
-                    }
-                    VOp::Mul { rs1, rs2 } => {
+                    VOp::CallFunc(_) => mem_ops += 1,
+                    VOp::Machine(Op::Mul { rs1, rs2 }) => {
                         // An operand read before any body definition is
                         // carried around the back edge.
                         for r in [rs1, rs2] {
@@ -329,6 +322,7 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
                             }
                         }
                     }
+                    VOp::Machine(op) => mem_ops += usize::from(op.is_memory()),
                     _ => {}
                 }
                 for r in inst.op.uses().into_iter().flatten().chain(inst.op.def()) {
@@ -353,12 +347,12 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
                     // Exactly one def, the canonical increment, in the
                     // latch block (runs once per completed iteration).
                     match inst.op {
-                        VOp::AluI {
+                        VOp::Machine(Op::AluI {
                             op: AluOp::Add,
                             rs1,
                             imm,
                             ..
-                        } if rs1 == vi && inst.guard.is_always() && step.is_none() && imm > 0 => {
+                        }) if rs1 == vi && inst.guard.is_always() && step.is_none() && imm > 0 => {
                             step = Some(imm as i64);
                         }
                         _ => return None,
@@ -436,7 +430,7 @@ fn plan_loop(func: &FuncCode<'_>, cfg: &VCfg, lp: &patmos_lir::NaturalLoop) -> O
         bound,
         step,
         body_insts,
-        has_memory,
+        has_memory: mem_ops > 0,
         mem_ops,
         carried_mul,
         distinct_vregs,
@@ -863,27 +857,27 @@ pub(crate) fn run(
                 // Guard bound: `K − (U−1)·S`, folded into the immediate
                 // or computed once into a fresh register.
                 let main_cmp = match plan.bound {
-                    BoundSrc::Imm(k) => VOp::CmpI {
+                    BoundSrc::Imm(k) => VOp::Machine(Op::CmpI {
                         op: plan.cmp_op,
                         pd: plan.pd,
                         rs1: plan.vi,
                         imm: (k as i64 - adjust) as i16,
-                    },
+                    }),
                     BoundSrc::Reg(k) => {
                         let kp = VReg::new(next_vreg);
                         next_vreg += 1;
-                        out.push(VItem::Inst(VInst::always(VOp::AluI {
+                        out.push(VItem::Inst(VInst::always(Op::AluI {
                             op: AluOp::Add,
                             rd: kp,
                             rs1: k,
                             imm: (-adjust) as i16,
                         })));
-                        VOp::Cmp {
+                        VOp::Machine(Op::Cmp {
                             op: plan.cmp_op,
                             pd: plan.pd,
                             rs1: plan.vi,
                             rs2: kp,
-                        }
+                        })
                     }
                 };
                 let exit_guard = patmos_isa::Guard::unless(plan.pd);
@@ -932,7 +926,7 @@ mod tests {
         VReg::new(id)
     }
 
-    fn inst(op: VOp) -> VItem {
+    fn inst(op: impl Into<VOp>) -> VItem {
         VItem::Inst(VInst::always(op))
     }
 
@@ -971,11 +965,11 @@ mod tests {
             funcs: vec![Function::new(
                 "main",
                 vec![
-                    inst(VOp::LoadImmLow { rd: v(8), imm: 0 }), // outer i
-                    inst(VOp::LoadImmLow { rd: v(2), imm: 0 }), // s
+                    inst(Op::LoadImmLow { rd: v(8), imm: 0 }), // outer i
+                    inst(Op::LoadImmLow { rd: v(2), imm: 0 }), // s
                     VItem::LoopBound { min: 1, max: 3 },
                     VItem::Label("main_head9".into()),
-                    inst(VOp::CmpI {
+                    inst(Op::CmpI {
                         op: CmpOp::Lt,
                         pd: Pred::P6,
                         rs1: v(8),
@@ -985,10 +979,10 @@ mod tests {
                         Guard::unless(Pred::P6),
                         VOp::BrLabel("main_exit9".into()),
                     )),
-                    inst(VOp::LoadImmLow { rd: v(1), imm: 0 }), // inner i
+                    inst(Op::LoadImmLow { rd: v(1), imm: 0 }), // inner i
                     VItem::LoopBound { min: 1, max: 6 },
                     VItem::Label("main_head1".into()),
-                    inst(VOp::CmpI {
+                    inst(Op::CmpI {
                         op: CmpOp::Lt,
                         pd: Pred::P6,
                         rs1: v(1),
@@ -998,13 +992,13 @@ mod tests {
                         Guard::unless(Pred::P6),
                         VOp::BrLabel("main_exit2".into()),
                     )),
-                    inst(VOp::AluR {
+                    inst(Op::AluR {
                         op: AluOp::Add,
                         rd: v(2),
                         rs1: v(2),
                         rs2: v(1),
                     }),
-                    inst(VOp::AluI {
+                    inst(Op::AluI {
                         op: AluOp::Add,
                         rd: v(1),
                         rs1: v(1),
@@ -1012,7 +1006,7 @@ mod tests {
                     }),
                     inst(VOp::BrLabel("main_head1".into())),
                     VItem::Label("main_exit2".into()),
-                    inst(VOp::AluI {
+                    inst(Op::AluI {
                         op: AluOp::Add,
                         rd: v(8),
                         rs1: v(8),
@@ -1024,7 +1018,7 @@ mod tests {
                         dst: Reg::R1,
                         src: v(2),
                     }),
-                    inst(VOp::Halt),
+                    inst(Op::Halt),
                 ],
             )],
         }
@@ -1057,7 +1051,7 @@ mod tests {
                 matches!(
                     i,
                     VItem::Inst(VInst {
-                        op: VOp::AluR { op: AluOp::Add, .. },
+                        op: VOp::Machine(Op::AluR { op: AluOp::Add, .. }),
                         ..
                     })
                 )
@@ -1074,7 +1068,7 @@ mod tests {
                 matches!(
                     i,
                     VItem::Inst(VInst {
-                        op: VOp::AluR { op: AluOp::Add, .. },
+                        op: VOp::Machine(Op::AluR { op: AluOp::Add, .. }),
                         ..
                     })
                 )
@@ -1088,11 +1082,11 @@ mod tests {
         let mut m = nested_counted_loop();
         // Strip the outer loop items, keep the inner one at top level.
         m.funcs[0].items = vec![
-            inst(VOp::LoadImmLow { rd: v(1), imm: 0 }),
-            inst(VOp::LoadImmLow { rd: v(2), imm: 0 }),
+            inst(Op::LoadImmLow { rd: v(1), imm: 0 }),
+            inst(Op::LoadImmLow { rd: v(2), imm: 0 }),
             VItem::LoopBound { min: 1, max: 6 },
             VItem::Label("main_head1".into()),
-            inst(VOp::CmpI {
+            inst(Op::CmpI {
                 op: CmpOp::Lt,
                 pd: Pred::P6,
                 rs1: v(1),
@@ -1102,13 +1096,13 @@ mod tests {
                 Guard::unless(Pred::P6),
                 VOp::BrLabel("main_exit2".into()),
             )),
-            inst(VOp::AluR {
+            inst(Op::AluR {
                 op: AluOp::Add,
                 rd: v(2),
                 rs1: v(2),
                 rs2: v(1),
             }),
-            inst(VOp::AluI {
+            inst(Op::AluI {
                 op: AluOp::Add,
                 rd: v(1),
                 rs1: v(1),
@@ -1120,7 +1114,7 @@ mod tests {
                 dst: Reg::R1,
                 src: v(2),
             }),
-            inst(VOp::Halt),
+            inst(Op::Halt),
         ];
         m
     }
@@ -1132,7 +1126,7 @@ mod tests {
 
         let mut mem = pure_toplevel_loop();
         // Same loop, but the body loads: top level + memory = keep.
-        mem.funcs[0].items[6] = inst(VOp::Load {
+        mem.funcs[0].items[6] = inst(Op::Load {
             area: patmos_isa::MemArea::Static,
             size: patmos_isa::AccessSize::Word,
             rd: v(2),
@@ -1161,7 +1155,7 @@ mod tests {
         m.funcs[0].items.splice(
             6..6,
             vec![
-                inst(VOp::CmpI {
+                inst(Op::CmpI {
                     op: CmpOp::Lt,
                     pd: Pred::P6,
                     rs1: v(2),
@@ -1199,7 +1193,7 @@ mod tests {
         // it would read the header compare we delete.
         m.funcs[0].items[6] = VItem::Inst(VInst::new(
             Guard::when(Pred::P6),
-            VOp::AluR {
+            Op::AluR {
                 op: AluOp::Add,
                 rd: v(2),
                 rs1: v(2),
@@ -1220,7 +1214,7 @@ mod tests {
         m.funcs[0].items.splice(
             1..1,
             vec![
-                inst(VOp::CmpI {
+                inst(Op::CmpI {
                     op: CmpOp::Eq,
                     pd: Pred::P6,
                     rs1: v(9),
@@ -1230,7 +1224,7 @@ mod tests {
                     Guard::unless(Pred::P6),
                     VOp::BrLabel("main_join9".into()),
                 )),
-                inst(VOp::AluI {
+                inst(Op::AluI {
                     op: AluOp::Add,
                     rd: v(1),
                     rs1: v(1),
@@ -1254,7 +1248,7 @@ mod tests {
     fn unknown_start_value_blocks_full_unrolling() {
         let mut m = pure_toplevel_loop();
         // Replace `li i = 0` with a copy from another register.
-        m.funcs[0].items[0] = inst(VOp::AluR {
+        m.funcs[0].items[0] = inst(Op::AluR {
             op: AluOp::Add,
             rd: v(1),
             rs1: v(9),
@@ -1266,7 +1260,7 @@ mod tests {
     #[test]
     fn oversized_trip_count_blocks_full_unrolling() {
         let mut m = pure_toplevel_loop();
-        m.funcs[0].items[4] = inst(VOp::CmpI {
+        m.funcs[0].items[4] = inst(Op::CmpI {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: v(1),
@@ -1283,7 +1277,7 @@ mod tests {
             6,
             VItem::Inst(VInst::new(
                 Guard::when(Pred::P1),
-                VOp::AluI {
+                Op::AluI {
                     op: AluOp::Add,
                     rd: v(2),
                     rs1: v(2),
@@ -1305,7 +1299,7 @@ mod tests {
     /// adds.
     fn overbudget_constant_loop(trip: i16, pad: usize) -> VModule {
         let mut m = pure_toplevel_loop();
-        m.funcs[0].items[4] = inst(VOp::CmpI {
+        m.funcs[0].items[4] = inst(Op::CmpI {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: v(1),
@@ -1317,7 +1311,7 @@ mod tests {
         };
         let filler: Vec<VItem> = (0..pad)
             .map(|i| {
-                inst(VOp::AluI {
+                inst(Op::AluI {
                     op: AluOp::Add,
                     rd: v(20 + i as u32),
                     rs1: v(2),
@@ -1387,11 +1381,11 @@ mod tests {
                 matches!(
                     i,
                     VItem::Inst(VInst {
-                        op: VOp::AluI {
+                        op: VOp::Machine(Op::AluI {
                             op: AluOp::Add,
                             rd,
                             ..
-                        },
+                        }),
                         ..
                     }) if *rd == v(1)
                 )
@@ -1405,7 +1399,7 @@ mod tests {
     /// A runtime-trip loop: bound in a register, straight-line body.
     fn runtime_trip_loop() -> VModule {
         let mut m = pure_toplevel_loop();
-        m.funcs[0].items[4] = inst(VOp::Cmp {
+        m.funcs[0].items[4] = inst(Op::Cmp {
             op: CmpOp::Lt,
             pd: Pred::P6,
             rs1: v(1),
@@ -1430,11 +1424,11 @@ mod tests {
             m.funcs[0].items.iter().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
-                    op: VOp::AluI {
+                    op: VOp::Machine(Op::AluI {
                         op: AluOp::Add,
                         imm: -3,
                         ..
-                    },
+                    }),
                     ..
                 })
             )),
@@ -1458,11 +1452,11 @@ mod tests {
                 matches!(
                     i,
                     VItem::Inst(VInst {
-                        op: VOp::AluI {
+                        op: VOp::Machine(Op::AluI {
                             op: AluOp::Add,
                             rd,
                             ..
-                        },
+                        }),
                         ..
                     }) if *rd == v(1)
                 )
@@ -1494,7 +1488,7 @@ mod tests {
         m.funcs[0].items.splice(
             6..6,
             vec![
-                inst(VOp::CmpI {
+                inst(Op::CmpI {
                     op: CmpOp::Lt,
                     pd: Pred::P6,
                     rs1: v(2),
@@ -1518,7 +1512,7 @@ mod tests {
         // not fit the `addi` immediate; factor 2 (700) does. Emitting
         // the unencodable constant used to abort compilation later.
         let mut m = runtime_trip_loop();
-        m.funcs[0].items[7] = inst(VOp::AluI {
+        m.funcs[0].items[7] = inst(Op::AluI {
             op: AluOp::Add,
             rd: v(1),
             rs1: v(1),
@@ -1531,11 +1525,11 @@ mod tests {
             m.funcs[0].items.iter().any(|i| matches!(
                 i,
                 VItem::Inst(VInst {
-                    op: VOp::AluI {
+                    op: VOp::Machine(Op::AluI {
                         op: AluOp::Add,
                         imm: -700,
                         ..
-                    },
+                    }),
                     ..
                 })
             )),
@@ -1550,7 +1544,7 @@ mod tests {
         // it, but with a software pipeliner downstream it stays a
         // plain loop for the modulo scheduler to overlap.
         let mut m = runtime_trip_loop();
-        m.funcs[0].items[6] = inst(VOp::Load {
+        m.funcs[0].items[6] = inst(Op::Load {
             area: patmos_isa::MemArea::Static,
             size: patmos_isa::AccessSize::Word,
             rd: v(2),
@@ -1564,7 +1558,7 @@ mod tests {
         // its proven trip count still tightens the `.loopbound` min,
         // which is what proves the pipelined fallback dead later.
         let mut m = overbudget_constant_loop(64, 4);
-        m.funcs[0].items[6] = inst(VOp::Load {
+        m.funcs[0].items[6] = inst(Op::Load {
             area: patmos_isa::MemArea::Static,
             size: patmos_isa::AccessSize::Word,
             rd: v(20),

@@ -1,7 +1,7 @@
 //! Shared pass infrastructure: constant tracking, instruction
 //! builders, item removal, and the scratch tables the passes reuse.
 
-use patmos_isa::AluOp;
+use patmos_isa::{AluOp, Op};
 use patmos_lir::{VInst, VItem, VOp, VReg, VRegSet};
 
 use crate::{copyprop, cse, licm};
@@ -86,34 +86,34 @@ pub(crate) fn commutative(op: AluOp) -> bool {
 /// The cheapest materialisation of `value` into `rd`.
 pub(crate) fn load_imm(rd: VReg, value: u32) -> VOp {
     if (-32768..=32767).contains(&(value as i32)) {
-        VOp::LoadImmLow {
+        VOp::Machine(Op::LoadImmLow {
             rd,
             imm: value as u16,
-        }
+        })
     } else {
-        VOp::LoadImm32 { rd, imm: value }
+        VOp::Machine(Op::LoadImm32 { rd, imm: value })
     }
 }
 
 /// The canonical register copy `rd = rs, r0`.
 pub(crate) fn copy_op(rd: VReg, rs: VReg) -> VOp {
-    VOp::AluR {
+    VOp::Machine(Op::AluR {
         op: AluOp::Add,
         rd,
         rs1: rs,
         rs2: VReg::ZERO,
-    }
+    })
 }
 
 /// Whether `op` is the canonical copy, returning its source.
 pub(crate) fn as_copy(op: &VOp) -> Option<(VReg, VReg)> {
     match *op {
-        VOp::AluR {
+        VOp::Machine(Op::AluR {
             op: AluOp::Add,
             rd,
             rs1,
             rs2,
-        } if rs2.is_zero() && !rd.is_zero() => Some((rd, rs1)),
+        }) if rs2.is_zero() && !rd.is_zero() => Some((rd, rs1)),
         _ => None,
     }
 }
@@ -186,8 +186,8 @@ impl Consts {
         let Some(d) = inst.op.def() else { return };
         let value = match inst.op {
             _ if !inst.guard.is_always() => None,
-            VOp::LoadImmLow { imm, .. } => Some(imm as i16 as i32 as u32),
-            VOp::LoadImm32 { imm, .. } => Some(imm),
+            VOp::Machine(Op::LoadImmLow { imm, .. }) => Some(imm as i16 as i32 as u32),
+            VOp::Machine(Op::LoadImm32 { imm, .. }) => Some(imm),
             _ => None,
         };
         match value {

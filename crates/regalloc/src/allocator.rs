@@ -12,8 +12,9 @@
 //!    furthest-ending interval, the loop-aware policy hands out
 //!    registers round-robin inside loops and evicts the interval the
 //!    loops touch least;
-//! 3. rewrite to physical LIR: map operands, materialise spill
-//!    reloads/stores through the two scratch registers
+//! 3. rewrite to physical LIR: map every ISA operation's registers with
+//!    one [`patmos_isa::Op::map_regs`], materialise spill reloads/stores
+//!    through the two scratch registers
 //!    ([`patmos_isa::SPILL_SCRATCH`], `r2` and `r30`), save and restore
 //!    live registers around calls (every allocatable register is
 //!    caller-saved, matching the Patmos ABI used here), and emit the
@@ -188,16 +189,6 @@ impl AllocReport {
     /// Total call-crossing values with a home slot across functions.
     pub fn total_call_saved(&self) -> usize {
         self.funcs.iter().map(|f| f.call_saved).sum()
-    }
-
-    /// Total call-save stores hoisted to loop preheaders.
-    pub fn total_hoisted_saves(&self) -> usize {
-        self.funcs.iter().map(|f| f.hoisted_saves).sum()
-    }
-
-    /// Total spill reloads hoisted to loop preheaders.
-    pub fn total_loop_reloads(&self) -> usize {
-        self.funcs.iter().map(|f| f.loop_reloads).sum()
     }
 
     /// Full per-function rendering for `patmos-cli compile
@@ -387,7 +378,7 @@ fn run_func(
         }
     }
     for (_, inst) in func.iter() {
-        if matches!(inst.op, VOp::Ret | VOp::Halt) && !inst.guard.is_always() {
+        if matches!(inst.op, VOp::Machine(Op::Ret | Op::Halt)) && !inst.guard.is_always() {
             return Err(AllocError::GuardedReturn {
                 func: func.name.to_string(),
             });
@@ -925,7 +916,7 @@ impl<'a> FuncAllocator<'a> {
                             }
                             call_index += 1;
                         }
-                        VOp::Ret => {
+                        VOp::Machine(Op::Ret) => {
                             if self.save_link {
                                 out.push(Self::slot_load(LINK_REG, 0));
                             }
@@ -936,7 +927,7 @@ impl<'a> FuncAllocator<'a> {
                             }
                             out.push(Self::inst(vinst.guard, Op::Ret));
                         }
-                        VOp::Halt => {
+                        VOp::Machine(Op::Halt) => {
                             if self.frame_words > 0 {
                                 out.push(Self::always(Op::Sfree {
                                     words: self.frame_words,
@@ -1066,105 +1057,22 @@ impl<'a> FuncAllocator<'a> {
             _ => None,
         });
 
-        let op = match &vinst.op {
-            VOp::AluR { op, rd, rs1, rs2 } => Op::AluR {
-                op: *op,
+        out.push(match &vinst.op {
+            VOp::Machine(op) => Self::inst(vinst.guard, op.map_regs(map)),
+            VOp::LilSym { rd, sym } => Item::Inst(AsmInst::LongImm {
+                guard: vinst.guard,
                 rd: map(*rd),
-                rs1: map(*rs1),
-                rs2: map(*rs2),
-            },
-            VOp::AluI { op, rd, rs1, imm } => Op::AluI {
-                op: *op,
-                rd: map(*rd),
-                rs1: map(*rs1),
-                imm: *imm,
-            },
-            VOp::Mul { rs1, rs2 } => Op::Mul {
-                rs1: map(*rs1),
-                rs2: map(*rs2),
-            },
-            VOp::Mfs { rd, ss } => Op::Mfs {
-                rd: map(*rd),
-                ss: *ss,
-            },
-            VOp::LoadImmLow { rd, imm } => Op::LoadImmLow {
-                rd: map(*rd),
-                imm: *imm,
-            },
-            VOp::LoadImm32 { rd, imm } => Op::LoadImm32 {
-                rd: map(*rd),
-                imm: *imm,
-            },
-            VOp::Cmp { op, pd, rs1, rs2 } => Op::Cmp {
-                op: *op,
-                pd: *pd,
-                rs1: map(*rs1),
-                rs2: map(*rs2),
-            },
-            VOp::CmpI { op, pd, rs1, imm } => Op::CmpI {
-                op: *op,
-                pd: *pd,
-                rs1: map(*rs1),
-                imm: *imm,
-            },
-            VOp::PredSet { op, pd, p1, p2 } => Op::PredSet {
-                op: *op,
-                pd: *pd,
-                p1: *p1,
-                p2: *p2,
-            },
-            VOp::Load {
-                area,
-                size,
-                rd,
-                ra,
-                offset,
-            } => Op::Load {
-                area: *area,
-                size: *size,
-                rd: map(*rd),
-                ra: map(*ra),
-                offset: *offset,
-            },
-            VOp::Store {
-                area,
-                size,
-                ra,
-                offset,
-                rs,
-            } => Op::Store {
-                area: *area,
-                size: *size,
-                ra: map(*ra),
-                offset: *offset,
-                rs: map(*rs),
-            },
-            VOp::LilSym { rd, sym } => {
-                out.push(Item::Inst(AsmInst::LongImm {
-                    guard: vinst.guard,
-                    rd: map(*rd),
-                    value: Operand::Sym(sym.clone()),
-                }));
-                if let Some((slot, reg)) = def_store {
-                    out.push(Self::slot_store(vinst.guard, slot, reg));
-                }
-                return;
+                value: Operand::Sym(sym.clone()),
+            }),
+            VOp::BrLabel(label) => Item::Inst(AsmInst::Flow {
+                guard: vinst.guard,
+                call: false,
+                target: Operand::Sym(label.clone()),
+            }),
+            VOp::CopyToPhys { .. } | VOp::CopyFromPhys { .. } | VOp::CallFunc(_) => {
+                unreachable!("handled by the caller")
             }
-            VOp::BrLabel(label) => {
-                out.push(Item::Inst(AsmInst::Flow {
-                    guard: vinst.guard,
-                    call: false,
-                    target: Operand::Sym(label.clone()),
-                }));
-                return;
-            }
-            VOp::CopyToPhys { .. }
-            | VOp::CopyFromPhys { .. }
-            | VOp::CallFunc(_)
-            | VOp::Ret
-            | VOp::Halt => unreachable!("handled by the caller"),
-        };
-        out.push(Self::inst(vinst.guard, op));
+        });
         if let Some((slot, reg)) = def_store {
             out.push(Self::slot_store(vinst.guard, slot, reg));
         }

@@ -6,7 +6,10 @@
 //! ([`patmos_lir::plir`]) that the VLIW scheduler consumes, function by
 //! function: each virtual function becomes one physical function, its
 //! instructions the assembler's own [`patmos_lir::plir::AsmInst`]s, a
-//! `br`, `call` or `lil` still naming its label or symbol.
+//! `br`, `call` or `lil` still naming its label or symbol. A virtual
+//! instruction that is already an ISA operation (an [`patmos_isa::Op`]
+//! over virtual registers) is rewritten by one [`patmos_isa::Op::map_regs`]
+//! to the registers the scan chose.
 //!
 //! ```text
 //! codegen ──VModule──▶ regalloc(&Policy, ·) ──Module──▶ scheduler ──▶ assembler
@@ -39,6 +42,7 @@
 //! # Example
 //!
 //! ```
+//! use patmos_isa::Op;
 //! use patmos_lir::{Function, VInst, VItem, VModule, VOp, VReg};
 //! use patmos_regalloc::Policy;
 //!
@@ -48,9 +52,9 @@
 //!     funcs: vec![Function::new(
 //!         "main",
 //!         vec![
-//!             VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v1, imm: 42 })),
+//!             VItem::Inst(VInst::always(Op::LoadImmLow { rd: v1, imm: 42 })),
 //!             VItem::Inst(VInst::always(VOp::CopyToPhys { dst: patmos_isa::Reg::R1, src: v1 })),
-//!             VItem::Inst(VInst::always(VOp::Halt)),
+//!             VItem::Inst(VInst::always(Op::Halt)),
 //!         ],
 //!     )],
 //! };
@@ -106,9 +110,9 @@ mod tests {
         let m = module(
             "main",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 6 })),
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 7 })),
-                VItem::Inst(VInst::always(VOp::AluR {
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 6 })),
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(2), imm: 7 })),
+                VItem::Inst(VInst::always(Op::AluR {
                     op: AluOp::Add,
                     rd: v(3),
                     rs1: v(1),
@@ -118,7 +122,7 @@ mod tests {
                     dst: Reg::R1,
                     src: v(3),
                 })),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         );
         let (out, report) = alloc_linear(&m).expect("allocates");
@@ -137,15 +141,15 @@ mod tests {
         let m = module(
             "main",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 1 })),
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 2 })),
-                VItem::Inst(VInst::always(VOp::AluR {
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 1 })),
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(2), imm: 2 })),
+                VItem::Inst(VInst::always(Op::AluR {
                     op: AluOp::Add,
                     rd: v(3),
                     rs1: v(1),
                     rs2: v(2),
                 })),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         );
         let (_, report) = alloc_linear(&m).expect("allocates");
@@ -160,21 +164,21 @@ mod tests {
         // Define 30 values, then use them all: 22 fit, the rest spill.
         let mut items = Vec::new();
         for i in 1..=30u32 {
-            items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
+            items.push(VItem::Inst(VInst::always(Op::LoadImmLow {
                 rd: v(i),
                 imm: i as u16,
             })));
         }
         // Pairwise sums keep every value live until its use.
         for i in 1..=29u32 {
-            items.push(VItem::Inst(VInst::always(VOp::AluR {
+            items.push(VItem::Inst(VInst::always(Op::AluR {
                 op: AluOp::Add,
                 rd: v(100 + i),
                 rs1: v(i),
                 rs2: v(i + 1),
             })));
         }
-        items.push(VItem::Inst(VInst::always(VOp::Halt)));
+        items.push(VItem::Inst(VInst::always(Op::Halt)));
         let m = module("main", items);
         let (out, report) = alloc_linear(&m).expect("allocates");
         let fa = &report.funcs[0];
@@ -194,13 +198,13 @@ mod tests {
         let m = module(
             "f",
             vec![
-                VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 9 })),
+                VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 9 })),
                 VItem::Inst(VInst::always(VOp::CallFunc("g".into()))),
                 VItem::Inst(VInst::always(VOp::CopyFromPhys {
                     dst: v(2),
                     src: Reg::R1,
                 })),
-                VItem::Inst(VInst::always(VOp::AluR {
+                VItem::Inst(VInst::always(Op::AluR {
                     op: AluOp::Add,
                     rd: v(3),
                     rs1: v(1),
@@ -210,7 +214,7 @@ mod tests {
                     dst: Reg::R1,
                     src: v(3),
                 })),
-                VItem::Inst(VInst::always(VOp::Ret)),
+                VItem::Inst(VInst::always(Op::Ret)),
             ],
         );
         let (out, report) = alloc_linear(&m).expect("allocates");
@@ -235,9 +239,9 @@ mod tests {
             vec![
                 VItem::Inst(VInst::new(
                     patmos_isa::Guard::when(patmos_isa::Pred::P1),
-                    VOp::Ret,
+                    Op::Ret,
                 )),
-                VItem::Inst(VInst::always(VOp::Ret)),
+                VItem::Inst(VInst::always(Op::Ret)),
             ],
         );
         assert!(matches!(
@@ -252,7 +256,7 @@ mod tests {
             "f",
             vec![
                 VItem::Inst(VInst::always(VOp::BrLabel("nowhere".into()))),
-                VItem::Inst(VInst::always(VOp::Ret)),
+                VItem::Inst(VInst::always(Op::Ret)),
             ],
         );
         let err = alloc_linear(&m).expect_err("the branch has no target");
@@ -277,21 +281,21 @@ mod tests {
         // traffic, so the pressure column must not count them again.
         let mut items = Vec::new();
         for i in 1..=30u32 {
-            items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
+            items.push(VItem::Inst(VInst::always(Op::LoadImmLow {
                 rd: v(i),
                 imm: i as u16,
             })));
         }
         items.push(VItem::Inst(VInst::always(VOp::CallFunc("g".into()))));
         for i in 1..=29u32 {
-            items.push(VItem::Inst(VInst::always(VOp::AluR {
+            items.push(VItem::Inst(VInst::always(Op::AluR {
                 op: AluOp::Add,
                 rd: v(100 + i),
                 rs1: v(i),
                 rs2: v(i + 1),
             })));
         }
-        items.push(VItem::Inst(VInst::always(VOp::Ret)));
+        items.push(VItem::Inst(VInst::always(Op::Ret)));
         let (_, report) = alloc_linear(&module("f", items)).expect("allocates");
         let fa = &report.funcs[0];
         assert_eq!(
@@ -314,10 +318,10 @@ mod tests {
         // is exactly what kills the modulo scheduler's false
         // anti-dependences.
         let items = vec![
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 0 })),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 64 })),
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 0 })),
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(2), imm: 64 })),
             VItem::Label("main_head1".into()),
-            VItem::Inst(VInst::always(VOp::CmpI {
+            VItem::Inst(VInst::always(Op::CmpI {
                 op: patmos_isa::CmpOp::Lt,
                 pd: patmos_isa::Pred::P6,
                 rs1: v(1),
@@ -327,33 +331,33 @@ mod tests {
                 patmos_isa::Guard::unless(patmos_isa::Pred::P6),
                 VOp::BrLabel("main_exit1".into()),
             )),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(10),
                 rs1: v(1),
                 imm: 5,
             })),
-            VItem::Inst(VInst::always(VOp::Store {
+            VItem::Inst(VInst::always(Op::Store {
                 area: patmos_isa::MemArea::Data,
                 size: patmos_isa::AccessSize::Word,
                 ra: v(2),
                 offset: 0,
                 rs: v(10),
             })),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(11),
                 rs1: v(1),
                 imm: 9,
             })),
-            VItem::Inst(VInst::always(VOp::Store {
+            VItem::Inst(VInst::always(Op::Store {
                 area: patmos_isa::MemArea::Data,
                 size: patmos_isa::AccessSize::Word,
                 ra: v(2),
                 offset: 4,
                 rs: v(11),
             })),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(1),
                 rs1: v(1),
@@ -361,7 +365,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::BrLabel("main_head1".into()))),
             VItem::Label("main_exit1".into()),
-            VItem::Inst(VInst::always(VOp::Halt)),
+            VItem::Inst(VInst::always(Op::Halt)),
         ];
         let m = module("main", items);
         let (_, linear) = regalloc(&Policy::Linear, &m).expect("linear");
@@ -404,10 +408,10 @@ mod tests {
         // it: the save store belongs in the preheader, once, not on
         // every iteration.
         let items = vec![
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(1), imm: 3 })),
-            VItem::Inst(VInst::always(VOp::LoadImmLow { rd: v(2), imm: 0 })),
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(1), imm: 3 })),
+            VItem::Inst(VInst::always(Op::LoadImmLow { rd: v(2), imm: 0 })),
             VItem::Label("f_head1".into()),
-            VItem::Inst(VInst::always(VOp::CmpI {
+            VItem::Inst(VInst::always(Op::CmpI {
                 op: patmos_isa::CmpOp::Lt,
                 pd: patmos_isa::Pred::P6,
                 rs1: v(2),
@@ -418,7 +422,7 @@ mod tests {
                 VOp::BrLabel("f_exit1".into()),
             )),
             VItem::Inst(VInst::always(VOp::CallFunc("g".into()))),
-            VItem::Inst(VInst::always(VOp::AluI {
+            VItem::Inst(VInst::always(Op::AluI {
                 op: AluOp::Add,
                 rd: v(2),
                 rs1: v(2),
@@ -430,7 +434,7 @@ mod tests {
                 dst: Reg::R1,
                 src: v(1),
             })),
-            VItem::Inst(VInst::always(VOp::Ret)),
+            VItem::Inst(VInst::always(Op::Ret)),
         ];
         let m = module("f", items);
         let (out, report) = regalloc(&Policy::Loop, &m).expect("loop");
@@ -486,7 +490,7 @@ mod tests {
                     dst: Reg::R1,
                     src: v(1),
                 })),
-                VItem::Inst(VInst::always(VOp::Halt)),
+                VItem::Inst(VInst::always(Op::Halt)),
             ],
         );
         let (_, report) = alloc_linear(&m).expect("allocates");

@@ -79,11 +79,6 @@ pub(crate) fn branch_label(inst: &AsmInst) -> Option<&str> {
     }
 }
 
-/// Whether `op` occupies a whole bundle.
-pub(crate) fn is_long(op: &Op) -> bool {
-    matches!(op, Op::LoadImm32 { .. })
-}
-
 impl DepSummary {
     /// The summary of `inst`, read from its [`AsmInst::shape`].
     pub fn of(inst: &AsmInst) -> DepSummary {

@@ -36,7 +36,7 @@
 use patmos_asm::AsmInst;
 use patmos_isa::{Inst, Op};
 
-use crate::dag::{branch_label, dependence_gap, is_long, out_gap, DepSummary, LiveSet};
+use crate::dag::{branch_label, dependence_gap, out_gap, DepSummary, LiveSet};
 
 /// A scheduled block: final bundles plus the facts the driver and the
 /// report need.
@@ -261,12 +261,12 @@ pub fn schedule_block_in(
 
         let mut second: Option<usize> = None;
         let first = insts[fi].shape().op;
-        if dual_issue && !is_long(&first) {
+        if dual_issue && !first.fills_bundle() {
             let (def, pred_def) = (first.def(), first.pred_def());
             let fits = |j: usize| {
                 let op = insts[j].shape().op;
                 op.allowed_in_second_slot()
-                    && !is_long(&op)
+                    && !op.fills_bundle()
                     // No conflicting writes within the bundle.
                     && def.is_none_or(|d| op.def() != Some(d))
                     && pred_def.is_none_or(|p| op.pred_def() != Some(p))

@@ -66,7 +66,7 @@ use patmos_asm::{AsmInst, Operand, PipeLoop, Stmt};
 use patmos_isa::{AluOp, Guard, Inst, Op, Reg, ALLOC_POOL};
 use patmos_lir::plir::{CountedLoop, LoopBoundSrc};
 
-use crate::dag::{branch_label, dependence_gap, is_long, out_gap, DepSummary, Func, LiveSet};
+use crate::dag::{branch_label, dependence_gap, out_gap, DepSummary, Func, LiveSet};
 use crate::list::{self, BlockSchedule};
 use crate::{bundle, list_schedule, LoopReport, SchedReport};
 
@@ -213,7 +213,7 @@ fn branch(guard: Guard, label: String) -> AsmInst {
 /// Whether `inst` may issue only in the first slot.
 fn slot1_only(inst: &AsmInst) -> bool {
     let op = inst.shape().op;
-    !op.allowed_in_second_slot() || is_long(&op)
+    !op.allowed_in_second_slot() || op.fills_bundle()
 }
 
 /// Tries to software-pipeline the loop whose header is block `h` (body
@@ -347,7 +347,7 @@ pub(crate) fn try_pipeline(
     // ---- resource MII: the cheapest refusal, before any O(n²) work ----
     let n_slot1: u32 = ops.iter().filter(|o| slot1_only(o)).count() as u32;
     let width: u32 = (ops.iter())
-        .map(|o| if is_long(&o.shape().op) { 2 } else { 1 })
+        .map(|o| if o.shape().op.fills_bundle() { 2 } else { 1 })
         .sum();
     let res_mii = (n_slot1 + 1).max(width.div_ceil(slots as u32) + 1);
     if res_mii > MAX_II {
@@ -580,7 +580,7 @@ fn place_all(
 ) -> Option<Vec<Placed>> {
     let n = ops.len();
     let gap = |a: usize, b: usize| gaps.get(a, b);
-    let long_at = |i: usize| is_long(&ops[i].shape().op);
+    let long_at = |i: usize| ops[i].shape().op.fills_bundle();
     let br_row = ii - 1 - patmos_isa::timing::BRANCH_DELAY_COND;
     let horizon = (MAX_STAGES * ii - 1) as i64;
 

@@ -110,6 +110,32 @@ fn a_global_too_large_to_lay_out_is_an_error_not_a_panic() {
     }
 }
 
+#[test]
+fn deeply_nested_programs_are_an_error_not_a_stack_overflow() {
+    // Each used to overflow the stack in the parser, code generation or
+    // the syntax tree's drop, aborting the process.
+    let n = 100_000;
+    for src in [
+        format!(
+            "int main() {{ return {}1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("int main() {{ return {}1; }}", "-".repeat(n)),
+        format!(
+            "int main() {{ {}return 0;{} }}",
+            "if (1) {".repeat(n),
+            "}".repeat(n)
+        ),
+        format!("int main() {{ return 1{}; }}", "+1".repeat(n)),
+    ] {
+        match compile(&src, &CompileOptions::default()) {
+            Ok(_) => panic!("a program nested {n} deep compiled"),
+            Err(e) => assert!(e.to_string().contains("nesting deeper than"), "{e}"),
+        }
+    }
+}
+
 /// PatC token soup: syntactically plausible fragments in random order,
 /// reaching parser states raw bytes rarely hit.
 fn arb_patc_soup() -> impl Strategy<Value = String> {
