@@ -9,7 +9,7 @@
 
 use patmos::compiler::{compile, CompileOptions};
 use patmos::sim::faults::{
-    golden_run, run_injection, run_injection_with_path, FaultPlan, FaultRng, FaultSpace,
+    golden_run, run_injection, run_injection_with_path, CacheSel, FaultPlan, FaultRng, FaultSpace,
     FaultTarget, FaultTrigger, Injection, RunPath,
 };
 use patmos::sim::SimConfig;
@@ -147,9 +147,9 @@ fn e20_detection_latencies_are_consistent() {
 fn golden_recording_answers_every_injection_like_the_oracle() {
     // The oracle is the from-reset run: `golden_run` and `run_injection`
     // under `fast_path: false`. Every draw of SWEEP_SEEDS campaigns over
-    // every kernel, under both detector arms, plus a flip of the first
-    // global byte past the last bundle (which never lands), must match
-    // it in every `InjectionOutcome` field.
+    // every kernel, under both detector arms in three orders, plus a
+    // flip of the first global byte past the last bundle (which never
+    // lands), must match it in every `InjectionOutcome` field.
     let options = CompileOptions {
         opt_level: 3,
         sched_level: 2,
@@ -186,24 +186,49 @@ fn golden_recording_answers_every_injection_like_the_oracle() {
                             target: FaultTarget::Memory { addr, bit: 0 },
                         });
                     }
+                    // A forked injection is simulated once for both arms,
+                    // so each injection's arms are asked strict first,
+                    // checker first, and strict first again with an
+                    // unrelated forked injection (a cache-tag upset at
+                    // cycle 0) answered in between.
+                    let unrelated = [CacheSel::Data, CacheSel::Static].map(|cache| {
+                        let injection = Injection {
+                            trigger: FaultTrigger::Cycle(0),
+                            target: FaultTarget::CacheTags { cache },
+                        };
+                        let want = run_injection(&image, oracle, injection, None, &reference);
+                        (injection, want)
+                    });
                     let mut paths = [0u64; 3];
                     for injection in injections {
-                        for arm in [None, Some(&flow)] {
-                            let (got, path) =
-                                run_injection_with_path(&image, fast, injection, arm, &golden);
-                            let want = run_injection(&image, oracle, injection, arm, &reference);
-                            assert_eq!(
-                                got,
-                                want,
-                                "{}: {injection:?}, checker {}, answered {path:?}",
-                                w.name,
-                                arm.is_some()
-                            );
-                            paths[match path {
-                                RunPath::Pruned => 0,
-                                RunPath::Forked => 1,
-                                RunPath::FromReset => 2,
-                            }] += 1;
+                        let arms = [None, Some(&flow)];
+                        let want =
+                            arms.map(|arm| run_injection(&image, oracle, injection, arm, &reference));
+                        let (other, other_want) = unrelated
+                            .into_iter()
+                            .find(|(u, _)| *u != injection)
+                            .expect("two distinct tag upsets");
+                        for (order, asks) in [[0, 1], [1, 0], [0, 1]].into_iter().enumerate() {
+                            for (n, i) in asks.into_iter().enumerate() {
+                                if order == 2 && n == 1 {
+                                    let got = run_injection(&image, fast, other, None, &golden);
+                                    assert_eq!(got, other_want, "{}: {other:?}", w.name);
+                                }
+                                let (got, path) =
+                                    run_injection_with_path(&image, fast, injection, arms[i], &golden);
+                                assert_eq!(
+                                    got,
+                                    want[i],
+                                    "{}: {injection:?}, checker {}, answered {path:?} (order {order})",
+                                    w.name,
+                                    arms[i].is_some()
+                                );
+                                paths[match path {
+                                    RunPath::Pruned => 0,
+                                    RunPath::Forked => 1,
+                                    RunPath::FromReset => 2,
+                                }] += 1;
+                            }
                         }
                     }
                     paths

@@ -20,7 +20,12 @@
 //! patmos-cli faults  <file.pasm | file.patc> [--seed N] [--campaign N] [--json]
 //!                                [--single-issue] [--non-strict] [--slow-path]
 //!                                [--opt-level N] [--sched-level N]
+//! patmos-cli --help
 //! ```
+//!
+//! `--help` (or `-h`, also after a command) prints the usage line on
+//! stdout and exits 0; a malformed command line prints it on stderr and
+//! exits 2.
 //!
 //! `--single-issue`, `--non-strict` and `--slow-path` select the
 //! simulated machine, the same way for every command that simulates:
@@ -151,20 +156,28 @@ struct Args {
     campaign: Option<u32>,
 }
 
+/// The synopsis: on stdout for `--help`, on stderr for a bad command
+/// line.
+const USAGE: &str = "usage: patmos-cli <compile|asm|disasm|run|wcet|profile|faults> \
+    <file.patc|file.pasm> [--single-path] [--no-if-convert] [--single-issue] [--non-strict] \
+    [--opt-level N] [--sched-level N] [--reg-policy linear|loop] [--dump-lir] [--dump-opt] \
+    [--dump-cfg] [--dump-loops] [--dump-sched] [--dump-pipeline] [--dump-alloc] [--stats] \
+    [--host-stats] [--slow-path] [--remarks] [--time-passes] [--json] [--chrome <out.json>] \
+    [--cores N] [--slot-cycles N] [--pessimism] [--seed N] [--campaign N]";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: patmos-cli <compile|asm|disasm|run|wcet|profile|faults> <file.patc|file.pasm> \
-         [--single-path] [--no-if-convert] [--single-issue] [--non-strict] [--opt-level N] \
-         [--sched-level N] [--reg-policy linear|loop] [--dump-lir] [--dump-opt] [--dump-cfg] \
-         [--dump-loops] [--dump-sched] [--dump-pipeline] [--dump-alloc] [--stats] \
-         [--host-stats] [--slow-path] [--remarks] [--time-passes] [--json] \
-         [--chrome <out.json>] [--cores N] [--slot-cycles N] [--pessimism] [--seed N] \
-         [--campaign N]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
-fn parse_args() -> Option<Args> {
+/// What a well-formed command line asks for.
+enum Request {
+    Run(Args),
+    /// `--help` or `-h`, before or after the command.
+    Help,
+}
+
+fn parse_args() -> Option<Request> {
     let mut positional = Vec::new();
     let mut args = Args {
         command: String::new(),
@@ -199,6 +212,7 @@ fn parse_args() -> Option<Args> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
+            "--help" | "-h" => return Some(Request::Help),
             "--single-path" => args.single_path = true,
             "--no-if-convert" => args.no_if_convert = true,
             "--single-issue" => args.single_issue = true,
@@ -306,7 +320,7 @@ fn parse_args() -> Option<Args> {
     }
     args.command = positional.remove(0);
     args.path = positional.remove(0);
-    Some(args)
+    Some(Request::Run(args))
 }
 
 impl Args {
@@ -373,8 +387,13 @@ fn load_image(args: &Args) -> Result<ObjectImage, String> {
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
-        return usage();
+    let args = match parse_args() {
+        Some(Request::Run(args)) => args,
+        Some(Request::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        None => return usage(),
     };
     let result = match args.command.as_str() {
         "compile" => cmd_compile(&args),

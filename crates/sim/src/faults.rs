@@ -57,13 +57,21 @@
 //!   a flip is pruned only if the golden run's whole transfer stream
 //!   passes it.
 //! * **Forked.** Every other cycle-triggered injection clones the last
-//!   checkpoint at or before its trigger step and arms the clone. That
+//!   checkpoint at or before its trigger step, arms the clone and runs it
+//!   unchecked, logging every control transfer it retires. That
 //!   checkpoint is the state a run from reset reaches at the same step,
-//!   since both follow the golden run until the trigger. With the
-//!   checker armed, its loop-cap counters are restored by folding the
-//!   golden run's transfers before the checkpoint through the checker's
-//!   own check; a golden run the checker stops before the checkpoint is
-//!   left to the run from reset.
+//!   since both follow the golden run until the trigger. One such run
+//!   answers both detector arms: the recording keeps the last one, keyed
+//!   by its injection, and every caller asks the two arms of an
+//!   injection back to back. The strict arm's answer is the run's
+//!   outcome. The checker's only state is its own loop-cap counters, so a
+//!   checked run is the unchecked run cut off at its first failing check,
+//!   and the checker may be run after the fact: the checker arm folds the
+//!   golden run's transfers before the checkpoint, then the run's log,
+//!   through the checker's own check, and answers
+//!   [`DetectorKind::ControlFlow`] at the first transfer it rejects, or
+//!   the strict outcome if it rejects none. A golden run the checker
+//!   stops before the checkpoint is left to the run from reset.
 //! * **From reset.** The oracle: a fresh [`Simulator`] steps from reset.
 //!   It answers [`FaultTrigger::RetiredPc`] injections, a [`GoldenRun`]
 //!   used with another image (code, data, functions or entry) or another
@@ -92,7 +100,7 @@
 //! keeping the dependency arrow pointing wcet → sim.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use patmos_asm::{DataSegment, FuncInfo, ObjectImage};
 use patmos_isa::{Inst, MemArea, Op, Pred, Reg, SpecialReg, LINK_REG, NUM_PREDS, NUM_REGS};
@@ -100,7 +108,7 @@ use patmos_trace::{TraceEvent, TraceSink};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::machine::{FlowTarget, Simulator};
+use crate::machine::{FlowTarget, LoggedTransfer, Simulator};
 
 /// A splitmix64 pseudo-random generator: tiny, seedable, and fully
 /// deterministic — fault campaigns must not consult the wall clock.
@@ -415,32 +423,32 @@ impl ControlFlowMap {
     }
 }
 
-/// Live checker state: the map plus per-cap entry counters.
+/// The checker's running state: per-cap header entries since the last
+/// transfer out of each cap's span. It checks against a map it does not
+/// own, so a fold over a recording borrows the map.
 #[derive(Debug, Clone)]
-pub(crate) struct FlowCheckState {
-    map: ControlFlowMap,
-    /// Header entries since the last transfer out of each cap's span.
-    counts: Vec<u32>,
-}
+struct LoopCounts(Vec<u32>);
 
-impl FlowCheckState {
-    pub(crate) fn new(map: ControlFlowMap) -> FlowCheckState {
-        let counts = vec![0; map.loop_caps().len()];
-        FlowCheckState { map, counts }
+impl LoopCounts {
+    fn new(map: &ControlFlowMap) -> LoopCounts {
+        LoopCounts(vec![0; map.loop_caps.len()])
     }
 
-    /// Checks one retired transfer to `target`, leaving from `pc`: the
-    /// loop caps first, since they see every transfer, then the edge
-    /// sets for calls and returns. Those are the only transfers a
-    /// corrupted register can steer, since branch targets are immediate.
+    /// Checks one retired transfer to `target`, leaving from `pc`,
+    /// against `map`: the loop caps first, since they see every
+    /// transfer, then the edge sets for calls and returns. Those are the
+    /// only transfers a corrupted register can steer, since branch
+    /// targets are immediate.
     ///
     /// A transfer to a header counts an entry; a transfer out of a cap's
     /// span resets its counter (so the cap is per visit, never across
     /// re-entries). The reset-on-exit rule means the check can only
-    /// under-count — it never fires on a legal run.
-    pub(crate) fn check(&mut self, target: FlowTarget, pc: u32) -> Result<(), SimError> {
+    /// under-count — it never fires on a legal run. It changes nothing but
+    /// these counters, which is why a fork may fold it over its transfer
+    /// log after the run.
+    fn check(&mut self, map: &ControlFlowMap, target: FlowTarget, pc: u32) -> Result<(), SimError> {
         let (FlowTarget::Jump(t) | FlowTarget::Call(t) | FlowTarget::Ret(t)) = target;
-        for (cap, count) in self.map.loop_caps.iter().zip(&mut self.counts) {
+        for (cap, count) in map.loop_caps.iter().zip(&mut self.0) {
             if t == cap.header {
                 *count += 1;
                 if *count > cap.max {
@@ -455,14 +463,33 @@ impl FlowCheckState {
         }
         let legal = match target {
             FlowTarget::Jump(_) => true,
-            FlowTarget::Call(t) => self.map.is_legal_call(t),
-            FlowTarget::Ret(t) => self.map.is_legal_return(t),
+            FlowTarget::Call(t) => map.is_legal_call(t),
+            FlowTarget::Ret(t) => map.is_legal_return(t),
         };
         if legal {
             Ok(())
         } else {
             Err(SimError::IllegalControlFlow { pc, target: t })
         }
+    }
+}
+
+/// An installed checker: its own copy of the map, and its counters.
+#[derive(Debug, Clone)]
+pub(crate) struct FlowCheckState {
+    map: ControlFlowMap,
+    counts: LoopCounts,
+}
+
+impl FlowCheckState {
+    pub(crate) fn new(map: ControlFlowMap) -> FlowCheckState {
+        let counts = LoopCounts::new(&map);
+        FlowCheckState { map, counts }
+    }
+
+    /// [`LoopCounts::check`] against the installed map.
+    pub(crate) fn check(&mut self, target: FlowTarget, pc: u32) -> Result<(), SimError> {
+        self.counts.check(&self.map, target, pc)
     }
 }
 
@@ -698,7 +725,7 @@ pub fn run_injection_with_path(
     if let Some(map) = flow {
         sim.install_flow_checker(map.clone());
     }
-    (classify(image, sim, golden), RunPath::FromReset)
+    (classify(image, &mut sim, golden), RunPath::FromReset)
 }
 
 /// The injected run's cycle budget.
@@ -707,7 +734,7 @@ fn watchdog(golden: &GoldenRun) -> u64 {
 }
 
 /// Runs an armed core to its end and classifies the outcome.
-fn classify(image: &ObjectImage, mut sim: Simulator, golden: &GoldenRun) -> InjectionOutcome {
+fn classify(image: &ObjectImage, sim: &mut Simulator, golden: &GoldenRun) -> InjectionOutcome {
     let run = sim.run();
     let injected_at = sim.fault_injected_at();
     let cycles = sim.cycle();
@@ -716,7 +743,7 @@ fn classify(image: &ObjectImage, mut sim: Simulator, golden: &GoldenRun) -> Inje
         Ok(result) => {
             let clean = sim.reg(Reg::R1) == golden.result_r1
                 && result.halt_pc == golden.halt_pc
-                && read_globals(image, &sim) == golden.globals;
+                && read_globals(image, sim) == golden.globals;
             InjectionOutcome {
                 outcome: if clean {
                     FaultOutcome::Masked
@@ -943,8 +970,8 @@ impl TraceSink for Recorder {
     }
 }
 
-/// The golden run's recording: the access index, the transfers and a
-/// few checkpoints.
+/// The golden run's recording: the access index, the transfers, a few
+/// checkpoints and the last forked run.
 struct Replay {
     /// The golden run's machine, with no fault plan.
     config: SimConfig,
@@ -955,6 +982,63 @@ struct Replay {
     /// Clones of the golden core before the step they are keyed by,
     /// evenly spaced, the first at step 0.
     checkpoints: Vec<(u32, Simulator)>,
+    /// The last forked run, which answers the other detector arm of its
+    /// injection. Its transfer log's buffer serves the next fork.
+    last_fork: Mutex<Option<Fork>>,
+}
+
+/// One forked injection, run once and unchecked. Its outcome is the
+/// strict arm's answer, and its transfer log, folded through the
+/// checker, the checker arm's ([`Fork::checked`]).
+struct Fork {
+    injection: Injection,
+    outcome: InjectionOutcome,
+    /// The cycle the flip landed at, if it did.
+    injected_at: Option<u64>,
+    transfers: Vec<LoggedTransfer>,
+}
+
+impl Fork {
+    /// Runs `injection` unchecked from `checkpoint`, logging its
+    /// transfers into `log`'s buffer.
+    fn run(
+        image: &ObjectImage,
+        checkpoint: &Simulator,
+        injection: Injection,
+        golden: &GoldenRun,
+        log: Vec<LoggedTransfer>,
+    ) -> Fork {
+        let mut sim = checkpoint.clone();
+        sim.arm(&FaultPlan::single(injection), watchdog(golden));
+        sim.log_transfers(log);
+        let outcome = classify(image, &mut sim, golden);
+        Fork {
+            injection,
+            outcome,
+            injected_at: sim.fault_injected_at(),
+            transfers: sim.take_transfer_log(),
+        }
+    }
+
+    /// The checker arm's answer, the checker resumed from `counts`: the
+    /// run cut off at the first transfer the checker rejects, or the
+    /// run's own outcome when it rejects none.
+    fn checked(&self, map: &ControlFlowMap, mut counts: LoopCounts) -> InjectionOutcome {
+        let Some(stop) = self
+            .transfers
+            .iter()
+            .find(|t| counts.check(map, t.target, t.pc).is_err())
+        else {
+            return self.outcome;
+        };
+        let injected_at = self.injected_at.filter(|_| stop.landed);
+        InjectionOutcome {
+            outcome: FaultOutcome::Detected(DetectorKind::ControlFlow),
+            injected: stop.landed,
+            detection_latency: injected_at.map(|at| stop.cycle.saturating_sub(at)),
+            cycles: stop.cycle,
+        }
+    }
 }
 
 impl std::fmt::Debug for Replay {
@@ -1069,6 +1153,7 @@ impl Replay {
             mem: rec.mem,
             transfers: rec.transfers,
             checkpoints,
+            last_fork: Mutex::new(None),
         }))
     }
 
@@ -1084,9 +1169,10 @@ impl Replay {
     }
 
     /// Answers `injection`, triggered at `cycle`: pruned when the golden run
-    /// never observes it, else forked from a checkpoint. `None` when the
-    /// checker would stop the golden run before that checkpoint, which
-    /// only a run from reset reproduces.
+    /// never observes it, else from its fork, which is run here unless it
+    /// is the last fork kept. `None` when the checker would stop the
+    /// golden run before the fork's checkpoint, which only a run from
+    /// reset reproduces.
     fn answer(
         &self,
         image: &ObjectImage,
@@ -1122,12 +1208,34 @@ impl Replay {
             .iter()
             .rev()
             .find(|(s, _)| *s as usize <= k)?;
-        let mut sim = checkpoint.clone();
-        if let Some(map) = flow {
-            sim.install_flow_state(self.fold(map, *step)?);
+        // The checker resumes where the golden run left it.
+        let checker = match flow {
+            Some(map) => Some((map, self.fold(map, *step)?)),
+            None => None,
+        };
+        let mut last = self.last_fork();
+        if last.as_ref().is_none_or(|fork| fork.injection != injection) {
+            let log = last.take().map(|fork| fork.transfers).unwrap_or_default();
+            // Simulate unlocked: threads sharing this golden run wait for
+            // the slot, never for a run.
+            drop(last);
+            let fork = Fork::run(image, checkpoint, injection, golden, log);
+            last = self.last_fork();
+            *last = Some(fork);
         }
-        sim.arm(&FaultPlan::single(injection), watchdog(golden));
-        Some((classify(image, sim, golden), RunPath::Forked))
+        let fork = last.as_ref().expect("filled above");
+        let outcome = match checker {
+            Some((map, counts)) => fork.checked(map, counts),
+            None => fork.outcome,
+        };
+        Some((outcome, RunPath::Forked))
+    }
+
+    fn last_fork(&self) -> MutexGuard<'_, Option<Fork>> {
+        // A panic mid-update leaves the slot empty or whole: never torn.
+        self.last_fork
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The outcome of flipping `target` before step `k` when the golden
@@ -1178,17 +1286,17 @@ impl Replay {
         }
     }
 
-    /// The checker's state after the golden run's transfers before step
-    /// `upto`, through the checker's own [`FlowCheckState::check`];
+    /// The checker's counters after the golden run's transfers before
+    /// step `upto`, through the checker's own [`LoopCounts::check`];
     /// `None` if the check stops the golden run first.
-    fn fold(&self, map: &ControlFlowMap, upto: u32) -> Option<FlowCheckState> {
-        let mut state = FlowCheckState::new(map.clone());
+    fn fold(&self, map: &ControlFlowMap, upto: u32) -> Option<LoopCounts> {
+        let mut counts = LoopCounts::new(map);
         for t in self.transfers.iter().take_while(|t| t.step < upto) {
             // Only whether the check passes matters here, not the pc a
             // violation would report.
-            state.check(t.target, 0).ok()?;
+            counts.check(map, t.target, 0).ok()?;
         }
-        Some(state)
+        Some(counts)
     }
 }
 
@@ -1304,6 +1412,9 @@ mod tests {
                 ..SimConfig::default()
             },
         ];
+        // A forked injection is simulated once for all its arms, so each
+        // injection's arms are asked in order, in reverse, and once more
+        // with an unrelated forked injection answered before each arm.
         let mut paths = [0u32; 3];
         for ((image, maps), machine) in cases
             .iter()
@@ -1316,20 +1427,47 @@ mod tests {
             let golden = golden_run(image, machine).expect("golden");
             let reference = golden_run(image, &oracle).expect("oracle golden");
             assert_eq!(golden, reference);
+            let arms: Vec<_> = std::iter::once(None).chain(maps.iter().map(Some)).collect();
+            let unrelated = [CacheSel::Data, CacheSel::Static].map(|cache| {
+                let injection = Injection {
+                    trigger: FaultTrigger::Cycle(0),
+                    target: FaultTarget::CacheTags { cache },
+                };
+                let want = run_injection(image, &oracle, injection, None, &reference);
+                (injection, want)
+            });
             for cycle in 0..=golden.cycles + 1 {
                 for &target in &targets {
                     let injection = Injection {
                         trigger: FaultTrigger::Cycle(cycle),
                         target,
                     };
-                    for flow in std::iter::once(None).chain(maps.iter().map(Some)) {
+                    let want: Vec<_> = arms
+                        .iter()
+                        .map(|&flow| run_injection(image, &oracle, injection, flow, &reference))
+                        .collect();
+                    let (other, other_want) = unrelated
+                        .into_iter()
+                        .find(|(u, _)| *u != injection)
+                        .expect("two distinct tag upsets");
+                    let in_order = (0..arms.len()).map(|i| (i, false));
+                    let reversed = (0..arms.len()).rev().map(|i| (i, false));
+                    let interleaved = (0..arms.len()).map(|i| (i, true));
+                    for (order, (i, miss)) in
+                        in_order.chain(reversed).chain(interleaved).enumerate()
+                    {
+                        if miss {
+                            let got = run_injection(image, machine, other, None, &golden);
+                            assert_eq!(got, other_want, "{other:?}, {machine:?}");
+                        }
+                        let flow = arms[i];
                         let (got, path) =
                             run_injection_with_path(image, machine, injection, flow, &golden);
-                        let want = run_injection(image, &oracle, injection, flow, &reference);
                         assert_eq!(
                             got,
-                            want,
-                            "{injection:?}, {machine:?}, checker {}, answered {path:?}",
+                            want[i],
+                            "{injection:?}, {machine:?}, checker {}, answered {path:?} \
+                             (ask {order})",
                             flow.is_some()
                         );
                         paths[path as usize] += 1;

@@ -39,6 +39,21 @@ pub(crate) enum FlowTarget {
     Ret(u32),
 }
 
+/// One control transfer a logging core retired (see
+/// [`Simulator::log_transfers`]): the control-flow checker's input at
+/// that point, and what a run the checker stopped there would report.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoggedTransfer {
+    /// The cycle it retired at.
+    pub(crate) cycle: u64,
+    pub(crate) target: FlowTarget,
+    /// The pc it leaves, past its delay slots: what an installed
+    /// checker reports.
+    pub(crate) pc: u32,
+    /// Whether an armed injection had fired before it.
+    pub(crate) landed: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PendingFlow {
     target: FlowTarget,
@@ -303,6 +318,8 @@ pub struct Simulator {
     faults: Option<Box<FaultState>>,
     /// The control-flow checker, when installed.
     flow_check: Option<Box<FlowCheckState>>,
+    /// Every retired control transfer, when logging.
+    transfer_log: Option<Vec<LoggedTransfer>>,
 }
 
 impl Simulator {
@@ -374,6 +391,7 @@ impl Simulator {
             setup_error,
             faults: config.faults.as_ref().map(|p| Box::new(FaultState::new(p))),
             flow_check: None,
+            transfer_log: None,
             config,
         }
     }
@@ -477,14 +495,16 @@ impl Simulator {
     ///
     /// As [`Simulator::run`].
     pub fn run_traced<S: TraceSink>(&mut self, sink: &mut S) -> Result<RunResult, SimError> {
-        // Bursts skip the per-bundle trace, fault and flow-check hooks,
-        // so a traced run, an armed fault plan, an installed flow
-        // checker or `fast_path: false` steps every bundle; the engine
-        // differential sweep proves the choice invisible to the guest.
+        // Bursts skip the per-bundle trace, fault, flow-check and
+        // transfer-log hooks, so a traced run, an armed fault plan, an
+        // installed flow checker, a transfer log or `fast_path: false`
+        // steps every bundle; the engine differential sweep proves the
+        // choice invisible to the guest.
         if S::ENABLED
             || !self.config.fast_path
             || self.faults.is_some()
             || self.flow_check.is_some()
+            || self.transfer_log.is_some()
         {
             while !self.halted {
                 self.step_traced(sink)?;
@@ -845,14 +865,23 @@ impl Simulator {
     /// fault plan, it keeps the run on the general step, which is where
     /// the check lives.
     pub fn install_flow_checker(&mut self, map: ControlFlowMap) {
-        self.install_flow_state(FlowCheckState::new(map));
+        self.flow_check = Some(Box::new(FlowCheckState::new(map)));
     }
 
-    /// Installs a control-flow checker whose loop-cap counters are
-    /// already running: a fork resumes them where the golden run had
-    /// them at its checkpoint.
-    pub(crate) fn install_flow_state(&mut self, state: FlowCheckState) {
-        self.flow_check = Some(Box::new(state));
+    /// Logs every control transfer this core retires from here on into
+    /// `log`, emptied first. Each entry is pushed before the checker
+    /// sees the transfer and before any error the transfer raises, so a
+    /// checker folded over the log afterwards sees what an installed one
+    /// would have seen. Like an armed fault plan, the log keeps the run
+    /// on the general step, which is where transfers retire.
+    pub(crate) fn log_transfers(&mut self, mut log: Vec<LoggedTransfer>) {
+        log.clear();
+        self.transfer_log = Some(log);
+    }
+
+    /// The transfer log, taken off the core (empty when none was kept).
+    pub(crate) fn take_transfer_log(&mut self) -> Vec<LoggedTransfer> {
+        self.transfer_log.take().unwrap_or_default()
     }
 
     /// Arms `plan` on this core mid-run, with the watchdog at
@@ -1398,6 +1427,17 @@ impl Simulator {
     }
 
     fn redirect<S: TraceSink>(&mut self, target: FlowTarget, sink: &mut S) -> Result<(), SimError> {
+        if let Some(log) = &mut self.transfer_log {
+            log.push(LoggedTransfer {
+                cycle: self.now,
+                target,
+                pc: self.pc,
+                landed: self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|f| f.injected_at.is_some()),
+            });
+        }
         if let Some(check) = &mut self.flow_check {
             check.check(target, self.pc)?;
         }
