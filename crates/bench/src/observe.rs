@@ -287,13 +287,14 @@ pub fn trace_overhead(reps: u32) -> (f64, f64, f64) {
 /// Measures the cost of the unarmed fault-injection hook: the suite
 /// with `fast_path: false` and `faults: None` against the same runs
 /// with an armed-but-empty [`patmos::sim::FaultPlan`]. Both sides step
-/// every bundle (an armed plan rules out bursts), so the delta isolates
-/// the per-bundle fault checks on the one general step. Returns
+/// every bundle (`fast_path: false` rules out bursts, which an armed
+/// plan no longer does), so the delta isolates the per-bundle fault
+/// checks on the one general step. Returns
 /// `(unarmed_secs, armed_empty_secs, overhead_fraction)`.
 ///
-/// Bursts are untouched by construction: with `faults: None` the hook
-/// is a single `Option` test on a field the engine choice already
-/// reads, and unarmed runs never enter the fault-servicing code at all.
+/// Bursts pay one `Option` test per burst for the hook: with
+/// `faults: None` the burst's stop cycle is the cycle budget, and
+/// unarmed runs never enter the fault-servicing code at all.
 pub fn faults_overhead(reps: u32) -> (f64, f64, f64) {
     let images: Vec<patmos::asm::ObjectImage> = workloads::all()
         .iter()

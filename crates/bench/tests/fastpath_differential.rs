@@ -6,15 +6,20 @@
 //! general step alone (`fast_path = false`, the burst's oracle), the
 //! traced run (which never bursts, whatever `fast_path` says), and a
 //! clean run with every hook armed: an empty fault plan plus the
-//! CFG-derived control-flow checker. That is the burst's whole
-//! contract: host speed is the only thing allowed to differ.
+//! CFG-derived control-flow checker, which keeps the run on the step.
+//! An armed cycle trigger does not: the burst stops before the
+//! trigger's cycle and the step fires the injection, so the armed
+//! column also runs one cycle-triggered injection of each cell bursting
+//! and stepped. That is the burst's whole contract: host speed is the
+//! only thing allowed to differ.
 //!
 //! Debug builds check a fixed corner sample to keep tier-1 `cargo
 //! test` fast; the release perf-trajectory job sweeps the full matrix.
 
 use patmos::compiler::{compile, CompileOptions};
 use patmos::isa::Reg;
-use patmos::sim::{FaultPlan, SimConfig, Simulator};
+use patmos::sim::faults::CacheSel;
+use patmos::sim::{FaultPlan, FaultTarget, FaultTrigger, Injection, SimConfig, Simulator};
 use patmos::trace::VecSink;
 use patmos::wcet::flow_map;
 use patmos::workloads;
@@ -137,9 +142,10 @@ fn check_cell(name: &str, source: &str, combo: Combo) -> bool {
         (f, s) => panic!("{label}: one engine failed: fast {f:?}, reference {s:?}"),
     }
 
-    // A clean run with every hook armed never bursts: an empty fault
-    // plan and an installed flow checker must change nothing, and the
-    // checker must stay silent on an uncorrupted run.
+    // A clean run with every hook armed: an empty fault plan and an
+    // installed flow checker (which keeps the run on the step) must
+    // change nothing, and the checker must stay silent on an
+    // uncorrupted run.
     let flow = flow_map(&image)
         .unwrap_or_else(|e| panic!("{label}: finding: flow_map rejects the kernel: {e}"));
     let mut armed = Simulator::new(
@@ -163,6 +169,45 @@ fn check_cell(name: &str, source: &str, combo: Combo) -> bool {
         }
         (Err(f), Err(a)) => assert_eq!(f, a, "{label}: armed error diverges"),
         (f, a) => panic!("{label}: finding: the armed run disagrees: fast {f:?}, armed {a:?}"),
+    }
+
+    // One injection at half the kernel's cycles, under a campaign's
+    // watchdog: the bursting run must flip the same state at the same
+    // cycle as the stepped run, and end the same way. r9 is read after
+    // that point in most cells, so its flip changes how most runs end.
+    if let Ok(f) = &fast_run {
+        let cycles = f.stats.cycles;
+        for target in [
+            FaultTarget::Register { reg: 9, bit: 2 },
+            FaultTarget::CacheTags {
+                cache: CacheSel::Static,
+            },
+        ] {
+            let plan = FaultPlan::single(Injection {
+                trigger: FaultTrigger::Cycle(cycles / 2),
+                target,
+            });
+            let injected = |config: &SimConfig| {
+                let mut sim = Simulator::new(
+                    &image,
+                    SimConfig {
+                        faults: Some(plan.clone()),
+                        max_cycles: cycles * 4 + 4096,
+                        ..config.clone()
+                    },
+                );
+                let run = sim.run().map(|r| (r.stats, r.halt_pc));
+                let host = sim.host_stats();
+                ((run, sim.reg(Reg::R1), sim.fault_injected_at()), host)
+            };
+            let (bursting, host) = injected(&fast_config);
+            let (stepped, _) = injected(&slow_config);
+            assert_eq!(bursting, stepped, "{label}: {target:?} diverges");
+            assert!(
+                host.fast_bundles > 0 || fast.host_stats().fast_bundles == 0,
+                "{label}: the armed run never burst"
+            );
+        }
     }
 
     // Tracing never bursts: the `fast_path` switch must not change the

@@ -16,8 +16,10 @@ const BLOCK_PAGES: usize = 1 << BLOCK_BITS;
 /// Blocks in the directory, which covers the 32-bit space.
 const NUM_BLOCKS: usize = 1 << (32 - PAGE_SHIFT - BLOCK_BITS);
 
-type Page = Box<[u8; PAGE_SIZE]>;
-type Block = [Option<Page>; BLOCK_PAGES];
+type Page = [u8; PAGE_SIZE];
+/// One block table: per page, 0 when it is absent, else its index in
+/// the page list plus one.
+type Block = [u32; BLOCK_PAGES];
 
 /// Timing parameters of the main-memory interface.
 ///
@@ -71,65 +73,33 @@ impl Default for MemConfig {
 /// Reads of untouched locations return zero, like initialised SRAM in the
 /// FPGA prototype. Addresses wrap within the 32-bit space.
 ///
-/// Storage is a two-level page table — a directory of 1024 blocks of
-/// 1024 pointer slots, one per 4 KiB page — so every access is two
-/// bounds-free indexes instead of a hash lookup. Blocks and pages
-/// materialise on first write, so an empty memory costs an 8 KiB
-/// directory, not a half-megabyte flat table that every
-/// `Simulator::new` would allocate and zero, at a cost that swings with
-/// the allocator's heap state. Small pages keep a clone small: a
-/// program's code, data and stacks touch a few 4 KiB pages, and a
-/// clone copies those, never a 64 KiB page for a word's sake.
+/// Storage is a two-level page table over 4 KiB pages, so every access
+/// is two table lookups instead of a hash lookup. The tables hold
+/// integer indices, not pointers: a 2 KiB directory of 1024 `u16`
+/// entries indexes the block tables, and each 4 KiB block table of 1024
+/// `u32` entries indexes the pages; 0 marks an absent block or page.
+/// Blocks and pages live in two lists the memory owns, and materialise
+/// on first write. An empty memory costs the 2 KiB directory, not a
+/// half-megabyte flat table that every `Simulator::new` would allocate
+/// and zero. A clone copies the directory, the block tables in use and
+/// the resident pages, and a drop frees those few allocations without
+/// visiting a table slot: a program's code, data and stacks touch a few
+/// blocks and pages, and nothing else is paid for.
 ///
 /// A clone owns its pages: it and the original never see each other's
 /// writes.
+#[derive(Clone)]
 pub struct MainMemory {
-    blocks: Box<[Option<Box<Block>>; NUM_BLOCKS]>,
-    /// Page numbers (`addr >> PAGE_SHIFT`) of the materialised pages, so
-    /// a clone visits them without scanning the table.
-    resident: Vec<u32>,
+    directory: Box<[u16; NUM_BLOCKS]>,
+    blocks: Vec<Block>,
+    pages: Vec<Page>,
     config: MemConfig,
-}
-
-fn zero_page() -> Page {
-    vec![0u8; PAGE_SIZE]
-        .into_boxed_slice()
-        .try_into()
-        .expect("page-sized allocation")
-}
-
-/// A table of `N` empty slots, allocated zeroed rather than built on
-/// the stack and copied.
-fn empty_table<T: Clone, const N: usize>() -> Box<[Option<Box<T>>; N]> {
-    vec![None; N]
-        .into_boxed_slice()
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("a vector of N slots"))
-}
-
-impl Clone for MainMemory {
-    fn clone(&self) -> MainMemory {
-        let mut blocks = empty_table::<Block, NUM_BLOCKS>();
-        for &page in &self.resident {
-            let (b, p) = (
-                page as usize >> BLOCK_BITS,
-                page as usize & (BLOCK_PAGES - 1),
-            );
-            let src = self.blocks[b].as_ref().and_then(|block| block[p].clone());
-            blocks[b].get_or_insert_with(empty_table)[p] = src;
-        }
-        MainMemory {
-            blocks,
-            resident: self.resident.clone(),
-            config: self.config,
-        }
-    }
 }
 
 impl fmt::Debug for MainMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MainMemory")
-            .field("resident_pages", &self.resident.len())
+            .field("resident_pages", &self.pages.len())
             .field("config", &self.config)
             .finish()
     }
@@ -145,29 +115,38 @@ impl MainMemory {
     /// An empty memory with the given timing configuration.
     pub fn new(config: MemConfig) -> MainMemory {
         MainMemory {
-            blocks: empty_table(),
-            resident: Vec::new(),
+            directory: Box::new([0; NUM_BLOCKS]),
+            blocks: Vec::new(),
+            pages: Vec::new(),
             config,
         }
     }
 
     #[inline]
-    fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
-        let block = self.blocks[(addr >> (PAGE_SHIFT + BLOCK_BITS)) as usize].as_deref()?;
-        block[(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)].as_deref()
+    fn page(&self, addr: u32) -> Option<&Page> {
+        // An absent entry, 0, wraps to an index no list reaches.
+        let block = usize::from(self.directory[(addr >> (PAGE_SHIFT + BLOCK_BITS)) as usize]);
+        let block = self.blocks.get(block.wrapping_sub(1))?;
+        let page = block[(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)] as usize;
+        self.pages.get(page.wrapping_sub(1))
     }
 
     #[inline]
-    fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
-        let block = self.blocks[(addr >> (PAGE_SHIFT + BLOCK_BITS)) as usize]
-            .get_or_insert_with(empty_table);
-        match &mut block[(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)] {
-            Some(page) => page,
-            slot => {
-                self.resident.push(addr >> PAGE_SHIFT);
-                slot.insert(zero_page())
-            }
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        let block = &mut self.directory[(addr >> (PAGE_SHIFT + BLOCK_BITS)) as usize];
+        if *block == 0 {
+            // One block per directory entry at most: the index fits.
+            self.blocks.push([0; BLOCK_PAGES]);
+            *block = self.blocks.len() as u16;
         }
+        let page = &mut self.blocks[usize::from(*block) - 1]
+            [(addr >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1)];
+        if *page == 0 {
+            // One page per block entry at most: 2^20 in all.
+            self.pages.push([0; PAGE_SIZE]);
+            *page = self.pages.len() as u32;
+        }
+        &mut self.pages[*page as usize - 1]
     }
 
     /// The timing configuration.
@@ -318,6 +297,45 @@ mod tests {
         // A page first touched after the clone is private to its writer.
         clone.write_word(0x40_0000, 7);
         assert_eq!(original.read_word(0x40_0000), 0);
+    }
+
+    #[test]
+    fn a_clone_of_a_clone_outlives_the_original() {
+        // Two distant blocks, and a word across a page boundary.
+        let writes = [
+            (0x0000_0010, 0x0a0b_0c0d),
+            (0x0000_1000 - 2, 0x1122_3344),
+            (0x0700_0ff0, 0x5566_7788),
+            (0xffff_fffc, 0x99aa_bbcc),
+        ];
+        let mut original = MainMemory::new(MemConfig::default());
+        for (addr, value) in writes {
+            original.write_word(addr, value);
+        }
+        let clone = original.clone();
+        let grandchild = clone.clone();
+        drop(original);
+        for mem in [&clone, &grandchild] {
+            for (addr, value) in writes {
+                assert_eq!(mem.read_word(addr), value, "{addr:#x}");
+            }
+            // Untouched words of resident pages, of an absent page in a
+            // resident block, and of an absent block.
+            for addr in [
+                0x0000_0000,
+                0x0000_1002,
+                0x0700_0fec,
+                0x0000_5000,
+                0x4000_0000,
+            ] {
+                assert_eq!(mem.read_word(addr), 0, "{addr:#x}");
+            }
+        }
+        assert_eq!(
+            grandchild.read_byte(0x0000_1000),
+            0x22,
+            "the cross-page word's upper half"
+        );
     }
 
     #[test]

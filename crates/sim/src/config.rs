@@ -76,12 +76,17 @@ pub struct SimConfig {
     /// host-throughput experiment compare the burst against. It is also
     /// the campaign's oracle: [`crate::faults::golden_run`] records
     /// nothing, and every [`crate::faults::run_injection`] simulates
-    /// from reset. Traced runs never burst, whatever this flag says.
+    /// from reset. Traced runs, runs with a flow checker installed and
+    /// runs with a retired-pc trigger pending never burst, whatever this
+    /// flag says.
     pub fast_path: bool,
-    /// An armed fault-injection plan. `Some`, even empty, keeps the run
-    /// on the general step so every bundle passes the injection hooks.
-    /// `None` — the default — leaves the hooks dormant and bursting
-    /// untouched.
+    /// An armed fault-injection plan. A pending
+    /// [`FaultTrigger::RetiredPc`](crate::FaultTrigger::RetiredPc)
+    /// injection keeps the run on the general step, which counts
+    /// retirements. A cycle-triggered one lets it burst: each burst
+    /// stops before the first bundle at or past the trigger's cycle, and
+    /// the step fires the injection there, as in a stepped run. `None` —
+    /// the default — leaves the hooks dormant.
     pub faults: Option<FaultPlan>,
 }
 

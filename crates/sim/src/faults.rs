@@ -9,10 +9,13 @@
 //! Everything is derived from a [`FaultRng`] (splitmix64, no wall
 //! clock), so a campaign is a pure function of its seed.
 //!
-//! An armed plan keeps the run off the burst, so every bundle takes the
-//! general step where the injection hooks live. That is sound because
-//! the burst runs the step's own op semantics, and the engine
-//! differential sweep proves the two bit-identical.
+//! The injection hooks live on the general step. An armed plan's cycle
+//! triggers stop each burst before the first bundle at or past their
+//! cycle, so the step fires them where a stepped run does, and the
+//! burst runs the step's own op semantics between them; a pending
+//! [`FaultTrigger::RetiredPc`] injection keeps the whole run on the
+//! step, which counts retirements. The engine differential sweep
+//! proves the bursting and stepped runs bit-identical.
 //!
 //! # Three ways to answer an injection
 //!
@@ -23,8 +26,10 @@
 //!
 //! * an access index: per step (bundle retired), the cycle its fault
 //!   check saw and one bit per register, predicate and `sl`/`sh`/`sm`
-//!   for what it reads and what it fully overwrites; per main-memory
-//!   load or store, its step and byte range;
+//!   for what it reads and what it fully overwrites, with the union of
+//!   every 64 steps' bits so a scan skips the stretches that never touch
+//!   a location; per main-memory load or store, its step and byte
+//!   range;
 //! * the retired control transfers (the `Branch`, `Call` and `Return`
 //!   trace events), which are the control-flow checker's whole input;
 //! * at most eight [`Simulator`] checkpoints, evenly spaced: every 128
@@ -58,9 +63,9 @@
 //!   passes it.
 //! * **Forked.** Every other cycle-triggered injection clones the last
 //!   checkpoint at or before its trigger step, arms the clone and runs it
-//!   unchecked, logging every control transfer it retires. That
-//!   checkpoint is the state a run from reset reaches at the same step,
-//!   since both follow the golden run until the trigger. One such run
+//!   unchecked and bursting, logging every control transfer it retires.
+//!   That checkpoint is the state a run from reset reaches at the same
+//!   step, since both follow the golden run until the trigger. One such run
 //!   answers both detector arms: the recording keeps the last one, keyed
 //!   by its injection, and every caller asks the two arms of an
 //!   injection back to back. The strict arm's answer is the run's
@@ -784,6 +789,9 @@ const FIRST_INTERVAL: usize = 128;
 /// steps, which measured as costly as the recorder's own work.
 const RESERVED_STEPS: usize = 4096;
 
+/// Golden steps per entry of [`Replay::chunks`].
+const CHUNK_STEPS: usize = 64;
+
 /// Longest golden run, in steps, that is recorded. A longer one
 /// finishes unrecorded and its injections run from reset, so the
 /// recording stays within a few tens of MiB.
@@ -977,6 +985,10 @@ struct Replay {
     config: SimConfig,
     program: Program,
     steps: Vec<Step>,
+    /// Per [`CHUNK_STEPS`] steps, the union of their read and kill
+    /// masks, so a scan for a location's next access skips every chunk
+    /// that never touches it.
+    chunks: Vec<u64>,
     mem: Vec<MemAccess>,
     transfers: Vec<Transfer>,
     /// Clones of the golden core before the step they are keyed by,
@@ -985,6 +997,15 @@ struct Replay {
     /// The last forked run, which answers the other detector arm of its
     /// injection. Its transfer log's buffer serves the next fork.
     last_fork: Mutex<Option<Fork>>,
+    /// The folds asked of the last map, since a campaign asks the same
+    /// few folds of one map for every injection.
+    folds: Mutex<Option<Folds>>,
+}
+
+/// [`Replay::fold`]'s answers for one map, by the step they fold up to.
+struct Folds {
+    map: ControlFlowMap,
+    upto: Vec<(u32, Option<LoopCounts>)>,
 }
 
 /// One forked injection, run once and unchecked. Its outcome is the
@@ -1143,6 +1164,15 @@ impl Replay {
             last.access.reads |= 1 << Reg::R1.index();
         }
         rec.steps.shrink_to_fit();
+        let chunks = rec
+            .steps
+            .chunks(CHUNK_STEPS)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .fold(0, |mask, s| mask | s.access.reads | s.access.kills)
+            })
+            .collect();
         Ok(Some(Replay {
             config: SimConfig {
                 max_cycles: 0,
@@ -1150,10 +1180,12 @@ impl Replay {
             },
             program: Program::of(image),
             steps: rec.steps,
+            chunks,
             mem: rec.mem,
             transfers: rec.transfers,
             checkpoints,
             last_fork: Mutex::new(None),
+            folds: Mutex::new(None),
         }))
     }
 
@@ -1193,7 +1225,7 @@ impl Replay {
         if let Some(outcome) = unobserved {
             // The run is the golden run, so the checker must pass all of
             // it, not just the stretch before the flip.
-            if flow.is_none_or(|map| self.fold(map, u32::MAX).is_some()) {
+            if flow.is_none_or(|map| self.folded(map, u32::MAX).is_some()) {
                 let outcome = InjectionOutcome {
                     outcome,
                     injected: fired,
@@ -1210,17 +1242,17 @@ impl Replay {
             .find(|(s, _)| *s as usize <= k)?;
         // The checker resumes where the golden run left it.
         let checker = match flow {
-            Some(map) => Some((map, self.fold(map, *step)?)),
+            Some(map) => Some((map, self.folded(map, *step)?)),
             None => None,
         };
-        let mut last = self.last_fork();
+        let mut last = lock(&self.last_fork);
         if last.as_ref().is_none_or(|fork| fork.injection != injection) {
             let log = last.take().map(|fork| fork.transfers).unwrap_or_default();
             // Simulate unlocked: threads sharing this golden run wait for
             // the slot, never for a run.
             drop(last);
             let fork = Fork::run(image, checkpoint, injection, golden, log);
-            last = self.last_fork();
+            last = lock(&self.last_fork);
             *last = Some(fork);
         }
         let fork = last.as_ref().expect("filled above");
@@ -1229,13 +1261,6 @@ impl Replay {
             None => fork.outcome,
         };
         Some((outcome, RunPath::Forked))
-    }
-
-    fn last_fork(&self) -> MutexGuard<'_, Option<Fork>> {
-        // A panic mid-update leaves the slot empty or whole: never torn.
-        self.last_fork
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The outcome of flipping `target` before step `k` when the golden
@@ -1253,11 +1278,7 @@ impl Replay {
                 let bit = 1u64 << b;
                 // Within a step, a read wins over a kill: reads see the
                 // step's pre-state.
-                match self.steps[k..]
-                    .iter()
-                    .map(|s| s.access)
-                    .find(|a| (a.reads | a.kills) & bit != 0)
-                {
+                match self.next_access(k, bit) {
                     Some(a) if a.reads & bit != 0 => None,
                     _ => Some(FaultOutcome::Masked),
                 }
@@ -1286,6 +1307,45 @@ impl Replay {
         }
     }
 
+    /// The accesses of the first step from `k` on that reads or kills a
+    /// location in `bit`, scanning only the chunks that touch one.
+    fn next_access(&self, k: usize, bit: u64) -> Option<Access> {
+        let mut from = k;
+        while from < self.steps.len() {
+            let chunk = from / CHUNK_STEPS;
+            let end = self.steps.len().min((chunk + 1) * CHUNK_STEPS);
+            if self.chunks[chunk] & bit != 0 {
+                let step = self.steps[from..end]
+                    .iter()
+                    .find(|s| (s.access.reads | s.access.kills) & bit != 0);
+                if let Some(step) = step {
+                    return Some(step.access);
+                }
+            }
+            from = end;
+        }
+        None
+    }
+
+    /// [`Replay::fold`], memoized for the last map asked about: a new
+    /// map, compared by value, replaces the memo.
+    fn folded(&self, map: &ControlFlowMap, upto: u32) -> Option<LoopCounts> {
+        let mut memo = lock(&self.folds);
+        if memo.as_ref().is_none_or(|m| m.map != *map) {
+            *memo = Some(Folds {
+                map: map.clone(),
+                upto: Vec::new(),
+            });
+        }
+        let memo = memo.as_mut().expect("filled above");
+        if let Some((_, counts)) = memo.upto.iter().find(|(u, _)| *u == upto) {
+            return counts.clone();
+        }
+        let counts = self.fold(map, upto);
+        memo.upto.push((upto, counts.clone()));
+        counts
+    }
+
     /// The checker's counters after the golden run's transfers before
     /// step `upto`, through the checker's own [`LoopCounts::check`];
     /// `None` if the check stops the golden run first.
@@ -1300,9 +1360,16 @@ impl Replay {
     }
 }
 
+/// Locks one of a recording's memo slots. A panic mid-update leaves a
+/// slot empty or whole, never torn, so a poisoned lock is still sound.
+fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HostStats, RunResult};
     use patmos_asm::assemble;
     use patmos_trace::VecSink;
 
@@ -1658,8 +1725,8 @@ mod tests {
     #[test]
     fn empty_plan_is_bit_identical_to_uninjected_run() {
         let image = loop_image();
-        // No bursts on either side: an armed (but empty) plan rules
-        // them out, so the clean run is pinned to the step as well.
+        // Both runs are traced, so neither bursts: the events compare
+        // bundle for bundle.
         let mut plain = Simulator::new(
             &image,
             SimConfig {
@@ -1686,21 +1753,156 @@ mod tests {
         assert_eq!(plain_sink.events, armed_sink.events);
     }
 
+    /// A core on `image` with `plan` armed and the watchdog at
+    /// `max_cycles`, run to its end.
+    fn armed_run(
+        image: &ObjectImage,
+        plan: FaultPlan,
+        fast_path: bool,
+        max_cycles: u64,
+    ) -> (Simulator, Result<RunResult, SimError>) {
+        let config = SimConfig {
+            fast_path,
+            max_cycles,
+            faults: Some(plan),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(image, config);
+        let run = sim.run();
+        (sim, run)
+    }
+
     #[test]
-    fn armed_plan_forces_reference_engine() {
-        let image = loop_image();
-        let mut sim = Simulator::new(
-            &image,
-            SimConfig {
-                faults: Some(FaultPlan::default()),
-                ..SimConfig::default()
+    fn armed_cycle_plans_burst_and_land_where_the_step_lands() {
+        let targets = [
+            FaultTarget::Register { reg: 2, bit: 0 },
+            FaultTarget::Register { reg: 1, bit: 4 },
+            FaultTarget::CacheTags {
+                cache: CacheSel::Static,
             },
-        );
-        sim.run().expect("runs");
-        assert_eq!(
-            sim.host_stats().fast_bundles + sim.host_stats().pre_bundles,
-            0,
-            "armed runs must never burst"
+        ];
+        for image in [loop_image(), call_image(), mem_image()] {
+            let golden = golden_run(&image, &SimConfig::default()).expect("golden");
+            let budget = watchdog(&golden);
+            for trigger in 0..=golden.cycles + 1 {
+                for target in targets {
+                    let plan = FaultPlan::single(Injection {
+                        trigger: FaultTrigger::Cycle(trigger),
+                        target,
+                    });
+                    let (fast, fast_run) = armed_run(&image, plan.clone(), true, budget);
+                    let (slow, slow_run) = armed_run(&image, plan, false, budget);
+                    let label = format!("{target:?} at cycle {trigger}");
+                    assert_eq!(
+                        fast_run.map(|r| (r.stats, r.halt_pc)),
+                        slow_run.map(|r| (r.stats, r.halt_pc)),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        fast.fault_injected_at(),
+                        slow.fault_injected_at(),
+                        "{label}"
+                    );
+                    assert_eq!(fast.reg(Reg::R1), slow.reg(Reg::R1), "{label}");
+                    assert_eq!(slow.host_stats(), HostStats::default(), "{label}");
+                }
+            }
+        }
+        // Mid-run, the burst retires bundles both before the trigger and
+        // after it: a budget that ends at the trigger keeps the first
+        // stretch alone.
+        let image = loop_image();
+        let golden = golden_run(&image, &SimConfig::default()).expect("golden");
+        let trigger = golden.cycles / 2;
+        let plan = FaultPlan::single(Injection {
+            trigger: FaultTrigger::Cycle(trigger),
+            target: FaultTarget::Register { reg: 2, bit: 0 },
+        });
+        let (whole, _) = armed_run(&image, plan.clone(), true, watchdog(&golden));
+        let (cut, cut_run) = armed_run(&image, plan, true, trigger);
+        assert!(matches!(cut_run, Err(SimError::MaxCyclesExceeded { .. })));
+        assert_eq!(cut.fault_injected_at(), None);
+        let before = cut.host_stats().fast_bundles;
+        let after = whole.host_stats().fast_bundles - before;
+        assert!(before > 0 && after > 0, "{before} before, {after} after");
+    }
+
+    #[test]
+    fn retired_pc_triggers_and_flow_checkers_keep_every_bundle_on_the_step() {
+        let image = loop_image();
+        let golden = golden_run(&image, &SimConfig::default()).expect("golden");
+        let retired = Injection {
+            trigger: FaultTrigger::RetiredPc {
+                pc: 2,
+                occurrence: 3,
+            },
+            target: FaultTarget::Register { reg: 2, bit: 1 },
+        };
+        let cycle = Injection {
+            trigger: FaultTrigger::Cycle(1),
+            target: FaultTarget::Register { reg: 20, bit: 0 },
+        };
+        for plan in [
+            FaultPlan::single(retired),
+            FaultPlan {
+                injections: vec![cycle, retired],
+            },
+        ] {
+            let (fast, fast_run) = armed_run(&image, plan.clone(), true, watchdog(&golden));
+            let (slow, slow_run) = armed_run(&image, plan, false, watchdog(&golden));
+            assert_eq!(fast.host_stats(), HostStats::default());
+            assert!(fast.fault_injected_at().is_some());
+            assert_eq!(fast.fault_injected_at(), slow.fault_injected_at());
+            assert_eq!(
+                fast_run.map(|r| (r.stats, r.halt_pc)),
+                slow_run.map(|r| (r.stats, r.halt_pc))
+            );
+        }
+        let mut checked = Simulator::new(&image, SimConfig::default());
+        checked.install_flow_checker(permissive_map(&image, &[]));
+        checked.run().expect("runs");
+        assert_eq!(checked.host_stats(), HostStats::default());
+    }
+
+    #[test]
+    fn a_logging_core_bursts_and_logs_what_the_step_logs() {
+        let mut logs = Vec::new();
+        for image in [loop_image(), call_image()] {
+            let logged = |fast_path, plan: Option<FaultPlan>| {
+                let config = SimConfig {
+                    fast_path,
+                    faults: plan,
+                    ..SimConfig::default()
+                };
+                let mut sim = Simulator::new(&image, config);
+                sim.log_transfers(Vec::new());
+                sim.run().expect("runs");
+                (sim.host_stats(), sim.take_transfer_log())
+            };
+            // The flip lands at the cycle the first transfer retires at,
+            // so that transfer comes before it.
+            let (_, unarmed) = logged(false, None);
+            let plan = FaultPlan::single(Injection {
+                trigger: FaultTrigger::Cycle(unarmed[0].cycle),
+                target: FaultTarget::Register { reg: 20, bit: 0 },
+            });
+            let (fast_host, fast_log) = logged(true, Some(plan.clone()));
+            let (_, slow_log) = logged(false, Some(plan));
+            assert!(fast_host.fast_bundles > 0);
+            assert_eq!(fast_log, slow_log);
+            logs.extend(fast_log);
+        }
+        // Jumps, calls and returns, before the flip landed and after.
+        for kind in [
+            |t: FlowTarget| matches!(t, FlowTarget::Jump(_)),
+            |t: FlowTarget| matches!(t, FlowTarget::Call(_)),
+            |t: FlowTarget| matches!(t, FlowTarget::Ret(_)),
+        ] {
+            assert!(logs.iter().any(|t| kind(t.target)), "{logs:?}");
+        }
+        assert!(
+            logs.iter().any(|t| t.landed) && logs.iter().any(|t| !t.landed),
+            "{logs:?}"
         );
     }
 

@@ -32,10 +32,11 @@
 //! single specialisation on the host side: stall-free basic-block
 //! stretches retire in bursts that reuse the step's semantics and are
 //! bit-identical in guest cycles, [`Stats`] and results. A traced run,
-//! an armed fault plan, an installed flow checker or
-//! [`SimConfig::fast_path`] `= false` steps every bundle instead.
-//! [`Simulator::host_stats`] reports how much the bursts retired
-//! ([`HostStats`]).
+//! an installed flow checker, a pending [`FaultTrigger::RetiredPc`]
+//! injection or [`SimConfig::fast_path`] `= false` steps every bundle
+//! instead. An armed plan's cycle triggers only stop a burst before
+//! their cycle, so the step fires them. [`Simulator::host_stats`]
+//! reports how much the bursts retired ([`HostStats`]).
 //!
 //! # Example
 //!

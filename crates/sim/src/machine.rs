@@ -32,7 +32,7 @@ struct PendingLoad {
 }
 
 /// Where a control transfer goes once its delay slots have retired.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlowTarget {
     Jump(u32),
     Call(u32),
@@ -42,7 +42,7 @@ pub(crate) enum FlowTarget {
 /// One control transfer a logging core retired (see
 /// [`Simulator::log_transfers`]): the control-flow checker's input at
 /// that point, and what a run the checker stopped there would report.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LoggedTransfer {
     /// The cycle it retired at.
     pub(crate) cycle: u64,
@@ -117,7 +117,10 @@ pub struct RunResult {
 /// These are *not* part of [`Stats`] — they describe how fast the host
 /// simulated, never what the guest did, and must stay invisible to the
 /// bit-identity contract between bursting and non-bursting runs. A run
-/// that never bursts leaves them all zero.
+/// bursts unless it is traced, [`SimConfig::fast_path`] is `false`, a
+/// flow checker is installed or a [`FaultTrigger::RetiredPc`] injection
+/// is pending; an armed fault plan's cycle triggers only cut bursts
+/// short. A run that never bursts leaves them all zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
     /// Bundles retired inside bursts.
@@ -495,16 +498,17 @@ impl Simulator {
     ///
     /// As [`Simulator::run`].
     pub fn run_traced<S: TraceSink>(&mut self, sink: &mut S) -> Result<RunResult, SimError> {
-        // Bursts skip the per-bundle trace, fault, flow-check and
-        // transfer-log hooks, so a traced run, an armed fault plan, an
-        // installed flow checker, a transfer log or `fast_path: false`
-        // steps every bundle; the engine differential sweep proves the
-        // choice invisible to the guest.
+        // Bursts emit no trace events, run no flow check and count no
+        // retirements of a pc, so a traced run, an installed flow
+        // checker, a pending retired-pc trigger or `fast_path: false`
+        // steps every bundle. An armed plan's cycle triggers stop each
+        // burst before their cycle, and the burst logs its jumps, so
+        // armed and logging cores burst. The engine differential sweep
+        // proves the choice invisible to the guest.
         if S::ENABLED
             || !self.config.fast_path
-            || self.faults.is_some()
             || self.flow_check.is_some()
-            || self.transfer_log.is_some()
+            || self.retire_trigger_pending()
         {
             while !self.halted {
                 self.step_traced(sink)?;
@@ -861,9 +865,8 @@ impl Simulator {
     }
 
     /// Installs the control-flow checker: every retired call and return
-    /// (and loop-header entry) is validated against `map`. Like an armed
-    /// fault plan, it keeps the run on the general step, which is where
-    /// the check lives.
+    /// (and loop-header entry) is validated against `map`. It keeps the
+    /// run on the general step, which is where the check lives.
     pub fn install_flow_checker(&mut self, map: ControlFlowMap) {
         self.flow_check = Some(Box::new(FlowCheckState::new(map)));
     }
@@ -872,8 +875,9 @@ impl Simulator {
     /// `log`, emptied first. Each entry is pushed before the checker
     /// sees the transfer and before any error the transfer raises, so a
     /// checker folded over the log afterwards sees what an installed one
-    /// would have seen. Like an armed fault plan, the log keeps the run
-    /// on the general step, which is where transfers retire.
+    /// would have seen. A logging core still bursts: the burst logs the
+    /// jumps it retires through the same [`Simulator::log_transfer`] as
+    /// the step.
     pub(crate) fn log_transfers(&mut self, mut log: Vec<LoggedTransfer>) {
         log.clear();
         self.transfer_log = Some(log);
@@ -919,6 +923,35 @@ impl Simulator {
     #[inline]
     fn fault_pending(&self) -> bool {
         self.faults.as_ref().is_some_and(|f| !f.pending.is_empty())
+    }
+
+    /// Whether a retired-pc-triggered injection is still waiting to fire.
+    /// Only the step counts retirements, so such a plan keeps the run off
+    /// the burst.
+    fn retire_trigger_pending(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| {
+            f.pending
+                .iter()
+                .any(|(inj, _)| matches!(inj.trigger, FaultTrigger::RetiredPc { .. }))
+        })
+    }
+
+    /// The earliest cycle a pending cycle-triggered injection fires at
+    /// (`u64::MAX` when none is pending). A burst issues no bundle from
+    /// there on, so the step's fault check fires it.
+    fn next_cycle_trigger(&self) -> u64 {
+        self.faults
+            .as_ref()
+            .and_then(|f| {
+                f.pending
+                    .iter()
+                    .filter_map(|(inj, _)| match inj.trigger {
+                        FaultTrigger::Cycle(c) => Some(c),
+                        FaultTrigger::RetiredPc { .. } => None,
+                    })
+                    .min()
+            })
+            .unwrap_or(u64::MAX)
     }
 
     /// Fires pending cycle-triggered injections whose trigger has
@@ -1358,12 +1391,15 @@ impl Simulator {
     /// `prep_slot`, issue accounting and `exec_slot`.
     ///
     /// The burst stops at the first bundle outside the fast class or the
-    /// table, and does not start before the first step or while a call
-    /// or return is pending (those fill the method cache). What it
-    /// leaves out — trace events, the fault and flow-check hooks,
-    /// stalls, calls and returns — cannot arise for a fast-class bundle
-    /// on a run that bursts; for the same reason `exec_slot` never reads
-    /// the fields the locals stand in for.
+    /// table, and before the first bundle that would issue at or past a
+    /// pending cycle trigger, which the step then fires exactly where a
+    /// stepped run fires it. It does not start before the first step or
+    /// while a call or return is pending (those fill the method cache).
+    /// It logs every jump it retires when the core keeps a transfer log.
+    /// What it leaves out — trace events, the flow check, retired-pc
+    /// triggers, stalls, calls and returns — cannot arise for a
+    /// fast-class bundle on a run that bursts; for the same reason
+    /// `exec_slot` never reads the fields the locals stand in for.
     fn burst(&mut self) -> Result<(), SimError> {
         let call_or_ret_pending = matches!(
             self.pending_flow,
@@ -1377,6 +1413,9 @@ impl Simulator {
         }
         let dual_issue = self.config.dual_issue;
         let max_cycles = self.config.max_cycles;
+        // One compare per bundle covers both stops: the budget and the
+        // next cycle trigger.
+        let stop = max_cycles.min(self.next_cycle_trigger());
         let entry_now = self.now;
         let mut now = self.now;
         let mut bi = self.bundle_index;
@@ -1385,8 +1424,13 @@ impl Simulator {
         let mut c = RetireCounts::default();
         let outcome = (|| -> Result<(), SimError> {
             loop {
-                if now >= max_cycles {
-                    return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
+                if now >= stop {
+                    // The step checks the budget before it fires a fault.
+                    return if now >= max_cycles {
+                        Err(SimError::MaxCyclesExceeded { limit: max_cycles })
+                    } else {
+                        Ok(())
+                    };
                 }
                 let pb = match self.code.get(pc as usize) {
                     Some(Some(pb)) if pb.fast => *pb,
@@ -1408,7 +1452,10 @@ impl Simulator {
                 }
                 pc = pc.wrapping_add(pb.width);
                 match retire_flow(&mut pend, new_flow) {
-                    Some(FlowTarget::Jump(t)) => pc = t,
+                    Some(target @ FlowTarget::Jump(t)) => {
+                        self.log_transfer(now, target, pc);
+                        pc = t;
+                    }
                     Some(FlowTarget::Call(_) | FlowTarget::Ret(_)) => {
                         unreachable!("the fast class opens only branch flows")
                     }
@@ -1426,18 +1473,26 @@ impl Simulator {
         outcome
     }
 
-    fn redirect<S: TraceSink>(&mut self, target: FlowTarget, sink: &mut S) -> Result<(), SimError> {
+    /// Pushes a transfer to `target`, retired at `cycle` and leaving
+    /// from `pc`, onto the transfer log when the core keeps one. The step
+    /// (through [`Simulator::redirect`]) and the burst both log here.
+    #[inline(always)]
+    fn log_transfer(&mut self, cycle: u64, target: FlowTarget, pc: u32) {
         if let Some(log) = &mut self.transfer_log {
             log.push(LoggedTransfer {
-                cycle: self.now,
+                cycle,
                 target,
-                pc: self.pc,
+                pc,
                 landed: self
                     .faults
                     .as_ref()
                     .is_some_and(|f| f.injected_at.is_some()),
             });
         }
+    }
+
+    fn redirect<S: TraceSink>(&mut self, target: FlowTarget, sink: &mut S) -> Result<(), SimError> {
+        self.log_transfer(self.now, target, self.pc);
         if let Some(check) = &mut self.flow_check {
             check.check(target, self.pc)?;
         }
